@@ -44,14 +44,6 @@ class EdgePartition:
     backward_like: frozenset[str]  # B: risk-averse flow strictly larger
     removed: frozenset[str]        # unused by both flows
 
-    @property
-    def a(self) -> frozenset[str]:
-        return self.forward_like
-
-    @property
-    def b(self) -> frozenset[str]:
-        return self.backward_like
-
 
 def classify_edges(x: Flow, z: Flow, eps: float) -> EdgePartition:
     """Partition edges by comparing the two flows at tolerance ``eps``.

@@ -31,7 +31,6 @@ from .network import (
     RISK_MEAN_VAR,
     Instance,
     Network,
-    PathSet,
     enumerate_simple_paths,
     is_braess_topology,
     path_cost,
@@ -47,10 +46,6 @@ CHECK_ABS_SLACK = 1e-12
 
 DEFAULT_ORACLE_GRID = 100
 DEFAULT_ORACLE_MAX_PATHS = 6
-
-
-class BoundViolationError(RuntimeError):
-    """A bound that must hold for exact equilibria failed decisively."""
 
 
 def kappa_at_flow(instance: Instance, flow: Flow | Mapping[str, float]) -> float:
@@ -79,27 +74,6 @@ def shortest_path_length(network: Network, flows: Mapping[str, float]) -> float:
     return dist
 
 
-def min_risk_path_bound(
-    instance: Instance, x: Flow, cap: int = DEFAULT_PATH_CAP
-) -> tuple[tuple[str, ...], float]:
-    """Demand times the latency of the minimum-risk path bounds the
-    risk-averse social cost.
-
-    Returns (path, bound) and raises BoundViolationError if the bound fails
-    beyond round-off, since that indicates a corrupt flow rather than a tight
-    instance.
-    """
-    paths = enumerate_simple_paths(instance.network, cap=cap)
-    best = min(paths, key=lambda p: (path_risk(instance, x.edge_flow, p), p))
-    bound = instance.demand * path_latency(instance.network, x.edge_flow, best)
-    cost = social_cost(instance.network, x.edge_flow)
-    if cost > bound * (1.0 + CHECK_REL_SLACK) + CHECK_ABS_SLACK:
-        raise BoundViolationError(
-            f"risk-averse cost {cost} exceeds min-risk-path latency {bound}"
-        )
-    return best, bound
-
-
 # --- named bound checks -----------------------------------------------------
 
 
@@ -126,7 +100,7 @@ class _Ctx:
     path: AlternatingPath
     eta: int
     rho: float
-    paths: PathSet
+    paths: tuple[tuple[str, ...], ...]
     eq_dev_x: float
     eq_dev_z: float
 
@@ -158,7 +132,9 @@ def _entry(
     return BoundCheck(name, lhs, rhs, _holds(lhs, rhs, extra), proven=proven, note=note)
 
 
-def _equilibrium_deviation(paths: PathSet, flow: Flow, cost_of) -> float:
+def _equilibrium_deviation(
+    paths: tuple[tuple[str, ...], ...], flow: Flow, cost_of
+) -> float:
     """Worst used-path excess over the cheapest path under ``cost_of``.
 
     Zero at an exact equilibrium. The solver's relative gap is flow-weighted,

@@ -11,24 +11,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
-import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Iterable, Sequence
 
-import numpy as np
-
-from .alternating import FORWARD, NoAlternatingPathError
+from . import suites
+from .alternating import NoAlternatingPathError
 from .analysis import (
-    CHECK_REL_SLACK,
     DEFAULT_ORACLE_GRID,
     DEFAULT_ORACLE_MAX_PATHS,
-    SIGMA_SLACK,
-    BoundViolationError,
     PraReport,
-    braess_stdev_inequality_batch,
     max_shortest_path_oracle,
     oracle_slack,
     pra_report,
@@ -53,10 +45,11 @@ from .network import (
 from .solvers import (
     DEFAULT_MAX_ITER,
     ConvergenceError,
-    EquilibriumResult,
+    solve_pair,
     solve_rawe,
     solve_rnwe,
 )
+from .suites import num as _num
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -65,21 +58,6 @@ EXIT_BOUND = 4
 
 CSV_HEADER = "param,cost_rnwe,cost_rawe,pra,kappa,eta,bound_eta,bound_rho,pass"
 
-VERIFY_SUITES = ("bound-chain", "sp-theorem", "sigma-lemma", "oracle")
-VERIFY_DEFAULT_SEEDS = {
-    "bound-chain": 200,
-    "sp-theorem": 100,
-    "sigma-lemma": 100_000,
-    "oracle": 50,
-}
-# Grid used by the sp-theorem suite; coarser than the oracle suite because it
-# runs next to two equilibrium solves per seed.
-SP_SUITE_GRID = 60
-ORACLE_VERDICT_SLACK = 1e-6
-
-T = TypeVar("T")
-R = TypeVar("R")
-
 
 class CliError(Exception):
     """Error with a designated exit code."""
@@ -87,10 +65,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _num(value: float) -> str:
-    return repr(float(value))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -143,49 +117,6 @@ def _parse_set(items: Iterable[str]) -> dict[str, Any]:
     return params
 
 
-def _workers(n_items: int) -> int:
-    raw = os.environ.get("RISKROUTE_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise CliError(
-                f"RISKROUTE_THREADS must be an integer, got {raw!r}", EXIT_INPUT
-            ) from None
-        if cap < 1:
-            raise CliError("RISKROUTE_THREADS must be >= 1", EXIT_INPUT)
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_items))
-
-
-def _pool_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Run fn over items, results in input order regardless of completion."""
-    workers = _workers(len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _solve_pair(
-    instance: Instance, tol: float | None, max_iter: int
-) -> tuple[EquilibriumResult, EquilibriumResult]:
-    kwargs: dict[str, Any] = {"max_iter": max_iter}
-    if tol is not None:
-        kwargs["tol"] = tol
-    x = solve_rawe(instance, **kwargs)
-    z = solve_rnwe(instance, **kwargs)
-    for label, result in (("risk-averse", x), ("risk-neutral", z)):
-        if not result.converged:
-            raise CliError(
-                f"{label} solver stopped at gap {_num(result.relative_gap)} "
-                f"after {result.iterations} iterations",
-                EXIT_CONVERGENCE,
-            )
-    return x, z
-
-
 def _csv_row(param: str, report: PraReport) -> str:
     fields = (
         param,
@@ -201,22 +132,13 @@ def _csv_row(param: str, report: PraReport) -> str:
     return ",".join(fields)
 
 
-def _failed_names(report: PraReport) -> str:
-    return ",".join(
-        c.name for c in report.checks if c.proven and not c.skipped and not c.passed
-    )
-
-
 # --- solve -------------------------------------------------------------------
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance, args.risk_model)
     solver = solve_rnwe if args.mode == "rnwe" else solve_rawe
-    kwargs: dict[str, Any] = {"max_iter": args.max_iter}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    result = solver(instance, **kwargs)
+    result = solver(instance, tol=args.tol, max_iter=args.max_iter)
     flow = result.flow
     cost = social_cost(instance.network, flow.edge_flow)
     name = instance.name or args.instance
@@ -287,7 +209,7 @@ def _print_report(report: PraReport) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance, args.risk_model)
-    x, z = _solve_pair(instance, args.tol, args.max_iter)
+    x, z = solve_pair(instance, args.tol, args.max_iter)
     report = pra_report(instance, x, z)
     _print_report(report)
     if args.out:
@@ -313,7 +235,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     span = args.stop - args.start
     values = [args.start + span * i / (args.steps - 1) for i in range(args.steps)]
 
-    def run(value: float) -> tuple[str, bool]:
+    rows: list[str] = []
+    failed: list[str] = []
+    for value in values:
         params = dict(fixed)
         params[args.param] = value
         instance = make(args.family, seed=args.seed, **params)
@@ -323,14 +247,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{args.param}={_num(value)}: " + "; ".join(verdict.violations),
                 EXIT_INPUT,
             )
-        x, z = _solve_pair(instance, args.tol, args.max_iter)
+        x, z = solve_pair(instance, args.tol, args.max_iter)
         report = pra_report(instance, x, z)
-        return _csv_row(_num(value), report), report.ok
-
-    rows = _pool_map(run, values)
-    text = "\n".join([CSV_HEADER] + [row for row, _ in rows]) + "\n"
-    _write_text(args.out, text)
-    failed = [row.split(",", 1)[0] for row, ok in rows if not ok]
+        rows.append(_csv_row(_num(value), report))
+        if not report.ok:
+            failed.append(_num(value))
+    _write_text(args.out, "\n".join([CSV_HEADER] + rows) + "\n")
     print(f"wrote {args.out}  rows {len(rows)}  failed {len(failed)}")
     for param in failed:
         print(f"FAIL {args.param}={param}")
@@ -340,173 +262,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # --- verify ------------------------------------------------------------------
 
 
-def _suite_bound_chain(seeds: int, args: argparse.Namespace) -> tuple[list[str], int]:
-    """Random general-topology mean-var instances: every proven check in the
-    report registry must pass, and an alternating path must exist."""
-
-    def run(seed: int) -> str | None:
-        rng = random.Random(seed)
-        n = rng.randint(4, 8)
-        m = rng.randint(n, 2 * n)
-        instance = make("random_general", seed=seed, n=n, m=m)
-        try:
-            x, z = _solve_pair(instance, args.tol, args.max_iter)
-            report = pra_report(instance, x, z)
-        except CliError as exc:
-            return f"seed {seed}: {exc}"
-        except NoAlternatingPathError as exc:
-            return f"seed {seed}: {exc}"
-        if not report.ok:
-            return f"seed {seed}: {_failed_names(report)}"
-        return None
-
-    results = _pool_map(run, range(seeds))
-    return [r for r in results if r is not None], seeds
-
-
-def _suite_sp_theorem(seeds: int, args: argparse.Namespace) -> tuple[list[str], int]:
-    """Random series-parallel instances: eta = 1, the alternating path never
-    uses an edge backward, the price of risk aversion stays within 1 + gamma
-    kappa, and no feasible flow beats the equilibrium shortest path by more
-    than the oracle's grid slack. The zigzag family must be flagged non-SP."""
-    grid = args.grid if args.grid is not None else SP_SUITE_GRID
-
-    def run(seed: int) -> str | None:
-        rng = random.Random(seed)
-        budget = rng.randint(2, 5)
-        instance = make(
-            "random_sp",
-            seed=seed,
-            budget=budget,
-            max_paths=DEFAULT_ORACLE_MAX_PATHS,
-        )
-        try:
-            x, z = _solve_pair(instance, args.tol, args.max_iter)
-            report = pra_report(instance, x, z)
-        except CliError as exc:
-            return f"seed {seed}: {exc}"
-        except NoAlternatingPathError as exc:
-            return f"seed {seed}: {exc}"
-        bad: list[str] = []
-        if not report.ok:
-            bad.append(f"checks {_failed_names(report)}")
-        if report.eta != 1:
-            bad.append(f"eta {report.eta}")
-        if any(direction != FORWARD for _, direction in report.alternating_arcs):
-            bad.append("backward arc on a series-parallel network")
-        ceiling = (1.0 + report.gamma * report.kappa) * (1.0 + CHECK_REL_SLACK)
-        if report.pra > ceiling:
-            bad.append(f"pra {_num(report.pra)} > {_num(ceiling)}")
-        oracle = max_shortest_path_oracle(
-            instance, grid=grid, max_paths=DEFAULT_ORACLE_MAX_PATHS
-        )
-        best = shortest_path_length(instance.network, z.flow.edge_flow)
-        allowance = oracle_slack(instance, grid) + ORACLE_VERDICT_SLACK
-        if oracle.value > best + allowance:
-            bad.append(f"oracle {_num(oracle.value)} > S(z) {_num(best)}")
-        if bad:
-            return f"seed {seed}: " + "; ".join(bad)
-        return None
-
-    results = _pool_map(run, range(seeds))
-    failures = [r for r in results if r is not None]
-    total = seeds
-    for k in (2, 3, 4):
-        total += 1
-        if sp_decompose(make("zigzag", k=k).network).is_series_parallel:
-            failures.append(f"zigzag k={k}: wrongly recognized as series-parallel")
-    return failures, total
-
-
-def _suite_sigma(seeds: int, args: argparse.Namespace) -> tuple[list[str], int]:
-    """Fuzz the Braess path-stdev inequality on random edge sigmas in
-    [0, 10]^5, rejection-sampled to satisfy the precondition."""
-    rng = np.random.default_rng(0)
-    failures: list[str] = []
-    checked = 0
-    while checked < seeds:
-        batch = rng.uniform(0.0, 10.0, size=(2 * (seeds - checked), 5))
-        precondition, lhs, rhs = braess_stdev_inequality_batch(batch)
-        rows = batch[precondition]
-        lhs = lhs[precondition]
-        rhs = rhs[precondition]
-        take = min(len(rows), seeds - checked)
-        violating = np.nonzero(lhs[:take] > rhs[:take] + SIGMA_SLACK)[0]
-        for i in violating[:25]:
-            failures.append(
-                f"sigmas {rows[i].tolist()}: lhs {_num(lhs[i])} rhs {_num(rhs[i])}"
-            )
-        checked += take
-    return failures, seeds
-
-
-def _suite_oracle(seeds: int, args: argparse.Namespace) -> tuple[list[str], int]:
-    """Exhaustive shortest-path maximization: on series-parallel instances the
-    equilibrium attains the max up to grid slack; on the zigzag family the max
-    stays at 1 while the equilibrium shortest path is 1/k."""
-    grid = args.grid if args.grid is not None else DEFAULT_ORACLE_GRID
-
-    def run(seed: int) -> str | None:
-        rng = random.Random(seed)
-        budget = rng.randint(2, 4)
-        instance = make(
-            "random_sp",
-            seed=seed,
-            budget=budget,
-            max_paths=DEFAULT_ORACLE_MAX_PATHS,
-        )
-        kwargs: dict[str, Any] = {"max_iter": args.max_iter}
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
-        z = solve_rnwe(instance, **kwargs)
-        if not z.converged:
-            return f"seed {seed}: risk-neutral solver did not converge"
-        oracle = max_shortest_path_oracle(
-            instance, grid=grid, max_paths=DEFAULT_ORACLE_MAX_PATHS
-        )
-        best = shortest_path_length(instance.network, z.flow.edge_flow)
-        allowance = oracle_slack(instance, grid) + ORACLE_VERDICT_SLACK
-        if oracle.value > best + allowance:
-            return (
-                f"seed {seed}: oracle {_num(oracle.value)}"
-                f" > S(z) {_num(best)} + {_num(allowance)}"
-            )
-        return None
-
-    results = _pool_map(run, range(seeds))
-    failures = [r for r in results if r is not None]
-    total = seeds
-    # The zigzag path count grows quadratically in k, so the grid shrinks as
-    # k grows to keep the enumeration small.
-    for k, zigzag_grid in ((2, 100), (3, 30), (4, 10)):
-        total += 1
-        instance = make("zigzag", k=k)
-        oracle = max_shortest_path_oracle(instance, grid=zigzag_grid, max_paths=10)
-        z = solve_rnwe(instance)
-        best = shortest_path_length(instance.network, z.flow.edge_flow)
-        bad: list[str] = []
-        if abs(oracle.value - 1.0) > 1e-6:
-            bad.append(f"oracle {_num(oracle.value)} != 1.0")
-        if abs(best - 1.0 / k) > 1e-6:
-            bad.append(f"S(z) {_num(best)} != {_num(1.0 / k)}")
-        if bad:
-            failures.append(f"zigzag k={k}: " + "; ".join(bad))
-    return failures, total
-
-
-_SUITE_RUNNERS = {
-    "bound-chain": _suite_bound_chain,
-    "sp-theorem": _suite_sp_theorem,
-    "sigma-lemma": _suite_sigma,
-    "oracle": _suite_oracle,
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    seeds = args.seeds if args.seeds is not None else VERIFY_DEFAULT_SEEDS[args.suite]
+    seeds = args.seeds if args.seeds is not None else suites.DEFAULT_SEEDS[args.suite]
     if seeds < 1:
         raise CliError("--seeds must be >= 1", EXIT_INPUT)
-    failures, total = _SUITE_RUNNERS[args.suite](seeds, args)
+    failures, total = suites.run(args.suite, seeds, args.grid, args.tol, args.max_iter)
     for line in failures:
         print(f"FAIL {line}")
     print(f"{args.suite}: {total - len(failures)}/{total} PASS")
@@ -545,17 +305,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except PathCountError as exc:
         raise CliError(f"{exc}; raise --max-paths to allow more routes", EXIT_INPUT) from None
     slack = oracle_slack(instance, args.grid)
-    kwargs: dict[str, Any] = {"max_iter": args.max_iter}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    z = solve_rnwe(instance, **kwargs)
+    z = solve_rnwe(instance, tol=args.tol, max_iter=args.max_iter)
     if not z.converged:
         raise CliError(
             f"risk-neutral solver stopped at gap {_num(z.relative_gap)}",
             EXIT_CONVERGENCE,
         )
     best = shortest_path_length(instance.network, z.flow.edge_flow)
-    series_parallel = sp_decompose(instance.network).is_series_parallel
+    series_parallel = sp_decompose(instance.network) is not None
     name = instance.name or args.instance
     print(f"instance {name}  series-parallel {series_parallel}")
     print(
@@ -567,7 +324,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print("maximizing path flows:")
     for path in sorted(oracle.path_flow):
         print(f"  {_num(oracle.path_flow[path])}  {','.join(path)}")
-    attained = oracle.value <= best + slack + ORACLE_VERDICT_SLACK
+    attained = suites.oracle_attained(instance, oracle.value, best, args.grid)
     if series_parallel:
         print(f"equilibrium attains the max within slack: {'PASS' if attained else 'FAIL'}")
         return EXIT_OK if attained else EXIT_BOUND
@@ -660,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="run a property suite over generated instances"
     )
-    p_verify.add_argument("--suite", choices=VERIFY_SUITES, required=True)
+    p_verify.add_argument("--suite", choices=suites.SUITES, required=True)
     p_verify.add_argument(
         "--seeds",
         type=int,
@@ -714,7 +471,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (BoundViolationError, NoAlternatingPathError) as exc:
+    except NoAlternatingPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except ValueError as exc:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .network import (
@@ -34,13 +33,6 @@ FAMILIES = (
 
 class InstanceFormatError(ValueError):
     """Malformed instance document; the message names the offending field."""
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    family: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-    seed: int | None = None
 
 
 # --- construction helpers ---------------------------------------------------
@@ -282,13 +274,12 @@ def _random_general(
     )
 
 
-def generate(spec: FamilyParams) -> Instance:
+def make(family: str, seed: int | None = None, **params: Any) -> Instance:
     """Build an instance from family parameters. Raises ValueError on unknown
     families, missing/extra parameters, or out-of-range values."""
-    family = spec.family
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    p = dict(spec.params)
+    p = dict(params)
     risk_model = p.pop("risk_model", RISK_MEAN_VAR)
     if risk_model not in RISK_MODELS:
         raise ValueError(f"unknown risk model {risk_model!r}")
@@ -301,9 +292,9 @@ def generate(spec: FamilyParams) -> Instance:
         return default
 
     def need_seed() -> int:
-        if spec.seed is None:
+        if seed is None:
             raise ValueError(f"{family} needs a seed")
-        return spec.seed
+        return seed
 
     if family == "pigou":
         args = (float(take("gamma")), float(take("kappa")), risk_model)
@@ -342,11 +333,6 @@ def generate(spec: FamilyParams) -> Instance:
         extra = ", ".join(sorted(map(repr, p)))
         raise ValueError(f"{family} got unexpected parameters: {extra}")
     return builder(*args)
-
-
-def make(family: str, seed: int | None = None, **params: Any) -> Instance:
-    """Keyword-friendly wrapper around :func:`generate`."""
-    return generate(FamilyParams(family=family, params=params, seed=seed))
 
 
 # --- serialization ----------------------------------------------------------

@@ -190,14 +190,20 @@ def validate_instance(instance: Instance) -> Validation:
             bad.append(f"edge {e.id!r}: undeclared head {e.head!r}")
         if e.tail == e.head:
             bad.append(f"edge {e.id!r}: self-loop")
-        if not e.latency.is_nonnegative():
-            bad.append(f"edge {e.id!r}: negative coefficient in latency")
-        if not e.risk.is_nonnegative():
-            bad.append(f"edge {e.id!r}: negative coefficient in risk")
+        for label, poly in (("latency", e.latency), ("risk", e.risk)):
+            # one pass in the common case; NaN fails both comparisons
+            if not all(0.0 <= c < math.inf for c in poly.coeffs):
+                finite = all(map(math.isfinite, poly.coeffs))
+                kind = "negative" if finite else "non-finite"
+                bad.append(f"edge {e.id!r}: {kind} coefficient in {label}")
 
-    if instance.demand <= 0:
+    if not math.isfinite(instance.demand):
+        bad.append(f"demand must be finite (got {instance.demand})")
+    elif instance.demand <= 0:
         bad.append(f"demand must be positive (got {instance.demand})")
-    if instance.gamma < 0:
+    if not math.isfinite(instance.gamma):
+        bad.append(f"gamma must be finite (got {instance.gamma})")
+    elif instance.gamma < 0:
         bad.append(f"gamma must be nonnegative (got {instance.gamma})")
     if instance.risk_model not in RISK_MODELS:
         bad.append(f"unknown risk model {instance.risk_model!r}")
@@ -211,21 +217,11 @@ def validate_instance(instance: Instance) -> Validation:
     return Validation(ok=not bad, violations=tuple(bad))
 
 
-@dataclass(frozen=True)
-class PathSet:
-    """Simple source-sink paths as tuples of edge ids, lexicographically sorted."""
-
-    paths: tuple[tuple[str, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
-
-def enumerate_simple_paths(network: Network, cap: int = DEFAULT_PATH_CAP) -> PathSet:
-    """All simple source->sink paths in lexicographic edge-id order.
+def enumerate_simple_paths(
+    network: Network, cap: int = DEFAULT_PATH_CAP
+) -> tuple[tuple[str, ...], ...]:
+    """All simple source->sink paths, as tuples of edge ids, in lexicographic
+    edge-id order.
 
     Raises PathCountError beyond ``cap``: the instance is too large for the
     exhaustive analyses that need the full path set.
@@ -259,7 +255,7 @@ def enumerate_simple_paths(network: Network, cap: int = DEFAULT_PATH_CAP) -> Pat
         path_edges.append(edge.id)
         on_path.add(edge.head)
         stack.append((edge.head, 0))
-    return PathSet(tuple(paths))
+    return tuple(paths)
 
 
 def edge_flow(
@@ -318,15 +314,6 @@ SP_PARALLEL = "parallel"
 SpTree = tuple
 
 
-@dataclass(frozen=True)
-class SpDecomposition:
-    tree: SpTree | None
-
-    @property
-    def is_series_parallel(self) -> bool:
-        return self.tree is not None
-
-
 def sp_leaves(tree: SpTree) -> list[str]:
     """Edge ids at the leaves of a decomposition tree, left to right."""
     kind = tree[0]
@@ -335,8 +322,9 @@ def sp_leaves(tree: SpTree) -> list[str]:
     return sp_leaves(tree[1]) + sp_leaves(tree[2])
 
 
-def sp_decompose(network: Network) -> SpDecomposition:
-    """Recognize a two-terminal series-parallel network.
+def sp_decompose(network: Network) -> SpTree | None:
+    """Decomposition tree of a two-terminal series-parallel network, or None
+    when the network is not series-parallel.
 
     Repeatedly merges parallel edge pairs and series nodes (interior nodes of
     in- and out-degree one). The network is series-parallel between its source
@@ -393,8 +381,8 @@ def sp_decompose(network: Network) -> SpDecomposition:
     if len(live) == 1:
         (tail, head, tree), = live.values()
         if tail == src and head == dst:
-            return SpDecomposition(tree=tree)
-    return SpDecomposition(tree=None)
+            return tree
+    return None
 
 
 def is_braess_topology(network: Network) -> bool:

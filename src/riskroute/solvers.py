@@ -62,7 +62,8 @@ EDGE_CONSISTENCY_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """Solver-side invariant broke (potential increased, negative cost, ...)."""
+    """A solve failed: a solver-side invariant broke (potential increased,
+    unreachable sink) or the solve stopped short of its tolerance."""
 
 
 class ConservationError(ValueError):
@@ -131,10 +132,12 @@ def shortest_path(
     """Label-setting shortest path under nonnegative edge costs.
 
     Ties resolve to the lexicographically smallest edge-id sequence, so the
-    result is deterministic even with parallel edges.
+    result is deterministic even with parallel edges. Raises ValueError on a
+    negative or NaN cost.
     """
     for eid, c in costs.items():
-        assert c >= 0.0, f"negative edge cost on {eid!r}"
+        if not c >= 0.0:  # also catches NaN
+            raise ValueError(f"edge {eid!r} has cost {c}, not a nonnegative number")
     done: set[str] = set()
     heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (), network.source)]
     while heap:
@@ -456,11 +459,34 @@ def solve_rawe(
 
 def solve_rnwe(
     instance: Instance,
-    tol: float = DEFAULT_TOL,
+    tol: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EquilibriumResult:
     """Risk-neutral equilibrium (latency-only costs)."""
-    return solve_wardrop(instance, RISK_NEUTRAL, tol, max_iter)
+    return solve_wardrop(
+        instance, RISK_NEUTRAL, tol if tol is not None else DEFAULT_TOL, max_iter
+    )
+
+
+def solve_pair(
+    instance: Instance,
+    tol: float | None = None,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[EquilibriumResult, EquilibriumResult]:
+    """Risk-averse and risk-neutral equilibria, both converged.
+
+    Raises ConvergenceError naming the first of the two solves that stopped
+    short of its tolerance.
+    """
+    x = solve_rawe(instance, tol=tol, max_iter=max_iter)
+    z = solve_rnwe(instance, tol=tol, max_iter=max_iter)
+    for label, result in (("risk-averse", x), ("risk-neutral", z)):
+        if not result.converged:
+            raise ConvergenceError(
+                f"{label} solver stopped at gap {float(result.relative_gap)!r} "
+                f"after {result.iterations} iterations"
+            )
+    return x, z
 
 
 def decompose_edge_flow(

@@ -7,22 +7,13 @@ through module-scoped fixtures; everything here is seeded and deterministic.
 """
 
 import math
-import random
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
+from riskroute import suites
 from riskroute.alternating import NoAlternatingPathError
-from riskroute.analysis import (
-    SIGMA_SLACK,
-    PraReport,
-    braess_stdev_inequality_batch,
-    max_shortest_path_oracle,
-    oracle_slack,
-    pra_report,
-    shortest_path_length,
-)
+from riskroute.analysis import PraReport, pra_report
 from riskroute.instances import make
 from riskroute.network import RISK_MEAN_STDEV, Instance
 from riskroute.solvers import solve_rawe, solve_rnwe
@@ -64,10 +55,7 @@ def general_pool() -> tuple[list[Solved], list[str]]:
     bundles: list[Solved] = []
     missing: list[str] = []
     for seed in range(GENERAL_SEEDS):
-        rng = random.Random(seed)
-        n = rng.randint(4, 8)
-        m = rng.randint(n, 2 * n)
-        instance = make("random_general", seed=seed, n=n, m=m)
+        instance = suites.random_general(seed)
         try:
             bundles.append(_solved(instance))
         except NoAlternatingPathError as exc:
@@ -78,12 +66,7 @@ def general_pool() -> tuple[list[Solved], list[str]]:
 @pytest.fixture(scope="module")
 def sp_pool() -> list[Solved]:
     """Random series-parallel instances, solved and certified."""
-    bundles = []
-    for seed in range(SP_SEEDS):
-        rng = random.Random(seed)
-        budget = rng.randint(2, 5)
-        bundles.append(_solved(make("random_sp", seed=seed, budget=budget)))
-    return bundles
+    return [_solved(suites.random_sp(seed, max_budget=5)) for seed in range(SP_SEEDS)]
 
 
 @pytest.fixture(scope="module")
@@ -95,21 +78,6 @@ def stdev_pool() -> tuple[list[Solved], Solved]:
     ]
     pigou = _solved(make("pigou", kappa=1.0, gamma=1.0, risk_model=RISK_MEAN_STDEV))
     return braess, pigou
-
-
-@pytest.fixture(scope="module")
-def sp_oracle_pool() -> list[tuple[str, float, float, float]]:
-    """Oracle value, risk-neutral social cost, and grid slack per instance."""
-    rows = []
-    for seed in range(ORACLE_SEEDS):
-        rng = random.Random(seed)
-        budget = rng.randint(2, 4)
-        instance = make("random_sp", seed=seed, budget=budget, max_paths=6)
-        value = max_shortest_path_oracle(instance, grid=100, max_paths=6).value
-        z = solve_rnwe(instance)
-        s_z = shortest_path_length(instance.network, z.flow.edge_flow)
-        rows.append((instance.name, value, s_z, oracle_slack(instance, 100)))
-    return rows
 
 
 def test_criterion_01_pigou_exactness(verdict):
@@ -214,30 +182,20 @@ def test_criterion_06_series_parallel_eta_one(verdict, sp_pool):
     assert ok, (bad_eta + bad_pra)[:5]
 
 
-def test_criterion_07_oracle_dominates_equilibrium(verdict, sp_oracle_pool):
+def test_criterion_07_oracle_dominates_equilibrium(verdict):
     """On series-parallel networks no feasible flow beats the equilibrium
     shortest-path length by more than the oracle's grid slack; the zigzag
     family shows the guarantee failing off series-parallel."""
-    violations = [
-        f"{name}: oracle {value!r} > S(z) {s_z!r} + slack {slack!r}"
-        for name, value, s_z, slack in sp_oracle_pool
-        if value > s_z + slack + 1e-6
-    ]
-    zigzag_err = 0.0
-    for k, grid in ((2, 100), (3, 30), (4, 10)):
-        instance = make("zigzag", k=k)
-        value = max_shortest_path_oracle(instance, grid=grid, max_paths=10).value
-        z = solve_rnwe(instance)
-        s_z = shortest_path_length(instance.network, z.flow.edge_flow)
-        zigzag_err = max(zigzag_err, abs(value - 1.0), abs(s_z - 1.0 / k))
-    ok = not violations and zigzag_err <= 1e-6
+    violations = suites.oracle_seeds(ORACLE_SEEDS, grid=100)
+    zigzag, zigzag_err = suites.zigzag_closed_forms()
+    ok = not violations and not zigzag
     verdict(
         "criterion 07 shortest-path oracle",
         ok,
-        f"instances {len(sp_oracle_pool)}  violations {len(violations)}  "
+        f"instances {ORACLE_SEEDS}  violations {len(violations)}  "
         f"zigzag error {zigzag_err:.2e}",
     )
-    assert ok, (violations[:5], zigzag_err)
+    assert ok, (violations[:5], zigzag)
 
 
 def test_criterion_08_mean_stdev_bounds(verdict, stdev_pool):
@@ -263,24 +221,14 @@ def test_criterion_08_mean_stdev_bounds(verdict, stdev_pool):
 def test_criterion_09_stdev_path_inequality(verdict):
     """Random sigma vectors satisfying the precondition never violate
     sigma_p + sigma_q - sigma_r <= sigma_b + sigma_c beyond slack."""
-    rng = np.random.default_rng(0)
-    checked = 0
-    violations = 0
-    while checked < SIGMA_SAMPLES:
-        batch = rng.uniform(0.0, 10.0, size=(2 * (SIGMA_SAMPLES - checked), 5))
-        precondition, lhs, rhs = braess_stdev_inequality_batch(batch)
-        lhs = lhs[precondition]
-        rhs = rhs[precondition]
-        take = min(len(lhs), SIGMA_SAMPLES - checked)
-        violations += int(np.count_nonzero(lhs[:take] > rhs[:take] + SIGMA_SLACK))
-        checked += take
-    ok = violations == 0
+    violations, checked = suites.sigma_lemma(SIGMA_SAMPLES)
+    ok = not violations
     verdict(
         "criterion 09 stdev path inequality",
         ok,
-        f"samples {checked}  violations {violations}",
+        f"samples {checked}  violations {len(violations)}",
     )
-    assert ok, violations
+    assert ok, violations[:5]
 
 
 def test_criterion_10_rho_bound(verdict, general_pool, sp_pool, stdev_pool):
@@ -319,10 +267,7 @@ def test_criterion_11_convergence_quality(verdict, general_pool, sp_pool, stdev_
     ]
     worst_diff = 0.0
     for seed in range(1000, 1100):
-        rng = random.Random(seed)
-        n = rng.randint(4, 8)
-        m = rng.randint(n, 2 * n)
-        instance = make("random_general", seed=seed, n=n, m=m, gamma=0.0)
+        instance = suites.random_general(seed, gamma=0.0)
         x = solve_rawe(instance).flow.edge_flow
         z = solve_rnwe(instance).flow.edge_flow
         worst_diff = max(worst_diff, max(abs(x[e] - z[e]) for e in x))

@@ -44,10 +44,10 @@ def _min_runs_exhaustive(partition: EdgePartition, network: Network) -> int | No
     """
     emap = network.edge_map
     residual: dict[str, list[tuple[str, str]]] = {v: [] for v in network.nodes}
-    for eid in partition.a:
+    for eid in partition.forward_like:
         e = emap[eid]
         residual[e.tail].append((FORWARD, e.head))
-    for eid in partition.b:
+    for eid in partition.backward_like:
         e = emap[eid]
         residual[e.head].append((BACKWARD, e.tail))
 
@@ -79,11 +79,11 @@ def _assert_contiguous(path: AlternatingPath, partition: EdgePartition, network:
     for eid, direction in path.arcs:
         edge = emap[eid]
         if direction == FORWARD:
-            assert eid in partition.a
+            assert eid in partition.forward_like
             assert edge.tail == at
             at = edge.head
         else:
-            assert eid in partition.b
+            assert eid in partition.backward_like
             assert edge.head == at
             at = edge.tail
         assert at not in seen
@@ -105,8 +105,8 @@ def test_classify_edges_boundary_rules():
     z = flow_of({"tie": 1.0, "dust": eps / 2, "extra": 0.5, "slack": 0.7, "fresh": 0.0})
     x = flow_of({"tie": 1.0 + eps / 2, "dust": eps / 2, "extra": 0.7, "slack": 0.5, "fresh": 0.3})
     part = classify_edges(x, z, eps)
-    assert part.a == frozenset({"tie", "slack"})
-    assert part.b == frozenset({"extra", "fresh"})
+    assert part.forward_like == frozenset({"tie", "slack"})
+    assert part.backward_like == frozenset({"extra", "fresh"})
     assert part.removed == frozenset({"dust"})
 
 
@@ -115,8 +115,8 @@ def test_classify_edges_braess():
     risk-averse flow moves everything onto the zigzag a-e-d."""
     instance = make("braess", v=0.1)
     _, _, part = _solved_partition(instance)
-    assert part.a == frozenset({"b", "c"})
-    assert part.b == frozenset({"a", "d", "e"})
+    assert part.forward_like == frozenset({"b", "c"})
+    assert part.backward_like == frozenset({"a", "d", "e"})
     assert part.removed == frozenset()
 
 

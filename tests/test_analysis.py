@@ -12,12 +12,10 @@ from riskroute.analysis import (
     CHECK_REGISTRY,
     DEFAULT_ORACLE_GRID,
     SIGMA_SLACK,
-    BoundViolationError,
     braess_stdev_inequality,
     braess_stdev_inequality_batch,
     kappa_at_flow,
     max_shortest_path_oracle,
-    min_risk_path_bound,
     oracle_slack,
     pra_report,
     report_to_dict,
@@ -25,7 +23,6 @@ from riskroute.analysis import (
 )
 from riskroute.instances import make
 from riskroute.network import (
-    RISK_MEAN_VAR,
     CostPoly,
     Edge,
     Instance,
@@ -35,7 +32,6 @@ from riskroute.network import (
 from riskroute.solvers import (
     DEFAULT_TOL,
     EquilibriumResult,
-    Flow,
     ZeroCostPathWarning,
     solve_rawe,
     solve_rnwe,
@@ -226,21 +222,15 @@ def test_report_to_dict_stringifies_non_finite_values():
 # --- path bounds ----------------------------------------------------------
 
 
-def test_min_risk_path_bound_braess():
-    instance = make("braess", v=0.1)
-    x = solve_rawe(instance).flow
-    path, bound = min_risk_path_bound(instance, x)
-    assert path == ("a", "e", "d")
-    assert bound == pytest.approx(1.3, rel=1e-9)
-
-
-def test_min_risk_path_bound_rejects_corrupt_flow():
-    """A flow that is no equilibrium can cost more than the min-risk path's
-    latency; the helper treats that as input corruption."""
-    instance = make("braess", v=0.1)
-    fake = Flow.from_paths(instance, {("a", "b"): 1.0}, RISK_MEAN_VAR)
-    with pytest.raises(BoundViolationError):
-        min_risk_path_bound(instance, fake)
+def test_min_risk_path_check_braess():
+    """The min-risk route a-e-d bounds the risk-averse cost by its latency
+    1.3, which the Braess equilibrium attains."""
+    report = _solved_report(make("braess", v=0.1))
+    check = next(
+        c for c in report.checks if c.name == "rawe-cost-le-min-risk-path-latency"
+    )
+    assert check.rhs == pytest.approx(1.3, rel=1e-9)
+    assert check.passed
 
 
 def test_shortest_path_length_zigzag():

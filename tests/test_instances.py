@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from riskroute.instances import (
     FAMILIES,
-    FamilyParams,
     InstanceFormatError,
-    generate,
     make,
     read_instance,
     write_instance,
@@ -73,11 +71,6 @@ def test_unknown_family_and_parameter_errors():
         make("random_sp", budget=2)  # missing seed
     with pytest.raises(ValueError):
         make("pigou", gamma=1.0, kappa=1.0, risk_model="quantile")
-
-
-def test_generate_equals_make():
-    spec = FamilyParams(family="braess", params={"v": 0.2}, seed=None)
-    assert write_instance(generate(spec)) == write_instance(make("braess", v=0.2))
 
 
 def test_families_listing():

@@ -226,27 +226,27 @@ def test_path_cost_models():
 
 
 def test_pigou_is_series_parallel():
-    decomposition = sp_decompose(make("pigou", gamma=1.0, kappa=1.0).network)
-    assert decomposition.is_series_parallel
-    assert sorted(sp_leaves(decomposition.tree)) == ["e1", "e2"]
+    tree = sp_decompose(make("pigou", gamma=1.0, kappa=1.0).network)
+    assert tree is not None
+    assert sorted(sp_leaves(tree)) == ["e1", "e2"]
 
 
 def test_braess_is_not_series_parallel():
-    assert not sp_decompose(_braess_instance().network).is_series_parallel
+    assert sp_decompose(_braess_instance().network) is None
 
 
 def test_zigzag_is_not_series_parallel():
     for k in (2, 3, 4):
-        assert not sp_decompose(make("zigzag", k=k).network).is_series_parallel
+        assert sp_decompose(make("zigzag", k=k).network) is None
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=6))
 def test_random_sp_family_recognized(seed, budget):
     net = make("random_sp", seed=seed, budget=budget).network
-    decomposition = sp_decompose(net)
-    assert decomposition.is_series_parallel
-    assert sorted(sp_leaves(decomposition.tree)) == sorted(e.id for e in net.edges)
+    tree = sp_decompose(net)
+    assert tree is not None
+    assert sorted(sp_leaves(tree)) == sorted(e.id for e in net.edges)
 
 
 def test_two_parallel_links_then_series():
@@ -257,9 +257,9 @@ def test_two_parallel_links_then_series():
             _edge("e3", "u", "t"),
         ]
     )
-    decomposition = sp_decompose(net)
-    assert decomposition.is_series_parallel
-    assert sorted(sp_leaves(decomposition.tree)) == ["e1", "e2", "e3"]
+    tree = sp_decompose(net)
+    assert tree is not None
+    assert sorted(sp_leaves(tree)) == ["e1", "e2", "e3"]
 
 
 def test_is_braess_topology():
