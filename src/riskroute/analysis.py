@@ -38,7 +38,7 @@ from .network import (
     path_risk,
     social_cost,
 )
-from .solvers import EquilibriumResult, Flow, shortest_path
+from .solvers import EquilibriumResult, Flow, decompose_edge_flow, shortest_path
 
 #: Relative slack when judging lhs <= rhs under solver round-off.
 CHECK_REL_SLACK = 1e-6
@@ -526,14 +526,19 @@ def braess_stdev_inequality(
     With route stdevs sigma_p = hypot(a, b), sigma_q = hypot(c, d) and
     sigma_r = sqrt(a^2 + e^2 + d^2), the claim sigma_p + sigma_q - sigma_r
     <= sigma_b + sigma_c holds whenever the zigzag route is not the riskiest
-    (sigma_r <= max(sigma_p, sigma_q))."""
+    (sigma_r <= max(sigma_p, sigma_q)).
+
+    The precondition is tested in its cancelled form, a^2 + e^2 <= c^2 or
+    e^2 + d^2 <= b^2, so that a sigma too small to change sigma_r after
+    rounding still counts."""
     sp = math.hypot(sigma_a, sigma_b)
     sq = math.hypot(sigma_c, sigma_d)
     sr = math.sqrt(sigma_a**2 + sigma_e**2 + sigma_d**2)
     lhs = sp + sq - sr
     rhs = sigma_b + sigma_c
     return SigmaInequalityVerdict(
-        precondition=sr <= max(sp, sq),
+        precondition=sigma_a**2 + sigma_e**2 <= sigma_c**2
+        or sigma_e**2 + sigma_d**2 <= sigma_b**2,
         lhs=lhs,
         rhs=rhs,
         holds=lhs <= rhs + SIGMA_SLACK,
@@ -544,7 +549,7 @@ def braess_stdev_inequality_batch(
     sigmas: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized form over an (N, 5) array of sigma rows; returns
-    (precondition mask, lhs, rhs)."""
+    (precondition mask, lhs, rhs), the mask in the same cancelled form."""
     s = np.asarray(sigmas, dtype=float)
     if s.ndim != 2 or s.shape[1] != 5:
         raise ValueError("expected an (N, 5) array of sigma values")
@@ -552,7 +557,7 @@ def braess_stdev_inequality_batch(
     sp = np.hypot(sa, sb)
     sq = np.hypot(sc, sd)
     sr = np.sqrt(sa**2 + se**2 + sd**2)
-    precondition = sr <= np.maximum(sp, sq)
+    precondition = (sa**2 + se**2 <= sc**2) | (se**2 + sd**2 <= sb**2)
     return precondition, sp + sq - sr, sb + sc
 
 
@@ -575,42 +580,46 @@ def oracle_slack(instance: Instance, grid: int) -> float:
     return d * lip / grid
 
 
-def _dense3(total: int) -> np.ndarray:
-    # all (i, j, total-i-j) >= 0, lexicographic, no Python-level loop
-    counts = np.arange(total + 1, 0, -1)
-    i = np.repeat(np.arange(total + 1), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    j = np.arange(counts.sum()) - np.repeat(starts, counts)
-    return np.column_stack([i, j, total - i - j])
+#: Most lattice points the enumeration holds in one block, so the oracle's
+#: memory does not grow with the number of points.
+_BLOCK_POINTS = 1 << 16
 
 
-def _dense(total: int, parts: int) -> np.ndarray:
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    if parts == 2:
-        i = np.arange(total + 1, dtype=np.int64)
-        return np.column_stack([i, total - i])
-    if parts == 3:
-        return _dense3(total)
-    blocks = []
-    for first in range(total + 1):
-        rest = _dense(total - first, parts - 1)
-        blocks.append(
-            np.column_stack([np.full(len(rest), first, dtype=np.int64), rest])
-        )
-    return np.vstack(blocks)
+def _flow_lattice(partial: np.ndarray, ops: list, start: int = 0):
+    """Yield, in blocks of at most _BLOCK_POINTS columns, every completion of
+    the partial integer flows ``partial`` (one column per point, one row per
+    edge) by ``ops[start:]``.
 
-
-def _composition_blocks(total: int, parts: int):
-    """Yield arrays of nonnegative integer compositions, lexicographic overall."""
-    if parts <= 4:
-        yield _dense(total, parts)
+    An op ``(rest, ins, col)`` either sets row ``rest`` to the sum of the
+    rows ``ins`` (a node's inflow, parked on its last out-edge), or, when
+    ``ins`` is None, expands each point into one point per amount from 0 up
+    to its value in row ``rest``, in that order, moving the amount to row
+    ``col``.
+    """
+    for i in range(start, len(ops)):
+        rest, ins, col = ops[i]
+        if ins is not None:
+            partial[rest] = partial[ins[0]]
+            for c in ins[1:]:
+                partial[rest] += partial[c]
+            continue
+        counts = partial[rest] + 1
+        ends = counts.cumsum()
+        starts = ends - counts
+        total = int(ends[-1])
+        for lo in range(0, total, _BLOCK_POINTS):
+            # how many of the outputs lo, lo + 1, ... each input point makes
+            reps = counts
+            if total > _BLOCK_POINTS:
+                hi = lo + _BLOCK_POINTS
+                reps = (np.minimum(ends, hi) - np.maximum(starts, lo)).clip(0)
+            block = partial.repeat(reps, axis=1)
+            taken = np.arange(lo, lo + block.shape[1]) - starts.repeat(reps)
+            block[col] = taken
+            block[rest] -= taken
+            yield from _flow_lattice(block, ops, i + 1)
         return
-    for first in range(total + 1):
-        for rest in _composition_blocks(total - first, parts - 1):
-            yield np.column_stack(
-                [np.full(len(rest), first, dtype=np.int64), rest]
-            )
+    yield partial
 
 
 def max_shortest_path_oracle(
@@ -619,41 +628,86 @@ def max_shortest_path_oracle(
     max_paths: int = DEFAULT_ORACLE_MAX_PATHS,
 ) -> OracleResult:
     """Maximize the shortest-path latency over the demand simplex by brute
-    force: every path-flow vector with coordinates in d/grid steps is
-    evaluated. Exponential in the path count, hence the ``max_paths`` cap.
+    force over the path-flow grid with d/grid steps.
 
-    Returns the first maximizer in lexicographic grid order.
+    The shortest-path latency depends on the edge flows alone, and on an
+    acyclic network integral flow decomposition maps that grid onto the
+    integer s-t flows of value ``grid`` (times d/grid) on the edges of the
+    simple paths. Those flows are enumerated instead, node by node in
+    topological order, and ``points`` counts them: C(grid+k-1, k-1) for k
+    parallel paths, fewer wherever paths share edges. The count still grows
+    exponentially with the network, hence the ``max_paths`` cap
+    (PathCountError beyond it).
+
+    Each node's inflow is split over its out-edges in edge-id order, earlier
+    edges taking the smaller shares first. The first maximizing flow in that
+    order is returned as ``path_flow``, decomposed onto the paths by
+    :func:`decompose_edge_flow` (lexicographically first paths first), so it
+    is a grid point of the path simplex.
     """
+    if grid < 1:
+        raise ValueError(f"oracle grid must be a positive integer (got {grid})")
     net = instance.network
-    d = instance.demand
-    paths = list(enumerate_simple_paths(net, cap=max_paths))
-    k = len(paths)
-    edge_ids = [e.id for e in net.edges]
-    coeff = {e.id: list(e.latency.coeffs) for e in net.edges}
-    # incidence[i, j] = 1 when path j uses edge i
-    inc = np.zeros((len(edge_ids), k))
-    for j, p in enumerate(paths):
-        for eid in p:
-            inc[edge_ids.index(eid), j] = 1.0
+    paths = enumerate_simple_paths(net, cap=max_paths)
+    on_path = set().union(*paths)
+    # One row per path edge. In Kahn's order a node's inflow is parked on its
+    # last out-edge, once every in-edge has its value, and split off from
+    # there to the other out-edges.
+    row: dict[str, int] = {}
+    polys = []
+    waiting: dict[str, int] = {}
+    for e in net.edges:
+        if e.id in on_path:
+            row[e.id] = len(row)
+            polys.append(e.latency.coeffs)
+            waiting[e.head] = waiting.get(e.head, 0) + 1
+    first = np.zeros((len(row), 1), dtype=np.int64)
+    ops: list = []
+    order = [net.source]
+    for v in order:
+        out = []
+        for e in net.out_edges[v]:
+            if e.id in row:
+                out.append(row[e.id])
+                waiting[e.head] -= 1
+                if not waiting[e.head]:
+                    order.append(e.head)
+        if not out:
+            continue
+        rest = out.pop()
+        if v == net.source:
+            first[rest] = grid
+        else:
+            ins = [row[e.id] for e in net.in_edges[v] if e.id in row]
+            ops.append((rest, ins, None))
+        for c in out:
+            ops.append((rest, None, c))
+    if len(order) != len(waiting) + 1:
+        raise ValueError("the oracle needs an acyclic network")
+    # latency coefficients by power, one row per edge; at least two powers,
+    # so that Horner's rule below can start from the linear term
+    degree = max(2, *map(len, polys))
+    coeffs = np.array([c + (0.0,) * (degree - len(c)) for c in polys]).T[:, :, None]
+    incidence = np.array([[eid in p for eid in row] for p in paths], dtype=float)
 
     best_value = -math.inf
-    best_row: np.ndarray | None = None
-    points = 0
-    scale = d / grid
-    polyval = np.polynomial.polynomial.polyval
-    for block in _composition_blocks(grid, k):
-        points += len(block)
-        flows_paths = block.astype(float) * scale  # (N, k)
-        flows_edges = flows_paths @ inc.T  # (N, m)
-        lat = np.empty_like(flows_edges)
-        for i, eid in enumerate(edge_ids):
-            lat[:, i] = polyval(flows_edges[:, i], coeff[eid])
-        path_lat = lat @ inc  # (N, k)
-        s_values = path_lat.min(axis=1)
-        idx = int(np.argmax(s_values))
+    best_flow: list[int] = []
+    count = 0
+    scale = instance.demand / grid
+    for block in _flow_lattice(first, ops):
+        count += block.shape[1]
+        flows = block * scale
+        lat = coeffs[-1] * flows
+        lat += coeffs[-2]
+        for c in coeffs[-3::-1]:
+            lat *= flows
+            lat += c
+        # shortest-path latency: the least summed edge latency over the paths
+        s_values = (incidence @ lat).min(axis=0)
+        idx = int(s_values.argmax())
         if s_values[idx] > best_value:
             best_value = float(s_values[idx])
-            best_row = flows_paths[idx].copy()
-    assert best_row is not None
-    flow = {p: float(v) for p, v in zip(paths, best_row) if v > 0.0}
-    return OracleResult(value=best_value, path_flow=flow, grid=grid, points=points)
+            best_flow = block[:, idx].tolist()
+    units = decompose_edge_flow(paths, dict(zip(row, best_flow)))
+    flow = {p: amount * scale for p, amount in units.items()}
+    return OracleResult(value=best_value, path_flow=flow, grid=grid, points=count)

@@ -74,13 +74,6 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_INPUT) from None
 
 
-def _write_bytes(path: str, data: bytes) -> None:
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_INPUT) from None
-
-
 def _load_instance(path: str, risk_model: str | None) -> Instance:
     try:
         raw = Path(path).read_bytes()
@@ -284,12 +277,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     verdict = validate_instance(instance)
     if not verdict.ok:
         raise CliError("; ".join(verdict.violations), EXIT_INPUT)
-    data = write_instance(instance)
+    text = write_instance(instance).decode("utf-8")
     if args.out:
-        _write_bytes(args.out, data)
+        _write_text(args.out, text)
         print(f"wrote {args.out}  instance {instance.name}")
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.write(text)
     return EXIT_OK
 
 

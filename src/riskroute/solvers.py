@@ -25,7 +25,7 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .network import (
     DEFAULT_PATH_CAP,
@@ -490,74 +490,30 @@ def solve_pair(
 
 
 def decompose_edge_flow(
-    network: Network,
-    flows: Mapping[str, float],
-    tol: float = 1e-9,
+    paths: Sequence[tuple[str, ...]], flows: Mapping[str, float]
 ) -> dict[tuple[str, ...], float]:
-    """Greedy path decomposition of a conserved edge flow.
+    """Path decomposition of a conserved edge flow on an acyclic network.
 
-    Checks conservation first (net outflow d at the source, -d at the sink,
-    zero elsewhere, within ``tol`` relative to d), then repeatedly routes the
-    bottleneck along the lexicographically first source->sink path with
-    positive residual. Leaves at most 1e-10 * max(1, d) residual per edge.
+    ``paths`` must be every source->sink path in lexicographic order, as
+    :func:`enumerate_simple_paths` returns them. One greedy pass routes the
+    bottleneck of each path in turn, which is the lexicographically first
+    path with flow left, since every path passed keeps an edge at zero. So a
+    conserved flow is used up; when an edge is left with more than 1e-10 *
+    max(1, d) either way (d the largest edge flow), the flow was negative or
+    not conserved and ConservationError is raised. Integer flows decompose
+    into integer amounts.
     """
-    balance: dict[str, float] = {v: 0.0 for v in network.nodes}
-    for e in network.edges:
-        f = flows[e.id]
-        if f < -tol:
-            raise ConservationError(f"negative flow on edge {e.id!r}")
-        balance[e.tail] += f
-        balance[e.head] -= f
-    d = balance[network.source]
-    scale = max(1.0, abs(d))
-    for v in network.nodes:
-        expected = d if v == network.source else (-d if v == network.sink else 0.0)
-        if abs(balance[v] - expected) > tol * scale:
-            raise ConservationError(
-                f"conservation violated at node {v!r} by {balance[v] - expected}"
-            )
-
-    residual = {e.id: max(0.0, flows[e.id]) for e in network.edges}
+    residual = dict(flows)
+    scale = max([1.0, *residual.values()])
     floor = SHIFT_FLOOR_REL * scale
     out: dict[tuple[str, ...], float] = {}
-
-    def first_residual_path() -> tuple[str, ...] | None:
-        # lexicographic DFS over edges with residual above the floor
-        stack: list[tuple[str, int]] = [(network.source, 0)]
-        chosen: list[str] = []
-        visiting = {network.source}
-        while stack:
-            node, idx = stack[-1]
-            if node == network.sink:
-                return tuple(chosen)
-            edges = network.out_edges.get(node, ())
-            if idx >= len(edges):
-                stack.pop()
-                if chosen:
-                    chosen.pop()
-                visiting.discard(node)
-                continue
-            stack[-1] = (node, idx + 1)
-            e = edges[idx]
-            if residual[e.id] <= floor or e.head in visiting:
-                continue
-            chosen.append(e.id)
-            visiting.add(e.head)
-            stack.append((e.head, 0))
-        return None
-
-    while True:
-        path = first_residual_path()
-        if path is None:
-            break
-        amount = min(residual[eid] for eid in path)
-        out[path] = out.get(path, 0.0) + amount
-        for eid in path:
-            residual[eid] -= amount
-
-    leftover = max(residual.values(), default=0.0)
+    for path in paths:
+        amount = min(map(residual.__getitem__, path))
+        if amount > floor:
+            out[path] = amount
+            for eid in path:
+                residual[eid] -= amount
+    leftover = max(map(abs, residual.values()), default=0.0)
     if leftover > 1e-10 * scale:
-        raise ConservationError(
-            f"decomposition left residual {leftover} on some edge"
-        )
+        raise ConservationError(f"decomposition left residual {leftover} on some edge")
     return out

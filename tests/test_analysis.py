@@ -1,6 +1,7 @@
 """Report assembly: kappa, the named bound checks, the sigma inequality, and
 the brute-force shortest-path maximizer."""
 
+import itertools
 import json
 import math
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import riskroute.analysis as analysis
+from riskroute import suites
 from riskroute.analysis import (
     CHECK_REGISTRY,
     DEFAULT_ORACLE_GRID,
@@ -28,6 +31,9 @@ from riskroute.network import (
     Instance,
     Network,
     PathCountError,
+    edge_flow,
+    enumerate_simple_paths,
+    path_latency,
 )
 from riskroute.solvers import (
     DEFAULT_TOL,
@@ -272,6 +278,18 @@ def test_sigma_inequality_holds_under_precondition(sa, sb, sc, sd, se):
         assert verdict.lhs <= verdict.rhs + SIGMA_SLACK
 
 
+def test_sigma_precondition_survives_rounding():
+    """sqrt(sa^2 + 16) rounds to 4 for sa = 5.96e-8, yet sigma_r exceeds
+    max(sigma_p, sigma_q) = 4, so the precondition is false; the inequality
+    itself fails there by sa > SIGMA_SLACK."""
+    sigmas = (5.96e-8, 0.0, 0.0, 4.0, 0.0)
+    verdict = braess_stdev_inequality(*sigmas)
+    assert not verdict.precondition
+    assert not verdict.holds
+    precondition, _, _ = braess_stdev_inequality_batch(np.array([sigmas]))
+    assert not precondition[0]
+
+
 def test_sigma_batch_matches_scalar():
     rng = np.random.default_rng(42)
     rows = rng.uniform(0.0, 10.0, size=(500, 5))
@@ -325,3 +343,106 @@ def test_oracle_slack_formula():
     assert oracle_slack(instance, DEFAULT_ORACLE_GRID) == pytest.approx(
         2.0 / DEFAULT_ORACLE_GRID, rel=1e-12
     )
+
+
+def _composition_maximum(instance, grid):
+    """Maximum over every path flow in d/grid steps of the shortest-path
+    latency, by stars and bars over the simple paths."""
+    net = instance.network
+    paths = enumerate_simple_paths(net, cap=100)
+    k = len(paths)
+    step = instance.demand / grid
+    best = -math.inf
+    for bars in itertools.combinations(range(grid + k - 1), k - 1):
+        cuts = (-1, *bars, grid + k - 1)
+        counts = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
+        flows = {e.id: 0.0 for e in net.edges}
+        for path, count in zip(paths, counts):
+            for eid in path:
+                flows[eid] += count * step
+        best = max(best, min(path_latency(net, flows, p) for p in paths))
+    return best
+
+
+def _check_against_compositions(instance, grid):
+    result = max_shortest_path_oracle(instance, grid=grid, max_paths=10)
+    assert abs(result.value - _composition_maximum(instance, grid)) <= 1e-12
+    # the maximizer is a grid point of the path simplex that attains the value
+    step = instance.demand / grid
+    for amount in result.path_flow.values():
+        assert amount > 0.0
+        assert abs(amount / step - round(amount / step)) <= 1e-9
+    assert math.fsum(result.path_flow.values()) == pytest.approx(
+        instance.demand, rel=1e-12
+    )
+    flows = edge_flow(result.path_flow, instance.network)
+    assert abs(shortest_path_length(instance.network, flows) - result.value) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "family, params, grid",
+    [
+        ("pigou", dict(kappa=1.0, gamma=1.0), 100),
+        ("zigzag", dict(k=2), 10),
+        ("zigzag", dict(k=3), 10),
+    ],
+)
+def test_oracle_matches_path_compositions(family, params, grid):
+    _check_against_compositions(make(family, **params), grid)
+
+
+def test_oracle_matches_path_compositions_random_sp():
+    checked = 0
+    for seed in range(60):
+        instance = suites.random_sp(seed, max_budget=4, max_paths=6)
+        if len(enumerate_simple_paths(instance.network)) <= 4:
+            _check_against_compositions(instance, grid=12)
+            checked += 1
+    assert checked >= 50
+
+
+def test_oracle_counts_integer_edge_flows():
+    """random_sp seed 29 is three parallel edges in series with two, so 6
+    paths: C(102, 2) ways to split 100 units over the first three times 101
+    over the last two, against C(105, 5) path-flow grid points."""
+    instance = suites.random_sp(29, max_budget=4, max_paths=6)
+    assert len(enumerate_simple_paths(instance.network)) == 6
+    result = max_shortest_path_oracle(instance, grid=100)
+    assert result.points == math.comb(102, 2) * 101 == 520_251
+
+
+@pytest.mark.parametrize(
+    "family, params, grid",
+    [
+        ("pigou", dict(kappa=1.0, gamma=1.0), 100),
+        ("zigzag", dict(k=3), 10),
+    ],
+)
+def test_oracle_blocks_do_not_change_the_result(monkeypatch, family, params, grid):
+    """Blocks smaller than one node's split (pigou: 101 amounts) and than
+    one lattice level give the same points, maximum and maximizer."""
+    instance = make(family, **params)
+    whole = max_shortest_path_oracle(instance, grid=grid, max_paths=10)
+    monkeypatch.setattr(analysis, "_BLOCK_POINTS", 7)
+    blocked = max_shortest_path_oracle(instance, grid=grid, max_paths=10)
+    assert blocked.points == whole.points
+    assert blocked.value == pytest.approx(whole.value, abs=1e-15)
+    assert blocked.path_flow == whole.path_flow
+
+
+def test_oracle_rejects_bad_input():
+    with pytest.raises(ValueError, match="positive integer"):
+        max_shortest_path_oracle(make("pigou", kappa=1.0, gamma=1.0), grid=0)
+    # a and b reach each other, so the path edges hold a cycle
+    edges = [
+        _edge("sa", "s", "a", (1.0,)),
+        _edge("sb", "s", "b", (1.0,)),
+        _edge("ab", "a", "b", (1.0,)),
+        _edge("ba", "b", "a", (1.0,)),
+        _edge("at", "a", "t", (1.0,)),
+        _edge("bt", "b", "t", (1.0,)),
+    ]
+    net = Network(nodes=("s", "a", "b", "t"), edges=tuple(edges), source="s", sink="t")
+    cyclic = Instance(network=net, demand=1.0, gamma=1.0, name="cyclic")
+    with pytest.raises(ValueError, match="acyclic"):
+        max_shortest_path_oracle(cyclic, grid=10)

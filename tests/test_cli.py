@@ -274,6 +274,12 @@ def test_oracle_path_cap_exits_2(tmp_path, capsys):
     assert "raise --max-paths" in capsys.readouterr().err
 
 
+def test_oracle_non_positive_grid_exits_2(tmp_path, capsys):
+    instance = _write(tmp_path, "pigou.json", make("pigou", kappa=1.0, gamma=1.0))
+    assert main(["oracle", instance, "--grid", "0"]) == 2
+    assert "grid must be a positive integer" in capsys.readouterr().err
+
+
 # --- parser ----------------------------------------------------------
 
 

@@ -266,13 +266,13 @@ def test_flow_from_paths_validation():
 def test_decompose_single_path():
     net = make("braess", v=0.1).network
     flows = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, "e": 1.0}
-    assert decompose_edge_flow(net, flows) == {("a", "e", "d"): 1.0}
+    assert decompose_edge_flow(enumerate_simple_paths(net), flows) == {("a", "e", "d"): 1.0}
 
 
 def test_decompose_split_flow():
     net = make("braess", v=0.1).network
     flows = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5, "e": 0.0}
-    out = decompose_edge_flow(net, flows)
+    out = decompose_edge_flow(enumerate_simple_paths(net), flows)
     assert out == {("a", "b"): 0.5, ("c", "d"): 0.5}
 
 
@@ -283,14 +283,14 @@ def test_decompose_single_edge():
         source="s",
         sink="t",
     )
-    assert decompose_edge_flow(net, {"e1": 1.0}) == {("e1",): 1.0}
+    assert decompose_edge_flow(enumerate_simple_paths(net), {"e1": 1.0}) == {("e1",): 1.0}
 
 
 def test_decompose_rejects_unbalanced():
     net = make("braess", v=0.1).network
     flows = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, "e": 0.5}
     with pytest.raises(ConservationError):
-        decompose_edge_flow(net, flows)
+        decompose_edge_flow(enumerate_simple_paths(net), flows)
 
 
 @settings(deadline=None, max_examples=20)
@@ -298,7 +298,9 @@ def test_decompose_rejects_unbalanced():
 def test_decompose_round_trips_equilibrium_flows(seed):
     instance = make("random_general", seed=seed, n=7, m=11)
     flow = solve_rnwe(instance).flow
-    rebuilt = decompose_edge_flow(instance.network, flow.edge_flow)
+    rebuilt = decompose_edge_flow(
+        enumerate_simple_paths(instance.network), flow.edge_flow
+    )
     total = math.fsum(rebuilt.values())
     assert total == pytest.approx(instance.demand, abs=1e-9)
     back = Flow.from_paths(instance, rebuilt, RISK_NEUTRAL)
