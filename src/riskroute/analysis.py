@@ -649,6 +649,8 @@ def max_shortest_path_oracle(
         raise ValueError(f"oracle grid must be a positive integer (got {grid})")
     net = instance.network
     paths = enumerate_simple_paths(net, cap=max_paths)
+    if not paths:
+        raise ValueError("no source-sink path")
     on_path = set().union(*paths)
     # One row per path edge. In Kahn's order a node's inflow is parked on its
     # last out-edge, once every in-edge has its value, and split off from

@@ -301,7 +301,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     z = solve_rnwe(instance, tol=args.tol, max_iter=args.max_iter)
     if not z.converged:
         raise CliError(
-            f"risk-neutral solver stopped at gap {_num(z.relative_gap)}",
+            f"risk-neutral solver stopped at gap {_num(z.relative_gap)}"
+            f" ({z.stop_reason})",
             EXIT_CONVERGENCE,
         )
     best = shortest_path_length(instance.network, z.flow.edge_flow)

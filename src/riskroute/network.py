@@ -164,6 +164,17 @@ def _sink_reachable(network: Network) -> bool:
     return network.sink in seen
 
 
+def _finite_at(edge: Edge, demand: float, gamma: float) -> bool:
+    """True when the edge's perceived cost at flow ``demand`` (latency plus
+    gamma times risk), that cost times max(demand, 1) and the squared risk
+    are finite. The product bounds the Beckmann integral up to ``demand``
+    and every flow-weighted cost the solvers sum; nondecreasing costs then
+    stay finite at every feasible flow."""
+    risk = edge.risk(demand)
+    cost = edge.latency(demand) + gamma * risk
+    return math.isfinite(max(demand, 1.0) * cost + risk * risk)
+
+
 def validate_instance(instance: Instance) -> Validation:
     """Check every structural invariant; collect violations instead of raising."""
     net = instance.network
@@ -179,6 +190,8 @@ def validate_instance(instance: Instance) -> Validation:
     if net.source == net.sink:
         bad.append("source equals sink")
 
+    # costs are judged at full demand only once demand and gamma are valid
+    scale_ok = 0.0 < instance.demand < math.inf and 0.0 <= instance.gamma < math.inf
     seen_ids: set[str] = set()
     for e in net.edges:
         if e.id in seen_ids:
@@ -190,12 +203,16 @@ def validate_instance(instance: Instance) -> Validation:
             bad.append(f"edge {e.id!r}: undeclared head {e.head!r}")
         if e.tail == e.head:
             bad.append(f"edge {e.id!r}: self-loop")
+        coeffs_ok = True
         for label, poly in (("latency", e.latency), ("risk", e.risk)):
             # one pass in the common case; NaN fails both comparisons
             if not all(0.0 <= c < math.inf for c in poly.coeffs):
+                coeffs_ok = False
                 finite = all(map(math.isfinite, poly.coeffs))
                 kind = "negative" if finite else "non-finite"
                 bad.append(f"edge {e.id!r}: {kind} coefficient in {label}")
+        if coeffs_ok and scale_ok and not _finite_at(e, instance.demand, instance.gamma):
+            bad.append(f"edge {e.id!r}: cost overflows at demand {instance.demand}")
 
     if not math.isfinite(instance.demand):
         bad.append(f"demand must be finite (got {instance.demand})")

@@ -4,15 +4,18 @@ Risk-neutral and mean-variance equilibria minimize the separable Beckmann
 potential sum_e integral_0^{f_e} c_e(t) dt, where c_e is the latency plus
 gamma times the variance under mean-var. The solver runs a conditional
 gradient loop: evaluate edge costs at the current flow, find the cheapest
-path (the all-or-nothing direction), then line-search a pairwise transfer
-from the most expensive flow-carrying path onto it by bisecting the
-potential's directional derivative. Pairwise transfers drain dead paths
-exactly, so the iterate support stays small and convergence is fast on the
-instance sizes this library targets.
+path (the all-or-nothing direction), then move flow in a pairwise transfer
+from the most expensive flow-carrying path onto it. The potential's
+directional derivative along a transfer is one polynomial in the step, built
+once per transfer, and the step is its root, found by Newton's method inside
+a bisection bracket. Pairwise transfers drain dead paths exactly, so the
+iterate support stays small and convergence is fast on the instance sizes
+this library targets.
 
 Mean-stdev perceived costs are not edge-separable, so no potential exists.
-That solver equalizes path costs directly over the enumerated path set and
-is certified purely by the reported relative gap.
+That solver equalizes path costs directly over the enumerated path set,
+sizing each shift by bisection, and is certified purely by the reported
+relative gap.
 
 The relative gap of a flow is (sum_p f_p Q_p - d * min_q Q_q) / (d * min_q Q_q):
 zero exactly at equilibrium, and small values certify an epsilon-equilibrium
@@ -47,7 +50,8 @@ DEFAULT_MAX_ITER = 200_000
 DEFAULT_TOL_MEANSTDEV = 1e-6
 DEFAULT_MEANSTDEV_PATH_CAP = 2_000
 
-#: Bisection steps for every line search; 2**-60 of the bracket.
+#: Iteration ceiling of every line search: the mean-stdev bisection always
+#: takes this many steps (2**-60 of the bracket), the Newton search at most.
 LINE_SEARCH_STEPS = 60
 #: Per-iteration tolerance when asserting the potential never increases.
 POTENTIAL_BACKSLIDE_TOL = 1e-12
@@ -108,10 +112,22 @@ class Flow:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
+    """A solver's best flow and why the solver stopped.
+
+    ``stop_reason`` is ``"converged"`` (gap at most the tolerance),
+    ``"max-iter"`` (iteration budget spent), ``"round-off"`` (the most
+    expensive used path is already the cheapest, so the gap left is
+    rounding), ``"no-descent"`` (:func:`solve_wardrop`: the line search
+    found no step) or ``"shift-floor"`` (:func:`solve_rawe_meanstdev`: the
+    step fell below ``SHIFT_FLOOR_REL`` of the demand); None when the result
+    was not made by a solver.
+    """
+
     flow: Flow
     relative_gap: float
     iterations: int
     converged: bool
+    stop_reason: str | None = None
 
 
 def cost_polynomials(instance: Instance, mode: str) -> dict[str, CostPoly]:
@@ -166,6 +182,81 @@ def _edge_costs(
     return {eid: cost_polys[eid](flows[eid]) for eid in flows}
 
 
+def _transfer_derivative(
+    polys: Mapping[str, CostPoly],
+    flows: Mapping[str, float],
+    delta: Mapping[str, float],
+) -> CostPoly:
+    """The potential's derivative g(t) = sum_e s_e c_e(f_e + s_e t) along a
+    transfer that changes each edge flow f_e by s_e t, as one polynomial in t.
+
+    Each edge polynomial is Taylor-shifted to f_e by repeated synthetic
+    division, its t**k coefficient scaled by s_e**(k+1), and every
+    coefficient summed over the edges with math.fsum.
+    """
+    terms = []
+    for eid, s in delta.items():
+        b = list(polys[eid].coeffs)
+        f = flows[eid]
+        for k in range(len(b) - 1):
+            for i in range(len(b) - 2, k - 1, -1):
+                b[i] += f * b[i + 1]
+        scale = s
+        for k in range(len(b)):
+            b[k] *= scale
+            scale *= s
+        terms.append(b)
+    width = max(map(len, terms))
+    return CostPoly(
+        tuple(math.fsum(b[k] for b in terms if k < len(b)) for k in range(width))
+    )
+
+
+def _newton_step(g: CostPoly, hi: float) -> float:
+    """Largest-progress root of a nondecreasing polynomial ``g`` on [0, hi].
+
+    Returns hi when g(hi) <= 0 and 0 when g(0) >= 0; otherwise the largest
+    point found with g <= 0 next to the root, to the resolution of
+    ``LINE_SEARCH_STEPS`` bisection steps. Newton steps run inside the
+    bracket [lo, up], g(lo) <= 0 < g(up); a zero slope or a step that leaves
+    the bracket bisects it instead. Newton converging from the right leaves
+    ``lo`` behind, so once its step is within the resolution there, the
+    search steps down from ``up`` in doubling steps until g <= 0. Rounding
+    noise in g near the root moves Newton by more than the resolution, so
+    the search also stops when the bracket closes.
+    """
+    if g(hi) <= 0.0:
+        return hi
+    value = g(0.0)
+    if value >= 0.0:
+        return 0.0
+    resolution = drop = hi * 2.0**-LINE_SEARCH_STEPS
+    lo, up = 0.0, hi
+    t = 0.0  # the last point evaluated; g(t) == value
+    for _ in range(LINE_SEARCH_STEPS):
+        slope = g.derivative(t)
+        nxt = t - value / slope if slope > 0.0 else math.inf
+        if t > 0.0 and abs(nxt - t) <= resolution:
+            if value <= 0.0:
+                break
+            drop = max(drop, math.ulp(up))
+            nxt = up - drop
+            drop *= 2.0
+        if not lo < nxt < up:
+            nxt = 0.5 * (lo + up)
+            if not lo < nxt < up:
+                break  # no float left inside the bracket
+        value = g(nxt)
+        if value <= 0.0:
+            lo = nxt
+        else:
+            up = nxt
+        if up - lo <= resolution:
+            break
+        t = nxt
+    return lo
+
+
 def _bisect_step(derivative, hi: float) -> float:
     """Largest-progress root of a nondecreasing directional derivative on
     [0, hi] via fixed-step bisection."""
@@ -218,6 +309,7 @@ def solve_wardrop(
     best_zero_floor = False
     gap = math.inf
     iterations = 0
+    stop_reason = "max-iter"
 
     for iterations in range(max_iter + 1):
         costs = _edge_costs(polys, flows)
@@ -235,7 +327,7 @@ def solve_wardrop(
             if zero_floor:
                 _warn_zero_floor()
             flow = Flow.from_paths(instance, paths, mode)
-            return EquilibriumResult(flow, gap, iterations, True)
+            return EquilibriumResult(flow, gap, iterations, True, "converged")
         if iterations == max_iter:
             break
 
@@ -244,20 +336,16 @@ def solve_wardrop(
         worst = max(paths, key=lambda p: (path_costs[p], p))
         if worst == sp_path:
             # single used path already cheapest; gap>tol must be round-off
+            stop_reason = "round-off"
             break
         shed = {eid: -1.0 for eid in worst}
         for eid in sp_path:
             shed[eid] = shed.get(eid, 0.0) + 1.0
         delta = {eid: s for eid, s in shed.items() if s != 0.0}
-
-        def deriv(step: float) -> float:
-            return math.fsum(
-                s * polys[eid](flows[eid] + step * s) for eid, s in delta.items()
-            )
-
-        step = _bisect_step(deriv, paths[worst])
+        step = _newton_step(_transfer_derivative(polys, flows, delta), paths[worst])
         if step <= 0.0:
-            break  # no descent available along the pairwise direction
+            stop_reason = "no-descent"
+            break
         paths[worst] -= step
         if paths[worst] <= 0.0:
             del paths[worst]
@@ -273,7 +361,7 @@ def solve_wardrop(
     if best_zero_floor:
         _warn_zero_floor()
     flow = Flow.from_paths(instance, best_paths, mode)
-    return EquilibriumResult(flow, best_gap, iterations, False)
+    return EquilibriumResult(flow, best_gap, iterations, False, stop_reason)
 
 
 def _gap_quiet(total: float, demand: float, min_cost: float) -> tuple[float, bool]:
@@ -361,6 +449,7 @@ def solve_rawe_meanstdev(
     best_zero_floor = False
     gap = math.inf
     iterations = 0
+    stop_reason = "max-iter"
 
     emap = net.edge_map
     gamma = instance.gamma
@@ -383,12 +472,13 @@ def solve_rawe_meanstdev(
             if zero_floor:
                 _warn_zero_floor()
             flow = Flow.from_paths(instance, paths, RISK_MEAN_STDEV)
-            return EquilibriumResult(flow, gap, iterations, True)
+            return EquilibriumResult(flow, gap, iterations, True, "converged")
         if iterations == max_iter:
             break
 
         worst = max(paths, key=lambda p: (costs_by_path[p], p))
         if worst == best:
+            stop_reason = "round-off"
             break
         pair = (worst, best)
         if pair == stall_pair and gap >= stall_gap:
@@ -429,7 +519,8 @@ def solve_rawe_meanstdev(
         hi = min(paths[worst], shift_cap)
         step = _bisect_step(cost_delta, hi)
         if step < shift_floor:
-            break  # below the useful shift resolution; stop honestly
+            stop_reason = "shift-floor"
+            break
         paths[worst] -= step
         if paths[worst] <= 0.0:
             del paths[worst]
@@ -439,7 +530,7 @@ def solve_rawe_meanstdev(
     if best_zero_floor:
         _warn_zero_floor()
     flow = Flow.from_paths(instance, best_paths, RISK_MEAN_STDEV)
-    return EquilibriumResult(flow, best_gap, iterations, False)
+    return EquilibriumResult(flow, best_gap, iterations, False, stop_reason)
 
 
 def solve_rawe(
@@ -484,7 +575,7 @@ def solve_pair(
         if not result.converged:
             raise ConvergenceError(
                 f"{label} solver stopped at gap {float(result.relative_gap)!r} "
-                f"after {result.iterations} iterations"
+                f"after {result.iterations} iterations ({result.stop_reason})"
             )
     return x, z
 

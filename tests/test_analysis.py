@@ -446,3 +446,9 @@ def test_oracle_rejects_bad_input():
     cyclic = Instance(network=net, demand=1.0, gamma=1.0, name="cyclic")
     with pytest.raises(ValueError, match="acyclic"):
         max_shortest_path_oracle(cyclic, grid=10)
+    net = Network(
+        nodes=("s", "u", "t"), edges=(_edge("su", "s", "u", (1.0,)),), source="s", sink="t"
+    )
+    pathless = Instance(network=net, demand=1.0, gamma=1.0, name="pathless")
+    with pytest.raises(ValueError, match="no source-sink path"):
+        max_shortest_path_oracle(pathless, grid=10)

@@ -160,6 +160,26 @@ def test_analyze_rejects_non_finite_numbers(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["edges"][0].update(latency=[1e308, 1e308, 1e308]),
+        lambda doc: doc.update(demand=1e308),
+    ],
+    ids=["huge-latency", "huge-demand"],
+)
+def test_overflowing_costs_exit_2(tmp_path, capsys, edit):
+    doc = json.loads(write_instance(make("braess", v=0.1)))
+    edit(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for command in ("analyze", "solve", "oracle"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "overflows" in err
+
+
 def test_analyze_non_convergence_exits_3(tmp_path, capsys):
     instance = _write(
         tmp_path, "hard.json", make("random_general", seed=11, n=6, m=10)

@@ -25,13 +25,18 @@ from riskroute.solvers import (
     DEFAULT_TOL,
     RISK_NEUTRAL,
     ConservationError,
+    ConvergenceError,
     Flow,
     ZeroCostPathWarning,
+    _bisect_step,
+    _newton_step,
+    _transfer_derivative,
     cost_polynomials,
     decompose_edge_flow,
     potential_value,
     relative_gap,
     shortest_path,
+    solve_pair,
     solve_rawe,
     solve_rawe_meanstdev,
     solve_rnwe,
@@ -197,6 +202,17 @@ def test_non_convergence_returns_best_iterate():
     assert math.isfinite(result.relative_gap)
 
 
+def test_stop_reason():
+    instance = make("braess", v=0.1)
+    assert solve_rnwe(instance).stop_reason == "converged"
+    assert solve_rnwe(instance, max_iter=0).stop_reason == "max-iter"
+    stdev = make("random_sp", seed=2, budget=4, risk_model=RISK_MEAN_STDEV)
+    assert solve_rawe(stdev).stop_reason == "converged"
+    assert solve_rawe(stdev, max_iter=0).stop_reason == "max-iter"
+    with pytest.raises(ConvergenceError, match=r"after 0 iterations \(max-iter\)$"):
+        solve_pair(instance, max_iter=0)
+
+
 def test_mode_and_model_mismatch_raises():
     instance = make("braess", v=0.1, risk_model=RISK_MEAN_STDEV)
     with pytest.raises(ValueError):
@@ -205,6 +221,76 @@ def test_mode_and_model_mismatch_raises():
         solve_rawe_meanstdev(make("braess", v=0.1))
     with pytest.raises(ValueError):
         cost_polynomials(instance, RISK_MEAN_STDEV)
+
+
+# --- line search -----------------------------------------------------------------
+
+
+def test_newton_step_endpoints_and_flat_derivative():
+    assert _newton_step(CostPoly.of(-1.0, 1.0), 0.5) == 0.5  # g(hi) <= 0
+    assert _newton_step(CostPoly.of(0.5, 1.0), 2.0) == 0.0  # g(0) >= 0
+    assert _newton_step(CostPoly.of(-1.0), 3.0) == 3.0
+    assert _newton_step(CostPoly.of(0.0), 3.0) == 3.0
+    assert _newton_step(CostPoly.of(1.0), 3.0) == 0.0
+
+
+def test_newton_step_converging_from_the_right():
+    # g'(0) = 0 sends the first step to the midpoint, right of the root, and
+    # Newton on a convex g stays right of the root from there
+    g = CostPoly.of(-0.1, 0.0, 0.0, 1.0)
+    step = _newton_step(g, 1.0)
+    assert g(step) <= 0.0
+    assert step == pytest.approx(0.1 ** (1 / 3), rel=1e-15)
+
+
+def _random_transfer(rng):
+    """Edge polynomials of degree 0-5 with nonnegative coefficients, flows,
+    and a +1/-1 change per edge; shedding edges carry at least ``hi``."""
+    hi = 10 ** rng.uniform(-2, 2)
+    polys, flows, delta = {}, {}, {}
+    for eid in range(rng.randint(1, 4)):
+        degree = rng.randint(0, 5)
+        polys[eid] = CostPoly(
+            tuple(rng.choice((0.0, rng.uniform(0.0, 1.0))) for _ in range(degree + 1))
+        )
+        delta[eid] = rng.choice((-1.0, 1.0))
+        flows[eid] = rng.uniform(0.0, 2.0 * hi) + (hi if delta[eid] < 0 else 0.0)
+    return polys, flows, delta, hi
+
+
+def test_transfer_derivative_matches_edge_sum():
+    rng = random.Random(0)
+    for _ in range(500):
+        polys, flows, delta, hi = _random_transfer(rng)
+        g = _transfer_derivative(polys, flows, delta)
+        for t in (0.0, hi / 3, hi):
+            terms = [s * polys[e](flows[e] + s * t) for e, s in delta.items()]
+            # expanded in t, g carries rounding relative to the majorant
+            # sum_e c_e(f_e + t), not to the terms themselves
+            majorant = math.fsum(polys[e](flows[e] + t) for e in delta)
+            assert g(t) == pytest.approx(math.fsum(terms), rel=0.0, abs=1e-12 * majorant)
+
+
+def test_newton_step_matches_bisection():
+    rng = random.Random(1)
+    for _ in range(2000):
+        # nondecreasing on [0, inf): nonnegative coefficients past a negative g(0)
+        g = CostPoly(
+            (-rng.uniform(0.0, 1.0) * 10 ** rng.uniform(-3, 3),)
+            + tuple(
+                rng.choice((0.0, rng.uniform(0.0, 1.0) * 10 ** rng.uniform(-3, 3)))
+                for _ in range(rng.randint(0, 5))
+            )
+        )
+        hi = 10 ** rng.uniform(-3, 3)
+        step = _newton_step(g, hi)
+        assert g(step) <= 0.0
+        assert abs(step - _bisect_step(g, hi)) <= 2**-50 * hi
+    for _ in range(2000):
+        polys, flows, delta, hi = _random_transfer(rng)
+        g = _transfer_derivative(polys, flows, delta)
+        step = _newton_step(g, hi)
+        assert step == 0.0 or g(step) <= 0.0
 
 
 # --- mean-stdev solver ----------------------------------------------------------
