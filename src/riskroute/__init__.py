@@ -6,140 +6,4 @@ certificate, and checks every bound that certificate supports, including
 the price of risk aversion.
 """
 
-from .network import (
-    RISK_MEAN_STDEV,
-    RISK_MEAN_VAR,
-    RISK_MODELS,
-    CostPoly,
-    Edge,
-    Instance,
-    Network,
-    PathCountError,
-    Validation,
-    edge_flow,
-    enumerate_simple_paths,
-    is_braess_topology,
-    path_cost,
-    path_latency,
-    path_risk,
-    social_cost,
-    sp_decompose,
-    sp_leaves,
-    validate_instance,
-)
-from .instances import (
-    FAMILIES,
-    InstanceFormatError,
-    make,
-    read_instance,
-    write_instance,
-)
-from .solvers import (
-    RISK_NEUTRAL,
-    ConservationError,
-    ConvergenceError,
-    EquilibriumResult,
-    Flow,
-    ZeroCostPathWarning,
-    cost_polynomials,
-    decompose_edge_flow,
-    potential_value,
-    relative_gap,
-    shortest_path,
-    solve_rawe,
-    solve_rnwe,
-    solve_wardrop,
-)
-from .alternating import (
-    BACKWARD,
-    FORWARD,
-    AlternatingPath,
-    EdgePartition,
-    NoAlternatingPathError,
-    alternating_rawe_bound,
-    alternating_rnwe_bound,
-    classify_edges,
-    eta_ceiling,
-    find_alternating_path,
-    theoretical_pra_bound,
-)
-from .analysis import (
-    BoundCheck,
-    OracleResult,
-    PraReport,
-    SigmaInequalityVerdict,
-    braess_stdev_inequality,
-    braess_stdev_inequality_batch,
-    kappa_at_flow,
-    max_shortest_path_oracle,
-    oracle_slack,
-    pra_report,
-    report_to_dict,
-    shortest_path_length,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlternatingPath",
-    "BACKWARD",
-    "BoundCheck",
-    "ConservationError",
-    "ConvergenceError",
-    "CostPoly",
-    "Edge",
-    "EdgePartition",
-    "EquilibriumResult",
-    "FAMILIES",
-    "FORWARD",
-    "Flow",
-    "Instance",
-    "InstanceFormatError",
-    "Network",
-    "NoAlternatingPathError",
-    "OracleResult",
-    "PathCountError",
-    "PraReport",
-    "RISK_MEAN_STDEV",
-    "RISK_MEAN_VAR",
-    "RISK_MODELS",
-    "RISK_NEUTRAL",
-    "SigmaInequalityVerdict",
-    "Validation",
-    "ZeroCostPathWarning",
-    "alternating_rawe_bound",
-    "alternating_rnwe_bound",
-    "braess_stdev_inequality",
-    "braess_stdev_inequality_batch",
-    "classify_edges",
-    "cost_polynomials",
-    "decompose_edge_flow",
-    "edge_flow",
-    "enumerate_simple_paths",
-    "eta_ceiling",
-    "find_alternating_path",
-    "is_braess_topology",
-    "kappa_at_flow",
-    "make",
-    "max_shortest_path_oracle",
-    "oracle_slack",
-    "path_cost",
-    "path_latency",
-    "path_risk",
-    "potential_value",
-    "pra_report",
-    "read_instance",
-    "relative_gap",
-    "report_to_dict",
-    "shortest_path",
-    "shortest_path_length",
-    "social_cost",
-    "solve_rawe",
-    "solve_rnwe",
-    "solve_wardrop",
-    "sp_decompose",
-    "sp_leaves",
-    "theoretical_pra_bound",
-    "validate_instance",
-    "write_instance",
-]

@@ -26,19 +26,23 @@ from .alternating import (
     theoretical_pra_bound,
 )
 from .network import (
-    DEFAULT_PATH_CAP,
     RISK_MEAN_STDEV,
     RISK_MEAN_VAR,
     Instance,
     Network,
     enumerate_simple_paths,
     is_braess_topology,
-    path_cost,
     path_latency,
-    path_risk,
     social_cost,
 )
-from .solvers import EquilibriumResult, Flow, decompose_edge_flow, shortest_path
+from .solvers import (
+    EquilibriumResult,
+    Flow,
+    cheapest_path,
+    decompose_edge_flow,
+    mode_path_cost,
+    shortest_path,
+)
 
 #: Relative slack when judging lhs <= rhs under solver round-off.
 CHECK_REL_SLACK = 1e-6
@@ -100,7 +104,7 @@ class _Ctx:
     path: AlternatingPath
     eta: int
     rho: float
-    paths: tuple[tuple[str, ...], ...]
+    min_cost_x: float
     eq_dev_x: float
     eq_dev_z: float
 
@@ -132,21 +136,22 @@ def _entry(
     return BoundCheck(name, lhs, rhs, _holds(lhs, rhs, extra), proven=proven, note=note)
 
 
-def _equilibrium_deviation(
-    paths: tuple[tuple[str, ...], ...], flow: Flow, cost_of
-) -> float:
-    """Worst used-path excess over the cheapest path under ``cost_of``.
+def _equilibrium_deviation(instance: Instance, flow: Flow) -> tuple[float, float]:
+    """Worst used-path excess over the cheapest path under the flow's own
+    objective mode, and the cheapest path's cost.
 
     Zero at an exact equilibrium. The solver's relative gap is flow-weighted,
     so a used path carrying little flow can sit above the minimum by far more
     than the gap; checks that sample individual path costs need this quantity,
     not the gap, as their round-off allowance.
     """
-    best = min(cost_of(p) for p in paths)
-    used = [cost_of(p) for p in flow.path_flow]
-    if not used:
-        return 0.0
-    return max(0.0, max(used) - best)
+    mode, flows = flow.objective_mode, flow.edge_flow
+    best, _ = cheapest_path(instance, flows, mode)
+    worst = max(
+        (mode_path_cost(instance, flows, p, mode) for p in flow.path_flow),
+        default=best,
+    )
+    return max(0.0, worst - best), best
 
 
 def _certificate_slack(ctx: _Ctx, x_factor: float, z_factor: float) -> float:
@@ -176,9 +181,7 @@ def _stdev_eta_proven(ctx: _Ctx) -> bool:
 def _check_rawe_path_cost(ctx: _Ctx) -> BoundCheck | None:
     # The per-unit path cost bounds the common equilibrium cost, so the
     # social cost comparison carries the demand factor.
-    rhs = ctx.instance.demand * min(
-        path_cost(ctx.instance, ctx.x.edge_flow, p) for p in ctx.paths
-    )
+    rhs = ctx.instance.demand * ctx.min_cost_x
     return _entry("rawe-cost-le-min-path-cost", ctx.cost_x, rhs)
 
 
@@ -190,12 +193,21 @@ def _check_rawe_scaled_latency(ctx: _Ctx) -> BoundCheck | None:
     return _entry(name, ctx.cost_x, ctx.instance.demand * (1.0 + ctx.gk) * s_x)
 
 
+def _min_risk_path(instance: Instance, flows: Mapping[str, float]) -> tuple[str, ...]:
+    """Least-risk source->sink path at the given edge flows: a shortest path
+    on the edge risks, or on their squares under mean-stdev, whose path risk
+    is the monotone square root of that sum."""
+    net = instance.network
+    risks = {e.id: e.risk(flows[e.id]) for e in net.edges}
+    if instance.risk_model == RISK_MEAN_STDEV:
+        risks = {eid: r * r for eid, r in risks.items()}
+    return shortest_path(net, risks)[1]
+
+
 def _check_min_risk_path(ctx: _Ctx) -> BoundCheck | None:
-    paths = ctx.paths
-    best = min(paths, key=lambda p: (path_risk(ctx.instance, ctx.x.edge_flow, p), p))
-    rhs = ctx.instance.demand * path_latency(
-        ctx.instance.network, ctx.x.edge_flow, best
-    )
+    flows = ctx.x.edge_flow
+    best = _min_risk_path(ctx.instance, flows)
+    rhs = ctx.instance.demand * path_latency(ctx.instance.network, flows, best)
     return _entry("rawe-cost-le-min-risk-path-latency", ctx.cost_x, rhs)
 
 
@@ -404,13 +416,8 @@ def pra_report(
         else math.nan
     )
 
-    paths = enumerate_simple_paths(net, cap=DEFAULT_PATH_CAP)
-    eq_dev_x = _equilibrium_deviation(
-        paths, x, lambda p: path_cost(instance, x.edge_flow, p)
-    )
-    eq_dev_z = _equilibrium_deviation(
-        paths, z, lambda p: path_latency(net, z.edge_flow, p)
-    )
+    eq_dev_x, min_cost_x = _equilibrium_deviation(instance, x)
+    eq_dev_z, _ = _equilibrium_deviation(instance, z)
     ctx = _Ctx(
         instance=instance,
         x=x,
@@ -422,7 +429,7 @@ def pra_report(
         path=path,
         eta=eta,
         rho=rho,
-        paths=paths,
+        min_cost_x=min_cost_x,
         eq_dev_x=eq_dev_x,
         eq_dev_z=eq_dev_z,
     )

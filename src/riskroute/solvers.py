@@ -40,6 +40,7 @@ from .network import (
     edge_flow,
     enumerate_simple_paths,
     path_cost,
+    path_latency,
 )
 
 RISK_NEUTRAL = "risk-neutral"
@@ -389,35 +390,55 @@ def _gap_from(total: float, demand: float, min_cost: float) -> float:
     return gap
 
 
+def mode_path_cost(
+    instance: Instance, flows: Mapping[str, float], path: Sequence[str], mode: str
+) -> float:
+    """Cost of ``path`` under ``mode``: its latency when risk-neutral, its
+    perceived cost under the instance's risk model otherwise."""
+    if mode == RISK_NEUTRAL:
+        return path_latency(instance.network, flows, path)
+    return path_cost(instance, flows, path)
+
+
+def cheapest_path(
+    instance: Instance, flows: Mapping[str, float], mode: str
+) -> tuple[float, tuple[str, ...]]:
+    """Cheapest source->sink path under ``mode`` at the given edge flows, with
+    its :func:`mode_path_cost`.
+
+    Risk-neutral and mean-var costs are edge-separable, so the cheapest path
+    is a :func:`shortest_path` on the mode's edge costs. The mean-stdev risk
+    sqrt(sum_e sigma_e**2) is not, so that mode takes the lexicographic
+    minimum over every simple path (PathCountError beyond DEFAULT_PATH_CAP).
+    ``mode`` must be risk-neutral or the instance's risk model.
+    """
+    if mode == RISK_NEUTRAL or mode == instance.risk_model == RISK_MEAN_VAR:
+        costs = _edge_costs(cost_polynomials(instance, mode), flows)
+        _, path = shortest_path(instance.network, costs)
+        return mode_path_cost(instance, flows, path, mode), path
+    if mode == instance.risk_model == RISK_MEAN_STDEV:
+        paths = enumerate_simple_paths(instance.network, cap=DEFAULT_PATH_CAP)
+        return min((path_cost(instance, flows, p), p) for p in paths)
+    raise ValueError(f"no {mode!r} path costs on a {instance.risk_model!r} instance")
+
+
 def relative_gap(instance: Instance, flow: Flow, mode: str | None = None) -> float:
     """Equilibrium certificate for ``flow`` under ``mode`` (defaults to the
     flow's own objective mode)."""
     mode = mode or flow.objective_mode
-    d = instance.demand
-    if mode in (RISK_NEUTRAL, RISK_MEAN_VAR):
-        costs = _edge_costs(cost_polynomials(instance, mode), flow.edge_flow)
-        sp_cost, _ = shortest_path(instance.network, costs)
-        total = math.fsum(
-            amount * math.fsum(costs[eid] for eid in p)
-            for p, amount in flow.path_flow.items()
-        )
-        return _gap_from(total, d, sp_cost)
-    if mode != RISK_MEAN_STDEV:
-        raise ValueError(f"unknown objective mode {mode!r}")
-    paths = enumerate_simple_paths(instance.network, cap=DEFAULT_PATH_CAP)
-    costs_by_path = {p: path_cost(instance, flow.edge_flow, p) for p in paths}
-    min_cost = min(costs_by_path.values())
+    flows = flow.edge_flow
+    min_cost, _ = cheapest_path(instance, flows, mode)
     total = math.fsum(
-        amount * costs_by_path[p] for p, amount in flow.path_flow.items()
+        amount * mode_path_cost(instance, flows, p, mode)
+        for p, amount in flow.path_flow.items()
     )
-    return _gap_from(total, d, min_cost)
+    return _gap_from(total, instance.demand, min_cost)
 
 
 def solve_rawe_meanstdev(
     instance: Instance,
     tol: float = DEFAULT_TOL_MEANSTDEV,
     max_iter: int = DEFAULT_MAX_ITER,
-    path_cap: int = DEFAULT_MEANSTDEV_PATH_CAP,
 ) -> EquilibriumResult:
     """Risk-averse equilibrium under mean-stdev perceived costs.
 
@@ -432,7 +453,7 @@ def solve_rawe_meanstdev(
         )
     net = instance.network
     d = instance.demand
-    all_paths = list(enumerate_simple_paths(net, cap=path_cap))
+    all_paths = list(enumerate_simple_paths(net, cap=DEFAULT_MEANSTDEV_PATH_CAP))
 
     zero_flows = {e.id: 0.0 for e in net.edges}
     start = min(all_paths, key=lambda p: (path_cost(instance, zero_flows, p), p))

@@ -1,6 +1,7 @@
 """Report assembly: kappa, the named bound checks, the sigma inequality, and
 the brute-force shortest-path maximizer."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import riskroute.analysis as analysis
+import riskroute.solvers as solvers
 from riskroute import suites
 from riskroute.analysis import (
     CHECK_REGISTRY,
@@ -26,6 +28,7 @@ from riskroute.analysis import (
 )
 from riskroute.instances import make
 from riskroute.network import (
+    RISK_MEAN_STDEV,
     CostPoly,
     Edge,
     Instance,
@@ -34,11 +37,14 @@ from riskroute.network import (
     edge_flow,
     enumerate_simple_paths,
     path_latency,
+    path_risk,
 )
 from riskroute.solvers import (
     DEFAULT_TOL,
     EquilibriumResult,
     ZeroCostPathWarning,
+    relative_gap,
+    solve_pair,
     solve_rawe,
     solve_rnwe,
 )
@@ -237,6 +243,66 @@ def test_min_risk_path_check_braess():
     )
     assert check.rhs == pytest.approx(1.3, rel=1e-9)
     assert check.passed
+
+
+def test_min_risk_path_matches_enumeration():
+    """On random_general seeds 0-199 at both solved flows, under both risk
+    models, the least-risk path is the brute-force minimum of (path risk,
+    path) or ties its risk within 4 ulps."""
+    for seed in range(200):
+        instance = suites.random_general(seed)
+        x, z = solve_rawe(instance), solve_rnwe(instance)
+        for inst in (instance, dataclasses.replace(instance, risk_model=RISK_MEAN_STDEV)):
+            for flows in (x.flow.edge_flow, z.flow.edge_flow):
+                path = analysis._min_risk_path(inst, flows)
+                risk = path_risk(inst, flows, path)
+                ref_risk, ref_path = min(
+                    (path_risk(inst, flows, p), p)
+                    for p in enumerate_simple_paths(inst.network)
+                )
+                if path != ref_path:
+                    assert abs(risk - ref_risk) <= 4 * math.ulp(ref_risk), seed
+
+
+def test_mean_var_report_enumerates_no_paths(monkeypatch):
+    """A mean-var report and gap take every minimum over paths as a shortest
+    path; a mean-stdev report enumerates the paths once."""
+    instance = make("random_general", seed=0, n=20, m=60)
+    x, z = solve_pair(instance)
+    stdev = make("braess", v=0.1, risk_model=RISK_MEAN_STDEV)
+    sx, sz = solve_pair(stdev)
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("enumerate_simple_paths called")
+
+    monkeypatch.setattr(analysis, "enumerate_simple_paths", refuse)
+    monkeypatch.setattr(solvers, "enumerate_simple_paths", refuse)
+    assert pra_report(instance, x, z).ok
+    for result in (x, z):
+        assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
+    assert not calls
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return enumerate_simple_paths(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "enumerate_simple_paths", count)
+    assert pra_report(stdev, sx, sz).ok
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, m, seeds", [(40, 120, range(10)), (100, 400, range(5))])
+def test_report_beyond_the_path_cap(n, m, seeds):
+    """Mean-var certificates need no path enumeration, so they cover
+    networks with more simple paths than DEFAULT_PATH_CAP."""
+    for seed in seeds:
+        instance = make("random_general", seed=seed, n=n, m=m)
+        x, z = solve_pair(instance)
+        assert pra_report(instance, x, z).ok, seed
+    with pytest.raises(PathCountError):
+        enumerate_simple_paths(instance.network)
 
 
 def test_shortest_path_length_zigzag():

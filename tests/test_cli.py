@@ -139,6 +139,14 @@ def test_analyze_exits_4_when_a_proven_check_fails(tmp_path, monkeypatch, capsys
     assert "result FAIL" in text
 
 
+def test_analyze_beyond_the_path_cap(tmp_path, capsys):
+    out = tmp_path / "big.json"
+    argv = ["generate", "--family", "random_general", "--seed", "0"]
+    assert main(argv + ["--set", "n=100", "--set", "m=400", "--out", str(out)]) == 0
+    assert main(["analyze", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("result PASS\n")
+
+
 @pytest.mark.parametrize(
     "edit",
     [

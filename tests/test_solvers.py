@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riskroute import suites
 from riskroute.instances import make
 from riskroute.network import (
     RISK_MEAN_STDEV,
@@ -16,6 +17,7 @@ from riskroute.network import (
     Edge,
     Instance,
     Network,
+    edge_flow,
     enumerate_simple_paths,
     path_cost,
     path_latency,
@@ -31,6 +33,7 @@ from riskroute.solvers import (
     _bisect_step,
     _newton_step,
     _transfer_derivative,
+    cheapest_path,
     cost_polynomials,
     decompose_edge_flow,
     potential_value,
@@ -139,6 +142,47 @@ def test_solvers_quiet_on_regular_instances(recwarn):
     solve_rnwe(make("zigzag", k=3))
     solve_rawe(make("braess", v=0.2))
     assert not [w for w in recwarn if issubclass(w.category, ZeroCostPathWarning)]
+
+
+# --- cheapest path ---------------------------------------------------------------
+
+
+def _reference_cheapest(instance, flows, mode):
+    """Brute-force reference: the lexicographic minimum of (cost, path) over
+    every simple path."""
+    paths = enumerate_simple_paths(instance.network)
+    if mode == RISK_NEUTRAL:
+        return min((path_latency(instance.network, flows, p), p) for p in paths)
+    return min((path_cost(instance, flows, p), p) for p in paths)
+
+
+def test_cheapest_path_matches_enumeration():
+    """On random_general seeds 0-199, in all three modes, at the zero flow,
+    the mode's all-or-nothing flow and both solved flows, cheapest_path finds
+    the brute-force minimum, or a path whose cost ties it within 4 ulps.
+    Mean-stdev costs are priced on a mean-stdev copy of each instance."""
+    for seed in range(200):
+        instance = suites.random_general(seed)
+        net = instance.network
+        solved = [solve_rnwe(instance).flow.edge_flow, solve_rawe(instance).flow.edge_flow]
+        zero = {e.id: 0.0 for e in net.edges}
+        stdev = dataclasses.replace(instance, risk_model=RISK_MEAN_STDEV)
+        for inst, mode in (
+            (instance, RISK_NEUTRAL),
+            (instance, RISK_MEAN_VAR),
+            (stdev, RISK_MEAN_STDEV),
+        ):
+            _, first = _reference_cheapest(inst, zero, mode)
+            all_or_nothing = edge_flow({first: inst.demand}, net)
+            for flows in [zero, all_or_nothing, *solved]:
+                cost, path = cheapest_path(inst, flows, mode)
+                ref_cost, ref_path = _reference_cheapest(inst, flows, mode)
+                if path == ref_path:
+                    assert cost == ref_cost, (seed, mode)
+                else:
+                    assert abs(cost - ref_cost) <= 4 * math.ulp(ref_cost), (seed, mode)
+    with pytest.raises(ValueError, match="no 'mean-var' path costs"):
+        cheapest_path(stdev, zero, RISK_MEAN_VAR)
 
 
 # --- solver properties ----------------------------------------------------------
