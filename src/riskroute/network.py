@@ -164,15 +164,18 @@ def _sink_reachable(network: Network) -> bool:
     return network.sink in seen
 
 
-def _finite_at(edge: Edge, demand: float, gamma: float) -> bool:
-    """True when the edge's perceived cost at flow ``demand`` (latency plus
-    gamma times risk), that cost times max(demand, 1) and the squared risk
-    are finite. The product bounds the Beckmann integral up to ``demand``
-    and every flow-weighted cost the solvers sum; nondecreasing costs then
-    stay finite at every feasible flow."""
-    risk = edge.risk(demand)
-    cost = edge.latency(demand) + gamma * risk
-    return math.isfinite(max(demand, 1.0) * cost + risk * risk)
+def _edge_size(edge: Edge, demand: float, gamma: float) -> float:
+    """A bound on every number the solvers derive from this edge at flows up
+    to ``demand``: with D = max(demand, 1), D times the perceived cost
+    (latency plus gamma times risk) at 2D, plus the squared risk at 2D; inf
+    when it overflows. For nonnegative coefficients, a polynomial's value at
+    2D bounds its value, its slope and every Taylor coefficient at flows up
+    to D (sum_k C(i, k) = 2**i), and D times it bounds the Beckmann
+    integral. Summed over the edges, it bounds every path cost and every sum
+    the solvers form."""
+    scale = max(demand, 1.0)
+    risk = edge.risk(2.0 * scale)
+    return scale * (edge.latency(2.0 * scale) + gamma * risk) + risk * risk
 
 
 def validate_instance(instance: Instance) -> Validation:
@@ -190,9 +193,10 @@ def validate_instance(instance: Instance) -> Validation:
     if net.source == net.sink:
         bad.append("source equals sink")
 
-    # costs are judged at full demand only once demand and gamma are valid
+    # costs are bounded only once demand and gamma are valid
     scale_ok = 0.0 < instance.demand < math.inf and 0.0 <= instance.gamma < math.inf
     seen_ids: set[str] = set()
+    sizes: list[float] = []
     for e in net.edges:
         if e.id in seen_ids:
             bad.append(f"duplicate edge id {e.id!r}")
@@ -211,8 +215,12 @@ def validate_instance(instance: Instance) -> Validation:
                 finite = all(map(math.isfinite, poly.coeffs))
                 kind = "negative" if finite else "non-finite"
                 bad.append(f"edge {e.id!r}: {kind} coefficient in {label}")
-        if coeffs_ok and scale_ok and not _finite_at(e, instance.demand, instance.gamma):
-            bad.append(f"edge {e.id!r}: cost overflows at demand {instance.demand}")
+        if coeffs_ok and scale_ok:
+            sizes.append(_edge_size(e, instance.demand, instance.gamma))
+            if not math.isfinite(sizes[-1]):
+                bad.append(f"edge {e.id!r}: cost or slope overflows at demand {instance.demand}")
+    if all(map(math.isfinite, sizes)) and not math.isfinite(sum(sizes)):
+        bad.append(f"the sum of the edge costs overflows at demand {instance.demand}")
 
     if not math.isfinite(instance.demand):
         bad.append(f"demand must be finite (got {instance.demand})")

@@ -13,9 +13,10 @@ iterate support stays small and convergence is fast on the instance sizes
 this library targets.
 
 Mean-stdev perceived costs are not edge-separable, so no potential exists.
-That solver equalizes path costs directly over the enumerated path set,
-sizing each shift by bisection, and is certified purely by the reported
-relative gap.
+That solver works over the enumerated path set: an active-set Newton method
+drives every used path to one common cost, and where Newton makes no
+progress a pairwise shift sized by bisection takes its place. It is
+certified purely by the reported relative gap.
 
 The relative gap of a flow is (sum_p f_p Q_p - d * min_q Q_q) / (d * min_q Q_q):
 zero exactly at equilibrium, and small values certify an epsilon-equilibrium
@@ -58,8 +59,8 @@ LINE_SEARCH_STEPS = 60
 POTENTIAL_BACKSLIDE_TOL = 1e-12
 #: Smallest mean-stdev transfer worth applying, relative to demand.
 SHIFT_FLOOR_REL = 1e-12
-#: Same (best, worst) pair this many times without gap progress halves the cap.
-STALL_WINDOW = 100
+#: Halvings of the mean-stdev Newton step before the bisection step instead.
+BACKTRACK_STEPS = 20
 
 #: Feasibility tolerances, relative to demand.
 FLOW_SUM_TOL = 1e-9
@@ -115,13 +116,14 @@ class Flow:
 class EquilibriumResult:
     """A solver's best flow and why the solver stopped.
 
-    ``stop_reason`` is ``"converged"`` (gap at most the tolerance),
+    ``stop_reason`` is ``"converged"`` (gap at most the tolerance; under
+    mean-stdev, the worst used path's excess over the cheapest too),
     ``"max-iter"`` (iteration budget spent), ``"round-off"`` (the most
     expensive used path is already the cheapest, so the gap left is
     rounding), ``"no-descent"`` (:func:`solve_wardrop`: the line search
-    found no step) or ``"shift-floor"`` (:func:`solve_rawe_meanstdev`: the
-    step fell below ``SHIFT_FLOOR_REL`` of the demand); None when the result
-    was not made by a solver.
+    found no step) or ``"shift-floor"`` (:func:`solve_rawe_meanstdev`: Newton
+    found no descent and the bisection step fell below ``SHIFT_FLOOR_REL`` of
+    the demand); None when the result was not made by a solver.
     """
 
     flow: Flow
@@ -442,116 +444,320 @@ def solve_rawe_meanstdev(
 ) -> EquilibriumResult:
     """Risk-averse equilibrium under mean-stdev perceived costs.
 
-    Path-based equalization: repeatedly shift flow from the most expensive
-    flow-carrying path to the cheapest path, sizing each shift by bisection
-    until the two costs cross. The returned relative gap is the certificate;
-    the heuristic itself carries no optimality guarantee.
+    An active-set Newton method on the used paths. Each iteration takes the
+    support S, the used paths plus the cheapest path, made independent by
+    :func:`_independent_support`, and solves the linearized equal-cost system
+    Q_S + J dx = lambda * 1, sum(dx) = d - sum(x_S) for the flows on S
+    (:func:`_newton_iterate`). When Newton finds no step that lowers the
+    merit (relative gap plus the worst used path's excess over the cheapest),
+    as when J is singular, the iteration instead moves flow from the most
+    expensive used path onto the cheapest until their costs cross, sizing
+    the shift by bisection. The solve stops once the gap and the excess are
+    both at most ``tol``; the returned relative gap is the certificate, and
+    an unconverged solve returns the iterate of least merit.
     """
     if instance.risk_model != RISK_MEAN_STDEV:
         raise ValueError(
             f"instance risk model is {instance.risk_model!r}; expected mean-stdev"
         )
-    net = instance.network
+    pool = _PathPool(instance)
     d = instance.demand
-    all_paths = list(enumerate_simple_paths(net, cap=DEFAULT_MEANSTDEV_PATH_CAP))
-
-    zero_flows = {e.id: 0.0 for e in net.edges}
-    start = min(all_paths, key=lambda p: (path_cost(instance, zero_flows, p), p))
-    paths: dict[tuple[str, ...], float] = {start: d}
-    flows = edge_flow(paths, net)
-
+    zero_flows = {e.id: 0.0 for e in instance.network.edges}
+    start = min(pool.paths, key=lambda p: (path_cost(instance, zero_flows, p), p))
+    it = best_it = pool.evaluate({start: d})
     shift_floor = SHIFT_FLOOR_REL * d
-    shift_cap = d
-    stall_pair: tuple | None = None
-    stall_count = 0
-    stall_gap = math.inf
-    best_gap = math.inf
-    best_paths = dict(paths)
-    best_zero_floor = False
-    gap = math.inf
     iterations = 0
     stop_reason = "max-iter"
 
-    emap = net.edge_map
-    gamma = instance.gamma
     for iterations in range(max_iter + 1):
-        lat = {eid: emap[eid].latency(f) for eid, f in flows.items()}
-        var = {eid: emap[eid].risk(f) ** 2 for eid, f in flows.items()}
-        costs_by_path = {
-            p: math.fsum(lat[eid] for eid in p)
-            + gamma * math.sqrt(math.fsum(var[eid] for eid in p))
-            for p in all_paths
-        }
-        best = min(all_paths, key=lambda p: (costs_by_path[p], p))
-        total = math.fsum(paths[p] * costs_by_path[p] for p in paths)
-        gap, zero_floor = _gap_quiet(total, d, costs_by_path[best])
-        if gap < best_gap:
-            best_gap = gap
-            best_paths = dict(paths)
-            best_zero_floor = zero_floor
-        if gap <= tol:
-            if zero_floor:
+        if it.merit < best_it.merit:
+            best_it = it
+        if it.gap <= tol and it.excess <= tol:
+            if it.zero_floor:
                 _warn_zero_floor()
-            flow = Flow.from_paths(instance, paths, RISK_MEAN_STDEV)
-            return EquilibriumResult(flow, gap, iterations, True, "converged")
+            flow = Flow.from_paths(instance, it.paths, RISK_MEAN_STDEV)
+            return EquilibriumResult(flow, it.gap, iterations, True, "converged")
         if iterations == max_iter:
             break
 
-        worst = max(paths, key=lambda p: (costs_by_path[p], p))
-        if worst == best:
+        it, support = _independent_support(pool, it)
+        worst = max(it.paths, key=lambda p: (it.costs[p], p))
+        if worst == it.best:
             stop_reason = "round-off"
             break
-        pair = (worst, best)
-        if pair == stall_pair and gap >= stall_gap:
-            stall_count += 1
-            if stall_count >= STALL_WINDOW:
-                shift_cap = 0.5 * shift_cap
-                stall_count = 0
-        else:
-            stall_pair = pair
-            stall_count = 0
-            stall_gap = gap
+        nxt = _newton_iterate(pool, it, support)
+        if nxt is None:
+            step = _pairwise_step(instance, it, worst)
+            if step < shift_floor:
+                stop_reason = "shift-floor"
+                break
+            paths = dict(it.paths)
+            paths[worst] -= step
+            if paths[worst] <= 0.0:
+                del paths[worst]
+            paths[it.best] = paths.get(it.best, 0.0) + step
+            nxt = pool.evaluate(paths)
+        it = nxt
 
-        worst_set = set(worst)
-        best_set = set(best)
-        # (latency, risk, base flow, +1/-1/0 response to the shift) per edge
-        best_terms = [
-            (emap[eid].latency, emap[eid].risk, flows[eid], 1.0 if eid not in worst_set else 0.0)
-            for eid in best
-        ]
-        worst_terms = [
-            (emap[eid].latency, emap[eid].risk, flows[eid], -1.0 if eid not in best_set else 0.0)
-            for eid in worst
-        ]
-
-        def _q(terms, step: float) -> float:
-            lat = 0.0
-            var = 0.0
-            for latency, risk, base, sign in terms:
-                f = base + sign * step
-                lat += latency(f)
-                var += risk(f) ** 2
-            return lat + gamma * math.sqrt(var)
-
-        def cost_delta(step: float) -> float:
-            # Q(best) - Q(worst) after moving ``step`` from worst to best
-            return _q(best_terms, step) - _q(worst_terms, step)
-
-        hi = min(paths[worst], shift_cap)
-        step = _bisect_step(cost_delta, hi)
-        if step < shift_floor:
-            stop_reason = "shift-floor"
-            break
-        paths[worst] -= step
-        if paths[worst] <= 0.0:
-            del paths[worst]
-        paths[best] = paths.get(best, 0.0) + step
-        flows = edge_flow(paths, net)
-
-    if best_zero_floor:
+    if best_it.zero_floor:
         _warn_zero_floor()
-    flow = Flow.from_paths(instance, best_paths, RISK_MEAN_STDEV)
-    return EquilibriumResult(flow, best_gap, iterations, False, stop_reason)
+    flow = Flow.from_paths(instance, best_it.paths, RISK_MEAN_STDEV)
+    return EquilibriumResult(flow, best_it.gap, iterations, False, stop_reason)
+
+
+@dataclass(frozen=True)
+class _StdevIterate:
+    """A mean-stdev path flow with every path's perceived cost, the cheapest
+    path, and two certificates: the relative gap, and the worst used path's
+    excess over the cheapest, relative (absolute when the cheapest costs 0)."""
+
+    paths: dict[tuple[str, ...], float]
+    flows: dict[str, float]
+    costs: dict[tuple[str, ...], float]
+    best: tuple[str, ...]
+    gap: float
+    excess: float
+    zero_floor: bool
+
+    @property
+    def merit(self) -> float:
+        return self.gap + self.excess
+
+
+class _PathPool:
+    """The enumerated paths of one mean-stdev instance and the evaluation of
+    path flows on them."""
+
+    def __init__(self, instance: Instance) -> None:
+        self.instance = instance
+        self.edges = instance.network.edges
+        self.paths = enumerate_simple_paths(
+            instance.network, cap=DEFAULT_MEANSTDEV_PATH_CAP
+        )
+
+    def evaluate(self, paths: dict[tuple[str, ...], float]) -> _StdevIterate:
+        instance = self.instance
+        flows = edge_flow(paths, instance.network)
+        lat = {e.id: e.latency(flows[e.id]) for e in self.edges}
+        var = {e.id: e.risk(flows[e.id]) ** 2 for e in self.edges}
+        gamma = instance.gamma
+        costs = {
+            p: math.fsum(lat[eid] for eid in p)
+            + gamma * math.sqrt(math.fsum(var[eid] for eid in p))
+            for p in self.paths
+        }
+        best = min(self.paths, key=lambda p: (costs[p], p))
+        total = math.fsum(amount * costs[p] for p, amount in paths.items())
+        gap, zero_floor = _gap_quiet(total, instance.demand, costs[best])
+        excess, _ = _gap_quiet(max(costs[p] for p in paths), 1.0, costs[best])
+        return _StdevIterate(paths, flows, costs, best, gap, excess, zero_floor)
+
+
+def _path_dependency(paths: Sequence[tuple[str, ...]]) -> list[int] | None:
+    """Integer weights w, not all zero, with sum_i w_i * (edge incidence
+    vector of ``paths[i]``) = 0, or None when those vectors are independent.
+
+    Fraction-free Gaussian elimination, exact on 0/1 vectors: each path's
+    vector is reduced against the pivots found so far, carrying its weights
+    along, and a vector reduced to zero gives the dependency.
+    """
+    pivots: list[tuple[str, dict[str, int], dict[int, int]]] = []
+    for i, path in enumerate(paths):
+        vec = dict.fromkeys(path, 1)
+        weights = {i: 1}
+        for edge, pivot_vec, pivot_weights in pivots:
+            a = vec.get(edge, 0)
+            if a:
+                b = pivot_vec[edge]
+                vec = _combine(b, vec, -a, pivot_vec)
+                weights = _combine(b, weights, -a, pivot_weights)
+        if not vec:
+            return [weights.get(j, 0) for j in range(len(paths))]
+        pivots.append((min(vec), vec, weights))
+    return None
+
+
+def _combine(a: int, u: dict, b: int, v: dict) -> dict:
+    """The sparse vector a*u + b*v without its zero entries."""
+    out = {k: a * x for k, x in u.items()}
+    for k, y in v.items():
+        out[k] = out.get(k, 0) + b * y
+    return {k: x for k, x in out.items() if x}
+
+
+def _independent_support(
+    pool: _PathPool, it: _StdevIterate
+) -> tuple[_StdevIterate, list[tuple[str, ...]]]:
+    """The Newton support of ``it``: its used paths and its cheapest path,
+    with linearly independent edge-incidence vectors.
+
+    Mean-stdev costs are not separable, so path flows with the same edge
+    flows are not interchangeable, and a dependent support makes the Newton
+    system singular. Moving flow along a dependency keeps every edge flow,
+    and so every path cost, while the total cost sum_p x_p Q_p changes
+    linearly. Each dependency is oriented so that the total does not rise
+    (bringing the cheapest path in on a tie) and followed until a path's
+    flow reaches zero, which takes that path out. Two distinct paths are
+    always independent. Returns the iterate after these moves and the
+    support, in lexicographic order.
+    """
+    support = sorted({*it.paths, it.best})
+    paths = dict(it.paths)
+    while len(support) > 2:
+        weights = _path_dependency(support)
+        if weights is None:
+            break
+        change = math.fsum(w * it.costs[p] for p, w in zip(support, weights))
+        lead = weights[support.index(it.best)] if it.best in support else 0
+        if change > 0.0 or (change == 0.0 and lead < 0):
+            weights = [-w for w in weights]
+        flow = [paths.get(p, 0.0) for p in support]
+        # the first path to run dry along the dependency, and the step to it
+        step, out = min((flow[i] / -w, i) for i, w in enumerate(weights) if w < 0)
+        if step > 0.0:
+            for i, (p, w) in enumerate(zip(support, weights)):
+                if w:
+                    paths[p] = 0.0 if i == out else flow[i] + step * w
+            paths = {p: v for p, v in paths.items() if v > 0.0}
+        del support[out]
+    if paths != it.paths:
+        it = pool.evaluate(paths)
+    return it, support
+
+
+def _solve_linear(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """Solution of a square linear system by Gaussian elimination with
+    partial pivoting; None when a pivot is zero or the solution not finite."""
+    n = len(rhs)
+    rows = [row + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        top = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        if rows[top][col] == 0.0:
+            return None
+        rows[col], rows[top] = rows[top], rows[col]
+        pivot = rows[col]
+        for row in rows[col + 1 :]:
+            factor = row[col] / pivot[col]
+            if factor:
+                for c in range(col, n + 1):
+                    row[c] -= factor * pivot[c]
+    x = [0.0] * n
+    for r in reversed(range(n)):
+        row = rows[r]
+        x[r] = (row[n] - sum(row[c] * x[c] for c in range(r + 1, n))) / row[r]
+    return x if all(map(math.isfinite, x)) else None
+
+
+def _newton_iterate(
+    pool: _PathPool, it: _StdevIterate, support: list[tuple[str, ...]]
+) -> _StdevIterate | None:
+    """One damped active-set Newton step on ``support``, or None when the
+    equal-cost system is singular or no step lowers the merit.
+
+    The path Jacobian is dQ_p/dx_q = sum over e in p and q of
+    l_e'(f_e) + gamma * s_e(f_e) * s_e'(f_e) / s_p, with l_e the latency,
+    s_e the edge risk and s_p the path's root-sum-square risk (the second
+    term is 0 on a riskless path). A path whose Newton target is negative is
+    fixed at zero, its flow redistributed through its Jacobian column, and
+    the system solved again. The step towards the target is then halved
+    until the merit falls, at most ``BACKTRACK_STEPS`` times.
+    """
+    instance = pool.instance
+    emap = instance.network.edge_map
+    gamma = instance.gamma
+    slope: dict[str, float] = {}
+    curvature: dict[str, float] = {}
+    var: dict[str, float] = {}
+    for eid in {eid for p in support for eid in p}:
+        edge, f = emap[eid], it.flows[eid]
+        risk = edge.risk(f)
+        slope[eid] = edge.latency.derivative(f)
+        curvature[eid] = gamma * risk * edge.risk.derivative(f)
+        var[eid] = risk * risk
+    edge_sets = [set(p) for p in support]
+    jac = []
+    for p, p_edges in zip(support, edge_sets):
+        sigma = math.sqrt(math.fsum(var[eid] for eid in p))
+        row = []
+        for q_edges in edge_sets:
+            shared = p_edges & q_edges
+            value = math.fsum(slope[eid] for eid in shared)
+            if sigma > 0.0:
+                value += math.fsum(curvature[eid] for eid in shared) / sigma
+            row.append(value)
+        jac.append(row)
+
+    now = [it.paths.get(p, 0.0) for p in support]
+    free = list(range(len(support)))
+    while True:
+        fixed = [j for j in range(len(support)) if j not in free]
+        matrix = [[jac[i][j] for j in free] + [-1.0] for i in free]
+        matrix.append([1.0] * len(free) + [0.0])
+        rhs = [
+            math.fsum(jac[i][j] * now[j] for j in fixed) - it.costs[support[i]]
+            for i in free
+        ]
+        rhs.append(instance.demand - math.fsum(now[i] for i in free))
+        solution = _solve_linear(matrix, rhs)
+        if solution is None:
+            return None
+        target = [now[i] + dx for i, dx in zip(free, solution)]
+        low = min(range(len(free)), key=target.__getitem__)
+        if target[low] >= 0.0:
+            break
+        del free[low]
+    goal = [0.0] * len(support)
+    for i, v in zip(free, target):
+        goal[i] = v
+
+    t = 1.0
+    for _ in range(BACKTRACK_STEPS):
+        trial = {}
+        for p, a, b in zip(support, now, goal):
+            v = (1.0 - t) * a + t * b
+            if v > 0.0:
+                trial[p] = v
+        nxt = pool.evaluate(trial)
+        if nxt.merit < it.merit:
+            return nxt
+        t *= 0.5
+    return None
+
+
+def _pairwise_step(
+    instance: Instance, it: _StdevIterate, worst: tuple[str, ...]
+) -> float:
+    """Flow to move from ``worst`` onto the cheapest path so that their costs
+    just cross, found by bisection on [0, flow on ``worst``]."""
+    emap = instance.network.edge_map
+    gamma = instance.gamma
+    flows = it.flows
+    worst_set = set(worst)
+    best_set = set(it.best)
+    # (latency, risk, base flow, +1/-1/0 response to the shift) per edge
+    best_terms = [
+        (emap[eid].latency, emap[eid].risk, flows[eid], 1.0 if eid not in worst_set else 0.0)
+        for eid in it.best
+    ]
+    worst_terms = [
+        (emap[eid].latency, emap[eid].risk, flows[eid], -1.0 if eid not in best_set else 0.0)
+        for eid in worst
+    ]
+
+    def _q(terms, step: float) -> float:
+        lat = 0.0
+        var = 0.0
+        for latency, risk, base, sign in terms:
+            f = base + sign * step
+            lat += latency(f)
+            var += risk(f) ** 2
+        return lat + gamma * math.sqrt(var)
+
+    def cost_delta(step: float) -> float:
+        # Q(best) - Q(worst) after moving ``step`` from worst to best
+        return _q(best_terms, step) - _q(worst_terms, step)
+
+    return _bisect_step(cost_delta, it.paths[worst])
 
 
 def solve_rawe(

@@ -1,15 +1,21 @@
 """Command-line behavior: exit codes, output schemas, CSV byte stability."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import riskroute.cli as cli
 from riskroute.analysis import pra_report
 from riskroute.cli import CSV_HEADER, main
 from riskroute.instances import make, write_instance
+from riskroute.network import RISK_MEAN_STDEV
 
 
 def _write(tmp_path, name, instance):
@@ -168,13 +174,24 @@ def test_analyze_rejects_non_finite_numbers(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+def _on_every_edge(doc, **fields):
+    for edge in doc["edges"]:
+        edge.update(fields)
+    return doc
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         lambda doc: doc["edges"][0].update(latency=[1e308, 1e308, 1e308]),
         lambda doc: doc.update(demand=1e308),
+        # each edge is finite, their sum along a path is not
+        lambda doc: _on_every_edge(doc, latency=[1e308]),
+        # finite costs at demand 1e-300, but slopes of 1e308 that overflow
+        # when two edges' slopes are summed
+        lambda doc: _on_every_edge(doc, latency=[0.0, 1e308]).update(demand=1e-300),
     ],
-    ids=["huge-latency", "huge-demand"],
+    ids=["huge-latency", "huge-demand", "huge-path-sum", "huge-slope"],
 )
 def test_overflowing_costs_exit_2(tmp_path, capsys, edit):
     doc = json.loads(write_instance(make("braess", v=0.1)))
@@ -194,6 +211,77 @@ def test_analyze_non_convergence_exits_3(tmp_path, capsys):
     )
     assert main(["analyze", instance, "--max-iter", "1", "--tol", "1e-15"]) == 3
     assert "stopped at gap" in capsys.readouterr().err
+
+
+#: Well-formed documents the fuzz below corrupts.
+_FUZZ_BASES = tuple(
+    write_instance(instance)
+    for instance in (
+        make("braess", v=0.1),
+        make("braess", v=0.1, risk_model=RISK_MEAN_STDEV),
+        make("pigou", kappa=1.0, gamma=1.0, risk_model=RISK_MEAN_STDEV),
+        make("random_sp", seed=3, budget=3),
+    )
+)
+_HUGE = [1.7976931348623157e308, 1e308, 1e200, 1e154, 1e103]
+_ODD_NUMBERS = st.one_of(
+    st.sampled_from(_HUGE + [-1e308, 1e-300, 5e-324, 0.0, -1.0, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+_WRONG_TYPES = st.sampled_from(["x", [], [1.0], {}, None, True])
+
+
+@st.composite
+def _malformed_documents(draw):
+    """An instance document with one or two corruptions: an odd number in
+    demand, gamma or a cost coefficient, an odd constant cost on one edge,
+    a huge monomial cost on every edge, a missing or an extra key, or a
+    value of the wrong type."""
+    doc = json.loads(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        edges = doc.get("edges")
+        edges = [e for e in edges if isinstance(e, dict)] if isinstance(edges, list) else []
+        edge = draw(st.sampled_from(edges)) if edges else None
+        target = doc if edge is None or draw(st.booleans()) else edge
+        key = draw(st.sampled_from(["latency", "risk"]))
+        kind = draw(
+            st.sampled_from(["number", "coefficient", "edge", "every-edge", "drop", "extra", "type"])
+        )
+        if kind == "number":
+            doc[draw(st.sampled_from(["demand", "gamma"]))] = draw(_ODD_NUMBERS)
+        elif kind == "coefficient" and edge is not None and edge.get(key):
+            poly = edge[key]
+            if isinstance(poly, list):
+                poly[draw(st.integers(0, len(poly) - 1))] = draw(_ODD_NUMBERS)
+        elif kind == "edge" and edge is not None:
+            edge[key] = [draw(_ODD_NUMBERS)]
+        elif kind == "every-edge":
+            poly = [0.0] * draw(st.integers(0, 3)) + [draw(st.sampled_from(_HUGE))]
+            for e in edges:
+                e[key] = list(poly)
+        elif kind == "drop" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        elif kind == "extra":
+            target["extra"] = draw(_ODD_NUMBERS)
+        elif kind == "type" and target:
+            target[draw(st.sampled_from(sorted(target)))] = draw(_WRONG_TYPES)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_malformed_documents())
+def test_malformed_documents_exit_cleanly(doc):
+    """solve, analyze and oracle end every malformed document with a
+    documented exit code and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "instance.json")
+        Path(path).write_text(json.dumps(doc))
+        for argv in (["solve", path], ["analyze", path], ["oracle", path, "--grid", "10"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3, 4), (argv[0], code, err.getvalue())
+            assert "Traceback" not in err.getvalue() + out.getvalue()
 
 
 # --- sweep ----------------------------------------------------------

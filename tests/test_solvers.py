@@ -1,13 +1,15 @@
 """Equilibrium solvers: conditional gradient under separable costs, the
-mean-stdev equalization heuristic, gap certificates, flow decomposition."""
+mean-stdev active-set Newton solver, gap certificates, flow decomposition."""
 
 import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import riskroute.solvers as solvers
 from riskroute import suites
 from riskroute.instances import make
 from riskroute.network import (
@@ -32,6 +34,8 @@ from riskroute.solvers import (
     ZeroCostPathWarning,
     _bisect_step,
     _newton_step,
+    _path_dependency,
+    _solve_linear,
     _transfer_derivative,
     cheapest_path,
     cost_polynomials,
@@ -380,6 +384,75 @@ def test_meanstdev_reported_gap_is_certified():
     assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
 
 
+def test_meanstdev_random_general_converges_fast():
+    """random_general mean-stdev seeds 0-79 (the benchmark's pool, whose
+    seed 12 took 36,659 pairwise iterations) each converge within 1,000
+    iterations, report a gap the library certifies, and solve the same way
+    twice."""
+    for seed in range(80):
+        instance = suites.random_general(seed, risk_model=RISK_MEAN_STDEV)
+        result = solve_rawe(instance)
+        assert result.converged and result.iterations <= 1000, seed
+        assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12, seed
+        again = solve_rawe(instance)
+        assert again.flow.path_flow == result.flow.path_flow, seed
+        assert again.iterations == result.iterations, seed
+
+
+def test_meanstdev_bisection_fallback(monkeypatch):
+    """On random_general mean-stdev seed 333 one Newton step finds no
+    descent; the pairwise bisection step takes over and the solve still
+    converges."""
+    steps = []
+    pairwise = solvers._pairwise_step
+    monkeypatch.setattr(
+        solvers, "_pairwise_step", lambda *args: steps.append(1) or pairwise(*args)
+    )
+    instance = suites.random_general(333, risk_model=RISK_MEAN_STDEV)
+    result = solve_rawe(instance)
+    assert steps
+    assert result.converged and result.iterations <= 1000
+    assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
+
+
+def _incidence(paths):
+    edges = sorted({eid for p in paths for eid in p})
+    return np.array([[float(eid in p) for p in paths] for eid in edges])
+
+
+def test_path_dependency_matches_rank():
+    """On every prefix and every other-path subset of the paths of
+    random_general seeds 0-59, _path_dependency finds a dependency exactly
+    when numpy's rank says the incidence columns are dependent, and the
+    weights it returns cancel on every edge."""
+    for seed in range(60):
+        paths = enumerate_simple_paths(suites.random_general(seed).network)
+        subsets = [paths[:k] for k in range(1, len(paths) + 1)]
+        subsets += [paths[i::2] for i in range(2)]
+        for subset in subsets:
+            matrix = _incidence(subset)
+            weights = _path_dependency(subset)
+            independent = np.linalg.matrix_rank(matrix) == len(subset)
+            assert (weights is None) == independent, (seed, subset)
+            if weights is not None:
+                assert any(weights)
+                assert not (matrix @ np.array(weights, dtype=float)).any()
+
+
+def test_solve_linear_matches_numpy():
+    rng = random.Random(2)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        matrix = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+        rhs = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        if np.linalg.cond(matrix) > 1e8:
+            continue
+        expected = np.linalg.solve(matrix, rhs)
+        assert _solve_linear(matrix, rhs) == pytest.approx(expected, rel=1e-6, abs=1e-9)
+    assert _solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+    assert _solve_linear([[0.0]], [1.0]) is None
+
+
 # --- flow bookkeeping ------------------------------------------------------------
 
 
@@ -462,3 +535,15 @@ def test_meanstdev_used_paths_equalized(seed):
     result = solve_rawe(instance)
     assert result.converged
     assert _mean_stdev_equalized(instance, result.flow)
+
+
+def test_meanstdev_used_paths_equalized_at_stop():
+    """The random_sp budget-4 mean-stdev seeds in 0-999 on which stopping
+    on the relative gap alone leaves a used path costing more than
+    (1 + 10 tol) times the cheapest. The solver also bounds the worst used
+    path's excess, so every used path is equalized on each of them."""
+    for seed in (81, 92, 117, 170, 265, 521, 580, 595, 637, 639, 650, 733, 812, 832, 980):
+        instance = make("random_sp", seed=seed, budget=4, risk_model=RISK_MEAN_STDEV)
+        result = solve_rawe(instance)
+        assert result.converged, seed
+        assert _mean_stdev_equalized(instance, result.flow), seed
