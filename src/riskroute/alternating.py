@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .network import (
     RISK_MEAN_STDEV,
-    RISK_MEAN_VAR,
     Instance,
     Network,
     is_braess_topology,

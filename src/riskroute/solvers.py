@@ -1,22 +1,21 @@
 """Equilibrium solvers.
 
-Risk-neutral and mean-variance equilibria minimize the separable Beckmann
-potential sum_e integral_0^{f_e} c_e(t) dt, where c_e is the latency plus
-gamma times the variance under mean-var. The solver runs a conditional
-gradient loop: evaluate edge costs at the current flow, find the cheapest
-path (the all-or-nothing direction), then move flow in a pairwise transfer
-from the most expensive flow-carrying path onto it. The potential's
-directional derivative along a transfer is one polynomial in the step, built
-once per transfer, and the step is its root, found by Newton's method inside
-a bisection bracket. Pairwise transfers drain dead paths exactly, so the
-iterate support stays small and convergence is fast on the instance sizes
-this library targets.
+Risk-neutral, mean-var and mean-stdev Wardrop equilibria are all path flows
+on which every used path costs the same and no unused path costs less. One
+active-set Newton loop finds them in every mode, on the equal-cost system of
+the used paths and the cheapest path.
 
-Mean-stdev perceived costs are not edge-separable, so no potential exists.
-That solver works over the enumerated path set: an active-set Newton method
-drives every used path to one common cost, and where Newton makes no
-progress a pairwise shift sized by bisection takes its place. It is
-certified purely by the reported relative gap.
+Risk-neutral and mean-var costs are edge-separable (c_e is the latency plus
+gamma times the variance under mean-var), the cheapest path is a shortest
+path, and equilibria minimize the Beckmann potential
+sum_e integral_0^{f_e} c_e(t) dt. Each step, along the Newton direction or a
+pairwise transfer, exactly minimizes the potential: its directional
+derivative is one polynomial in the step, whose root is found by Newton's
+method inside a bisection bracket.
+
+Mean-stdev costs are not separable, so no potential exists. That mode works
+over the enumerated paths, halves the Newton step until a merit falls, and
+otherwise shifts flow pairwise until two path costs cross, by bisection.
 
 The relative gap of a flow is (sum_p f_p Q_p - d * min_q Q_q) / (d * min_q Q_q):
 zero exactly at equilibrium, and small values certify an epsilon-equilibrium
@@ -62,9 +61,8 @@ SHIFT_FLOOR_REL = 1e-12
 #: Halvings of the mean-stdev Newton step before the bisection step instead.
 BACKTRACK_STEPS = 20
 
-#: Feasibility tolerances, relative to demand.
+#: Feasibility tolerance, relative to demand.
 FLOW_SUM_TOL = 1e-9
-EDGE_CONSISTENCY_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -116,14 +114,15 @@ class Flow:
 class EquilibriumResult:
     """A solver's best flow and why the solver stopped.
 
-    ``stop_reason`` is ``"converged"`` (gap at most the tolerance; under
-    mean-stdev, the worst used path's excess over the cheapest too),
-    ``"max-iter"`` (iteration budget spent), ``"round-off"`` (the most
-    expensive used path is already the cheapest, so the gap left is
-    rounding), ``"no-descent"`` (:func:`solve_wardrop`: the line search
-    found no step) or ``"shift-floor"`` (:func:`solve_rawe_meanstdev`: Newton
-    found no descent and the bisection step fell below ``SHIFT_FLOOR_REL`` of
-    the demand); None when the result was not made by a solver.
+    ``stop_reason`` is ``"converged"`` (gap and the worst used path's excess
+    over the cheapest both at most the tolerance), ``"max-iter"`` (iteration
+    budget spent), ``"round-off"`` (the most expensive used path is already
+    the cheapest, so the gap left is rounding), ``"no-descent"``
+    (risk-neutral and mean-var: the exact line search along the pairwise
+    transfer found no step that lowers the potential) or ``"shift-floor"``
+    (mean-stdev: Newton found no descent and the bisection step fell below
+    ``SHIFT_FLOOR_REL`` of the demand); None when the result was not made by
+    a solver.
     """
 
     flow: Flow
@@ -283,12 +282,8 @@ def solve_wardrop(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EquilibriumResult:
-    """Wardrop equilibrium under a separable cost (risk-neutral or mean-var).
-
-    Returns once the relative gap drops to ``tol``; otherwise returns the best
-    iterate seen with ``converged=False``. The Beckmann potential is asserted
-    to be non-increasing across iterations.
-    """
+    """Wardrop equilibrium under a separable cost (risk-neutral or mean-var),
+    by :func:`_solve`; the Beckmann potential is asserted never to rise."""
     if mode not in (RISK_NEUTRAL, RISK_MEAN_VAR):
         raise ValueError(f"solve_wardrop handles risk-neutral/mean-var, not {mode!r}")
     if mode == RISK_MEAN_VAR and instance.risk_model != RISK_MEAN_VAR:
@@ -296,75 +291,21 @@ def solve_wardrop(
             f"instance risk model is {instance.risk_model!r}; "
             "mean-var equilibria need a mean-var instance"
         )
-    net = instance.network
-    d = instance.demand
-    polys = cost_polynomials(instance, mode)
+    return _solve(instance, mode, tol, max_iter)
 
-    # all-or-nothing start on the cheapest empty-network path
-    zero_flows = {e.id: 0.0 for e in net.edges}
-    _, first = shortest_path(net, _edge_costs(polys, zero_flows))
-    paths: dict[tuple[str, ...], float] = {first: d}
-    flows = edge_flow(paths, net)
-    phi = potential_value(polys, flows)
 
-    best_gap = math.inf
-    best_paths = dict(paths)
-    best_zero_floor = False
-    gap = math.inf
-    iterations = 0
-    stop_reason = "max-iter"
-
-    for iterations in range(max_iter + 1):
-        costs = _edge_costs(polys, flows)
-        sp_cost, sp_path = shortest_path(net, costs)
-        path_costs = {
-            p: math.fsum(costs[eid] for eid in p) for p in paths
-        }
-        total = math.fsum(paths[p] * c for p, c in path_costs.items())
-        gap, zero_floor = _gap_quiet(total, d, sp_cost)
-        if gap < best_gap:
-            best_gap = gap
-            best_paths = dict(paths)
-            best_zero_floor = zero_floor
-        if gap <= tol:
-            if zero_floor:
-                _warn_zero_floor()
-            flow = Flow.from_paths(instance, paths, mode)
-            return EquilibriumResult(flow, gap, iterations, True, "converged")
-        if iterations == max_iter:
-            break
-
-        # most expensive flow-carrying path; ties to the lexicographically
-        # largest path so the choice is deterministic
-        worst = max(paths, key=lambda p: (path_costs[p], p))
-        if worst == sp_path:
-            # single used path already cheapest; gap>tol must be round-off
-            stop_reason = "round-off"
-            break
-        shed = {eid: -1.0 for eid in worst}
-        for eid in sp_path:
-            shed[eid] = shed.get(eid, 0.0) + 1.0
-        delta = {eid: s for eid, s in shed.items() if s != 0.0}
-        step = _newton_step(_transfer_derivative(polys, flows, delta), paths[worst])
-        if step <= 0.0:
-            stop_reason = "no-descent"
-            break
-        paths[worst] -= step
-        if paths[worst] <= 0.0:
-            del paths[worst]
-        paths[sp_path] = paths.get(sp_path, 0.0) + step
-        flows = edge_flow(paths, net)
-        new_phi = potential_value(polys, flows)
-        if new_phi > phi + POTENTIAL_BACKSLIDE_TOL * max(1.0, abs(phi)):
-            raise ConvergenceError(
-                f"potential increased from {phi} to {new_phi} at iteration {iterations}"
-            )
-        phi = new_phi
-
-    if best_zero_floor:
-        _warn_zero_floor()
-    flow = Flow.from_paths(instance, best_paths, mode)
-    return EquilibriumResult(flow, best_gap, iterations, False, stop_reason)
+def solve_rawe_meanstdev(
+    instance: Instance,
+    tol: float = DEFAULT_TOL_MEANSTDEV,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> EquilibriumResult:
+    """Risk-averse equilibrium under mean-stdev perceived costs, by
+    :func:`_solve` over the enumerated paths."""
+    if instance.risk_model != RISK_MEAN_STDEV:
+        raise ValueError(
+            f"instance risk model is {instance.risk_model!r}; expected mean-stdev"
+        )
+    return _solve(instance, RISK_MEAN_STDEV, tol, max_iter)
 
 
 def _gap_quiet(total: float, demand: float, min_cost: float) -> tuple[float, bool]:
@@ -383,13 +324,6 @@ def _warn_zero_floor() -> None:
         ZeroCostPathWarning,
         stacklevel=3,
     )
-
-
-def _gap_from(total: float, demand: float, min_cost: float) -> float:
-    gap, zero_floor = _gap_quiet(total, demand, min_cost)
-    if zero_floor:
-        _warn_zero_floor()
-    return gap
 
 
 def mode_path_cost(
@@ -434,38 +368,30 @@ def relative_gap(instance: Instance, flow: Flow, mode: str | None = None) -> flo
         amount * mode_path_cost(instance, flows, p, mode)
         for p, amount in flow.path_flow.items()
     )
-    return _gap_from(total, instance.demand, min_cost)
+    gap, zero_floor = _gap_quiet(total, instance.demand, min_cost)
+    if zero_floor:
+        _warn_zero_floor()
+    return gap
 
 
-def solve_rawe_meanstdev(
-    instance: Instance,
-    tol: float = DEFAULT_TOL_MEANSTDEV,
-    max_iter: int = DEFAULT_MAX_ITER,
+def _solve(
+    instance: Instance, mode: str, tol: float, max_iter: int
 ) -> EquilibriumResult:
-    """Risk-averse equilibrium under mean-stdev perceived costs.
+    """The active-set Newton loop behind every solver.
 
-    An active-set Newton method on the used paths. Each iteration takes the
-    support S, the used paths plus the cheapest path, made independent by
-    :func:`_independent_support`, and solves the linearized equal-cost system
-    Q_S + J dx = lambda * 1, sum(dx) = d - sum(x_S) for the flows on S
-    (:func:`_newton_iterate`). When Newton finds no step that lowers the
-    merit (relative gap plus the worst used path's excess over the cheapest),
-    as when J is singular, the iteration instead moves flow from the most
-    expensive used path onto the cheapest until their costs cross, sizing
-    the shift by bisection. The solve stops once the gap and the excess are
-    both at most ``tol``; the returned relative gap is the certificate, and
-    an unconverged solve returns the iterate of least merit.
+    It starts with all demand on the cheapest path at zero flow. Each
+    iteration takes the support S, the used paths plus the cheapest path,
+    made independent by :func:`_independent_support`, and steps towards the
+    solution of the linearized equal-cost system on S
+    (:func:`_newton_iterate`). Where that finds no step, and under a
+    separable mode where S holds two paths, flow moves from the most
+    expensive used path onto the cheapest (:func:`_pairwise_step`). The loop
+    stops once the relative gap and the worst used path's excess over the
+    cheapest are both at most ``tol``; an unconverged solve returns the
+    iterate of least merit (their sum).
     """
-    if instance.risk_model != RISK_MEAN_STDEV:
-        raise ValueError(
-            f"instance risk model is {instance.risk_model!r}; expected mean-stdev"
-        )
-    pool = _PathPool(instance)
-    d = instance.demand
-    zero_flows = {e.id: 0.0 for e in instance.network.edges}
-    start = min(pool.paths, key=lambda p: (path_cost(instance, zero_flows, p), p))
-    it = best_it = pool.evaluate({start: d})
-    shift_floor = SHIFT_FLOOR_REL * d
+    pool = _PathPool(instance, mode)
+    it = best_it = pool.evaluate({pool.start: instance.demand})
     iterations = 0
     stop_reason = "max-iter"
 
@@ -475,49 +401,48 @@ def solve_rawe_meanstdev(
         if it.gap <= tol and it.excess <= tol:
             if it.zero_floor:
                 _warn_zero_floor()
-            flow = Flow.from_paths(instance, it.paths, RISK_MEAN_STDEV)
+            flow = Flow.from_paths(instance, it.paths, mode)
             return EquilibriumResult(flow, it.gap, iterations, True, "converged")
         if iterations == max_iter:
             break
 
         it, support = _independent_support(pool, it)
-        worst = max(it.paths, key=lambda p: (it.costs[p], p))
-        if worst == it.best:
+        if it.worst == it.best:
             stop_reason = "round-off"
             break
-        nxt = _newton_iterate(pool, it, support)
+        nxt = None
+        if len(support) > 2 or not pool.separable:
+            nxt = _newton_iterate(pool, it, support)
         if nxt is None:
-            step = _pairwise_step(instance, it, worst)
-            if step < shift_floor:
-                stop_reason = "shift-floor"
-                break
-            paths = dict(it.paths)
-            paths[worst] -= step
-            if paths[worst] <= 0.0:
-                del paths[worst]
-            paths[it.best] = paths.get(it.best, 0.0) + step
-            nxt = pool.evaluate(paths)
+            nxt = _pairwise_step(pool, it)
+        if nxt is None:
+            stop_reason = "no-descent" if pool.separable else "shift-floor"
+            break
         it = nxt
 
     if best_it.zero_floor:
         _warn_zero_floor()
-    flow = Flow.from_paths(instance, best_it.paths, RISK_MEAN_STDEV)
+    flow = Flow.from_paths(instance, best_it.paths, mode)
     return EquilibriumResult(flow, best_it.gap, iterations, False, stop_reason)
 
 
-@dataclass(frozen=True)
-class _StdevIterate:
-    """A mean-stdev path flow with every path's perceived cost, the cheapest
-    path, and two certificates: the relative gap, and the worst used path's
-    excess over the cheapest, relative (absolute when the cheapest costs 0)."""
+@dataclass
+class _Iterate:
+    """A path flow with the costs of its used paths and the cheapest path
+    (of every path under mean-stdev), its most expensive used path (ties to
+    the lexicographically largest), the relative gap, the worst used path's
+    excess over the cheapest (relative; absolute when the cheapest costs 0)
+    and, under a separable mode, the Beckmann potential."""
 
     paths: dict[tuple[str, ...], float]
     flows: dict[str, float]
     costs: dict[tuple[str, ...], float]
     best: tuple[str, ...]
+    worst: tuple[str, ...]
     gap: float
     excess: float
     zero_floor: bool
+    potential: float | None
 
     @property
     def merit(self) -> float:
@@ -525,32 +450,62 @@ class _StdevIterate:
 
 
 class _PathPool:
-    """The enumerated paths of one mean-stdev instance and the evaluation of
-    path flows on them."""
+    """The path costs of one instance under one cost mode: edge cost
+    polynomials and shortest paths under a separable mode, the enumerated
+    simple paths under mean-stdev. ``start`` is the cheapest path at zero
+    flow."""
 
-    def __init__(self, instance: Instance) -> None:
+    def __init__(self, instance: Instance, mode: str) -> None:
         self.instance = instance
-        self.edges = instance.network.edges
-        self.paths = enumerate_simple_paths(
-            instance.network, cap=DEFAULT_MEANSTDEV_PATH_CAP
-        )
+        self.separable = mode != RISK_MEAN_STDEV
+        zero_flows = {e.id: 0.0 for e in instance.network.edges}
+        if self.separable:
+            self.polys = cost_polynomials(instance, mode)
+            costs = _edge_costs(self.polys, zero_flows)
+            self.start = shortest_path(instance.network, costs)[1]
+        else:
+            self.paths = enumerate_simple_paths(
+                instance.network, cap=DEFAULT_MEANSTDEV_PATH_CAP
+            )
+            costs = self.price(zero_flows, self.paths)
+            self.start = min(self.paths, key=lambda p: (costs[p], p))
 
-    def evaluate(self, paths: dict[tuple[str, ...], float]) -> _StdevIterate:
-        instance = self.instance
-        flows = edge_flow(paths, instance.network)
-        lat = {e.id: e.latency(flows[e.id]) for e in self.edges}
-        var = {e.id: e.risk(flows[e.id]) ** 2 for e in self.edges}
-        gamma = instance.gamma
-        costs = {
-            p: math.fsum(lat[eid] for eid in p)
-            + gamma * math.sqrt(math.fsum(var[eid] for eid in p))
-            for p in self.paths
+    def price(
+        self, flows: Mapping[str, float], paths: Sequence[tuple[str, ...]]
+    ) -> dict[tuple[str, ...], float]:
+        """Mean-stdev perceived cost of each of ``paths`` at ``flows``."""
+        edges = self.instance.network.edges
+        lat = {e.id: e.latency(flows[e.id]) for e in edges}
+        var = {e.id: e.risk(flows[e.id]) ** 2 for e in edges}
+        gamma = self.instance.gamma
+        return {
+            p: math.fsum(map(lat.__getitem__, p))
+            + gamma * math.sqrt(math.fsum(map(var.__getitem__, p)))
+            for p in paths
         }
-        best = min(self.paths, key=lambda p: (costs[p], p))
+
+    def evaluate(self, paths: dict[tuple[str, ...], float]) -> _Iterate:
+        instance = self.instance
+        net = instance.network
+        flows = edge_flow(paths, net)
+        if self.separable:
+            edge_costs = _edge_costs(self.polys, flows)
+            floor, best = shortest_path(net, edge_costs)
+            costs = {p: math.fsum(map(edge_costs.__getitem__, p)) for p in paths}
+            if best not in costs:
+                costs[best] = math.fsum(map(edge_costs.__getitem__, best))
+            potential = potential_value(self.polys, flows)
+        else:
+            costs = self.price(flows, self.paths)
+            best = min(self.paths, key=lambda p: (costs[p], p))
+            floor, potential = costs[best], None
+        worst = max(paths, key=lambda p: (costs[p], p))
         total = math.fsum(amount * costs[p] for p, amount in paths.items())
-        gap, zero_floor = _gap_quiet(total, instance.demand, costs[best])
-        excess, _ = _gap_quiet(max(costs[p] for p in paths), 1.0, costs[best])
-        return _StdevIterate(paths, flows, costs, best, gap, excess, zero_floor)
+        gap, zero_floor = _gap_quiet(total, instance.demand, floor)
+        excess, _ = _gap_quiet(costs[worst], 1.0, floor)
+        return _Iterate(
+            paths, flows, costs, best, worst, gap, excess, zero_floor, potential
+        )
 
 
 def _path_dependency(paths: Sequence[tuple[str, ...]]) -> list[int] | None:
@@ -586,24 +541,26 @@ def _combine(a: int, u: dict, b: int, v: dict) -> dict:
 
 
 def _independent_support(
-    pool: _PathPool, it: _StdevIterate
-) -> tuple[_StdevIterate, list[tuple[str, ...]]]:
+    pool: _PathPool, it: _Iterate
+) -> tuple[_Iterate, list[tuple[str, ...]]]:
     """The Newton support of ``it``: its used paths and its cheapest path,
     with linearly independent edge-incidence vectors.
 
-    Mean-stdev costs are not separable, so path flows with the same edge
-    flows are not interchangeable, and a dependent support makes the Newton
-    system singular. Moving flow along a dependency keeps every edge flow,
-    and so every path cost, while the total cost sum_p x_p Q_p changes
-    linearly. Each dependency is oriented so that the total does not rise
-    (bringing the cheapest path in on a tie) and followed until a path's
-    flow reaches zero, which takes that path out. Two distinct paths are
-    always independent. Returns the iterate after these moves and the
-    support, in lexicographic order.
+    A dependent support makes the Newton system singular. Moving flow along
+    a dependency keeps every edge flow, and so every path cost, while the
+    total cost sum_p x_p Q_p changes linearly (under mean-stdev; it stays
+    put under a separable mode). Each dependency is oriented so that the
+    total does not rise (bringing the cheapest path in on a tie) and
+    followed until a path's flow reaches zero, which takes that path out.
+    Two distinct paths are always independent, and so are the used paths:
+    every step moves flow only within an independent support, so only a
+    cheapest path that carries no flow can make the support dependent.
+    Returns the iterate after these moves and the support, in lexicographic
+    order.
     """
     support = sorted({*it.paths, it.best})
     paths = dict(it.paths)
-    while len(support) > 2:
+    while len(support) > 2 and it.best not in it.paths:
         weights = _path_dependency(support)
         if weights is None:
             break
@@ -649,18 +606,21 @@ def _solve_linear(matrix: list[list[float]], rhs: list[float]) -> list[float] | 
 
 
 def _newton_iterate(
-    pool: _PathPool, it: _StdevIterate, support: list[tuple[str, ...]]
-) -> _StdevIterate | None:
-    """One damped active-set Newton step on ``support``, or None when the
-    equal-cost system is singular or no step lowers the merit.
+    pool: _PathPool, it: _Iterate, support: list[tuple[str, ...]]
+) -> _Iterate | None:
+    """One active-set Newton step on ``support``, or None when the
+    equal-cost system is singular or the step finds no descent.
 
-    The path Jacobian is dQ_p/dx_q = sum over e in p and q of
+    The path Jacobian is dQ_p/dx_q = sum over e in p and q of c_e'(f_e)
+    under a separable mode. Under mean-stdev it is the sum of
     l_e'(f_e) + gamma * s_e(f_e) * s_e'(f_e) / s_p, with l_e the latency,
     s_e the edge risk and s_p the path's root-sum-square risk (the second
     term is 0 on a riskless path). A path whose Newton target is negative is
     fixed at zero, its flow redistributed through its Jacobian column, and
-    the system solved again. The step towards the target is then halved
-    until the merit falls, at most ``BACKTRACK_STEPS`` times.
+    the system solved again. Under a separable mode the step along the
+    Newton direction exactly minimizes the potential, up to twice the Newton
+    step; under mean-stdev the Newton step is halved until the merit falls,
+    at most ``BACKTRACK_STEPS`` times.
     """
     instance = pool.instance
     emap = instance.network.edge_map
@@ -669,7 +629,11 @@ def _newton_iterate(
     curvature: dict[str, float] = {}
     var: dict[str, float] = {}
     for eid in {eid for p in support for eid in p}:
-        edge, f = emap[eid], it.flows[eid]
+        f = it.flows[eid]
+        if pool.separable:
+            slope[eid] = pool.polys[eid].derivative(f)
+            continue
+        edge = emap[eid]
         risk = edge.risk(f)
         slope[eid] = edge.latency.derivative(f)
         curvature[eid] = gamma * risk * edge.risk.derivative(f)
@@ -677,16 +641,21 @@ def _newton_iterate(
     edge_sets = [set(p) for p in support]
     jac = []
     for p, p_edges in zip(support, edge_sets):
-        sigma = math.sqrt(math.fsum(var[eid] for eid in p))
+        sigma = math.sqrt(math.fsum(map(var.__getitem__, p))) if var else 0.0
         row = []
         for q_edges in edge_sets:
             shared = p_edges & q_edges
-            value = math.fsum(slope[eid] for eid in shared)
+            value = math.fsum(map(slope.__getitem__, shared))
             if sigma > 0.0:
-                value += math.fsum(curvature[eid] for eid in shared) / sigma
+                value += math.fsum(map(curvature.__getitem__, shared)) / sigma
             row.append(value)
         jac.append(row)
 
+    # Costs are taken relative to the cheapest, and the step keeps the total
+    # flow, so that the multiplier and the step's sum are rounded on the
+    # scale of the step itself: the potential's slope along the step is then
+    # exact to the end, where lambda * sum(dx) would otherwise swamp it.
+    floor = it.costs[it.best]
     now = [it.paths.get(p, 0.0) for p in support]
     free = list(range(len(support)))
     while True:
@@ -694,70 +663,103 @@ def _newton_iterate(
         matrix = [[jac[i][j] for j in free] + [-1.0] for i in free]
         matrix.append([1.0] * len(free) + [0.0])
         rhs = [
-            math.fsum(jac[i][j] * now[j] for j in fixed) - it.costs[support[i]]
+            math.fsum(jac[i][j] * now[j] for j in fixed)
+            - (it.costs[support[i]] - floor)
             for i in free
         ]
-        rhs.append(instance.demand - math.fsum(now[i] for i in free))
+        rhs.append(math.fsum(now[j] for j in fixed))
         solution = _solve_linear(matrix, rhs)
         if solution is None:
             return None
-        target = [now[i] + dx for i, dx in zip(free, solution)]
-        low = min(range(len(free)), key=target.__getitem__)
-        if target[low] >= 0.0:
+        low = min(range(len(free)), key=lambda k: now[free[k]] + solution[k])
+        if now[free[low]] + solution[low] >= 0.0:
             break
         del free[low]
-    goal = [0.0] * len(support)
-    for i, v in zip(free, target):
-        goal[i] = v
+    step = [-x for x in now]
+    for i, dx in zip(free, solution):
+        step[i] = dx
+    direction = {p: v for p, v in zip(support, step) if v != 0.0}
 
+    if pool.separable:
+        # searching past the Newton point (t = 1) lets the exact step follow
+        # the curvature of the costs, and the bound keeps a direction shrunk
+        # by rounding from being stretched into a huge step
+        hi = min([2.0, *(it.paths[p] / -v for p, v in direction.items() if v < 0.0)])
+        return _line_step(pool, it, direction, hi)
     t = 1.0
     for _ in range(BACKTRACK_STEPS):
-        trial = {}
-        for p, a, b in zip(support, now, goal):
-            v = (1.0 - t) * a + t * b
-            if v > 0.0:
-                trial[p] = v
-        nxt = pool.evaluate(trial)
+        nxt = pool.evaluate(_moved(it.paths, direction, t))
         if nxt.merit < it.merit:
             return nxt
         t *= 0.5
     return None
 
 
-def _pairwise_step(
-    instance: Instance, it: _StdevIterate, worst: tuple[str, ...]
-) -> float:
-    """Flow to move from ``worst`` onto the cheapest path so that their costs
-    just cross, found by bisection on [0, flow on ``worst``]."""
-    emap = instance.network.edge_map
-    gamma = instance.gamma
-    flows = it.flows
-    worst_set = set(worst)
-    best_set = set(it.best)
-    # (latency, risk, base flow, +1/-1/0 response to the shift) per edge
-    best_terms = [
-        (emap[eid].latency, emap[eid].risk, flows[eid], 1.0 if eid not in worst_set else 0.0)
-        for eid in it.best
-    ]
-    worst_terms = [
-        (emap[eid].latency, emap[eid].risk, flows[eid], -1.0 if eid not in best_set else 0.0)
-        for eid in worst
-    ]
+def _pairwise_step(pool: _PathPool, it: _Iterate) -> _Iterate | None:
+    """Move flow from the most expensive used path onto the cheapest, at
+    most all of it.
 
-    def _q(terms, step: float) -> float:
-        lat = 0.0
-        var = 0.0
-        for latency, risk, base, sign in terms:
-            f = base + sign * step
-            lat += latency(f)
-            var += risk(f) ** 2
-        return lat + gamma * math.sqrt(var)
+    Under a separable mode the amount exactly minimizes the potential, and
+    the result is None when that amount is 0. Under mean-stdev the amount
+    makes the two path costs just cross, found by bisection, and the result
+    is None when it is below ``SHIFT_FLOOR_REL`` of the demand.
+    """
+    worst = it.worst
+    transfer = {worst: -1.0, it.best: 1.0}
+    if pool.separable:
+        return _line_step(pool, it, transfer, it.paths[worst])
+    net = pool.instance.network
 
     def cost_delta(step: float) -> float:
         # Q(best) - Q(worst) after moving ``step`` from worst to best
-        return _q(best_terms, step) - _q(worst_terms, step)
+        flows = edge_flow(_moved(it.paths, transfer, step), net)
+        costs = pool.price(flows, (it.best, worst))
+        return costs[it.best] - costs[worst]
 
-    return _bisect_step(cost_delta, it.paths[worst])
+    step = _bisect_step(cost_delta, it.paths[worst])
+    if step < SHIFT_FLOOR_REL * pool.instance.demand:
+        return None
+    return pool.evaluate(_moved(it.paths, transfer, step))
+
+
+def _line_step(
+    pool: _PathPool,
+    it: _Iterate,
+    direction: Mapping[tuple[str, ...], float],
+    hi: float,
+) -> _Iterate | None:
+    """The separable iterate x + t * direction whose t in [0, hi] minimizes
+    the Beckmann potential, or None when that t is 0. Raises
+    ConvergenceError when the potential rises instead."""
+    change: dict[str, float] = {}
+    for p, v in direction.items():
+        for eid in p:
+            change[eid] = change.get(eid, 0.0) + v
+    delta = {eid: s for eid, s in change.items() if s != 0.0}
+    if not delta:
+        return None
+    step = _newton_step(_transfer_derivative(pool.polys, it.flows, delta), hi)
+    if step <= 0.0:
+        return None
+    nxt = pool.evaluate(_moved(it.paths, direction, step))
+    phi = it.potential
+    if nxt.potential > phi + POTENTIAL_BACKSLIDE_TOL * max(1.0, abs(phi)):
+        raise ConvergenceError(f"potential increased from {phi} to {nxt.potential}")
+    return nxt
+
+
+def _moved(
+    paths: Mapping[tuple[str, ...], float],
+    direction: Mapping[tuple[str, ...], float],
+    step: float,
+) -> dict[tuple[str, ...], float]:
+    """The path flows paths + step * direction. A path that the step runs
+    dry is set to exactly zero, and paths without flow are dropped."""
+    out = dict(paths)
+    for p, v in direction.items():
+        x = out.get(p, 0.0)
+        out[p] = 0.0 if v < 0.0 and x / -v <= step else x + step * v
+    return {p: x for p, x in out.items() if x > 0.0}
 
 
 def solve_rawe(

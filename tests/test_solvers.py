@@ -261,6 +261,47 @@ def test_stop_reason():
         solve_pair(instance, max_iter=0)
 
 
+def test_separable_solves_converge_at_tight_tolerance(monkeypatch):
+    """Every random_general mean-var seed 0-299 converges at tol 1e-13 in
+    both separable modes: they stop short only where the exact line search
+    finds no descent, never on a step floor. Newton runs on supports of
+    more than two paths only; two paths take the exact pairwise step."""
+    sizes = []
+    newton = solvers._newton_iterate
+    monkeypatch.setattr(
+        solvers,
+        "_newton_iterate",
+        lambda pool, it, support: sizes.append(len(support)) or newton(pool, it, support),
+    )
+    for seed in range(300):
+        instance = suites.random_general(seed)
+        for solve in (solve_rawe, solve_rnwe):
+            result = solve(instance, tol=1e-13)
+            assert result.converged and result.relative_gap <= 1e-13, (seed, solve)
+            assert result.iterations <= 50, (seed, solve)
+    assert sizes and min(sizes) > 2
+
+
+def test_huge_demand_on_two_parallel_edges():
+    """Demand 2.1e16 on latencies 2x and 1: the pairwise step empties the
+    first path exactly, so no sliver of demand is lost and the solve ends
+    in a few iterations."""
+    net = Network(
+        nodes=("s", "t"),
+        edges=(
+            Edge("a", "s", "t", CostPoly.of(0.0, 2.0), CostPoly.of(0.0)),
+            Edge("b", "s", "t", CostPoly.of(1.0), CostPoly.of(0.0)),
+        ),
+        source="s",
+        sink="t",
+    )
+    instance = Instance(network=net, demand=2.149433205035073e16, gamma=0.0)
+    result = solve_rnwe(instance)
+    assert result.converged and result.iterations <= 10
+    assert math.fsum(result.flow.path_flow.values()) == instance.demand
+    assert result.flow.edge_flow["a"] == pytest.approx(0.5)
+
+
 def test_mode_and_model_mismatch_raises():
     instance = make("braess", v=0.1, risk_model=RISK_MEAN_STDEV)
     with pytest.raises(ValueError):
