@@ -14,15 +14,9 @@ so the search below minimizes it exactly.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
-from .network import (
-    RISK_MEAN_STDEV,
-    Instance,
-    Network,
-    is_braess_topology,
-)
+from .network import Network
 from .solvers import Flow
 
 FORWARD = "forward"
@@ -175,49 +169,6 @@ def eta_ceiling(network: Network) -> int:
     """Worst-case forward-run count: ceil((n - 1) / 2) for n network nodes,
     which equals n // 2."""
     return len(network.nodes) // 2
-
-
-def alternating_rawe_bound(
-    instance: Instance, x: Flow, path: AlternatingPath, kappa: float
-) -> float:
-    """Upper bound on the risk-averse social cost read off the alternating
-    path: demand times (1 + gamma*kappa) * sum of forward-edge latencies at
-    x minus the sum of backward-edge latencies at x. The per-unit form bounds
-    the common equilibrium path cost, so the social cost picks up the demand
-    factor.
-
-    Valid under mean-var on any network; under mean-stdev only on the Braess
-    topology (elsewhere the root-sum-square risk breaks the argument).
-    """
-    if instance.risk_model == RISK_MEAN_STDEV and not is_braess_topology(
-        instance.network
-    ):
-        raise ValueError(
-            "the alternating upper bound under mean-stdev holds only on the "
-            "Braess topology"
-        )
-    emap = instance.network.edge_map
-    fwd = math.fsum(
-        emap[eid].latency(x.edge_flow[eid]) for eid in path.forward_edges()
-    )
-    bwd = math.fsum(
-        emap[eid].latency(x.edge_flow[eid]) for eid in path.backward_edges()
-    )
-    return instance.demand * ((1.0 + instance.gamma * kappa) * fwd - bwd)
-
-
-def alternating_rnwe_bound(instance: Instance, z: Flow, path: AlternatingPath) -> float:
-    """Lower bound on the risk-neutral social cost from the same path: demand
-    times the forward-edge latencies at z minus the backward-edge latencies
-    at z (the per-unit form never exceeds the shortest-path latency)."""
-    emap = instance.network.edge_map
-    fwd = math.fsum(
-        emap[eid].latency(z.edge_flow[eid]) for eid in path.forward_edges()
-    )
-    bwd = math.fsum(
-        emap[eid].latency(z.edge_flow[eid]) for eid in path.backward_edges()
-    )
-    return instance.demand * (fwd - bwd)
 
 
 def theoretical_pra_bound(gamma: float, kappa: float, eta: int) -> float:

@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .alternating import (
     CLASSIFY_EPS_REL,
     AlternatingPath,
-    EdgePartition,
     classify_edges,
     eta_ceiling,
     find_alternating_path,
-    alternating_rawe_bound,
-    alternating_rnwe_bound,
     theoretical_pra_bound,
 )
 from .network import (
@@ -92,48 +89,31 @@ class BoundCheck:
     note: str = ""
 
 
-@dataclass
-class _Ctx:
-    instance: Instance
-    x: Flow
-    z: Flow
-    cost_x: float
-    cost_z: float
-    kappa: float
-    partition: EdgePartition
-    path: AlternatingPath
-    eta: int
-    rho: float
-    min_cost_x: float
-    eq_dev_x: float
-    eq_dev_z: float
+#: The bound checks in report order.
+CHECK_NAMES = (
+    "rawe-cost-le-min-path-cost",
+    "rawe-cost-le-scaled-latency",
+    "rawe-cost-le-min-risk-path-latency",
+    "alternating-rawe-bound",
+    "chain-monotone-link",
+    "chain-rnwe-link",
+    "chain-eta-link",
+    "alternating-rnwe-bound",
+    "pra-eta-bound",
+    "pra-worstcase-bound",
+    "pra-rho-bound",
+    "stdev-all-forward-bound",
+    "braess-stdev-bound",
+)
 
-    @property
-    def gk(self) -> float:
-        return self.instance.gamma * self.kappa
-
-    def latency_x(self, eid: str) -> float:
-        e = self.instance.network.edge_map[eid]
-        return e.latency(self.x.edge_flow[eid])
-
-    def latency_z(self, eid: str) -> float:
-        e = self.instance.network.edge_map[eid]
-        return e.latency(self.z.edge_flow[eid])
-
-
-def _holds(lhs: float, rhs: float, extra: float = 0.0) -> bool:
-    return lhs <= rhs * (1.0 + CHECK_REL_SLACK) + CHECK_ABS_SLACK + extra
-
-
-def _entry(
-    name: str,
-    lhs: float,
-    rhs: float,
-    proven: bool = True,
-    note: str = "",
-    extra: float = 0.0,
-) -> BoundCheck:
-    return BoundCheck(name, lhs, rhs, _holds(lhs, rhs, extra), proven=proven, note=note)
+#: Checks that do not scale by kappa, so they are evaluated when it is infinite.
+_KAPPA_FREE = frozenset(
+    (
+        "rawe-cost-le-min-path-cost",
+        "rawe-cost-le-min-risk-path-latency",
+        "alternating-rnwe-bound",
+    )
+)
 
 
 def _equilibrium_deviation(instance: Instance, flow: Flow) -> tuple[float, float]:
@@ -154,45 +134,6 @@ def _equilibrium_deviation(instance: Instance, flow: Flow) -> tuple[float, float
     return max(0.0, worst - best), best
 
 
-def _certificate_slack(ctx: _Ctx, x_factor: float, z_factor: float) -> float:
-    # The chain proofs apply one equilibrium inequality per forward run, so
-    # approximate equilibria can miss by eta times the worst used-path
-    # deviation (demand-scaled, like the compared costs).
-    d = ctx.instance.demand
-    return d * ctx.eta * (x_factor * ctx.eq_dev_x + z_factor * ctx.eq_dev_z)
-
-
-def _skip(name: str, note: str) -> BoundCheck:
-    return BoundCheck(name, math.nan, math.nan, True, skipped=True, note=note)
-
-
-def _alternating_applicable(ctx: _Ctx) -> bool:
-    return ctx.instance.risk_model == RISK_MEAN_VAR or is_braess_topology(
-        ctx.instance.network
-    )
-
-
-def _stdev_eta_proven(ctx: _Ctx) -> bool:
-    if ctx.instance.risk_model == RISK_MEAN_VAR:
-        return True
-    return ctx.path.all_forward or is_braess_topology(ctx.instance.network)
-
-
-def _check_rawe_path_cost(ctx: _Ctx) -> BoundCheck | None:
-    # The per-unit path cost bounds the common equilibrium cost, so the
-    # social cost comparison carries the demand factor.
-    rhs = ctx.instance.demand * ctx.min_cost_x
-    return _entry("rawe-cost-le-min-path-cost", ctx.cost_x, rhs)
-
-
-def _check_rawe_scaled_latency(ctx: _Ctx) -> BoundCheck | None:
-    name = "rawe-cost-le-scaled-latency"
-    if math.isinf(ctx.kappa):
-        return _skip(name, "kappa is infinite")
-    s_x = shortest_path_length(ctx.instance.network, ctx.x.edge_flow)
-    return _entry(name, ctx.cost_x, ctx.instance.demand * (1.0 + ctx.gk) * s_x)
-
-
 def _min_risk_path(instance: Instance, flows: Mapping[str, float]) -> tuple[str, ...]:
     """Least-risk source->sink path at the given edge flows: a shortest path
     on the edge risks, or on their squares under mean-stdev, whose path risk
@@ -204,149 +145,91 @@ def _min_risk_path(instance: Instance, flows: Mapping[str, float]) -> tuple[str,
     return shortest_path(net, risks)[1]
 
 
-def _check_min_risk_path(ctx: _Ctx) -> BoundCheck | None:
-    flows = ctx.x.edge_flow
-    best = _min_risk_path(ctx.instance, flows)
-    rhs = ctx.instance.demand * path_latency(ctx.instance.network, flows, best)
-    return _entry("rawe-cost-le-min-risk-path-latency", ctx.cost_x, rhs)
+def _bound_checks(
+    instance: Instance,
+    x: Flow,
+    z: Flow,
+    path: AlternatingPath,
+    cost_x: float,
+    cost_z: float,
+    kappa: float,
+    s_x: float,
+    rho: float,
+    bound_eta: float,
+    bound_worst: float,
+) -> tuple[BoundCheck, ...]:
+    """The report's bound checks, in CHECK_NAMES order.
 
+    One table row per check: its name, whether it applies to the instance,
+    lhs and rhs, the factors of x's and z's equilibrium deviations in its
+    round-off allowance, and whether its bound is proven. A check that does
+    not apply is left out, except that every check but the first is listed
+    as skipped when the risk-neutral cost is zero. Checks that scale by
+    kappa are skipped when it is infinite, and the rho bound when rho is
+    undefined.
 
-def _check_alternating_rawe(ctx: _Ctx) -> BoundCheck | None:
-    name = "alternating-rawe-bound"
-    if not _alternating_applicable(ctx):
-        return None
-    if math.isinf(ctx.kappa):
-        return _skip(name, "kappa is infinite")
-    rhs = alternating_rawe_bound(ctx.instance, ctx.x, ctx.path, ctx.kappa)
-    return _entry(name, ctx.cost_x, rhs, extra=_certificate_slack(ctx, 2.0, 0.0))
-
-
-def _chain_values(ctx: _Ctx) -> tuple[float, float, float, float]:
-    # All four values are demand-scaled so they compare against social costs.
-    d = ctx.instance.demand
-    one_gk = 1.0 + ctx.gk
-    fwd_x = math.fsum(ctx.latency_x(eid) for eid in ctx.path.forward_edges())
-    bwd_x = math.fsum(ctx.latency_x(eid) for eid in ctx.path.backward_edges())
-    fwd_z = math.fsum(ctx.latency_z(eid) for eid in ctx.path.forward_edges())
-    bwd_z = math.fsum(ctx.latency_z(eid) for eid in ctx.path.backward_edges())
-    l1_x = d * (one_gk * fwd_x - bwd_x)
-    l1_z = d * (one_gk * fwd_z - bwd_z)
-    mid = ctx.cost_z + ctx.gk * d * fwd_z
-    return l1_x, l1_z, mid, fwd_z
-
-
-def _check_chain_monotone(ctx: _Ctx) -> BoundCheck | None:
-    name = "chain-monotone-link"
-    if not _alternating_applicable(ctx):
-        return None
-    if math.isinf(ctx.kappa):
-        return _skip(name, "kappa is infinite")
-    l1_x, l1_z, _, _ = _chain_values(ctx)
-    return _entry(name, l1_x, l1_z)
-
-
-def _check_chain_rnwe(ctx: _Ctx) -> BoundCheck | None:
-    name = "chain-rnwe-link"
-    if not _alternating_applicable(ctx):
-        return None
-    if math.isinf(ctx.kappa):
-        return _skip(name, "kappa is infinite")
-    _, l1_z, mid, _ = _chain_values(ctx)
-    return _entry(name, l1_z, mid, extra=_certificate_slack(ctx, 0.0, 1.0))
-
-
-def _check_chain_eta(ctx: _Ctx) -> BoundCheck | None:
-    name = "chain-eta-link"
-    if not _alternating_applicable(ctx):
-        return None
-    if math.isinf(ctx.kappa):
-        return _skip(name, "kappa is infinite")
-    _, _, mid, _ = _chain_values(ctx)
-    rhs = theoretical_pra_bound(ctx.instance.gamma, ctx.kappa, ctx.eta) * ctx.cost_z
-    return _entry(name, mid, rhs, extra=_certificate_slack(ctx, 0.0, ctx.gk))
-
-
-def _check_alternating_rnwe(ctx: _Ctx) -> BoundCheck | None:
-    rhs = ctx.cost_z
-    lhs = alternating_rnwe_bound(ctx.instance, ctx.z, ctx.path)
-    return _entry(
-        "alternating-rnwe-bound", lhs, rhs, extra=_certificate_slack(ctx, 0.0, 1.0)
+    The chain proofs apply one equilibrium inequality per forward run of the
+    alternating path, so approximate equilibria can miss by eta times the
+    worst used-path deviation (demand-scaled, like the compared costs).
+    """
+    net, d, eta = instance.network, instance.demand, path.forward_runs
+    gk = instance.gamma * kappa
+    one_gk, two_gk = 1.0 + gk, 1.0 + 2.0 * gk
+    mean_var = instance.risk_model == RISK_MEAN_VAR
+    stdev = instance.risk_model == RISK_MEAN_STDEV
+    braess = is_braess_topology(net)
+    # Under mean-stdev the alternating chain holds only on the Braess
+    # topology, where the root-sum-square risk does not break it.
+    alternating = mean_var or braess
+    eta_proven = mean_var or path.all_forward or braess
+    all_forward = stdev and path.all_forward
+    dev_x, min_cost_x = _equilibrium_deviation(instance, x)
+    dev_z, _ = _equilibrium_deviation(instance, z)
+    emap = net.edge_map
+    fwd_x, bwd_x, fwd_z, bwd_z = (
+        math.fsum(emap[eid].latency(flow.edge_flow[eid]) for eid in edges)
+        for flow in (x, z)
+        for edges in (path.forward_edges(), path.backward_edges())
     )
-
-
-def _check_pra_eta(ctx: _Ctx) -> BoundCheck | None:
-    name = "pra-eta-bound"
-    if math.isinf(ctx.kappa):
-        return _skip(name, "kappa is infinite")
-    proven = _stdev_eta_proven(ctx)
-    rhs = theoretical_pra_bound(ctx.instance.gamma, ctx.kappa, ctx.eta) * ctx.cost_z
-    note = "" if proven else "unproven bound"
-    extra = _certificate_slack(ctx, 2.0, 1.0 + ctx.gk)
-    return _entry(name, ctx.cost_x, rhs, proven=proven, note=note, extra=extra)
-
-
-def _check_pra_worstcase(ctx: _Ctx) -> BoundCheck | None:
-    name = "pra-worstcase-bound"
-    if math.isinf(ctx.kappa):
-        return _skip(name, "kappa is infinite")
-    proven = _stdev_eta_proven(ctx)
-    ceiling = eta_ceiling(ctx.instance.network)
-    rhs = theoretical_pra_bound(ctx.instance.gamma, ctx.kappa, ceiling) * ctx.cost_z
-    note = "" if proven else "unproven bound"
-    extra = _certificate_slack(ctx, 2.0, 1.0 + ctx.gk)
-    return _entry(name, ctx.cost_x, rhs, proven=proven, note=note, extra=extra)
-
-
-def _check_pra_rho(ctx: _Ctx) -> BoundCheck | None:
-    name = "pra-rho-bound"
-    if math.isinf(ctx.kappa):
-        return _skip(name, "kappa is infinite")
-    if not math.isfinite(ctx.rho):
-        return _skip(name, "rho is undefined")
-    rhs = (1.0 + ctx.gk) * ctx.rho * ctx.cost_z
-    return _entry(name, ctx.cost_x, rhs)
-
-
-def _check_stdev_all_forward(ctx: _Ctx) -> BoundCheck | None:
-    if ctx.instance.risk_model != RISK_MEAN_STDEV or not ctx.path.all_forward:
-        return None
-    name = "stdev-all-forward-bound"
-    if math.isinf(ctx.kappa):
-        return _skip(name, "kappa is infinite")
-    rhs = (1.0 + ctx.gk) * ctx.cost_z
-    extra = _certificate_slack(ctx, 2.0, 1.0 + ctx.gk)
-    return _entry(name, ctx.cost_x, rhs, extra=extra)
-
-
-def _check_braess_stdev(ctx: _Ctx) -> BoundCheck | None:
-    if ctx.instance.risk_model != RISK_MEAN_STDEV or not is_braess_topology(
-        ctx.instance.network
-    ):
-        return None
-    name = "braess-stdev-bound"
-    if math.isinf(ctx.kappa):
-        return _skip(name, "kappa is infinite")
-    rhs = (1.0 + 2.0 * ctx.gk) * ctx.cost_z
-    extra = _certificate_slack(ctx, 2.0, 1.0 + 2.0 * ctx.gk)
-    return _entry(name, ctx.cost_x, rhs, extra=extra)
-
-
-#: Fixed registry; report order follows this list.
-CHECK_REGISTRY: tuple[tuple[str, Callable[[_Ctx], BoundCheck | None]], ...] = (
-    ("rawe-cost-le-min-path-cost", _check_rawe_path_cost),
-    ("rawe-cost-le-scaled-latency", _check_rawe_scaled_latency),
-    ("rawe-cost-le-min-risk-path-latency", _check_min_risk_path),
-    ("alternating-rawe-bound", _check_alternating_rawe),
-    ("chain-monotone-link", _check_chain_monotone),
-    ("chain-rnwe-link", _check_chain_rnwe),
-    ("chain-eta-link", _check_chain_eta),
-    ("alternating-rnwe-bound", _check_alternating_rnwe),
-    ("pra-eta-bound", _check_pra_eta),
-    ("pra-worstcase-bound", _check_pra_worstcase),
-    ("pra-rho-bound", _check_pra_rho),
-    ("stdev-all-forward-bound", _check_stdev_all_forward),
-    ("braess-stdev-bound", _check_braess_stdev),
-)
+    # The path sums are per unit of flow and bound the common equilibrium
+    # path cost, so every chain value carries the demand factor.
+    chain_x = d * (one_gk * fwd_x - bwd_x)
+    chain_z = d * (one_gk * fwd_z - bwd_z)
+    chain_mid = cost_z + gk * d * fwd_z
+    least_risk = path_latency(net, x.edge_flow, _min_risk_path(instance, x.edge_flow))
+    rows = (
+        ("rawe-cost-le-min-path-cost", True, cost_x, d * min_cost_x, 0.0, 0.0, True),
+        ("rawe-cost-le-scaled-latency", True, cost_x, d * one_gk * s_x, 0.0, 0.0, True),
+        ("rawe-cost-le-min-risk-path-latency", True, cost_x, d * least_risk, 0.0, 0.0, True),
+        ("alternating-rawe-bound", alternating, cost_x, chain_x, 2.0, 0.0, True),
+        ("chain-monotone-link", alternating, chain_x, chain_z, 0.0, 0.0, True),
+        ("chain-rnwe-link", alternating, chain_z, chain_mid, 0.0, 1.0, True),
+        ("chain-eta-link", alternating, chain_mid, bound_eta * cost_z, 0.0, gk, True),
+        ("alternating-rnwe-bound", True, d * (fwd_z - bwd_z), cost_z, 0.0, 1.0, True),
+        ("pra-eta-bound", True, cost_x, bound_eta * cost_z, 2.0, one_gk, eta_proven),
+        ("pra-worstcase-bound", True, cost_x, bound_worst * cost_z, 2.0, one_gk, eta_proven),
+        ("pra-rho-bound", True, cost_x, one_gk * rho * cost_z, 0.0, 0.0, True),
+        ("stdev-all-forward-bound", all_forward, cost_x, one_gk * cost_z, 2.0, one_gk, True),
+        ("braess-stdev-bound", stdev and braess, cost_x, two_gk * cost_z, 2.0, two_gk, True),
+    )
+    checks = []
+    for name, applies, lhs, rhs, fx, fz, proven in rows:
+        if not cost_z > 0.0 and name != "rawe-cost-le-min-path-cost":
+            note = "risk-neutral cost is zero"
+        elif not applies:
+            continue
+        elif math.isinf(kappa) and name not in _KAPPA_FREE:
+            note = "kappa is infinite"
+        elif name == "pra-rho-bound" and not math.isfinite(rho):
+            note = "rho is undefined"
+        else:
+            extra = d * eta * (fx * dev_x + fz * dev_z)
+            passed = lhs <= rhs * (1.0 + CHECK_REL_SLACK) + CHECK_ABS_SLACK + extra
+            note = "" if proven else "unproven bound"
+            checks.append(BoundCheck(name, lhs, rhs, passed, proven, note=note))
+            continue
+        checks.append(BoundCheck(name, math.nan, math.nan, True, skipped=True, note=note))
+    return tuple(checks)
 
 
 @dataclass(frozen=True)
@@ -398,8 +281,7 @@ def pra_report(
 
     if eps is None:
         eps = CLASSIFY_EPS_REL * instance.demand
-    partition = classify_edges(x, z, eps)
-    path = find_alternating_path(partition, net)
+    path = find_alternating_path(classify_edges(x, z, eps), net)
     eta = path.forward_runs
 
     degenerate = not cost_z > 0.0
@@ -415,33 +297,9 @@ def pra_report(
         if not math.isinf(kappa) and math.isfinite(rho)
         else math.nan
     )
-
-    eq_dev_x, min_cost_x = _equilibrium_deviation(instance, x)
-    eq_dev_z, _ = _equilibrium_deviation(instance, z)
-    ctx = _Ctx(
-        instance=instance,
-        x=x,
-        z=z,
-        cost_x=cost_x,
-        cost_z=cost_z,
-        kappa=kappa,
-        partition=partition,
-        path=path,
-        eta=eta,
-        rho=rho,
-        min_cost_x=min_cost_x,
-        eq_dev_x=eq_dev_x,
-        eq_dev_z=eq_dev_z,
+    checks = _bound_checks(
+        instance, x, z, path, cost_x, cost_z, kappa, s_x, rho, bound_eta, bound_worst
     )
-    checks: list[BoundCheck] = []
-    for name, builder in CHECK_REGISTRY:
-        if degenerate and name != "rawe-cost-le-min-path-cost":
-            checks.append(_skip(name, "risk-neutral cost is zero"))
-            continue
-        entry = builder(ctx)
-        if entry is not None:
-            checks.append(entry)
-
     return PraReport(
         instance_name=instance.name,
         risk_model=instance.risk_model,
@@ -457,7 +315,7 @@ def pra_report(
         rho=rho,
         bound_rho=bound_rho,
         alternating_arcs=path.arcs,
-        checks=tuple(checks),
+        checks=checks,
         gap_rnwe=z_result.relative_gap,
         gap_rawe=x_result.relative_gap,
         degenerate=degenerate,

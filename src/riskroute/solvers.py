@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -319,10 +320,14 @@ def _gap_quiet(total: float, demand: float, min_cost: float) -> tuple[float, boo
 
 
 def _warn_zero_floor() -> None:
+    # Attribute the warning to the first caller outside this module.
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
     warnings.warn(
         "cheapest path has zero cost; reporting absolute gap",
         ZeroCostPathWarning,
-        stacklevel=3,
+        stacklevel=level,
     )
 
 

@@ -129,8 +129,8 @@ def _failed_names(report: PraReport) -> str:
 def bound_chain(
     seeds: int, tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER
 ) -> tuple[list[str], int]:
-    """Random general-topology mean-var instances: every proven check in the
-    report registry must pass, and an alternating path must exist."""
+    """Random general-topology mean-var instances: every proven check of the
+    report must pass, and an alternating path must exist."""
     failures: list[str] = []
     for seed in range(seeds):
         instance = random_general(seed)

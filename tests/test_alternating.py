@@ -14,16 +14,14 @@ from riskroute.alternating import (
     AlternatingPath,
     EdgePartition,
     NoAlternatingPathError,
-    alternating_rawe_bound,
-    alternating_rnwe_bound,
     classify_edges,
     eta_ceiling,
     find_alternating_path,
     theoretical_pra_bound,
 )
-from riskroute.analysis import kappa_at_flow
+from riskroute.analysis import pra_report
 from riskroute.instances import make
-from riskroute.network import RISK_MEAN_STDEV, Network, social_cost
+from riskroute.network import RISK_MEAN_STDEV, Network
 from riskroute.solvers import RISK_NEUTRAL, Flow, solve_rawe, solve_rnwe
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -189,17 +187,22 @@ def test_series_parallel_paths_are_all_forward(seed, budget):
 # --- bounds ----------------------------------------------------------
 
 
+def _report_checks(instance):
+    """The solved instance's report and its checks by name; the
+    alternating-rawe-bound rhs and the alternating-rnwe-bound lhs are the
+    bounds read off the alternating path."""
+    report = pra_report(instance, solve_rawe(instance), solve_rnwe(instance))
+    return report, {c.name: c for c in report.checks}
+
+
 def test_braess_bounds_frozen():
     """Both certificate bounds are tight on the Braess example at v=0.1."""
-    instance = make("braess", v=0.1)
-    x, z, part = _solved_partition(instance)
-    path = find_alternating_path(part, instance.network)
-    kappa = kappa_at_flow(instance, x)
-    assert kappa == pytest.approx(0.1, rel=1e-9)
-    assert alternating_rawe_bound(instance, x, path, kappa) == pytest.approx(
+    report, checks = _report_checks(make("braess", v=0.1))
+    assert report.kappa == pytest.approx(0.1, rel=1e-9)
+    assert checks["alternating-rawe-bound"].rhs == pytest.approx(
         1.3000000000000003, rel=1e-12
     )
-    assert alternating_rnwe_bound(instance, z, path) == pytest.approx(1.1, rel=1e-12)
+    assert checks["alternating-rnwe-bound"].lhs == pytest.approx(1.1, rel=1e-12)
 
 
 def test_bounds_carry_demand_factor():
@@ -207,15 +210,11 @@ def test_bounds_carry_demand_factor():
     quantities are per unit of flow, so the social-cost comparison needs the
     demand factor."""
     instance = dataclasses.replace(make("pigou", kappa=1.0, gamma=1.0), demand=2.0)
-    x, z, part = _solved_partition(instance)
-    path = find_alternating_path(part, instance.network)
-    kappa = kappa_at_flow(instance, x)
-    rawe = alternating_rawe_bound(instance, x, path, kappa)
-    rnwe = alternating_rnwe_bound(instance, z, path)
-    assert rawe == pytest.approx(4.0, rel=1e-9)
-    assert rnwe == pytest.approx(2.0, rel=1e-9)
-    assert social_cost(instance.network, x.edge_flow) == pytest.approx(3.0, rel=1e-9)
-    assert social_cost(instance.network, z.edge_flow) == pytest.approx(2.0, rel=1e-9)
+    report, checks = _report_checks(instance)
+    assert checks["alternating-rawe-bound"].rhs == pytest.approx(4.0, rel=1e-9)
+    assert checks["alternating-rnwe-bound"].lhs == pytest.approx(2.0, rel=1e-9)
+    assert report.cost_rawe == pytest.approx(3.0, rel=1e-9)
+    assert report.cost_rnwe == pytest.approx(2.0, rel=1e-9)
 
 
 @settings(deadline=None, max_examples=30)
@@ -224,35 +223,27 @@ def test_bounds_bracket_social_costs(seed):
     """The upper bound covers the risk-averse cost and the lower bound stays
     under the risk-neutral cost on random instances."""
     instance = make("random_general", seed=seed, n=6, m=10)
-    x, z, part = _solved_partition(instance)
-    path = find_alternating_path(part, instance.network)
-    kappa = kappa_at_flow(instance, x)
+    report, checks = _report_checks(instance)
     slack = 1e-6
-    cost_x = social_cost(instance.network, x.edge_flow)
-    cost_z = social_cost(instance.network, z.edge_flow)
-    assert cost_x <= alternating_rawe_bound(instance, x, path, kappa) + slack * cost_x
-    assert alternating_rnwe_bound(instance, z, path) <= cost_z + slack * cost_z
+    cost_x, cost_z = report.cost_rawe, report.cost_rnwe
+    assert cost_x <= checks["alternating-rawe-bound"].rhs + slack * cost_x
+    assert checks["alternating-rnwe-bound"].lhs <= cost_z + slack * cost_z
 
 
 def test_mean_stdev_bound_requires_braess_topology():
     instance = make("pigou", kappa=1.0, gamma=1.0, risk_model=RISK_MEAN_STDEV)
-    x, _, part = _solved_partition(instance)
-    path = find_alternating_path(part, instance.network)
-    kappa = kappa_at_flow(instance, x)
-    with pytest.raises(ValueError, match="Braess"):
-        alternating_rawe_bound(instance, x, path, kappa)
+    _, checks = _report_checks(instance)
+    assert "alternating-rawe-bound" not in checks
 
 
 def test_mean_stdev_bound_on_braess():
     """A single risky edge per path makes variance and stdev coincide, so the
     mean-stdev bound reproduces the mean-var value."""
     instance = make("braess", v=0.1, risk_model=RISK_MEAN_STDEV)
-    x, _, part = _solved_partition(instance)
-    path = find_alternating_path(part, instance.network)
-    kappa = kappa_at_flow(instance, x)
-    bound = alternating_rawe_bound(instance, x, path, kappa)
+    report, checks = _report_checks(instance)
+    bound = checks["alternating-rawe-bound"].rhs
     assert bound == pytest.approx(1.3000000000000003, rel=1e-9)
-    assert social_cost(instance.network, x.edge_flow) <= bound * (1.0 + 1e-9)
+    assert report.cost_rawe <= bound * (1.0 + 1e-9)
 
 
 def test_theoretical_pra_bound():

@@ -14,7 +14,7 @@ import riskroute.analysis as analysis
 import riskroute.solvers as solvers
 from riskroute import suites
 from riskroute.analysis import (
-    CHECK_REGISTRY,
+    CHECK_NAMES,
     DEFAULT_ORACLE_GRID,
     SIGMA_SLACK,
     braess_stdev_inequality,
@@ -90,7 +90,7 @@ def test_kappa_infinite_on_free_risky_edge():
 
 
 def test_check_registry_names():
-    names = [name for name, _ in CHECK_REGISTRY]
+    names = list(CHECK_NAMES)
     assert len(names) == len(set(names)) == 13
     assert names == [
         "rawe-cost-le-min-path-cost",
@@ -148,6 +148,77 @@ def test_pigou_report_frozen_values():
     assert report.ok
 
 
+_BRAESS_CHECKS = [
+    "rawe-cost-le-min-path-cost",
+    "rawe-cost-le-scaled-latency",
+    "rawe-cost-le-min-risk-path-latency",
+    "alternating-rawe-bound",
+    "chain-monotone-link",
+    "chain-rnwe-link",
+    "chain-eta-link",
+    "alternating-rnwe-bound",
+    "pra-eta-bound",
+    "pra-worstcase-bound",
+    "pra-rho-bound",
+]
+_NO_CHAIN_CHECKS = [
+    "rawe-cost-le-min-path-cost",
+    "rawe-cost-le-scaled-latency",
+    "rawe-cost-le-min-risk-path-latency",
+    "alternating-rnwe-bound",
+    "pra-eta-bound",
+    "pra-worstcase-bound",
+    "pra-rho-bound",
+]
+
+
+@pytest.mark.parametrize(
+    "instance, eta, backward, names, unproven",
+    [
+        (make("braess", v=0.1), 2, ["e"], _BRAESS_CHECKS, set()),
+        (
+            make("braess", v=0.1, risk_model=RISK_MEAN_STDEV),
+            2,
+            ["e"],
+            _BRAESS_CHECKS + ["braess-stdev-bound"],
+            set(),
+        ),
+        (
+            make("pigou", kappa=1.0, gamma=1.0, risk_model=RISK_MEAN_STDEV),
+            1,
+            [],
+            _NO_CHAIN_CHECKS + ["stdev-all-forward-bound"],
+            set(),
+        ),
+        (
+            make(
+                "random_general", seed=12, n=6, m=12, risk_model=RISK_MEAN_STDEV,
+                gamma=2.0, kappa_target=0.8,
+            ),
+            2,
+            ["e05"],
+            _NO_CHAIN_CHECKS,
+            {"pra-eta-bound", "pra-worstcase-bound"},
+        ),
+    ],
+    ids=["braess", "braess-stdev", "pigou-stdev", "stdev-backward-arc"],
+)
+def test_report_holds_the_applicable_checks(instance, eta, backward, names, unproven):
+    """Which checks a report holds and which of them are proven: the chain
+    links need mean-var or the Braess topology, the mean-stdev extras need
+    an all-forward path or the Braess topology, and off both the eta bounds
+    are reported unproven without gating the verdict."""
+    report = _solved_report(instance)
+    assert report.eta == eta
+    assert [eid for eid, d in report.alternating_arcs if d == "backward"] == backward
+    assert [c.name for c in report.checks] == names
+    assert {c.name for c in report.checks if not c.proven} == unproven
+    for c in report.checks:
+        assert not c.skipped and c.passed
+        assert c.note == ("unproven bound" if c.name in unproven else "")
+    assert report.ok
+
+
 def test_report_with_infinite_kappa_skips_scaled_checks():
     """An idle zero-latency risky edge forces kappa to infinity; every check
     that multiplies by kappa is skipped with a note, the rest still run."""
@@ -189,7 +260,7 @@ def test_degenerate_report_when_risk_neutral_cost_is_zero():
     report = pra_report(instance, x_result, z_result)
     assert report.degenerate
     assert math.isnan(report.pra)
-    assert report.checks[0].name == "rawe-cost-le-min-path-cost"
+    assert [c.name for c in report.checks] == list(CHECK_NAMES)
     assert not report.checks[0].skipped and report.checks[0].passed
     assert all(c.skipped for c in report.checks[1:])
     assert all("risk-neutral cost is zero" in c.note for c in report.checks[1:])

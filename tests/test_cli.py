@@ -145,6 +145,20 @@ def test_analyze_exits_4_when_a_proven_check_fails(tmp_path, monkeypatch, capsys
     assert "result FAIL" in text
 
 
+def test_analyze_prints_unproven_checks(tmp_path, capsys):
+    """On a mean-stdev instance whose alternating path has a backward arc the
+    eta bounds are unproven: printed with the qualifier, not gating the exit."""
+    stdev = make(
+        "random_general", seed=12, n=6, m=12, risk_model=RISK_MEAN_STDEV,
+        gamma=2.0, kappa_target=0.8,
+    )
+    assert main(["analyze", _write(tmp_path, "stdev.json", stdev)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    unproven = [line.split()[1] for line in lines if line.endswith("[unproven]")]
+    assert unproven == ["pra-eta-bound", "pra-worstcase-bound"]
+    assert lines[-1] == "result PASS"
+
+
 def test_analyze_beyond_the_path_cap(tmp_path, capsys):
     out = tmp_path / "big.json"
     argv = ["generate", "--family", "random_general", "--seed", "0"]

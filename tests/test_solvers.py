@@ -1,5 +1,5 @@
-"""Equilibrium solvers: conditional gradient under separable costs, the
-mean-stdev active-set Newton solver, gap certificates, flow decomposition."""
+"""Equilibrium solvers: the active-set Newton loop in every cost mode, gap
+certificates, the zero-cost warning, flow decomposition."""
 
 import dataclasses
 import math
@@ -140,6 +140,36 @@ def test_gap_zero_cost_floor_warns():
     with pytest.warns(ZeroCostPathWarning):
         # min path cost is 0 at the zero-latency evaluation point
         relative_gap(instance, Flow(path_flow={("e1",): 0.0}, edge_flow=zero_flow, objective_mode=RISK_NEUTRAL))
+
+
+_ZERO_LATENCY = Instance(
+    network=Network(
+        nodes=("s", "t"),
+        edges=(Edge("e1", "s", "t", CostPoly.of(0.0), CostPoly.of(1.0)),),
+        source="s",
+        sink="t",
+    ),
+    demand=1.0,
+    gamma=1.0,
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_rnwe(_ZERO_LATENCY),
+        lambda: solve_wardrop(_ZERO_LATENCY),
+        lambda: solve_pair(_ZERO_LATENCY),
+        lambda: relative_gap(_ZERO_LATENCY, _flow(_ZERO_LATENCY, {("e1",): 1.0}, RISK_NEUTRAL)),
+    ],
+    ids=["solve_rnwe", "solve_wardrop", "solve_pair", "relative_gap"],
+)
+def test_zero_cost_warning_points_at_the_caller(call):
+    """The zero-cost warning names the caller's line, not one in solvers."""
+    with pytest.warns(ZeroCostPathWarning) as record:
+        call()
+    assert len(record) == 1
+    assert record[0].filename == __file__
 
 
 def test_solvers_quiet_on_regular_instances(recwarn):
