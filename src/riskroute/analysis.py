@@ -426,7 +426,7 @@ def braess_stdev_inequality_batch(
     return precondition, sp + sq - sr, sb + sc
 
 
-# --- exhaustive shortest-path maximizer --------------------------------------
+# --- shortest-path maximizer by branch-and-bound ------------------------------
 
 
 @dataclass(frozen=True)
@@ -445,21 +445,46 @@ def oracle_slack(instance: Instance, grid: int) -> float:
     return d * lip / grid
 
 
-#: Most lattice points the enumeration holds in one block, so the oracle's
+#: Most lattice points the search holds in one block, so the oracle's
 #: memory does not grow with the number of points.
 _BLOCK_POINTS = 1 << 16
 
+#: The search drops a partial flow only when its bound is below the threshold
+#: by more than this share of the threshold, so that round-off in a bound
+#: cannot drop a maximizer.
+_PRUNE_MARGIN = 1e-9
 
-def _flow_lattice(partial: np.ndarray, ops: list, start: int = 0):
+
+def _split(partial: np.ndarray, rest: int, col: int):
+    """Yield, in blocks of at most _BLOCK_POINTS columns, every point of
+    ``partial`` expanded into one point per amount from 0 up to its value in
+    row ``rest``, in that order, the amount moved to row ``col``."""
+    counts = partial[rest] + 1
+    ends = counts.cumsum()
+    starts = ends - counts
+    total = int(ends[-1])
+    for lo in range(0, total, _BLOCK_POINTS):
+        # how many of the outputs lo, lo + 1, ... each input point makes
+        reps = counts
+        if total > _BLOCK_POINTS:
+            hi = lo + _BLOCK_POINTS
+            reps = (np.minimum(ends, hi) - np.maximum(starts, lo)).clip(0)
+        block = partial.repeat(reps, axis=1)
+        taken = np.arange(lo, lo + block.shape[1]) - starts.repeat(reps)
+        block[col] = taken
+        block[rest] -= taken
+        yield block
+
+
+def _flow_lattice(partial: np.ndarray, ops: list, prune, start: int = 0):
     """Yield, in blocks of at most _BLOCK_POINTS columns, every completion of
     the partial integer flows ``partial`` (one column per point, one row per
-    edge) by ``ops[start:]``.
+    edge) by ``ops[start:]`` that survives ``prune``.
 
     An op ``(rest, ins, col)`` either sets row ``rest`` to the sum of the
     rows ``ins`` (a node's inflow, parked on its last out-edge), or, when
-    ``ins`` is None, expands each point into one point per amount from 0 up
-    to its value in row ``rest``, in that order, moving the amount to row
-    ``col``.
+    ``ins`` is None, splits every point by :func:`_split`. Each block a split
+    ``ops[i]`` makes is replaced by ``prune(block, i)``, the columns to keep.
     """
     for i in range(start, len(ops)):
         rest, ins, col = ops[i]
@@ -468,23 +493,44 @@ def _flow_lattice(partial: np.ndarray, ops: list, start: int = 0):
             for c in ins[1:]:
                 partial[rest] += partial[c]
             continue
-        counts = partial[rest] + 1
-        ends = counts.cumsum()
-        starts = ends - counts
-        total = int(ends[-1])
-        for lo in range(0, total, _BLOCK_POINTS):
-            # how many of the outputs lo, lo + 1, ... each input point makes
-            reps = counts
-            if total > _BLOCK_POINTS:
-                hi = lo + _BLOCK_POINTS
-                reps = (np.minimum(ends, hi) - np.maximum(starts, lo)).clip(0)
-            block = partial.repeat(reps, axis=1)
-            taken = np.arange(lo, lo + block.shape[1]) - starts.repeat(reps)
-            block[col] = taken
-            block[rest] -= taken
-            yield from _flow_lattice(block, ops, i + 1)
+        for block in _split(partial, rest, col):
+            block = prune(block, i)
+            if block.shape[1]:
+                yield from _flow_lattice(block, ops, prune, i + 1)
         return
     yield partial
+
+
+def _caps(partial: np.ndarray, ops: list, start: int, grid: int) -> np.ndarray:
+    """Per-edge upper flows of every completion of ``partial`` by
+    ``ops[start:]``. Rows already set keep their values; a parked rest row
+    caps itself and each sibling still to be split off it; a join row is the
+    sum of its in-edges' caps, at most ``grid``."""
+    caps = partial.copy()
+    for rest, ins, col in ops[start:]:
+        if ins is None:
+            caps[col] = caps[rest]
+        else:
+            np.minimum(caps[ins].sum(axis=0), grid, out=caps[rest])
+    return caps
+
+
+def _dive(point: np.ndarray, ops: list, bound) -> float:
+    """Value of the lattice point reached from the one-column ``point`` by
+    taking, at each split, the first child of largest ``bound``. After the
+    last split only joins remain, so the bound there is the value itself."""
+    for i, (rest, ins, col) in enumerate(ops):
+        if ins is not None:
+            point[rest] = point[ins].sum(axis=0)
+            continue
+        best, choice = -math.inf, None
+        for block in _split(point, rest, col):
+            bounds = bound(block, i + 1)
+            j = int(bounds.argmax())
+            if choice is None or bounds[j] > best:
+                best, choice = float(bounds[j]), block[:, j : j + 1]
+        point = choice
+    return best
 
 
 def max_shortest_path_oracle(
@@ -492,23 +538,32 @@ def max_shortest_path_oracle(
     grid: int = DEFAULT_ORACLE_GRID,
     max_paths: int = DEFAULT_ORACLE_MAX_PATHS,
 ) -> OracleResult:
-    """Maximize the shortest-path latency over the demand simplex by brute
-    force over the path-flow grid with d/grid steps.
+    """Maximize the shortest-path latency over the demand simplex, exactly
+    over the path-flow grid with d/grid steps, by branch-and-bound.
 
     The shortest-path latency depends on the edge flows alone, and on an
     acyclic network integral flow decomposition maps that grid onto the
     integer s-t flows of value ``grid`` (times d/grid) on the edges of the
-    simple paths. Those flows are enumerated instead, node by node in
-    topological order, and ``points`` counts them: C(grid+k-1, k-1) for k
-    parallel paths, fewer wherever paths share edges. The count still grows
-    exponentially with the network, hence the ``max_paths`` cap
-    (PathCountError beyond it).
+    simple paths. The search runs over those flows instead, node by node in
+    topological order: each node's inflow is split over its out-edges in
+    edge-id order, earlier edges taking the smaller shares first. The
+    ``max_paths`` cap (PathCountError beyond it) bounds the lattice, whose
+    size still grows exponentially with the network.
 
-    Each node's inflow is split over its out-edges in edge-id order, earlier
-    edges taking the smaller shares first. The first maximizing flow in that
-    order is returned as ``path_flow``, decomposed onto the paths by
-    :func:`decompose_edge_flow` (lexicographically first paths first), so it
-    is a grid point of the path simplex.
+    Latencies are nondecreasing, so the shortest-path latency at per-edge
+    upper flows bounds every completion of a partial flow (:func:`_caps`).
+    When more than one split remains, the threshold is the best of the
+    single-path vertices and one dive (:func:`_dive`), fixed before the
+    search; a partial flow whose bound is below it by more than
+    ``_PRUNE_MARGIN`` is dropped. ``points`` counts the lattice points
+    evaluated; without pruning that is C(grid+k-1, k-1) for k parallel
+    paths, fewer wherever paths share edges.
+
+    The first maximizing flow in lattice order is returned as ``path_flow``,
+    decomposed onto the paths by :func:`decompose_edge_flow`
+    (lexicographically first paths first), so it is a grid point of the path
+    simplex. No maximizer is ever pruned, so this is the flow exhaustive
+    enumeration finds.
     """
     if grid < 1:
         raise ValueError(f"oracle grid must be a positive integer (got {grid})")
@@ -525,6 +580,11 @@ def max_shortest_path_oracle(
     waiting: dict[str, int] = {}
     for e in net.edges:
         if e.id in on_path:
+            if not all(0.0 <= c < math.inf for c in e.latency.coeffs):
+                raise ValueError(
+                    f"the oracle needs nondecreasing latencies: edge {e.id!r} has"
+                    " a negative or non-finite latency coefficient"
+                )
             row[e.id] = len(row)
             polys.append(e.latency.coeffs)
             waiting[e.head] = waiting.get(e.head, 0) + 1
@@ -556,21 +616,42 @@ def max_shortest_path_oracle(
     degree = max(2, *map(len, polys))
     coeffs = np.array([c + (0.0,) * (degree - len(c)) for c in polys]).T[:, :, None]
     incidence = np.array([[eid in p for eid in row] for p in paths], dtype=float)
-
-    best_value = -math.inf
-    best_flow: list[int] = []
-    count = 0
     scale = instance.demand / grid
-    for block in _flow_lattice(first, ops):
-        count += block.shape[1]
+
+    def shortest(block: np.ndarray) -> np.ndarray:
+        """Shortest-path latency at each column's edge flows: the least
+        summed edge latency over the paths."""
         flows = block * scale
         lat = coeffs[-1] * flows
         lat += coeffs[-2]
         for c in coeffs[-3::-1]:
             lat *= flows
             lat += c
-        # shortest-path latency: the least summed edge latency over the paths
-        s_values = (incidence @ lat).min(axis=0)
+        return (incidence @ lat).min(axis=0)
+
+    def bound(block: np.ndarray, start: int) -> np.ndarray:
+        return shortest(_caps(block, ops, start, grid))
+
+    splits = [i for i, (_, ins, _) in enumerate(ops) if ins is None]
+    floor = -math.inf
+    if len(splits) > 1:
+        # the single-path vertices and the dive's leaf are lattice points
+        vertices = (incidence.T * grid).astype(np.int64)
+        threshold = max(float(shortest(vertices).max()), _dive(first.copy(), ops, bound))
+        floor = threshold * (1.0 - _PRUNE_MARGIN)
+
+    def prune(block: np.ndarray, i: int) -> np.ndarray:
+        # the last split makes the lattice points themselves
+        if i == splits[-1]:
+            return block
+        return block[:, ~(bound(block, i + 1) < floor)]
+
+    best_value = -math.inf
+    best_flow: list[int] = []
+    count = 0
+    for block in _flow_lattice(first, ops, prune):
+        count += block.shape[1]
+        s_values = shortest(block)
         idx = int(s_values.argmax())
         if s_values[idx] > best_value:
             best_value = float(s_values[idx])

@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.set_defaults(func=cmd_generate)
 
     p_oracle = sub.add_parser(
-        "oracle", help="maximize the shortest-path latency by brute force"
+        "oracle", help="maximize the shortest-path latency over the flow grid"
     )
     p_oracle.add_argument("instance", help="instance JSON file")
     p_oracle.add_argument("--grid", type=int, default=DEFAULT_ORACLE_GRID)

@@ -247,8 +247,9 @@ def oracle(
     tol: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[list[str], int]:
-    """Exhaustive shortest-path maximization: :func:`oracle_seeds` on the
-    seeded series-parallel instances plus :func:`zigzag_closed_forms`."""
+    """Exact grid maximization of the shortest-path latency:
+    :func:`oracle_seeds` on the seeded series-parallel instances plus
+    :func:`zigzag_closed_forms`."""
     failures = oracle_seeds(seeds, grid, tol, max_iter)
     zigzag, _ = zigzag_closed_forms()
     return failures + zigzag, seeds + len(ZIGZAG_GRIDS)

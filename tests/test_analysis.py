@@ -1,5 +1,5 @@
 """Report assembly: kappa, the named bound checks, the sigma inequality, and
-the brute-force shortest-path maximizer."""
+the exact grid maximizer of the shortest-path latency."""
 
 import dataclasses
 import itertools
@@ -501,9 +501,42 @@ def _composition_maximum(instance, grid):
     return best
 
 
+def _composition_maximum_vectorized(instance, grid):
+    """:func:`_composition_maximum` with numpy, one row per path flow, for
+    the grids and path counts the loop is too slow for."""
+    net = instance.network
+    paths = enumerate_simple_paths(net, cap=100)
+    k = len(paths)
+    bars = list(itertools.combinations(range(1, grid + k), k - 1))
+    cuts = np.zeros((len(bars), k + 1), dtype=np.int64)
+    cuts[:, 1:k] = np.array(bars, dtype=np.int64).reshape(len(bars), k - 1)
+    cuts[:, k] = grid + k
+    units = np.diff(cuts, axis=1) - 1
+    incidence = np.array([[e.id in p for e in net.edges] for p in paths], dtype=float)
+    flows = units @ incidence * (instance.demand / grid)
+    latency = np.column_stack(
+        [
+            np.polynomial.polynomial.polyval(flows[:, j], e.latency.coeffs)
+            for j, e in enumerate(net.edges)
+        ]
+    )
+    return float((latency @ incidence.T).min(axis=1).max())
+
+
+def test_composition_references_agree():
+    checked = 0
+    for seed in range(60):
+        instance = suites.random_sp(seed, max_budget=4, max_paths=6)
+        if len(enumerate_simple_paths(instance.network)) <= 4:
+            loop = _composition_maximum(instance, grid=12)
+            assert abs(_composition_maximum_vectorized(instance, grid=12) - loop) <= 1e-12
+            checked += 1
+    assert checked >= 50
+
+
 def _check_against_compositions(instance, grid):
     result = max_shortest_path_oracle(instance, grid=grid, max_paths=10)
-    assert abs(result.value - _composition_maximum(instance, grid)) <= 1e-12
+    assert abs(result.value - _composition_maximum_vectorized(instance, grid)) <= 1e-12
     # the maximizer is a grid point of the path simplex that attains the value
     step = instance.demand / grid
     for amount in result.path_flow.values():
@@ -522,6 +555,10 @@ def _check_against_compositions(instance, grid):
         ("pigou", dict(kappa=1.0, gamma=1.0), 100),
         ("zigzag", dict(k=2), 10),
         ("zigzag", dict(k=3), 10),
+        # the grids of the verify oracle suite
+        ("zigzag", dict(k=2), 100),
+        ("zigzag", dict(k=3), 30),
+        ("zigzag", dict(k=4), 10),
     ],
 )
 def test_oracle_matches_path_compositions(family, params, grid):
@@ -529,13 +566,15 @@ def test_oracle_matches_path_compositions(family, params, grid):
 
 
 def test_oracle_matches_path_compositions_random_sp():
-    checked = 0
-    for seed in range(60):
+    """Every instance of the verify oracle suite's first 300 seeds, among
+    them the 5- and 6-path ones, where the search prunes most."""
+    by_paths = {}
+    for seed in range(300):
         instance = suites.random_sp(seed, max_budget=4, max_paths=6)
-        if len(enumerate_simple_paths(instance.network)) <= 4:
-            _check_against_compositions(instance, grid=12)
-            checked += 1
-    assert checked >= 50
+        _check_against_compositions(instance, grid=20)
+        k = len(enumerate_simple_paths(instance.network))
+        by_paths[k] = by_paths.get(k, 0) + 1
+    assert by_paths[5] >= 3 and by_paths[6] >= 2
 
 
 def test_oracle_counts_integer_edge_flows():
@@ -548,11 +587,26 @@ def test_oracle_counts_integer_edge_flows():
     assert result.points == math.comb(102, 2) * 101 == 520_251
 
 
+def test_oracle_ties_return_the_first_lattice_point():
+    """With constant latencies every lattice point ties with the threshold,
+    so none may be pruned, and the first one is returned: each node's whole
+    inflow on its last out-edge."""
+    sp = suites.random_sp(29, max_budget=4, max_paths=6)
+    edges = tuple(dataclasses.replace(e, latency=CostPoly((1.0,))) for e in sp.network.edges)
+    instance = dataclasses.replace(sp, network=dataclasses.replace(sp.network, edges=edges))
+    result = max_shortest_path_oracle(instance, grid=20)
+    assert result.value == 2.0
+    assert result.path_flow == {("e04", "e03"): instance.demand}
+    assert result.points == math.comb(22, 2) * 21
+
+
 @pytest.mark.parametrize(
     "family, params, grid",
     [
         ("pigou", dict(kappa=1.0, gamma=1.0), 100),
         ("zigzag", dict(k=3), 10),
+        # 6 paths, where the search prunes partial flows
+        ("random_sp", dict(seed=94, budget=4, max_paths=6), 100),
     ],
 )
 def test_oracle_blocks_do_not_change_the_result(monkeypatch, family, params, grid):
@@ -589,3 +643,14 @@ def test_oracle_rejects_bad_input():
     pathless = Instance(network=net, demand=1.0, gamma=1.0, name="pathless")
     with pytest.raises(ValueError, match="no source-sink path"):
         max_shortest_path_oracle(pathless, grid=10)
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, -0.5), (math.inf,)])
+def test_oracle_needs_nondecreasing_latencies(coeffs):
+    """The search's bound holds only for nondecreasing latencies, so a path
+    edge with a negative or non-finite latency coefficient is refused."""
+    instance = _parallel_instance(
+        [_edge("e1", "s", "t", coeffs), _edge("e2", "s", "t", (0.0, 1.0))], "falling"
+    )
+    with pytest.raises(ValueError, match="nondecreasing latencies: edge 'e1'"):
+        max_shortest_path_oracle(instance, grid=10)
