@@ -459,7 +459,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (InstanceFormatError, PathCountError) as exc:
+    except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

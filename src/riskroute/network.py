@@ -114,6 +114,28 @@ class Network:
                 adj[e.head].append(e)
         return {v: tuple(sorted(es, key=lambda e: e.id)) for v, es in adj.items()}
 
+    @cached_property
+    def topo_order(self) -> tuple[str, ...]:
+        """The declared nodes in a topological order, by Kahn peeling. Edges
+        with an undeclared endpoint are skipped; nodes on or behind a directed
+        cycle are left out."""
+        indeg = {v: 0 for v in self.nodes}
+        for e in self.edges:
+            if e.head in indeg:
+                indeg[e.head] += 1
+        queue = [v for v, d in indeg.items() if d == 0]
+        order: list[str] = []
+        while queue:
+            v = queue.pop()
+            order.append(v)
+            for e in self.out_edges.get(v, ()):
+                if e.head not in indeg:
+                    continue  # undeclared endpoint, reported separately
+                indeg[e.head] -= 1
+                if indeg[e.head] == 0:
+                    queue.append(e.head)
+        return tuple(order)
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -133,23 +155,8 @@ class Validation:
 
 
 def _has_cycle(network: Network) -> bool:
-    # Kahn peeling; leftover nodes mean a directed cycle.
-    indeg = {v: 0 for v in network.nodes}
-    for e in network.edges:
-        if e.head in indeg:
-            indeg[e.head] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for e in network.out_edges.get(v, ()):
-            if e.head not in indeg:
-                continue  # undeclared endpoint, reported separately
-            indeg[e.head] -= 1
-            if indeg[e.head] == 0:
-                queue.append(e.head)
-    return seen != len(network.nodes)
+    # nodes left out of the Kahn peel mean a directed cycle
+    return len(network.topo_order) != len(network.nodes)
 
 
 def _sink_reachable(network: Network) -> bool:

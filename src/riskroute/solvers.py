@@ -13,9 +13,11 @@ pairwise transfer, exactly minimizes the potential: its directional
 derivative is one polynomial in the step, whose root is found by Newton's
 method inside a bisection bracket.
 
-Mean-stdev costs are not separable, so no potential exists. That mode works
-over the enumerated paths, halves the Newton step until a merit falls, and
-otherwise shifts flow pairwise until two path costs cross, by bisection.
+Mean-stdev costs are not separable, so no potential exists. That mode finds
+its cheapest path by shortest paths too, on the convex hull of the paths'
+(latency, variance) points, so it enumerates no paths either. It halves the
+Newton step until a merit falls, and otherwise shifts flow pairwise until two
+path costs cross, by bisection.
 
 The relative gap of a flow is (sum_p f_p Q_p - d * min_q Q_q) / (d * min_q Q_q):
 zero exactly at equilibrium, and small values certify an epsilon-equilibrium
@@ -24,7 +26,6 @@ regardless of how the flow was produced.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 import warnings
@@ -32,14 +33,12 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .network import (
-    DEFAULT_PATH_CAP,
     RISK_MEAN_STDEV,
     RISK_MEAN_VAR,
     CostPoly,
     Instance,
     Network,
     edge_flow,
-    enumerate_simple_paths,
     path_cost,
     path_latency,
 )
@@ -50,7 +49,6 @@ OBJECTIVE_MODES = (RISK_NEUTRAL, RISK_MEAN_VAR, RISK_MEAN_STDEV)
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200_000
 DEFAULT_TOL_MEANSTDEV = 1e-6
-DEFAULT_MEANSTDEV_PATH_CAP = 2_000
 
 #: Iteration ceiling of every line search: the mean-stdev bisection always
 #: takes this many steps (2**-60 of the bracket), the Newton search at most.
@@ -148,27 +146,33 @@ def cost_polynomials(instance: Instance, mode: str) -> dict[str, CostPoly]:
 def shortest_path(
     network: Network, costs: Mapping[str, float]
 ) -> tuple[float, tuple[str, ...]]:
-    """Label-setting shortest path under nonnegative edge costs.
+    """Shortest source->sink path under nonnegative edge costs, by dynamic
+    programming over the network's topological order.
 
-    Ties resolve to the lexicographically smallest edge-id sequence, so the
-    result is deterministic even with parallel edges. Raises ValueError on a
-    negative or NaN cost.
+    Each node keeps the least (distance, edge-id sequence) label over its
+    in-edges, so ties resolve to the lexicographically smallest sequence and
+    the result is deterministic even with parallel edges. Raises ValueError
+    on a negative or NaN cost.
     """
     for eid, c in costs.items():
         if not c >= 0.0:  # also catches NaN
             raise ValueError(f"edge {eid!r} has cost {c}, not a nonnegative number")
-    done: set[str] = set()
-    heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (), network.source)]
-    while heap:
-        dist, path, node = heapq.heappop(heap)
-        if node in done:
+    sink, out_edges = network.sink, network.out_edges
+    labels: dict[str, tuple[float, tuple[str, ...]]] = {network.source: (0.0, ())}
+    for node in network.topo_order:
+        label = labels.get(node)
+        if label is None:
             continue
-        done.add(node)
-        if node == network.sink:
-            return dist, path
-        for e in network.out_edges.get(node, ()):
-            if e.head not in done:
-                heapq.heappush(heap, (dist + costs[e.id], path + (e.id,), e.head))
+        if node == sink:
+            return label
+        dist, path = label
+        for e in out_edges[node]:
+            d = dist + costs[e.id]
+            old = labels.get(e.head)
+            # the lexicographic order of (d, path + (e.id,)), building the
+            # path only where it decides
+            if old is None or d < old[0] or (d == old[0] and path + (e.id,) < old[1]):
+                labels[e.head] = (d, path + (e.id,))
     raise ConvergenceError(f"sink {network.sink!r} unreachable from source")
 
 
@@ -301,7 +305,7 @@ def solve_rawe_meanstdev(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EquilibriumResult:
     """Risk-averse equilibrium under mean-stdev perceived costs, by
-    :func:`_solve` over the enumerated paths."""
+    :func:`_solve`."""
     if instance.risk_model != RISK_MEAN_STDEV:
         raise ValueError(
             f"instance risk model is {instance.risk_model!r}; expected mean-stdev"
@@ -349,18 +353,87 @@ def cheapest_path(
 
     Risk-neutral and mean-var costs are edge-separable, so the cheapest path
     is a :func:`shortest_path` on the mode's edge costs. The mean-stdev risk
-    sqrt(sum_e sigma_e**2) is not, so that mode takes the lexicographic
-    minimum over every simple path (PathCountError beyond DEFAULT_PATH_CAP).
-    ``mode`` must be risk-neutral or the instance's risk model.
+    sqrt(sum_e sigma_e**2) is not, so that mode searches the hull of the
+    paths' (latency, variance) points by shortest paths
+    (:func:`_meanstdev_cheapest`). ``mode`` must be risk-neutral or the
+    instance's risk model.
     """
     if mode == RISK_NEUTRAL or mode == instance.risk_model == RISK_MEAN_VAR:
         costs = _edge_costs(cost_polynomials(instance, mode), flows)
         _, path = shortest_path(instance.network, costs)
         return mode_path_cost(instance, flows, path, mode), path
     if mode == instance.risk_model == RISK_MEAN_STDEV:
-        paths = enumerate_simple_paths(instance.network, cap=DEFAULT_PATH_CAP)
-        return min((path_cost(instance, flows, p), p) for p in paths)
+        _, path = _meanstdev_cheapest(instance, _edge_moments(instance, flows))
+        return path_cost(instance, flows, path), path
     raise ValueError(f"no {mode!r} path costs on a {instance.risk_model!r} instance")
+
+
+def _edge_moments(
+    instance: Instance, flows: Mapping[str, float]
+) -> tuple[dict[str, float], dict[str, float]]:
+    """Each edge's latency and variance (its squared risk) at ``flows``."""
+    edges = instance.network.edges
+    return (
+        {e.id: e.latency(flows[e.id]) for e in edges},
+        {e.id: e.risk(flows[e.id]) ** 2 for e in edges},
+    )
+
+
+def _meanstdev_cheapest(
+    instance: Instance, moments: tuple[dict[str, float], dict[str, float]]
+) -> tuple[float, tuple[str, ...]]:
+    """The least (mean-stdev cost, path) at the edge latencies and variances
+    ``moments``, by a search of the lower-left convex hull of the paths'
+    (L, V) points.
+
+    L and V are sums over a path's edges, and its cost L + gamma * sqrt(V)
+    is concave and nondecreasing in them, so the cheapest path is a hull
+    vertex: a shortest path under latency + lambda * variance for some
+    lambda >= 0 (Nikolova, Brand & Karger, ICAPS 2006). The search starts
+    from the shortest paths under the latencies and under the variances.
+    For found paths p and q it takes the shortest path r at the slope
+    lambda = (L_q - L_p) / (V_p - V_q) of their chord; when r is new and
+    weighs strictly less than p and q, it searches the chords p, r and r, q
+    (Aneja & Nair, 1979). Each such step finds a new path, so the search
+    ends. A chord is dropped when its corner bound L_p + gamma * sqrt(V_q)
+    is above the cheapest cost found. Costs are priced as
+    :meth:`_PathPool.price` prices them, ties go to the lexicographically
+    smallest path found, and with gamma 0 this is the latency shortest path.
+    """
+    net, gamma = instance.network, instance.gamma
+    lat, var = moments
+    found: dict[tuple[str, ...], tuple[float, float, float]] = {}
+
+    def vertex(weights: Mapping[str, float]) -> tuple[str, ...] | None:
+        # the shortest path under ``weights``, or None when already found
+        path = shortest_path(net, weights)[1]
+        if path in found:
+            return None
+        latency = math.fsum(map(lat.__getitem__, path))
+        variance = math.fsum(map(var.__getitem__, path))
+        found[path] = (latency, variance, latency + gamma * math.sqrt(variance))
+        return path
+
+    first = vertex(lat)
+    if gamma == 0.0:
+        return found[first][2], first
+    last = vertex(var)
+    best = min(cost for *_, cost in found.values())
+    chords = [(first, last)] if last else []
+    while chords:
+        p, q = chords.pop()
+        (lp, vp, _), (lq, vq, _) = found[p], found[q]
+        if not (lp < lq and vp > vq) or lp + gamma * math.sqrt(vq) > best:
+            continue
+        slope = (lq - lp) / (vp - vq)
+        r = vertex({eid: lat[eid] + slope * var[eid] for eid in lat})
+        if r is None:
+            continue
+        lr, vr, cost = found[r]
+        best = min(best, cost)
+        if lr + slope * vr < min(lp + slope * vp, lq + slope * vq):
+            chords += [(p, r), (r, q)]
+    return min((cost, path) for path, (*_, cost) in found.items())
 
 
 def relative_gap(instance: Instance, flow: Flow, mode: str | None = None) -> float:
@@ -433,11 +506,11 @@ def _solve(
 
 @dataclass
 class _Iterate:
-    """A path flow with the costs of its used paths and the cheapest path
-    (of every path under mean-stdev), its most expensive used path (ties to
-    the lexicographically largest), the relative gap, the worst used path's
-    excess over the cheapest (relative; absolute when the cheapest costs 0)
-    and, under a separable mode, the Beckmann potential."""
+    """A path flow with the costs of its used paths and the cheapest path,
+    its most expensive used path (ties to the lexicographically largest),
+    the relative gap, the worst used path's excess over the cheapest
+    (relative; absolute when the cheapest costs 0) and, under a separable
+    mode, the Beckmann potential."""
 
     paths: dict[tuple[str, ...], float]
     flows: dict[str, float]
@@ -456,9 +529,10 @@ class _Iterate:
 
 class _PathPool:
     """The path costs of one instance under one cost mode: edge cost
-    polynomials and shortest paths under a separable mode, the enumerated
-    simple paths under mean-stdev. ``start`` is the cheapest path at zero
-    flow."""
+    polynomials and shortest paths under a separable mode, the hull search
+    of :func:`_meanstdev_cheapest` under mean-stdev. Either way only the used
+    paths and the cheapest path are priced. ``start`` is the cheapest path
+    at zero flow."""
 
     def __init__(self, instance: Instance, mode: str) -> None:
         self.instance = instance
@@ -469,19 +543,18 @@ class _PathPool:
             costs = _edge_costs(self.polys, zero_flows)
             self.start = shortest_path(instance.network, costs)[1]
         else:
-            self.paths = enumerate_simple_paths(
-                instance.network, cap=DEFAULT_MEANSTDEV_PATH_CAP
-            )
-            costs = self.price(zero_flows, self.paths)
-            self.start = min(self.paths, key=lambda p: (costs[p], p))
+            self.start = _meanstdev_cheapest(
+                instance, _edge_moments(instance, zero_flows)
+            )[1]
 
     def price(
-        self, flows: Mapping[str, float], paths: Sequence[tuple[str, ...]]
+        self,
+        moments: tuple[dict[str, float], dict[str, float]],
+        paths: Sequence[tuple[str, ...]],
     ) -> dict[tuple[str, ...], float]:
-        """Mean-stdev perceived cost of each of ``paths`` at ``flows``."""
-        edges = self.instance.network.edges
-        lat = {e.id: e.latency(flows[e.id]) for e in edges}
-        var = {e.id: e.risk(flows[e.id]) ** 2 for e in edges}
+        """Mean-stdev perceived cost of each of ``paths`` at the edge
+        latencies and variances ``moments`` (:func:`_edge_moments`)."""
+        lat, var = moments
         gamma = self.instance.gamma
         return {
             p: math.fsum(map(lat.__getitem__, p))
@@ -501,9 +574,10 @@ class _PathPool:
                 costs[best] = math.fsum(map(edge_costs.__getitem__, best))
             potential = potential_value(self.polys, flows)
         else:
-            costs = self.price(flows, self.paths)
-            best = min(self.paths, key=lambda p: (costs[p], p))
-            floor, potential = costs[best], None
+            moments = _edge_moments(instance, flows)
+            floor, best = _meanstdev_cheapest(instance, moments)
+            costs = self.price(moments, [*paths, best])
+            potential = None
         worst = max(paths, key=lambda p: (costs[p], p))
         total = math.fsum(amount * costs[p] for p, amount in paths.items())
         gap, zero_floor = _gap_quiet(total, instance.demand, floor)
@@ -718,7 +792,7 @@ def _pairwise_step(pool: _PathPool, it: _Iterate) -> _Iterate | None:
     def cost_delta(step: float) -> float:
         # Q(best) - Q(worst) after moving ``step`` from worst to best
         flows = edge_flow(_moved(it.paths, transfer, step), net)
-        costs = pool.price(flows, (it.best, worst))
+        costs = pool.price(_edge_moments(pool.instance, flows), (it.best, worst))
         return costs[it.best] - costs[worst]
 
     step = _bisect_step(cost_delta, it.paths[worst])
@@ -819,14 +893,13 @@ def decompose_edge_flow(
 ) -> dict[tuple[str, ...], float]:
     """Path decomposition of a conserved edge flow on an acyclic network.
 
-    ``paths`` must be every source->sink path in lexicographic order, as
-    :func:`enumerate_simple_paths` returns them. One greedy pass routes the
-    bottleneck of each path in turn, which is the lexicographically first
-    path with flow left, since every path passed keeps an edge at zero. So a
-    conserved flow is used up; when an edge is left with more than 1e-10 *
-    max(1, d) either way (d the largest edge flow), the flow was negative or
-    not conserved and ConservationError is raised. Integer flows decompose
-    into integer amounts.
+    ``paths`` must be every source->sink path in lexicographic edge-id
+    order. One greedy pass routes the bottleneck of each path in turn, which
+    is the lexicographically first path with flow left, since every path
+    passed keeps an edge at zero. So a conserved flow is used up; when an
+    edge is left with more than 1e-10 * max(1, d) either way (d the largest
+    edge flow), the flow was negative or not conserved and ConservationError
+    is raised. Integer flows decompose into integer amounts.
     """
     residual = dict(flows)
     scale = max([1.0, *residual.values()])

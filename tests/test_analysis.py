@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import riskroute.analysis as analysis
+import riskroute.network as network
 import riskroute.solvers as solvers
 from riskroute import suites
 from riskroute.analysis import (
@@ -29,6 +30,7 @@ from riskroute.analysis import (
 from riskroute.instances import make
 from riskroute.network import (
     RISK_MEAN_STDEV,
+    RISK_MEAN_VAR,
     CostPoly,
     Edge,
     Instance,
@@ -337,41 +339,40 @@ def test_min_risk_path_matches_enumeration():
 
 def test_mean_var_report_enumerates_no_paths(monkeypatch):
     """A mean-var report and gap take every minimum over paths as a shortest
-    path; a mean-stdev report enumerates the paths once."""
+    path, and a mean-stdev solve and report search the (latency, variance)
+    hull by shortest paths: neither enumerates the paths."""
     instance = make("random_general", seed=0, n=20, m=60)
     x, z = solve_pair(instance)
     stdev = make("braess", v=0.1, risk_model=RISK_MEAN_STDEV)
-    sx, sz = solve_pair(stdev)
     calls = []
 
     def refuse(*args, **kwargs):
         calls.append(args)
         raise AssertionError("enumerate_simple_paths called")
 
-    monkeypatch.setattr(analysis, "enumerate_simple_paths", refuse)
-    monkeypatch.setattr(solvers, "enumerate_simple_paths", refuse)
+    for module in (network, analysis, solvers):
+        if hasattr(module, "enumerate_simple_paths"):
+            monkeypatch.setattr(module, "enumerate_simple_paths", refuse)
     assert pra_report(instance, x, z).ok
     for result in (x, z):
         assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
-    assert not calls
-
-    def count(*args, **kwargs):
-        calls.append(args)
-        return enumerate_simple_paths(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "enumerate_simple_paths", count)
+    sx, sz = solve_pair(stdev)  # solve_rawe_meanstdev and solve_rnwe
     assert pra_report(stdev, sx, sz).ok
-    assert len(calls) == 1
+    assert relative_gap(stdev, sx.flow) <= sx.relative_gap + 1e-12
+    assert not calls
 
 
 @pytest.mark.parametrize("n, m, seeds", [(40, 120, range(10)), (100, 400, range(5))])
 def test_report_beyond_the_path_cap(n, m, seeds):
-    """Mean-var certificates need no path enumeration, so they cover
-    networks with more simple paths than DEFAULT_PATH_CAP."""
-    for seed in seeds:
-        instance = make("random_general", seed=seed, n=n, m=m)
-        x, z = solve_pair(instance)
-        assert pra_report(instance, x, z).ok, seed
+    """Certificates under both risk models need no path enumeration, so they
+    cover networks with more simple paths than DEFAULT_PATH_CAP."""
+    for risk_model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
+        for seed in seeds:
+            instance = make(
+                "random_general", seed=seed, n=n, m=m, risk_model=risk_model
+            )
+            x, z = solve_pair(instance)
+            assert pra_report(instance, x, z).ok, (risk_model, seed)
     with pytest.raises(PathCountError):
         enumerate_simple_paths(instance.network)
 

@@ -160,11 +160,19 @@ def test_analyze_prints_unproven_checks(tmp_path, capsys):
 
 
 def test_analyze_beyond_the_path_cap(tmp_path, capsys):
+    """Mean-var n=100, m=400 (seed 0) and mean-stdev n=40, m=120 (seeds
+    0-9) and n=100, m=400 (seeds 0-4) certify without enumerating paths."""
+    cases = [("mean-var", 100, 400, 0)]
+    cases += [("mean-stdev", 40, 120, seed) for seed in range(10)]
+    cases += [("mean-stdev", 100, 400, seed) for seed in range(5)]
     out = tmp_path / "big.json"
-    argv = ["generate", "--family", "random_general", "--seed", "0"]
-    assert main(argv + ["--set", "n=100", "--set", "m=400", "--out", str(out)]) == 0
-    assert main(["analyze", str(out)]) == 0
-    assert capsys.readouterr().out.endswith("result PASS\n")
+    for risk_model, n, m, seed in cases:
+        argv = ["generate", "--family", "random_general", "--seed", str(seed)]
+        argv += ["--set", f"n={n}", "--set", f"m={m}", "--risk-model", risk_model]
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 0, (risk_model, n, m, seed)
+        assert capsys.readouterr().out.endswith("result PASS\n")
 
 
 @pytest.mark.parametrize(

@@ -181,20 +181,32 @@ def test_solvers_quiet_on_regular_instances(recwarn):
 # --- cheapest path ---------------------------------------------------------------
 
 
-def _reference_cheapest(instance, flows, mode):
+def _reference_cheapest(instance, flows, mode, paths=None):
     """Brute-force reference: the lexicographic minimum of (cost, path) over
-    every simple path."""
-    paths = enumerate_simple_paths(instance.network)
+    every simple path (``paths``, when they are already enumerated)."""
+    paths = paths or enumerate_simple_paths(instance.network)
     if mode == RISK_NEUTRAL:
         return min((path_latency(instance.network, flows, p), p) for p in paths)
     return min((path_cost(instance, flows, p), p) for p in paths)
 
 
-def test_cheapest_path_matches_enumeration():
+def _assert_matches_reference(instance, flows, mode, label, paths=None):
+    cost, path = cheapest_path(instance, flows, mode)
+    ref_cost, ref_path = _reference_cheapest(instance, flows, mode, paths)
+    if path == ref_path:
+        assert cost == ref_cost, label
+    else:
+        assert abs(cost - ref_cost) <= 4 * math.ulp(ref_cost), label
+
+
+def test_cheapest_path_matches_enumeration(monkeypatch):
     """On random_general seeds 0-199, in all three modes, at the zero flow,
     the mode's all-or-nothing flow and both solved flows, cheapest_path finds
     the brute-force minimum, or a path whose cost ties it within 4 ulps.
-    Mean-stdev costs are priced on a mean-stdev copy of each instance."""
+    Mean-stdev costs are priced on a mean-stdev copy of each instance. The
+    mean-stdev hull search also matches on mean-stdev random_general
+    instances with n in {6, 8, 12, 14} and m = 2n, seeds 0-299, each at three
+    random flows that use every path, and some of those take a chord step."""
     for seed in range(200):
         instance = suites.random_general(seed)
         net = instance.network
@@ -209,14 +221,94 @@ def test_cheapest_path_matches_enumeration():
             _, first = _reference_cheapest(inst, zero, mode)
             all_or_nothing = edge_flow({first: inst.demand}, net)
             for flows in [zero, all_or_nothing, *solved]:
-                cost, path = cheapest_path(inst, flows, mode)
-                ref_cost, ref_path = _reference_cheapest(inst, flows, mode)
-                if path == ref_path:
-                    assert cost == ref_cost, (seed, mode)
-                else:
-                    assert abs(cost - ref_cost) <= 4 * math.ulp(ref_cost), (seed, mode)
+                _assert_matches_reference(inst, flows, mode, (seed, mode))
     with pytest.raises(ValueError, match="no 'mean-var' path costs"):
         cheapest_path(stdev, zero, RISK_MEAN_VAR)
+
+    calls = []
+
+    def counted(network, costs):
+        calls.append(costs)
+        return shortest_path(network, costs)
+
+    monkeypatch.setattr(solvers, "shortest_path", counted)
+    chord_steps = 0
+    for n in (6, 8, 12, 14):
+        for seed in range(300):
+            instance = make(
+                "random_general", seed=seed, n=n, m=2 * n, risk_model=RISK_MEAN_STDEV
+            )
+            paths = enumerate_simple_paths(instance.network)
+            rng = random.Random(seed)
+            for _ in range(3):
+                weights = [rng.expovariate(1.0) for _ in paths]
+                scale = instance.demand / math.fsum(weights)
+                flows = edge_flow(
+                    {p: w * scale for p, w in zip(paths, weights)}, instance.network
+                )
+                calls.clear()
+                _assert_matches_reference(
+                    instance, flows, RISK_MEAN_STDEV, (n, seed), paths
+                )
+                chord_steps += len(calls) > 2
+    assert chord_steps > 0
+
+
+def _parallel_instance(routes, gamma=1.0):
+    """A mean-stdev instance from source s to sink t whose routes are chains
+    of edges, each given as (id, constant latency, constant risk)."""
+    nodes, edges = ["s"], []
+    for chain in routes:
+        tail = "s"
+        for i, (eid, latency, risk) in enumerate(chain):
+            head = "t" if i == len(chain) - 1 else f"v_{eid}"
+            if head != "t":
+                nodes.append(head)
+            edges.append(Edge(eid, tail, head, CostPoly.of(latency), CostPoly.of(risk)))
+            tail = head
+    net = Network(nodes=(*nodes, "t"), edges=tuple(edges), source="s", sink="t")
+    return Instance(network=net, demand=1.0, gamma=gamma, risk_model=RISK_MEAN_STDEV)
+
+
+def test_cheapest_meanstdev_path_inside_the_hull():
+    """Three parallel edges with (latency, variance) (0, 9), (1, 1) and
+    (2.5, 0) at gamma 1 cost 3, 2 and 2.5: the cheapest is the middle hull
+    vertex, which neither the least-latency nor the least-variance path is."""
+    instance = _parallel_instance(
+        [[("a", 0.0, 3.0)], [("b", 1.0, 1.0)], [("c", 2.5, 0.0)]]
+    )
+    zero = {e.id: 0.0 for e in instance.network.edges}
+    assert cheapest_path(instance, zero, RISK_MEAN_STDEV) == (2.0, ("b",))
+    assert solve_rawe_meanstdev(instance).flow.path_flow == {("b",): 1.0}
+
+
+@pytest.mark.parametrize("twin", [("b1", "b2"), ("x1", "x2")])
+def test_cheapest_meanstdev_path_tie_is_lexicographic(twin):
+    """The edge m and the two-edge route ``twin`` both have (latency,
+    variance) (1, 1), the cheapest hull vertex between (0, 9) and (9, 0),
+    and weigh exactly the same at its chord's slope 1: the lexicographically
+    smaller of the two is returned."""
+    first, second = twin
+    instance = _parallel_instance(
+        [
+            [("a", 0.0, 3.0)],
+            [("c", 9.0, 0.0)],
+            [("m", 1.0, 1.0)],
+            [(first, 1.0, 0.0), (second, 0.0, 1.0)],
+        ]
+    )
+    zero = {e.id: 0.0 for e in instance.network.edges}
+    assert cheapest_path(instance, zero, RISK_MEAN_STDEV) == (2.0, min(("m",), twin))
+
+
+@pytest.mark.parametrize("risky, safe", [("a", "b"), ("b", "a")])
+def test_cheapest_meanstdev_cost_tie_is_lexicographic(risky, safe):
+    """The end points (latency, variance) (0, 4) and (2, 0) both cost 2 at
+    gamma 1, and nothing lies below their chord: the lexicographically
+    smaller edge id is returned."""
+    instance = _parallel_instance([[(risky, 0.0, 2.0)], [(safe, 2.0, 0.0)]])
+    zero = {e.id: 0.0 for e in instance.network.edges}
+    assert cheapest_path(instance, zero, RISK_MEAN_STDEV) == (2.0, ("a",))
 
 
 # --- solver properties ----------------------------------------------------------
