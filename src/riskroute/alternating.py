@@ -22,7 +22,7 @@ from .solvers import Flow
 FORWARD = "forward"
 BACKWARD = "backward"
 
-#: Default edge-classification tolerance, relative to demand.
+#: Edge-classification tolerance of the PRA report, relative to demand.
 CLASSIFY_EPS_REL = 1e-7
 
 

@@ -263,12 +263,13 @@ def pra_report(
     instance: Instance,
     x_result: EquilibriumResult,
     z_result: EquilibriumResult,
-    eps: float | None = None,
 ) -> PraReport:
     """Full certificate for a solved instance pair.
 
     Both results must be converged; the risk-averse result under the
-    instance's risk model and the risk-neutral one under latency costs.
+    instance's risk model and the risk-neutral one under latency costs. The
+    alternating path compares their edge flows at ``CLASSIFY_EPS_REL`` times
+    the demand.
     """
     if not (x_result.converged and z_result.converged):
         raise ValueError("pra_report needs converged equilibria on both sides")
@@ -279,8 +280,7 @@ def pra_report(
     kappa = kappa_at_flow(instance, x)
     kappa_diag = max(kappa, kappa_at_flow(instance, z))
 
-    if eps is None:
-        eps = CLASSIFY_EPS_REL * instance.demand
+    eps = CLASSIFY_EPS_REL * instance.demand
     path = find_alternating_path(classify_edges(x, z, eps), net)
     eta = path.forward_runs
 

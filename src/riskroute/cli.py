@@ -44,6 +44,7 @@ from .network import (
 )
 from .solvers import (
     DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     ConvergenceError,
     solve_pair,
     solve_rawe,
@@ -336,8 +337,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
         type=float,
-        default=None,
-        help="relative gap target (default: per-model solver default)",
+        default=DEFAULT_TOL,
+        help="relative gap target (default 1e-8)",
     )
     parser.add_argument(
         "--max-iter",

@@ -2,8 +2,9 @@
 
 Risk-neutral, mean-var and mean-stdev Wardrop equilibria are all path flows
 on which every used path costs the same and no unused path costs less. One
-active-set Newton loop finds them in every mode, on the equal-cost system of
-the used paths and the cheapest path.
+solver, :func:`solve_wardrop`, finds them in every mode by an active-set
+Newton loop on the equal-cost system of the used paths and the cheapest
+path, to the one default tolerance ``DEFAULT_TOL``.
 
 Risk-neutral and mean-var costs are edge-separable (c_e is the latency plus
 gamma times the variance under mean-var), the cheapest path is a shortest
@@ -48,7 +49,6 @@ OBJECTIVE_MODES = (RISK_NEUTRAL, RISK_MEAN_VAR, RISK_MEAN_STDEV)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200_000
-DEFAULT_TOL_MEANSTDEV = 1e-6
 
 #: Iteration ceiling of every line search: the mean-stdev bisection always
 #: takes this many steps (2**-60 of the bracket), the Newton search at most.
@@ -281,38 +281,6 @@ def _bisect_step(derivative, hi: float) -> float:
     return lo
 
 
-def solve_wardrop(
-    instance: Instance,
-    mode: str = RISK_NEUTRAL,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> EquilibriumResult:
-    """Wardrop equilibrium under a separable cost (risk-neutral or mean-var),
-    by :func:`_solve`; the Beckmann potential is asserted never to rise."""
-    if mode not in (RISK_NEUTRAL, RISK_MEAN_VAR):
-        raise ValueError(f"solve_wardrop handles risk-neutral/mean-var, not {mode!r}")
-    if mode == RISK_MEAN_VAR and instance.risk_model != RISK_MEAN_VAR:
-        raise ValueError(
-            f"instance risk model is {instance.risk_model!r}; "
-            "mean-var equilibria need a mean-var instance"
-        )
-    return _solve(instance, mode, tol, max_iter)
-
-
-def solve_rawe_meanstdev(
-    instance: Instance,
-    tol: float = DEFAULT_TOL_MEANSTDEV,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> EquilibriumResult:
-    """Risk-averse equilibrium under mean-stdev perceived costs, by
-    :func:`_solve`."""
-    if instance.risk_model != RISK_MEAN_STDEV:
-        raise ValueError(
-            f"instance risk model is {instance.risk_model!r}; expected mean-stdev"
-        )
-    return _solve(instance, RISK_MEAN_STDEV, tol, max_iter)
-
-
 def _gap_quiet(total: float, demand: float, min_cost: float) -> tuple[float, bool]:
     floor = demand * min_cost
     excess = total - floor
@@ -355,17 +323,15 @@ def cheapest_path(
     is a :func:`shortest_path` on the mode's edge costs. The mean-stdev risk
     sqrt(sum_e sigma_e**2) is not, so that mode searches the hull of the
     paths' (latency, variance) points by shortest paths
-    (:func:`_meanstdev_cheapest`). ``mode`` must be risk-neutral or the
-    instance's risk model.
+    (:func:`_meanstdev_cheapest`); :meth:`_PathPool.cheapest` holds both
+    searches. ``mode`` must be risk-neutral or the instance's risk model.
     """
-    if mode == RISK_NEUTRAL or mode == instance.risk_model == RISK_MEAN_VAR:
-        costs = _edge_costs(cost_polynomials(instance, mode), flows)
-        _, path = shortest_path(instance.network, costs)
-        return mode_path_cost(instance, flows, path, mode), path
-    if mode == instance.risk_model == RISK_MEAN_STDEV:
-        _, path = _meanstdev_cheapest(instance, _edge_moments(instance, flows))
-        return path_cost(instance, flows, path), path
-    raise ValueError(f"no {mode!r} path costs on a {instance.risk_model!r} instance")
+    if mode not in (RISK_NEUTRAL, instance.risk_model):
+        raise ValueError(
+            f"no {mode!r} path costs on a {instance.risk_model!r} instance"
+        )
+    _, _, path = _PathPool(instance, mode).cheapest(flows)
+    return mode_path_cost(instance, flows, path, mode), path
 
 
 def _edge_moments(
@@ -452,10 +418,14 @@ def relative_gap(instance: Instance, flow: Flow, mode: str | None = None) -> flo
     return gap
 
 
-def _solve(
-    instance: Instance, mode: str, tol: float, max_iter: int
+def solve_wardrop(
+    instance: Instance,
+    mode: str = RISK_NEUTRAL,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> EquilibriumResult:
-    """The active-set Newton loop behind every solver.
+    """Wardrop equilibrium under ``mode``: risk-neutral, or the instance's
+    own risk model (mean-var or mean-stdev), by one active-set Newton loop.
 
     It starts with all demand on the cheapest path at zero flow. Each
     iteration takes the support S, the used paths plus the cheapest path,
@@ -466,10 +436,24 @@ def _solve(
     expensive used path onto the cheapest (:func:`_pairwise_step`). The loop
     stops once the relative gap and the worst used path's excess over the
     cheapest are both at most ``tol``; an unconverged solve returns the
-    iterate of least merit (their sum).
+    iterate of least merit (their sum). Under a separable mode the Beckmann
+    potential is asserted never to rise.
+
+    Raises ValueError when ``mode`` is neither risk-neutral nor the
+    instance's risk model, when ``tol`` is not a finite number >= 0, or when
+    ``max_iter`` is negative.
     """
+    if mode not in (RISK_NEUTRAL, instance.risk_model):
+        raise ValueError(
+            f"no {mode!r} equilibrium on a {instance.risk_model!r} instance"
+        )
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     pool = _PathPool(instance, mode)
-    it = best_it = pool.evaluate({pool.start: instance.demand})
+    _, _, start = pool.cheapest({e.id: 0.0 for e in instance.network.edges})
+    it = best_it = pool.evaluate({start: instance.demand})
     iterations = 0
     stop_reason = "max-iter"
 
@@ -531,21 +515,26 @@ class _PathPool:
     """The path costs of one instance under one cost mode: edge cost
     polynomials and shortest paths under a separable mode, the hull search
     of :func:`_meanstdev_cheapest` under mean-stdev. Either way only the used
-    paths and the cheapest path are priced. ``start`` is the cheapest path
-    at zero flow."""
+    paths and the cheapest path are priced."""
 
     def __init__(self, instance: Instance, mode: str) -> None:
         self.instance = instance
         self.separable = mode != RISK_MEAN_STDEV
-        zero_flows = {e.id: 0.0 for e in instance.network.edges}
         if self.separable:
             self.polys = cost_polynomials(instance, mode)
-            costs = _edge_costs(self.polys, zero_flows)
-            self.start = shortest_path(instance.network, costs)[1]
-        else:
-            self.start = _meanstdev_cheapest(
-                instance, _edge_moments(instance, zero_flows)
-            )[1]
+
+    def cheapest(
+        self, flows: Mapping[str, float]
+    ) -> tuple[dict, float, tuple[str, ...]]:
+        """The edge prices at ``flows``, then the cheapest path's cost and
+        the path. Prices are the edge costs under a separable mode and the
+        edge latencies and variances (:func:`_edge_moments`) under
+        mean-stdev."""
+        if self.separable:
+            prices = _edge_costs(self.polys, flows)
+            return (prices, *shortest_path(self.instance.network, prices))
+        prices = _edge_moments(self.instance, flows)
+        return (prices, *_meanstdev_cheapest(self.instance, prices))
 
     def price(
         self,
@@ -564,19 +553,15 @@ class _PathPool:
 
     def evaluate(self, paths: dict[tuple[str, ...], float]) -> _Iterate:
         instance = self.instance
-        net = instance.network
-        flows = edge_flow(paths, net)
+        flows = edge_flow(paths, instance.network)
+        prices, floor, best = self.cheapest(flows)
         if self.separable:
-            edge_costs = _edge_costs(self.polys, flows)
-            floor, best = shortest_path(net, edge_costs)
-            costs = {p: math.fsum(map(edge_costs.__getitem__, p)) for p in paths}
+            costs = {p: math.fsum(map(prices.__getitem__, p)) for p in paths}
             if best not in costs:
-                costs[best] = math.fsum(map(edge_costs.__getitem__, best))
+                costs[best] = math.fsum(map(prices.__getitem__, best))
             potential = potential_value(self.polys, flows)
         else:
-            moments = _edge_moments(instance, flows)
-            floor, best = _meanstdev_cheapest(instance, moments)
-            costs = self.price(moments, [*paths, best])
+            costs = self.price(prices, [*paths, best])
             potential = None
         worst = max(paths, key=lambda p: (costs[p], p))
         total = math.fsum(amount * costs[p] for p, amount in paths.items())
@@ -843,33 +828,25 @@ def _moved(
 
 def solve_rawe(
     instance: Instance,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EquilibriumResult:
     """Risk-averse equilibrium under the instance's own risk model."""
-    if instance.risk_model == RISK_MEAN_VAR:
-        return solve_wardrop(
-            instance, RISK_MEAN_VAR, tol if tol is not None else DEFAULT_TOL, max_iter
-        )
-    return solve_rawe_meanstdev(
-        instance, tol if tol is not None else DEFAULT_TOL_MEANSTDEV, max_iter
-    )
+    return solve_wardrop(instance, instance.risk_model, tol, max_iter)
 
 
 def solve_rnwe(
     instance: Instance,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EquilibriumResult:
     """Risk-neutral equilibrium (latency-only costs)."""
-    return solve_wardrop(
-        instance, RISK_NEUTRAL, tol if tol is not None else DEFAULT_TOL, max_iter
-    )
+    return solve_wardrop(instance, RISK_NEUTRAL, tol, max_iter)
 
 
 def solve_pair(
     instance: Instance,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[EquilibriumResult, EquilibriumResult]:
     """Risk-averse and risk-neutral equilibria, both converged.

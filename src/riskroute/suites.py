@@ -29,7 +29,13 @@ from .analysis import (
 )
 from .instances import make
 from .network import Instance, sp_decompose
-from .solvers import DEFAULT_MAX_ITER, ConvergenceError, solve_pair, solve_rnwe
+from .solvers import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    ConvergenceError,
+    solve_pair,
+    solve_rnwe,
+)
 
 DEFAULT_SEEDS = {
     "bound-chain": 200,
@@ -127,7 +133,7 @@ def _failed_names(report: PraReport) -> str:
 
 
 def bound_chain(
-    seeds: int, tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER
+    seeds: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> tuple[list[str], int]:
     """Random general-topology mean-var instances: every proven check of the
     report must pass, and an alternating path must exist."""
@@ -148,7 +154,7 @@ def bound_chain(
 def sp_theorem(
     seeds: int,
     grid: int | None = None,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[list[str], int]:
     """Random series-parallel instances: eta = 1, the alternating path never
@@ -215,7 +221,7 @@ def sigma_lemma(samples: int) -> tuple[list[str], int]:
 def oracle_seeds(
     seeds: int,
     grid: int | None = None,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[str]:
     """Random series-parallel instances whose risk-neutral equilibrium must
@@ -244,7 +250,7 @@ def oracle_seeds(
 def oracle(
     seeds: int,
     grid: int | None = None,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[list[str], int]:
     """Exact grid maximization of the shortest-path latency:
@@ -259,7 +265,7 @@ def run(
     suite: str,
     seeds: int,
     grid: int | None = None,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[list[str], int]:
     """Run the suite named ``suite`` over ``seeds`` cases. ``grid`` applies to

@@ -356,7 +356,7 @@ def test_mean_var_report_enumerates_no_paths(monkeypatch):
     assert pra_report(instance, x, z).ok
     for result in (x, z):
         assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
-    sx, sz = solve_pair(stdev)  # solve_rawe_meanstdev and solve_rnwe
+    sx, sz = solve_pair(stdev)  # mean-stdev and risk-neutral solve_wardrop
     assert pra_report(stdev, sx, sz).ok
     assert relative_gap(stdev, sx.flow) <= sx.relative_gap + 1e-12
     assert not calls

@@ -131,8 +131,8 @@ def test_analyze_braess(tmp_path, capsys):
 def test_analyze_exits_4_when_a_proven_check_fails(tmp_path, monkeypatch, capsys):
     """Exit-code plumbing only: doctor the report so one proven check fails."""
 
-    def doctored(instance, x, z, eps=None):
-        report = pra_report(instance, x, z, eps)
+    def doctored(instance, x, z):
+        report = pra_report(instance, x, z)
         checks = list(report.checks)
         checks[0] = dataclasses.replace(checks[0], passed=False)
         return dataclasses.replace(report, checks=tuple(checks))
@@ -233,6 +233,31 @@ def test_analyze_non_convergence_exits_3(tmp_path, capsys):
     )
     assert main(["analyze", instance, "--max-iter", "1", "--tol", "1e-15"]) == 3
     assert "stopped at gap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze", "verify"])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--tol", "inf"],
+        ["--tol", "nan"],
+        ["--tol", "-1"],
+        ["--max-iter", "-1"],
+    ],
+    ids=["tol-inf", "tol-nan", "tol-negative", "max-iter-negative"],
+)
+def test_bad_solver_flags_exit_2(tmp_path, capsys, command, flag):
+    """A tolerance that is not a finite number >= 0 or a negative iteration
+    budget is bad input, not a solve that passed or stopped short."""
+    if command == "verify":
+        argv = ["verify", "--suite", "bound-chain", "--seeds", "3"]
+    else:
+        argv = [command, _write(tmp_path, "braess.json", make("braess", v=0.1))]
+    assert main(argv + flag) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 #: Well-formed documents the fuzz below corrupts.

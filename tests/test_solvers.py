@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import riskroute.solvers as solvers
 from riskroute import suites
+from riskroute.alternating import CLASSIFY_EPS_REL
+from riskroute.analysis import pra_report
 from riskroute.instances import make
 from riskroute.network import (
     RISK_MEAN_STDEV,
@@ -45,7 +47,6 @@ from riskroute.solvers import (
     shortest_path,
     solve_pair,
     solve_rawe,
-    solve_rawe_meanstdev,
     solve_rnwe,
     solve_wardrop,
 )
@@ -279,7 +280,7 @@ def test_cheapest_meanstdev_path_inside_the_hull():
     )
     zero = {e.id: 0.0 for e in instance.network.edges}
     assert cheapest_path(instance, zero, RISK_MEAN_STDEV) == (2.0, ("b",))
-    assert solve_rawe_meanstdev(instance).flow.path_flow == {("b",): 1.0}
+    assert solve_rawe(instance).flow.path_flow == {("b",): 1.0}
 
 
 @pytest.mark.parametrize("twin", [("b1", "b2"), ("x1", "x2")])
@@ -429,9 +430,22 @@ def test_mode_and_model_mismatch_raises():
     with pytest.raises(ValueError):
         solve_wardrop(instance, RISK_MEAN_VAR, 1e-8, 100)
     with pytest.raises(ValueError):
-        solve_rawe_meanstdev(make("braess", v=0.1))
+        solve_wardrop(make("braess", v=0.1), RISK_MEAN_STDEV)
     with pytest.raises(ValueError):
         cost_polynomials(instance, RISK_MEAN_STDEV)
+
+
+@pytest.mark.parametrize(
+    "tol, max_iter",
+    [(math.inf, 100), (math.nan, 100), (-1.0, 100), (-math.inf, 100), (1e-8, -1)],
+    ids=["tol-inf", "tol-nan", "tol-negative", "tol-minus-inf", "max-iter-negative"],
+)
+def test_bad_tol_or_max_iter_raises(tol, max_iter):
+    for risk_model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
+        instance = make("braess", v=0.1, risk_model=risk_model)
+        for mode in (RISK_NEUTRAL, risk_model):
+            with pytest.raises(ValueError):
+                solve_wardrop(instance, mode, tol, max_iter)
 
 
 # --- line search -----------------------------------------------------------------
@@ -560,6 +574,25 @@ def test_meanstdev_random_general_converges_fast():
         again = solve_rawe(instance)
         assert again.flow.path_flow == result.flow.path_flow, seed
         assert again.iterations == result.iterations, seed
+
+
+def test_solver_error_cannot_move_an_edge_across_eps():
+    """At the default tolerance every mean-stdev edge flow is within the
+    alternating path's classification eps of the tight-tolerance flow, so
+    the report's path and eta are the equilibrium's, not the solver's. At
+    tol 1e-6 seed 287 is off by 43 eps, and seeds 365, 421 and 537 take
+    another alternating path."""
+    worst = (0.0, -1)
+    for seed in range(600):
+        instance = suites.random_general(seed, risk_model=RISK_MEAN_STDEV)
+        eps = CLASSIFY_EPS_REL * instance.demand
+        default, tight = solve_pair(instance), solve_pair(instance, tol=1e-12)
+        for e, f in default[0].flow.edge_flow.items():
+            worst = max(worst, (abs(f - tight[0].flow.edge_flow[e]) / eps, seed))
+        reports = [pra_report(instance, *pair) for pair in (default, tight)]
+        assert reports[0].eta == reports[1].eta, f"seed {seed}"
+        assert reports[0].alternating_arcs == reports[1].alternating_arcs, f"seed {seed}"
+    assert worst[0] <= 1.0, f"seed {worst[1]}: edge flow off by {worst[0]} eps"
 
 
 def test_meanstdev_bisection_fallback(monkeypatch):
