@@ -437,14 +437,6 @@ class OracleResult:
     points: int
 
 
-def oracle_slack(instance: Instance, grid: int) -> float:
-    """Grid-resolution allowance: demand times a crude Lipschitz bound on the
-    latencies (sum of derivatives at full demand) over the grid count."""
-    d = instance.demand
-    lip = math.fsum(e.latency.derivative(d) for e in instance.network.edges)
-    return d * lip / grid
-
-
 #: Most lattice points the search holds in one block, so the oracle's
 #: memory does not grow with the number of points.
 _BLOCK_POINTS = 1 << 16

@@ -22,7 +22,6 @@ from .analysis import (
     DEFAULT_ORACLE_MAX_PATHS,
     PraReport,
     max_shortest_path_oracle,
-    oracle_slack,
     pra_report,
     report_to_dict,
     shortest_path_length,
@@ -38,8 +37,8 @@ from .network import (
     RISK_MODELS,
     Instance,
     PathCountError,
+    is_series_parallel,
     social_cost,
-    sp_decompose,
     validate_instance,
 )
 from .solvers import (
@@ -298,7 +297,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
     except PathCountError as exc:
         raise CliError(f"{exc}; raise --max-paths to allow more routes", EXIT_INPUT) from None
-    slack = oracle_slack(instance, args.grid)
     z = solve_rnwe(instance, tol=args.tol, max_iter=args.max_iter)
     if not z.converged:
         raise CliError(
@@ -307,24 +305,26 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             EXIT_CONVERGENCE,
         )
     best = shortest_path_length(instance.network, z.flow.edge_flow)
-    series_parallel = sp_decompose(instance.network) is not None
+    series_parallel = is_series_parallel(instance.network)
     name = instance.name or args.instance
     print(f"instance {name}  series-parallel {series_parallel}")
     print(
         f"oracle max shortest path {_num(oracle.value)}"
         f"  grid {oracle.grid}  points {oracle.points}"
     )
-    print(f"grid slack {_num(slack)}")
     print(f"equilibrium shortest path {_num(best)}  gap {_num(z.relative_gap)}")
     print("maximizing path flows:")
     for path in sorted(oracle.path_flow):
         print(f"  {_num(oracle.path_flow[path])}  {','.join(path)}")
-    attained = suites.oracle_attained(instance, oracle.value, best, args.grid)
+    attained = suites.oracle_attained(oracle.value, best)
     if series_parallel:
-        print(f"equilibrium attains the max within slack: {'PASS' if attained else 'FAIL'}")
+        print(
+            "equilibrium attains the max within round-off:"
+            f" {'PASS' if attained else 'FAIL'}"
+        )
         return EXIT_OK if attained else EXIT_BOUND
     print(
-        f"equilibrium attains the max within slack: {attained}"
+        f"equilibrium attains the max within round-off: {attained}"
         " (not series-parallel, no guarantee)"
     )
     return EXIT_OK

@@ -336,85 +336,38 @@ def social_cost(network: Network, flows: Mapping[str, float]) -> float:
 
 # --- two-terminal series-parallel recognition ------------------------------
 
-SP_LEAF = "leaf"
-SP_SERIES = "series"
-SP_PARALLEL = "parallel"
 
-#: Decomposition trees are nested tuples: ("leaf", edge_id),
-#: ("series", left, right) with left nearer the source, or
-#: ("parallel", left, right).
-SpTree = tuple
+def is_series_parallel(network: Network) -> bool:
+    """True when the network is two-terminal series-parallel between its
+    source and sink.
 
-
-def sp_leaves(tree: SpTree) -> list[str]:
-    """Edge ids at the leaves of a decomposition tree, left to right."""
-    kind = tree[0]
-    if kind == SP_LEAF:
-        return [tree[1]]
-    return sp_leaves(tree[1]) + sp_leaves(tree[2])
-
-
-def sp_decompose(network: Network) -> SpTree | None:
-    """Decomposition tree of a two-terminal series-parallel network, or None
-    when the network is not series-parallel.
-
-    Repeatedly merges parallel edge pairs and series nodes (interior nodes of
-    in- and out-degree one). The network is series-parallel between its source
-    and sink exactly when this reduces it to a single source->sink edge; the
-    decomposition tree then re-expands to the original edge multiset.
+    Works on the set of (tail, head) pairs, so parallel edges are one pair,
+    and repeatedly bypasses a series node: an interior node with one in-pair
+    (u, node) and one out-pair (node, w), u != w, replaced by (u, w). The
+    network is series-parallel exactly when this leaves the single pair
+    (source, sink).
     """
     src, dst = network.source, network.sink
-    # live multigraph: key -> (tail, head, subtree)
-    live: dict[str, tuple[str, str, SpTree]] = {
-        e.id: (e.tail, e.head, (SP_LEAF, e.id)) for e in network.edges
-    }
-
-    changed = True
-    while changed and len(live) > 1:
-        changed = False
-
-        by_pair: dict[tuple[str, str], list[str]] = {}
-        for key in sorted(live):
-            tail, head, _ = live[key]
-            by_pair.setdefault((tail, head), []).append(key)
-        for keys in by_pair.values():
-            while len(keys) >= 2:
-                k1, k2 = keys[0], keys[1]
-                t, h, t1 = live[k1]
-                _, _, t2 = live[k2]
-                live[k1] = (t, h, (SP_PARALLEL, t1, t2))
-                del live[k2]
-                keys.pop(1)
-                changed = True
-
-        incoming: dict[str, list[str]] = {}
-        outgoing: dict[str, list[str]] = {}
-        for key in sorted(live):
-            tail, head, _ = live[key]
-            outgoing.setdefault(tail, []).append(key)
-            incoming.setdefault(head, []).append(key)
-        for node in sorted(set(incoming) & set(outgoing)):
-            if node in (src, dst):
-                continue
-            if len(incoming[node]) == 1 and len(outgoing[node]) == 1:
-                k_in, k_out = incoming[node][0], outgoing[node][0]
-                if k_in == k_out:
-                    continue
-                tail = live[k_in][0]
-                head = live[k_out][1]
-                if tail == head:
-                    continue
-                merged = (SP_SERIES, live[k_in][2], live[k_out][2])
-                live[k_in] = (tail, head, merged)
-                del live[k_out]
-                changed = True
-                break  # degree maps are stale; rescan
-
-    if len(live) == 1:
-        (tail, head, tree), = live.values()
-        if tail == src and head == dst:
-            return tree
-    return None
+    pairs = {(e.tail, e.head) for e in network.edges}
+    while True:
+        into: dict[str, list[str]] = {}
+        out: dict[str, list[str]] = {}
+        for tail, head in pairs:
+            out.setdefault(tail, []).append(head)
+            into.setdefault(head, []).append(tail)
+        series = next(
+            (
+                (into[v][0], v, out[v][0])
+                for v in sorted(into.keys() & out.keys() - {src, dst})
+                if len(into[v]) == len(out[v]) == 1 and into[v][0] != out[v][0]
+            ),
+            None,
+        )
+        if series is None:
+            return pairs == {(src, dst)}
+        tail, node, head = series
+        pairs -= {(tail, node), (node, head)}
+        pairs.add((tail, head))
 
 
 def is_braess_topology(network: Network) -> bool:

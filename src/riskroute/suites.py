@@ -16,6 +16,7 @@ import numpy as np
 
 from .alternating import FORWARD, NoAlternatingPathError
 from .analysis import (
+    CHECK_ABS_SLACK,
     CHECK_REL_SLACK,
     DEFAULT_ORACLE_GRID,
     DEFAULT_ORACLE_MAX_PATHS,
@@ -23,12 +24,11 @@ from .analysis import (
     PraReport,
     braess_stdev_inequality_batch,
     max_shortest_path_oracle,
-    oracle_slack,
     pra_report,
     shortest_path_length,
 )
 from .instances import make
-from .network import Instance, sp_decompose
+from .network import Instance, is_series_parallel
 from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -47,7 +47,6 @@ SUITES = tuple(DEFAULT_SEEDS)
 # Grid used by the sp-theorem suite; coarser than the oracle suite because it
 # runs next to two equilibrium solves per seed.
 SP_SUITE_GRID = 60
-ORACLE_VERDICT_SLACK = 1e-6
 # The zigzag path count grows quadratically in k, so the grid shrinks as k
 # grows to keep the enumeration small.
 ZIGZAG_GRIDS = ((2, 100), (3, 30), (4, 10))
@@ -83,17 +82,15 @@ def random_sp(seed: int, max_budget: int, max_paths: int | None = None) -> Insta
 # --- pass rules ----------------------------------------------------------------
 
 
-def oracle_allowance(instance: Instance, grid: int) -> float:
-    """How far the grid maximum of the shortest-path latency may exceed the
-    risk-neutral equilibrium's S(z) on a series-parallel network: the grid
-    slack plus round-off."""
-    return oracle_slack(instance, grid) + ORACLE_VERDICT_SLACK
+def oracle_attained(value: float, best: float) -> bool:
+    """True when the grid maximum ``value`` of the shortest-path latency does
+    not exceed the risk-neutral equilibrium's S(z) = ``best`` beyond
+    round-off, under the rule every bound check uses.
 
-
-def oracle_attained(instance: Instance, value: float, best: float, grid: int) -> bool:
-    """True when the equilibrium's S(z) = ``best`` attains the grid maximum
-    ``value`` within :func:`oracle_allowance`."""
-    return value <= best + oracle_allowance(instance, grid)
+    On a series-parallel network Wardrop equilibria maximize the
+    shortest-path latency over all feasible flows, and every grid point is a
+    feasible flow, so no allowance for the grid's resolution is due."""
+    return value <= best * (1.0 + CHECK_REL_SLACK) + CHECK_ABS_SLACK
 
 
 def zigzag_closed_forms() -> tuple[list[str], float]:
@@ -159,8 +156,9 @@ def sp_theorem(
 ) -> tuple[list[str], int]:
     """Random series-parallel instances: eta = 1, the alternating path never
     uses an edge backward, the price of risk aversion stays within 1 + gamma
-    kappa, and no feasible flow beats the equilibrium shortest path by more
-    than the oracle's grid slack. The zigzag family must be flagged non-SP."""
+    kappa, and no point of the oracle's grid beats the equilibrium shortest
+    path (:func:`oracle_attained`). The zigzag family must be flagged
+    non-SP."""
     grid = grid if grid is not None else SP_SUITE_GRID
     failures: list[str] = []
     for seed in range(seeds):
@@ -185,12 +183,12 @@ def sp_theorem(
             instance, grid=grid, max_paths=DEFAULT_ORACLE_MAX_PATHS
         )
         best = shortest_path_length(instance.network, z.flow.edge_flow)
-        if not oracle_attained(instance, oracle.value, best, grid):
+        if not oracle_attained(oracle.value, best):
             bad.append(f"oracle {num(oracle.value)} > S(z) {num(best)}")
         if bad:
             failures.append(f"seed {seed}: " + "; ".join(bad))
     for k in (2, 3, 4):
-        if sp_decompose(make("zigzag", k=k).network) is not None:
+        if is_series_parallel(make("zigzag", k=k).network):
             failures.append(f"zigzag k={k}: wrongly recognized as series-parallel")
     return failures, seeds + 3
 
@@ -225,8 +223,8 @@ def oracle_seeds(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[str]:
     """Random series-parallel instances whose risk-neutral equilibrium must
-    attain the grid maximum of the shortest-path latency within
-    :func:`oracle_allowance`. Returns one failure line per failing seed."""
+    attain the grid maximum of the shortest-path latency within round-off
+    (:func:`oracle_attained`). Returns one failure line per failing seed."""
     grid = grid if grid is not None else DEFAULT_ORACLE_GRID
     failures: list[str] = []
     for seed in range(seeds):
@@ -239,11 +237,8 @@ def oracle_seeds(
             instance, grid=grid, max_paths=DEFAULT_ORACLE_MAX_PATHS
         )
         best = shortest_path_length(instance.network, z.flow.edge_flow)
-        if not oracle_attained(instance, oracle.value, best, grid):
-            failures.append(
-                f"seed {seed}: oracle {num(oracle.value)}"
-                f" > S(z) {num(best)} + {num(oracle_allowance(instance, grid))}"
-            )
+        if not oracle_attained(oracle.value, best):
+            failures.append(f"seed {seed}: oracle {num(oracle.value)} > S(z) {num(best)}")
     return failures
 
 

@@ -183,9 +183,9 @@ def test_criterion_06_series_parallel_eta_one(verdict, sp_pool):
 
 
 def test_criterion_07_oracle_dominates_equilibrium(verdict):
-    """On series-parallel networks no feasible flow beats the equilibrium
-    shortest-path length by more than the oracle's grid slack; the zigzag
-    family shows the guarantee failing off series-parallel."""
+    """On series-parallel networks no point of the oracle's grid beats the
+    equilibrium shortest-path length beyond round-off; the zigzag family
+    shows the guarantee failing off series-parallel."""
     violations = suites.oracle_seeds(ORACLE_SEEDS, grid=100)
     zigzag, zigzag_err = suites.zigzag_closed_forms()
     ok = not violations and not zigzag
@@ -209,7 +209,7 @@ def test_criterion_08_mean_stdev_bounds(verdict, stdev_pool):
         > (1.0 + 2.0 * s.report.gamma * s.report.kappa) * (1.0 + REL_SLACK)
     ]
     equality_err = abs(pigou.report.pra - (1.0 + pigou.report.gamma * pigou.report.kappa))
-    ok = not violations and equality_err <= 1e-5
+    ok = not violations and equality_err <= 1e-6
     verdict(
         "criterion 08 mean-stdev bounds",
         ok,
@@ -263,7 +263,7 @@ def test_criterion_11_convergence_quality(verdict, general_pool, sp_pool, stdev_
     loose += [
         f"{s.instance.name}: gaps {s.report.gap_rawe!r} {s.report.gap_rnwe!r}"
         for s in braess + [pigou]
-        if s.report.gap_rawe > 1e-6 or s.report.gap_rnwe > 1e-8
+        if s.report.gap_rawe > 1e-8 or s.report.gap_rnwe > 1e-8
     ]
     worst_diff = 0.0
     for seed in range(1000, 1100):

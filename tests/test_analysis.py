@@ -17,12 +17,12 @@ from riskroute import suites
 from riskroute.analysis import (
     CHECK_NAMES,
     DEFAULT_ORACLE_GRID,
+    DEFAULT_ORACLE_MAX_PATHS,
     SIGMA_SLACK,
     braess_stdev_inequality,
     braess_stdev_inequality_batch,
     kappa_at_flow,
     max_shortest_path_oracle,
-    oracle_slack,
     pra_report,
     report_to_dict,
     shortest_path_length,
@@ -476,11 +476,21 @@ def test_oracle_respects_path_cap():
         max_shortest_path_oracle(instance, grid=10, max_paths=2)
 
 
-def test_oracle_slack_formula():
-    instance = make("pigou", kappa=1.0, gamma=1.0)
-    assert oracle_slack(instance, DEFAULT_ORACLE_GRID) == pytest.approx(
-        2.0 / DEFAULT_ORACLE_GRID, rel=1e-12
-    )
+def test_oracle_verdict_catches_a_one_percent_error():
+    """On series-parallel networks every grid point is a feasible flow, so the
+    verdict allows round-off only: it accepts the equilibrium's S(z) on every
+    oracle-suite seed and rejects S(z) deflated by 1% on every one."""
+    for seed in range(100):
+        instance = suites.random_sp(
+            seed, max_budget=4, max_paths=DEFAULT_ORACLE_MAX_PATHS
+        )
+        z = solve_rnwe(instance).flow
+        best = shortest_path_length(instance.network, z.edge_flow)
+        value = max_shortest_path_oracle(
+            instance, grid=DEFAULT_ORACLE_GRID, max_paths=DEFAULT_ORACLE_MAX_PATHS
+        ).value
+        assert suites.oracle_attained(value, best), seed
+        assert not suites.oracle_attained(value, 0.99 * best), seed
 
 
 def _composition_maximum(instance, grid):

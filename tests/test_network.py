@@ -15,11 +15,10 @@ from riskroute.network import (
     edge_flow,
     enumerate_simple_paths,
     is_braess_topology,
+    is_series_parallel,
     path_cost,
     path_latency,
     social_cost,
-    sp_decompose,
-    sp_leaves,
     validate_instance,
 )
 from riskroute.instances import make
@@ -226,27 +225,22 @@ def test_path_cost_models():
 
 
 def test_pigou_is_series_parallel():
-    tree = sp_decompose(make("pigou", gamma=1.0, kappa=1.0).network)
-    assert tree is not None
-    assert sorted(sp_leaves(tree)) == ["e1", "e2"]
+    assert is_series_parallel(make("pigou", gamma=1.0, kappa=1.0).network)
 
 
 def test_braess_is_not_series_parallel():
-    assert sp_decompose(_braess_instance().network) is None
+    assert not is_series_parallel(_braess_instance().network)
 
 
 def test_zigzag_is_not_series_parallel():
     for k in (2, 3, 4):
-        assert sp_decompose(make("zigzag", k=k).network) is None
+        assert not is_series_parallel(make("zigzag", k=k).network)
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=6))
 def test_random_sp_family_recognized(seed, budget):
-    net = make("random_sp", seed=seed, budget=budget).network
-    tree = sp_decompose(net)
-    assert tree is not None
-    assert sorted(sp_leaves(tree)) == sorted(e.id for e in net.edges)
+    assert is_series_parallel(make("random_sp", seed=seed, budget=budget).network)
 
 
 def test_two_parallel_links_then_series():
@@ -257,9 +251,15 @@ def test_two_parallel_links_then_series():
             _edge("e3", "u", "t"),
         ]
     )
-    tree = sp_decompose(net)
-    assert tree is not None
-    assert sorted(sp_leaves(tree)) == ["e1", "e2", "e3"]
+    assert is_series_parallel(net)
+
+
+def test_dead_end_or_cycle_is_not_series_parallel():
+    dead_end = _net([_edge("e1", "s", "t"), _edge("e2", "s", "u")])
+    assert not is_series_parallel(dead_end)
+    # bypassing w would leave a self-loop on u, which never reduces
+    cycle = _net([_edge("e1", "s", "t"), _edge("e2", "u", "w"), _edge("e3", "w", "u")])
+    assert not is_series_parallel(cycle)
 
 
 def test_is_braess_topology():
