@@ -3,7 +3,7 @@
 Given a risk-averse flow x and a risk-neutral flow z on the same network,
 edges split into A (z_e >= x_e and z_e > 0: the risk-neutral flow loads them
 at least as much) and B (the risk-averse flow loads them strictly more);
-edges unused by both are removed. Orienting A-edges forward and B-edges
+edges unused by both join neither class. Orienting A-edges forward and B-edges
 backward always leaves a source->sink path: an alternating path. Its forward
 edges carry the risk-neutral flow's cost mass and its backward edges the
 risk-averse flow's extra spending, which is what the price-of-risk-aversion
@@ -35,28 +35,26 @@ class NoAlternatingPathError(RuntimeError):
 class EdgePartition:
     forward_like: frozenset[str]   # A: risk-neutral flow at least as large
     backward_like: frozenset[str]  # B: risk-averse flow strictly larger
-    removed: frozenset[str]        # unused by both flows
 
 
 def classify_edges(x: Flow, z: Flow, eps: float) -> EdgePartition:
     """Partition edges by comparing the two flows at tolerance ``eps``.
 
-    Boundary rule: ties within eps go to A (or to removed when both flows are
-    essentially zero), so A collects every edge the risk-neutral flow still
-    uses at least as much as the risk-averse one.
+    Boundary rule: ties within eps go to A (or to neither class when both
+    flows are essentially zero), so A collects every edge the risk-neutral
+    flow still uses at least as much as the risk-averse one.
     """
     a: set[str] = set()
     b: set[str] = set()
-    removed: set[str] = set()
     for eid, ze in z.edge_flow.items():
         xe = x.edge_flow[eid]
         if max(xe, ze) <= eps:
-            removed.add(eid)
-        elif ze > eps and ze >= xe - eps:
+            continue
+        if ze > eps and ze >= xe - eps:
             a.add(eid)
         else:
             b.add(eid)
-    return EdgePartition(frozenset(a), frozenset(b), frozenset(removed))
+    return EdgePartition(frozenset(a), frozenset(b))
 
 
 @dataclass(frozen=True)
@@ -78,69 +76,30 @@ class AlternatingPath:
         return not self.backward_edges()
 
 
-def _count_forward_runs(arcs: tuple[tuple[str, str], ...]) -> int:
-    runs = 0
-    prev = None
-    for _, direction in arcs:
-        if direction == FORWARD and prev != FORWARD:
-            runs += 1
-        prev = direction
-    return runs
-
-
-def _node_sequence(
-    network: Network, arcs: tuple[tuple[str, str], ...]
-) -> list[str]:
-    emap = network.edge_map
-    nodes = [network.source]
-    for eid, direction in arcs:
-        e = emap[eid]
-        nodes.append(e.head if direction == FORWARD else e.tail)
-    return nodes
-
-
-def _erase_loops(
-    network: Network, arcs: tuple[tuple[str, str], ...]
-) -> tuple[tuple[str, str], ...]:
-    # Splicing out a node revisit never adds forward runs (blocks only merge),
-    # so the result still attains the walk-minimal run count.
-    while True:
-        nodes = _node_sequence(network, arcs)
-        seen: dict[str, int] = {}
-        cut = None
-        for i, v in enumerate(nodes):
-            if v in seen:
-                cut = (seen[v], i)
-                break
-            seen[v] = i
-        if cut is None:
-            return arcs
-        i, j = cut
-        arcs = arcs[:i] + arcs[j:]
-
-
 def find_alternating_path(partition: EdgePartition, network: Network) -> AlternatingPath:
     """Alternating path minimizing the number of forward runs.
 
     Exact search: Dijkstra over (node, direction of the last arc) states with
-    lexicographic cost (forward runs, backward arcs, arc sequence), followed
-    by loop erasure so the node sequence is simple. Minimizing backward arcs
-    secondarily returns an all-forward path whenever one exists.
+    lexicographic cost (forward runs, backward arcs, arc sequence), so an
+    all-forward path is returned whenever one exists. The network must be
+    acyclic, as ``validate_instance`` ensures; then the walk popped at the
+    sink is simple. A closed sub-walk holds a backward arc, and cutting it
+    out adds no forward run: the arc after the cut starts a new run only if
+    the sub-walk ended forward, and then the sub-walk's last run goes too.
     """
     emap = network.edge_map
     residual: dict[str, list[tuple[str, str, str]]] = {v: [] for v in network.nodes}
-    for eid in sorted(partition.forward_like):
+    for eid in partition.forward_like:
         e = emap[eid]
         residual[e.tail].append((eid, FORWARD, e.head))
-    for eid in sorted(partition.backward_like):
+    for eid in partition.backward_like:
         e = emap[eid]
         residual[e.head].append((eid, BACKWARD, e.tail))
     for arcs in residual.values():
         arcs.sort()
 
-    start = (network.source, None)
     # heap entries: (runs, backward arcs, arc sequence, node, last direction)
-    heap: list[tuple[int, int, tuple, str, str | None]] = [(0, 0, (), *start)]
+    heap: list[tuple[int, int, tuple, str, str | None]] = [(0, 0, (), network.source, None)]
     done: set[tuple[str, str | None]] = set()
     while heap:
         runs, nbwd, arcs, node, last = heapq.heappop(heap)
@@ -148,10 +107,7 @@ def find_alternating_path(partition: EdgePartition, network: Network) -> Alterna
             continue
         done.add((node, last))
         if node == network.sink:
-            simple = _erase_loops(network, arcs)
-            return AlternatingPath(
-                arcs=simple, forward_runs=_count_forward_runs(simple)
-            )
+            return AlternatingPath(arcs=arcs, forward_runs=runs)
         for eid, direction, nxt in residual[node]:
             if (nxt, direction) in done:
                 continue

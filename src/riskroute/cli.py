@@ -26,13 +26,7 @@ from .analysis import (
     report_to_dict,
     shortest_path_length,
 )
-from .instances import (
-    FAMILIES,
-    InstanceFormatError,
-    make,
-    read_instance,
-    write_instance,
-)
+from .instances import FAMILIES, make, read_instance, write_instance
 from .network import (
     RISK_MODELS,
     Instance,
@@ -460,9 +454,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

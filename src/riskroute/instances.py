@@ -9,8 +9,9 @@ deterministic: the same seed yields a byte-identical file.
 from __future__ import annotations
 
 import json
+import math
 import random
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .network import (
     RISK_MEAN_VAR,
@@ -20,16 +21,6 @@ from .network import (
     Instance,
     Network,
 )
-
-FAMILIES = (
-    "pigou",
-    "braess",
-    "braess_general",
-    "zigzag",
-    "random_sp",
-    "random_general",
-)
-
 
 class InstanceFormatError(ValueError):
     """Malformed instance document; the message names the offending field."""
@@ -97,7 +88,7 @@ def _braess_general(alpha: float, v: float, risk_model: str) -> Instance:
     return _braess_like(alpha, v, risk_model, name=f"braess-a{alpha:g}-v{v:g}")
 
 
-def _zigzag(k: int) -> Instance:
+def _zigzag(k: int, risk_model: str) -> Instance:
     """Ladder of k unit-slope rungs joined by free connectors.
 
     Direct route i is s->u_i->w_i->t with latency x on the rung; connectors
@@ -119,7 +110,7 @@ def _zigzag(k: int) -> Instance:
         edges.append(_edge(f"c{i:02d}", f"w{i:02d}", f"u{i + 1:02d}", (0.0,)))
     net = Network(nodes=tuple(nodes), edges=tuple(edges), source="s", sink="t")
     return Instance(
-        network=net, demand=1.0, gamma=1.0, risk_model=RISK_MEAN_VAR, name=f"zigzag-k{k}"
+        network=net, demand=1.0, gamma=1.0, risk_model=risk_model, name=f"zigzag-k{k}"
     )
 
 
@@ -274,65 +265,65 @@ def _random_general(
     )
 
 
+# optional parameters of both random families; unset ones are drawn from the seed
+_DRAWN = (("gamma", float, False), ("kappa_target", float, False))
+
+#: family -> (builder, its parameters as (name, int or float, required), takes a seed)
+_FAMILY_TABLE: dict[
+    str, tuple[Callable[..., Instance], tuple[tuple[str, type, bool], ...], bool]
+] = {
+    "pigou": (_pigou, (("gamma", float, True), ("kappa", float, True)), False),
+    "braess": (_braess, (("v", float, True),), False),
+    "braess_general": (_braess_general, (("alpha", float, True), ("v", float, True)), False),
+    "zigzag": (_zigzag, (("k", int, True),), False),
+    "random_sp": (_random_sp, (("budget", int, True), *_DRAWN, ("max_paths", int, False)), True),
+    "random_general": (_random_general, (("n", int, True), ("m", int, True), *_DRAWN), True),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
+def _parameter(family: str, key: str, value: Any, kind: type) -> int | float:
+    """``value`` as a finite float, or as an int when ``kind`` is int."""
+    number = None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if number is None or not math.isfinite(number):
+        raise ValueError(f"{family} parameter {key!r} must be a finite number, got {value!r}")
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ValueError(f"{family} parameter {key!r} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def make(family: str, seed: int | None = None, **params: Any) -> Instance:
     """Build an instance from family parameters. Raises ValueError on unknown
-    families, missing/extra parameters, or out-of-range values."""
-    if family not in FAMILIES:
+    families, missing/extra parameters, values that are not finite numbers
+    (or not whole for an integer parameter), and out-of-range values."""
+    if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}")
+    builder, spec, seeded = _FAMILY_TABLE[family]
     p = dict(params)
     risk_model = p.pop("risk_model", RISK_MEAN_VAR)
     if risk_model not in RISK_MODELS:
         raise ValueError(f"unknown risk model {risk_model!r}")
-
-    def take(key: str, default: Any = KeyError) -> Any:
-        if key in p:
-            return p.pop(key)
-        if default is KeyError:
-            raise ValueError(f"{family} is missing parameter {key!r}")
-        return default
-
-    def need_seed() -> int:
+    args: dict[str, Any] = {"risk_model": risk_model}
+    if seeded:
         if seed is None:
             raise ValueError(f"{family} needs a seed")
-        return seed
-
-    if family == "pigou":
-        args = (float(take("gamma")), float(take("kappa")), risk_model)
-        builder = _pigou
-    elif family == "braess":
-        args = (float(take("v")), risk_model)
-        builder = _braess
-    elif family == "braess_general":
-        args = (float(take("alpha")), float(take("v")), risk_model)
-        builder = _braess_general
-    elif family == "zigzag":
-        args = (int(take("k")),)
-        builder = _zigzag
-    elif family == "random_sp":
-        args = (
-            int(take("budget")),
-            need_seed(),
-            take("gamma", None),
-            take("kappa_target", None),
-            take("max_paths", None),
-            risk_model,
-        )
-        builder = _random_sp
-    else:
-        args = (
-            int(take("n")),
-            int(take("m")),
-            need_seed(),
-            take("gamma", None),
-            take("kappa_target", None),
-            risk_model,
-        )
-        builder = _random_general
-
+        args["seed"] = seed
+    for key, kind, required in spec:
+        value = p.pop(key, None)
+        if value is None and required:
+            raise ValueError(f"{family} is missing parameter {key!r}")
+        args[key] = None if value is None else _parameter(family, key, value, kind)
     if p:
         extra = ", ".join(sorted(map(repr, p)))
         raise ValueError(f"{family} got unexpected parameters: {extra}")
-    return builder(*args)
+    return builder(**args)
 
 
 # --- serialization ----------------------------------------------------------
@@ -350,14 +341,22 @@ def _require(doc: Mapping[str, Any], fields: tuple[str, ...], where: str) -> Non
             raise InstanceFormatError(f"missing field {key!r} in {where}")
 
 
+def _number(value: Any, where: str) -> float:
+    """A JSON number as a float; a JSON integer may be too large for one."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InstanceFormatError(f"field {where} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InstanceFormatError(f"field {where} is too large for a float") from None
+
+
 def _number_list(value: Any, where: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) for c in value
-    ):
+    if not isinstance(value, list):
         raise InstanceFormatError(f"field {where} must be a list of numbers")
     if not value:
         raise InstanceFormatError(f"field {where} must not be empty")
-    return tuple(float(c) for c in value)
+    return tuple(_number(c, where) for c in value)
 
 
 def read_instance(data: bytes | str) -> Instance:
@@ -402,9 +401,7 @@ def read_instance(data: bytes | str) -> Instance:
     for key in ("source", "sink"):
         if not isinstance(doc[key], str):
             raise InstanceFormatError(f"field {key!r} must be a string")
-    for key in ("demand", "gamma"):
-        if not isinstance(doc[key], (int, float)) or isinstance(doc[key], bool):
-            raise InstanceFormatError(f"field {key!r} must be a number")
+    demand, gamma = (_number(doc[key], repr(key)) for key in ("demand", "gamma"))
     if not isinstance(doc["risk_model"], str):
         raise InstanceFormatError("field 'risk_model' must be a string")
 
@@ -416,8 +413,8 @@ def read_instance(data: bytes | str) -> Instance:
     )
     return Instance(
         network=net,
-        demand=float(doc["demand"]),
-        gamma=float(doc["gamma"]),
+        demand=demand,
+        gamma=gamma,
         risk_model=doc["risk_model"],
         name=doc["name"],
     )

@@ -64,12 +64,6 @@ class CostPoly:
             acc = acc * x + i * self.coeffs[i]
         return acc
 
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0.0 for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coeffs)
-
     def scaled_plus(self, other: "CostPoly", scale: float) -> "CostPoly":
         """Coefficientwise ``self + scale * other``."""
         n = max(len(self.coeffs), len(other.coeffs))

@@ -3,6 +3,7 @@ search against an exhaustive oracle, and the bounds read off the path."""
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from riskroute.alternating import (
 )
 from riskroute.analysis import pra_report
 from riskroute.instances import make
-from riskroute.network import RISK_MEAN_STDEV, Network
+from riskroute.network import RISK_MEAN_STDEV, CostPoly, Edge, Network
 from riskroute.solvers import RISK_NEUTRAL, Flow, solve_rawe, solve_rnwe
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -93,8 +94,8 @@ def _assert_contiguous(path: AlternatingPath, partition: EdgePartition, network:
 
 
 def test_classify_edges_boundary_rules():
-    """Ties within eps go to A, near-zero pairs are removed, strictly larger
-    risk-averse flow goes to B."""
+    """Ties within eps go to A, near-zero pairs join neither class, strictly
+    larger risk-averse flow goes to B."""
     eps = 1e-6
 
     def flow_of(values):
@@ -105,7 +106,6 @@ def test_classify_edges_boundary_rules():
     part = classify_edges(x, z, eps)
     assert part.forward_like == frozenset({"tie", "slack"})
     assert part.backward_like == frozenset({"extra", "fresh"})
-    assert part.removed == frozenset({"dust"})
 
 
 def test_classify_edges_braess():
@@ -115,7 +115,6 @@ def test_classify_edges_braess():
     _, _, part = _solved_partition(instance)
     assert part.forward_like == frozenset({"b", "c"})
     assert part.backward_like == frozenset({"a", "d", "e"})
-    assert part.removed == frozenset()
 
 
 # --- path search ----------------------------------------------------------
@@ -143,8 +142,7 @@ def test_pigou_alternating_path_is_single_forward_edge():
 
 def test_no_alternating_path_when_partition_is_empty():
     instance = make("pigou", kappa=1.0, gamma=1.0)
-    edge_ids = frozenset(e.id for e in instance.network.edges)
-    empty = EdgePartition(frozenset(), frozenset(), edge_ids)
+    empty = EdgePartition(frozenset(), frozenset())
     with pytest.raises(NoAlternatingPathError):
         find_alternating_path(empty, instance.network)
 
@@ -161,6 +159,60 @@ def test_forward_runs_match_exhaustive_minimum(seed):
     oracle = _min_runs_exhaustive(part, instance.network)
     assert oracle is not None
     assert path.forward_runs == oracle
+
+
+def test_loop_that_ties_in_runs_is_not_taken():
+    """The walk e1 e2 e3 e4 e5 loops v->u->v and ties the simple path e1 e4
+    e5 at two forward runs, and its arc sequence sorts first; the extra
+    backward arc alone rules it out."""
+    unit = CostPoly.of(1.0)
+    ends = {"e1": "sv", "e2": "vu", "e3": "vu", "e4": "wv", "e5": "wt"}
+    network = Network(
+        nodes=("s", "t", "u", "v", "w"),
+        edges=tuple(Edge(eid, tail, head, unit, unit) for eid, (tail, head) in ends.items()),
+        source="s",
+        sink="t",
+    )
+    part = EdgePartition(frozenset({"e1", "e2", "e5"}), frozenset({"e3", "e4"}))
+    path = find_alternating_path(part, network)
+    assert path.arcs == (("e1", FORWARD), ("e4", BACKWARD), ("e5", FORWARD))
+    assert path.forward_runs == 2
+
+
+def _random_partitions():
+    """Seeded random splits of each network's edges into A, B and unused."""
+    networks = [make("zigzag", k=k).network for k in range(2, 7) for _ in range(100)]
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(4, 8)
+        networks.append(make("random_general", seed=seed, n=n, m=rng.randint(n, 2 * n)).network)
+        networks.append(make("random_sp", seed=seed, budget=rng.randint(1, 6)).network)
+    rng = random.Random(0)
+    for network in networks:
+        for _ in range(4):
+            sides: tuple[set[str], ...] = (set(), set(), set())
+            for e in network.edges:
+                rng.choice(sides).add(e.id)
+            yield EdgePartition(frozenset(sides[0]), frozenset(sides[1])), network
+
+
+def test_search_is_exact_on_arbitrary_partitions():
+    """On any split of an acyclic network's edges into A, B and unused, the
+    search returns a simple path with the fewest forward runs, and raises
+    exactly when no simple residual path exists."""
+    outcomes = {"none": 0, "forward": 0, "mixed": 0}
+    for part, network in _random_partitions():
+        oracle = _min_runs_exhaustive(part, network)
+        if oracle is None:
+            outcomes["none"] += 1
+            with pytest.raises(NoAlternatingPathError):
+                find_alternating_path(part, network)
+            continue
+        path = find_alternating_path(part, network)
+        _assert_contiguous(path, part, network)
+        assert path.forward_runs == oracle
+        outcomes["forward" if path.all_forward else "mixed"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 @settings(deadline=None, max_examples=40)

@@ -63,6 +63,66 @@ def test_generate_rejects_malformed_set_item(capsys):
     assert "NAME=VALUE" in capsys.readouterr().err
 
 
+_GENERAL = ["--family", "random_general", "--seed", "0", "--set", "n=5", "--set", "m=6"]
+_SP = ["--family", "random_sp", "--seed", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _GENERAL + ["--set", "gamma=abc"],
+        _GENERAL + ["--set", "kappa_target=abc"],
+        _SP + ["--set", "budget=3", "--set", "max_paths=abc"],
+        _SP + ["--set", "budget=inf"],
+        ["--family", "random_general", "--seed", "0", "--set", "n=1e400", "--set", "m=6"],
+        ["--family", "zigzag", "--set", "k=inf"],
+        ["--family", "zigzag", "--set", "k=2.7"],
+        ["--family", "pigou", "--set", "gamma=nan", "--set", "kappa=1"],
+    ],
+    ids=[
+        "gamma-text", "kappa-target-text", "max-paths-text", "budget-inf",
+        "n-overflow", "k-inf", "k-fraction", "gamma-nan",
+    ],
+)
+def test_generate_malformed_parameters_exit_2(capsys, argv):
+    """Every family parameter must be a finite number, and an integer one a
+    whole number."""
+    assert main(["generate"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_sweep_over_an_integer_parameter_rejects_fractions(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", "zigzag", "--param", "k", "--from", "2", "--to", "3"]
+    assert main(argv + ["--steps", "3", "--out", str(out)]) == 2
+    assert "whole number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_zigzag_keeps_the_risk_model(capsys):
+    argv = ["generate", "--family", "zigzag", "--set", "k=2", "--risk-model", "mean-stdev"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["risk_model"] == RISK_MEAN_STDEV
+
+
+@pytest.mark.parametrize("field", ["demand", "coefficient"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, field, sign):
+    doc = json.loads(write_instance(make("braess", v=0.1)))
+    if field == "demand":
+        doc["demand"] = sign * 10**400
+    else:
+        doc["edges"][0]["latency"][0] = sign * 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "too large for a float" in err
+
+
 # --- solve ----------------------------------------------------------
 
 
@@ -272,7 +332,11 @@ _FUZZ_BASES = tuple(
 )
 _HUGE = [1.7976931348623157e308, 1e308, 1e200, 1e154, 1e103]
 _ODD_NUMBERS = st.one_of(
-    st.sampled_from(_HUGE + [-1e308, 1e-300, 5e-324, 0.0, -1.0, math.nan, math.inf, -math.inf]),
+    st.sampled_from(
+        _HUGE
+        + [-1e308, 1e-300, 5e-324, 0.0, -1.0, math.nan, math.inf, -math.inf]
+        + [10**400, -(10**400)]
+    ),
     st.floats(),
 )
 _WRONG_TYPES = st.sampled_from(["x", [], [1.0], {}, None, True])

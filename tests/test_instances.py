@@ -24,7 +24,7 @@ def test_pigou_construction():
     assert instance.demand == 1.0 and instance.gamma == 1.0
     by_id = net.edge_map
     assert by_id["e1"].latency.coeffs == (0.0, 2.0)
-    assert by_id["e1"].risk.is_zero()
+    assert by_id["e1"].risk.coeffs == (0.0,)
     assert by_id["e2"].latency.coeffs == (1.0,)
     assert by_id["e2"].risk.coeffs == (1.0,)
 
@@ -37,7 +37,7 @@ def test_braess_construction():
     assert by_id["b"].latency.coeffs == (1.0,)
     assert by_id["b"].risk.coeffs == (0.1,)
     assert by_id["e"].latency.coeffs == (0.9,)
-    assert by_id["e"].risk.is_zero()
+    assert by_id["e"].risk.coeffs == (0.0,)
 
 
 def test_braess_general_validates_parameters():

@@ -70,10 +70,6 @@ def test_costpoly_of_and_predicates():
     poly = CostPoly.of(1.0, 2.0)
     assert poly(3.0) == 7.0
     assert poly.derivative(3.0) == 2.0
-    assert not poly.is_zero()
-    assert poly.is_nonnegative()
-    assert CostPoly.of(0.0).is_zero()
-    assert not CostPoly.of(1.0, -2.0).is_nonnegative()
 
 
 def test_costpoly_scaled_plus():
