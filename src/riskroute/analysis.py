@@ -564,12 +564,13 @@ def max_shortest_path_oracle(
     if not paths:
         raise ValueError("no source-sink path")
     on_path = set().union(*paths)
-    # One row per path edge. In Kahn's order a node's inflow is parked on its
-    # last out-edge, once every in-edge has its value, and split off from
-    # there to the other out-edges.
+    if len(net.topo_order) != len(net.nodes):
+        raise ValueError("the oracle needs an acyclic network")
+    # One row per path edge. In topological order a node's inflow is parked
+    # on its last out-edge, once every in-edge has its value, and split off
+    # from there to the other out-edges.
     row: dict[str, int] = {}
     polys = []
-    waiting: dict[str, int] = {}
     for e in net.edges:
         if e.id in on_path:
             if not all(0.0 <= c < math.inf for c in e.latency.coeffs):
@@ -579,18 +580,10 @@ def max_shortest_path_oracle(
                 )
             row[e.id] = len(row)
             polys.append(e.latency.coeffs)
-            waiting[e.head] = waiting.get(e.head, 0) + 1
     first = np.zeros((len(row), 1), dtype=np.int64)
     ops: list = []
-    order = [net.source]
-    for v in order:
-        out = []
-        for e in net.out_edges[v]:
-            if e.id in row:
-                out.append(row[e.id])
-                waiting[e.head] -= 1
-                if not waiting[e.head]:
-                    order.append(e.head)
+    for v in net.topo_order:
+        out = [row[e.id] for e in net.out_edges.get(v, ()) if e.id in row]
         if not out:
             continue
         rest = out.pop()
@@ -601,8 +594,6 @@ def max_shortest_path_oracle(
             ops.append((rest, ins, None))
         for c in out:
             ops.append((rest, None, c))
-    if len(order) != len(waiting) + 1:
-        raise ValueError("the oracle needs an acyclic network")
     # latency coefficients by power, one row per edge; at least two powers,
     # so that Horner's rule below can start from the linear term
     degree = max(2, *map(len, polys))

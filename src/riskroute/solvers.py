@@ -573,35 +573,35 @@ class _PathPool:
 
 
 def _path_dependency(paths: Sequence[tuple[str, ...]]) -> list[int] | None:
-    """Integer weights w, not all zero, with sum_i w_i * (edge incidence
-    vector of ``paths[i]``) = 0, or None when those vectors are independent.
+    """Integer weights w with gcd 1 and sum_i w_i * (edge incidence vector of
+    ``paths[i]``) = 0, or None when those vectors are independent.
 
-    Fraction-free Gaussian elimination, exact on 0/1 vectors: each path's
-    vector is reduced against the pivots found so far, carrying its weights
-    along, and a vector reduced to zero gives the dependency.
+    Fraction-free Gaussian elimination, exact on 0/1 vectors. Path i has one
+    sparse row: its edge ids (strings) map to its edge entries, and the path
+    indices to its weights, starting from {edge: 1 for each edge, i: 1}. The
+    row is reduced against the pivot rows found so far and then divided once
+    by the gcd of its entries, which keeps every entry small; a row left
+    without edge entries gives the dependency.
     """
-    pivots: list[tuple[str, dict[str, int], dict[int, int]]] = []
+    pivots: list[tuple[str, dict]] = []
     for i, path in enumerate(paths):
-        vec = dict.fromkeys(path, 1)
-        weights = {i: 1}
-        for edge, pivot_vec, pivot_weights in pivots:
-            a = vec.get(edge, 0)
+        row: dict = dict.fromkeys(path, 1)
+        row[i] = 1
+        for edge, pivot in pivots:
+            a = row.get(edge, 0)
             if a:
-                b = pivot_vec[edge]
-                vec = _combine(b, vec, -a, pivot_vec)
-                weights = _combine(b, weights, -a, pivot_weights)
-        if not vec:
-            return [weights.get(j, 0) for j in range(len(paths))]
-        pivots.append((min(vec), vec, weights))
+                b = pivot[edge]
+                out = {k: b * x for k, x in row.items()}
+                for k, y in pivot.items():
+                    out[k] = out.get(k, 0) - a * y
+                row = {k: x for k, x in out.items() if x}
+        g = math.gcd(*row.values())
+        row = {k: x // g for k, x in row.items()}
+        edges = [k for k in row if isinstance(k, str)]
+        if not edges:
+            return [row.get(j, 0) for j in range(len(paths))]
+        pivots.append((min(edges), row))
     return None
-
-
-def _combine(a: int, u: dict, b: int, v: dict) -> dict:
-    """The sparse vector a*u + b*v without its zero entries."""
-    out = {k: a * x for k, x in u.items()}
-    for k, y in v.items():
-        out[k] = out.get(k, 0) + b * y
-    return {k: x for k, x in out.items() if x}
 
 
 def _independent_support(

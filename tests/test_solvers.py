@@ -2,6 +2,7 @@
 certificates, the zero-cost warning, flow decomposition."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -611,28 +612,67 @@ def test_meanstdev_bisection_fallback(monkeypatch):
     assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
 
 
-def _incidence(paths):
-    edges = sorted({eid for p in paths for eid in p})
-    return np.array([[float(eid in p) for p in paths] for eid in edges])
-
-
 def test_path_dependency_matches_rank():
-    """On every prefix and every other-path subset of the paths of
-    random_general seeds 0-59, _path_dependency finds a dependency exactly
-    when numpy's rank says the incidence columns are dependent, and the
-    weights it returns cancel on every edge."""
+    """On every prefix, every other-path subset and every subset of 2-5 of
+    the paths of random_general seeds 0-59, _path_dependency finds a
+    dependency exactly when numpy's rank says the incidence columns are
+    dependent, and the weights it returns cancel on every edge and have
+    gcd 1."""
     for seed in range(60):
         paths = enumerate_simple_paths(suites.random_general(seed).network)
-        subsets = [paths[:k] for k in range(1, len(paths) + 1)]
-        subsets += [paths[i::2] for i in range(2)]
-        for subset in subsets:
-            matrix = _incidence(subset)
-            weights = _path_dependency(subset)
-            independent = np.linalg.matrix_rank(matrix) == len(subset)
-            assert (weights is None) == independent, (seed, subset)
-            if weights is not None:
-                assert any(weights)
-                assert not (matrix @ np.array(weights, dtype=float)).any()
+        edges = sorted({eid for p in paths for eid in p})
+        incidence = np.array([[float(eid in p) for p in paths] for eid in edges])
+        n = len(paths)
+        subsets = [tuple(range(k)) for k in range(1, n + 1)]
+        subsets += [tuple(range(i, n, 2)) for i in range(min(n, 2))]
+        for k in range(2, 6):
+            subsets += itertools.combinations(range(n), k)
+        for k in {len(subset) for subset in subsets}:
+            group = [subset for subset in subsets if len(subset) == k]
+            # one stacked rank per subset size; edges off a subset add zero rows
+            ranks = np.linalg.matrix_rank(incidence[:, group].transpose(1, 0, 2))
+            for subset, rank in zip(group, ranks):
+                weights = _path_dependency([paths[i] for i in subset])
+                assert (weights is None) == (rank == k), (seed, subset)
+                if weights is not None:
+                    assert math.gcd(*weights) == 1, (seed, subset, weights)
+                    product = incidence[:, list(subset)] @ np.array(weights, float)
+                    assert not product.any()
+
+
+def test_wide_series_parallel_support_certifies(monkeypatch):
+    """Mean-stdev random_sp budget 200 seed 8 puts flow on 22 paths. Its
+    dependency weights stay primitive and small, where an elimination that
+    never divides out common factors overflows a float, and one support
+    needs a second reduction within the same call."""
+    found = []
+    dependency = solvers._path_dependency
+
+    def record(paths):
+        weights = dependency(paths)
+        if weights is not None:
+            found.append(weights)
+        return weights
+
+    reductions = []
+    independent = solvers._independent_support
+
+    def count(pool, it):
+        before = len(found)
+        out = independent(pool, it)
+        reductions.append(len(found) - before)
+        return out
+
+    monkeypatch.setattr(solvers, "_path_dependency", record)
+    monkeypatch.setattr(solvers, "_independent_support", count)
+    instance = make("random_sp", seed=8, budget=200, risk_model=RISK_MEAN_STDEV)
+    x, z = solve_pair(instance)
+    assert pra_report(instance, x, z).ok
+    assert found
+    for weights in found:
+        assert max(map(abs, weights)) < 2**31
+        assert math.gcd(*weights) == 1
+    assert max(reductions) >= 2
 
 
 def test_solve_linear_matches_numpy():
