@@ -33,6 +33,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .network import (
     RISK_MEAN_STDEV,
     RISK_MEAN_VAR,
@@ -577,11 +579,10 @@ def _path_dependency(paths: Sequence[tuple[str, ...]]) -> list[int] | None:
     ``paths[i]``) = 0, or None when those vectors are independent.
 
     Fraction-free Gaussian elimination, exact on 0/1 vectors. Path i has one
-    sparse row: its edge ids (strings) map to its edge entries, and the path
-    indices to its weights, starting from {edge: 1 for each edge, i: 1}. The
-    row is reduced against the pivot rows found so far and then divided once
-    by the gcd of its entries, which keeps every entry small; a row left
-    without edge entries gives the dependency.
+    sparse row, mapping its edge ids (strings) to its edge entries and path
+    indices to its weights. The row is reduced against the pivot rows, then
+    divided once by the gcd of its entries, which keeps them small; a row
+    left without edge entries gives the dependency.
     """
     pivots: list[tuple[str, dict]] = []
     for i, path in enumerate(paths):
@@ -616,11 +617,11 @@ def _independent_support(
     put under a separable mode). Each dependency is oriented so that the
     total does not rise (bringing the cheapest path in on a tie) and
     followed until a path's flow reaches zero, which takes that path out.
-    Two distinct paths are always independent, and so are the used paths:
-    every step moves flow only within an independent support, so only a
-    cheapest path that carries no flow can make the support dependent.
-    Returns the iterate after these moves and the support, in lexicographic
-    order.
+    Two distinct paths are always independent, but the used paths need not
+    be: a pairwise step can bring in a cheapest path that a reduction took
+    out. So while the cheapest path carries no flow, the loop reduces until
+    the support is independent or holds two paths. Returns the iterate after
+    these moves and the support, in lexicographic order.
     """
     support = sorted({*it.paths, it.best})
     paths = dict(it.paths)
@@ -644,29 +645,6 @@ def _independent_support(
     if paths != it.paths:
         it = pool.evaluate(paths)
     return it, support
-
-
-def _solve_linear(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
-    """Solution of a square linear system by Gaussian elimination with
-    partial pivoting; None when a pivot is zero or the solution not finite."""
-    n = len(rhs)
-    rows = [row + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        top = max(range(col, n), key=lambda r: abs(rows[r][col]))
-        if rows[top][col] == 0.0:
-            return None
-        rows[col], rows[top] = rows[top], rows[col]
-        pivot = rows[col]
-        for row in rows[col + 1 :]:
-            factor = row[col] / pivot[col]
-            if factor:
-                for c in range(col, n + 1):
-                    row[c] -= factor * pivot[c]
-    x = [0.0] * n
-    for r in reversed(range(n)):
-        row = rows[r]
-        x[r] = (row[n] - sum(row[c] * x[c] for c in range(r + 1, n))) / row[r]
-    return x if all(map(math.isfinite, x)) else None
 
 
 def _newton_iterate(
@@ -732,8 +710,11 @@ def _newton_iterate(
             for i in free
         ]
         rhs.append(math.fsum(now[j] for j in fixed))
-        solution = _solve_linear(matrix, rhs)
-        if solution is None:
+        try:
+            solution = np.linalg.solve(matrix, rhs).tolist()
+        except np.linalg.LinAlgError:  # an exactly singular system
+            return None
+        if not all(map(math.isfinite, solution)):
             return None
         low = min(range(len(free)), key=lambda k: now[free[k]] + solution[k])
         if now[free[low]] + solution[low] >= 0.0:

@@ -38,7 +38,6 @@ from riskroute.solvers import (
     _bisect_step,
     _newton_step,
     _path_dependency,
-    _solve_linear,
     _transfer_derivative,
     cheapest_path,
     cost_polynomials,
@@ -675,18 +674,24 @@ def test_wide_series_parallel_support_certifies(monkeypatch):
     assert max(reductions) >= 2
 
 
-def test_solve_linear_matches_numpy():
-    rng = random.Random(2)
-    for _ in range(300):
-        n = rng.randint(1, 8)
-        matrix = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
-        rhs = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        if np.linalg.cond(matrix) > 1e8:
-            continue
-        expected = np.linalg.solve(matrix, rhs)
-        assert _solve_linear(matrix, rhs) == pytest.approx(expected, rel=1e-6, abs=1e-9)
-    assert _solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
-    assert _solve_linear([[0.0]], [1.0]) is None
+@pytest.mark.parametrize("model", [RISK_MEAN_VAR, RISK_MEAN_STDEV])
+def test_newton_iterate_singular_system_returns_none(model):
+    """Two parallel edges with constant latencies and risks have a zero path
+    Jacobian, so the bordered Newton system is exactly singular and the
+    Newton step gives way (returns None) instead of raising."""
+    net = Network(
+        nodes=("s", "t"),
+        edges=(
+            Edge("a", "s", "t", CostPoly.of(1.0), CostPoly.of(1.0)),
+            Edge("b", "s", "t", CostPoly.of(1.0), CostPoly.of(2.0)),
+        ),
+        source="s",
+        sink="t",
+    )
+    instance = Instance(network=net, demand=1.0, gamma=0.5, risk_model=model)
+    pool = solvers._PathPool(instance, model)
+    it = pool.evaluate({("a",): 0.25, ("b",): 0.75})
+    assert solvers._newton_iterate(pool, it, [("a",), ("b",)]) is None
 
 
 # --- flow bookkeeping ------------------------------------------------------------
