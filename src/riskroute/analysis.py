@@ -583,7 +583,7 @@ def max_shortest_path_oracle(
     first = np.zeros((len(row), 1), dtype=np.int64)
     ops: list = []
     for v in net.topo_order:
-        out = [row[e.id] for e in net.out_edges.get(v, ()) if e.id in row]
+        out = [row[e.id] for e in net.out_edges[v] if e.id in row]
         if not out:
             continue
         rest = out.pop()
