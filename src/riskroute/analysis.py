@@ -33,11 +33,10 @@ from .network import (
     social_cost,
 )
 from .solvers import (
+    RISK_NEUTRAL,
     EquilibriumResult,
     Flow,
-    cheapest_path,
     decompose_edge_flow,
-    mode_path_cost,
     shortest_path,
 )
 
@@ -116,24 +115,6 @@ _KAPPA_FREE = frozenset(
 )
 
 
-def _equilibrium_deviation(instance: Instance, flow: Flow) -> tuple[float, float]:
-    """Worst used-path excess over the cheapest path under the flow's own
-    objective mode, and the cheapest path's cost.
-
-    Zero at an exact equilibrium. The solver's relative gap is flow-weighted,
-    so a used path carrying little flow can sit above the minimum by far more
-    than the gap; checks that sample individual path costs need this quantity,
-    not the gap, as their round-off allowance.
-    """
-    mode, flows = flow.objective_mode, flow.edge_flow
-    best, _ = cheapest_path(instance, flows, mode)
-    worst = max(
-        (mode_path_cost(instance, flows, p, mode) for p in flow.path_flow),
-        default=best,
-    )
-    return max(0.0, worst - best), best
-
-
 def _min_risk_path(instance: Instance, flows: Mapping[str, float]) -> tuple[str, ...]:
     """Least-risk source->sink path at the given edge flows: a shortest path
     on the edge risks, or on their squares under mean-stdev, whose path risk
@@ -147,8 +128,8 @@ def _min_risk_path(instance: Instance, flows: Mapping[str, float]) -> tuple[str,
 
 def _bound_checks(
     instance: Instance,
-    x: Flow,
-    z: Flow,
+    x: EquilibriumResult,
+    z: EquilibriumResult,
     path: AlternatingPath,
     cost_x: float,
     cost_z: float,
@@ -161,10 +142,10 @@ def _bound_checks(
     """The report's bound checks, in CHECK_NAMES order.
 
     One table row per check: its name, whether it applies to the instance,
-    lhs and rhs, the factors of x's and z's equilibrium deviations in its
-    round-off allowance, and whether its bound is proven. A check that does
-    not apply is left out, except that every check but the first is listed
-    as skipped when the risk-neutral cost is zero. Checks that scale by
+    lhs and rhs, the factors of x's and z's ``deviation`` in its round-off
+    allowance, and whether its bound is proven. A check that does not apply
+    is left out, except that every check but the first is listed as skipped
+    when the risk-neutral cost is zero. Checks that scale by
     kappa are skipped when it is infinite, and the rho bound when rho is
     undefined.
 
@@ -183,12 +164,11 @@ def _bound_checks(
     alternating = mean_var or braess
     eta_proven = mean_var or path.all_forward or braess
     all_forward = stdev and path.all_forward
-    dev_x, min_cost_x = _equilibrium_deviation(instance, x)
-    dev_z, _ = _equilibrium_deviation(instance, z)
+    xf, zf = x.flow.edge_flow, z.flow.edge_flow
     emap = net.edge_map
     fwd_x, bwd_x, fwd_z, bwd_z = (
-        math.fsum(emap[eid].latency(flow.edge_flow[eid]) for eid in edges)
-        for flow in (x, z)
+        math.fsum(emap[eid].latency(flows[eid]) for eid in edges)
+        for flows in (xf, zf)
         for edges in (path.forward_edges(), path.backward_edges())
     )
     # The path sums are per unit of flow and bound the common equilibrium
@@ -196,9 +176,9 @@ def _bound_checks(
     chain_x = d * (one_gk * fwd_x - bwd_x)
     chain_z = d * (one_gk * fwd_z - bwd_z)
     chain_mid = cost_z + gk * d * fwd_z
-    least_risk = path_latency(net, x.edge_flow, _min_risk_path(instance, x.edge_flow))
+    least_risk = path_latency(net, xf, _min_risk_path(instance, xf))
     rows = (
-        ("rawe-cost-le-min-path-cost", True, cost_x, d * min_cost_x, 0.0, 0.0, True),
+        ("rawe-cost-le-min-path-cost", True, cost_x, d * x.min_path_cost, 0.0, 0.0, True),
         ("rawe-cost-le-scaled-latency", True, cost_x, d * one_gk * s_x, 0.0, 0.0, True),
         ("rawe-cost-le-min-risk-path-latency", True, cost_x, d * least_risk, 0.0, 0.0, True),
         ("alternating-rawe-bound", alternating, cost_x, chain_x, 2.0, 0.0, True),
@@ -223,7 +203,7 @@ def _bound_checks(
         elif name == "pra-rho-bound" and not math.isfinite(rho):
             note = "rho is undefined"
         else:
-            extra = d * eta * (fx * dev_x + fz * dev_z)
+            extra = d * eta * (fx * x.deviation + fz * z.deviation)
             passed = lhs <= rhs * (1.0 + CHECK_REL_SLACK) + CHECK_ABS_SLACK + extra
             note = "" if proven else "unproven bound"
             checks.append(BoundCheck(name, lhs, rhs, passed, proven, note=note))
@@ -267,13 +247,20 @@ def pra_report(
     """Full certificate for a solved instance pair.
 
     Both results must be converged; the risk-averse result under the
-    instance's risk model and the risk-neutral one under latency costs. The
-    alternating path compares their edge flows at ``CLASSIFY_EPS_REL`` times
-    the demand.
+    instance's risk model and the risk-neutral one under latency costs,
+    else ValueError. The alternating path compares their edge flows at
+    ``CLASSIFY_EPS_REL`` times the demand. The report reads the results'
+    edge flows and their own certificates (``min_path_cost``,
+    ``deviation``), and prices no path: S(z) is z's ``min_path_cost``.
     """
     if not (x_result.converged and z_result.converged):
         raise ValueError("pra_report needs converged equilibria on both sides")
     x, z = x_result.flow, z_result.flow
+    for flow, mode in ((x, instance.risk_model), (z, RISK_NEUTRAL)):
+        if flow.objective_mode != mode:
+            raise ValueError(
+                f"pra_report needs a {mode!r} equilibrium, got {flow.objective_mode!r}"
+            )
     net = instance.network
     cost_x = social_cost(net, x.edge_flow)
     cost_z = social_cost(net, z.edge_flow)
@@ -287,7 +274,7 @@ def pra_report(
     degenerate = not cost_z > 0.0
     pra = cost_x / cost_z if not degenerate else math.nan
     s_x = shortest_path_length(net, x.edge_flow)
-    s_z = shortest_path_length(net, z.edge_flow)
+    s_z = z_result.min_path_cost
     rho = s_x / s_z if s_z > 0.0 else math.nan
 
     bound_eta = theoretical_pra_bound(instance.gamma, kappa, eta)
@@ -298,7 +285,8 @@ def pra_report(
         else math.nan
     )
     checks = _bound_checks(
-        instance, x, z, path, cost_x, cost_z, kappa, s_x, rho, bound_eta, bound_worst
+        instance, x_result, z_result, path, cost_x, cost_z, kappa, s_x, rho,
+        bound_eta, bound_worst,
     )
     return PraReport(
         instance_name=instance.name,

@@ -24,7 +24,6 @@ from .analysis import (
     max_shortest_path_oracle,
     pra_report,
     report_to_dict,
-    shortest_path_length,
 )
 from .instances import FAMILIES, make, read_instance, write_instance
 from .network import (
@@ -298,7 +297,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             f" ({z.stop_reason})",
             EXIT_CONVERGENCE,
         )
-    best = shortest_path_length(instance.network, z.flow.edge_flow)
+    best = z.min_path_cost
     series_parallel = is_series_parallel(instance.network)
     name = instance.name or args.instance
     print(f"instance {name}  series-parallel {series_parallel}")

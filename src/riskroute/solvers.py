@@ -96,9 +96,18 @@ class Flow:
     ) -> "Flow":
         if mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {mode!r}")
+        net = instance.network
         clean = {tuple(p): float(v) for p, v in path_flow.items() if v != 0.0}
-        if any(v < 0.0 for v in clean.values()):
-            raise ValueError("negative path flow")
+        for path, amount in clean.items():
+            if not amount >= 0.0:  # also catches NaN
+                raise ValueError(f"path flow {amount} on {path} is negative or NaN")
+            edges = [net.edge_map.get(eid) for eid in path]
+            if None in edges:
+                raise ValueError(f"path {path} has an edge not in the network")
+            # a source-sink chain: each edge starts where the one before ends
+            heads = [net.source, *(e.head for e in edges)]
+            if heads != [*(e.tail for e in edges), net.sink]:
+                raise ValueError(f"path {path} is not a chain from source to sink")
         total = math.fsum(clean.values())
         if abs(total - instance.demand) > FLOW_SUM_TOL * instance.demand:
             raise ValueError(
@@ -106,7 +115,7 @@ class Flow:
             )
         return cls(
             path_flow=clean,
-            edge_flow=edge_flow(clean, instance.network),
+            edge_flow=edge_flow(clean, net),
             objective_mode=mode,
         )
 
@@ -124,12 +133,21 @@ class EquilibriumResult:
     (mean-stdev: Newton found no descent and the bisection step fell below
     ``SHIFT_FLOOR_REL`` of the demand); None when the result was not made by
     a solver.
+
+    ``min_path_cost`` is the cheapest path's cost under the flow's objective
+    mode, and ``deviation`` the most expensive used path's cost less that, at
+    least 0; both are the solve's own, at the returned flow. The gap is
+    flow-weighted, so a lightly loaded used path can sit above the minimum by
+    far more than the gap: checks that sample single path costs take the
+    deviation, zero exactly at equilibrium, as their round-off allowance.
     """
 
     flow: Flow
     relative_gap: float
     iterations: int
     converged: bool
+    min_path_cost: float
+    deviation: float
     stop_reason: str | None = None
 
 
@@ -183,12 +201,6 @@ def potential_value(
 ) -> float:
     """Beckmann potential sum_e integral_0^{f_e} c_e."""
     return math.fsum(cost_polys[eid].integral(f) for eid, f in flows.items())
-
-
-def _edge_costs(
-    cost_polys: Mapping[str, CostPoly], flows: Mapping[str, float]
-) -> dict[str, float]:
-    return {eid: cost_polys[eid](flows[eid]) for eid in flows}
 
 
 def _transfer_derivative(
@@ -404,11 +416,9 @@ def _meanstdev_cheapest(
     return min((cost, path) for path, (*_, cost) in found.items())
 
 
-def relative_gap(instance: Instance, flow: Flow, mode: str | None = None) -> float:
-    """Equilibrium certificate for ``flow`` under ``mode`` (defaults to the
-    flow's own objective mode)."""
-    mode = mode or flow.objective_mode
-    flows = flow.edge_flow
+def relative_gap(instance: Instance, flow: Flow) -> float:
+    """Equilibrium certificate for ``flow`` under its own objective mode."""
+    flows, mode = flow.edge_flow, flow.objective_mode
     min_cost, _ = cheapest_path(instance, flows, mode)
     total = math.fsum(
         amount * mode_path_cost(instance, flows, p, mode)
@@ -456,17 +466,14 @@ def solve_wardrop(
     pool = _PathPool(instance, mode)
     _, _, start = pool.cheapest({e.id: 0.0 for e in instance.network.edges})
     it = best_it = pool.evaluate({start: instance.demand})
-    iterations = 0
     stop_reason = "max-iter"
 
     for iterations in range(max_iter + 1):
         if it.merit < best_it.merit:
             best_it = it
         if it.gap <= tol and it.excess <= tol:
-            if it.zero_floor:
-                _warn_zero_floor()
-            flow = Flow.from_paths(instance, it.paths, mode)
-            return EquilibriumResult(flow, it.gap, iterations, True, "converged")
+            best_it, stop_reason = it, "converged"
+            break
         if iterations == max_iter:
             break
 
@@ -487,20 +494,26 @@ def solve_wardrop(
     if best_it.zero_floor:
         _warn_zero_floor()
     flow = Flow.from_paths(instance, best_it.paths, mode)
-    return EquilibriumResult(flow, best_it.gap, iterations, False, stop_reason)
+    floor = best_it.floor
+    deviation = max(0.0, best_it.costs[best_it.worst] - floor)
+    converged = stop_reason == "converged"
+    return EquilibriumResult(
+        flow, best_it.gap, iterations, converged, floor, deviation, stop_reason
+    )
 
 
 @dataclass
 class _Iterate:
     """A path flow with the costs of its used paths and the cheapest path,
-    its most expensive used path (ties to the lexicographically largest),
-    the relative gap, the worst used path's excess over the cheapest
-    (relative; absolute when the cheapest costs 0) and, under a separable
-    mode, the Beckmann potential."""
+    the cheapest cost as the search found it (``floor``), its most expensive
+    used path (ties to the lexicographically largest), the relative gap, the
+    worst used path's excess over the cheapest (relative; absolute when the
+    cheapest costs 0) and, under a separable mode, the Beckmann potential."""
 
     paths: dict[tuple[str, ...], float]
     flows: dict[str, float]
     costs: dict[tuple[str, ...], float]
+    floor: float
     best: tuple[str, ...]
     worst: tuple[str, ...]
     gap: float
@@ -533,7 +546,7 @@ class _PathPool:
         edge latencies and variances (:func:`_edge_moments`) under
         mean-stdev."""
         if self.separable:
-            prices = _edge_costs(self.polys, flows)
+            prices = {eid: self.polys[eid](f) for eid, f in flows.items()}
             return (prices, *shortest_path(self.instance.network, prices))
         prices = _edge_moments(self.instance, flows)
         return (prices, *_meanstdev_cheapest(self.instance, prices))
@@ -570,7 +583,7 @@ class _PathPool:
         gap, zero_floor = _gap_quiet(total, instance.demand, floor)
         excess, _ = _gap_quiet(costs[worst], 1.0, floor)
         return _Iterate(
-            paths, flows, costs, best, worst, gap, excess, zero_floor, potential
+            paths, flows, costs, floor, best, worst, gap, excess, zero_floor, potential
         )
 
 

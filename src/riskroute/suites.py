@@ -25,7 +25,6 @@ from .analysis import (
     braess_stdev_inequality_batch,
     max_shortest_path_oracle,
     pra_report,
-    shortest_path_length,
 )
 from .instances import make
 from .network import Instance, is_series_parallel
@@ -108,7 +107,7 @@ def zigzag_closed_forms() -> tuple[list[str], float]:
         instance = make("zigzag", k=k)
         value = max_shortest_path_oracle(instance, grid=grid, max_paths=10).value
         z = solve_rnwe(instance)
-        best = shortest_path_length(instance.network, z.flow.edge_flow)
+        best = z.min_path_cost
         bad: list[str] = []
         if abs(value - 1.0) > ZIGZAG_TOL:
             bad.append(f"oracle {num(value)} != 1.0")
@@ -182,7 +181,7 @@ def sp_theorem(
         oracle = max_shortest_path_oracle(
             instance, grid=grid, max_paths=DEFAULT_ORACLE_MAX_PATHS
         )
-        best = shortest_path_length(instance.network, z.flow.edge_flow)
+        best = z.min_path_cost
         if not oracle_attained(oracle.value, best):
             bad.append(f"oracle {num(oracle.value)} > S(z) {num(best)}")
         if bad:
@@ -236,7 +235,7 @@ def oracle_seeds(
         oracle = max_shortest_path_oracle(
             instance, grid=grid, max_paths=DEFAULT_ORACLE_MAX_PATHS
         )
-        best = shortest_path_length(instance.network, z.flow.edge_flow)
+        best = z.min_path_cost
         if not oracle_attained(oracle.value, best):
             failures.append(f"seed {seed}: oracle {num(oracle.value)} > S(z) {num(best)}")
     return failures

@@ -273,7 +273,12 @@ def test_report_requires_converged_results():
     instance = make("pigou", kappa=1.0, gamma=1.0)
     good = solve_rawe(instance)
     bad = EquilibriumResult(
-        flow=good.flow, relative_gap=1.0, iterations=0, converged=False
+        flow=good.flow,
+        relative_gap=1.0,
+        iterations=0,
+        converged=False,
+        min_path_cost=good.min_path_cost,
+        deviation=good.deviation,
     )
     with pytest.raises(ValueError, match="converged"):
         pra_report(instance, good, bad)
@@ -360,6 +365,35 @@ def test_mean_var_report_enumerates_no_paths(monkeypatch):
     assert pra_report(stdev, sx, sz).ok
     assert relative_gap(stdev, sx.flow) <= sx.relative_gap + 1e-12
     assert not calls
+
+
+@pytest.mark.parametrize("model", [RISK_MEAN_VAR, RISK_MEAN_STDEV])
+def test_report_prices_no_path(monkeypatch, model):
+    """The report reads the results' edge flows and the certificates their
+    solves made: it builds no path pool and never reads a path flow."""
+    instance = make("random_general", seed=3, n=8, m=16, risk_model=model)
+    x, z = solve_pair(instance)
+    expected = report_to_dict(pra_report(instance, x, z))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_PathPool built during the report")
+
+    monkeypatch.setattr(solvers, "_PathPool", refuse)
+    x, z = (
+        dataclasses.replace(r, flow=dataclasses.replace(r.flow, path_flow=None))
+        for r in (x, z)
+    )
+    assert report_to_dict(pra_report(instance, x, z)) == expected
+
+
+def test_report_rejects_swapped_results():
+    instance = make("braess", v=0.1)
+    x, z = solve_pair(instance)
+    with pytest.raises(ValueError, match="'mean-var' equilibrium"):
+        pra_report(instance, z, x)
+    stdev = dataclasses.replace(instance, risk_model=RISK_MEAN_STDEV)
+    with pytest.raises(ValueError, match="'mean-stdev' equilibrium"):
+        pra_report(stdev, x, z)
 
 
 @pytest.mark.parametrize("n, m, seeds", [(40, 120, range(10)), (100, 400, range(5))])

@@ -42,6 +42,7 @@ from riskroute.solvers import (
     cheapest_path,
     cost_polynomials,
     decompose_edge_flow,
+    mode_path_cost,
     potential_value,
     relative_gap,
     shortest_path,
@@ -253,6 +254,34 @@ def test_cheapest_path_matches_enumeration(monkeypatch):
                 )
                 chord_steps += len(calls) > 2
     assert chord_steps > 0
+
+
+def _certificate_instances():
+    for seed in range(200):
+        instance = suites.random_general(seed)
+        yield instance
+        yield dataclasses.replace(instance, risk_model=RISK_MEAN_STDEV)
+    for seed in range(300):
+        yield make("random_sp", seed=seed, budget=4)
+
+
+def test_result_certificate_matches_repricing():
+    """On random_general seeds 0-199, as drawn and as mean-stdev copies, and
+    random_sp budget-4 seeds 0-299, each solve_rawe and solve_rnwe result
+    carries what re-pricing its flow gives: min_path_cost is cheapest_path's
+    cost, and deviation the largest used-path mode_path_cost less that, both
+    within 4 ulps of the cheapest cost."""
+    for instance in _certificate_instances():
+        for result in (solve_rawe(instance), solve_rnwe(instance)):
+            flows, mode = result.flow.edge_flow, result.flow.objective_mode
+            best, _ = cheapest_path(instance, flows, mode)
+            worst = max(
+                mode_path_cost(instance, flows, p, mode) for p in result.flow.path_flow
+            )
+            label = (instance.name, instance.risk_model, mode)
+            assert abs(result.min_path_cost - best) <= 4 * math.ulp(best), label
+            deviation = max(0.0, worst - best)
+            assert abs(result.deviation - deviation) <= 4 * math.ulp(best), label
 
 
 def _parallel_instance(routes, gamma=1.0):
@@ -705,6 +734,13 @@ def test_flow_from_paths_validation():
         _flow(instance, {("a", "b"): 0.25}, RISK_NEUTRAL)
     with pytest.raises(ValueError):
         _flow(instance, {("a", "b"): 1.0}, "quantile")
+    with pytest.raises(ValueError):
+        _flow(instance, {("a", "b"): math.nan, ("c", "d"): 1.0}, RISK_NEUTRAL)
+    with pytest.raises(ValueError):
+        _flow(instance, {("a", "x"): 1.0}, RISK_NEUTRAL)
+    pigou = make("pigou", gamma=1.0, kappa=1.0)
+    with pytest.raises(ValueError):
+        _flow(pigou, {("e1", "e2"): 1.0}, RISK_NEUTRAL)
 
 
 def test_decompose_single_path():
