@@ -28,6 +28,7 @@ from .network import (
     Instance,
     Network,
     enumerate_simple_paths,
+    fold_series_parallel,
     is_braess_topology,
     path_latency,
     social_cost,
@@ -414,7 +415,7 @@ def braess_stdev_inequality_batch(
     return precondition, sp + sq - sr, sb + sc
 
 
-# --- shortest-path maximizer by branch-and-bound ------------------------------
+# --- shortest-path maximizer: series-parallel DP, else branch-and-bound ---------
 
 
 @dataclass(frozen=True)
@@ -513,37 +514,103 @@ def _dive(point: np.ndarray, ops: list, bound) -> float:
     return best
 
 
+def _parallel_merge(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M(j) = max over i <= j of min(first[i], second[j - i]) for every j up
+    to the common last index, and the first maximizing i for each j.
+
+    One (grid+1)-square pass: row j of a strided window over ``second``
+    reversed and padded with -inf holds second[j - i] at column i <= j."""
+    grid = len(first) - 1
+    reach = np.concatenate((second[::-1], np.full(grid, -math.inf)))
+    step = reach.itemsize
+    # window[j, i] = reach[grid - j + i]
+    window = np.ndarray((grid + 1, grid + 1), reach.dtype, reach, grid * step, (-step, step))
+    both = np.minimum(first, window)
+    split = both.argmax(axis=1)
+    return both[np.arange(grid + 1), split], split
+
+
+def _series_parallel_maximum(
+    network: Network, row: Mapping[str, int], lat: np.ndarray
+) -> tuple[dict[str, int], int] | None:
+    """Integer edge flows of value grid that maximize the shortest-path
+    latency, by a DP over the series-parallel reduction, with the number of
+    parallel merges; None when the network is not series-parallel.
+
+    ``lat`` holds each edge's latency (row ``row[edge id]``) at 0, 1, ...,
+    grid units. Every (tail, head) pair of :func:`fold_series_parallel`
+    carries M(j), the largest shortest-path latency its part reaches at j
+    units, and how to split them: an edge's M is its latency, a series
+    composition adds M1 + M2, and a parallel one takes M(j) = max over
+    i <= j of min(M1(i), M2(j - i)) (:func:`_parallel_merge`), keeping the
+    first maximizing i. Every integer flow splits over the parts this way,
+    so M(grid) is the lattice maximum. Backtracking the splits from
+    (source, sink) gives the flows.
+    """
+    if len(row) != len(network.edges):
+        return None  # an edge on no source-sink path
+    merges = 0
+
+    def parallel(first: tuple, second: tuple) -> tuple:
+        nonlocal merges
+        merges += 1
+        value, split = _parallel_merge(first[0], second[0])
+        return value, (first[1], second[1], split)
+
+    top = fold_series_parallel(
+        network,
+        lambda e: (lat[row[e.id]], e.id),
+        lambda first, second: (first[0] + second[0], (first[1], second[1], None)),
+        parallel,
+    )
+    if top is None:
+        return None
+    units: dict[str, int] = {}
+    stack = [(top[1], lat.shape[1] - 1)]
+    while stack:
+        part, j = stack.pop()
+        if isinstance(part, str):
+            units[part] = j
+            continue
+        first, second, split = part
+        if split is None:  # in series both parts carry all j units
+            stack += [(first, j), (second, j)]
+        else:
+            i = int(split[j])
+            stack += [(first, i), (second, j - i)]
+    return units, merges
+
+
 def max_shortest_path_oracle(
     instance: Instance,
     grid: int = DEFAULT_ORACLE_GRID,
     max_paths: int = DEFAULT_ORACLE_MAX_PATHS,
 ) -> OracleResult:
     """Maximize the shortest-path latency over the demand simplex, exactly
-    over the path-flow grid with d/grid steps, by branch-and-bound.
+    over the path-flow grid with d/grid steps.
 
     The shortest-path latency depends on the edge flows alone, and on an
     acyclic network integral flow decomposition maps that grid onto the
     integer s-t flows of value ``grid`` (times d/grid) on the edges of the
-    simple paths. The search runs over those flows instead, node by node in
-    topological order: each node's inflow is split over its out-edges in
-    edge-id order, earlier edges taking the smaller shares first. The
-    ``max_paths`` cap (PathCountError beyond it) bounds the lattice, whose
-    size still grows exponentially with the network.
+    simple paths. Both searches run over those flows. The ``max_paths`` cap
+    (PathCountError beyond it) applies to both.
 
-    Latencies are nondecreasing, so the shortest-path latency at per-edge
-    upper flows bounds every completion of a partial flow (:func:`_caps`).
-    When more than one split remains, the threshold is the best of the
-    single-path vertices and one dive (:func:`_dive`), fixed before the
-    search; a partial flow whose bound is below it by more than
-    ``_PRUNE_MARGIN`` is dropped. ``points`` counts the lattice points
-    evaluated; without pruning that is C(grid+k-1, k-1) for k parallel
-    paths, fewer wherever paths share edges.
+    A series-parallel network is solved exactly by a DP over its
+    series-parallel reduction (:func:`_series_parallel_maximum`), which
+    never prunes: each parallel merge weighs the C(grid+2, 2) pairs (i, j)
+    of i <= j units, and ``points`` counts those pairs over all merges.
+    Ties go to the first maximizing split of each merge, the least flow to
+    the part reduced first, so the maximizer may be another grid point than
+    the lattice's first, of the same value up to round-off.
 
-    The first maximizing flow in lattice order is returned as ``path_flow``,
-    decomposed onto the paths by :func:`decompose_edge_flow`
-    (lexicographically first paths first), so it is a grid point of the path
-    simplex. No maximizer is ever pruned, so this is the flow exhaustive
-    enumeration finds.
+    Any other network is searched by the lattice branch-and-bound
+    (:func:`_lattice_maximum`), where ``points`` counts the lattice points
+    evaluated.
+
+    The maximizing edge flow is returned as ``path_flow``, decomposed onto
+    the paths by :func:`decompose_edge_flow` (lexicographically first paths
+    first), so it is a grid point of the path simplex, and ``value`` is the
+    shortest-path latency there.
     """
     if grid < 1:
         raise ValueError(f"oracle grid must be a positive integer (got {grid})")
@@ -554,9 +621,7 @@ def max_shortest_path_oracle(
     on_path = set().union(*paths)
     if len(net.topo_order) != len(net.nodes):
         raise ValueError("the oracle needs an acyclic network")
-    # One row per path edge. In topological order a node's inflow is parked
-    # on its last out-edge, once every in-edge has its value, and split off
-    # from there to the other out-edges.
+    # one row per path edge
     row: dict[str, int] = {}
     polys = []
     for e in net.edges:
@@ -568,6 +633,62 @@ def max_shortest_path_oracle(
                 )
             row[e.id] = len(row)
             polys.append(e.latency.coeffs)
+    # latency coefficients by power, one row per edge; at least two powers,
+    # so that Horner's rule below can start from the linear term
+    degree = max(2, *map(len, polys))
+    coeffs = np.array([c + (0.0,) * (degree - len(c)) for c in polys]).T[:, :, None]
+    scale = instance.demand / grid
+    # every path edge's latency at 0, 1, ..., grid units, one row per edge
+    flows = np.arange(grid + 1) * scale
+    lat = coeffs[-1] * flows
+    lat += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        lat *= flows
+        lat += c
+    incidence = np.array([[eid in p for eid in row] for p in paths], dtype=float)
+
+    solved = _series_parallel_maximum(net, row, lat)
+    if solved is None:
+        value, best_flow, count = _lattice_maximum(net, row, lat, incidence)
+        edge_units = dict(zip(row, best_flow))
+    else:
+        edge_units, merges = solved
+        at = lat[np.arange(len(row)), [edge_units[eid] for eid in row]]
+        value = float((incidence @ at).min())
+        count = merges * math.comb(grid + 2, 2)
+    units = decompose_edge_flow(paths, edge_units)
+    flow = {p: amount * scale for p, amount in units.items()}
+    return OracleResult(value=value, path_flow=flow, grid=grid, points=count)
+
+
+def _lattice_maximum(
+    net: Network, row: Mapping[str, int], lat: np.ndarray, incidence: np.ndarray
+) -> tuple[float, list[int], int]:
+    """The largest shortest-path latency over the integer edge flows of
+    value grid by branch-and-bound, the first maximizing flow in lattice
+    order (one entry per row of ``row``) and the number of lattice points
+    evaluated. ``lat`` holds each edge's latency (row ``row[edge id]``) at
+    0, 1, ..., grid units, and ``incidence`` has one row per path.
+
+    The search runs node by node in topological order: each node's inflow
+    is split over its out-edges in edge-id order, earlier edges taking the
+    smaller shares first. Without pruning it evaluates C(grid+k-1, k-1)
+    points for k parallel paths, fewer wherever paths share edges; its size
+    grows exponentially with the network.
+
+    Latencies are nondecreasing, so the shortest-path latency at per-edge
+    upper flows bounds every completion of a partial flow (:func:`_caps`).
+    When more than one split remains, the threshold is the best of the
+    single-path vertices and one dive (:func:`_dive`), fixed before the
+    search; a partial flow whose bound is below it by more than
+    ``_PRUNE_MARGIN`` is dropped. No maximizer is ever pruned, so the
+    maximizer is the one exhaustive enumeration finds.
+    """
+    grid = lat.shape[1] - 1
+    edges = np.arange(len(row))[:, None]
+    # In topological order a node's inflow is parked on its last out-edge,
+    # once every in-edge has its value, and split off from there to the
+    # other out-edges.
     first = np.zeros((len(row), 1), dtype=np.int64)
     ops: list = []
     for v in net.topo_order:
@@ -582,23 +703,11 @@ def max_shortest_path_oracle(
             ops.append((rest, ins, None))
         for c in out:
             ops.append((rest, None, c))
-    # latency coefficients by power, one row per edge; at least two powers,
-    # so that Horner's rule below can start from the linear term
-    degree = max(2, *map(len, polys))
-    coeffs = np.array([c + (0.0,) * (degree - len(c)) for c in polys]).T[:, :, None]
-    incidence = np.array([[eid in p for eid in row] for p in paths], dtype=float)
-    scale = instance.demand / grid
 
     def shortest(block: np.ndarray) -> np.ndarray:
         """Shortest-path latency at each column's edge flows: the least
         summed edge latency over the paths."""
-        flows = block * scale
-        lat = coeffs[-1] * flows
-        lat += coeffs[-2]
-        for c in coeffs[-3::-1]:
-            lat *= flows
-            lat += c
-        return (incidence @ lat).min(axis=0)
+        return (incidence @ lat[edges, block]).min(axis=0)
 
     def bound(block: np.ndarray, start: int) -> np.ndarray:
         return shortest(_caps(block, ops, start, grid))
@@ -627,6 +736,4 @@ def max_shortest_path_oracle(
         if s_values[idx] > best_value:
             best_value = float(s_values[idx])
             best_flow = block[:, idx].tolist()
-    units = decompose_edge_flow(paths, dict(zip(row, best_flow)))
-    flow = {p: amount * scale for p, amount in units.items()}
-    return OracleResult(value=best_value, path_flow=flow, grid=grid, points=count)
+    return best_value, best_flow, count

@@ -435,7 +435,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.set_defaults(func=cmd_generate)
 
     p_oracle = sub.add_parser(
-        "oracle", help="maximize the shortest-path latency over the flow grid"
+        "oracle",
+        help="maximize the shortest-path latency over the flow grid",
+        description=(
+            "Maximize the shortest-path latency over the path-flow grid with"
+            " demand/grid steps and compare it with the risk-neutral equilibrium."
+            " A series-parallel network is solved exactly by a DP over its"
+            " series-parallel reduction, which never prunes; points counts the"
+            " C(grid+2, 2) pairs of each parallel merge, and the maximizer printed"
+            " is the first split of each merge, which may differ from the lattice's"
+            " first among equally maximal grid points. Any other network is"
+            " searched by a lattice branch-and-bound; points counts the lattice"
+            " points evaluated."
+        ),
     )
     p_oracle.add_argument("instance", help="instance JSON file")
     p_oracle.add_argument("--grid", type=int, default=DEFAULT_ORACLE_GRID)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
+import heapq
 import math
 
 RISK_MEAN_VAR = "mean-var"
@@ -330,38 +331,71 @@ def social_cost(network: Network, flows: Mapping[str, float]) -> float:
 
 # --- two-terminal series-parallel recognition ------------------------------
 
+T = TypeVar("T")
+
+
+def fold_series_parallel(
+    network: Network,
+    leaf: Callable[[Edge], T],
+    series: Callable[[T, T], T],
+    parallel: Callable[[T, T], T],
+) -> T | None:
+    """Fold the two-terminal series-parallel decomposition of the network
+    between its source and sink, or return None when it has none.
+
+    Works on (tail, head) pairs, each carrying a payload. Every edge, in
+    declaration order, brings ``leaf(edge)`` to its pair; an edge whose pair
+    already holds a payload p merges into it as ``parallel(p, leaf(edge))``.
+    Then series nodes are bypassed, the least node id first: an interior
+    node with one in-pair (u, node) and one out-pair (node, w), u != w, is
+    replaced by (u, w) carrying ``series(p_in, p_out)``, merged by
+    ``parallel`` after the payload of (u, w) when that pair exists. The
+    network is series-parallel exactly when this leaves the single pair
+    (source, sink); its payload is returned.
+    """
+    src, dst = network.source, network.sink
+    pairs: dict[tuple[str, str], T] = {}
+    into: dict[str, set[str]] = {}
+    out: dict[str, set[str]] = {}
+
+    def put(tail: str, head: str, payload: T) -> None:
+        key = (tail, head)
+        if key in pairs:
+            pairs[key] = parallel(pairs[key], payload)
+        else:
+            pairs[key] = payload
+            out.setdefault(tail, set()).add(head)
+            into.setdefault(head, set()).add(tail)
+
+    for e in network.edges:
+        put(e.tail, e.head, leaf(e))
+    # a heap of the nodes that may be series nodes: every interior node at
+    # first, then both ends of each bypass
+    waiting = sorted(into.keys() & out.keys() - {src, dst})
+    while waiting:
+        node = heapq.heappop(waiting)
+        ins, outs = into.get(node, ()), out.get(node, ())
+        if not len(ins) == len(outs) == 1 or ins == outs:
+            continue
+        (tail,), (head,) = ins, outs
+        del into[node], out[node]
+        out[tail].discard(node)
+        into[head].discard(node)
+        put(tail, head, series(pairs.pop((tail, node)), pairs.pop((node, head))))
+        for v in (tail, head):
+            if v != src and v != dst:
+                heapq.heappush(waiting, v)
+    return pairs[src, dst] if pairs.keys() == {(src, dst)} else None
+
 
 def is_series_parallel(network: Network) -> bool:
     """True when the network is two-terminal series-parallel between its
-    source and sink.
+    source and sink (:func:`fold_series_parallel`)."""
 
-    Works on the set of (tail, head) pairs, so parallel edges are one pair,
-    and repeatedly bypasses a series node: an interior node with one in-pair
-    (u, node) and one out-pair (node, w), u != w, replaced by (u, w). The
-    network is series-parallel exactly when this leaves the single pair
-    (source, sink).
-    """
-    src, dst = network.source, network.sink
-    pairs = {(e.tail, e.head) for e in network.edges}
-    while True:
-        into: dict[str, list[str]] = {}
-        out: dict[str, list[str]] = {}
-        for tail, head in pairs:
-            out.setdefault(tail, []).append(head)
-            into.setdefault(head, []).append(tail)
-        series = next(
-            (
-                (into[v][0], v, out[v][0])
-                for v in sorted(into.keys() & out.keys() - {src, dst})
-                if len(into[v]) == len(out[v]) == 1 and into[v][0] != out[v][0]
-            ),
-            None,
-        )
-        if series is None:
-            return pairs == {(src, dst)}
-        tail, node, head = series
-        pairs -= {(tail, node), (node, head)}
-        pairs.add((tail, head))
+    def payload(*_: object) -> bool:
+        return True
+
+    return fold_series_parallel(network, payload, payload, payload) is not None
 
 
 def is_braess_topology(network: Network) -> bool:

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -481,15 +482,23 @@ def test_sigma_batch_rejects_wrong_shape():
 # --- shortest-path maximizer ----------------------------------------------------------
 
 
+def _lattice_oracle(instance, grid, max_paths=DEFAULT_ORACLE_MAX_PATHS):
+    """The oracle by the lattice branch-and-bound alone: the public entry
+    with the series-parallel DP declined, as on a network that is not
+    series-parallel."""
+    with mock.patch.object(analysis, "_series_parallel_maximum", return_value=None):
+        return max_shortest_path_oracle(instance, grid=grid, max_paths=max_paths)
+
+
 def test_oracle_pigou():
     """max over the simplex of min(2 f1, 1) is 1, first attained at the even
-    split."""
+    split. Pigou is two parallel edges, so the DP makes one merge."""
     instance = make("pigou", kappa=1.0, gamma=1.0)
     result = max_shortest_path_oracle(instance, grid=100)
     assert result.value == pytest.approx(1.0, abs=1e-12)
     assert result.path_flow == {("e1",): 0.5, ("e2",): 0.5}
     assert result.grid == 100
-    assert result.points == 101
+    assert result.points == math.comb(102, 2)
 
 
 def test_oracle_zigzag_two_stages():
@@ -624,25 +633,106 @@ def test_oracle_matches_path_compositions_random_sp():
 
 def test_oracle_counts_integer_edge_flows():
     """random_sp seed 29 is three parallel edges in series with two, so 6
-    paths: C(102, 2) ways to split 100 units over the first three times 101
-    over the last two, against C(105, 5) path-flow grid points."""
+    paths: the lattice takes C(102, 2) ways to split 100 units over the
+    first three times 101 over the last two, against C(105, 5) path-flow
+    grid points. The DP makes three merges of C(102, 2) pairs each."""
     instance = suites.random_sp(29, max_budget=4, max_paths=6)
     assert len(enumerate_simple_paths(instance.network)) == 6
-    result = max_shortest_path_oracle(instance, grid=100)
+    result = _lattice_oracle(instance, grid=100)
     assert result.points == math.comb(102, 2) * 101 == 520_251
+    assert max_shortest_path_oracle(instance, grid=100).points == 3 * math.comb(102, 2)
+
+
+def _constant_latencies(instance):
+    edges = tuple(
+        dataclasses.replace(e, latency=CostPoly((1.0,))) for e in instance.network.edges
+    )
+    return dataclasses.replace(
+        instance, network=dataclasses.replace(instance.network, edges=edges)
+    )
 
 
 def test_oracle_ties_return_the_first_lattice_point():
     """With constant latencies every lattice point ties with the threshold,
     so none may be pruned, and the first one is returned: each node's whole
     inflow on its last out-edge."""
-    sp = suites.random_sp(29, max_budget=4, max_paths=6)
-    edges = tuple(dataclasses.replace(e, latency=CostPoly((1.0,))) for e in sp.network.edges)
-    instance = dataclasses.replace(sp, network=dataclasses.replace(sp.network, edges=edges))
-    result = max_shortest_path_oracle(instance, grid=20)
+    instance = _constant_latencies(suites.random_sp(29, max_budget=4, max_paths=6))
+    result = _lattice_oracle(instance, grid=20)
     assert result.value == 2.0
     assert result.path_flow == {("e04", "e03"): instance.demand}
     assert result.points == math.comb(22, 2) * 21
+
+
+def test_oracle_ties_return_the_first_split_of_each_merge():
+    """With constant latencies every split of every merge ties, and the DP
+    keeps the first: no flow to the part reduced first, so all of it on the
+    last declared edge of each parallel group."""
+    instance = _constant_latencies(suites.random_sp(29, max_budget=4, max_paths=6))
+    result = max_shortest_path_oracle(instance, grid=20)
+    assert result.value == 2.0
+    assert result.path_flow == {("e04", "e03"): instance.demand}
+
+
+def _nondecreasing(rng, grid):
+    """A nondecreasing array of grid + 1 values with plateaus and values
+    repeated across arrays: cumulative sums of small integers, many zero."""
+    steps = rng.choice([0, 0, 0, 1, 2], size=grid + 1)
+    return (steps.cumsum() * 0.5).astype(float)
+
+
+def test_parallel_merge_matches_double_loop():
+    """The strided merge gives the brute-force value and first argmax."""
+    rng = np.random.default_rng(18)
+    for grid in range(1, 121):
+        first, second = _nondecreasing(rng, grid), _nondecreasing(rng, grid)
+        value, split = analysis._parallel_merge(first, second)
+        for j in range(grid + 1):
+            best, arg = -math.inf, None
+            for i in range(j + 1):
+                v = min(first[i], second[j - i])
+                if v > best:
+                    best, arg = v, i
+            assert (value[j], split[j]) == (best, arg), (grid, j)
+
+
+def _check_dp_against_lattice(instance, grid):
+    dp = max_shortest_path_oracle(instance, grid=grid)
+    lattice = _lattice_oracle(instance, grid=grid)
+    assert abs(dp.value - lattice.value) <= 1e-12 * abs(lattice.value)
+    # the DP's maximizer is a grid point of the path simplex that attains it
+    step = instance.demand / grid
+    for amount in dp.path_flow.values():
+        assert abs(amount / step - round(amount / step)) <= 1e-9
+    assert math.fsum(dp.path_flow.values()) == pytest.approx(instance.demand, rel=1e-12)
+    flows = edge_flow(dp.path_flow, instance.network)
+    at = shortest_path_length(instance.network, flows)
+    assert abs(at - dp.value) <= 1e-12 * abs(dp.value)
+
+
+def test_series_parallel_dp_matches_the_lattice():
+    """Every oracle-suite seed 0-999 at grid 20, and at grid 100 the seeds
+    where the lattice prunes nothing (29, 219, 796) or prunes most (94)."""
+    for seed in range(1000):
+        instance = suites.random_sp(seed, max_budget=4, max_paths=6)
+        _check_dp_against_lattice(instance, grid=20)
+    for seed in (29, 94, 219, 796):
+        instance = suites.random_sp(seed, max_budget=4, max_paths=6)
+        _check_dp_against_lattice(instance, grid=100)
+
+
+def test_oracle_off_path_edge_goes_to_the_lattice():
+    """An edge on no source-sink path makes the network non-series-parallel;
+    the oracle ignores the edge and searches the lattice."""
+    edges = (
+        _edge("e1", "s", "t", (0.0, 2.0)),
+        _edge("e2", "s", "t", (1.0,)),
+        _edge("e3", "s", "u", (1.0,)),
+    )
+    net = Network(nodes=("s", "u", "t"), edges=edges, source="s", sink="t")
+    instance = Instance(network=net, demand=1.0, gamma=1.0, name="dead end")
+    result = max_shortest_path_oracle(instance, grid=10)
+    assert result.value == pytest.approx(1.0, abs=1e-12)
+    assert result.points == 11
 
 
 @pytest.mark.parametrize(
@@ -658,9 +748,9 @@ def test_oracle_blocks_do_not_change_the_result(monkeypatch, family, params, gri
     """Blocks smaller than one node's split (pigou: 101 amounts) and than
     one lattice level give the same points, maximum and maximizer."""
     instance = make(family, **params)
-    whole = max_shortest_path_oracle(instance, grid=grid, max_paths=10)
+    whole = _lattice_oracle(instance, grid=grid, max_paths=10)
     monkeypatch.setattr(analysis, "_BLOCK_POINTS", 7)
-    blocked = max_shortest_path_oracle(instance, grid=grid, max_paths=10)
+    blocked = _lattice_oracle(instance, grid=grid, max_paths=10)
     assert blocked.points == whole.points
     assert blocked.value == pytest.approx(whole.value, abs=1e-15)
     assert blocked.path_flow == whole.path_flow
