@@ -424,6 +424,7 @@ class OracleResult:
     path_flow: dict[tuple[str, ...], float]
     grid: int
     points: int
+    series_parallel: bool
 
 
 #: Most lattice points the search holds in one block, so the oracle's
@@ -537,18 +538,17 @@ def _series_parallel_maximum(
     latency, by a DP over the series-parallel reduction, with the number of
     parallel merges; None when the network is not series-parallel.
 
-    ``lat`` holds each edge's latency (row ``row[edge id]``) at 0, 1, ...,
-    grid units. Every (tail, head) pair of :func:`fold_series_parallel`
-    carries M(j), the largest shortest-path latency its part reaches at j
-    units, and how to split them: an edge's M is its latency, a series
-    composition adds M1 + M2, and a parallel one takes M(j) = max over
-    i <= j of min(M1(i), M2(j - i)) (:func:`_parallel_merge`), keeping the
-    first maximizing i. Every integer flow splits over the parts this way,
-    so M(grid) is the lattice maximum. Backtracking the splits from
+    ``lat`` holds every edge's latency (row ``row[edge id]``) at 0, 1, ...,
+    grid units; the fold fails when an edge lies on no source-sink path.
+    Every (tail, head) pair of :func:`fold_series_parallel` carries M(j),
+    the largest shortest-path latency its part reaches at j units, and how
+    to split them: an edge's M is its latency, a series composition adds
+    M1 + M2, and a parallel one takes M(j) = max over i <= j of
+    min(M1(i), M2(j - i)) (:func:`_parallel_merge`), keeping the first
+    maximizing i. Every integer flow splits over the parts this way, so
+    M(grid) is the lattice maximum. Backtracking the splits from
     (source, sink) gives the flows.
     """
-    if len(row) != len(network.edges):
-        return None  # an edge on no source-sink path
     merges = 0
 
     def parallel(first: tuple, second: tuple) -> tuple:
@@ -591,84 +591,73 @@ def max_shortest_path_oracle(
 
     The shortest-path latency depends on the edge flows alone, and on an
     acyclic network integral flow decomposition maps that grid onto the
-    integer s-t flows of value ``grid`` (times d/grid) on the edges of the
-    simple paths. Both searches run over those flows. The ``max_paths`` cap
-    (PathCountError beyond it) applies to both.
+    integer s-t flows of value ``grid`` (times d/grid); both searches run
+    over those. Every edge needs nonnegative finite latency coefficients.
 
     A series-parallel network is solved exactly by a DP over its
     series-parallel reduction (:func:`_series_parallel_maximum`), which
-    never prunes: each parallel merge weighs the C(grid+2, 2) pairs (i, j)
-    of i <= j units, and ``points`` counts those pairs over all merges.
-    Ties go to the first maximizing split of each merge, the least flow to
-    the part reduced first, so the maximizer may be another grid point than
-    the lattice's first, of the same value up to round-off.
+    enumerates no path and never prunes: each parallel merge weighs the
+    C(grid+2, 2) pairs (i, j) of i <= j units, and ``points`` counts those
+    pairs over all merges. Ties go to the first maximizing split of each
+    merge, the least flow to the part reduced first, so the maximizer may be
+    another grid point than the lattice's first, of the same value up to
+    round-off. ``value`` is the :func:`shortest_path` length at the
+    maximizer's latencies.
 
     Any other network is searched by the lattice branch-and-bound
-    (:func:`_lattice_maximum`), where ``points`` counts the lattice points
-    evaluated.
+    (:func:`_lattice_maximum`) over the edges of its at most ``max_paths``
+    simple paths (PathCountError beyond); ``points`` counts the lattice
+    points evaluated. ``series_parallel`` tells which search ran.
 
-    The maximizing edge flow is returned as ``path_flow``, decomposed onto
-    the paths by :func:`decompose_edge_flow` (lexicographically first paths
-    first), so it is a grid point of the path simplex, and ``value`` is the
-    shortest-path latency there.
+    The maximizing edge flow is decomposed onto the paths as ``path_flow``
+    by :func:`decompose_edge_flow`, so it is a grid point of the path simplex.
     """
     if grid < 1:
         raise ValueError(f"oracle grid must be a positive integer (got {grid})")
     net = instance.network
-    paths = enumerate_simple_paths(net, cap=max_paths)
-    if not paths:
-        raise ValueError("no source-sink path")
-    on_path = set().union(*paths)
-    if len(net.topo_order) != len(net.nodes):
-        raise ValueError("the oracle needs an acyclic network")
-    # one row per path edge
-    row: dict[str, int] = {}
-    polys = []
     for e in net.edges:
-        if e.id in on_path:
-            if not all(0.0 <= c < math.inf for c in e.latency.coeffs):
-                raise ValueError(
-                    f"the oracle needs nondecreasing latencies: edge {e.id!r} has"
-                    " a negative or non-finite latency coefficient"
-                )
-            row[e.id] = len(row)
-            polys.append(e.latency.coeffs)
+        if not all(0.0 <= c < math.inf for c in e.latency.coeffs):
+            raise ValueError(
+                f"the oracle needs nondecreasing latencies: edge {e.id!r} has"
+                " a negative or non-finite latency coefficient"
+            )
     # latency coefficients by power, one row per edge; at least two powers,
     # so that Horner's rule below can start from the linear term
-    degree = max(2, *map(len, polys))
-    coeffs = np.array([c + (0.0,) * (degree - len(c)) for c in polys]).T[:, :, None]
+    polys = [e.latency.coeffs for e in net.edges]
+    degree = max([2, *map(len, polys)])
+    coeffs = np.array([c + (0.0,) * (degree - len(c)) for c in polys]).reshape(-1, degree)
+    coeffs = coeffs.T[:, :, None]
     scale = instance.demand / grid
-    # every path edge's latency at 0, 1, ..., grid units, one row per edge
+    # every edge's latency at 0, 1, ..., grid units, one row per edge
     flows = np.arange(grid + 1) * scale
     lat = coeffs[-1] * flows
     lat += coeffs[-2]
     for c in coeffs[-3::-1]:
         lat *= flows
         lat += c
-    incidence = np.array([[eid in p for eid in row] for p in paths], dtype=float)
+    row = {e.id: i for i, e in enumerate(net.edges)}
 
     solved = _series_parallel_maximum(net, row, lat)
     if solved is None:
-        value, best_flow, count = _lattice_maximum(net, row, lat, incidence)
-        edge_units = dict(zip(row, best_flow))
+        value, edge_units, count = _lattice_maximum(net, row, lat, max_paths)
     else:
         edge_units, merges = solved
-        at = lat[np.arange(len(row)), [edge_units[eid] for eid in row]]
-        value = float((incidence @ at).min())
+        value = shortest_path(net, {e: lat[row[e], j].item() for e, j in edge_units.items()})[0]
         count = merges * math.comb(grid + 2, 2)
-    units = decompose_edge_flow(paths, edge_units)
+    units = decompose_edge_flow(net, edge_units)
     flow = {p: amount * scale for p, amount in units.items()}
-    return OracleResult(value=value, path_flow=flow, grid=grid, points=count)
+    return OracleResult(value, flow, grid, count, series_parallel=solved is not None)
 
 
 def _lattice_maximum(
-    net: Network, row: Mapping[str, int], lat: np.ndarray, incidence: np.ndarray
-) -> tuple[float, list[int], int]:
+    net: Network, row: Mapping[str, int], lat: np.ndarray, max_paths: int
+) -> tuple[float, dict[str, int], int]:
     """The largest shortest-path latency over the integer edge flows of
-    value grid by branch-and-bound, the first maximizing flow in lattice
-    order (one entry per row of ``row``) and the number of lattice points
-    evaluated. ``lat`` holds each edge's latency (row ``row[edge id]``) at
-    0, 1, ..., grid units, and ``incidence`` has one row per path.
+    value grid on the edges of the simple paths by branch-and-bound, the
+    first maximizing flow in lattice order (units per path edge) and the
+    number of lattice points evaluated. ``lat`` holds each edge's latency
+    (row ``row[edge id]``) at 0, 1, ..., grid units. The paths are
+    enumerated up to ``max_paths`` (PathCountError beyond).
 
     The search runs node by node in topological order: each node's inflow
     is split over its out-edges in edge-id order, earlier edges taking the
@@ -684,6 +673,16 @@ def _lattice_maximum(
     ``_PRUNE_MARGIN`` is dropped. No maximizer is ever pruned, so the
     maximizer is the one exhaustive enumeration finds.
     """
+    paths = enumerate_simple_paths(net, cap=max_paths)
+    if not paths:
+        raise ValueError("no source-sink path")
+    if len(net.topo_order) != len(net.nodes):
+        raise ValueError("the oracle needs an acyclic network")
+    on_path = set().union(*paths)
+    # one row per path edge
+    lat = lat[[i for eid, i in row.items() if eid in on_path]]
+    row = {eid: k for k, eid in enumerate(eid for eid in row if eid in on_path)}
+    incidence = np.array([[eid in p for eid in row] for p in paths], dtype=float)
     grid = lat.shape[1] - 1
     edges = np.arange(len(row))[:, None]
     # In topological order a node's inflow is parked on its last out-edge,
@@ -736,4 +735,4 @@ def _lattice_maximum(
         if s_values[idx] > best_value:
             best_value = float(s_values[idx])
             best_flow = block[:, idx].tolist()
-    return best_value, best_flow, count
+    return best_value, dict(zip(row, best_flow)), count

@@ -30,7 +30,6 @@ from .network import (
     RISK_MODELS,
     Instance,
     PathCountError,
-    is_series_parallel,
     social_cost,
     validate_instance,
 )
@@ -298,9 +297,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             EXIT_CONVERGENCE,
         )
     best = z.min_path_cost
-    series_parallel = is_series_parallel(instance.network)
     name = instance.name or args.instance
-    print(f"instance {name}  series-parallel {series_parallel}")
+    print(f"instance {name}  series-parallel {oracle.series_parallel}")
     print(
         f"oracle max shortest path {_num(oracle.value)}"
         f"  grid {oracle.grid}  points {oracle.points}"
@@ -310,7 +308,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for path in sorted(oracle.path_flow):
         print(f"  {_num(oracle.path_flow[path])}  {','.join(path)}")
     attained = suites.oracle_attained(oracle.value, best)
-    if series_parallel:
+    if oracle.series_parallel:
         print(
             "equilibrium attains the max within round-off:"
             f" {'PASS' if attained else 'FAIL'}"
@@ -441,12 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
             "Maximize the shortest-path latency over the path-flow grid with"
             " demand/grid steps and compare it with the risk-neutral equilibrium."
             " A series-parallel network is solved exactly by a DP over its"
-            " series-parallel reduction, which never prunes; points counts the"
-            " C(grid+2, 2) pairs of each parallel merge, and the maximizer printed"
-            " is the first split of each merge, which may differ from the lattice's"
-            " first among equally maximal grid points. Any other network is"
-            " searched by a lattice branch-and-bound; points counts the lattice"
-            " points evaluated."
+            " series-parallel reduction, which enumerates no path and never prunes;"
+            " points counts the C(grid+2, 2) pairs of each parallel merge, and the"
+            " maximizer printed is the first split of each merge, which may differ"
+            " from the lattice's first among equally maximal grid points. Any other"
+            " network is searched by a lattice branch-and-bound over its simple"
+            " paths, at most --max-paths of them; points counts the lattice points"
+            " evaluated."
         ),
     )
     p_oracle.add_argument("instance", help="instance JSON file")
@@ -473,6 +472,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BOUND
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -860,29 +860,31 @@ def solve_pair(
 
 
 def decompose_edge_flow(
-    paths: Sequence[tuple[str, ...]], flows: Mapping[str, float]
-) -> dict[tuple[str, ...], float]:
-    """Path decomposition of a conserved edge flow on an acyclic network.
+    network: Network, units: Mapping[str, int]
+) -> dict[tuple[str, ...], int]:
+    """Path decomposition of a conserved integer edge flow on an acyclic
+    network; an edge missing from ``units`` carries no flow.
 
-    ``paths`` must be every source->sink path in lexicographic edge-id
-    order. One greedy pass routes the bottleneck of each path in turn, which
-    is the lexicographically first path with flow left, since every path
-    passed keeps an edge at zero. So a conserved flow is used up; when an
-    edge is left with more than 1e-10 * max(1, d) either way (d the largest
-    edge flow), the flow was negative or not conserved and ConservationError
-    is raised. Integer flows decompose into integer amounts.
+    Each path walks from the source along the first out-edge (in edge-id
+    order) with flow left, which starts the lexicographically first path
+    with flow left since flow entering a node leaves it, and carries that
+    path's least flow. A walk stranded before the sink, or flow left over,
+    means the flow was negative or not conserved: ConservationError.
     """
-    residual = dict(flows)
-    scale = max([1.0, *residual.values()])
-    floor = SHIFT_FLOOR_REL * scale
-    out: dict[tuple[str, ...], float] = {}
-    for path in paths:
+    residual = dict(units)
+    out: dict[tuple[str, ...], int] = {}
+    while any(residual.get(e.id, 0) > 0 for e in network.out_edges[network.source]):
+        node, path = network.source, []
+        while node != network.sink:
+            left = [e for e in network.out_edges.get(node, ()) if residual.get(e.id, 0) > 0]
+            if not left:
+                raise ConservationError(f"flow into {node!r} does not reach the sink")
+            path.append(left[0].id)
+            node = left[0].head
         amount = min(map(residual.__getitem__, path))
-        if amount > floor:
-            out[path] = amount
-            for eid in path:
-                residual[eid] -= amount
-    leftover = max(map(abs, residual.values()), default=0.0)
-    if leftover > 1e-10 * scale:
-        raise ConservationError(f"decomposition left residual {leftover} on some edge")
+        for eid in path:
+            residual[eid] -= amount
+        out[tuple(path)] = amount
+    if any(residual.values()):
+        raise ConservationError("decomposition left flow on some edge")
     return out

@@ -39,6 +39,7 @@ from riskroute.network import (
     PathCountError,
     edge_flow,
     enumerate_simple_paths,
+    is_series_parallel,
     path_latency,
     path_risk,
 )
@@ -534,6 +535,56 @@ def test_oracle_verdict_catches_a_one_percent_error():
         ).value
         assert suites.oracle_attained(value, best), seed
         assert not suites.oracle_attained(value, 0.99 * best), seed
+
+
+@pytest.mark.parametrize(
+    "budget, seeds", [(200, range(10)), (1000, (4,))], ids=["budget200", "budget1000"]
+)
+def test_oracle_certifies_wide_series_parallel_supports(budget, seeds):
+    """random_sp draws with far more than DEFAULT_ORACLE_MAX_PATHS paths: the
+    DP needs none of them, and the equilibrium attains its maximum."""
+    for seed in seeds:
+        instance = make("random_sp", seed=seed, budget=budget)
+        result = max_shortest_path_oracle(instance, grid=DEFAULT_ORACLE_GRID)
+        assert result.series_parallel
+        z = solve_rnwe(instance)
+        assert suites.oracle_attained(result.value, z.min_path_cost), seed
+    with pytest.raises(PathCountError):
+        enumerate_simple_paths(instance.network, cap=DEFAULT_ORACLE_MAX_PATHS)
+
+
+def test_oracle_enumerates_no_path_on_series_parallel_input(monkeypatch):
+    """Only the lattice search of a network that is not series-parallel
+    enumerates paths; a series-parallel one ignores max_paths."""
+    instances = [make("pigou", kappa=1.0, gamma=1.0), make("random_sp", seed=8, budget=200)]
+    instances += [suites.random_sp(seed, max_budget=4, max_paths=6) for seed in range(50)]
+    expected = [max_shortest_path_oracle(i, grid=30) for i in instances]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_simple_paths called")
+
+    for module in (network, analysis, solvers):
+        if hasattr(module, "enumerate_simple_paths"):
+            monkeypatch.setattr(module, "enumerate_simple_paths", refuse)
+    for instance, before in zip(instances, expected):
+        assert max_shortest_path_oracle(instance, grid=30, max_paths=1) == before
+    with pytest.raises(AssertionError, match="enumerate_simple_paths called"):
+        max_shortest_path_oracle(make("zigzag", k=2), grid=10)
+
+
+def test_oracle_reports_which_search_ran():
+    """series_parallel is true exactly when the network is series-parallel."""
+    instances = [make("braess", v=0.1), make("pigou", kappa=1.0, gamma=1.0)]
+    instances += [make("zigzag", k=k) for k in (2, 3)]
+    instances += [suites.random_sp(seed, max_budget=4, max_paths=6) for seed in range(20)]
+    instances += [suites.random_general(seed) for seed in range(40)]
+    seen = set()
+    for instance in instances:
+        if len(enumerate_simple_paths(instance.network, cap=100)) <= 10:
+            result = max_shortest_path_oracle(instance, grid=10, max_paths=10)
+            assert result.series_parallel == is_series_parallel(instance.network)
+            seen.add(result.series_parallel)
+    assert seen == {True, False}
 
 
 def _composition_maximum(instance, grid):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import riskroute.analysis as analysis
 import riskroute.cli as cli
 from riskroute.analysis import pra_report
 from riskroute.cli import CSV_HEADER, main
@@ -505,6 +506,23 @@ def test_oracle_non_positive_grid_exits_2(tmp_path, capsys):
     instance = _write(tmp_path, "pigou.json", make("pigou", kappa=1.0, gamma=1.0))
     assert main(["oracle", instance, "--grid", "0"]) == 2
     assert "grid must be a positive integer" in capsys.readouterr().err
+
+
+def test_oracle_refused_allocation_exits_2(tmp_path, capsys, monkeypatch):
+    """A grid too big for memory ends with one error line, not a traceback.
+    The merge is patched to refuse, so nothing big is allocated."""
+
+    def refuse(first, second):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(analysis, "_parallel_merge", refuse)
+    instance = _write(tmp_path, "pigou.json", make("pigou", kappa=1.0, gamma=1.0))
+    assert main(["oracle", instance, "--grid", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Unable to allocate 7.28 TiB" in captured.err
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
 
 
 # --- parser ----------------------------------------------------------

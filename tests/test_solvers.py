@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import riskroute.analysis as analysis
 import riskroute.solvers as solvers
 from riskroute import suites
 from riskroute.alternating import CLASSIFY_EPS_REL
@@ -745,15 +746,14 @@ def test_flow_from_paths_validation():
 
 def test_decompose_single_path():
     net = make("braess", v=0.1).network
-    flows = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, "e": 1.0}
-    assert decompose_edge_flow(enumerate_simple_paths(net), flows) == {("a", "e", "d"): 1.0}
+    units = {"a": 1, "b": 0, "c": 0, "d": 1, "e": 1}
+    assert decompose_edge_flow(net, units) == {("a", "e", "d"): 1}
 
 
 def test_decompose_split_flow():
     net = make("braess", v=0.1).network
-    flows = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5, "e": 0.0}
-    out = decompose_edge_flow(enumerate_simple_paths(net), flows)
-    assert out == {("a", "b"): 0.5, ("c", "d"): 0.5}
+    units = {"a": 1, "b": 1, "c": 1, "d": 1, "e": 0}
+    assert decompose_edge_flow(net, units) == {("a", "b"): 1, ("c", "d"): 1}
 
 
 def test_decompose_single_edge():
@@ -763,29 +763,98 @@ def test_decompose_single_edge():
         source="s",
         sink="t",
     )
-    assert decompose_edge_flow(enumerate_simple_paths(net), {"e1": 1.0}) == {("e1",): 1.0}
+    assert decompose_edge_flow(net, {"e1": 1}) == {("e1",): 1}
 
 
 def test_decompose_rejects_unbalanced():
+    """u takes 1 unit in and sends 2 out: flow is left on e."""
     net = make("braess", v=0.1).network
-    flows = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, "e": 0.5}
-    with pytest.raises(ConservationError):
-        decompose_edge_flow(enumerate_simple_paths(net), flows)
+    units = {"a": 1, "b": 1, "c": 0, "d": 0, "e": 1}
+    with pytest.raises(ConservationError, match="left flow"):
+        decompose_edge_flow(net, units)
+
+
+def test_decompose_rejects_a_stranded_walk():
+    """The unit on a and e reaches w, which sends nothing on."""
+    net = make("braess", v=0.1).network
+    units = {"a": 1, "b": 0, "c": 0, "d": 0, "e": 1}
+    with pytest.raises(ConservationError, match="'w' does not reach the sink"):
+        decompose_edge_flow(net, units)
+
+
+def _integer_edge_flow(paths, units):
+    """Edge units of the given units per path."""
+    out = {}
+    for path, amount in zip(paths, units):
+        for eid in path:
+            out[eid] = out.get(eid, 0) + amount
+    return out
 
 
 @settings(deadline=None, max_examples=20)
 @given(seeds)
 def test_decompose_round_trips_equilibrium_flows(seed):
+    """An equilibrium's path flows in units of d/1000 decompose into path
+    units that give back the same edge units."""
     instance = make("random_general", seed=seed, n=7, m=11)
     flow = solve_rnwe(instance).flow
-    rebuilt = decompose_edge_flow(
-        enumerate_simple_paths(instance.network), flow.edge_flow
-    )
-    total = math.fsum(rebuilt.values())
-    assert total == pytest.approx(instance.demand, abs=1e-9)
-    back = Flow.from_paths(instance, rebuilt, RISK_NEUTRAL)
-    for eid, f in flow.edge_flow.items():
-        assert back.edge_flow[eid] == pytest.approx(f, abs=1e-9)
+    units = {p: round(1000 * f / instance.demand) for p, f in flow.path_flow.items()}
+    paths = [p for p in units if units[p] > 0]
+    units = [units[p] for p in paths]
+    edges = _integer_edge_flow(paths, units)
+    rebuilt = decompose_edge_flow(instance.network, edges)
+    assert sum(rebuilt.values()) == sum(units)
+    assert _integer_edge_flow(list(rebuilt), list(rebuilt.values())) == edges
+
+
+def _greedy_decompose(paths, units):
+    """The path-list greedy the walk replaced: route the bottleneck of each
+    path in lexicographic edge-id order."""
+    residual = dict(units)
+    out = {}
+    for path in paths:
+        amount = min(map(residual.__getitem__, path))
+        if amount > 0:
+            out[path] = amount
+            for eid in path:
+                residual[eid] -= amount
+    assert not any(residual.values())
+    return out
+
+
+def test_decompose_matches_the_path_list_greedy():
+    """Seeded integer path flows over zigzag k = 2..5 and random_general
+    seeds 0-199 decompose into the paths and amounts, in the same order,
+    that the greedy over the enumerated paths gives."""
+    rng = random.Random(19)
+    networks = [make("zigzag", k=k).network for k in (2, 3, 4, 5)]
+    networks += [suites.random_general(seed).network for seed in range(200)]
+    for net in networks:
+        paths = enumerate_simple_paths(net)
+        for _ in range(5):
+            units = [rng.choice((0, 0, 1, 2, 7, 30)) for _ in paths]
+            edges = {e.id: 0 for e in net.edges} | _integer_edge_flow(paths, units)
+            walked = decompose_edge_flow(net, edges)
+            assert list(walked.items()) == list(_greedy_decompose(paths, edges).items())
+
+
+def test_decompose_matches_the_path_list_greedy_on_oracle_maximizers(monkeypatch):
+    """The oracle's maximizing edge flow on every oracle-suite seed 0-999 at
+    its default grid decomposes as the greedy over the enumerated paths."""
+    seen = []
+
+    def both(network, units):
+        paths = enumerate_simple_paths(network)
+        walked = decompose_edge_flow(network, units)
+        assert list(walked.items()) == list(_greedy_decompose(paths, units).items())
+        seen.append(walked)
+        return walked
+
+    monkeypatch.setattr(analysis, "decompose_edge_flow", both)
+    for seed in range(1000):
+        instance = suites.random_sp(seed, max_budget=4, max_paths=6)
+        analysis.max_shortest_path_oracle(instance)
+    assert len(seen) == 1000
 
 
 def test_deterministic_resolves():
