@@ -25,6 +25,8 @@ from .alternating import (
 from .network import (
     RISK_MEAN_STDEV,
     RISK_MEAN_VAR,
+    CostPoly,
+    Edge,
     Instance,
     Network,
     enumerate_simple_paths,
@@ -415,7 +417,7 @@ def braess_stdev_inequality_batch(
     return precondition, sp + sq - sr, sb + sc
 
 
-# --- shortest-path maximizer: series-parallel DP, else branch-and-bound ---------
+# --- shortest-path maximizer: series-parallel fold, branch-and-bound on the rest --
 
 
 @dataclass(frozen=True)
@@ -531,56 +533,6 @@ def _parallel_merge(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, 
     return both[np.arange(grid + 1), split], split
 
 
-def _series_parallel_maximum(
-    network: Network, row: Mapping[str, int], lat: np.ndarray
-) -> tuple[dict[str, int], int] | None:
-    """Integer edge flows of value grid that maximize the shortest-path
-    latency, by a DP over the series-parallel reduction, with the number of
-    parallel merges; None when the network is not series-parallel.
-
-    ``lat`` holds every edge's latency (row ``row[edge id]``) at 0, 1, ...,
-    grid units; the fold fails when an edge lies on no source-sink path.
-    Every (tail, head) pair of :func:`fold_series_parallel` carries M(j),
-    the largest shortest-path latency its part reaches at j units, and how
-    to split them: an edge's M is its latency, a series composition adds
-    M1 + M2, and a parallel one takes M(j) = max over i <= j of
-    min(M1(i), M2(j - i)) (:func:`_parallel_merge`), keeping the first
-    maximizing i. Every integer flow splits over the parts this way, so
-    M(grid) is the lattice maximum. Backtracking the splits from
-    (source, sink) gives the flows.
-    """
-    merges = 0
-
-    def parallel(first: tuple, second: tuple) -> tuple:
-        nonlocal merges
-        merges += 1
-        value, split = _parallel_merge(first[0], second[0])
-        return value, (first[1], second[1], split)
-
-    top = fold_series_parallel(
-        network,
-        lambda e: (lat[row[e.id]], e.id),
-        lambda first, second: (first[0] + second[0], (first[1], second[1], None)),
-        parallel,
-    )
-    if top is None:
-        return None
-    units: dict[str, int] = {}
-    stack = [(top[1], lat.shape[1] - 1)]
-    while stack:
-        part, j = stack.pop()
-        if isinstance(part, str):
-            units[part] = j
-            continue
-        first, second, split = part
-        if split is None:  # in series both parts carry all j units
-            stack += [(first, j), (second, j)]
-        else:
-            i = int(split[j])
-            stack += [(first, i), (second, j - i)]
-    return units, merges
-
-
 def max_shortest_path_oracle(
     instance: Instance,
     grid: int = DEFAULT_ORACLE_GRID,
@@ -591,29 +543,35 @@ def max_shortest_path_oracle(
 
     The shortest-path latency depends on the edge flows alone, and on an
     acyclic network integral flow decomposition maps that grid onto the
-    integer s-t flows of value ``grid`` (times d/grid); both searches run
-    over those. Every edge needs nonnegative finite latency coefficients.
+    integer s-t flows of value ``grid`` (times d/grid); the search runs over
+    those. Every edge needs nonnegative finite latency coefficients.
 
-    A series-parallel network is solved exactly by a DP over its
-    series-parallel reduction (:func:`_series_parallel_maximum`), which
-    enumerates no path and never prunes: each parallel merge weighs the
-    C(grid+2, 2) pairs (i, j) of i <= j units, and ``points`` counts those
-    pairs over all merges. Ties go to the first maximizing split of each
-    merge, the least flow to the part reduced first, so the maximizer may be
-    another grid point than the lattice's first, of the same value up to
-    round-off. ``value`` is the :func:`shortest_path` length at the
-    maximizer's latencies.
+    :func:`fold_series_parallel` folds the series and parallel parts, each
+    (tail, head) pair carrying M(j), the largest shortest-path latency its
+    part reaches at j units, and how to split them: an edge's M is its
+    latency, a series composition adds M1 + M2, and a parallel one takes
+    M(j) = max over i <= j of min(M1(i), M2(j - i)) (:func:`_parallel_merge`),
+    keeping the first maximizing i. Every integer flow splits over the parts
+    this way, and every M is nondecreasing. A series-parallel network
+    (``series_parallel``) folds to the one pair (source, sink), whose
+    M(grid) is the maximum. Otherwise the lattice branch-and-bound
+    (:func:`_lattice_maximum`) runs on the core left: one edge per pair,
+    named by the first edge its fold took in, with the pair's M as its
+    latency row and the network's nodes in their order; where nothing
+    folds, as on Braess, the core is the network. Only the core's simple
+    paths are enumerated, at most ``max_paths`` (PathCountError beyond).
 
-    Any other network is searched by the lattice branch-and-bound
-    (:func:`_lattice_maximum`) over the edges of its at most ``max_paths``
-    simple paths (PathCountError beyond); ``points`` counts the lattice
-    points evaluated. ``series_parallel`` tells which search ran.
-
-    The maximizing edge flow is decomposed onto the paths as ``path_flow``
-    by :func:`decompose_edge_flow`, so it is a grid point of the path simplex.
+    Backtracking the splits from each pair's units gives the maximizing edge
+    flow: the first lattice point of the core, and the first maximizing
+    split of each merge. ``value`` is the :func:`shortest_path` length at
+    its latencies. ``points`` counts the C(grid+2, 2) pairs (i, j) of i <= j
+    units each parallel merge weighs, plus the core lattice points evaluated.
+    :func:`decompose_edge_flow` puts the edge flow on paths as ``path_flow``.
     """
     if grid < 1:
         raise ValueError(f"oracle grid must be a positive integer (got {grid})")
+    if max_paths < 1:
+        raise ValueError(f"oracle max_paths must be a positive integer (got {max_paths})")
     net = instance.network
     for e in net.edges:
         if not all(0.0 <= c < math.inf for c in e.latency.coeffs):
@@ -637,16 +595,55 @@ def max_shortest_path_oracle(
         lat += c
     row = {e.id: i for i, e in enumerate(net.edges)}
 
-    solved = _series_parallel_maximum(net, row, lat)
-    if solved is None:
-        value, edge_units, count = _lattice_maximum(net, row, lat, max_paths)
+    # a part is an edge id or (first, second, split), split None in series
+    merges = 0
+
+    def parallel(first: tuple, second: tuple) -> tuple:
+        nonlocal merges
+        merges += 1
+        value, split = _parallel_merge(first[0], second[0])
+        return value, (first[1], second[1], split)
+
+    pairs = fold_series_parallel(
+        net,
+        lambda e: (lat[row[e.id]], e.id),
+        lambda first, second: (first[0] + second[0], (first[1], second[1], None)),
+        parallel,
+    )
+    series_parallel = pairs.keys() == {(net.source, net.sink)}
+    if series_parallel:
+        count, stack = 0, [(pairs[net.source, net.sink][1], grid)]
     else:
-        edge_units, merges = solved
-        value = shortest_path(net, {e: lat[row[e], j].item() for e, j in edge_units.items()})[0]
-        count = merges * math.comb(grid + 2, 2)
+        names = []
+        for _, part in pairs.values():
+            while not isinstance(part, str):
+                part = part[0]
+            names.append(part)
+        # the core's latency rows are the pairs' M, so its polynomials go unused
+        edges = tuple(Edge(n, *pair, CostPoly(()), CostPoly(())) for n, pair in zip(names, pairs))
+        core = Network(net.nodes, edges, net.source, net.sink)
+        core_lat = np.array([m for m, _ in pairs.values()])
+        _, core_units, count = _lattice_maximum(
+            core, {n: i for i, n in enumerate(names)}, core_lat, max_paths
+        )
+        stack = [(part, core_units.get(n, 0)) for n, (_, part) in zip(names, pairs.values())]
+    edge_units: dict[str, int] = {}
+    while stack:
+        part, j = stack.pop()
+        if isinstance(part, str):
+            edge_units[part] = j
+            continue
+        first, second, split = part
+        if split is None:  # in series both parts carry all j units
+            stack += [(first, j), (second, j)]
+        else:
+            i = int(split[j])
+            stack += [(first, i), (second, j - i)]
+    value = shortest_path(net, {e: lat[row[e], j].item() for e, j in edge_units.items()})[0]
+    count += merges * math.comb(grid + 2, 2)
     units = decompose_edge_flow(net, edge_units)
     flow = {p: amount * scale for p, amount in units.items()}
-    return OracleResult(value, flow, grid, count, series_parallel=solved is not None)
+    return OracleResult(value, flow, grid, count, series_parallel)
 
 
 def _lattice_maximum(

@@ -438,19 +438,20 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Maximize the shortest-path latency over the path-flow grid with"
             " demand/grid steps and compare it with the risk-neutral equilibrium."
-            " A series-parallel network is solved exactly by a DP over its"
-            " series-parallel reduction, which enumerates no path and never prunes;"
-            " points counts the C(grid+2, 2) pairs of each parallel merge, and the"
-            " maximizer printed is the first split of each merge, which may differ"
-            " from the lattice's first among equally maximal grid points. Any other"
-            " network is searched by a lattice branch-and-bound over its simple"
-            " paths, at most --max-paths of them; points counts the lattice points"
-            " evaluated."
+            " A DP folds the series and parallel parts; a lattice branch-and-bound"
+            " searches the core left, if any (the whole network where nothing folds)."
+            " points counts the C(grid+2, 2) pairs of each parallel merge plus the"
+            " core lattice points evaluated."
         ),
     )
     p_oracle.add_argument("instance", help="instance JSON file")
     p_oracle.add_argument("--grid", type=int, default=DEFAULT_ORACLE_GRID)
-    p_oracle.add_argument("--max-paths", type=int, default=DEFAULT_ORACLE_MAX_PATHS)
+    p_oracle.add_argument(
+        "--max-paths",
+        type=int,
+        default=DEFAULT_ORACLE_MAX_PATHS,
+        help="most simple paths the core may have (default %(default)s)",
+    )
     _add_solver_flags(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -339,19 +339,20 @@ def fold_series_parallel(
     leaf: Callable[[Edge], T],
     series: Callable[[T, T], T],
     parallel: Callable[[T, T], T],
-) -> T | None:
-    """Fold the two-terminal series-parallel decomposition of the network
-    between its source and sink, or return None when it has none.
+) -> dict[tuple[str, str], T]:
+    """Fold the series and parallel parts of the network and return the
+    (tail, head) pairs left, each with its payload.
 
-    Works on (tail, head) pairs, each carrying a payload. Every edge, in
-    declaration order, brings ``leaf(edge)`` to its pair; an edge whose pair
-    already holds a payload p merges into it as ``parallel(p, leaf(edge))``.
-    Then series nodes are bypassed, the least node id first: an interior
-    node with one in-pair (u, node) and one out-pair (node, w), u != w, is
-    replaced by (u, w) carrying ``series(p_in, p_out)``, merged by
-    ``parallel`` after the payload of (u, w) when that pair exists. The
-    network is series-parallel exactly when this leaves the single pair
-    (source, sink); its payload is returned.
+    Every edge, in declaration order, brings ``leaf(edge)`` to its pair; an
+    edge whose pair already holds a payload p merges into it as
+    ``parallel(p, leaf(edge))``. Then series nodes are bypassed, the least
+    node id first: an interior node with one in-pair (u, node) and one
+    out-pair (node, w), u != w, is replaced by (u, w) carrying
+    ``series(p_in, p_out)``, merged by ``parallel`` after the payload of
+    (u, w) when that pair exists. The network is two-terminal
+    series-parallel between its source and sink exactly when this leaves
+    the single pair (source, sink). Pairs come out in the order they were
+    first made: the edges' pairs in declaration order, then the bypasses'.
     """
     src, dst = network.source, network.sink
     pairs: dict[tuple[str, str], T] = {}
@@ -385,17 +386,18 @@ def fold_series_parallel(
         for v in (tail, head):
             if v != src and v != dst:
                 heapq.heappush(waiting, v)
-    return pairs[src, dst] if pairs.keys() == {(src, dst)} else None
+    return pairs
 
 
 def is_series_parallel(network: Network) -> bool:
     """True when the network is two-terminal series-parallel between its
-    source and sink (:func:`fold_series_parallel`)."""
+    source and sink: :func:`fold_series_parallel` leaves only that pair."""
 
     def payload(*_: object) -> bool:
         return True
 
-    return fold_series_parallel(network, payload, payload, payload) is not None
+    pairs = fold_series_parallel(network, payload, payload, payload)
+    return pairs.keys() == {(network.source, network.sink)}
 
 
 def is_braess_topology(network: Network) -> bool:

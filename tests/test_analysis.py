@@ -5,7 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
-from unittest import mock
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -484,11 +484,17 @@ def test_sigma_batch_rejects_wrong_shape():
 
 
 def _lattice_oracle(instance, grid, max_paths=DEFAULT_ORACLE_MAX_PATHS):
-    """The oracle by the lattice branch-and-bound alone: the public entry
-    with the series-parallel DP declined, as on a network that is not
-    series-parallel."""
-    with mock.patch.object(analysis, "_series_parallel_maximum", return_value=None):
-        return max_shortest_path_oracle(instance, grid=grid, max_paths=max_paths)
+    """The lattice branch-and-bound on the raw network, nothing folded: the
+    reference for the oracle's fold. Its value is the lattice's own minimum
+    of path sums; the maximizer is decomposed as the oracle decomposes its."""
+    net = instance.network
+    step = instance.demand / grid
+    flows = np.arange(grid + 1) * step
+    lat = np.array([np.polynomial.polynomial.polyval(flows, e.latency.coeffs) for e in net.edges])
+    row = {e.id: i for i, e in enumerate(net.edges)}
+    value, units, points = analysis._lattice_maximum(net, row, lat, max_paths)
+    path_flow = {p: n * step for p, n in solvers.decompose_edge_flow(net, units).items()}
+    return SimpleNamespace(value=value, path_flow=path_flow, points=points)
 
 
 def test_oracle_pigou():
@@ -746,18 +752,21 @@ def test_parallel_merge_matches_double_loop():
             assert (value[j], split[j]) == (best, arg), (grid, j)
 
 
-def _check_dp_against_lattice(instance, grid):
-    dp = max_shortest_path_oracle(instance, grid=grid)
-    lattice = _lattice_oracle(instance, grid=grid)
-    assert abs(dp.value - lattice.value) <= 1e-12 * abs(lattice.value)
-    # the DP's maximizer is a grid point of the path simplex that attains it
+def _check_fold_against_lattice(
+    instance, grid, max_paths=DEFAULT_ORACLE_MAX_PATHS, lattice_paths=DEFAULT_ORACLE_MAX_PATHS
+):
+    folded = max_shortest_path_oracle(instance, grid=grid, max_paths=max_paths)
+    lattice = _lattice_oracle(instance, grid=grid, max_paths=lattice_paths)
+    assert abs(folded.value - lattice.value) <= 1e-12 * abs(lattice.value)
+    # the maximizer is a grid point of the path simplex that attains the value
     step = instance.demand / grid
-    for amount in dp.path_flow.values():
+    for amount in folded.path_flow.values():
         assert abs(amount / step - round(amount / step)) <= 1e-9
-    assert math.fsum(dp.path_flow.values()) == pytest.approx(instance.demand, rel=1e-12)
-    flows = edge_flow(dp.path_flow, instance.network)
+    assert math.fsum(folded.path_flow.values()) == pytest.approx(instance.demand, rel=1e-12)
+    flows = edge_flow(folded.path_flow, instance.network)
     at = shortest_path_length(instance.network, flows)
-    assert abs(at - dp.value) <= 1e-12 * abs(dp.value)
+    assert abs(at - folded.value) <= 1e-12 * abs(folded.value)
+    return folded, lattice
 
 
 def test_series_parallel_dp_matches_the_lattice():
@@ -765,15 +774,62 @@ def test_series_parallel_dp_matches_the_lattice():
     where the lattice prunes nothing (29, 219, 796) or prunes most (94)."""
     for seed in range(1000):
         instance = suites.random_sp(seed, max_budget=4, max_paths=6)
-        _check_dp_against_lattice(instance, grid=20)
+        _check_fold_against_lattice(instance, grid=20)
     for seed in (29, 94, 219, 796):
         instance = suites.random_sp(seed, max_budget=4, max_paths=6)
-        _check_dp_against_lattice(instance, grid=100)
+        _check_fold_against_lattice(instance, grid=100)
+
+
+def test_folded_oracle_matches_the_raw_lattice_off_series_parallel():
+    """Bound-chain draws that are not series-parallel and fit the path cap:
+    folding their series-parallel parts first keeps the raw lattice's
+    maximum within round-off, and the shortest path at the maximizer is the
+    value. Most draws fold some part, which changes the points counted."""
+    checked = folded = 0
+    for seed in range(300):
+        instance = suites.random_general(seed)
+        if is_series_parallel(instance.network):
+            continue
+        try:
+            result, lattice = _check_fold_against_lattice(instance, grid=80)
+        except PathCountError:
+            continue
+        checked += 1
+        folded += result.points != lattice.points
+    assert checked >= 100 and folded >= 90
+
+
+def _twin_braess():
+    """Braess with a parallel twin on every edge, of slope 0.3 more: 16
+    simple paths, and the three of Braess once the twins fold."""
+    instance = make("braess", v=0.1)
+    net = instance.network
+    twins = tuple(
+        Edge(e.id + "2", e.tail, e.head, e.latency.scaled_plus(CostPoly.of(0.0, 0.3), 1.0), e.risk)
+        for e in net.edges
+    )
+    net = dataclasses.replace(net, edges=net.edges + twins)
+    return dataclasses.replace(instance, network=net, name="twin-braess")
+
+
+def test_oracle_certifies_a_core_within_the_path_cap():
+    """The cap counts the core's paths: twin Braess, beyond max_paths=3 by
+    its own 16 paths, is searched on its 3-path core and matches the raw
+    lattice run with a cap of 16."""
+    instance = _twin_braess()
+    assert len(enumerate_simple_paths(instance.network, cap=100)) == 16
+    folded, lattice = _check_fold_against_lattice(instance, grid=20, max_paths=3, lattice_paths=16)
+    assert not folded.series_parallel
+    assert folded.points == 5 * math.comb(22, 2) + 21
+    assert lattice.points > folded.points
+    with pytest.raises(PathCountError, match="more than 2 simple paths"):
+        max_shortest_path_oracle(instance, grid=20, max_paths=2)
 
 
 def test_oracle_off_path_edge_goes_to_the_lattice():
-    """An edge on no source-sink path makes the network non-series-parallel;
-    the oracle ignores the edge and searches the lattice."""
+    """An edge on no source-sink path makes the network non-series-parallel.
+    The two s-t edges fold into one pair, C(12, 2) merge pairs; the core
+    lattice ignores the dead end and evaluates its one point."""
     edges = (
         _edge("e1", "s", "t", (0.0, 2.0)),
         _edge("e2", "s", "t", (1.0,)),
@@ -783,7 +839,8 @@ def test_oracle_off_path_edge_goes_to_the_lattice():
     instance = Instance(network=net, demand=1.0, gamma=1.0, name="dead end")
     result = max_shortest_path_oracle(instance, grid=10)
     assert result.value == pytest.approx(1.0, abs=1e-12)
-    assert result.points == 11
+    assert not result.series_parallel
+    assert result.points == math.comb(12, 2) + 1
 
 
 @pytest.mark.parametrize(
@@ -808,8 +865,12 @@ def test_oracle_blocks_do_not_change_the_result(monkeypatch, family, params, gri
 
 
 def test_oracle_rejects_bad_input():
-    with pytest.raises(ValueError, match="positive integer"):
-        max_shortest_path_oracle(make("pigou", kappa=1.0, gamma=1.0), grid=0)
+    pigou = make("pigou", kappa=1.0, gamma=1.0)
+    with pytest.raises(ValueError, match="grid must be a positive integer"):
+        max_shortest_path_oracle(pigou, grid=0)
+    for max_paths in (0, -1):
+        with pytest.raises(ValueError, match="max_paths must be a positive integer"):
+            max_shortest_path_oracle(pigou, max_paths=max_paths)
     # a and b reach each other, so the path edges hold a cycle
     edges = [
         _edge("sa", "s", "a", (1.0,)),

@@ -508,6 +508,18 @@ def test_oracle_non_positive_grid_exits_2(tmp_path, capsys):
     assert "grid must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "family, params, value",
+    [("braess", dict(v=0.1), "-1"), ("pigou", dict(kappa=1.0, gamma=1.0), "0")],
+)
+def test_oracle_non_positive_max_paths_exits_2(tmp_path, capsys, family, params, value):
+    """Refused on every network, series-parallel ones too, with one line."""
+    instance = _write(tmp_path, "instance.json", make(family, **params))
+    assert main(["oracle", instance, "--max-paths", value]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: oracle max_paths must be a positive integer (got {value})\n"
+
+
 def test_oracle_refused_allocation_exits_2(tmp_path, capsys, monkeypatch):
     """A grid too big for memory ends with one error line, not a traceback.
     The merge is patched to refuse, so nothing big is allocated."""

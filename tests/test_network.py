@@ -14,6 +14,7 @@ from riskroute.network import (
     PathCountError,
     edge_flow,
     enumerate_simple_paths,
+    fold_series_parallel,
     is_braess_topology,
     is_series_parallel,
     path_cost,
@@ -256,6 +257,28 @@ def test_dead_end_or_cycle_is_not_series_parallel():
     # bypassing w would leave a self-loop on u, which never reduces
     cycle = _net([_edge("e1", "s", "t"), _edge("e2", "u", "w"), _edge("e3", "w", "u")])
     assert not is_series_parallel(cycle)
+
+
+def test_fold_returns_the_pairs_left():
+    """Zigzag k=2 folds its two series nodes u01 and w02 and leaves a Braess
+    core of five pairs, in the order they were first made; each payload
+    lists its edges in fold order. Pigou folds to the pair (s, t)."""
+
+    def fold(instance):
+        return fold_series_parallel(instance.network, lambda e: (e.id,), join, join)
+
+    def join(first, second):
+        return first + second
+
+    pairs = fold(make("zigzag", k=2))
+    assert list(pairs.items()) == [
+        (("w01", "t"), ("t01",)),
+        (("s", "u02"), ("s02",)),
+        (("w01", "u02"), ("c01",)),
+        (("s", "w01"), ("s01", "m01")),
+        (("u02", "t"), ("m02", "t02")),
+    ]
+    assert fold(make("pigou", gamma=1.0, kappa=1.0)) == {("s", "t"): ("e1", "e2")}
 
 
 def test_is_braess_topology():
