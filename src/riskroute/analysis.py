@@ -521,16 +521,15 @@ def _parallel_merge(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, 
     """M(j) = max over i <= j of min(first[i], second[j - i]) for every j up
     to the common last index, and the first maximizing i for each j.
 
-    One (grid+1)-square pass: row j of a strided window over ``second``
-    reversed and padded with -inf holds second[j - i] at column i <= j."""
-    grid = len(first) - 1
-    reach = np.concatenate((second[::-1], np.full(grid, -math.inf)))
-    step = reach.itemsize
-    # window[j, i] = reach[grid - j + i]
-    window = np.ndarray((grid + 1, grid + 1), reach.dtype, reach, grid * step, (-step, step))
-    both = np.minimum(first, window)
-    split = both.argmax(axis=1)
-    return both[np.arange(grid + 1), split], split
+    Both arrays are nondecreasing, so a value v is reachable at j units iff
+    A(v) + B(v) <= j, where A(v) and B(v) are the first indices at which
+    ``first`` and ``second`` reach v. M(j) is the largest of their values
+    reachable at j, and A(M(j)) its first maximizing i: O(grid) memory."""
+    values = np.sort(np.concatenate((first, second)))
+    reach = first.searchsorted(values)
+    need = reach + second.searchsorted(values)
+    k = need.searchsorted(np.arange(len(first)), "right") - 1
+    return values[k], reach[k]
 
 
 def max_shortest_path_oracle(
@@ -550,9 +549,11 @@ def max_shortest_path_oracle(
     (tail, head) pair carrying M(j), the largest shortest-path latency its
     part reaches at j units, and how to split them: an edge's M is its
     latency, a series composition adds M1 + M2, and a parallel one takes
-    M(j) = max over i <= j of min(M1(i), M2(j - i)) (:func:`_parallel_merge`),
-    keeping the first maximizing i. Every integer flow splits over the parts
-    this way, and every M is nondecreasing. A series-parallel network
+    M(j) = max over i <= j of min(M1(i), M2(j - i)), keeping the first
+    maximizing i. Every integer flow splits over the parts this way, and
+    every M is nondecreasing, so M(j) is the largest value v with
+    A(v) + B(v) <= j, A and B the first indices at which M1 and M2 reach v
+    (:func:`_parallel_merge`). A series-parallel network
     (``series_parallel``) folds to the one pair (source, sink), whose
     M(grid) is the maximum. Otherwise the lattice branch-and-bound
     (:func:`_lattice_maximum`) runs on the core left: one edge per pair,
@@ -565,7 +566,7 @@ def max_shortest_path_oracle(
     flow: the first lattice point of the core, and the first maximizing
     split of each merge. ``value`` is the :func:`shortest_path` length at
     its latencies. ``points`` counts the C(grid+2, 2) pairs (i, j) of i <= j
-    units each parallel merge weighs, plus the core lattice points evaluated.
+    units each parallel merge settles, plus the core lattice points evaluated.
     :func:`decompose_edge_flow` puts the edge flow on paths as ``path_flow``.
     """
     if grid < 1:
@@ -579,20 +580,13 @@ def max_shortest_path_oracle(
                 f"the oracle needs nondecreasing latencies: edge {e.id!r} has"
                 " a negative or non-finite latency coefficient"
             )
-    # latency coefficients by power, one row per edge; at least two powers,
-    # so that Horner's rule below can start from the linear term
+    # latency coefficients by power, one row per edge
     polys = [e.latency.coeffs for e in net.edges]
-    degree = max([2, *map(len, polys)])
+    degree = max([1, *map(len, polys)])
     coeffs = np.array([c + (0.0,) * (degree - len(c)) for c in polys]).reshape(-1, degree)
-    coeffs = coeffs.T[:, :, None]
     scale = instance.demand / grid
     # every edge's latency at 0, 1, ..., grid units, one row per edge
-    flows = np.arange(grid + 1) * scale
-    lat = coeffs[-1] * flows
-    lat += coeffs[-2]
-    for c in coeffs[-3::-1]:
-        lat *= flows
-        lat += c
+    lat = np.polynomial.polynomial.polyval(np.arange(grid + 1) * scale, coeffs.T)
     row = {e.id: i for i, e in enumerate(net.edges)}
 
     # a part is an edge id or (first, second, split), split None in series

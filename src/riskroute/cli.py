@@ -438,10 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Maximize the shortest-path latency over the path-flow grid with"
             " demand/grid steps and compare it with the risk-neutral equilibrium."
-            " A DP folds the series and parallel parts; a lattice branch-and-bound"
-            " searches the core left, if any (the whole network where nothing folds)."
-            " points counts the C(grid+2, 2) pairs of each parallel merge plus the"
-            " core lattice points evaluated."
+            " A DP folds the series and parallel parts, each parallel merge in"
+            " O(grid) by first reach indices; a lattice branch-and-bound searches"
+            " the core left, if any (the whole network where nothing folds)."
+            " points counts the C(grid+2, 2) pairs each parallel merge settles plus"
+            " the core lattice points evaluated."
         ),
     )
     p_oracle.add_argument("instance", help="instance JSON file")

@@ -43,9 +43,6 @@ DEFAULT_SEEDS = {
     "oracle": 50,
 }
 SUITES = tuple(DEFAULT_SEEDS)
-# Grid used by the sp-theorem suite; coarser than the oracle suite because it
-# runs next to two equilibrium solves per seed.
-SP_SUITE_GRID = 60
 # Zigzag k and its oracle grid. The lattice search prunes zigzag to grid + 1
 # points whatever k (k = 3 or 4 at grid 100 take 1-2 ms); the grids are kept
 # as they were so that the suite checks the same cases.
@@ -159,7 +156,7 @@ def sp_theorem(
     kappa, and no point of the oracle's grid beats the equilibrium shortest
     path (:func:`oracle_attained`). The zigzag family must be flagged
     non-SP."""
-    grid = grid if grid is not None else SP_SUITE_GRID
+    grid = grid if grid is not None else DEFAULT_ORACLE_GRID
     failures: list[str] = []
     for seed in range(seeds):
         instance = random_sp(seed, max_budget=5, max_paths=DEFAULT_ORACLE_MAX_PATHS)

@@ -508,6 +508,16 @@ def test_oracle_pigou():
     assert result.points == math.comb(102, 2)
 
 
+def test_oracle_pigou_at_a_million_units():
+    """The merge's memory is linear in the grid, so grid 10^6 fits: the same
+    even split, one merge of C(10^6 + 2, 2) pairs."""
+    instance = make("pigou", kappa=1.0, gamma=1.0)
+    result = max_shortest_path_oracle(instance, grid=1_000_000)
+    assert result.value == 1.0
+    assert result.path_flow == {("e1",): 0.5, ("e2",): 0.5}
+    assert result.points == math.comb(1_000_002, 2)
+
+
 def test_oracle_zigzag_two_stages():
     """The two-stage zigzag maximizer reaches 1.0 while the equilibrium
     shortest path sits at 1/2: the ratio the worst-case bound is built from."""
@@ -737,19 +747,30 @@ def _nondecreasing(rng, grid):
     return (steps.cumsum() * 0.5).astype(float)
 
 
+def _merge_inputs(rng, grid):
+    """Pairs of nondecreasing arrays: plateaus with values repeated across
+    the pair, the same array twice, constant arrays, and strictly
+    increasing random floats."""
+    first = _nondecreasing(rng, grid)
+    yield first, _nondecreasing(rng, grid)
+    yield first, first.copy()
+    yield np.full(grid + 1, 1.5), np.full(grid + 1, float(rng.integers(3)))
+    yield np.sort(rng.random(grid + 1)), np.cumsum(rng.random(grid + 1) + 1e-3)
+
+
 def test_parallel_merge_matches_double_loop():
-    """The strided merge gives the brute-force value and first argmax."""
+    """The merge gives the brute-force value and first argmax."""
     rng = np.random.default_rng(18)
     for grid in range(1, 121):
-        first, second = _nondecreasing(rng, grid), _nondecreasing(rng, grid)
-        value, split = analysis._parallel_merge(first, second)
-        for j in range(grid + 1):
-            best, arg = -math.inf, None
-            for i in range(j + 1):
-                v = min(first[i], second[j - i])
-                if v > best:
-                    best, arg = v, i
-            assert (value[j], split[j]) == (best, arg), (grid, j)
+        for first, second in _merge_inputs(rng, grid):
+            value, split = analysis._parallel_merge(first, second)
+            for j in range(grid + 1):
+                best, arg = -math.inf, None
+                for i in range(j + 1):
+                    v = min(first[i], second[j - i])
+                    if v > best:
+                        best, arg = v, i
+                assert (value[j], split[j]) == (best, arg), (grid, j)
 
 
 def _check_fold_against_lattice(
