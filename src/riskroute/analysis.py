@@ -547,12 +547,13 @@ def max_shortest_path_oracle(
 
     :func:`fold_series_parallel` folds the series and parallel parts, each
     (tail, head) pair carrying M(j), the largest shortest-path latency its
-    part reaches at j units, and how to split them: an edge's M is its
-    latency, a series composition adds M1 + M2, and a parallel one takes
-    M(j) = max over i <= j of min(M1(i), M2(j - i)), keeping the first
-    maximizing i. Every integer flow splits over the parts this way, and
-    every M is nondecreasing, so M(j) is the largest value v with
-    A(v) + B(v) <= j, A and B the first indices at which M1 and M2 reach v
+    part reaches at j units, and how to split them: an edge's M is its own
+    :class:`CostPoly` evaluated at 0, 1, ..., grid units, a series
+    composition adds M1 + M2, and a parallel one takes M(j) = max over
+    i <= j of min(M1(i), M2(j - i)), keeping the first maximizing i. Every
+    integer flow splits over the parts this way, and every M is
+    nondecreasing, so M(j) is the largest value v with A(v) + B(v) <= j, A
+    and B the first indices at which M1 and M2 reach v
     (:func:`_parallel_merge`). A series-parallel network
     (``series_parallel``) folds to the one pair (source, sink), whose
     M(grid) is the maximum. Otherwise the lattice branch-and-bound
@@ -568,6 +569,8 @@ def max_shortest_path_oracle(
     its latencies. ``points`` counts the C(grid+2, 2) pairs (i, j) of i <= j
     units each parallel merge settles, plus the core lattice points evaluated.
     :func:`decompose_edge_flow` puts the edge flow on paths as ``path_flow``.
+    Memory is one row of grid + 1 floats per live pair plus one split row
+    per merge.
     """
     if grid < 1:
         raise ValueError(f"oracle grid must be a positive integer (got {grid})")
@@ -580,14 +583,8 @@ def max_shortest_path_oracle(
                 f"the oracle needs nondecreasing latencies: edge {e.id!r} has"
                 " a negative or non-finite latency coefficient"
             )
-    # latency coefficients by power, one row per edge
-    polys = [e.latency.coeffs for e in net.edges]
-    degree = max([1, *map(len, polys)])
-    coeffs = np.array([c + (0.0,) * (degree - len(c)) for c in polys]).reshape(-1, degree)
     scale = instance.demand / grid
-    # every edge's latency at 0, 1, ..., grid units, one row per edge
-    lat = np.polynomial.polynomial.polyval(np.arange(grid + 1) * scale, coeffs.T)
-    row = {e.id: i for i, e in enumerate(net.edges)}
+    flows = np.arange(grid + 1) * scale
 
     # a part is an edge id or (first, second, split), split None in series
     merges = 0
@@ -600,7 +597,8 @@ def max_shortest_path_oracle(
 
     pairs = fold_series_parallel(
         net,
-        lambda e: (lat[row[e.id]], e.id),
+        # the zero polynomial CostPoly(()) evaluates to a scalar, not a row
+        lambda e: (e.latency(flows) if e.latency.coeffs else 0.0 * flows, e.id),
         lambda first, second: (first[0] + second[0], (first[1], second[1], None)),
         parallel,
     )
@@ -617,9 +615,7 @@ def max_shortest_path_oracle(
         edges = tuple(Edge(n, *pair, CostPoly(()), CostPoly(())) for n, pair in zip(names, pairs))
         core = Network(net.nodes, edges, net.source, net.sink)
         core_lat = np.array([m for m, _ in pairs.values()])
-        _, core_units, count = _lattice_maximum(
-            core, {n: i for i, n in enumerate(names)}, core_lat, max_paths
-        )
+        _, core_units, count = _lattice_maximum(core, core_lat, max_paths)
         stack = [(part, core_units.get(n, 0)) for n, (_, part) in zip(names, pairs.values())]
     edge_units: dict[str, int] = {}
     while stack:
@@ -633,7 +629,8 @@ def max_shortest_path_oracle(
         else:
             i = int(split[j])
             stack += [(first, i), (second, j - i)]
-    value = shortest_path(net, {e: lat[row[e], j].item() for e, j in edge_units.items()})[0]
+    emap = net.edge_map
+    value = shortest_path(net, {e: emap[e].latency(j * scale) for e, j in edge_units.items()})[0]
     count += merges * math.comb(grid + 2, 2)
     units = decompose_edge_flow(net, edge_units)
     flow = {p: amount * scale for p, amount in units.items()}
@@ -641,14 +638,14 @@ def max_shortest_path_oracle(
 
 
 def _lattice_maximum(
-    net: Network, row: Mapping[str, int], lat: np.ndarray, max_paths: int
+    net: Network, lat: np.ndarray, max_paths: int
 ) -> tuple[float, dict[str, int], int]:
     """The largest shortest-path latency over the integer edge flows of
     value grid on the edges of the simple paths by branch-and-bound, the
     first maximizing flow in lattice order (units per path edge) and the
     number of lattice points evaluated. ``lat`` holds each edge's latency
-    (row ``row[edge id]``) at 0, 1, ..., grid units. The paths are
-    enumerated up to ``max_paths`` (PathCountError beyond).
+    at 0, 1, ..., grid units, one row per edge in ``net.edges`` order. The
+    paths are enumerated up to ``max_paths`` (PathCountError beyond).
 
     The search runs node by node in topological order: each node's inflow
     is split over its out-edges in edge-id order, earlier edges taking the
@@ -670,9 +667,9 @@ def _lattice_maximum(
     if len(net.topo_order) != len(net.nodes):
         raise ValueError("the oracle needs an acyclic network")
     on_path = set().union(*paths)
-    # one row per path edge
-    lat = lat[[i for eid, i in row.items() if eid in on_path]]
-    row = {eid: k for k, eid in enumerate(eid for eid in row if eid in on_path)}
+    # one row per path edge, in edge order
+    lat = lat[[i for i, e in enumerate(net.edges) if e.id in on_path]]
+    row = {eid: k for k, eid in enumerate(e.id for e in net.edges if e.id in on_path)}
     incidence = np.array([[eid in p for eid in row] for p in paths], dtype=float)
     grid = lat.shape[1] - 1
     edges = np.arange(len(row))[:, None]

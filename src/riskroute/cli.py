@@ -74,9 +74,15 @@ def _load_instance(path: str, risk_model: str | None) -> Instance:
     instance = read_instance(raw)
     if risk_model is not None:
         instance = dataclasses.replace(instance, risk_model=risk_model)
+    return _validated(instance)
+
+
+def _validated(instance: Instance, where: str = "") -> Instance:
+    """``instance`` if it is valid, else a CliError listing its violations
+    after the prefix ``where``."""
     verdict = validate_instance(instance)
     if not verdict.ok:
-        raise CliError("; ".join(verdict.violations), EXIT_INPUT)
+        raise CliError(where + "; ".join(verdict.violations), EXIT_INPUT)
     return instance
 
 
@@ -225,13 +231,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for value in values:
         params = dict(fixed)
         params[args.param] = value
-        instance = make(args.family, seed=args.seed, **params)
-        verdict = validate_instance(instance)
-        if not verdict.ok:
-            raise CliError(
-                f"{args.param}={_num(value)}: " + "; ".join(verdict.violations),
-                EXIT_INPUT,
-            )
+        instance = _validated(
+            make(args.family, seed=args.seed, **params), f"{args.param}={_num(value)}: "
+        )
         x, z = solve_pair(instance, args.tol, args.max_iter)
         report = pra_report(instance, x, z)
         rows.append(_csv_row(_num(value), report))
@@ -265,10 +267,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     params = _parse_set(args.set or [])
     if args.risk_model is not None:
         params["risk_model"] = args.risk_model
-    instance = make(args.family, seed=args.seed, **params)
-    verdict = validate_instance(instance)
-    if not verdict.ok:
-        raise CliError("; ".join(verdict.violations), EXIT_INPUT)
+    instance = _validated(make(args.family, seed=args.seed, **params))
     text = write_instance(instance).decode("utf-8")
     if args.out:
         _write_text(args.out, text)

@@ -43,10 +43,8 @@ DEFAULT_SEEDS = {
     "oracle": 50,
 }
 SUITES = tuple(DEFAULT_SEEDS)
-# Zigzag k and its oracle grid. The lattice search prunes zigzag to grid + 1
-# points whatever k (k = 3 or 4 at grid 100 take 1-2 ms); the grids are kept
-# as they were so that the suite checks the same cases.
-ZIGZAG_GRIDS = ((2, 100), (3, 30), (4, 10))
+# Zigzag k checked against the closed forms, at the default oracle grid.
+ZIGZAG_KS = (2, 3, 4)
 ZIGZAG_TOL = 1e-6
 # Counterexamples listed per batch of sigma samples.
 SIGMA_LISTED = 25
@@ -91,19 +89,20 @@ def oracle_attained(value: float, best: float) -> bool:
 
 
 def zigzag_closed_forms() -> tuple[list[str], float]:
-    """Grid oracle and risk-neutral equilibrium on zigzag k = 2, 3, 4 against
-    their closed forms: the maximum shortest path stays 1 while the
-    equilibrium's is 1/k, so the series-parallel guarantee fails off
-    series-parallel networks.
+    """Grid oracle at DEFAULT_ORACLE_GRID and risk-neutral equilibrium on
+    zigzag k in ZIGZAG_KS against their closed forms: the maximum shortest
+    path stays 1 while the equilibrium's is 1/k, so the series-parallel
+    guarantee fails off series-parallel networks.
 
     Returns one failure line per k missing a form by more than ZIGZAG_TOL,
     and the largest error seen.
     """
     failures: list[str] = []
     worst = 0.0
-    for k, grid in ZIGZAG_GRIDS:
+    for k in ZIGZAG_KS:
         instance = make("zigzag", k=k)
-        value = max_shortest_path_oracle(instance, grid=grid, max_paths=10).value
+        # the core of k = 4 has 10 paths
+        value = max_shortest_path_oracle(instance, max_paths=10).value
         z = solve_rnwe(instance)
         best = z.min_path_cost
         bad: list[str] = []
@@ -182,10 +181,10 @@ def sp_theorem(
             bad.append(f"oracle {num(oracle.value)} > S(z) {num(best)}")
         if bad:
             failures.append(f"seed {seed}: " + "; ".join(bad))
-    for k in (2, 3, 4):
+    for k in ZIGZAG_KS:
         if is_series_parallel(make("zigzag", k=k).network):
             failures.append(f"zigzag k={k}: wrongly recognized as series-parallel")
-    return failures, seeds + 3
+    return failures, seeds + len(ZIGZAG_KS)
 
 
 def sigma_lemma(samples: int) -> tuple[list[str], int]:
@@ -246,7 +245,7 @@ def oracle(
     :func:`zigzag_closed_forms`."""
     failures = oracle_seeds(seeds, grid, tol, max_iter)
     zigzag, _ = zigzag_closed_forms()
-    return failures + zigzag, seeds + len(ZIGZAG_GRIDS)
+    return failures + zigzag, seeds + len(ZIGZAG_KS)
 
 
 def run(

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -490,9 +491,8 @@ def _lattice_oracle(instance, grid, max_paths=DEFAULT_ORACLE_MAX_PATHS):
     net = instance.network
     step = instance.demand / grid
     flows = np.arange(grid + 1) * step
-    lat = np.array([np.polynomial.polynomial.polyval(flows, e.latency.coeffs) for e in net.edges])
-    row = {e.id: i for i, e in enumerate(net.edges)}
-    value, units, points = analysis._lattice_maximum(net, row, lat, max_paths)
+    lat = np.array([e.latency(flows) for e in net.edges])
+    value, units, points = analysis._lattice_maximum(net, lat, max_paths)
     path_flow = {p: n * step for p, n in solvers.decompose_edge_flow(net, units).items()}
     return SimpleNamespace(value=value, path_flow=path_flow, points=points)
 
@@ -516,6 +516,36 @@ def test_oracle_pigou_at_a_million_units():
     assert result.value == 1.0
     assert result.path_flow == {("e1",): 0.5, ("e2",): 0.5}
     assert result.points == math.comb(1_000_002, 2)
+
+
+def test_oracle_memory_stays_near_one_latency_table():
+    """Each edge's latency row comes from its own CostPoly and is folded
+    away as the fold goes, so the traced peak stays near the bytes of an
+    (edges x grid+1) table of floats, not a multiple of it."""
+    instance = make("random_sp", seed=4, budget=200)
+    grid = 10_000
+    tracemalloc.start()
+    try:
+        max_shortest_path_oracle(instance, grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = len(instance.network.edges) * (grid + 1) * 8
+    assert peak <= 1.5 * table, peak / table
+
+
+def test_oracle_takes_the_zero_polynomial_as_zero_latency():
+    """CostPoly(()) is the zero latency, as CostPoly.of(0.0) is."""
+    pigou = make("pigou", kappa=1.0, gamma=1.0)
+    results = []
+    for poly in (CostPoly(()), CostPoly.of(0.0)):
+        first, *rest = pigou.network.edges
+        net = dataclasses.replace(
+            pigou.network, edges=(dataclasses.replace(first, latency=poly), *rest)
+        )
+        results.append(max_shortest_path_oracle(dataclasses.replace(pigou, network=net)))
+    assert results[0] == results[1]
+    assert results[0].value == 0.0
 
 
 def test_oracle_zigzag_two_stages():

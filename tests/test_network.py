@@ -3,6 +3,7 @@ series-parallel recognition."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +66,19 @@ def test_costpoly_nonnegative_coeffs_monotone(coeffs, x):
     poly = CostPoly(tuple(coeffs))
     assert poly(x + 0.5) >= poly(x) - 1e-12
     assert poly.derivative(x) >= 0.0
+
+
+@given(coeff_lists, st.integers(min_value=1, max_value=200), flows)
+def test_costpoly_on_an_array_matches_polyval_and_each_point(coeffs, grid, demand):
+    """The oracle evaluates each edge's latency on the whole grid at once:
+    the row is bitwise numpy's polyval and the scalar call at each point."""
+    poly = CostPoly(tuple(coeffs))
+    grid_flows = np.arange(grid + 1) * (demand / grid)
+    row = poly(grid_flows).view(np.int64)
+    table = np.polynomial.polynomial.polyval(grid_flows, coeffs)
+    points = np.array([poly(j * (demand / grid)) for j in range(grid + 1)])
+    assert np.array_equal(row, table.view(np.int64))
+    assert np.array_equal(row, points.view(np.int64))
 
 
 def test_costpoly_of_and_predicates():
