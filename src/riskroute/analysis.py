@@ -32,8 +32,6 @@ from .network import (
     enumerate_simple_paths,
     fold_series_parallel,
     is_braess_topology,
-    path_latency,
-    social_cost,
 )
 from .solvers import (
     RISK_NEUTRAL,
@@ -51,6 +49,31 @@ DEFAULT_ORACLE_GRID = 100
 DEFAULT_ORACLE_MAX_PATHS = 6
 
 
+_EdgeTable = tuple[dict[str, float], dict[str, float]]
+
+
+def _edge_table(network: Network, flows: Mapping[str, float]) -> _EdgeTable:
+    """Each edge's latency and risk at the given flows, in edge order."""
+    lat: dict[str, float] = {}
+    risk: dict[str, float] = {}
+    for e in network.edges:
+        f = flows[e.id]
+        lat[e.id], risk[e.id] = e.latency(f), e.risk(f)
+    return lat, risk
+
+
+def _kappa(table: _EdgeTable) -> float:
+    """Largest edge ratio risk/latency in an :func:`_edge_table`."""
+    lat, risk = table
+    worst = 0.0
+    for eid, latency in lat.items():
+        if latency > 0.0:
+            worst = max(worst, risk[eid] / latency)
+        elif risk[eid] > 0.0:
+            return math.inf
+    return worst
+
+
 def kappa_at_flow(instance: Instance, flow: Flow | Mapping[str, float]) -> float:
     """Largest edge ratio risk(f_e)/latency(f_e) at the given flow.
 
@@ -58,16 +81,7 @@ def kappa_at_flow(instance: Instance, flow: Flow | Mapping[str, float]) -> float
     (downstream bound checks are then suppressed).
     """
     flows = flow.edge_flow if isinstance(flow, Flow) else flow
-    worst = 0.0
-    for e in instance.network.edges:
-        f = flows[e.id]
-        lat = e.latency(f)
-        risk = e.risk(f)
-        if lat > 0.0:
-            worst = max(worst, risk / lat)
-        elif risk > 0.0:
-            return math.inf
-    return worst
+    return _kappa(_edge_table(instance.network, flows))
 
 
 def shortest_path_length(network: Network, flows: Mapping[str, float]) -> float:
@@ -118,15 +132,13 @@ _KAPPA_FREE = frozenset(
 )
 
 
-def _min_risk_path(instance: Instance, flows: Mapping[str, float]) -> tuple[str, ...]:
-    """Least-risk source->sink path at the given edge flows: a shortest path
-    on the edge risks, or on their squares under mean-stdev, whose path risk
-    is the monotone square root of that sum."""
-    net = instance.network
-    risks = {e.id: e.risk(flows[e.id]) for e in net.edges}
+def _min_risk_path(instance: Instance, risks: Mapping[str, float]) -> tuple[str, ...]:
+    """Least-risk source->sink path at the given edge risks: a shortest path
+    on them, or on their squares under mean-stdev, whose path risk is the
+    monotone square root of that sum."""
     if instance.risk_model == RISK_MEAN_STDEV:
         risks = {eid: r * r for eid, r in risks.items()}
-    return shortest_path(net, risks)[1]
+    return shortest_path(instance.network, risks)[1]
 
 
 def _bound_checks(
@@ -134,6 +146,7 @@ def _bound_checks(
     x: EquilibriumResult,
     z: EquilibriumResult,
     path: AlternatingPath,
+    tables: tuple[_EdgeTable, _EdgeTable],
     cost_x: float,
     cost_z: float,
     kappa: float,
@@ -142,7 +155,8 @@ def _bound_checks(
     bound_eta: float,
     bound_worst: float,
 ) -> tuple[BoundCheck, ...]:
-    """The report's bound checks, in CHECK_NAMES order.
+    """The report's bound checks, in CHECK_NAMES order, from the
+    :func:`_edge_table` of x and of z (``tables``).
 
     One table row per check: its name, whether it applies to the instance,
     lhs and rhs, the factors of x's and z's ``deviation`` in its round-off
@@ -167,11 +181,10 @@ def _bound_checks(
     alternating = mean_var or braess
     eta_proven = mean_var or path.all_forward or braess
     all_forward = stdev and path.all_forward
-    xf, zf = x.flow.edge_flow, z.flow.edge_flow
-    emap = net.edge_map
+    (lat_x, risk_x), (lat_z, _) = tables
     fwd_x, bwd_x, fwd_z, bwd_z = (
-        math.fsum(emap[eid].latency(flows[eid]) for eid in edges)
-        for flows in (xf, zf)
+        math.fsum(map(lat.__getitem__, edges))
+        for lat in (lat_x, lat_z)
         for edges in (path.forward_edges(), path.backward_edges())
     )
     # The path sums are per unit of flow and bound the common equilibrium
@@ -179,7 +192,7 @@ def _bound_checks(
     chain_x = d * (one_gk * fwd_x - bwd_x)
     chain_z = d * (one_gk * fwd_z - bwd_z)
     chain_mid = cost_z + gk * d * fwd_z
-    least_risk = path_latency(net, xf, _min_risk_path(instance, xf))
+    least_risk = sum(map(lat_x.__getitem__, _min_risk_path(instance, risk_x)))
     rows = (
         ("rawe-cost-le-min-path-cost", True, cost_x, d * x.min_path_cost, 0.0, 0.0, True),
         ("rawe-cost-le-scaled-latency", True, cost_x, d * one_gk * s_x, 0.0, 0.0, True),
@@ -255,6 +268,7 @@ def pra_report(
     ``CLASSIFY_EPS_REL`` times the demand. The report reads the results'
     edge flows and their own certificates (``min_path_cost``,
     ``deviation``), and prices no path: S(z) is z's ``min_path_cost``.
+    Each edge's latency and risk is evaluated once per flow.
     """
     if not (x_result.converged and z_result.converged):
         raise ValueError("pra_report needs converged equilibria on both sides")
@@ -265,10 +279,13 @@ def pra_report(
                 f"pra_report needs a {mode!r} equilibrium, got {flow.objective_mode!r}"
             )
     net = instance.network
-    cost_x = social_cost(net, x.edge_flow)
-    cost_z = social_cost(net, z.edge_flow)
-    kappa = kappa_at_flow(instance, x)
-    kappa_diag = max(kappa, kappa_at_flow(instance, z))
+    tables = (_edge_table(net, x.edge_flow), _edge_table(net, z.edge_flow))
+    (lat_x, _), (lat_z, _) = tables
+    # social_cost, from the tables
+    cost_x = sum(lat_x[e.id] * x.edge_flow[e.id] for e in net.edges)
+    cost_z = sum(lat_z[e.id] * z.edge_flow[e.id] for e in net.edges)
+    kappa = _kappa(tables[0])
+    kappa_diag = max(kappa, _kappa(tables[1]))
 
     eps = CLASSIFY_EPS_REL * instance.demand
     path = find_alternating_path(classify_edges(x, z, eps), net)
@@ -276,7 +293,7 @@ def pra_report(
 
     degenerate = not cost_z > 0.0
     pra = cost_x / cost_z if not degenerate else math.nan
-    s_x = shortest_path_length(net, x.edge_flow)
+    s_x = shortest_path(net, lat_x)[0]
     s_z = z_result.min_path_cost
     rho = s_x / s_z if s_z > 0.0 else math.nan
 
@@ -288,7 +305,7 @@ def pra_report(
         else math.nan
     )
     checks = _bound_checks(
-        instance, x_result, z_result, path, cost_x, cost_z, kappa, s_x, rho,
+        instance, x_result, z_result, path, tables, cost_x, cost_z, kappa, s_x, rho,
         bound_eta, bound_worst,
     )
     return PraReport(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import heapq
@@ -66,11 +67,10 @@ class CostPoly:
         return acc
 
     def scaled_plus(self, other: "CostPoly", scale: float) -> "CostPoly":
-        """Coefficientwise ``self + scale * other``."""
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0.0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0.0,) * (n - len(other.coeffs))
-        return CostPoly(tuple(x + scale * y for x, y in zip(a, b)))
+        """Coefficientwise ``self + scale * other``, the shorter padded with
+        zeros."""
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0.0)
+        return CostPoly(tuple([x + scale * y for x, y in pairs]))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Risk-neutral, mean-var and mean-stdev Wardrop equilibria are all path flows
 on which every used path costs the same and no unused path costs less. One
 solver, :func:`solve_wardrop`, finds them in every mode by an active-set
 Newton loop on the equal-cost system of the used paths and the cheapest
-path, to the one default tolerance ``DEFAULT_TOL``.
+path, to the one default tolerance ``DEFAULT_TOL``. A solve evaluates an
+edge's polynomials again only where the edge's flow moved.
 
 Risk-neutral and mean-var costs are edge-separable (c_e is the latency plus
 gamma times the variance under mean-var), the cheapest path is a shortest
@@ -348,17 +349,6 @@ def cheapest_path(
     return mode_path_cost(instance, flows, path, mode), path
 
 
-def _edge_moments(
-    instance: Instance, flows: Mapping[str, float]
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Each edge's latency and variance (its squared risk) at ``flows``."""
-    edges = instance.network.edges
-    return (
-        {e.id: e.latency(flows[e.id]) for e in edges},
-        {e.id: e.risk(flows[e.id]) ** 2 for e in edges},
-    )
-
-
 def _meanstdev_cheapest(
     instance: Instance, moments: tuple[dict[str, float], dict[str, float]]
 ) -> tuple[float, tuple[str, ...]]:
@@ -530,26 +520,48 @@ class _PathPool:
     """The path costs of one instance under one cost mode: edge cost
     polynomials and shortest paths under a separable mode, the hull search
     of :func:`_meanstdev_cheapest` under mean-stdev. Either way only the used
-    paths and the cheapest path are priced."""
+    paths and the cheapest path are priced.
+
+    The pool lasts one solve and keeps its edge table: each edge's flow at
+    its last pricing (``at``) and two values at that flow (``table``), the
+    edge's cost and Beckmann potential term under a separable mode, its
+    latency and variance (squared risk) under mean-stdev."""
 
     def __init__(self, instance: Instance, mode: str) -> None:
         self.instance = instance
         self.separable = mode != RISK_MEAN_STDEV
         if self.separable:
             self.polys = cost_polynomials(instance, mode)
+        self.at: dict[str, float] = {}
+        self.table: tuple[dict[str, float], dict[str, float]] = ({}, {})
+
+    def priced(
+        self, flows: Mapping[str, float]
+    ) -> tuple[dict[str, float], dict[str, float]]:
+        """The edge table at ``flows``. Only an edge whose flow differs from
+        its last pricing is evaluated again (a NaN flow always is)."""
+        at, (first, second) = self.at, self.table
+        emap = self.instance.network.edge_map
+        for eid, f in flows.items():
+            if at.get(eid) != f:
+                at[eid] = f
+                if self.separable:
+                    poly = self.polys[eid]
+                    first[eid], second[eid] = poly(f), poly.integral(f)
+                else:
+                    edge = emap[eid]
+                    first[eid], second[eid] = edge.latency(f), edge.risk(f) ** 2
+        return self.table
 
     def cheapest(
         self, flows: Mapping[str, float]
-    ) -> tuple[dict, float, tuple[str, ...]]:
-        """The edge prices at ``flows``, then the cheapest path's cost and
-        the path. Prices are the edge costs under a separable mode and the
-        edge latencies and variances (:func:`_edge_moments`) under
-        mean-stdev."""
+    ) -> tuple[tuple[dict[str, float], dict[str, float]], float, tuple[str, ...]]:
+        """The edge table at ``flows`` (:meth:`priced`), then the cheapest
+        path's cost and the path."""
+        table = self.priced(flows)
         if self.separable:
-            prices = {eid: self.polys[eid](f) for eid, f in flows.items()}
-            return (prices, *shortest_path(self.instance.network, prices))
-        prices = _edge_moments(self.instance, flows)
-        return (prices, *_meanstdev_cheapest(self.instance, prices))
+            return (table, *shortest_path(self.instance.network, table[0]))
+        return (table, *_meanstdev_cheapest(self.instance, table))
 
     def price(
         self,
@@ -557,7 +569,7 @@ class _PathPool:
         paths: Sequence[tuple[str, ...]],
     ) -> dict[tuple[str, ...], float]:
         """Mean-stdev perceived cost of each of ``paths`` at the edge
-        latencies and variances ``moments`` (:func:`_edge_moments`)."""
+        latencies and variances ``moments`` (:meth:`priced`)."""
         lat, var = moments
         gamma = self.instance.gamma
         return {
@@ -569,14 +581,16 @@ class _PathPool:
     def evaluate(self, paths: dict[tuple[str, ...], float]) -> _Iterate:
         instance = self.instance
         flows = edge_flow(paths, instance.network)
-        prices, floor, best = self.cheapest(flows)
+        table, floor, best = self.cheapest(flows)
         if self.separable:
+            prices, terms = table
             costs = {p: math.fsum(map(prices.__getitem__, p)) for p in paths}
             if best not in costs:
                 costs[best] = math.fsum(map(prices.__getitem__, best))
-            potential = potential_value(self.polys, flows)
+            # potential_value's terms in its order, so the sum is the same
+            potential = math.fsum(map(terms.__getitem__, flows))
         else:
-            costs = self.price(prices, [*paths, best])
+            costs = self.price(table, [*paths, best])
             potential = None
         worst = max(paths, key=lambda p: (costs[p], p))
         total = math.fsum(amount * costs[p] for p, amount in paths.items())
@@ -771,7 +785,7 @@ def _pairwise_step(pool: _PathPool, it: _Iterate) -> _Iterate | None:
     def cost_delta(step: float) -> float:
         # Q(best) - Q(worst) after moving ``step`` from worst to best
         flows = edge_flow(_moved(it.paths, transfer, step), net)
-        costs = pool.price(_edge_moments(pool.instance, flows), (it.best, worst))
+        costs = pool.price(pool.priced(flows), (it.best, worst))
         return costs[it.best] - costs[worst]
 
     step = _bisect_step(cost_delta, it.paths[worst])

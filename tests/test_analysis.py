@@ -43,6 +43,7 @@ from riskroute.network import (
     is_series_parallel,
     path_latency,
     path_risk,
+    social_cost,
 )
 from riskroute.solvers import (
     DEFAULT_TOL,
@@ -335,7 +336,8 @@ def test_min_risk_path_matches_enumeration():
         x, z = solve_rawe(instance), solve_rnwe(instance)
         for inst in (instance, dataclasses.replace(instance, risk_model=RISK_MEAN_STDEV)):
             for flows in (x.flow.edge_flow, z.flow.edge_flow):
-                path = analysis._min_risk_path(inst, flows)
+                risks = analysis._edge_table(inst.network, flows)[1]
+                path = analysis._min_risk_path(inst, risks)
                 risk = path_risk(inst, flows, path)
                 ref_risk, ref_path = min(
                     (path_risk(inst, flows, p), p)
@@ -387,6 +389,26 @@ def test_report_prices_no_path(monkeypatch, model):
         for r in (x, z)
     )
     assert report_to_dict(pra_report(instance, x, z)) == expected
+
+
+def test_report_fields_match_their_definitions():
+    """On the bound-chain draws, seeds 0-199, and random_general n=20, m=60
+    seeds 0-19, the report's costs equal (==) social_cost at the solved
+    flows, its kappa kappa_at_flow at x, its kappa diagnostic the larger of
+    kappa_at_flow at x and at z, and its rho shortest_path_length at x over
+    z's min_path_cost."""
+    instances = [suites.random_general(seed) for seed in range(200)]
+    instances += [make("random_general", seed=seed, n=20, m=60) for seed in range(20)]
+    for instance in instances:
+        x, z = solve_pair(instance)
+        report = pra_report(instance, x, z)
+        net, xf, zf = instance.network, x.flow.edge_flow, z.flow.edge_flow
+        assert report.cost_rawe == social_cost(net, xf), instance.name
+        assert report.cost_rnwe == social_cost(net, zf), instance.name
+        kappa_x, kappa_z = kappa_at_flow(instance, x.flow), kappa_at_flow(instance, z.flow)
+        assert report.kappa == kappa_x, instance.name
+        assert report.kappa_diagnostic == max(kappa_x, kappa_z), instance.name
+        assert report.rho == shortest_path_length(net, xf) / z.min_path_cost, instance.name
 
 
 def test_report_rejects_swapped_results():

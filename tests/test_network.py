@@ -2,6 +2,7 @@
 series-parallel recognition."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -88,9 +89,25 @@ def test_costpoly_of_and_predicates():
 
 
 def test_costpoly_scaled_plus():
+    """On seeded random coefficient tuples of unequal lengths, the
+    coefficients are bit for bit those of padding both tuples with zeros to
+    the longer length and adding coefficientwise."""
     combined = CostPoly.of(1.0, 2.0).scaled_plus(CostPoly.of(0.5), 2.0)
     assert combined(0.0) == 2.0
     assert combined(1.0) == 4.0
+    rng = random.Random(0)
+
+    def coeffs():
+        pick = (0.0, -0.0, rng.random(), rng.uniform(0.0, 1e6), rng.expovariate(1e-3))
+        return tuple(rng.choice(pick) for _ in range(rng.randint(0, 5)))
+
+    for _ in range(2000):
+        a, b, scale = coeffs(), coeffs(), rng.choice((0.0, 0.7, rng.uniform(0, 50)))
+        n = max(len(a), len(b))
+        pa, pb = a + (0.0,) * (n - len(a)), b + (0.0,) * (n - len(b))
+        expected = tuple(x + scale * y for x, y in zip(pa, pb))
+        got = CostPoly(a).scaled_plus(CostPoly(b), scale).coeffs
+        assert [x.hex() for x in got] == [x.hex() for x in expected], (a, b, scale)
 
 
 # --- validation --------------------------------------------------------------

@@ -724,6 +724,95 @@ def test_newton_iterate_singular_system_returns_none(model):
     assert solvers._newton_iterate(pool, it, [("a",), ("b",)]) is None
 
 
+def _fresh_pricing(pool, flows):
+    """The pool's edge table, cheapest cost and path, and potential at
+    ``flows``, all evaluated from scratch."""
+    instance = pool.instance
+    if pool.separable:
+        table = (
+            {eid: pool.polys[eid](f) for eid, f in flows.items()},
+            {eid: pool.polys[eid].integral(f) for eid, f in flows.items()},
+        )
+        floor, best = shortest_path(instance.network, table[0])
+        return table, floor, best, potential_value(pool.polys, flows)
+    edges = instance.network.edges
+    table = (
+        {e.id: e.latency(flows[e.id]) for e in edges},
+        {e.id: e.risk(flows[e.id]) ** 2 for e in edges},
+    )
+    return (table, *solvers._meanstdev_cheapest(instance, table), None)
+
+
+def test_pool_table_matches_fresh_pricing(monkeypatch):
+    """At every _PathPool.evaluate of solve_rawe and solve_rnwe on
+    random_general n=20, m=60 seeds 0-29 under mean-var and mean-stdev,
+    random_sp budget 200 seeds 0-9 and mean-stdev random_general seed 333
+    (whose solve takes the bisection step), the pool's edge table, the
+    iterate's cheapest cost and path, and its potential equal (==) a fresh
+    pricing of the iterate's edge flows."""
+    evaluate = solvers._PathPool.evaluate
+    seen = {True: 0, False: 0}
+
+    def checked(pool, paths):
+        it = evaluate(pool, paths)
+        table, floor, best, potential = _fresh_pricing(pool, it.flows)
+        assert pool.at == it.flows
+        assert pool.table == table
+        assert (it.floor, it.best, it.potential) == (floor, best, potential)
+        seen[pool.separable] += 1
+        return it
+
+    monkeypatch.setattr(solvers._PathPool, "evaluate", checked)
+    instances = [
+        make("random_general", seed=seed, n=20, m=60, risk_model=model)
+        for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV)
+        for seed in range(30)
+    ]
+    instances += [make("random_sp", seed=seed, budget=200) for seed in range(10)]
+    instances.append(suites.random_general(333, risk_model=RISK_MEAN_STDEV))
+    for instance in instances:
+        for result in (solve_rawe(instance), solve_rnwe(instance)):
+            assert result.converged, (instance.name, result.flow.objective_mode)
+    assert min(seen.values()) > 100
+
+
+def test_pool_prices_only_moved_edges(monkeypatch):
+    """On a random_general n=20, m=60 mean-var solve, each _PathPool.evaluate
+    evaluates the cost polynomial and its integral once for each edge whose
+    flow differs from the pool's last pricing, and for no other edge."""
+    counts = {"call": 0, "integral": 0}
+    call, integral = CostPoly.__call__, CostPoly.integral
+
+    def counted(name, method):
+        def wrapper(self, x):
+            counts[name] += 1
+            return method(self, x)
+
+        return wrapper
+
+    evaluate = solvers._PathPool.evaluate
+    moves = []
+
+    def checked(pool, paths):
+        flows = edge_flow(paths, pool.instance.network)
+        moved = sum(pool.at.get(eid) != f for eid, f in flows.items())
+        counts.update(call=0, integral=0)
+        with monkeypatch.context() as m:
+            m.setattr(CostPoly, "__call__", counted("call", call))
+            m.setattr(CostPoly, "integral", counted("integral", integral))
+            it = evaluate(pool, paths)
+        assert counts == {"call": moved, "integral": moved}
+        moves.append(moved)
+        return it
+
+    monkeypatch.setattr(solvers._PathPool, "evaluate", checked)
+    instance = make("random_general", seed=0, n=20, m=60)
+    assert solve_rawe(instance).converged
+    edges = len(instance.network.edges)
+    assert len(moves) > 5 and 0 < max(moves) < edges
+    assert sum(moves) < len(moves) * edges / 2
+
+
 # --- flow bookkeeping ------------------------------------------------------------
 
 
