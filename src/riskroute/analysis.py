@@ -516,24 +516,6 @@ def _caps(partial: np.ndarray, ops: list, start: int, grid: int) -> np.ndarray:
     return caps
 
 
-def _dive(point: np.ndarray, ops: list, bound) -> float:
-    """Value of the lattice point reached from the one-column ``point`` by
-    taking, at each split, the first child of largest ``bound``. After the
-    last split only joins remain, so the bound there is the value itself."""
-    for i, (rest, ins, col) in enumerate(ops):
-        if ins is not None:
-            point[rest] = point[ins].sum(axis=0)
-            continue
-        best, choice = -math.inf, None
-        for block in _split(point, rest, col):
-            bounds = bound(block, i + 1)
-            j = int(bounds.argmax())
-            if choice is None or bounds[j] > best:
-                best, choice = float(bounds[j]), block[:, j : j + 1]
-        point = choice
-    return best
-
-
 def _parallel_merge(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """M(j) = max over i <= j of min(first[i], second[j - i]) for every j up
     to the common last index, and the first maximizing i for each j.
@@ -672,11 +654,14 @@ def _lattice_maximum(
 
     Latencies are nondecreasing, so the shortest-path latency at per-edge
     upper flows bounds every completion of a partial flow (:func:`_caps`).
-    When more than one split remains, the threshold is the best of the
-    single-path vertices and one dive (:func:`_dive`), fixed before the
-    search; a partial flow whose bound is below it by more than
-    ``_PRUNE_MARGIN`` is dropped. No maximizer is ever pruned, so the
-    maximizer is the one exhaustive enumeration finds.
+    When more than one split remains, the threshold is fixed before the
+    search as the best of the single-path vertices and of a greedy walk's
+    leaves: :func:`_flow_lattice` keeping the first column of largest bound
+    of each block a split makes, so the walk follows one column per block
+    (one leaf in all unless a split outgrows ``_BLOCK_POINTS``). A partial
+    flow whose bound is below the threshold by more than ``_PRUNE_MARGIN``
+    is dropped. No maximizer is ever pruned, so the maximizer is the one
+    exhaustive enumeration finds.
     """
     paths = enumerate_simple_paths(net, cap=max_paths)
     if not paths:
@@ -719,9 +704,15 @@ def _lattice_maximum(
     splits = [i for i, (_, ins, _) in enumerate(ops) if ins is None]
     floor = -math.inf
     if len(splits) > 1:
-        # the single-path vertices and the dive's leaf are lattice points
+        # the single-path vertices and the walk's leaves are lattice points
         vertices = (incidence.T * grid).astype(np.int64)
-        threshold = max(float(shortest(vertices).max()), _dive(first.copy(), ops, bound))
+
+        def keep_best(block: np.ndarray, i: int) -> np.ndarray:
+            j = int(bound(block, i + 1).argmax())
+            return block[:, j : j + 1]
+
+        leaves = _flow_lattice(first.copy(), ops, keep_best)
+        threshold = float(shortest(np.hstack([vertices, *leaves])).max())
         floor = threshold * (1.0 - _PRUNE_MARGIN)
 
     def prune(block: np.ndarray, i: int) -> np.ndarray:

@@ -12,14 +12,15 @@ gamma times the variance under mean-var), the cheapest path is a shortest
 path, and equilibria minimize the Beckmann potential
 sum_e integral_0^{f_e} c_e(t) dt. Each step, along the Newton direction or a
 pairwise transfer, exactly minimizes the potential: its directional
-derivative is one polynomial in the step, whose root is found by Newton's
-method inside a bisection bracket.
+derivative is one polynomial in the step, whose root :func:`_newton_step`
+finds by Newton's method inside a bisection bracket.
 
 Mean-stdev costs are not separable, so no potential exists. That mode finds
 its cheapest path by shortest paths too, on the convex hull of the paths'
 (latency, variance) points, so it enumerates no paths either. It halves the
 Newton step until a merit falls, and otherwise shifts flow pairwise until two
-path costs cross, by bisection.
+path costs cross, found by the same root search with no derivative, which
+bisects.
 
 The relative gap of a flow is (sum_p f_p Q_p - d * min_q Q_q) / (d * min_q Q_q):
 zero exactly at equilibrium, and small values certify an epsilon-equilibrium
@@ -32,7 +33,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,8 +54,8 @@ OBJECTIVE_MODES = (RISK_NEUTRAL, RISK_MEAN_VAR, RISK_MEAN_STDEV)
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200_000
 
-#: Iteration ceiling of every line search: the mean-stdev bisection always
-#: takes this many steps (2**-60 of the bracket), the Newton search at most.
+#: Iteration ceiling of the root search :func:`_newton_step`: it resolves
+#: 2**-60 of the bracket, and without a derivative bisects this many times.
 LINE_SEARCH_STEPS = 60
 #: Per-iteration tolerance when asserting the potential never increases.
 POTENTIAL_BACKSLIDE_TOL = 1e-12
@@ -234,18 +235,22 @@ def _transfer_derivative(
     )
 
 
-def _newton_step(g: CostPoly, hi: float) -> float:
-    """Largest-progress root of a nondecreasing polynomial ``g`` on [0, hi].
+def _newton_step(
+    g: Callable[[float], float], derivative: Callable[[float], float] | None, hi: float
+) -> float:
+    """Largest-progress root of a nondecreasing function ``g`` on [0, hi].
 
     Returns hi when g(hi) <= 0 and 0 when g(0) >= 0; otherwise the largest
     point found with g <= 0 next to the root, to the resolution of
-    ``LINE_SEARCH_STEPS`` bisection steps. Newton steps run inside the
-    bracket [lo, up], g(lo) <= 0 < g(up); a zero slope or a step that leaves
-    the bracket bisects it instead. Newton converging from the right leaves
-    ``lo`` behind, so once its step is within the resolution there, the
-    search steps down from ``up`` in doubling steps until g <= 0. Rounding
-    noise in g near the root moves Newton by more than the resolution, so
-    the search also stops when the bracket closes.
+    ``LINE_SEARCH_STEPS`` bisection steps. Newton steps on ``derivative``
+    run inside the bracket [lo, up], g(lo) <= 0 < g(up); a zero slope or a
+    step that leaves the bracket bisects it instead. With ``derivative``
+    None every step bisects: ``LINE_SEARCH_STEPS`` halvings, fewer only
+    where no float is left inside the bracket. Newton converging from the
+    right leaves ``lo`` behind, so once its step is within the resolution
+    there, the search steps down from ``up`` in doubling steps until
+    g <= 0. Rounding noise in g near the root moves Newton by more than the
+    resolution, so the search also stops when the bracket closes.
     """
     if g(hi) <= 0.0:
         return hi
@@ -256,7 +261,7 @@ def _newton_step(g: CostPoly, hi: float) -> float:
     lo, up = 0.0, hi
     t = 0.0  # the last point evaluated; g(t) == value
     for _ in range(LINE_SEARCH_STEPS):
-        slope = g.derivative(t)
+        slope = derivative(t) if derivative is not None else 0.0
         nxt = t - value / slope if slope > 0.0 else math.inf
         if t > 0.0 and abs(nxt - t) <= resolution:
             if value <= 0.0:
@@ -276,23 +281,6 @@ def _newton_step(g: CostPoly, hi: float) -> float:
         if up - lo <= resolution:
             break
         t = nxt
-    return lo
-
-
-def _bisect_step(derivative, hi: float) -> float:
-    """Largest-progress root of a nondecreasing directional derivative on
-    [0, hi] via fixed-step bisection."""
-    if derivative(hi) <= 0.0:
-        return hi
-    if derivative(0.0) >= 0.0:
-        return 0.0
-    lo = 0.0
-    for _ in range(LINE_SEARCH_STEPS):
-        mid = 0.5 * (lo + hi)
-        if derivative(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
     return lo
 
 
@@ -338,15 +326,38 @@ def cheapest_path(
     is a :func:`shortest_path` on the mode's edge costs. The mean-stdev risk
     sqrt(sum_e sigma_e**2) is not, so that mode searches the hull of the
     paths' (latency, variance) points by shortest paths
-    (:func:`_meanstdev_cheapest`); :meth:`_PathPool.cheapest` holds both
-    searches. ``mode`` must be risk-neutral or the instance's risk model.
+    (:func:`_meanstdev_cheapest`). Each edge is priced once, independently of
+    any solve. ``mode`` must be risk-neutral or the instance's risk model.
     """
     if mode not in (RISK_NEUTRAL, instance.risk_model):
         raise ValueError(
             f"no {mode!r} path costs on a {instance.risk_model!r} instance"
         )
-    _, _, path = _PathPool(instance, mode).cheapest(flows)
+    if mode == RISK_MEAN_STDEV:
+        emap = instance.network.edge_map
+        lat = {eid: emap[eid].latency(f) for eid, f in flows.items()}
+        var = {eid: emap[eid].risk(f) ** 2 for eid, f in flows.items()}
+        _, path = _meanstdev_cheapest(instance, (lat, var))
+    else:
+        polys = cost_polynomials(instance, mode)
+        _, path = shortest_path(
+            instance.network, {eid: polys[eid](f) for eid, f in flows.items()}
+        )
     return mode_path_cost(instance, flows, path, mode), path
+
+
+def _meanstdev_price(
+    moments: tuple[dict[str, float], dict[str, float]],
+    gamma: float,
+    path: tuple[str, ...],
+) -> tuple[float, float, float]:
+    """The latency L and variance V of ``path``, sums of the edge latencies
+    and variances ``moments`` over its edges, and its mean-stdev cost
+    L + gamma * sqrt(V)."""
+    lat, var = moments
+    latency = math.fsum(map(lat.__getitem__, path))
+    variance = math.fsum(map(var.__getitem__, path))
+    return latency, variance, latency + gamma * math.sqrt(variance)
 
 
 def _meanstdev_cheapest(
@@ -366,9 +377,10 @@ def _meanstdev_cheapest(
     weighs strictly less than p and q, it searches the chords p, r and r, q
     (Aneja & Nair, 1979). Each such step finds a new path, so the search
     ends. A chord is dropped when its corner bound L_p + gamma * sqrt(V_q)
-    is above the cheapest cost found. Costs are priced as
-    :meth:`_PathPool.price` prices them, ties go to the lexicographically
-    smallest path found, and with gamma 0 this is the latency shortest path.
+    is above the cheapest cost found. Paths are priced by
+    :func:`_meanstdev_price`, as a solve prices them, ties go to the
+    lexicographically smallest path found, and with gamma 0 this is the
+    latency shortest path.
     """
     net, gamma = instance.network, instance.gamma
     lat, var = moments
@@ -379,9 +391,7 @@ def _meanstdev_cheapest(
         path = shortest_path(net, weights)[1]
         if path in found:
             return None
-        latency = math.fsum(map(lat.__getitem__, path))
-        variance = math.fsum(map(var.__getitem__, path))
-        found[path] = (latency, variance, latency + gamma * math.sqrt(variance))
+        found[path] = _meanstdev_price(moments, gamma, path)
         return path
 
     first = vertex(lat)
@@ -563,21 +573,6 @@ class _PathPool:
             return (table, *shortest_path(self.instance.network, table[0]))
         return (table, *_meanstdev_cheapest(self.instance, table))
 
-    def price(
-        self,
-        moments: tuple[dict[str, float], dict[str, float]],
-        paths: Sequence[tuple[str, ...]],
-    ) -> dict[tuple[str, ...], float]:
-        """Mean-stdev perceived cost of each of ``paths`` at the edge
-        latencies and variances ``moments`` (:meth:`priced`)."""
-        lat, var = moments
-        gamma = self.instance.gamma
-        return {
-            p: math.fsum(map(lat.__getitem__, p))
-            + gamma * math.sqrt(math.fsum(map(var.__getitem__, p)))
-            for p in paths
-        }
-
     def evaluate(self, paths: dict[tuple[str, ...], float]) -> _Iterate:
         instance = self.instance
         flows = edge_flow(paths, instance.network)
@@ -590,7 +585,7 @@ class _PathPool:
             # potential_value's terms in its order, so the sum is the same
             potential = math.fsum(map(terms.__getitem__, flows))
         else:
-            costs = self.price(table, [*paths, best])
+            costs = {p: _meanstdev_price(table, instance.gamma, p)[2] for p in (*paths, best)}
             potential = None
         worst = max(paths, key=lambda p: (costs[p], p))
         total = math.fsum(amount * costs[p] for p, amount in paths.items())
@@ -773,22 +768,24 @@ def _pairwise_step(pool: _PathPool, it: _Iterate) -> _Iterate | None:
 
     Under a separable mode the amount exactly minimizes the potential, and
     the result is None when that amount is 0. Under mean-stdev the amount
-    makes the two path costs just cross, found by bisection, and the result
-    is None when it is below ``SHIFT_FLOOR_REL`` of the demand.
+    makes the two path costs just cross, found by :func:`_newton_step`
+    without a derivative (the costs are not polynomials in it), so by
+    bisection, and the result is None when it is below ``SHIFT_FLOOR_REL``
+    of the demand.
     """
     worst = it.worst
     transfer = {worst: -1.0, it.best: 1.0}
     if pool.separable:
         return _line_step(pool, it, transfer, it.paths[worst])
-    net = pool.instance.network
+    net, gamma = pool.instance.network, pool.instance.gamma
 
     def cost_delta(step: float) -> float:
         # Q(best) - Q(worst) after moving ``step`` from worst to best
-        flows = edge_flow(_moved(it.paths, transfer, step), net)
-        costs = pool.price(pool.priced(flows), (it.best, worst))
-        return costs[it.best] - costs[worst]
+        moments = pool.priced(edge_flow(_moved(it.paths, transfer, step), net))
+        q_best, q_worst = (_meanstdev_price(moments, gamma, p)[2] for p in (it.best, worst))
+        return q_best - q_worst
 
-    step = _bisect_step(cost_delta, it.paths[worst])
+    step = _newton_step(cost_delta, None, it.paths[worst])
     if step < SHIFT_FLOOR_REL * pool.instance.demand:
         return None
     return pool.evaluate(_moved(it.paths, transfer, step))
@@ -810,7 +807,8 @@ def _line_step(
     delta = {eid: s for eid, s in change.items() if s != 0.0}
     if not delta:
         return None
-    step = _newton_step(_transfer_derivative(pool.polys, it.flows, delta), hi)
+    g = _transfer_derivative(pool.polys, it.flows, delta)
+    step = _newton_step(g, g.derivative, hi)
     if step <= 0.0:
         return None
     nxt = pool.evaluate(_moved(it.paths, direction, step))

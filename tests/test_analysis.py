@@ -582,6 +582,25 @@ def test_oracle_zigzag_two_stages():
     )
 
 
+@pytest.mark.parametrize(
+    "family, params, grid, max_paths, path, value, points",
+    [
+        # the source's 70,001 amounts make two blocks, so the threshold walk
+        # follows two columns from the first split
+        ("braess", dict(v=0.1), 70_000, 6, ("a", "e", "d"), 1.2, 70_001),
+        ("zigzag", dict(k=3), 30, 10, ("s01", "m01", "c01", "m02", "c02", "m03", "t03"), 1.0, 31),
+    ],
+)
+def test_oracle_pins_the_pruned_lattice(family, params, grid, max_paths, path, value, points):
+    """Two non-series-parallel searches that the threshold prunes to grid + 1
+    lattice points: the value, the maximizer (all demand on the zigzag
+    route) and the points counted are pinned."""
+    instance = make(family, **params)
+    result = max_shortest_path_oracle(instance, grid=grid, max_paths=max_paths)
+    assert not result.series_parallel
+    assert (result.value, result.path_flow, result.points) == (value, {path: 1.0}, points)
+
+
 def test_oracle_respects_path_cap():
     instance = make("zigzag", k=2)
     with pytest.raises(PathCountError):

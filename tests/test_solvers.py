@@ -36,7 +36,6 @@ from riskroute.solvers import (
     ConvergenceError,
     Flow,
     ZeroCostPathWarning,
-    _bisect_step,
     _newton_step,
     _path_dependency,
     _transfer_derivative,
@@ -255,6 +254,29 @@ def test_cheapest_path_matches_enumeration(monkeypatch):
                 )
                 chord_steps += len(calls) > 2
     assert chord_steps > 0
+
+
+def test_cheapest_path_evaluates_no_potential_term(monkeypatch):
+    """cheapest_path and relative_gap price a flow's edge costs alone: the
+    Beckmann potential's terms (CostPoly.integral), which only a solve
+    reads, are never evaluated, in any mode."""
+    calls = []
+    integral = CostPoly.integral
+
+    def counted(self, x):
+        calls.append(x)
+        return integral(self, x)
+
+    for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
+        instance = make("random_general", seed=0, n=8, m=16, risk_model=model)
+        results = solve_pair(instance)
+        with monkeypatch.context() as m:
+            m.setattr(CostPoly, "integral", counted)
+            for result in results:
+                for mode in (RISK_NEUTRAL, model):
+                    cheapest_path(instance, result.flow.edge_flow, mode)
+                relative_gap(instance, result.flow)
+    assert calls == []
 
 
 def _certificate_instances():
@@ -482,18 +504,24 @@ def test_bad_tol_or_max_iter_raises(tol, max_iter):
 
 
 def test_newton_step_endpoints_and_flat_derivative():
-    assert _newton_step(CostPoly.of(-1.0, 1.0), 0.5) == 0.5  # g(hi) <= 0
-    assert _newton_step(CostPoly.of(0.5, 1.0), 2.0) == 0.0  # g(0) >= 0
-    assert _newton_step(CostPoly.of(-1.0), 3.0) == 3.0
-    assert _newton_step(CostPoly.of(0.0), 3.0) == 3.0
-    assert _newton_step(CostPoly.of(1.0), 3.0) == 0.0
+    # with the polynomial's slope and without one
+    for slope in (True, False):
+
+        def step(g, hi):
+            return _newton_step(g, g.derivative if slope else None, hi)
+
+        assert step(CostPoly.of(-1.0, 1.0), 0.5) == 0.5  # g(hi) <= 0
+        assert step(CostPoly.of(0.5, 1.0), 2.0) == 0.0  # g(0) >= 0
+        assert step(CostPoly.of(-1.0), 3.0) == 3.0
+        assert step(CostPoly.of(0.0), 3.0) == 3.0
+        assert step(CostPoly.of(1.0), 3.0) == 0.0
 
 
 def test_newton_step_converging_from_the_right():
     # g'(0) = 0 sends the first step to the midpoint, right of the root, and
     # Newton on a convex g stays right of the root from there
     g = CostPoly.of(-0.1, 0.0, 0.0, 1.0)
-    step = _newton_step(g, 1.0)
+    step = _newton_step(g, g.derivative, 1.0)
     assert g(step) <= 0.0
     assert step == pytest.approx(0.1 ** (1 / 3), rel=1e-15)
 
@@ -526,26 +554,81 @@ def test_transfer_derivative_matches_edge_sum():
             assert g(t) == pytest.approx(math.fsum(terms), rel=0.0, abs=1e-12 * majorant)
 
 
+def _rising_poly(rng):
+    """Nondecreasing on [0, inf): nonnegative coefficients past a negative
+    g(0), spread over six decades."""
+    return CostPoly(
+        (-rng.uniform(0.0, 1.0) * 10 ** rng.uniform(-3, 3),)
+        + tuple(
+            rng.choice((0.0, rng.uniform(0.0, 1.0) * 10 ** rng.uniform(-3, 3)))
+            for _ in range(rng.randint(0, 5))
+        )
+    )
+
+
 def test_newton_step_matches_bisection():
+    """With the polynomial's slope the root search ends within 2**-50 of the
+    bracket of where it ends without one, by bisection alone."""
     rng = random.Random(1)
     for _ in range(2000):
-        # nondecreasing on [0, inf): nonnegative coefficients past a negative g(0)
-        g = CostPoly(
-            (-rng.uniform(0.0, 1.0) * 10 ** rng.uniform(-3, 3),)
-            + tuple(
-                rng.choice((0.0, rng.uniform(0.0, 1.0) * 10 ** rng.uniform(-3, 3)))
-                for _ in range(rng.randint(0, 5))
-            )
-        )
+        g = _rising_poly(rng)
         hi = 10 ** rng.uniform(-3, 3)
-        step = _newton_step(g, hi)
+        step = _newton_step(g, g.derivative, hi)
         assert g(step) <= 0.0
-        assert abs(step - _bisect_step(g, hi)) <= 2**-50 * hi
+        assert abs(step - _newton_step(g, None, hi)) <= 2**-50 * hi
     for _ in range(2000):
         polys, flows, delta, hi = _random_transfer(rng)
         g = _transfer_derivative(polys, flows, delta)
-        step = _newton_step(g, hi)
+        step = _newton_step(g, g.derivative, hi)
         assert step == 0.0 or g(step) <= 0.0
+
+
+def _plain_bisection(g, hi):
+    """Sixty halvings of [0, hi] that keep g <= 0 at the left end."""
+    if g(hi) <= 0.0:
+        return hi
+    if g(0.0) >= 0.0:
+        return 0.0
+    lo = 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if g(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_newton_step_without_derivative_is_plain_bisection():
+    """With no derivative the root search evaluates the midpoints of a plain
+    sixty-step bisection, in order, and returns its point bit for bit. The
+    seeded nondecreasing functions add square-root terms
+    a * (sqrt(b + t) - sqrt(b)) to a polynomial, the shape of a mean-stdev
+    path cost along a transfer, and some brackets end where no float is
+    left inside them."""
+    rng = random.Random(3)
+    for _ in range(5000):
+        poly = _rising_poly(rng)
+        sqrt_terms = [
+            (
+                rng.uniform(0.0, 1.0) * 10 ** rng.uniform(-3, 3),
+                rng.choice((0.0, rng.uniform(0.0, 2.0))),
+            )
+            for _ in range(rng.randint(0, 3))
+        ]
+        hi = rng.choice((10 ** rng.uniform(-3, 3), 5e-324 * rng.randint(1, 2**20)))
+
+        def g(t, seen):
+            seen.append(t)
+            rise = math.fsum(a * (math.sqrt(b + t) - math.sqrt(b)) for a, b in sqrt_terms)
+            return poly(t) + rise
+
+        searched, bisected = [], []
+        step = _newton_step(lambda t: g(t, searched), None, hi)
+        assert step == _plain_bisection(lambda t: g(t, bisected), hi)
+        assert searched == bisected[: len(searched)]
+        # past a closed bracket bisection only evaluates its ends again
+        assert set(bisected[len(searched) :]) <= set(searched)
 
 
 # --- mean-stdev solver ----------------------------------------------------------
