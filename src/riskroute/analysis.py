@@ -16,7 +16,6 @@ import numpy as np
 
 from .alternating import (
     CLASSIFY_EPS_REL,
-    AlternatingPath,
     classify_edges,
     eta_ceiling,
     find_alternating_path,
@@ -94,6 +93,13 @@ def shortest_path_length(network: Network, flows: Mapping[str, float]) -> float:
 # --- named bound checks -----------------------------------------------------
 
 
+def within(lhs: float, rhs: float, allowance: float = 0.0) -> bool:
+    """True when lhs <= rhs up to solver round-off: ``CHECK_REL_SLACK`` of
+    rhs, ``CHECK_ABS_SLACK`` and ``allowance``. Every check of a report and
+    every oracle verdict is judged by this rule."""
+    return lhs <= rhs * (1.0 + CHECK_REL_SLACK) + CHECK_ABS_SLACK + allowance
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     name: str
@@ -105,33 +111,6 @@ class BoundCheck:
     note: str = ""
 
 
-#: The bound checks in report order.
-CHECK_NAMES = (
-    "rawe-cost-le-min-path-cost",
-    "rawe-cost-le-scaled-latency",
-    "rawe-cost-le-min-risk-path-latency",
-    "alternating-rawe-bound",
-    "chain-monotone-link",
-    "chain-rnwe-link",
-    "chain-eta-link",
-    "alternating-rnwe-bound",
-    "pra-eta-bound",
-    "pra-worstcase-bound",
-    "pra-rho-bound",
-    "stdev-all-forward-bound",
-    "braess-stdev-bound",
-)
-
-#: Checks that do not scale by kappa, so they are evaluated when it is infinite.
-_KAPPA_FREE = frozenset(
-    (
-        "rawe-cost-le-min-path-cost",
-        "rawe-cost-le-min-risk-path-latency",
-        "alternating-rnwe-bound",
-    )
-)
-
-
 def _min_risk_path(instance: Instance, risks: Mapping[str, float]) -> tuple[str, ...]:
     """Least-risk source->sink path at the given edge risks: a shortest path
     on them, or on their squares under mean-stdev, whose path risk is the
@@ -141,95 +120,12 @@ def _min_risk_path(instance: Instance, risks: Mapping[str, float]) -> tuple[str,
     return shortest_path(instance.network, risks)[1]
 
 
-def _bound_checks(
-    instance: Instance,
-    x: EquilibriumResult,
-    z: EquilibriumResult,
-    path: AlternatingPath,
-    tables: tuple[_EdgeTable, _EdgeTable],
-    cost_x: float,
-    cost_z: float,
-    kappa: float,
-    s_x: float,
-    rho: float,
-    bound_eta: float,
-    bound_worst: float,
-) -> tuple[BoundCheck, ...]:
-    """The report's bound checks, in CHECK_NAMES order, from the
-    :func:`_edge_table` of x and of z (``tables``).
-
-    One table row per check: its name, whether it applies to the instance,
-    lhs and rhs, the factors of x's and z's ``deviation`` in its round-off
-    allowance, and whether its bound is proven. A check that does not apply
-    is left out, except that every check but the first is listed as skipped
-    when the risk-neutral cost is zero. Checks that scale by
-    kappa are skipped when it is infinite, and the rho bound when rho is
-    undefined.
-
-    The chain proofs apply one equilibrium inequality per forward run of the
-    alternating path, so approximate equilibria can miss by eta times the
-    worst used-path deviation (demand-scaled, like the compared costs).
-    """
-    net, d, eta = instance.network, instance.demand, path.forward_runs
-    gk = instance.gamma * kappa
-    one_gk, two_gk = 1.0 + gk, 1.0 + 2.0 * gk
-    mean_var = instance.risk_model == RISK_MEAN_VAR
-    stdev = instance.risk_model == RISK_MEAN_STDEV
-    braess = is_braess_topology(net)
-    # Under mean-stdev the alternating chain holds only on the Braess
-    # topology, where the root-sum-square risk does not break it.
-    alternating = mean_var or braess
-    eta_proven = mean_var or path.all_forward or braess
-    all_forward = stdev and path.all_forward
-    (lat_x, risk_x), (lat_z, _) = tables
-    fwd_x, bwd_x, fwd_z, bwd_z = (
-        math.fsum(map(lat.__getitem__, edges))
-        for lat in (lat_x, lat_z)
-        for edges in (path.forward_edges(), path.backward_edges())
-    )
-    # The path sums are per unit of flow and bound the common equilibrium
-    # path cost, so every chain value carries the demand factor.
-    chain_x = d * (one_gk * fwd_x - bwd_x)
-    chain_z = d * (one_gk * fwd_z - bwd_z)
-    chain_mid = cost_z + gk * d * fwd_z
-    least_risk = sum(map(lat_x.__getitem__, _min_risk_path(instance, risk_x)))
-    rows = (
-        ("rawe-cost-le-min-path-cost", True, cost_x, d * x.min_path_cost, 0.0, 0.0, True),
-        ("rawe-cost-le-scaled-latency", True, cost_x, d * one_gk * s_x, 0.0, 0.0, True),
-        ("rawe-cost-le-min-risk-path-latency", True, cost_x, d * least_risk, 0.0, 0.0, True),
-        ("alternating-rawe-bound", alternating, cost_x, chain_x, 2.0, 0.0, True),
-        ("chain-monotone-link", alternating, chain_x, chain_z, 0.0, 0.0, True),
-        ("chain-rnwe-link", alternating, chain_z, chain_mid, 0.0, 1.0, True),
-        ("chain-eta-link", alternating, chain_mid, bound_eta * cost_z, 0.0, gk, True),
-        ("alternating-rnwe-bound", True, d * (fwd_z - bwd_z), cost_z, 0.0, 1.0, True),
-        ("pra-eta-bound", True, cost_x, bound_eta * cost_z, 2.0, one_gk, eta_proven),
-        ("pra-worstcase-bound", True, cost_x, bound_worst * cost_z, 2.0, one_gk, eta_proven),
-        ("pra-rho-bound", True, cost_x, one_gk * rho * cost_z, 0.0, 0.0, True),
-        ("stdev-all-forward-bound", all_forward, cost_x, one_gk * cost_z, 2.0, one_gk, True),
-        ("braess-stdev-bound", stdev and braess, cost_x, two_gk * cost_z, 2.0, two_gk, True),
-    )
-    checks = []
-    for name, applies, lhs, rhs, fx, fz, proven in rows:
-        if not cost_z > 0.0 and name != "rawe-cost-le-min-path-cost":
-            note = "risk-neutral cost is zero"
-        elif not applies:
-            continue
-        elif math.isinf(kappa) and name not in _KAPPA_FREE:
-            note = "kappa is infinite"
-        elif name == "pra-rho-bound" and not math.isfinite(rho):
-            note = "rho is undefined"
-        else:
-            extra = d * eta * (fx * x.deviation + fz * z.deviation)
-            passed = lhs <= rhs * (1.0 + CHECK_REL_SLACK) + CHECK_ABS_SLACK + extra
-            note = "" if proven else "unproven bound"
-            checks.append(BoundCheck(name, lhs, rhs, passed, proven, note=note))
-            continue
-        checks.append(BoundCheck(name, math.nan, math.nan, True, skipped=True, note=note))
-    return tuple(checks)
-
-
 @dataclass(frozen=True)
 class PraReport:
+    """A solved pair's price of risk aversion, its bounds and its checks, as
+    :func:`pra_report` makes it. ``checks`` is the only list of checks:
+    ``failed`` and ``ok`` read it."""
+
     instance_name: str
     risk_model: str
     gamma: float
@@ -250,9 +146,14 @@ class PraReport:
     degenerate: bool
 
     @property
+    def failed(self) -> tuple[str, ...]:
+        """Names of the proven, evaluated checks that failed, in report order."""
+        return tuple(c.name for c in self.checks if c.proven and not (c.skipped or c.passed))
+
+    @property
     def ok(self) -> bool:
         """True when every proven, evaluated check passed."""
-        return all(c.passed for c in self.checks if c.proven and not c.skipped)
+        return not self.failed
 
 
 def pra_report(
@@ -269,6 +170,19 @@ def pra_report(
     edge flows and their own certificates (``min_path_cost``,
     ``deviation``), and prices no path: S(z) is z's ``min_path_cost``.
     Each edge's latency and risk is evaluated once per flow.
+
+    The checks come from one table, in report order. A row gives a check's
+    name, whether it applies to the instance, whether it is free of kappa,
+    lhs and rhs, the factors of x's and z's ``deviation`` in its round-off
+    allowance, and whether its bound is proven; :func:`within` judges it. A
+    check that does not apply is left out, except that every check but the
+    first is listed as skipped when the risk-neutral cost is zero. Checks
+    that scale by kappa are skipped when it is infinite, and the rho bound
+    when rho is undefined.
+
+    The chain proofs apply one equilibrium inequality per forward run of the
+    alternating path, so approximate equilibria can miss by eta times the
+    worst used-path deviation (demand-scaled, like the compared costs).
     """
     if not (x_result.converged and z_result.converged):
         raise ValueError("pra_report needs converged equilibria on both sides")
@@ -278,17 +192,18 @@ def pra_report(
             raise ValueError(
                 f"pra_report needs a {mode!r} equilibrium, got {flow.objective_mode!r}"
             )
-    net = instance.network
+    net, d = instance.network, instance.demand
     tables = (_edge_table(net, x.edge_flow), _edge_table(net, z.edge_flow))
-    (lat_x, _), (lat_z, _) = tables
+    (lat_x, risk_x), (lat_z, _) = tables
     # social_cost, from the tables
     cost_x = sum(lat_x[e.id] * x.edge_flow[e.id] for e in net.edges)
     cost_z = sum(lat_z[e.id] * z.edge_flow[e.id] for e in net.edges)
     kappa = _kappa(tables[0])
     kappa_diag = max(kappa, _kappa(tables[1]))
+    gk = instance.gamma * kappa
+    one_gk, two_gk = 1.0 + gk, 1.0 + 2.0 * gk
 
-    eps = CLASSIFY_EPS_REL * instance.demand
-    path = find_alternating_path(classify_edges(x, z, eps), net)
+    path = find_alternating_path(classify_edges(x, z, CLASSIFY_EPS_REL * d), net)
     eta = path.forward_runs
 
     degenerate = not cost_z > 0.0
@@ -299,15 +214,60 @@ def pra_report(
 
     bound_eta = theoretical_pra_bound(instance.gamma, kappa, eta)
     bound_worst = theoretical_pra_bound(instance.gamma, kappa, eta_ceiling(net))
-    bound_rho = (
-        (1.0 + instance.gamma * kappa) * rho
-        if not math.isinf(kappa) and math.isfinite(rho)
-        else math.nan
+    bound_rho = one_gk * rho if not math.isinf(kappa) and math.isfinite(rho) else math.nan
+
+    mean_var = instance.risk_model == RISK_MEAN_VAR
+    stdev = instance.risk_model == RISK_MEAN_STDEV
+    braess = is_braess_topology(net)
+    # Under mean-stdev the alternating chain holds only on the Braess
+    # topology, where the root-sum-square risk does not break it.
+    alternating = mean_var or braess
+    eta_proven = mean_var or path.all_forward or braess
+    all_forward = stdev and path.all_forward
+    fwd_x, bwd_x, fwd_z, bwd_z = (
+        math.fsum(map(lat.__getitem__, edges))
+        for lat in (lat_x, lat_z)
+        for edges in (path.forward_edges(), path.backward_edges())
     )
-    checks = _bound_checks(
-        instance, x_result, z_result, path, tables, cost_x, cost_z, kappa, s_x, rho,
-        bound_eta, bound_worst,
+    # The path sums are per unit of flow and bound the common equilibrium
+    # path cost, so every chain value carries the demand factor.
+    chain_x = d * (one_gk * fwd_x - bwd_x)
+    chain_z = d * (one_gk * fwd_z - bwd_z)
+    chain_mid = cost_z + gk * d * fwd_z
+    least_risk = d * sum(map(lat_x.__getitem__, _min_risk_path(instance, risk_x)))
+    rows = (
+        ("rawe-cost-le-min-path-cost", True, True, cost_x, d * x_result.min_path_cost,
+         0.0, 0.0, True),
+        ("rawe-cost-le-scaled-latency", True, False, cost_x, d * one_gk * s_x, 0.0, 0.0, True),
+        ("rawe-cost-le-min-risk-path-latency", True, True, cost_x, least_risk, 0.0, 0.0, True),
+        ("alternating-rawe-bound", alternating, False, cost_x, chain_x, 2.0, 0.0, True),
+        ("chain-monotone-link", alternating, False, chain_x, chain_z, 0.0, 0.0, True),
+        ("chain-rnwe-link", alternating, False, chain_z, chain_mid, 0.0, 1.0, True),
+        ("chain-eta-link", alternating, False, chain_mid, bound_eta * cost_z, 0.0, gk, True),
+        ("alternating-rnwe-bound", True, True, d * (fwd_z - bwd_z), cost_z, 0.0, 1.0, True),
+        ("pra-eta-bound", True, False, cost_x, bound_eta * cost_z, 2.0, one_gk, eta_proven),
+        ("pra-worstcase-bound", True, False, cost_x, bound_worst * cost_z, 2.0, one_gk, eta_proven),
+        ("pra-rho-bound", True, False, cost_x, bound_rho * cost_z, 0.0, 0.0, True),
+        ("stdev-all-forward-bound", all_forward, False, cost_x, one_gk * cost_z, 2.0, one_gk, True),
+        ("braess-stdev-bound", stdev and braess, False, cost_x, two_gk * cost_z, 2.0, two_gk, True),
     )
+    checks = []
+    for name, applies, kappa_free, lhs, rhs, fx, fz, proven in rows:
+        if degenerate and name != "rawe-cost-le-min-path-cost":
+            note = "risk-neutral cost is zero"
+        elif not applies:
+            continue
+        elif math.isinf(kappa) and not kappa_free:
+            note = "kappa is infinite"
+        elif name == "pra-rho-bound" and not math.isfinite(rho):
+            note = "rho is undefined"
+        else:
+            allowance = d * eta * (fx * x_result.deviation + fz * z_result.deviation)
+            passed = within(lhs, rhs, allowance)
+            note = "" if proven else "unproven bound"
+            checks.append(BoundCheck(name, lhs, rhs, passed, proven, note=note))
+            continue
+        checks.append(BoundCheck(name, math.nan, math.nan, True, skipped=True, note=note))
     return PraReport(
         instance_name=instance.name,
         risk_model=instance.risk_model,
@@ -323,7 +283,7 @@ def pra_report(
         rho=rho,
         bound_rho=bound_rho,
         alternating_arcs=path.arcs,
-        checks=checks,
+        checks=tuple(checks),
         gap_rnwe=z_result.relative_gap,
         gap_rawe=x_result.relative_gap,
         degenerate=degenerate,

@@ -24,6 +24,7 @@ from .analysis import (
     max_shortest_path_oracle,
     pra_report,
     report_to_dict,
+    within,
 )
 from .instances import FAMILIES, make, read_instance, write_instance
 from .network import (
@@ -306,7 +307,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print("maximizing path flows:")
     for path in sorted(oracle.path_flow):
         print(f"  {_num(oracle.path_flow[path])}  {','.join(path)}")
-    attained = suites.oracle_attained(oracle.value, best)
+    attained = within(oracle.value, best)
     if oracle.series_parallel:
         print(
             "equilibrium attains the max within round-off:"

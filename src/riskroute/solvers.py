@@ -129,12 +129,12 @@ class EquilibriumResult:
     ``stop_reason`` is ``"converged"`` (gap and the worst used path's excess
     over the cheapest both at most the tolerance), ``"max-iter"`` (iteration
     budget spent), ``"round-off"`` (the most expensive used path is already
-    the cheapest, so the gap left is rounding), ``"no-descent"``
-    (risk-neutral and mean-var: the exact line search along the pairwise
-    transfer found no step that lowers the potential) or ``"shift-floor"``
-    (mean-stdev: Newton found no descent and the bisection step fell below
-    ``SHIFT_FLOOR_REL`` of the demand); None when the result was not made by
-    a solver.
+    the cheapest, or the loop revisited a path flow, so the gap left is
+    rounding), ``"no-descent"`` (risk-neutral and mean-var: the exact line
+    search along the pairwise transfer found no step that lowers the
+    potential) or ``"shift-floor"`` (mean-stdev: Newton found no descent and
+    the bisection step fell below ``SHIFT_FLOOR_REL`` of the demand);
+    ``converged`` is read from it.
 
     ``min_path_cost`` is the cheapest path's cost under the flow's objective
     mode, and ``deviation`` the most expensive used path's cost less that, at
@@ -147,10 +147,13 @@ class EquilibriumResult:
     flow: Flow
     relative_gap: float
     iterations: int
-    converged: bool
     min_path_cost: float
     deviation: float
-    stop_reason: str | None = None
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def cost_polynomials(instance: Instance, mode: str) -> dict[str, CostPoly]:
@@ -447,9 +450,9 @@ def solve_wardrop(
     separable mode where S holds two paths, flow moves from the most
     expensive used path onto the cheapest (:func:`_pairwise_step`). The loop
     stops once the relative gap and the worst used path's excess over the
-    cheapest are both at most ``tol``; an unconverged solve returns the
-    iterate of least merit (their sum). Under a separable mode the Beckmann
-    potential is asserted never to rise.
+    cheapest are both at most ``tol``, or at the first iterate it revisits;
+    an unconverged solve returns the iterate of least merit (their sum).
+    Under a separable mode the Beckmann potential is asserted never to rise.
 
     Raises ValueError when ``mode`` is neither risk-neutral nor the
     instance's risk model, when ``tol`` is not a finite number >= 0, or when
@@ -467,10 +470,18 @@ def solve_wardrop(
     _, _, start = pool.cheapest({e.id: 0.0 for e in instance.network.edges})
     it = best_it = pool.evaluate({start: instance.demand})
     stop_reason = "max-iter"
+    seen: set[tuple] = set()
 
     for iterations in range(max_iter + 1):
         if it.merit < best_it.merit:
             best_it = it
+        else:
+            # a step depends on the ordered path flows alone: a repeat cycles
+            state = tuple(it.paths.items())
+            if state in seen:
+                stop_reason = "round-off"
+                break
+            seen.add(state)
         if it.gap <= tol and it.excess <= tol:
             best_it, stop_reason = it, "converged"
             break
@@ -496,10 +507,7 @@ def solve_wardrop(
     flow = Flow.from_paths(instance, best_it.paths, mode)
     floor = best_it.floor
     deviation = max(0.0, best_it.costs[best_it.worst] - floor)
-    converged = stop_reason == "converged"
-    return EquilibriumResult(
-        flow, best_it.gap, iterations, converged, floor, deviation, stop_reason
-    )
+    return EquilibriumResult(flow, best_it.gap, iterations, floor, deviation, stop_reason)
 
 
 @dataclass

@@ -3,8 +3,11 @@ suites that ``riskroute verify`` runs.
 
 The command line and the acceptance tests both run the suites from here, so
 what each suite draws and what counts as passing is decided in this module
-only. A suite returns one failure line per failing case and the number of
-cases it checked; it goes through its seeds in order and is deterministic.
+only. The round-off rule under which a value passes its bound is the one
+exception: it is :func:`riskroute.analysis.within`, shared by the PRA
+report's checks, the oracle verdicts here and ``riskroute oracle``. A suite
+returns one failure line per failing case and the number of cases it
+checked; it goes through its seeds in order and is deterministic.
 """
 
 from __future__ import annotations
@@ -16,15 +19,14 @@ import numpy as np
 
 from .alternating import FORWARD, NoAlternatingPathError
 from .analysis import (
-    CHECK_ABS_SLACK,
     CHECK_REL_SLACK,
     DEFAULT_ORACLE_GRID,
     DEFAULT_ORACLE_MAX_PATHS,
     SIGMA_SLACK,
-    PraReport,
     braess_stdev_inequality_batch,
     max_shortest_path_oracle,
     pra_report,
+    within,
 )
 from .instances import make
 from .network import Instance, is_series_parallel
@@ -77,17 +79,6 @@ def random_sp(seed: int, max_budget: int, max_paths: int | None = None) -> Insta
 # --- pass rules ----------------------------------------------------------------
 
 
-def oracle_attained(value: float, best: float) -> bool:
-    """True when the grid maximum ``value`` of the shortest-path latency does
-    not exceed the risk-neutral equilibrium's S(z) = ``best`` beyond
-    round-off, under the rule every bound check uses.
-
-    On a series-parallel network Wardrop equilibria maximize the
-    shortest-path latency over all feasible flows, and every grid point is a
-    feasible flow, so no allowance for the grid's resolution is due."""
-    return value <= best * (1.0 + CHECK_REL_SLACK) + CHECK_ABS_SLACK
-
-
 def zigzag_closed_forms() -> tuple[list[str], float]:
     """Grid oracle at DEFAULT_ORACLE_GRID and risk-neutral equilibrium on
     zigzag k in ZIGZAG_KS against their closed forms: the maximum shortest
@@ -103,8 +94,7 @@ def zigzag_closed_forms() -> tuple[list[str], float]:
         instance = make("zigzag", k=k)
         # the core of k = 4 has 10 paths
         value = max_shortest_path_oracle(instance, max_paths=10).value
-        z = solve_rnwe(instance)
-        best = z.min_path_cost
+        best = solve_rnwe(instance).min_path_cost
         bad: list[str] = []
         if abs(value - 1.0) > ZIGZAG_TOL:
             bad.append(f"oracle {num(value)} != 1.0")
@@ -114,12 +104,6 @@ def zigzag_closed_forms() -> tuple[list[str], float]:
             failures.append(f"zigzag k={k}: " + "; ".join(bad))
         worst = max(worst, abs(value - 1.0), abs(best - 1.0 / k))
     return failures, worst
-
-
-def _failed_names(report: PraReport) -> str:
-    return ",".join(
-        c.name for c in report.checks if c.proven and not c.skipped and not c.passed
-    )
 
 
 # --- suites --------------------------------------------------------------------
@@ -139,23 +123,22 @@ def bound_chain(
         except (ConvergenceError, NoAlternatingPathError) as exc:
             failures.append(f"seed {seed}: {exc}")
             continue
-        if not report.ok:
-            failures.append(f"seed {seed}: {_failed_names(report)}")
+        if report.failed:
+            failures.append(f"seed {seed}: {','.join(report.failed)}")
     return failures, seeds
 
 
 def sp_theorem(
     seeds: int,
-    grid: int | None = None,
+    grid: int = DEFAULT_ORACLE_GRID,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[list[str], int]:
     """Random series-parallel instances: eta = 1, the alternating path never
     uses an edge backward, the price of risk aversion stays within 1 + gamma
     kappa, and no point of the oracle's grid beats the equilibrium shortest
-    path (:func:`oracle_attained`). The zigzag family must be flagged
-    non-SP."""
-    grid = grid if grid is not None else DEFAULT_ORACLE_GRID
+    path beyond round-off (:func:`within`). The zigzag family must be
+    flagged non-SP."""
     failures: list[str] = []
     for seed in range(seeds):
         instance = random_sp(seed, max_budget=5, max_paths=DEFAULT_ORACLE_MAX_PATHS)
@@ -166,8 +149,8 @@ def sp_theorem(
             failures.append(f"seed {seed}: {exc}")
             continue
         bad: list[str] = []
-        if not report.ok:
-            bad.append(f"checks {_failed_names(report)}")
+        if report.failed:
+            bad.append(f"checks {','.join(report.failed)}")
         if report.eta != 1:
             bad.append(f"eta {report.eta}")
         if any(direction != FORWARD for _, direction in report.alternating_arcs):
@@ -175,10 +158,9 @@ def sp_theorem(
         ceiling = (1.0 + report.gamma * report.kappa) * (1.0 + CHECK_REL_SLACK)
         if report.pra > ceiling:
             bad.append(f"pra {num(report.pra)} > {num(ceiling)}")
-        oracle = max_shortest_path_oracle(instance, grid=grid)
-        best = z.min_path_cost
-        if not oracle_attained(oracle.value, best):
-            bad.append(f"oracle {num(oracle.value)} > S(z) {num(best)}")
+        value, best = max_shortest_path_oracle(instance, grid=grid).value, z.min_path_cost
+        if not within(value, best):
+            bad.append(f"oracle {num(value)} > S(z) {num(best)}")
         if bad:
             failures.append(f"seed {seed}: " + "; ".join(bad))
     for k in ZIGZAG_KS:
@@ -212,14 +194,15 @@ def sigma_lemma(samples: int) -> tuple[list[str], int]:
 
 def oracle_seeds(
     seeds: int,
-    grid: int | None = None,
+    grid: int = DEFAULT_ORACLE_GRID,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[str]:
     """Random series-parallel instances whose risk-neutral equilibrium must
     attain the grid maximum of the shortest-path latency within round-off
-    (:func:`oracle_attained`). Returns one failure line per failing seed."""
-    grid = grid if grid is not None else DEFAULT_ORACLE_GRID
+    (:func:`within`): it maximizes that latency over all feasible flows, and
+    every grid point is one, so the grid's resolution earns no allowance.
+    Returns one failure line per failing seed."""
     failures: list[str] = []
     for seed in range(seeds):
         instance = random_sp(seed, max_budget=4, max_paths=DEFAULT_ORACLE_MAX_PATHS)
@@ -227,16 +210,15 @@ def oracle_seeds(
         if not z.converged:
             failures.append(f"seed {seed}: risk-neutral solver did not converge")
             continue
-        oracle = max_shortest_path_oracle(instance, grid=grid)
-        best = z.min_path_cost
-        if not oracle_attained(oracle.value, best):
-            failures.append(f"seed {seed}: oracle {num(oracle.value)} > S(z) {num(best)}")
+        value, best = max_shortest_path_oracle(instance, grid=grid).value, z.min_path_cost
+        if not within(value, best):
+            failures.append(f"seed {seed}: oracle {num(value)} > S(z) {num(best)}")
     return failures
 
 
 def oracle(
     seeds: int,
-    grid: int | None = None,
+    grid: int = DEFAULT_ORACLE_GRID,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[list[str], int]:
@@ -256,8 +238,9 @@ def run(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[list[str], int]:
     """Run the suite named ``suite`` over ``seeds`` cases. ``grid`` applies to
-    sp-theorem and oracle (None means the suite's default), ``tol`` and
+    sp-theorem and oracle (None means ``DEFAULT_ORACLE_GRID``), ``tol`` and
     ``max_iter`` to every solve a suite makes on its seeded instances."""
+    grid = DEFAULT_ORACLE_GRID if grid is None else grid
     if suite == "bound-chain":
         return bound_chain(seeds, tol, max_iter)
     if suite == "sp-theorem":

@@ -17,7 +17,6 @@ import riskroute.network as network
 import riskroute.solvers as solvers
 from riskroute import suites
 from riskroute.analysis import (
-    CHECK_NAMES,
     DEFAULT_ORACLE_GRID,
     DEFAULT_ORACLE_MAX_PATHS,
     SIGMA_SLACK,
@@ -28,6 +27,7 @@ from riskroute.analysis import (
     pra_report,
     report_to_dict,
     shortest_path_length,
+    within,
 )
 from riskroute.instances import make
 from riskroute.network import (
@@ -95,24 +95,37 @@ def test_kappa_infinite_on_free_risky_edge():
 # --- reports ----------------------------------------------------------
 
 
+#: The bound checks in report order.
+CHECK_NAMES = [
+    "rawe-cost-le-min-path-cost",
+    "rawe-cost-le-scaled-latency",
+    "rawe-cost-le-min-risk-path-latency",
+    "alternating-rawe-bound",
+    "chain-monotone-link",
+    "chain-rnwe-link",
+    "chain-eta-link",
+    "alternating-rnwe-bound",
+    "pra-eta-bound",
+    "pra-worstcase-bound",
+    "pra-rho-bound",
+    "stdev-all-forward-bound",
+    "braess-stdev-bound",
+]
+
+
+def _degenerate_report():
+    """The report on one zero-latency risky edge: the risk-neutral cost is
+    zero, so every check is listed, all but the first skipped."""
+    instance = _parallel_instance([_edge("z1", "s", "t", (0.0,), (1.0,))], name="flat")
+    with pytest.warns(ZeroCostPathWarning):
+        z_result = solve_rnwe(instance)
+    return pra_report(instance, solve_rawe(instance), z_result)
+
+
 def test_check_registry_names():
-    names = list(CHECK_NAMES)
-    assert len(names) == len(set(names)) == 13
-    assert names == [
-        "rawe-cost-le-min-path-cost",
-        "rawe-cost-le-scaled-latency",
-        "rawe-cost-le-min-risk-path-latency",
-        "alternating-rawe-bound",
-        "chain-monotone-link",
-        "chain-rnwe-link",
-        "chain-eta-link",
-        "alternating-rnwe-bound",
-        "pra-eta-bound",
-        "pra-worstcase-bound",
-        "pra-rho-bound",
-        "stdev-all-forward-bound",
-        "braess-stdev-bound",
-    ]
+    names = [c.name for c in _degenerate_report().checks]
+    assert len(set(names)) == 13
+    assert names == CHECK_NAMES
 
 
 def test_braess_report_frozen_values():
@@ -259,14 +272,10 @@ def test_report_with_infinite_kappa_skips_scaled_checks():
 
 
 def test_degenerate_report_when_risk_neutral_cost_is_zero():
-    instance = _parallel_instance([_edge("z1", "s", "t", (0.0,), (1.0,))], name="flat")
-    with pytest.warns(ZeroCostPathWarning):
-        z_result = solve_rnwe(instance)
-    x_result = solve_rawe(instance)
-    report = pra_report(instance, x_result, z_result)
+    report = _degenerate_report()
     assert report.degenerate
     assert math.isnan(report.pra)
-    assert [c.name for c in report.checks] == list(CHECK_NAMES)
+    assert [c.name for c in report.checks] == CHECK_NAMES
     assert not report.checks[0].skipped and report.checks[0].passed
     assert all(c.skipped for c in report.checks[1:])
     assert all("risk-neutral cost is zero" in c.note for c in report.checks[1:])
@@ -280,9 +289,9 @@ def test_report_requires_converged_results():
         flow=good.flow,
         relative_gap=1.0,
         iterations=0,
-        converged=False,
         min_path_cost=good.min_path_cost,
         deviation=good.deviation,
+        stop_reason="max-iter",
     )
     with pytest.raises(ValueError, match="converged"):
         pra_report(instance, good, bad)
@@ -620,8 +629,8 @@ def test_oracle_verdict_catches_a_one_percent_error():
         value = max_shortest_path_oracle(
             instance, grid=DEFAULT_ORACLE_GRID, max_paths=DEFAULT_ORACLE_MAX_PATHS
         ).value
-        assert suites.oracle_attained(value, best), seed
-        assert not suites.oracle_attained(value, 0.99 * best), seed
+        assert within(value, best), seed
+        assert not within(value, 0.99 * best), seed
 
 
 @pytest.mark.parametrize(
@@ -635,7 +644,7 @@ def test_oracle_certifies_wide_series_parallel_supports(budget, seeds):
         result = max_shortest_path_oracle(instance, grid=DEFAULT_ORACLE_GRID)
         assert result.series_parallel
         z = solve_rnwe(instance)
-        assert suites.oracle_attained(result.value, z.min_path_cost), seed
+        assert within(result.value, z.min_path_cost), seed
     with pytest.raises(PathCountError):
         enumerate_simple_paths(instance.network, cap=DEFAULT_ORACLE_MAX_PATHS)
 

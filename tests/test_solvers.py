@@ -436,6 +436,36 @@ def test_stop_reason():
         solve_pair(instance, max_iter=0)
 
 
+@pytest.mark.parametrize(
+    "seed, risk_model, reason",
+    [(6, RISK_MEAN_VAR, "round-off"), (14, RISK_MEAN_VAR, "no-descent"),
+     (4, RISK_MEAN_STDEV, "shift-floor")],
+)
+def test_zero_tolerance_stop_reasons(seed, risk_model, reason):
+    """At tol 0 a solve can stop only short of convergence, and says why."""
+    result = solve_rawe(suites.random_general(seed, risk_model=risk_model), tol=0.0)
+    assert result.stop_reason == reason
+    assert not result.converged
+    assert result.iterations < 10
+
+
+def test_revisited_iterate_stops_at_round_off():
+    """Risk-neutral bound-chain seed 11 at tol 0 cycles through the same path
+    flows at a merit of about 1e-16; the solve stops at the first repeat."""
+    result = solve_rnwe(suites.random_general(11), tol=0.0)
+    assert result.stop_reason == "round-off"
+    assert result.iterations <= 50
+    assert result.relative_gap <= 1e-15
+
+
+def test_solve_pair_names_the_stop_reason():
+    with pytest.raises(
+        ConvergenceError,
+        match=r"^risk-averse solver stopped at gap 0\.0 after 5 iterations \(round-off\)$",
+    ):
+        solve_pair(suites.random_general(6), tol=0.0)
+
+
 def test_separable_solves_converge_at_tight_tolerance(monkeypatch):
     """Every random_general mean-var seed 0-299 converges at tol 1e-13 in
     both separable modes: they stop short only where the exact line search
