@@ -350,6 +350,11 @@ class SigmaInequalityVerdict:
 SIGMA_SLACK = 1e-9
 
 
+def _sigma_holds(lhs, rhs):
+    """The inequality's pass rule, on floats and on arrays alike."""
+    return lhs <= rhs + SIGMA_SLACK
+
+
 def braess_stdev_inequality(
     sigma_a: float, sigma_b: float, sigma_c: float, sigma_d: float, sigma_e: float
 ) -> SigmaInequalityVerdict:
@@ -374,15 +379,16 @@ def braess_stdev_inequality(
         or sigma_e**2 + sigma_d**2 <= sigma_b**2,
         lhs=lhs,
         rhs=rhs,
-        holds=lhs <= rhs + SIGMA_SLACK,
+        holds=_sigma_holds(lhs, rhs),
     )
 
 
 def braess_stdev_inequality_batch(
     sigmas: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized form over an (N, 5) array of sigma rows; returns
-    (precondition mask, lhs, rhs), the mask in the same cancelled form."""
+    (precondition mask, lhs, rhs, holds mask), the precondition in the same
+    cancelled form and holds by the scalar verdict's rule."""
     s = np.asarray(sigmas, dtype=float)
     if s.ndim != 2 or s.shape[1] != 5:
         raise ValueError("expected an (N, 5) array of sigma values")
@@ -391,7 +397,8 @@ def braess_stdev_inequality_batch(
     sq = np.hypot(sc, sd)
     sr = np.sqrt(sa**2 + se**2 + sd**2)
     precondition = (sa**2 + se**2 <= sc**2) | (se**2 + sd**2 <= sb**2)
-    return precondition, sp + sq - sr, sb + sc
+    lhs, rhs = sp + sq - sr, sb + sc
+    return precondition, lhs, rhs, _sigma_holds(lhs, rhs)
 
 
 # --- shortest-path maximizer: series-parallel fold, branch-and-bound on the rest --

@@ -38,6 +38,7 @@ from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ConvergenceError,
+    EquilibriumResult,
     solve_pair,
     solve_rawe,
     solve_rnwe,
@@ -127,6 +128,15 @@ def _csv_row(param: str, report: PraReport) -> str:
 # --- solve -------------------------------------------------------------------
 
 
+def _stopped(label: str, result: EquilibriumResult) -> CliError:
+    """Exit 3 for a solve that stopped short of its tolerance, naming why."""
+    return CliError(
+        f"{label} solver stopped at gap {_num(result.relative_gap)}"
+        f" ({result.stop_reason})",
+        EXIT_CONVERGENCE,
+    )
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance, args.risk_model)
     solver = solve_rnwe if args.mode == "rnwe" else solve_rawe
@@ -153,6 +163,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "mode": args.mode,
             "risk_model": instance.risk_model,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
             "iterations": result.iterations,
             "relative_gap": result.relative_gap,
             "social_cost": cost,
@@ -163,7 +174,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "edge_flow": {e.id: flow.edge_flow[e.id] for e in instance.network.edges},
         }
         _write_text(args.out, json.dumps(doc, indent=2) + "\n")
-    return EXIT_OK if result.converged else EXIT_CONVERGENCE
+    if not result.converged:
+        label = "risk-neutral" if args.mode == "rnwe" else "risk-averse"
+        raise _stopped(label, result)
+    return EXIT_OK
 
 
 # --- analyze -----------------------------------------------------------------
@@ -291,11 +305,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise CliError(f"{exc}; raise --max-paths to allow more routes", EXIT_INPUT) from None
     z = solve_rnwe(instance, tol=args.tol, max_iter=args.max_iter)
     if not z.converged:
-        raise CliError(
-            f"risk-neutral solver stopped at gap {_num(z.relative_gap)}"
-            f" ({z.stop_reason})",
-            EXIT_CONVERGENCE,
-        )
+        raise _stopped("risk-neutral", z)
     best = z.min_path_cost
     name = instance.name or args.instance
     print(f"instance {name}  series-parallel {oracle.series_parallel}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping
 
 from .network import (
@@ -328,11 +329,20 @@ def make(family: str, seed: int | None = None, **params: Any) -> Instance:
 
 # --- serialization ----------------------------------------------------------
 
-_TOP_FIELDS = ("name", "nodes", "edges", "source", "sink", "demand", "gamma", "risk_model")
-_EDGE_FIELDS = ("id", "tail", "head", "latency", "risk")
+# dicts so that one comparison of key views checks a whole document
+_TOP_FIELDS = dict.fromkeys(
+    ("name", "nodes", "edges", "source", "sink", "demand", "gamma", "risk_model")
+)
+_EDGE_FIELDS = dict.fromkeys(("id", "tail", "head", "latency", "risk"))
+
+# Error messages name a field of edge number ``edge``, or a top-level field
+# when ``edge`` is None. The names are formatted only for a message.
 
 
-def _require(doc: Mapping[str, Any], fields: tuple[str, ...], where: str) -> None:
+def _require(doc: Mapping[str, Any], fields: dict, edge: int | None = None) -> None:
+    if doc.keys() == fields.keys():
+        return
+    where = "instance" if edge is None else f"edge #{edge}"
     for key in doc:
         if key not in fields:
             raise InstanceFormatError(f"unknown field {key!r} in {where}")
@@ -341,22 +351,30 @@ def _require(doc: Mapping[str, Any], fields: tuple[str, ...], where: str) -> Non
             raise InstanceFormatError(f"missing field {key!r} in {where}")
 
 
-def _number(value: Any, where: str) -> float:
+def _field(key: str, edge: int | None) -> str:
+    return repr(key) if edge is None else f"edge #{edge} {key}"
+
+
+def _number(value: Any, key: str, edge: int | None = None) -> float:
     """A JSON number as a float; a JSON integer may be too large for one."""
+    if type(value) is float:
+        return value
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InstanceFormatError(f"field {where} must be a number")
+        raise InstanceFormatError(f"field {_field(key, edge)} must be a number")
     try:
         return float(value)
     except OverflowError:
-        raise InstanceFormatError(f"field {where} is too large for a float") from None
+        raise InstanceFormatError(
+            f"field {_field(key, edge)} is too large for a float"
+        ) from None
 
 
-def _number_list(value: Any, where: str) -> tuple[float, ...]:
+def _number_list(value: Any, key: str, edge: int) -> tuple[float, ...]:
     if not isinstance(value, list):
-        raise InstanceFormatError(f"field {where} must be a list of numbers")
+        raise InstanceFormatError(f"field {_field(key, edge)} must be a list of numbers")
     if not value:
-        raise InstanceFormatError(f"field {where} must not be empty")
-    return tuple(_number(c, where) for c in value)
+        raise InstanceFormatError(f"field {_field(key, edge)} must not be empty")
+    return tuple([_number(c, key, edge) for c in value])
 
 
 def read_instance(data: bytes | str) -> Instance:
@@ -371,7 +389,7 @@ def read_instance(data: bytes | str) -> Instance:
         raise InstanceFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceFormatError("top-level document must be an object")
-    _require(doc, _TOP_FIELDS, "instance")
+    _require(doc, _TOP_FIELDS)
 
     if not isinstance(doc["name"], str):
         raise InstanceFormatError("field 'name' must be a string")
@@ -385,7 +403,7 @@ def read_instance(data: bytes | str) -> Instance:
     for i, edoc in enumerate(doc["edges"]):
         if not isinstance(edoc, dict):
             raise InstanceFormatError(f"edge #{i} must be an object")
-        _require(edoc, _EDGE_FIELDS, f"edge #{i}")
+        _require(edoc, _EDGE_FIELDS, i)
         for key in ("id", "tail", "head"):
             if not isinstance(edoc[key], str):
                 raise InstanceFormatError(f"edge #{i}: field {key!r} must be a string")
@@ -394,14 +412,14 @@ def read_instance(data: bytes | str) -> Instance:
                 id=edoc["id"],
                 tail=edoc["tail"],
                 head=edoc["head"],
-                latency=CostPoly(_number_list(edoc["latency"], f"edge #{i} latency")),
-                risk=CostPoly(_number_list(edoc["risk"], f"edge #{i} risk")),
+                latency=CostPoly(_number_list(edoc["latency"], "latency", i)),
+                risk=CostPoly(_number_list(edoc["risk"], "risk", i)),
             )
         )
     for key in ("source", "sink"):
         if not isinstance(doc[key], str):
             raise InstanceFormatError(f"field {key!r} must be a string")
-    demand, gamma = (_number(doc[key], repr(key)) for key in ("demand", "gamma"))
+    demand, gamma = (_number(doc[key], key) for key in ("demand", "gamma"))
     if not isinstance(doc["risk_model"], str):
         raise InstanceFormatError("field 'risk_model' must be a string")
 
@@ -420,28 +438,60 @@ def read_instance(data: bytes | str) -> Instance:
     )
 
 
+def _scalar(value: Any) -> str:
+    """One JSON scalar as ``json.dumps`` prints it: strings ASCII-escaped,
+    finite floats (float subclasses too) by ``float.__repr__``, and the rest
+    (ints, bools, NaN, infinities) by ``json.dumps``, which also raises
+    TypeError on a value JSON cannot hold."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _layout(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """Rendered items laid out as ``json.dumps(indent=2)`` lays them out: one
+    a line, two spaces deeper than ``indent``, where the closing bracket
+    sits. No items print as the bare brackets."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
+
+
 def write_instance(instance: Instance) -> bytes:
-    """Canonical serialization: fixed field order, sorted nodes, edges in
-    declaration order, two-space indent, trailing newline. Reading the result
-    back reproduces the instance exactly."""
+    """Canonical serialization: the bytes of ``json.dumps(doc, indent=2)``
+    plus a newline, for fixed field order, sorted nodes and edges in
+    declaration order. Reading the result back reproduces the instance
+    exactly."""
     net = instance.network
-    doc = {
-        "name": instance.name,
-        "nodes": sorted(net.nodes),
-        "edges": [
-            {
-                "id": e.id,
-                "tail": e.tail,
-                "head": e.head,
-                "latency": list(e.latency.coeffs),
-                "risk": list(e.risk.coeffs),
-            }
-            for e in net.edges
+    edges = [
+        _layout(
+            [
+                f'"id": {_scalar(e.id)}',
+                f'"tail": {_scalar(e.tail)}',
+                f'"head": {_scalar(e.head)}',
+                f'"latency": {_layout(list(map(_scalar, e.latency.coeffs)), "      ")}',
+                f'"risk": {_layout(list(map(_scalar, e.risk.coeffs)), "      ")}',
+            ],
+            "    ",
+            "{}",
+        )
+        for e in net.edges
+    ]
+    doc = _layout(
+        [
+            f'"name": {_scalar(instance.name)}',
+            f'"nodes": {_layout(list(map(_scalar, sorted(net.nodes))), "  ")}',
+            f'"edges": {_layout(edges, "  ")}',
+            f'"source": {_scalar(net.source)}',
+            f'"sink": {_scalar(net.sink)}',
+            f'"demand": {_scalar(instance.demand)}',
+            f'"gamma": {_scalar(instance.gamma)}',
+            f'"risk_model": {_scalar(instance.risk_model)}',
         ],
-        "source": net.source,
-        "sink": net.sink,
-        "demand": instance.demand,
-        "gamma": instance.gamma,
-        "risk_model": instance.risk_model,
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        "",
+        "{}",
+    )
+    return (doc + "\n").encode("utf-8")

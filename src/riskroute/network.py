@@ -45,7 +45,7 @@ class CostPoly:
 
     @classmethod
     def of(cls, *coeffs: float) -> "CostPoly":
-        return cls(tuple(float(c) for c in coeffs))
+        return cls(tuple(map(float, coeffs)))
 
     def __call__(self, x: float) -> float:
         acc = 0.0

@@ -22,7 +22,6 @@ from .analysis import (
     CHECK_REL_SLACK,
     DEFAULT_ORACLE_GRID,
     DEFAULT_ORACLE_MAX_PATHS,
-    SIGMA_SLACK,
     braess_stdev_inequality_batch,
     max_shortest_path_oracle,
     pra_report,
@@ -178,12 +177,12 @@ def sigma_lemma(samples: int) -> tuple[list[str], int]:
     checked = 0
     while checked < samples:
         batch = rng.uniform(0.0, 10.0, size=(2 * (samples - checked), 5))
-        precondition, lhs, rhs = braess_stdev_inequality_batch(batch)
+        precondition, lhs, rhs, holds = braess_stdev_inequality_batch(batch)
         rows = batch[precondition]
         lhs = lhs[precondition]
         rhs = rhs[precondition]
         take = min(len(rows), samples - checked)
-        violating = np.nonzero(lhs[:take] > rhs[:take] + SIGMA_SLACK)[0]
+        violating = np.nonzero(~holds[precondition][:take])[0]
         for i in violating[:SIGMA_LISTED]:
             failures.append(
                 f"sigmas {rows[i].tolist()}: lhs {num(lhs[i])} rhs {num(rhs[i])}"

@@ -492,17 +492,19 @@ def test_sigma_precondition_survives_rounding():
     verdict = braess_stdev_inequality(*sigmas)
     assert not verdict.precondition
     assert not verdict.holds
-    precondition, _, _ = braess_stdev_inequality_batch(np.array([sigmas]))
+    precondition, _, _, holds = braess_stdev_inequality_batch(np.array([sigmas]))
     assert not precondition[0]
+    assert not holds[0]
 
 
 def test_sigma_batch_matches_scalar():
     rng = np.random.default_rng(42)
     rows = rng.uniform(0.0, 10.0, size=(500, 5))
-    pre, lhs, rhs = braess_stdev_inequality_batch(rows)
+    pre, lhs, rhs, holds = braess_stdev_inequality_batch(rows)
     for i, row in enumerate(rows):
         verdict = braess_stdev_inequality(*row)
         assert verdict.precondition == bool(pre[i])
+        assert verdict.holds == bool(holds[i])
         assert lhs[i] == pytest.approx(verdict.lhs, rel=1e-12, abs=1e-12)
         assert rhs[i] == pytest.approx(verdict.rhs, rel=1e-12, abs=1e-12)
 

@@ -133,6 +133,7 @@ def test_solve_json_output(tmp_path):
     assert main(["solve", instance, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["converged"] is True
+    assert doc["stop_reason"] == "converged"
     assert doc["relative_gap"] <= 1e-8
     assert doc["social_cost"] == pytest.approx(1.3, rel=1e-9)
     assert doc["edge_flow"]["e"] == pytest.approx(1.0, rel=1e-9)
@@ -150,6 +151,24 @@ def test_solve_risk_neutral_splits_outer_paths(tmp_path):
     flows = {tuple(row["edges"]): row["flow"] for row in doc["path_flow"]}
     assert flows[("a", "b")] == pytest.approx(0.5, rel=1e-6)
     assert flows[("c", "d")] == pytest.approx(0.5, rel=1e-6)
+
+
+def test_unconverged_solve_names_its_stop_reason(tmp_path, capsys):
+    """A zero-tolerance solve of bound-chain seed 11 stops at round-off: the
+    text output is unchanged, stderr names the reason, and so does --out."""
+    instance = _write(
+        tmp_path, "g11.json", make("random_general", seed=11, n=7, m=14)
+    )
+    out = tmp_path / "flow.json"
+    argv = ["solve", instance, "--mode", "rnwe", "--tol", "0", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "converged False  iterations 8  relative gap 0.0\n" in captured.out
+    assert "error" not in captured.out
+    assert captured.err == "error: risk-neutral solver stopped at gap 0.0 (round-off)\n"
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False
+    assert doc["stop_reason"] == "round-off"
 
 
 def test_solve_missing_file_exits_2(tmp_path, capsys):

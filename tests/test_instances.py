@@ -1,7 +1,9 @@
 """Instance families and the JSON serialization round trip."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,15 @@ from riskroute.instances import (
     read_instance,
     write_instance,
 )
-from riskroute.network import RISK_MEAN_STDEV, validate_instance
+from riskroute.network import (
+    RISK_MEAN_STDEV,
+    RISK_MODELS,
+    CostPoly,
+    Edge,
+    Instance,
+    Network,
+    validate_instance,
+)
 
 
 # --- family construction -----------------------------------------------------
@@ -157,10 +167,12 @@ def test_read_instance_field_errors():
 
 
 def test_read_instance_rejects_non_json():
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(InstanceFormatError) as info:
         read_instance(b"not json at all")
-    with pytest.raises(InstanceFormatError):
+    assert str(info.value) == "not valid JSON: Expecting value: line 1 column 1 (char 0)"
+    with pytest.raises(InstanceFormatError) as info:
         read_instance(b"[1, 2, 3]")
+    assert str(info.value) == "top-level document must be an object"
 
 
 def test_write_instance_canonical_order():
@@ -176,3 +188,197 @@ def test_write_instance_canonical_order():
         "risk_model",
     ]
     assert doc["nodes"] == sorted(doc["nodes"])
+
+
+# --- the writer against the json reference ------------------------------------
+
+
+def _json_reference(instance):
+    """The canonical bytes as ``json.dumps(indent=2)`` prints the document."""
+    net = instance.network
+    doc = {
+        "name": instance.name,
+        "nodes": sorted(net.nodes),
+        "edges": [
+            {
+                "id": e.id,
+                "tail": e.tail,
+                "head": e.head,
+                "latency": list(e.latency.coeffs),
+                "risk": list(e.risk.coeffs),
+            }
+            for e in net.edges
+        ],
+        "source": net.source,
+        "sink": net.sink,
+        "demand": instance.demand,
+        "gamma": instance.gamma,
+        "risk_model": instance.risk_model,
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+FAMILY_ARGS = [
+    ("pigou", None, {"gamma": 0.5, "kappa": 0.25}),
+    ("braess", None, {"v": 0.1}),
+    ("braess_general", None, {"alpha": 0.9, "v": 0.3}),
+    ("zigzag", None, {"k": 4}),
+    *(("random_sp", seed, {"budget": 2 + seed}) for seed in range(4)),
+    *(("random_general", seed, {"n": 4 + seed, "m": 6 + 2 * seed}) for seed in range(4)),
+]
+
+
+@pytest.mark.parametrize("risk_model", RISK_MODELS)
+@pytest.mark.parametrize("family, seed, params", FAMILY_ARGS)
+def test_writer_matches_json_reference_on_every_family(family, seed, params, risk_model):
+    instance = make(family, seed=seed, risk_model=risk_model, **params)
+    assert write_instance(instance) == _json_reference(instance)
+
+
+def _instance(nodes=("s", "t"), edges=(), demand=1.0, gamma=1.0, risk_model="mean-var", name="x"):
+    network = Network(nodes=tuple(nodes), edges=tuple(edges), source="s", sink="t")
+    return Instance(network, demand=demand, gamma=gamma, risk_model=risk_model, name=name)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, 7, -3, 10**30, True, False, math.nan, math.inf, -math.inf, -0.0, 5e-324,
+     np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.float64(math.inf)],
+    ids=repr,
+)
+def test_writer_prints_numbers_as_json_does(value):
+    edge = Edge("e", "s", "t", CostPoly((value, 1.0)), CostPoly((value,)))
+    instance = _instance(edges=[edge], demand=value, gamma=value)
+    assert write_instance(instance) == _json_reference(instance)
+
+
+def test_writer_prints_empty_lists_as_json_does():
+    for instance in (
+        _instance(nodes=(), edges=()),
+        _instance(edges=[Edge("e", "s", "t", CostPoly(()), CostPoly(()))]),
+    ):
+        assert write_instance(instance) == _json_reference(instance)
+
+
+@pytest.mark.parametrize(
+    "value", [object(), np.float32(0.5), np.int64(1)], ids=["object", "float32", "int64"]
+)
+def test_writer_rejects_what_json_cannot_hold(value):
+    instance = _instance(edges=[Edge("e", "s", "t", CostPoly((value,)), CostPoly((0.0,)))])
+    with pytest.raises(TypeError):
+        _json_reference(instance)
+    with pytest.raises(TypeError):
+        write_instance(instance)
+
+
+_awkward_text = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001f600'), st.characters()),
+    max_size=6,
+)
+_any_number = st.one_of(
+    st.floats(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+    st.floats().map(np.float64),
+)
+_coefficients = st.lists(_any_number, max_size=4).map(lambda c: CostPoly(tuple(c)))
+_edges = st.builds(Edge, _awkward_text, _awkward_text, _awkward_text, _coefficients, _coefficients)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    nodes=st.lists(_awkward_text, max_size=5),
+    edges=st.lists(_edges, max_size=4),
+    source=_awkward_text,
+    sink=_awkward_text,
+    demand=_any_number,
+    gamma=_any_number,
+    risk_model=_awkward_text,
+    name=_awkward_text,
+)
+def test_writer_matches_json_reference_on_drawn_instances(
+    nodes, edges, source, sink, demand, gamma, risk_model, name
+):
+    network = Network(nodes=tuple(nodes), edges=tuple(edges), source=source, sink=sink)
+    instance = Instance(network, demand=demand, gamma=gamma, risk_model=risk_model, name=name)
+    data = write_instance(instance)
+    assert data == _json_reference(instance)
+    assert data.isascii()
+
+
+# --- every reader error, word for word ------------------------------------------
+
+
+def _braess_doc():
+    return json.loads(write_instance(make("braess", v=0.1)).decode())
+
+
+def _parent(doc, path):
+    """The container that holds ``doc[path[0]][path[1]]...``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _set(path, value):
+    def edit(doc):
+        _parent(doc, path)[path[-1]] = value
+
+    return edit
+
+
+def _delete(path):
+    def edit(doc):
+        del _parent(doc, path)[path[-1]]
+
+    return edit
+
+
+def _rename(edge, old, new):
+    def edit(doc):
+        doc["edges"][edge][new] = doc["edges"][edge].pop(old)
+
+    return edit
+
+
+READER_ERRORS = [
+    ("unknown-top", _set(["comment"], "hi"), "unknown field 'comment' in instance"),
+    ("missing-top", _delete(["demand"]), "missing field 'demand' in instance"),
+    ("unknown-edge", _set(["edges", 1, "color"], "red"), "unknown field 'color' in edge #1"),
+    ("missing-edge", _delete(["edges", 0, "tail"]), "missing field 'tail' in edge #0"),
+    ("renamed-edge", _rename(2, "head", "to"), "unknown field 'to' in edge #2"),
+    ("edge-not-object", _set(["edges", 2], ["a"]), "edge #2 must be an object"),
+    ("edges-not-list", _set(["edges"], {}), "field 'edges' must be a list"),
+    ("nodes-not-strings", _set(["nodes"], ["s", 1]), "field 'nodes' must be a list of strings"),
+    ("name", _set(["name"], 3), "field 'name' must be a string"),
+    ("id", _set(["edges", 0, "id"], None), "edge #0: field 'id' must be a string"),
+    ("tail", _set(["edges", 1, "tail"], 1), "edge #1: field 'tail' must be a string"),
+    ("head", _set(["edges", 4, "head"], ["t"]), "edge #4: field 'head' must be a string"),
+    ("source", _set(["source"], ["s"]), "field 'source' must be a string"),
+    ("sink", _set(["sink"], None), "field 'sink' must be a string"),
+    ("risk-model", _set(["risk_model"], 1), "field 'risk_model' must be a string"),
+    ("coeffs-not-list", _set(["edges", 0, "latency"], 1.0),
+     "field edge #0 latency must be a list of numbers"),
+    ("coeffs-empty", _set(["edges", 3, "risk"], []), "field edge #3 risk must not be empty"),
+    ("bool-demand", _set(["demand"], True), "field 'demand' must be a number"),
+    ("string-gamma", _set(["gamma"], "1.0"), "field 'gamma' must be a number"),
+    ("bool-coefficient", _set(["edges", 1, "risk"], [0.1, False]),
+     "field edge #1 risk must be a number"),
+    ("string-coefficient", _set(["edges", 0, "latency"], ["fast"]),
+     "field edge #0 latency must be a number"),
+    ("huge-demand", _set(["demand"], 10**400), "field 'demand' is too large for a float"),
+    ("huge-coefficient", _set(["edges", 4, "latency"], [0.0, 10**400]),
+     "field edge #4 latency is too large for a float"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", [case[1:] for case in READER_ERRORS], ids=[case[0] for case in READER_ERRORS]
+)
+def test_read_instance_error_messages(edit, message):
+    doc = _braess_doc()
+    edit(doc)
+    with pytest.raises(InstanceFormatError) as info:
+        read_instance(json.dumps(doc))
+    assert str(info.value) == message

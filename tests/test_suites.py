@@ -187,7 +187,7 @@ def test_zigzag_closed_forms_report_both_forms(monkeypatch):
 def test_sigma_lemma_lists_at_most_a_batch_of_counterexamples(monkeypatch):
     def violated(batch):
         ones = np.ones(len(batch))
-        return ones > 0.0, ones, np.zeros(len(batch))
+        return ones > 0.0, ones, np.zeros(len(batch)), ones < 0.0
 
     monkeypatch.setattr(suites, "braess_stdev_inequality_batch", violated)
     failures, total = suites.sigma_lemma(30)

@@ -96,3 +96,24 @@ def test_generalized_braess_b3_grows_past_smaller_eta(risk_model):
     )
     assert (report.pra - 1.0) / (report.gamma * report.kappa) > 2.0
     assert _eta_ratio(report) >= 0.6
+
+
+@pytest.mark.parametrize("risk_model", [RISK_MEAN_VAR, RISK_MEAN_STDEV])
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+def test_pigou_price_does_not_depend_on_the_delay_shape(p, risk_model):
+    """The PRA does not depend on the shape of the delay functions. A Pigou
+    network whose risk-free edge e1 has latency (1+gamma*kappa)*x**p, beside
+    e2 with latency 1 and constant risk kappa, reaches the eta bound
+    1 + gamma*kappa = 2 at gamma = kappa = demand = 1 for every degree p: the
+    risk-averse flow takes e1 whole at cost 2, the risk-neutral flow splits
+    at cost 1. The solves land within a few ulps of 2 (p = 4 reads
+    1.9999999999999991, 4 ulps below)."""
+    gamma = kappa = 1.0
+    e1 = _edge("e1", "s", "t", (0.0,) * p + (1.0 + gamma * kappa,))
+    e2 = _edge("e2", "s", "t", (1.0,), (kappa,))
+    network = Network(nodes=("s", "t"), edges=(e1, e2), source="s", sink="t")
+    instance = Instance(network, demand=1.0, gamma=gamma, risk_model=risk_model, name="pigou-p")
+    report = _report(instance)
+    assert report.ok
+    assert report.eta == 1
+    assert abs(report.pra - 2.0) <= 1e-15
