@@ -28,7 +28,7 @@ from .network import (
     Edge,
     Instance,
     Network,
-    enumerate_simple_paths,
+    PathCountError,
     fold_series_parallel,
     is_braess_topology,
 )
@@ -526,8 +526,9 @@ def max_shortest_path_oracle(
     (:func:`_lattice_maximum`) runs on the core left: one edge per pair,
     named by the first edge its fold took in, with the pair's M as its
     latency row and the network's nodes in their order; where nothing
-    folds, as on Braess, the core is the network. Only the core's simple
-    paths are enumerated, at most ``max_paths`` (PathCountError beyond).
+    folds, as on Braess, the core is the network. No path is enumerated:
+    the lattice counts the core's paths by dynamic programming over its
+    topological order, at most ``max_paths`` (PathCountError beyond).
 
     Backtracking the splits from each pair's units gives the maximizing edge
     flow: the first lattice point of the core, and the first maximizing
@@ -607,39 +608,58 @@ def _lattice_maximum(
     net: Network, lat: np.ndarray, max_paths: int
 ) -> tuple[float, dict[str, int], int]:
     """The largest shortest-path latency over the integer edge flows of
-    value grid on the edges of the simple paths by branch-and-bound, the
-    first maximizing flow in lattice order (units per path edge) and the
-    number of lattice points evaluated. ``lat`` holds each edge's latency
-    at 0, 1, ..., grid units, one row per edge in ``net.edges`` order. The
-    paths are enumerated up to ``max_paths`` (PathCountError beyond).
+    value grid on the edges of the source-sink paths by branch-and-bound,
+    the first maximizing flow in lattice order (units per path edge) and
+    the number of lattice points evaluated. ``lat`` holds each edge's
+    latency at 0, 1, ..., grid units, one row per edge in ``net.edges``
+    order. No path is listed: two passes over the topological order count
+    the paths into each node from the source and from each node to the
+    sink, an edge is on a path when the count into its tail and the count
+    from its head are positive, and more than ``max_paths`` paths raise
+    PathCountError.
 
     The search runs node by node in topological order: each node's inflow
     is split over its out-edges in edge-id order, earlier edges taking the
     smaller shares first. Without pruning it evaluates C(grid+k-1, k-1)
     points for k parallel paths, fewer wherever paths share edges; its size
-    grows exponentially with the network.
+    grows exponentially with the network. A point's shortest-path latency
+    is one sweep over the nodes in topological order, for a whole block of
+    points at once.
 
     Latencies are nondecreasing, so the shortest-path latency at per-edge
     upper flows bounds every completion of a partial flow (:func:`_caps`).
     When more than one split remains, the threshold is fixed before the
     search as the best of the single-path vertices and of a greedy walk's
-    leaves: :func:`_flow_lattice` keeping the first column of largest bound
-    of each block a split makes, so the walk follows one column per block
-    (one leaf in all unless a split outgrows ``_BLOCK_POINTS``). A partial
-    flow whose bound is below the threshold by more than ``_PRUNE_MARGIN``
-    is dropped. No maximizer is ever pruned, so the maximizer is the one
-    exhaustive enumeration finds.
+    leaves. Both are walks of :func:`_flow_lattice`: the vertices keep each
+    split that moves none or all of a node's inflow, one lattice point per
+    path; the greedy walk keeps the first column of largest bound of each
+    block a split makes, so it follows one column per block (one leaf in
+    all unless a split outgrows ``_BLOCK_POINTS``). A partial flow whose
+    bound is below the threshold by more than ``_PRUNE_MARGIN`` is dropped.
+    No maximizer is ever pruned, so the maximizer is the one exhaustive
+    enumeration finds.
     """
-    paths = enumerate_simple_paths(net, cap=max_paths)
+    order = net.topo_order
+    if len(order) != len(net.nodes):
+        raise ValueError("the oracle needs an acyclic network")
+    into: dict[str, int] = {}
+    for v in order:
+        into[v] = (v == net.source) + sum(into[e.tail] for e in net.in_edges[v])
+    onward: dict[str, int] = {}
+    for v in reversed(order):
+        onward[v] = (v == net.sink) + sum(onward[e.head] for e in net.out_edges[v])
+    # paths of at least one edge, so none when the source is the sink
+    paths = sum(onward[e.head] for e in net.out_edges[net.source])
+    if paths > max_paths:
+        raise PathCountError(
+            f"more than {max_paths} simple paths from {net.source!r} to {net.sink!r}"
+        )
     if not paths:
         raise ValueError("no source-sink path")
-    if len(net.topo_order) != len(net.nodes):
-        raise ValueError("the oracle needs an acyclic network")
-    on_path = set().union(*paths)
     # one row per path edge, in edge order
-    lat = lat[[i for i, e in enumerate(net.edges) if e.id in on_path]]
-    row = {eid: k for k, eid in enumerate(e.id for e in net.edges if e.id in on_path)}
-    incidence = np.array([[eid in p for eid in row] for p in paths], dtype=float)
+    on_path = [i for i, e in enumerate(net.edges) if into[e.tail] and onward[e.head]]
+    row = {net.edges[i].id: k for k, i in enumerate(on_path)}
+    lat = lat[on_path]
     grid = lat.shape[1] - 1
     edges = np.arange(len(row))[:, None]
     # In topological order a node's inflow is parked on its last out-edge,
@@ -647,7 +667,11 @@ def _lattice_maximum(
     # other out-edges.
     first = np.zeros((len(row), 1), dtype=np.int64)
     ops: list = []
-    for v in net.topo_order:
+    sweep = []
+    for v in order:
+        ins = [(row[e.id], e.tail) for e in net.in_edges[v] if e.id in row]
+        if ins:
+            sweep.append((v, ins))
         out = [row[e.id] for e in net.out_edges[v] if e.id in row]
         if not out:
             continue
@@ -655,15 +679,23 @@ def _lattice_maximum(
         if v == net.source:
             first[rest] = grid
         else:
-            ins = [row[e.id] for e in net.in_edges[v] if e.id in row]
-            ops.append((rest, ins, None))
+            ops.append((rest, [k for k, _ in ins], None))
         for c in out:
             ops.append((rest, None, c))
 
     def shortest(block: np.ndarray) -> np.ndarray:
-        """Shortest-path latency at each column's edge flows: the least
-        summed edge latency over the paths."""
-        return (incidence @ lat[edges, block]).min(axis=0)
+        """Shortest-path latency at each column's edge flows: each node's
+        distance is the least over its path in-edges of the tail's distance
+        plus the edge's latency."""
+        cost = lat[edges, block]
+        dist = {net.source: 0.0}
+        for v, ins in sweep:
+            (k, tail), *others = ins
+            d = dist[tail] + cost[k]
+            for k, tail in others:
+                np.minimum(d, dist[tail] + cost[k], out=d)
+            dist[v] = d
+        return dist[net.sink]
 
     def bound(block: np.ndarray, start: int) -> np.ndarray:
         return shortest(_caps(block, ops, start, grid))
@@ -671,15 +703,19 @@ def _lattice_maximum(
     splits = [i for i, (_, ins, _) in enumerate(ops) if ins is None]
     floor = -math.inf
     if len(splits) > 1:
-        # the single-path vertices and the walk's leaves are lattice points
-        vertices = (incidence.T * grid).astype(np.int64)
+
+        def all_or_nothing(block: np.ndarray, i: int) -> np.ndarray:
+            rest, _, col = ops[i]
+            return block[:, (block[col] == 0) | (block[rest] == 0)]
 
         def keep_best(block: np.ndarray, i: int) -> np.ndarray:
             j = int(bound(block, i + 1).argmax())
             return block[:, j : j + 1]
 
+        # the single-path vertices and the walk's leaves are lattice points
+        vertices = _flow_lattice(first.copy(), ops, all_or_nothing)
         leaves = _flow_lattice(first.copy(), ops, keep_best)
-        threshold = float(shortest(np.hstack([vertices, *leaves])).max())
+        threshold = float(shortest(np.hstack([*vertices, *leaves])).max())
         floor = threshold * (1.0 - _PRUNE_MARGIN)
 
     def prune(block: np.ndarray, i: int) -> np.ndarray:

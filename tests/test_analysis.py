@@ -2,9 +2,12 @@
 the exact grid maximizer of the shortest-path latency."""
 
 import dataclasses
+import hashlib
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import riskroute
 import riskroute.analysis as analysis
-import riskroute.network as network
 import riskroute.solvers as solvers
 from riskroute import suites
 from riskroute.analysis import (
@@ -39,7 +42,6 @@ from riskroute.network import (
     Network,
     PathCountError,
     edge_flow,
-    enumerate_simple_paths,
     is_series_parallel,
     path_latency,
     path_risk,
@@ -54,6 +56,8 @@ from riskroute.solvers import (
     solve_rawe,
     solve_rnwe,
 )
+
+from paths import enumerate_simple_paths
 
 sigma_values = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 
@@ -356,29 +360,20 @@ def test_min_risk_path_matches_enumeration():
                     assert abs(risk - ref_risk) <= 4 * math.ulp(ref_risk), seed
 
 
-def test_mean_var_report_enumerates_no_paths(monkeypatch):
+def test_mean_var_report_enumerates_no_paths():
     """A mean-var report and gap take every minimum over paths as a shortest
     path, and a mean-stdev solve and report search the (latency, variance)
-    hull by shortest paths: neither enumerates the paths."""
+    hull by shortest paths: neither needs the paths, which no riskroute
+    module lists (test_oracle_enumerates_no_path)."""
     instance = make("random_general", seed=0, n=20, m=60)
     x, z = solve_pair(instance)
     stdev = make("braess", v=0.1, risk_model=RISK_MEAN_STDEV)
-    calls = []
-
-    def refuse(*args, **kwargs):
-        calls.append(args)
-        raise AssertionError("enumerate_simple_paths called")
-
-    for module in (network, analysis, solvers):
-        if hasattr(module, "enumerate_simple_paths"):
-            monkeypatch.setattr(module, "enumerate_simple_paths", refuse)
     assert pra_report(instance, x, z).ok
     for result in (x, z):
         assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
     sx, sz = solve_pair(stdev)  # mean-stdev and risk-neutral solve_wardrop
     assert pra_report(stdev, sx, sz).ok
     assert relative_gap(stdev, sx.flow) <= sx.relative_gap + 1e-12
-    assert not calls
 
 
 @pytest.mark.parametrize("model", [RISK_MEAN_VAR, RISK_MEAN_STDEV])
@@ -651,23 +646,81 @@ def test_oracle_certifies_wide_series_parallel_supports(budget, seeds):
         enumerate_simple_paths(instance.network, cap=DEFAULT_ORACLE_MAX_PATHS)
 
 
-def test_oracle_enumerates_no_path_on_series_parallel_input(monkeypatch):
-    """Only the lattice search of a network that is not series-parallel
-    enumerates paths; a series-parallel one ignores max_paths."""
-    instances = [make("pigou", kappa=1.0, gamma=1.0), make("random_sp", seed=8, budget=200)]
-    instances += [suites.random_sp(seed, max_budget=4, max_paths=6) for seed in range(50)]
-    expected = [max_shortest_path_oracle(i, grid=30) for i in instances]
+def _digest(path_flow):
+    """A short fingerprint of a path flow's paths and exact amounts."""
+    text = repr(sorted((p, amount.hex()) for p, amount in path_flow.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_simple_paths called")
 
-    for module in (network, analysis, solvers):
-        if hasattr(module, "enumerate_simple_paths"):
-            monkeypatch.setattr(module, "enumerate_simple_paths", refuse)
-    for instance, before in zip(instances, expected):
-        assert max_shortest_path_oracle(instance, grid=30, max_paths=1) == before
-    with pytest.raises(AssertionError, match="enumerate_simple_paths called"):
-        max_shortest_path_oracle(make("zigzag", k=2), grid=10)
+def test_oracle_enumerates_no_path():
+    """No riskroute module lists paths, and at grid 30 the oracle returns the
+    value, path flows and points that its search returned when it still
+    listed the core's paths. Pigou and random_sp seed 8 are series-parallel
+    and ignore max_paths=1; the others search a lattice."""
+    for info in pkgutil.iter_modules(riskroute.__path__):
+        module = importlib.import_module(f"riskroute.{info.name}")
+        assert not hasattr(module, "enumerate_simple_paths"), info.name
+    pinned = [
+        ("pigou", dict(kappa=1.0, gamma=1.0), 1, "0x1.0000000000000p+0", 496, "eb8237af45d7463d"),
+        ("random_sp", dict(seed=8, budget=200), 1, "0x1.e1e1e49bd563cp+3", 51584, "2e24b12dacb754cb"),
+        ("braess", dict(v=0.1), 6, "0x1.3333333333333p+0", 31, "30f4fb98d31290ea"),
+        ("zigzag", dict(k=2), 10, "0x1.0000000000000p+0", 31, "31a2aec34f3b7549"),
+        ("zigzag", dict(k=3), 10, "0x1.0000000000000p+0", 31, "5c8e7693cb11477a"),
+        ("zigzag", dict(k=4), 10, "0x1.0000000000000p+0", 31, "c1d112a023becca1"),
+        ("random_general", dict(seed=293, n=7, m=14), 6, "0x1.7583dc77aef2bp+1", 2931, "f0f8d51ceb067fd7"),
+        # a threshold with one single-path vertex, not one per path, lets
+        # this search evaluate 355,190 points
+        ("random_general", dict(seed=136, n=8, m=14), 10, "0x1.562af97188590p+1", 6985, "78a3b4efe77c7527"),
+    ]
+    for family, params, max_paths, value, points, digest in pinned:
+        result = max_shortest_path_oracle(make(family, **params), grid=30, max_paths=max_paths)
+        got = (result.value.hex(), result.points, _digest(result.path_flow))
+        assert got == (value, points, digest), (family, params)
+
+
+def _awkward_cores():
+    """Networks whose path counts and path edges a DP can get wrong."""
+    s_first = [_edge("sa", "s", "a", (0.0, 1.0)), _edge("at", "a", "t", (0.0, 1.0))]
+    s_first.append(_edge("st", "s", "t", (1.0,)))
+    parallel = s_first + [_edge("sa2", "s", "a", (0.5,)), _edge("at2", "a", "t", (0.0, 2.0))]
+    # x has out-edges, one into the source, but no path from the source
+    # reaches it, so it precedes the source in the topological order
+    unreached = s_first + [_edge("xs", "x", "s", (1.0,)), _edge("xa", "x", "a", (1.0,))]
+    # the source reaches d and e, which do not reach the sink
+    dead_end = s_first + [_edge("sd", "s", "d", (1.0,)), _edge("ad", "a", "d", (1.0,))]
+    dead_end.append(_edge("de", "d", "e", (1.0,)))
+    cores = {
+        "parallel edges": (("s", "a", "t"), parallel),
+        "unreached tail": (("s", "a", "t", "x"), unreached),
+        "dead end": (("s", "a", "d", "e", "t"), dead_end),
+    }
+    instances = [
+        Instance(Network(nodes, tuple(edges), "s", "t"), demand=1.0, gamma=1.0, name=name)
+        for name, (nodes, edges) in cores.items()
+    ]
+    return instances + [make("zigzag", k=k) for k in (2, 3, 4)]
+
+
+def test_lattice_counts_the_paths_the_reference_lists():
+    """On each awkward core the lattice searches exactly the edges of the
+    reference's paths, accepts a cap of their number and refuses one less
+    with the reference's message, and attains the stars-and-bars maximum."""
+    grid = 4
+    counts = []
+    for instance in _awkward_cores():
+        net = instance.network
+        paths = enumerate_simple_paths(net)
+        counts.append(len(paths))
+        lat = np.array([e.latency(np.arange(grid + 1) * instance.demand / grid) for e in net.edges])
+        value, units, _ = analysis._lattice_maximum(net, lat, len(paths))
+        assert set(units) == set().union(*paths), instance.name
+        assert abs(value - _composition_maximum(instance, grid)) <= 1e-12, instance.name
+        with pytest.raises(PathCountError) as listed:
+            enumerate_simple_paths(net, cap=len(paths) - 1)
+        with pytest.raises(PathCountError) as counted:
+            analysis._lattice_maximum(net, lat, len(paths) - 1)
+        assert str(counted.value) == str(listed.value), instance.name
+    assert counts == [5, 2, 2, 3, 6, 10]
 
 
 def test_oracle_reports_which_search_ran():
@@ -987,6 +1040,9 @@ def test_oracle_rejects_bad_input():
     cyclic = Instance(network=net, demand=1.0, gamma=1.0, name="cyclic")
     with pytest.raises(ValueError, match="acyclic"):
         max_shortest_path_oracle(cyclic, grid=10)
+    # acyclicity is checked before the paths are counted: 4 simple paths
+    with pytest.raises(ValueError, match="acyclic"):
+        max_shortest_path_oracle(cyclic, grid=10, max_paths=1)
     net = Network(
         nodes=("s", "u", "t"), edges=(_edge("su", "s", "u", (1.0,)),), source="s", sink="t"
     )

@@ -1,5 +1,5 @@
-"""Network primitives: cost polynomials, validation, path enumeration,
-series-parallel recognition."""
+"""Network primitives: cost polynomials, validation, series-parallel
+recognition, and the reference path enumeration of tests/paths.py."""
 
 import math
 import random
@@ -15,7 +15,6 @@ from riskroute.network import (
     Network,
     PathCountError,
     edge_flow,
-    enumerate_simple_paths,
     fold_series_parallel,
     is_braess_topology,
     is_series_parallel,
@@ -25,6 +24,8 @@ from riskroute.network import (
     validate_instance,
 )
 from riskroute.instances import make
+
+from paths import enumerate_simple_paths
 
 coeff_lists = st.lists(
     st.floats(min_value=0.0, max_value=50.0, allow_nan=False), min_size=1, max_size=4
@@ -190,7 +191,7 @@ def test_validate_unreachable_sink():
     assert not verdict.ok
 
 
-# --- path enumeration --------------------------------------------------------
+# --- reference path enumeration ----------------------------------------------
 
 
 def test_enumerate_braess_paths():

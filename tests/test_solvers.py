@@ -24,7 +24,6 @@ from riskroute.network import (
     Instance,
     Network,
     edge_flow,
-    enumerate_simple_paths,
     path_cost,
     path_latency,
     social_cost,
@@ -51,6 +50,8 @@ from riskroute.solvers import (
     solve_rnwe,
     solve_wardrop,
 )
+
+from paths import enumerate_simple_paths
 
 seeds = st.integers(min_value=0, max_value=5_000)
 
