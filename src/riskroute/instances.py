@@ -31,7 +31,7 @@ class InstanceFormatError(ValueError):
 
 
 def _edge(eid: str, tail: str, head: str, latency, risk=(0.0,)) -> Edge:
-    return Edge(eid, tail, head, CostPoly.of(*latency), CostPoly.of(*risk))
+    return Edge(eid, tail, head, *(CostPoly(tuple(map(float, c))) for c in (latency, risk)))
 
 
 def _pigou(gamma: float, kappa: float, risk_model: str) -> Instance:
@@ -143,8 +143,9 @@ def _random_risk(
     if rng.random() < 0.25:
         return (0.0,)
     raw = [rng.uniform(0.0, 1.0) for _ in range(rng.randint(1, 3))]
-    poly = CostPoly.of(*raw)
-    peak = poly(demand)
+    peak = 0.0  # the raw polynomial at the demand, as CostPoly evaluates it
+    for c in reversed(raw):
+        peak = peak * demand + c
     if peak <= 0.0:
         return (0.0,)
     scale = target * rng.uniform(0.3, 1.0) * latency[0] / peak

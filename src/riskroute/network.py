@@ -246,7 +246,7 @@ def edge_flow(
     path_flow: Mapping[tuple[str, ...], float], network: Network
 ) -> dict[str, float]:
     """Aggregate path flows into per-edge flows; every edge gets an entry."""
-    flows = {e.id: 0.0 for e in network.edges}
+    flows = dict.fromkeys(network.edge_map, 0.0)
     for path, amount in path_flow.items():
         for eid in path:
             flows[eid] += amount

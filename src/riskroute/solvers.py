@@ -33,6 +33,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -156,16 +157,24 @@ class EquilibriumResult:
         return self.stop_reason == "converged"
 
 
-def cost_polynomials(instance: Instance, mode: str) -> dict[str, CostPoly]:
-    """Separable per-edge cost under ``mode`` (risk-neutral or mean-var)."""
+def _edge_costs(instance: Instance, mode: str) -> dict[str, tuple[float, ...]]:
+    """Separable per-edge cost coefficients under ``mode`` (risk-neutral or
+    mean-var), formed as :meth:`CostPoly.scaled_plus` forms them."""
     if mode == RISK_NEUTRAL:
-        return {e.id: e.latency for e in instance.network.edges}
+        return {e.id: e.latency.coeffs for e in instance.network.edges}
     if mode == RISK_MEAN_VAR:
         g = instance.gamma
         return {
-            e.id: e.latency.scaled_plus(e.risk, g) for e in instance.network.edges
+            e.id: tuple([x + g * y for x, y in zip_longest(*coeffs, fillvalue=0.0)])
+            for e in instance.network.edges
+            for coeffs in [(e.latency.coeffs, e.risk.coeffs)]
         }
     raise ValueError(f"no separable edge cost under mode {mode!r}")
+
+
+def cost_polynomials(instance: Instance, mode: str) -> dict[str, CostPoly]:
+    """Separable per-edge cost under ``mode`` (risk-neutral or mean-var)."""
+    return {eid: CostPoly(c) for eid, c in _edge_costs(instance, mode).items()}
 
 
 def shortest_path(
@@ -209,20 +218,19 @@ def potential_value(
 
 
 def _transfer_derivative(
-    polys: Mapping[str, CostPoly],
-    flows: Mapping[str, float],
-    delta: Mapping[str, float],
+    costs: Mapping[str, Sequence[float]], flows: Mapping[str, float], delta: Mapping[str, float]
 ) -> CostPoly:
     """The potential's derivative g(t) = sum_e s_e c_e(f_e + s_e t) along a
     transfer that changes each edge flow f_e by s_e t, as one polynomial in t.
 
-    Each edge polynomial is Taylor-shifted to f_e by repeated synthetic
-    division, its t**k coefficient scaled by s_e**(k+1), and every
-    coefficient summed over the edges with math.fsum.
+    Each edge's cost coefficients are Taylor-shifted to f_e by repeated
+    synthetic division, its t**k coefficient scaled by s_e**(k+1), and every
+    coefficient summed over the edges with math.fsum, zeros padding the
+    shorter edges: they leave a correctly rounded sum as it is.
     """
     terms = []
     for eid, s in delta.items():
-        b = list(polys[eid].coeffs)
+        b = list(costs[eid])
         f = flows[eid]
         for k in range(len(b) - 1):
             for i in range(len(b) - 2, k - 1, -1):
@@ -232,10 +240,7 @@ def _transfer_derivative(
             b[k] *= scale
             scale *= s
         terms.append(b)
-    width = max(map(len, terms))
-    return CostPoly(
-        tuple(math.fsum(b[k] for b in terms if k < len(b)) for k in range(width))
-    )
+    return CostPoly(tuple(map(math.fsum, zip_longest(*terms, fillvalue=0.0))))
 
 
 def _newton_step(
@@ -342,10 +347,13 @@ def cheapest_path(
         var = {eid: emap[eid].risk(f) ** 2 for eid, f in flows.items()}
         _, path = _meanstdev_cheapest(instance, (lat, var))
     else:
-        polys = cost_polynomials(instance, mode)
-        _, path = shortest_path(
-            instance.network, {eid: polys[eid](f) for eid, f in flows.items()}
-        )
+        costs, prices = _edge_costs(instance, mode), {}
+        for eid, f in flows.items():
+            price = 0.0  # CostPoly.__call__ on the coefficients
+            for c in reversed(costs[eid]):
+                price = price * f + c
+            prices[eid] = price
+        _, path = shortest_path(instance.network, prices)
     return mode_path_cost(instance, flows, path, mode), path
 
 
@@ -467,7 +475,7 @@ def solve_wardrop(
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     pool = _PathPool(instance, mode)
-    _, _, start = pool.cheapest({e.id: 0.0 for e in instance.network.edges})
+    _, _, start = pool.cheapest(dict.fromkeys(instance.network.edge_map, 0.0))
     it = best_it = pool.evaluate({start: instance.demand})
     stop_reason = "max-iter"
     seen: set[tuple] = set()
@@ -535,21 +543,23 @@ class _Iterate:
 
 
 class _PathPool:
-    """The path costs of one instance under one cost mode: edge cost
-    polynomials and shortest paths under a separable mode, the hull search
-    of :func:`_meanstdev_cheapest` under mean-stdev. Either way only the used
+    """The path costs of one instance under one cost mode: edge costs and
+    shortest paths under a separable mode, the hull search of
+    :func:`_meanstdev_cheapest` under mean-stdev. Either way only the used
     paths and the cheapest path are priced.
 
     The pool lasts one solve and keeps its edge table: each edge's flow at
     its last pricing (``at``) and two values at that flow (``table``), the
-    edge's cost and Beckmann potential term under a separable mode, its
-    latency and variance (squared risk) under mean-stdev."""
+    edge's cost and Beckmann potential term under a separable mode (priced
+    from its ``costs`` tuple by CostPoly's Horner steps), its latency and
+    variance (squared risk) under mean-stdev."""
 
     def __init__(self, instance: Instance, mode: str) -> None:
         self.instance = instance
+        self.mode = mode
         self.separable = mode != RISK_MEAN_STDEV
         if self.separable:
-            self.polys = cost_polynomials(instance, mode)
+            self.costs = _edge_costs(instance, mode)
         self.at: dict[str, float] = {}
         self.table: tuple[dict[str, float], dict[str, float]] = ({}, {})
 
@@ -563,9 +573,12 @@ class _PathPool:
         for eid, f in flows.items():
             if at.get(eid) != f:
                 at[eid] = f
-                if self.separable:
-                    poly = self.polys[eid]
-                    first[eid], second[eid] = poly(f), poly.integral(f)
+                if self.separable:  # CostPoly.__call__ and .integral at once
+                    c, cost, term = self.costs[eid], 0.0, 0.0
+                    for i in range(len(c) - 1, -1, -1):
+                        cost = cost * f + c[i]
+                        term = term * f + c[i] / (i + 1)
+                    first[eid], second[eid] = cost, term * f
                 else:
                     edge = emap[eid]
                     first[eid], second[eid] = edge.latency(f), edge.risk(f) ** 2
@@ -604,16 +617,35 @@ class _PathPool:
         )
 
 
+def _independent_mod2(paths: Sequence[tuple[str, ...]]) -> bool:
+    """True when the paths' edge incidence vectors are independent mod 2,
+    which proves them independent (rank over GF(2) is at most rank over the
+    rationals), by XOR elimination of the paths' edge bitmasks."""
+    bit, pivots = {}, {}  # edge id -> its bit; highest bit -> pivot row
+    for path in paths:
+        row = 0
+        for eid in path:
+            row |= bit.setdefault(eid, 1 << len(bit))
+        while row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if not row:
+            return False
+        pivots[row.bit_length()] = row
+    return True
+
+
 def _path_dependency(paths: Sequence[tuple[str, ...]]) -> list[int] | None:
     """Integer weights w with gcd 1 and sum_i w_i * (edge incidence vector of
     ``paths[i]``) = 0, or None when those vectors are independent.
 
-    Fraction-free Gaussian elimination, exact on 0/1 vectors. Path i has one
-    sparse row, mapping its edge ids (strings) to its edge entries and path
-    indices to its weights. The row is reduced against the pivot rows, then
-    divided once by the gcd of its entries, which keeps them small; a row
-    left without edge entries gives the dependency.
-    """
+    None at once when :func:`_independent_mod2` proves them independent;
+    else fraction-free Gaussian elimination, exact on 0/1 vectors: path i has
+    a sparse row mapping its edge ids (strings) to its edge entries and path
+    indices to its weights, reduced against the pivot rows, then divided once
+    by the gcd of its entries, which keeps them small. A row left without
+    edge entries gives the dependency."""
+    if _independent_mod2(paths):
+        return None
     pivots: list[tuple[str, dict]] = []
     for i, path in enumerate(paths):
         row: dict = dict.fromkeys(path, 1)
@@ -677,56 +709,63 @@ def _independent_support(
     return it, support
 
 
-def _newton_iterate(
-    pool: _PathPool, it: _Iterate, support: list[tuple[str, ...]]
-) -> _Iterate | None:
-    """One active-set Newton step on ``support``, or None when the
-    equal-cost system is singular or the step finds no descent.
-
-    The path Jacobian is dQ_p/dx_q = sum over e in p and q of c_e'(f_e)
-    under a separable mode. Under mean-stdev it is the sum of
-    l_e'(f_e) + gamma * s_e(f_e) * s_e'(f_e) / s_p, with l_e the latency,
-    s_e the edge risk and s_p the path's root-sum-square risk (the second
-    term is 0 on a riskless path). A path whose Newton target is negative is
-    fixed at zero, its flow redistributed through its Jacobian column, and
-    the system solved again. Under a separable mode the step along the
-    Newton direction exactly minimizes the potential, up to twice the Newton
-    step; under mean-stdev the Newton step is halved until the merit falls,
-    at most ``BACKTRACK_STEPS`` times.
-    """
-    instance = pool.instance
-    emap = instance.network.edge_map
-    gamma = instance.gamma
-    slope: dict[str, float] = {}
-    curvature: dict[str, float] = {}
-    var: dict[str, float] = {}
+def _path_jacobian(
+    pool: _PathPool, flows: Mapping[str, float], support: list[tuple[str, ...]]
+) -> list[list[float]]:
+    """The path Jacobian dQ_p/dx_q on ``support`` at the edge flows ``flows``:
+    the sum over e in p and q of c_e'(f_e) under a separable mode, and of
+    l_e'(f_e) + gamma * s_e(f_e) * s_e'(f_e) / s_p under mean-stdev, with l_e
+    the latency, s_e the edge risk and s_p the path's root-sum-square risk
+    (the second term is 0 on a riskless path). math.fsum is correctly
+    rounded, so each unordered pair is summed once and mirrored; only the
+    division by s_p is made per row."""
+    emap, gamma = pool.instance.network.edge_map, pool.instance.gamma
+    slope, curvature, var = {}, {}, {}
     for eid in {eid for p in support for eid in p}:
-        f = it.flows[eid]
+        f = flows[eid]
         if pool.separable:
-            slope[eid] = pool.polys[eid].derivative(f)
+            c, acc = pool.costs[eid], 0.0  # CostPoly.derivative
+            for i in range(len(c) - 1, 0, -1):
+                acc = acc * f + i * c[i]
+            slope[eid] = acc
             continue
         edge = emap[eid]
         risk = edge.risk(f)
         slope[eid] = edge.latency.derivative(f)
         curvature[eid] = gamma * risk * edge.risk.derivative(f)
         var[eid] = risk * risk
+    sigma = [math.sqrt(math.fsum(map(var.__getitem__, p))) if var else 0.0 for p in support]
     edge_sets = [set(p) for p in support]
-    jac = []
-    for p, p_edges in zip(support, edge_sets):
-        sigma = math.sqrt(math.fsum(map(var.__getitem__, p))) if var else 0.0
-        row = []
-        for q_edges in edge_sets:
-            shared = p_edges & q_edges
+    jac = [[0.0] * len(support) for _ in support]
+    for i in range(len(support)):
+        for j in range(i, len(support)):
+            shared = edge_sets[i] & edge_sets[j]
             value = math.fsum(map(slope.__getitem__, shared))
-            if sigma > 0.0:
-                value += math.fsum(map(curvature.__getitem__, shared)) / sigma
-            row.append(value)
-        jac.append(row)
+            bend = math.fsum(map(curvature.__getitem__, shared)) if var else 0.0
+            jac[i][j] = value + bend / sigma[i] if sigma[i] > 0.0 else value
+            jac[j][i] = value + bend / sigma[j] if sigma[j] > 0.0 else value
+    return jac
 
+
+def _newton_iterate(
+    pool: _PathPool, it: _Iterate, support: list[tuple[str, ...]]
+) -> _Iterate | None:
+    """One active-set Newton step on ``support``, or None when the
+    equal-cost system is singular or the step finds no descent.
+
+    The system's matrix is the path Jacobian (:func:`_path_jacobian`),
+    bordered by the flow sum. A path whose Newton target is negative is
+    fixed at zero, its flow redistributed through its Jacobian column, and
+    the system solved again. Under a separable mode the step along the
+    Newton direction exactly minimizes the potential, up to twice the Newton
+    step; under mean-stdev the Newton step is halved until the merit falls,
+    at most ``BACKTRACK_STEPS`` times.
+    """
     # Costs are taken relative to the cheapest, and the step keeps the total
     # flow, so that the multiplier and the step's sum are rounded on the
     # scale of the step itself: the potential's slope along the step is then
     # exact to the end, where lambda * sum(dx) would otherwise swamp it.
+    jac = _path_jacobian(pool, it.flows, support)
     floor = it.costs[it.best]
     now = [it.paths.get(p, 0.0) for p in support]
     free = list(range(len(support)))
@@ -815,7 +854,7 @@ def _line_step(
     delta = {eid: s for eid, s in change.items() if s != 0.0}
     if not delta:
         return None
-    g = _transfer_derivative(pool.polys, it.flows, delta)
+    g = _transfer_derivative(pool.costs, it.flows, delta)
     step = _newton_step(g, g.derivative, hi)
     if step <= 0.0:
         return None

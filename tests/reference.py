@@ -1,0 +1,99 @@
+"""Reference versions of solver pieces that the library computes a faster
+way: the separable edge costs as ``CostPoly`` objects, the transfer
+derivative with one sum per degree, the path Jacobian summed pair by pair in
+full, and the path dependency by exact elimination alone. Tests assert that
+the library's values equal these to the bit."""
+
+import math
+
+from riskroute.network import RISK_MEAN_STDEV, CostPoly, Instance
+from riskroute.solvers import RISK_NEUTRAL
+
+
+def cost_polys(instance: Instance, mode: str) -> dict[str, CostPoly]:
+    """Each edge's separable cost under ``mode``: the latency, or
+    latency + gamma * risk under mean-var."""
+    edges = instance.network.edges
+    if mode == RISK_NEUTRAL:
+        return {e.id: e.latency for e in edges}
+    return {e.id: e.latency.scaled_plus(e.risk, instance.gamma) for e in edges}
+
+
+def transfer_derivative(polys, flows, delta) -> CostPoly:
+    """g(t) = sum_e s_e c_e(f_e + s_e t) as one polynomial in t: each edge
+    polynomial Taylor-shifted to f_e, its t**k coefficient scaled by
+    s_e**(k+1), each degree summed with math.fsum over the edges that have
+    it."""
+    terms = []
+    for eid, s in delta.items():
+        b = list(polys[eid].coeffs)
+        f = flows[eid]
+        for k in range(len(b) - 1):
+            for i in range(len(b) - 2, k - 1, -1):
+                b[i] += f * b[i + 1]
+        scale = s
+        for k in range(len(b)):
+            b[k] *= scale
+            scale *= s
+        terms.append(b)
+    width = max(map(len, terms))
+    return CostPoly(
+        tuple(math.fsum(b[k] for b in terms if k < len(b)) for k in range(width))
+    )
+
+
+def path_jacobian(instance: Instance, mode: str, flows, support) -> list[list[float]]:
+    """dQ_p/dx_q on ``support``, each entry summed on its own: the slopes of
+    the edges p and q share, plus, under mean-stdev, their curvature terms
+    gamma * s_e * s_e' over p's root-sum-square risk."""
+    emap = instance.network.edge_map
+    polys = None if mode == RISK_MEAN_STDEV else cost_polys(instance, mode)
+    slope, curvature, var = {}, {}, {}
+    for eid in {eid for p in support for eid in p}:
+        f = flows[eid]
+        if polys is not None:
+            slope[eid] = polys[eid].derivative(f)
+            continue
+        edge = emap[eid]
+        risk = edge.risk(f)
+        slope[eid] = edge.latency.derivative(f)
+        curvature[eid] = instance.gamma * risk * edge.risk.derivative(f)
+        var[eid] = risk * risk
+    edge_sets = [set(p) for p in support]
+    jac = []
+    for p, p_edges in zip(support, edge_sets):
+        sigma = math.sqrt(math.fsum(map(var.__getitem__, p))) if var else 0.0
+        row = []
+        for q_edges in edge_sets:
+            shared = p_edges & q_edges
+            value = math.fsum(map(slope.__getitem__, shared))
+            if sigma > 0.0:
+                value += math.fsum(map(curvature.__getitem__, shared)) / sigma
+            row.append(value)
+        jac.append(row)
+    return jac
+
+
+def path_dependency(paths) -> list[int] | None:
+    """Integer weights with gcd 1 that cancel the paths' edge incidence
+    vectors, or None when they are independent, by fraction-free Gaussian
+    elimination alone."""
+    pivots = []
+    for i, path in enumerate(paths):
+        row = dict.fromkeys(path, 1)
+        row[i] = 1
+        for edge, pivot in pivots:
+            a = row.get(edge, 0)
+            if a:
+                b = pivot[edge]
+                out = {k: b * x for k, x in row.items()}
+                for k, y in pivot.items():
+                    out[k] = out.get(k, 0) - a * y
+                row = {k: x for k, x in out.items() if x}
+        g = math.gcd(*row.values())
+        row = {k: x // g for k, x in row.items()}
+        edges = [k for k in row if isinstance(k, str)]
+        if not edges:
+            return [row.get(j, 0) for j in range(len(paths))]
+        pivots.append((min(edges), row))
+    return None

@@ -51,6 +51,7 @@ from riskroute.solvers import (
     solve_wardrop,
 )
 
+import reference
 from paths import enumerate_simple_paths
 
 seeds = st.integers(min_value=0, max_value=5_000)
@@ -259,20 +260,26 @@ def test_cheapest_path_matches_enumeration(monkeypatch):
 
 def test_cheapest_path_evaluates_no_potential_term(monkeypatch):
     """cheapest_path and relative_gap price a flow's edge costs alone: the
-    Beckmann potential's terms (CostPoly.integral), which only a solve
-    reads, are never evaluated, in any mode."""
+    Beckmann potential's terms, which only a solve reads, are never
+    evaluated, in any mode: neither by CostPoly.integral nor by a solve's
+    edge table (_PathPool.priced)."""
     calls = []
-    integral = CostPoly.integral
+    integral, priced = CostPoly.integral, solvers._PathPool.priced
 
     def counted(self, x):
         calls.append(x)
         return integral(self, x)
+
+    def counted_table(pool, flows):
+        calls.append(flows)
+        return priced(pool, flows)
 
     for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
         instance = make("random_general", seed=0, n=8, m=16, risk_model=model)
         results = solve_pair(instance)
         with monkeypatch.context() as m:
             m.setattr(CostPoly, "integral", counted)
+            m.setattr(solvers._PathPool, "priced", counted_table)
             for result in results:
                 for mode in (RISK_NEUTRAL, model):
                     cheapest_path(instance, result.flow.edge_flow, mode)
@@ -572,17 +579,39 @@ def _random_transfer(rng):
     return polys, flows, delta, hi
 
 
+def _coeffs(polys):
+    return {eid: poly.coeffs for eid, poly in polys.items()}
+
+
+def _hex(values):
+    """Floats, or nested lists of them, as their exact hex strings."""
+    if isinstance(values, float):
+        return values.hex()
+    return [_hex(v) for v in values]
+
+
 def test_transfer_derivative_matches_edge_sum():
     rng = random.Random(0)
     for _ in range(500):
         polys, flows, delta, hi = _random_transfer(rng)
-        g = _transfer_derivative(polys, flows, delta)
+        g = _transfer_derivative(_coeffs(polys), flows, delta)
         for t in (0.0, hi / 3, hi):
             terms = [s * polys[e](flows[e] + s * t) for e, s in delta.items()]
             # expanded in t, g carries rounding relative to the majorant
             # sum_e c_e(f_e + t), not to the terms themselves
             majorant = math.fsum(polys[e](flows[e] + t) for e in delta)
             assert g(t) == pytest.approx(math.fsum(terms), rel=0.0, abs=1e-12 * majorant)
+
+
+def test_transfer_derivative_matches_reference():
+    """Summed column by column over edges padded with zeros, the transfer
+    derivative equals the reference's per-degree sums to the bit."""
+    rng = random.Random(5)
+    for _ in range(3000):
+        polys, flows, delta, _ = _random_transfer(rng)
+        got = _transfer_derivative(_coeffs(polys), flows, delta).coeffs
+        want = reference.transfer_derivative(polys, flows, delta).coeffs
+        assert _hex(got) == _hex(want)
 
 
 def _rising_poly(rng):
@@ -609,7 +638,7 @@ def test_newton_step_matches_bisection():
         assert abs(step - _newton_step(g, None, hi)) <= 2**-50 * hi
     for _ in range(2000):
         polys, flows, delta, hi = _random_transfer(rng)
-        g = _transfer_derivative(polys, flows, delta)
+        g = _transfer_derivative(_coeffs(polys), flows, delta)
         step = _newton_step(g, g.derivative, hi)
         assert step == 0.0 or g(step) <= 0.0
 
@@ -759,8 +788,9 @@ def test_path_dependency_matches_rank():
     """On every prefix, every other-path subset and every subset of 2-5 of
     the paths of random_general seeds 0-59, _path_dependency finds a
     dependency exactly when numpy's rank says the incidence columns are
-    dependent, and the weights it returns cancel on every edge and have
-    gcd 1."""
+    dependent, and the weights it returns cancel on every edge, have gcd 1
+    and are the reference's exact elimination's. Paths that the mod-2 test
+    calls independent are independent."""
     for seed in range(60):
         paths = enumerate_simple_paths(suites.random_general(seed).network)
         edges = sorted({eid for p in paths for eid in p})
@@ -775,8 +805,12 @@ def test_path_dependency_matches_rank():
             # one stacked rank per subset size; edges off a subset add zero rows
             ranks = np.linalg.matrix_rank(incidence[:, group].transpose(1, 0, 2))
             for subset, rank in zip(group, ranks):
-                weights = _path_dependency([paths[i] for i in subset])
+                chosen = [paths[i] for i in subset]
+                weights = _path_dependency(chosen)
                 assert (weights is None) == (rank == k), (seed, subset)
+                assert weights == reference.path_dependency(chosen), (seed, subset)
+                if solvers._independent_mod2(chosen):
+                    assert rank == k, (seed, subset)
                 if weights is not None:
                     assert math.gcd(*weights) == 1, (seed, subset, weights)
                     product = incidence[:, list(subset)] @ np.array(weights, float)
@@ -818,6 +852,94 @@ def test_wide_series_parallel_support_certifies(monkeypatch):
     assert max(reductions) >= 2
 
 
+#: A Newton support of mean-var bound-chain seed 272. Its first, second,
+#: fourth and fifth paths cover every edge twice, so they are dependent mod
+#: 2, but not over the rationals (they differ by 2 * (e00 - e08)).
+_MOD2_DEPENDENT = [
+    ("e00", "e01", "e02", "e03"),
+    ("e00", "e01", "e05", "e04"),
+    ("e00", "e01", "e06"),
+    ("e08", "e01", "e02", "e04"),
+    ("e08", "e01", "e05", "e03"),
+]
+
+
+def test_path_dependency_falls_back_to_exact_elimination():
+    """A support dependent mod 2 but independent over the rationals: the
+    mod-2 test cannot prove it independent, and the exact elimination
+    finds no dependency."""
+    assert not solvers._independent_mod2(_MOD2_DEPENDENT)
+    assert not solvers._independent_mod2(_MOD2_DEPENDENT[:2] + _MOD2_DEPENDENT[3:])
+    assert _path_dependency(_MOD2_DEPENDENT) is None
+    assert reference.path_dependency(_MOD2_DEPENDENT) is None
+
+
+def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
+    """At every Newton iterate of solve_rawe and solve_rnwe on random_general
+    seeds 0-299, mean-var as drawn and as mean-stdev copies, the path
+    Jacobian, every line step's transfer derivative and every dependency
+    test equal the references to the bit; some of those supports are
+    dependent mod 2 yet independent, so the exact fallback decides them."""
+    counts = dict.fromkeys(("jacobian", "transfer", "dependency", "fallback"), 0)
+    jacobian = solvers._path_jacobian
+    transfer = solvers._transfer_derivative
+    dependency = solvers._path_dependency
+
+    def checked_jacobian(pool, flows, support):
+        got = jacobian(pool, flows, support)
+        want = reference.path_jacobian(pool.instance, pool.mode, flows, support)
+        assert _hex(got) == _hex(want)
+        counts["jacobian"] += 1
+        return got
+
+    def checked_transfer(costs, flows, delta):
+        got = transfer(costs, flows, delta)
+        polys = {eid: CostPoly(costs[eid]) for eid in delta}
+        assert _hex(got.coeffs) == _hex(reference.transfer_derivative(polys, flows, delta).coeffs)
+        counts["transfer"] += 1
+        return got
+
+    def checked_dependency(paths):
+        got = dependency(paths)
+        assert got == reference.path_dependency(paths)
+        counts["dependency"] += 1
+        counts["fallback"] += got is None and not solvers._independent_mod2(paths)
+        return got
+
+    monkeypatch.setattr(solvers, "_path_jacobian", checked_jacobian)
+    monkeypatch.setattr(solvers, "_transfer_derivative", checked_transfer)
+    monkeypatch.setattr(solvers, "_path_dependency", checked_dependency)
+    for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
+        for seed in range(300):
+            instance = suites.random_general(seed, risk_model=model)
+            solve_rawe(instance)
+            solve_rnwe(instance)
+    assert min(counts.values()) > 0, counts
+    assert counts["jacobian"] > 1000 and counts["dependency"] > 500, counts
+
+
+def test_path_jacobian_matches_reference_on_random_flows():
+    """On random edge flows and random supports of 1-6 paths of
+    random_general seeds 0-59, under each cost mode, the path Jacobian
+    equals the reference's entry-by-entry sums to the bit."""
+    rng = random.Random(6)
+    for seed in range(60):
+        drawn = suites.random_general(seed)
+        paths = enumerate_simple_paths(drawn.network)
+        for instance, mode in (
+            (drawn, RISK_NEUTRAL),
+            (drawn, RISK_MEAN_VAR),
+            (dataclasses.replace(drawn, risk_model=RISK_MEAN_STDEV), RISK_MEAN_STDEV),
+        ):
+            pool = solvers._PathPool(instance, mode)
+            for _ in range(10):
+                flows = {e.id: rng.choice((0.0, rng.uniform(0.0, 2.0))) for e in drawn.network.edges}
+                support = rng.sample(paths, min(len(paths), rng.randint(1, 6)))
+                got = solvers._path_jacobian(pool, flows, support)
+                want = reference.path_jacobian(instance, mode, flows, support)
+                assert _hex(got) == _hex(want), (seed, mode, support)
+
+
 @pytest.mark.parametrize("model", [RISK_MEAN_VAR, RISK_MEAN_STDEV])
 def test_newton_iterate_singular_system_returns_none(model):
     """Two parallel edges with constant latencies and risks have a zero path
@@ -843,12 +965,13 @@ def _fresh_pricing(pool, flows):
     ``flows``, all evaluated from scratch."""
     instance = pool.instance
     if pool.separable:
+        polys = reference.cost_polys(instance, pool.mode)
         table = (
-            {eid: pool.polys[eid](f) for eid, f in flows.items()},
-            {eid: pool.polys[eid].integral(f) for eid, f in flows.items()},
+            {eid: polys[eid](f) for eid, f in flows.items()},
+            {eid: polys[eid].integral(f) for eid, f in flows.items()},
         )
         floor, best = shortest_path(instance.network, table[0])
-        return table, floor, best, potential_value(pool.polys, flows)
+        return table, floor, best, potential_value(polys, flows)
     edges = instance.network.edges
     table = (
         {e.id: e.latency(flows[e.id]) for e in edges},
@@ -863,7 +986,8 @@ def test_pool_table_matches_fresh_pricing(monkeypatch):
     random_sp budget 200 seeds 0-9 and mean-stdev random_general seed 333
     (whose solve takes the bisection step), the pool's edge table, the
     iterate's cheapest cost and path, and its potential equal (==) a fresh
-    pricing of the iterate's edge flows."""
+    pricing of the iterate's edge flows by CostPoly objects built apart from
+    the pool's coefficient tuples."""
     evaluate = solvers._PathPool.evaluate
     seen = {True: 0, False: 0}
 
@@ -890,33 +1014,37 @@ def test_pool_table_matches_fresh_pricing(monkeypatch):
     assert min(seen.values()) > 100
 
 
+class _LookupLog(dict):
+    """An edge coefficient table that logs each edge looked up in it."""
+
+    def __init__(self, costs, log):
+        super().__init__(costs)
+        self.log = log
+
+    def __getitem__(self, eid):
+        self.log.append(eid)
+        return super().__getitem__(eid)
+
+
 def test_pool_prices_only_moved_edges(monkeypatch):
     """On a random_general n=20, m=60 mean-var solve, each _PathPool.evaluate
-    evaluates the cost polynomial and its integral once for each edge whose
-    flow differs from the pool's last pricing, and for no other edge."""
-    counts = {"call": 0, "integral": 0}
-    call, integral = CostPoly.__call__, CostPoly.integral
-
-    def counted(name, method):
-        def wrapper(self, x):
-            counts[name] += 1
-            return method(self, x)
-
-        return wrapper
-
+    prices (reads the cost coefficients of) each edge whose flow differs
+    from the pool's last pricing exactly once, and no other edge; that the
+    prices are right is test_pool_table_matches_fresh_pricing's part."""
     evaluate = solvers._PathPool.evaluate
     moves = []
 
     def checked(pool, paths):
         flows = edge_flow(paths, pool.instance.network)
-        moved = sum(pool.at.get(eid) != f for eid, f in flows.items())
-        counts.update(call=0, integral=0)
-        with monkeypatch.context() as m:
-            m.setattr(CostPoly, "__call__", counted("call", call))
-            m.setattr(CostPoly, "integral", counted("integral", integral))
+        moved = [eid for eid, f in flows.items() if pool.at.get(eid) != f]
+        looked, costs = [], pool.costs
+        pool.costs = _LookupLog(costs, looked)
+        try:
             it = evaluate(pool, paths)
-        assert counts == {"call": moved, "integral": moved}
-        moves.append(moved)
+        finally:
+            pool.costs = costs
+        assert looked == moved
+        moves.append(len(moved))
         return it
 
     monkeypatch.setattr(solvers._PathPool, "evaluate", checked)
