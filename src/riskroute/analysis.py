@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,29 +48,40 @@ DEFAULT_ORACLE_GRID = 100
 DEFAULT_ORACLE_MAX_PATHS = 6
 
 
-_EdgeTable = tuple[dict[str, float], dict[str, float]]
+#: An edge table at one flow: each edge's latency and risk (dicts in edge
+#: order), the social cost and kappa.
+_EdgeTable = tuple[dict[str, float], dict[str, float], float, float]
 
 
 def _edge_table(network: Network, flows: Mapping[str, float]) -> _EdgeTable:
-    """Each edge's latency and risk at the given flows, in edge order."""
+    """Each edge's latency and risk at the given flows, the social cost
+    sum_e f_e * latency_e(f_e) and kappa, the largest edge ratio
+    risk/latency, in one pass over the edges.
+
+    The polynomials are evaluated from their coefficient tuples by
+    CostPoly.__call__'s Horner steps, and the social cost is the builtin sum
+    of its terms in edge order, so every value equals, to the bit, the one
+    the CostPoly calls and a sum over the edges give. Kappa counts 0/0 as 0
+    and positive risk over zero latency as infinite."""
     lat: dict[str, float] = {}
     risk: dict[str, float] = {}
+    terms = []
+    kappa = 0.0
     for e in network.edges:
-        f = flows[e.id]
-        lat[e.id], risk[e.id] = e.latency(f), e.risk(f)
-    return lat, risk
-
-
-def _kappa(table: _EdgeTable) -> float:
-    """Largest edge ratio risk/latency in an :func:`_edge_table`."""
-    lat, risk = table
-    worst = 0.0
-    for eid, latency in lat.items():
-        if latency > 0.0:
-            worst = max(worst, risk[eid] / latency)
-        elif risk[eid] > 0.0:
-            return math.inf
-    return worst
+        f, a, b = flows[e.id], 0.0, 0.0
+        for c in reversed(e.latency.coeffs):
+            a = a * f + c
+        for c in reversed(e.risk.coeffs):
+            b = b * f + c
+        lat[e.id], risk[e.id] = a, b
+        terms.append(a * f)
+        if a > 0.0:
+            ratio = b / a
+            if ratio > kappa:
+                kappa = ratio
+        elif b > 0.0:
+            kappa = math.inf
+    return lat, risk, sum(terms), kappa
 
 
 def kappa_at_flow(instance: Instance, flow: Flow | Mapping[str, float]) -> float:
@@ -80,13 +91,12 @@ def kappa_at_flow(instance: Instance, flow: Flow | Mapping[str, float]) -> float
     (downstream bound checks are then suppressed).
     """
     flows = flow.edge_flow if isinstance(flow, Flow) else flow
-    return _kappa(_edge_table(instance.network, flows))
+    return _edge_table(instance.network, flows)[3]
 
 
 def shortest_path_length(network: Network, flows: Mapping[str, float]) -> float:
     """Length of the latency-shortest source->sink path at the given flows."""
-    costs = {e.id: e.latency(flows[e.id]) for e in network.edges}
-    dist, _ = shortest_path(network, costs)
+    dist, _ = shortest_path(network, _edge_table(network, flows)[0])
     return dist
 
 
@@ -100,8 +110,10 @@ def within(lhs: float, rhs: float, allowance: float = 0.0) -> bool:
     return lhs <= rhs * (1.0 + CHECK_REL_SLACK) + CHECK_ABS_SLACK + allowance
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
+    """One named bound check of a report: lhs <= rhs, judged by
+    :func:`within`. An immutable named tuple."""
+
     name: str
     lhs: float
     rhs: float
@@ -169,7 +181,10 @@ def pra_report(
     ``CLASSIFY_EPS_REL`` times the demand. The report reads the results'
     edge flows and their own certificates (``min_path_cost``,
     ``deviation``), and prices no path: S(z) is z's ``min_path_cost``.
-    Each edge's latency and risk is evaluated once per flow.
+    Each flow's edge latencies and risks, social cost and kappa come from
+    one pass over the edges (:func:`_edge_table`), which reads the cost
+    polynomials' coefficient tuples and calls no CostPoly method. The
+    checks are :class:`BoundCheck` rows, immutable named tuples.
 
     The checks come from one table, in report order. A row gives a check's
     name, whether it applies to the instance, whether it is free of kappa,
@@ -193,13 +208,9 @@ def pra_report(
                 f"pra_report needs a {mode!r} equilibrium, got {flow.objective_mode!r}"
             )
     net, d = instance.network, instance.demand
-    tables = (_edge_table(net, x.edge_flow), _edge_table(net, z.edge_flow))
-    (lat_x, risk_x), (lat_z, _) = tables
-    # social_cost, from the tables
-    cost_x = sum(lat_x[e.id] * x.edge_flow[e.id] for e in net.edges)
-    cost_z = sum(lat_z[e.id] * z.edge_flow[e.id] for e in net.edges)
-    kappa = _kappa(tables[0])
-    kappa_diag = max(kappa, _kappa(tables[1]))
+    lat_x, risk_x, cost_x, kappa = _edge_table(net, x.edge_flow)
+    lat_z, _, cost_z, kappa_z = _edge_table(net, z.edge_flow)
+    kappa_diag = max(kappa, kappa_z)
     gk = instance.gamma * kappa
     one_gk, two_gk = 1.0 + gk, 1.0 + 2.0 * gk
 

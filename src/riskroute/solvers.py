@@ -475,7 +475,7 @@ def solve_wardrop(
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     pool = _PathPool(instance, mode)
-    _, _, start = pool.cheapest(dict.fromkeys(instance.network.edge_map, 0.0))
+    _, start = pool.cheapest(pool.table)
     it = best_it = pool.evaluate({start: instance.demand})
     stop_reason = "max-iter"
     seen: set[tuple] = set()
@@ -550,9 +550,13 @@ class _PathPool:
 
     The pool lasts one solve and keeps its edge table: each edge's flow at
     its last pricing (``at``) and two values at that flow (``table``), the
-    edge's cost and Beckmann potential term under a separable mode (priced
-    from its ``costs`` tuple by CostPoly's Horner steps), its latency and
-    variance (squared risk) under mean-stdev."""
+    edge's cost and Beckmann potential term under a separable mode, its
+    latency and variance (squared risk) under mean-stdev. They are priced by
+    CostPoly's Horner steps from coefficient tuples: ``costs``, each edge's
+    separable cost, or its latency under mean-stdev, whose risks are in
+    ``risks``. The table starts at zero flow, where on coefficients in
+    [0, inf) (-0.0 too) those steps give the constant coefficient plus 0.0,
+    0.0 for no coefficients, and a potential term of 0.0."""
 
     def __init__(self, instance: Instance, mode: str) -> None:
         self.instance = instance
@@ -560,8 +564,15 @@ class _PathPool:
         self.separable = mode != RISK_MEAN_STDEV
         if self.separable:
             self.costs = _edge_costs(instance, mode)
-        self.at: dict[str, float] = {}
-        self.table: tuple[dict[str, float], dict[str, float]] = ({}, {})
+            second = dict.fromkeys(self.costs, 0.0)
+        else:
+            edges = instance.network.edges
+            self.costs = {e.id: e.latency.coeffs for e in edges}
+            self.risks = {e.id: e.risk.coeffs for e in edges}
+            second = {eid: (c[0] + 0.0 if c else 0.0) ** 2 for eid, c in self.risks.items()}
+        first = {eid: c[0] + 0.0 if c else 0.0 for eid, c in self.costs.items()}
+        self.at: dict[str, float] = dict.fromkeys(self.costs, 0.0)
+        self.table: tuple[dict[str, float], dict[str, float]] = (first, second)
 
     def priced(
         self, flows: Mapping[str, float]
@@ -569,35 +580,36 @@ class _PathPool:
         """The edge table at ``flows``. Only an edge whose flow differs from
         its last pricing is evaluated again (a NaN flow always is)."""
         at, (first, second) = self.at, self.table
-        emap = self.instance.network.edge_map
         for eid, f in flows.items():
             if at.get(eid) != f:
                 at[eid] = f
+                c, value, term = self.costs[eid], 0.0, 0.0
                 if self.separable:  # CostPoly.__call__ and .integral at once
-                    c, cost, term = self.costs[eid], 0.0, 0.0
                     for i in range(len(c) - 1, -1, -1):
-                        cost = cost * f + c[i]
+                        value = value * f + c[i]
                         term = term * f + c[i] / (i + 1)
-                    first[eid], second[eid] = cost, term * f
-                else:
-                    edge = emap[eid]
-                    first[eid], second[eid] = edge.latency(f), edge.risk(f) ** 2
+                    first[eid], second[eid] = value, term * f
+                else:  # CostPoly.__call__ on the latency and the risk
+                    for x in reversed(c):
+                        value = value * f + x
+                    for x in reversed(self.risks[eid]):
+                        term = term * f + x
+                    first[eid], second[eid] = value, term ** 2
         return self.table
 
     def cheapest(
-        self, flows: Mapping[str, float]
-    ) -> tuple[tuple[dict[str, float], dict[str, float]], float, tuple[str, ...]]:
-        """The edge table at ``flows`` (:meth:`priced`), then the cheapest
-        path's cost and the path."""
-        table = self.priced(flows)
+        self, table: tuple[dict[str, float], dict[str, float]]
+    ) -> tuple[float, tuple[str, ...]]:
+        """The cheapest path's cost and the path at the edge table ``table``."""
         if self.separable:
-            return (table, *shortest_path(self.instance.network, table[0]))
-        return (table, *_meanstdev_cheapest(self.instance, table))
+            return shortest_path(self.instance.network, table[0])
+        return _meanstdev_cheapest(self.instance, table)
 
     def evaluate(self, paths: dict[tuple[str, ...], float]) -> _Iterate:
         instance = self.instance
         flows = edge_flow(paths, instance.network)
-        table, floor, best = self.cheapest(flows)
+        table = self.priced(flows)
+        floor, best = self.cheapest(table)
         if self.separable:
             prices, terms = table
             costs = {p: math.fsum(map(prices.__getitem__, p)) for p in paths}
@@ -719,20 +731,22 @@ def _path_jacobian(
     (the second term is 0 on a riskless path). math.fsum is correctly
     rounded, so each unordered pair is summed once and mirrored; only the
     division by s_p is made per row."""
-    emap, gamma = pool.instance.network.edge_map, pool.instance.gamma
+    gamma = pool.instance.gamma
     slope, curvature, var = {}, {}, {}
     for eid in {eid for p in support for eid in p}:
         f = flows[eid]
+        c, acc = pool.costs[eid], 0.0  # CostPoly.derivative
+        for i in range(len(c) - 1, 0, -1):
+            acc = acc * f + i * c[i]
+        slope[eid] = acc
         if pool.separable:
-            c, acc = pool.costs[eid], 0.0  # CostPoly.derivative
-            for i in range(len(c) - 1, 0, -1):
-                acc = acc * f + i * c[i]
-            slope[eid] = acc
             continue
-        edge = emap[eid]
-        risk = edge.risk(f)
-        slope[eid] = edge.latency.derivative(f)
-        curvature[eid] = gamma * risk * edge.risk.derivative(f)
+        c, risk, acc = pool.risks[eid], 0.0, 0.0  # CostPoly.__call__, .derivative
+        for i in range(len(c) - 1, -1, -1):
+            risk = risk * f + c[i]
+            if i:
+                acc = acc * f + i * c[i]
+        curvature[eid] = gamma * risk * acc
         var[eid] = risk * risk
     sigma = [math.sqrt(math.fsum(map(var.__getitem__, p))) if var else 0.0 for p in support]
     edge_sets = [set(p) for p in support]

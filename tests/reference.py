@@ -1,12 +1,13 @@
-"""Reference versions of solver pieces that the library computes a faster
-way: the separable edge costs as ``CostPoly`` objects, the transfer
-derivative with one sum per degree, the path Jacobian summed pair by pair in
-full, and the path dependency by exact elimination alone. Tests assert that
-the library's values equal these to the bit."""
+"""Reference versions of solver and report pieces that the library computes
+a faster way: the separable edge costs as ``CostPoly`` objects, the solve's
+and the report's edge tables by ``CostPoly`` calls, the transfer derivative
+with one sum per degree, the path Jacobian summed pair by pair in full, and
+the path dependency by exact elimination alone. Tests assert that the
+library's values equal these to the bit."""
 
 import math
 
-from riskroute.network import RISK_MEAN_STDEV, CostPoly, Instance
+from riskroute.network import RISK_MEAN_STDEV, CostPoly, Instance, Network
 from riskroute.solvers import RISK_NEUTRAL
 
 
@@ -17,6 +18,45 @@ def cost_polys(instance: Instance, mode: str) -> dict[str, CostPoly]:
     if mode == RISK_NEUTRAL:
         return {e.id: e.latency for e in edges}
     return {e.id: e.latency.scaled_plus(e.risk, instance.gamma) for e in edges}
+
+
+def solve_table(instance: Instance, mode: str, flows) -> tuple[dict, dict]:
+    """A solve's edge table at ``flows`` (at zero flow, where a solve
+    starts, when ``flows`` is None): each edge's separable cost and Beckmann
+    potential term, or its latency and squared risk under mean-stdev, each
+    a CostPoly call."""
+    edges = instance.network.edges
+    if flows is None:
+        flows = dict.fromkeys(instance.network.edge_map, 0.0)
+    if mode == RISK_MEAN_STDEV:
+        return (
+            {e.id: e.latency(flows[e.id]) for e in edges},
+            {e.id: e.risk(flows[e.id]) ** 2 for e in edges},
+        )
+    polys = cost_polys(instance, mode)
+    return (
+        {e: p(flows[e]) for e, p in polys.items()},
+        {e: p.integral(flows[e]) for e, p in polys.items()},
+    )
+
+
+def edge_table(network: Network, flows) -> tuple[dict, dict, float, float]:
+    """A report's edge table: each edge's latency and risk by CostPoly
+    calls, the social cost as the builtin sum over the edges, and kappa, the
+    largest ratio risk/latency, infinite at the first edge with positive
+    risk over zero latency."""
+    lat, risk = {}, {}
+    for e in network.edges:
+        f = flows[e.id]
+        lat[e.id], risk[e.id] = e.latency(f), e.risk(f)
+    cost = sum(lat[e.id] * flows[e.id] for e in network.edges)
+    kappa = 0.0
+    for eid, latency in lat.items():
+        if latency > 0.0:
+            kappa = max(kappa, risk[eid] / latency)
+        elif risk[eid] > 0.0:
+            return lat, risk, cost, math.inf
+    return lat, risk, cost, kappa
 
 
 def transfer_derivative(polys, flows, delta) -> CostPoly:

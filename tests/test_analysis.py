@@ -23,6 +23,7 @@ from riskroute.analysis import (
     DEFAULT_ORACLE_GRID,
     DEFAULT_ORACLE_MAX_PATHS,
     SIGMA_SLACK,
+    BoundCheck,
     braess_stdev_inequality,
     braess_stdev_inequality_batch,
     kappa_at_flow,
@@ -57,6 +58,7 @@ from riskroute.solvers import (
     solve_rnwe,
 )
 
+import reference
 from paths import enumerate_simple_paths
 
 sigma_values = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -96,6 +98,121 @@ def test_kappa_infinite_on_free_risky_edge():
     assert kappa_at_flow(instance, {"e1": 1.0, "e2": 0.0}) == math.inf
 
 
+# --- edge tables ------------------------------------------------------
+
+
+def _table_bits(table):
+    """Edge tables (dicts keyed by edge id, then scalars) as their keys and
+    the exact hex strings of their values."""
+    return [
+        (list(part), [v.hex() for v in part.values()]) if isinstance(part, dict) else part.hex()
+        for part in table
+    ]
+
+
+def test_edge_table_matches_reference():
+    """On the bound-chain draws, seeds 0-299, mean-var as drawn and as
+    mean-stdev copies: at both solved flows the report's one-pass edge table
+    (latencies, risks, social cost, kappa), kappa_at_flow and
+    shortest_path_length equal the CostPoly-call reference to the bit, and
+    so does each solve's zero-flow table."""
+    for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
+        for seed in range(300):
+            instance = suites.random_general(seed, risk_model=model)
+            net = instance.network
+            for result in (solve_rawe(instance), solve_rnwe(instance)):
+                flows = result.flow.edge_flow
+                want = reference.edge_table(net, flows)
+                assert _table_bits(analysis._edge_table(net, flows)) == _table_bits(want)
+                assert kappa_at_flow(instance, flows).hex() == want[3].hex()
+                length = shortest_path_length(net, flows)
+                assert length.hex() == solvers.shortest_path(net, want[0])[0].hex()
+            for mode in (solvers.RISK_NEUTRAL, model):
+                pool = solvers._PathPool(instance, mode)
+                assert pool.at == dict.fromkeys(net.edge_map, 0.0)
+                assert _table_bits(pool.table) == _table_bits(reference.solve_table(instance, mode, None))
+
+
+#: Edge polynomials at the corners of Horner's steps: -0.0 coefficients, a
+#: single coefficient, no coefficients, and zero latency under positive risk.
+_CORNER_EDGES = [
+    _edge("a", "s", "t", (-0.0,), (-0.0,)),
+    _edge("b", "s", "t", (2.0,), ()),
+    _edge("c", "s", "t", (), (0.5,)),
+    _edge("d", "s", "t", (-0.0, 1.0, -0.0), (-0.0, 0.25)),
+    _edge("e", "s", "t", (0.5, 0.0, 3.0), (1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("model", [RISK_MEAN_VAR, RISK_MEAN_STDEV])
+def test_edge_tables_match_reference_at_the_corners(model):
+    """On parallel edges with -0.0 coefficients, one coefficient, none, and
+    zero latency under positive risk (kappa is infinite with edge c, finite
+    without it), the report's edge table at zero and positive flows and
+    each solve's zero-flow table and repricing equal the CostPoly-call
+    references to the bit."""
+    for edges in (_CORNER_EDGES, [e for e in _CORNER_EDGES if e.id != "c"]):
+        instance = dataclasses.replace(_parallel_instance(edges, "corners"), risk_model=model)
+        net = instance.network
+        kappas = set()
+        for flows in (
+            dict.fromkeys(net.edge_map, 0.0),
+            {e.id: 0.25 * i for i, e in enumerate(edges)},
+        ):
+            got = analysis._edge_table(net, flows)
+            assert _table_bits(got) == _table_bits(reference.edge_table(net, flows))
+            kappas.add(got[3])
+        assert (math.inf in kappas) == (edges is _CORNER_EDGES)
+        for mode in (solvers.RISK_NEUTRAL, model):
+            pool = solvers._PathPool(instance, mode)
+            assert _table_bits(pool.table) == _table_bits(reference.solve_table(instance, mode, None))
+            flows = {e.id: 0.5 + i for i, e in enumerate(edges)}
+            want = reference.solve_table(instance, mode, flows)
+            assert _table_bits(pool.priced(flows)) == _table_bits(want)
+
+
+class _SealedPoly(CostPoly):
+    """An edge polynomial whose evaluation methods raise, so that only its
+    coefficients can be read."""
+
+    def __call__(self, x):
+        raise AssertionError("an edge polynomial was evaluated by a method call")
+
+    derivative = integral = __call__
+
+
+def _sealed(instance):
+    edges = tuple(
+        dataclasses.replace(e, latency=_SealedPoly(e.latency.coeffs), risk=_SealedPoly(e.risk.coeffs))
+        for e in instance.network.edges
+    )
+    return dataclasses.replace(instance, network=dataclasses.replace(instance.network, edges=edges))
+
+
+def test_certify_path_calls_no_edge_polynomial_method():
+    """solve_wardrop in each mode and pra_report read edge polynomials only
+    through their coefficients: on copies whose edge polynomials raise when
+    called, differentiated or integrated, Braess, Pigou and the bound-chain
+    draws (seeds 0-99, mean-var and mean-stdev) solve and report exactly as
+    the plain instances do (every float by its round-trip repr)."""
+    instances = [make("braess", v=0.1), make("pigou", kappa=1.0, gamma=1.0)]
+    instances += [
+        suites.random_general(seed, risk_model=model)
+        for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV)
+        for seed in range(100)
+    ]
+    reports = 0
+    for plain in instances:
+        outputs = []
+        for instance in (plain, _sealed(plain)):
+            x, z = solve_rawe(instance), solve_rnwe(instance)
+            report = pra_report(instance, x, z) if x.converged and z.converged else None
+            outputs.append(repr((x, z, report)))
+        assert outputs[0] == outputs[1], plain.name
+        reports += "PraReport" in outputs[0]
+    assert reports > 150
+
+
 # --- reports ----------------------------------------------------------
 
 
@@ -130,6 +247,21 @@ def test_check_registry_names():
     names = [c.name for c in _degenerate_report().checks]
     assert len(set(names)) == 13
     assert names == CHECK_NAMES
+
+
+def test_bound_check_is_an_immutable_value():
+    """A check row keeps its field names, order and defaults, refuses
+    assignment, hashes, and compares equal to an equal row."""
+    assert BoundCheck._fields == ("name", "lhs", "rhs", "passed", "proven", "skipped", "note")
+    assert BoundCheck._field_defaults == {"proven": True, "skipped": False, "note": ""}
+    row = BoundCheck("pra-eta-bound", 1.5, 2.0, True)
+    assert (row.proven, row.skipped, row.note) == (True, False, "")
+    with pytest.raises(AttributeError):
+        row.passed = False
+    twin = BoundCheck("pra-eta-bound", 1.5, 2.0, passed=True, proven=True, skipped=False, note="")
+    assert row == twin and hash(row) == hash(twin)
+    assert len({row, twin}) == 1
+    assert row._replace(passed=False) != row
 
 
 def test_braess_report_frozen_values():

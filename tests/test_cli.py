@@ -17,6 +17,7 @@ from riskroute.analysis import pra_report
 from riskroute.cli import CSV_HEADER, main
 from riskroute.instances import make, write_instance
 from riskroute.network import RISK_MEAN_STDEV
+from riskroute.solvers import solve_rawe, solve_rnwe
 
 
 def _write(tmp_path, name, instance):
@@ -208,13 +209,30 @@ def test_analyze_braess(tmp_path, capsys):
     assert len(doc["checks"]) == 11
 
 
+@pytest.mark.parametrize(
+    "instance",
+    [make("braess", v=0.1), make("pigou", kappa=1.0, gamma=1.0)],
+    ids=lambda instance: instance.name,
+)
+def test_analyze_out_bytes_are_frozen(tmp_path, instance):
+    """The analyze --out file of Braess v=0.1 and of Pigou kappa = gamma = 1,
+    and report_to_dict of the same report, equal the frozen reports in
+    tests/data byte for byte."""
+    frozen = (Path(__file__).parent / "data" / f"{instance.name}.report.json").read_text()
+    out = tmp_path / "report.json"
+    assert main(["analyze", _write(tmp_path, "instance.json", instance), "--out", str(out)]) == 0
+    assert out.read_text() == frozen
+    report = pra_report(instance, solve_rawe(instance), solve_rnwe(instance))
+    assert json.dumps(analysis.report_to_dict(report), indent=2) + "\n" == frozen
+
+
 def test_analyze_exits_4_when_a_proven_check_fails(tmp_path, monkeypatch, capsys):
     """Exit-code plumbing only: doctor the report so one proven check fails."""
 
     def doctored(instance, x, z):
         report = pra_report(instance, x, z)
         checks = list(report.checks)
-        checks[0] = dataclasses.replace(checks[0], passed=False)
+        checks[0] = checks[0]._replace(passed=False)
         return dataclasses.replace(report, checks=tuple(checks))
 
     monkeypatch.setattr(cli, "pra_report", doctored)

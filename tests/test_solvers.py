@@ -880,7 +880,7 @@ def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
     Jacobian, every line step's transfer derivative and every dependency
     test equal the references to the bit; some of those supports are
     dependent mod 2 yet independent, so the exact fallback decides them."""
-    counts = dict.fromkeys(("jacobian", "transfer", "dependency", "fallback"), 0)
+    counts = dict.fromkeys(("jacobian", "stdev-jacobian", "transfer", "dependency", "fallback"), 0)
     jacobian = solvers._path_jacobian
     transfer = solvers._transfer_derivative
     dependency = solvers._path_dependency
@@ -890,6 +890,7 @@ def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
         want = reference.path_jacobian(pool.instance, pool.mode, flows, support)
         assert _hex(got) == _hex(want)
         counts["jacobian"] += 1
+        counts["stdev-jacobian"] += not pool.separable
         return got
 
     def checked_transfer(costs, flows, delta):
@@ -916,6 +917,7 @@ def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
             solve_rnwe(instance)
     assert min(counts.values()) > 0, counts
     assert counts["jacobian"] > 1000 and counts["dependency"] > 500, counts
+    assert counts["stdev-jacobian"] > 500, counts
 
 
 def test_path_jacobian_matches_reference_on_random_flows():
@@ -1027,10 +1029,11 @@ class _LookupLog(dict):
 
 
 def test_pool_prices_only_moved_edges(monkeypatch):
-    """On a random_general n=20, m=60 mean-var solve, each _PathPool.evaluate
-    prices (reads the cost coefficients of) each edge whose flow differs
-    from the pool's last pricing exactly once, and no other edge; that the
-    prices are right is test_pool_table_matches_fresh_pricing's part."""
+    """On a random_general n=20, m=60 solve under each risk model, each
+    _PathPool.evaluate prices (reads the cost or latency coefficients of)
+    each edge whose flow differs from the pool's last pricing exactly once,
+    and no other edge; that the prices are right is
+    test_pool_table_matches_fresh_pricing's part."""
     evaluate = solvers._PathPool.evaluate
     moves = []
 
@@ -1048,11 +1051,13 @@ def test_pool_prices_only_moved_edges(monkeypatch):
         return it
 
     monkeypatch.setattr(solvers._PathPool, "evaluate", checked)
-    instance = make("random_general", seed=0, n=20, m=60)
-    assert solve_rawe(instance).converged
-    edges = len(instance.network.edges)
-    assert len(moves) > 5 and 0 < max(moves) < edges
-    assert sum(moves) < len(moves) * edges / 2
+    for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
+        moves.clear()
+        instance = make("random_general", seed=0, n=20, m=60, risk_model=model)
+        assert solve_rawe(instance).converged
+        edges = len(instance.network.edges)
+        assert len(moves) > 5 and 0 < max(moves) < edges, model
+        assert sum(moves) < len(moves) * edges / 2, model
 
 
 # --- flow bookkeeping ------------------------------------------------------------

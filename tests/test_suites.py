@@ -32,9 +32,9 @@ def _with_failed_checks(report):
     checks = list(report.checks)
     for i, c in enumerate(checks):
         if c.name == "pra-eta-bound":
-            checks[i] = dataclasses.replace(c, passed=False)
+            checks[i] = c._replace(passed=False)
         elif c.name == "pra-worstcase-bound":
-            checks[i] = dataclasses.replace(c, passed=False, proven=False)
+            checks[i] = c._replace(passed=False, proven=False)
     checks.append(BoundCheck("skipped-check", 0.0, 0.0, False, skipped=True))
     return dataclasses.replace(report, checks=tuple(checks))
 
