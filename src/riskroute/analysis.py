@@ -36,8 +36,8 @@ from .solvers import (
     RISK_NEUTRAL,
     EquilibriumResult,
     Flow,
+    _sweep_path,
     decompose_edge_flow,
-    shortest_path,
 )
 
 #: Relative slack when judging lhs <= rhs under solver round-off.
@@ -48,23 +48,23 @@ DEFAULT_ORACLE_GRID = 100
 DEFAULT_ORACLE_MAX_PATHS = 6
 
 
-#: An edge table at one flow: each edge's latency and risk (dicts in edge
-#: order), the social cost and kappa.
-_EdgeTable = tuple[dict[str, float], dict[str, float], float, float]
+#: An edge table at one flow: each edge's latency and risk (lists by edge
+#: position), the social cost and kappa.
+_EdgeTable = tuple[list[float], list[float], float, float]
 
 
 def _edge_table(network: Network, flows: Mapping[str, float]) -> _EdgeTable:
     """Each edge's latency and risk at the given flows, the social cost
     sum_e f_e * latency_e(f_e) and kappa, the largest edge ratio
-    risk/latency, in one pass over the edges.
+    risk/latency, in one pass over the edges in declaration order.
 
     The polynomials are evaluated from their coefficient tuples by
     CostPoly.__call__'s Horner steps, and the social cost is the builtin sum
     of its terms in edge order, so every value equals, to the bit, the one
     the CostPoly calls and a sum over the edges give. Kappa counts 0/0 as 0
     and positive risk over zero latency as infinite."""
-    lat: dict[str, float] = {}
-    risk: dict[str, float] = {}
+    position = network.edge_position
+    lat, risk = [0.0] * len(position), [0.0] * len(position)
     terms = []
     kappa = 0.0
     for e in network.edges:
@@ -73,7 +73,8 @@ def _edge_table(network: Network, flows: Mapping[str, float]) -> _EdgeTable:
             a = a * f + c
         for c in reversed(e.risk.coeffs):
             b = b * f + c
-        lat[e.id], risk[e.id] = a, b
+        pos = position[e.id]
+        lat[pos], risk[pos] = a, b
         terms.append(a * f)
         if a > 0.0:
             ratio = b / a
@@ -96,7 +97,7 @@ def kappa_at_flow(instance: Instance, flow: Flow | Mapping[str, float]) -> float
 
 def shortest_path_length(network: Network, flows: Mapping[str, float]) -> float:
     """Length of the latency-shortest source->sink path at the given flows."""
-    dist, _ = shortest_path(network, _edge_table(network, flows)[0])
+    dist, _ = _sweep_path(network, _edge_table(network, flows)[0])
     return dist
 
 
@@ -123,13 +124,13 @@ class BoundCheck(NamedTuple):
     note: str = ""
 
 
-def _min_risk_path(instance: Instance, risks: Mapping[str, float]) -> tuple[str, ...]:
-    """Least-risk source->sink path at the given edge risks: a shortest path
-    on them, or on their squares under mean-stdev, whose path risk is the
-    monotone square root of that sum."""
+def _min_risk_path(instance: Instance, risks: list[float]) -> tuple[int, ...]:
+    """Least-risk source->sink path, as edge positions, at the edge risks
+    listed by position: a shortest path on them, or on their squares under
+    mean-stdev, whose path risk is the monotone square root of that sum."""
     if instance.risk_model == RISK_MEAN_STDEV:
-        risks = {eid: r * r for eid, r in risks.items()}
-    return shortest_path(instance.network, risks)[1]
+        risks = [r * r for r in risks]
+    return _sweep_path(instance.network, risks)[1]
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ def pra_report(
 
     degenerate = not cost_z > 0.0
     pra = cost_x / cost_z if not degenerate else math.nan
-    s_x = shortest_path(net, lat_x)[0]
+    s_x = _sweep_path(net, lat_x)[0]
     s_z = z_result.min_path_cost
     rho = s_x / s_z if s_z > 0.0 else math.nan
 
@@ -236,7 +237,7 @@ def pra_report(
     eta_proven = mean_var or path.all_forward or braess
     all_forward = stdev and path.all_forward
     fwd_x, bwd_x, fwd_z, bwd_z = (
-        math.fsum(map(lat.__getitem__, edges))
+        math.fsum(lat[net.edge_position[eid]] for eid in edges)
         for lat in (lat_x, lat_z)
         for edges in (path.forward_edges(), path.backward_edges())
     )
@@ -543,8 +544,8 @@ def max_shortest_path_oracle(
 
     Backtracking the splits from each pair's units gives the maximizing edge
     flow: the first lattice point of the core, and the first maximizing
-    split of each merge. ``value`` is the :func:`shortest_path` length at
-    its latencies. ``points`` counts the C(grid+2, 2) pairs (i, j) of i <= j
+    split of each merge. ``value`` is the shortest-path length at its
+    latencies. ``points`` counts the C(grid+2, 2) pairs (i, j) of i <= j
     units each parallel merge settles, plus the core lattice points evaluated.
     :func:`decompose_edge_flow` puts the edge flow on paths as ``path_flow``.
     Memory is one row of grid + 1 floats per live pair plus one split row
@@ -608,7 +609,9 @@ def max_shortest_path_oracle(
             i = int(split[j])
             stack += [(first, i), (second, j - i)]
     emap = net.edge_map
-    value = shortest_path(net, {e: emap[e].latency(j * scale) for e, j in edge_units.items()})[0]
+    value = _sweep_path(
+        net, [emap[e].latency(edge_units[e] * scale) for e in net.edge_position]
+    )[0]
     count += merges * math.comb(grid + 2, 2)
     units = decompose_edge_flow(net, edge_units)
     flow = {p: amount * scale for p, amount in units.items()}

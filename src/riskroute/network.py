@@ -129,6 +129,32 @@ class Network:
                     queue.append(e.head)
         return tuple(order)
 
+    @cached_property
+    def edge_position(self) -> dict[str, int]:
+        """Each edge id's position, its rank among the sorted ids, listed in
+        that order. Tuples of positions compare as the id tuples they stand
+        for, so work on positions breaks every tie as it would on ids."""
+        return dict(zip(sorted(self.edge_map), range(len(self.edge_map))))
+
+    @cached_property
+    def sweep(self) -> tuple[tuple[tuple[int, int], ...], ...] | None:
+        """A shortest-path DP's relaxations: each node of ``topo_order`` from
+        the source to just before the sink, a node's index being its place
+        here (the sink's is the length), with its out-edges in ``out_edges``
+        order as (edge position, head index), less those to heads past the
+        sink or off ``topo_order``. None when no path can reach the sink."""
+        order = self.topo_order
+        where = dict(zip(order, range(len(order))))
+        first, last = where.get(self.source), where.get(self.sink)
+        if first is None or last is None or last < first:
+            return None
+        position, out_edges = self.edge_position, self.out_edges
+        return tuple([
+            tuple([(position[e.id], j - first) for e in out_edges[v]
+                   if (j := where.get(e.head, last + 1)) <= last])
+            for v in order[first:last]
+        ])
+
 
 @dataclass(frozen=True)
 class Instance:

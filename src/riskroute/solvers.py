@@ -111,16 +111,18 @@ class Flow:
             heads = [net.source, *(e.head for e in edges)]
             if heads != [*(e.tail for e in edges), net.sink]:
                 raise ValueError(f"path {path} is not a chain from source to sink")
-        total = math.fsum(clean.values())
-        if abs(total - instance.demand) > FLOW_SUM_TOL * instance.demand:
-            raise ValueError(
-                f"path flows sum to {total}, demand is {instance.demand}"
-            )
+        _check_demand(math.fsum(clean.values()), instance.demand)
         return cls(
             path_flow=clean,
             edge_flow=edge_flow(clean, net),
             objective_mode=mode,
         )
+
+
+def _check_demand(total: float, demand: float) -> None:
+    """Raises ValueError when flows summing to ``total`` miss ``demand`` by over FLOW_SUM_TOL."""
+    if abs(total - demand) > FLOW_SUM_TOL * demand:
+        raise ValueError(f"path flows sum to {total}, demand is {demand}")
 
 
 @dataclass(frozen=True)
@@ -157,71 +159,74 @@ class EquilibriumResult:
         return self.stop_reason == "converged"
 
 
-def _edge_costs(instance: Instance, mode: str) -> dict[str, tuple[float, ...]]:
-    """Separable per-edge cost coefficients under ``mode`` (risk-neutral or
-    mean-var), formed as :meth:`CostPoly.scaled_plus` forms them."""
+def _edge_costs(instance: Instance, mode: str) -> list[tuple[float, ...]]:
+    """Separable cost coefficients of each edge under ``mode`` (risk-neutral
+    or mean-var), by edge position, formed as :meth:`CostPoly.scaled_plus`
+    forms them."""
+    net = instance.network
+    edges = map(net.edge_map.__getitem__, net.edge_position)
     if mode == RISK_NEUTRAL:
-        return {e.id: e.latency.coeffs for e in instance.network.edges}
+        return [e.latency.coeffs for e in edges]
     if mode == RISK_MEAN_VAR:
         g = instance.gamma
-        return {
-            e.id: tuple([x + g * y for x, y in zip_longest(*coeffs, fillvalue=0.0)])
-            for e in instance.network.edges
+        return [
+            tuple([x + g * y for x, y in zip_longest(*coeffs, fillvalue=0.0)])
+            for e in edges
             for coeffs in [(e.latency.coeffs, e.risk.coeffs)]
-        }
+        ]
     raise ValueError(f"no separable edge cost under mode {mode!r}")
 
 
-def cost_polynomials(instance: Instance, mode: str) -> dict[str, CostPoly]:
-    """Separable per-edge cost under ``mode`` (risk-neutral or mean-var)."""
-    return {eid: CostPoly(c) for eid, c in _edge_costs(instance, mode).items()}
-
-
-def shortest_path(
-    network: Network, costs: Mapping[str, float]
-) -> tuple[float, tuple[str, ...]]:
-    """Shortest source->sink path under nonnegative edge costs, by dynamic
-    programming over the network's topological order.
-
-    Each node keeps the least (distance, edge-id sequence) label over its
-    in-edges, so ties resolve to the lexicographically smallest sequence and
-    the result is deterministic even with parallel edges. Raises ValueError
-    on a negative or NaN cost.
-    """
-    for eid, c in costs.items():
-        if not c >= 0.0:  # also catches NaN
-            raise ValueError(f"edge {eid!r} has cost {c}, not a nonnegative number")
-    sink, out_edges = network.sink, network.out_edges
-    labels: dict[str, tuple[float, tuple[str, ...]]] = {network.source: (0.0, ())}
-    for node in network.topo_order:
-        label = labels.get(node)
+def _sweep_path(network: Network, costs: Sequence[float]) -> tuple[float, tuple[int, ...]]:
+    """The one shortest-path DP: cost and edge positions of the shortest
+    source->sink path under nonnegative costs listed by position, over
+    :attr:`Network.sweep`. Each node keeps the least (distance, positions)
+    label over its in-edges, so ties go to the smallest position sequence,
+    which stands for the smallest id sequence. Raises ValueError naming the
+    first edge in declaration order with a negative or NaN cost, and
+    ConvergenceError when no path reaches the sink."""
+    if math.isnan(sum(costs)) or not min(costs, default=0.0) >= 0.0:  # a NaN makes the sum NaN
+        position = network.edge_position
+        for e in network.edges:
+            c = costs[position[e.id]]
+            if not c >= 0.0:
+                raise ValueError(f"edge {e.id!r} has cost {c}, not a nonnegative number")
+    steps = network.sweep
+    labels: list = [(0.0, ())] + [None] * len(steps or ())
+    # a node's label is final before the loop reaches it: heads come later
+    for label, out in zip(labels, steps or ()):
         if label is None:
             continue
-        if node == sink:
-            return label
         dist, path = label
-        for e in out_edges[node]:
-            d = dist + costs[e.id]
-            old = labels.get(e.head)
-            # the lexicographic order of (d, path + (e.id,)), building the
+        for pos, head in out:
+            d = dist + costs[pos]
+            old = labels[head]
+            # the lexicographic order of (d, path + (pos,)), building the
             # path only where it decides
-            if old is None or d < old[0] or (d == old[0] and path + (e.id,) < old[1]):
-                labels[e.head] = (d, path + (e.id,))
-    raise ConvergenceError(f"sink {network.sink!r} unreachable from source")
+            if old is None or d < old[0] or (d == old[0] and path + (pos,) < old[1]):
+                labels[head] = (d, path + (pos,))
+    if steps is None or labels[-1] is None:
+        raise ConvergenceError(f"sink {network.sink!r} unreachable from source")
+    return labels[-1]
 
 
-def potential_value(
-    cost_polys: Mapping[str, CostPoly], flows: Mapping[str, float]
-) -> float:
-    """Beckmann potential sum_e integral_0^{f_e} c_e."""
-    return math.fsum(cost_polys[eid].integral(f) for eid, f in flows.items())
+def shortest_path(network: Network, costs: Mapping[str, float]) -> tuple[float, tuple[str, ...]]:
+    """Shortest source->sink path under nonnegative costs keyed by edge id,
+    which must cover every edge, by :func:`_sweep_path`; the path is ids."""
+    dist, path = _sweep_path(network, [costs[eid] for eid in network.edge_position])
+    return dist, _id_path(network, path)
+
+
+def _id_path(network: Network, path: tuple[int, ...]) -> tuple[str, ...]:
+    return tuple(map(tuple(network.edge_position).__getitem__, path))
 
 
 def _transfer_derivative(
-    costs: Mapping[str, Sequence[float]], flows: Mapping[str, float], delta: Mapping[str, float]
+    costs: Sequence[Sequence[float]], flows: Sequence[float], delta: Mapping[int, float]
 ) -> CostPoly:
     """The potential's derivative g(t) = sum_e s_e c_e(f_e + s_e t) along a
-    transfer that changes each edge flow f_e by s_e t, as one polynomial in t.
+    transfer that changes each edge flow f_e by s_e t, as one polynomial in t
+    (``costs``, ``flows`` and ``delta`` on edge positions).
 
     Each edge's cost coefficients are Taylor-shifted to f_e by repeated
     synthetic division, its t**k coefficient scaled by s_e**(k+1), and every
@@ -229,12 +234,13 @@ def _transfer_derivative(
     shorter edges: they leave a correctly rounded sum as it is.
     """
     terms = []
-    for eid, s in delta.items():
-        b = list(costs[eid])
-        f = flows[eid]
+    for pos, s in delta.items():
+        b = list(costs[pos])
+        f = flows[pos]
         for k in range(len(b) - 1):
+            acc = b[-1]
             for i in range(len(b) - 2, k - 1, -1):
-                b[i] += f * b[i + 1]
+                acc = b[i] = b[i] + f * acc
         scale = s
         for k in range(len(b)):
             b[k] *= scale
@@ -331,36 +337,40 @@ def cheapest_path(
     its :func:`mode_path_cost`.
 
     Risk-neutral and mean-var costs are edge-separable, so the cheapest path
-    is a :func:`shortest_path` on the mode's edge costs. The mean-stdev risk
+    is a shortest path on the mode's edge costs. The mean-stdev risk
     sqrt(sum_e sigma_e**2) is not, so that mode searches the hull of the
     paths' (latency, variance) points by shortest paths
     (:func:`_meanstdev_cheapest`). Each edge is priced once, independently of
-    any solve. ``mode`` must be risk-neutral or the instance's risk model.
+    any solve; ``flows`` must cover every edge. ``mode`` must be
+    risk-neutral or the instance's risk model.
     """
     if mode not in (RISK_NEUTRAL, instance.risk_model):
         raise ValueError(
             f"no {mode!r} path costs on a {instance.risk_model!r} instance"
         )
+    net = instance.network
+    at = [flows[eid] for eid in net.edge_position]
     if mode == RISK_MEAN_STDEV:
-        emap = instance.network.edge_map
-        lat = {eid: emap[eid].latency(f) for eid, f in flows.items()}
-        var = {eid: emap[eid].risk(f) ** 2 for eid, f in flows.items()}
+        edges = list(map(net.edge_map.__getitem__, net.edge_position))
+        lat = [e.latency(f) for e, f in zip(edges, at)]
+        var = [e.risk(f) ** 2 for e, f in zip(edges, at)]
         _, path = _meanstdev_cheapest(instance, (lat, var))
     else:
-        costs, prices = _edge_costs(instance, mode), {}
-        for eid, f in flows.items():
+        prices = []
+        for c, f in zip(_edge_costs(instance, mode), at):
             price = 0.0  # CostPoly.__call__ on the coefficients
-            for c in reversed(costs[eid]):
-                price = price * f + c
-            prices[eid] = price
-        _, path = shortest_path(instance.network, prices)
+            for x in reversed(c):
+                price = price * f + x
+            prices.append(price)
+        _, path = _sweep_path(net, prices)
+    path = _id_path(net, path)
     return mode_path_cost(instance, flows, path, mode), path
 
 
 def _meanstdev_price(
-    moments: tuple[dict[str, float], dict[str, float]],
+    moments: tuple[list[float], list[float]],
     gamma: float,
-    path: tuple[str, ...],
+    path: tuple[int, ...],
 ) -> tuple[float, float, float]:
     """The latency L and variance V of ``path``, sums of the edge latencies
     and variances ``moments`` over its edges, and its mean-stdev cost
@@ -372,11 +382,11 @@ def _meanstdev_price(
 
 
 def _meanstdev_cheapest(
-    instance: Instance, moments: tuple[dict[str, float], dict[str, float]]
-) -> tuple[float, tuple[str, ...]]:
+    instance: Instance, moments: tuple[list[float], list[float]]
+) -> tuple[float, tuple[int, ...]]:
     """The least (mean-stdev cost, path) at the edge latencies and variances
-    ``moments``, by a search of the lower-left convex hull of the paths'
-    (L, V) points.
+    ``moments`` (by edge position), by a search of the lower-left convex hull
+    of the paths' (L, V) points.
 
     L and V are sums over a path's edges, and its cost L + gamma * sqrt(V)
     is concave and nondecreasing in them, so the cheapest path is a hull
@@ -395,11 +405,11 @@ def _meanstdev_cheapest(
     """
     net, gamma = instance.network, instance.gamma
     lat, var = moments
-    found: dict[tuple[str, ...], tuple[float, float, float]] = {}
+    found: dict[tuple[int, ...], tuple[float, float, float]] = {}
 
-    def vertex(weights: Mapping[str, float]) -> tuple[str, ...] | None:
+    def vertex(weights: list[float]) -> tuple[int, ...] | None:
         # the shortest path under ``weights``, or None when already found
-        path = shortest_path(net, weights)[1]
+        path = _sweep_path(net, weights)[1]
         if path in found:
             return None
         found[path] = _meanstdev_price(moments, gamma, path)
@@ -417,7 +427,7 @@ def _meanstdev_cheapest(
         if not (lp < lq and vp > vq) or lp + gamma * math.sqrt(vq) > best:
             continue
         slope = (lq - lp) / (vp - vq)
-        r = vertex({eid: lat[eid] + slope * var[eid] for eid in lat})
+        r = vertex([x + slope * y for x, y in zip(lat, var)])
         if r is None:
             continue
         lr, vr, cost = found[r]
@@ -512,7 +522,12 @@ def solve_wardrop(
 
     if best_it.zero_floor:
         _warn_zero_floor()
-    flow = Flow.from_paths(instance, best_it.paths, mode)
+    # ids come back once; a solve's paths are source-sink chains, its flows > 0
+    _check_demand(math.fsum(best_it.paths.values()), instance.demand)
+    net = instance.network
+    edge_flows = dict.fromkeys(net.edge_map, 0.0)  # in declaration order
+    edge_flows.update(zip(net.edge_position, best_it.flows))
+    flow = Flow({_id_path(net, p): x for p, x in best_it.paths.items() if x}, edge_flows, mode)
     floor = best_it.floor
     deviation = max(0.0, best_it.costs[best_it.worst] - floor)
     return EquilibriumResult(flow, best_it.gap, iterations, floor, deviation, stop_reason)
@@ -520,18 +535,19 @@ def solve_wardrop(
 
 @dataclass
 class _Iterate:
-    """A path flow with the costs of its used paths and the cheapest path,
+    """A path flow and its edge flows, on edge positions, with the costs of
+    its used paths and the cheapest path,
     the cheapest cost as the search found it (``floor``), its most expensive
     used path (ties to the lexicographically largest), the relative gap, the
     worst used path's excess over the cheapest (relative; absolute when the
     cheapest costs 0) and, under a separable mode, the Beckmann potential."""
 
-    paths: dict[tuple[str, ...], float]
-    flows: dict[str, float]
-    costs: dict[tuple[str, ...], float]
+    paths: dict[tuple[int, ...], float]
+    flows: list[float]
+    costs: dict[tuple[int, ...], float]
     floor: float
-    best: tuple[str, ...]
-    worst: tuple[str, ...]
+    best: tuple[int, ...]
+    worst: tuple[int, ...]
     gap: float
     excess: float
     zero_floor: bool
@@ -548,15 +564,15 @@ class _PathPool:
     :func:`_meanstdev_cheapest` under mean-stdev. Either way only the used
     paths and the cheapest path are priced.
 
-    The pool lasts one solve and keeps its edge table: each edge's flow at
-    its last pricing (``at``) and two values at that flow (``table``), the
-    edge's cost and Beckmann potential term under a separable mode, its
-    latency and variance (squared risk) under mean-stdev. They are priced by
-    CostPoly's Horner steps from coefficient tuples: ``costs``, each edge's
-    separable cost, or its latency under mean-stdev, whose risks are in
-    ``risks``. The table starts at zero flow, where on coefficients in
-    [0, inf) (-0.0 too) those steps give the constant coefficient plus 0.0,
-    0.0 for no coefficients, and a potential term of 0.0."""
+    The pool lasts one solve and keeps its edge table, lists by position:
+    each edge's flow at its last pricing (``at``) and two values at that
+    flow (``table``), the edge's cost and Beckmann potential term under a
+    separable mode, its latency and variance (squared risk) under mean-stdev.
+    They are priced by CostPoly's Horner steps from coefficient tuples:
+    ``costs``, each edge's separable cost, or its latency under mean-stdev,
+    whose risks are in ``risks``. The table starts at zero flow, where on
+    coefficients in [0, inf) (-0.0 too) those steps give the constant
+    coefficient plus 0.0, 0.0 for no coefficients, and a potential term of 0.0."""
 
     def __init__(self, instance: Instance, mode: str) -> None:
         self.instance = instance
@@ -564,59 +580,62 @@ class _PathPool:
         self.separable = mode != RISK_MEAN_STDEV
         if self.separable:
             self.costs = _edge_costs(instance, mode)
-            second = dict.fromkeys(self.costs, 0.0)
+            second = [0.0] * len(self.costs)
         else:
-            edges = instance.network.edges
-            self.costs = {e.id: e.latency.coeffs for e in edges}
-            self.risks = {e.id: e.risk.coeffs for e in edges}
-            second = {eid: (c[0] + 0.0 if c else 0.0) ** 2 for eid, c in self.risks.items()}
-        first = {eid: c[0] + 0.0 if c else 0.0 for eid, c in self.costs.items()}
-        self.at: dict[str, float] = dict.fromkeys(self.costs, 0.0)
-        self.table: tuple[dict[str, float], dict[str, float]] = (first, second)
+            net = instance.network
+            self.costs = _edge_costs(instance, RISK_NEUTRAL)  # the latencies
+            self.risks = [net.edge_map[eid].risk.coeffs for eid in net.edge_position]
+            second = [(c[0] + 0.0 if c else 0.0) ** 2 for c in self.risks]
+        first = [c[0] + 0.0 if c else 0.0 for c in self.costs]
+        self.at = [0.0] * len(self.costs)
+        self.table = (first, second)
 
     def priced(
-        self, flows: Mapping[str, float]
-    ) -> tuple[dict[str, float], dict[str, float]]:
-        """The edge table at ``flows``. Only an edge whose flow differs from
-        its last pricing is evaluated again (a NaN flow always is)."""
+        self, paths: Mapping[tuple[int, ...], float]
+    ) -> tuple[list[float], tuple[list[float], list[float]]]:
+        """The edge flows of ``paths``, summed as :func:`edge_flow` sums them,
+        and the edge table at them. Only an edge whose flow differs from its
+        last pricing is evaluated again (a NaN flow always is)."""
+        flows = [0.0] * len(self.at)
+        for path, amount in paths.items():
+            for pos in path:
+                flows[pos] += amount
         at, (first, second) = self.at, self.table
-        for eid, f in flows.items():
-            if at.get(eid) != f:
-                at[eid] = f
-                c, value, term = self.costs[eid], 0.0, 0.0
+        for pos, f in enumerate(flows):
+            if at[pos] != f:
+                at[pos] = f
+                c, value, term = self.costs[pos], 0.0, 0.0
                 if self.separable:  # CostPoly.__call__ and .integral at once
-                    for i in range(len(c) - 1, -1, -1):
-                        value = value * f + c[i]
-                        term = term * f + c[i] / (i + 1)
-                    first[eid], second[eid] = value, term * f
+                    k = len(c)
+                    for x in reversed(c):
+                        value = value * f + x
+                        term = term * f + x / k
+                        k -= 1
+                    first[pos], second[pos] = value, term * f
                 else:  # CostPoly.__call__ on the latency and the risk
                     for x in reversed(c):
                         value = value * f + x
-                    for x in reversed(self.risks[eid]):
+                    for x in reversed(self.risks[pos]):
                         term = term * f + x
-                    first[eid], second[eid] = value, term ** 2
-        return self.table
+                    first[pos], second[pos] = value, term ** 2
+        return flows, self.table
 
-    def cheapest(
-        self, table: tuple[dict[str, float], dict[str, float]]
-    ) -> tuple[float, tuple[str, ...]]:
+    def cheapest(self, table: tuple[list[float], list[float]]) -> tuple[float, tuple[int, ...]]:
         """The cheapest path's cost and the path at the edge table ``table``."""
         if self.separable:
-            return shortest_path(self.instance.network, table[0])
+            return _sweep_path(self.instance.network, table[0])
         return _meanstdev_cheapest(self.instance, table)
 
-    def evaluate(self, paths: dict[tuple[str, ...], float]) -> _Iterate:
+    def evaluate(self, paths: dict[tuple[int, ...], float]) -> _Iterate:
         instance = self.instance
-        flows = edge_flow(paths, instance.network)
-        table = self.priced(flows)
+        flows, table = self.priced(paths)
         floor, best = self.cheapest(table)
         if self.separable:
             prices, terms = table
             costs = {p: math.fsum(map(prices.__getitem__, p)) for p in paths}
             if best not in costs:
                 costs[best] = math.fsum(map(prices.__getitem__, best))
-            # potential_value's terms in its order, so the sum is the same
-            potential = math.fsum(map(terms.__getitem__, flows))
+            potential = math.fsum(terms)
         else:
             costs = {p: _meanstdev_price(table, instance.gamma, p)[2] for p in (*paths, best)}
             potential = None
@@ -629,15 +648,15 @@ class _PathPool:
         )
 
 
-def _independent_mod2(paths: Sequence[tuple[str, ...]]) -> bool:
+def _independent_mod2(paths: Sequence[tuple[int, ...]]) -> bool:
     """True when the paths' edge incidence vectors are independent mod 2,
     which proves them independent (rank over GF(2) is at most rank over the
-    rationals), by XOR elimination of the paths' edge bitmasks."""
-    bit, pivots = {}, {}  # edge id -> its bit; highest bit -> pivot row
+    rationals), by XOR elimination of the paths' edge bitmasks (bit = position)."""
+    pivots = {}  # highest bit -> pivot row
     for path in paths:
         row = 0
-        for eid in path:
-            row |= bit.setdefault(eid, 1 << len(bit))
+        for pos in path:
+            row |= 1 << pos
         while row.bit_length() in pivots:
             row ^= pivots[row.bit_length()]
         if not row:
@@ -646,22 +665,22 @@ def _independent_mod2(paths: Sequence[tuple[str, ...]]) -> bool:
     return True
 
 
-def _path_dependency(paths: Sequence[tuple[str, ...]]) -> list[int] | None:
+def _path_dependency(paths: Sequence[tuple[int, ...]]) -> list[int] | None:
     """Integer weights w with gcd 1 and sum_i w_i * (edge incidence vector of
     ``paths[i]``) = 0, or None when those vectors are independent.
 
     None at once when :func:`_independent_mod2` proves them independent;
     else fraction-free Gaussian elimination, exact on 0/1 vectors: path i has
-    a sparse row mapping its edge ids (strings) to its edge entries and path
-    indices to its weights, reduced against the pivot rows, then divided once
-    by the gcd of its entries, which keeps them small. A row left without
-    edge entries gives the dependency."""
+    a sparse row mapping its edge positions to its edge entries and ~i (the
+    negative keys) to its weights, reduced against the pivot rows, then
+    divided once by the gcd of its entries, which keeps them small. A row
+    left without edge entries gives the dependency."""
     if _independent_mod2(paths):
         return None
-    pivots: list[tuple[str, dict]] = []
+    pivots: list[tuple[int, dict]] = []
     for i, path in enumerate(paths):
         row: dict = dict.fromkeys(path, 1)
-        row[i] = 1
+        row[~i] = 1
         for edge, pivot in pivots:
             a = row.get(edge, 0)
             if a:
@@ -672,16 +691,16 @@ def _path_dependency(paths: Sequence[tuple[str, ...]]) -> list[int] | None:
                 row = {k: x for k, x in out.items() if x}
         g = math.gcd(*row.values())
         row = {k: x // g for k, x in row.items()}
-        edges = [k for k in row if isinstance(k, str)]
+        edges = [k for k in row if k >= 0]
         if not edges:
-            return [row.get(j, 0) for j in range(len(paths))]
+            return [row.get(~j, 0) for j in range(len(paths))]
         pivots.append((min(edges), row))
     return None
 
 
 def _independent_support(
     pool: _PathPool, it: _Iterate
-) -> tuple[_Iterate, list[tuple[str, ...]]]:
+) -> tuple[_Iterate, list[tuple[int, ...]]]:
     """The Newton support of ``it``: its used paths and its cheapest path,
     with linearly independent edge-incidence vectors.
 
@@ -722,7 +741,7 @@ def _independent_support(
 
 
 def _path_jacobian(
-    pool: _PathPool, flows: Mapping[str, float], support: list[tuple[str, ...]]
+    pool: _PathPool, flows: Sequence[float], support: list[tuple[int, ...]]
 ) -> list[list[float]]:
     """The path Jacobian dQ_p/dx_q on ``support`` at the edge flows ``flows``:
     the sum over e in p and q of c_e'(f_e) under a separable mode, and of
@@ -733,21 +752,23 @@ def _path_jacobian(
     division by s_p is made per row."""
     gamma = pool.instance.gamma
     slope, curvature, var = {}, {}, {}
-    for eid in {eid for p in support for eid in p}:
-        f = flows[eid]
-        c, acc = pool.costs[eid], 0.0  # CostPoly.derivative
-        for i in range(len(c) - 1, 0, -1):
-            acc = acc * f + i * c[i]
-        slope[eid] = acc
+    for pos in {pos for p in support for pos in p}:
+        f = flows[pos]
+        c, acc = pool.costs[pos], 0.0  # CostPoly.derivative
+        k = len(c) - 1
+        for x in c[:0:-1]:
+            acc = acc * f + k * x
+            k -= 1
+        slope[pos] = acc
         if pool.separable:
             continue
-        c, risk, acc = pool.risks[eid], 0.0, 0.0  # CostPoly.__call__, .derivative
+        c, risk, acc = pool.risks[pos], 0.0, 0.0  # CostPoly.__call__, .derivative
         for i in range(len(c) - 1, -1, -1):
             risk = risk * f + c[i]
             if i:
                 acc = acc * f + i * c[i]
-        curvature[eid] = gamma * risk * acc
-        var[eid] = risk * risk
+        curvature[pos] = gamma * risk * acc
+        var[pos] = risk * risk
     sigma = [math.sqrt(math.fsum(map(var.__getitem__, p))) if var else 0.0 for p in support]
     edge_sets = [set(p) for p in support]
     jac = [[0.0] * len(support) for _ in support]
@@ -762,7 +783,7 @@ def _path_jacobian(
 
 
 def _newton_iterate(
-    pool: _PathPool, it: _Iterate, support: list[tuple[str, ...]]
+    pool: _PathPool, it: _Iterate, support: list[tuple[int, ...]]
 ) -> _Iterate | None:
     """One active-set Newton step on ``support``, or None when the
     equal-cost system is singular or the step finds no descent.
@@ -838,11 +859,11 @@ def _pairwise_step(pool: _PathPool, it: _Iterate) -> _Iterate | None:
     transfer = {worst: -1.0, it.best: 1.0}
     if pool.separable:
         return _line_step(pool, it, transfer, it.paths[worst])
-    net, gamma = pool.instance.network, pool.instance.gamma
+    gamma = pool.instance.gamma
 
     def cost_delta(step: float) -> float:
         # Q(best) - Q(worst) after moving ``step`` from worst to best
-        moments = pool.priced(edge_flow(_moved(it.paths, transfer, step), net))
+        _, moments = pool.priced(_moved(it.paths, transfer, step))
         q_best, q_worst = (_meanstdev_price(moments, gamma, p)[2] for p in (it.best, worst))
         return q_best - q_worst
 
@@ -855,17 +876,17 @@ def _pairwise_step(pool: _PathPool, it: _Iterate) -> _Iterate | None:
 def _line_step(
     pool: _PathPool,
     it: _Iterate,
-    direction: Mapping[tuple[str, ...], float],
+    direction: Mapping[tuple[int, ...], float],
     hi: float,
 ) -> _Iterate | None:
     """The separable iterate x + t * direction whose t in [0, hi] minimizes
     the Beckmann potential, or None when that t is 0. Raises
     ConvergenceError when the potential rises instead."""
-    change: dict[str, float] = {}
+    change: dict[int, float] = {}
     for p, v in direction.items():
-        for eid in p:
-            change[eid] = change.get(eid, 0.0) + v
-    delta = {eid: s for eid, s in change.items() if s != 0.0}
+        for pos in p:
+            change[pos] = change.get(pos, 0.0) + v
+    delta = {pos: s for pos, s in change.items() if s != 0.0}
     if not delta:
         return None
     g = _transfer_derivative(pool.costs, it.flows, delta)
@@ -880,10 +901,10 @@ def _line_step(
 
 
 def _moved(
-    paths: Mapping[tuple[str, ...], float],
-    direction: Mapping[tuple[str, ...], float],
+    paths: Mapping[tuple[int, ...], float],
+    direction: Mapping[tuple[int, ...], float],
     step: float,
-) -> dict[tuple[str, ...], float]:
+) -> dict[tuple[int, ...], float]:
     """The path flows paths + step * direction. A path that the step runs
     dry is set to exactly zero, and paths without flow are dropped."""
     out = dict(paths)

@@ -1,14 +1,41 @@
 """Reference versions of solver and report pieces that the library computes
-a faster way: the separable edge costs as ``CostPoly`` objects, the solve's
-and the report's edge tables by ``CostPoly`` calls, the transfer derivative
-with one sum per degree, the path Jacobian summed pair by pair in full, and
-the path dependency by exact elimination alone. Tests assert that the
-library's values equal these to the bit."""
+a faster way: the shortest path by a label DP keyed by edge id, the
+separable edge costs as ``CostPoly`` objects and their Beckmann potential,
+the solve's and the report's edge tables by ``CostPoly`` calls, the
+transfer derivative with one sum per degree, the path Jacobian summed pair
+by pair in full, and the path dependency by exact elimination alone. Tests
+assert that the library's values equal these to the bit."""
 
 import math
 
 from riskroute.network import RISK_MEAN_STDEV, CostPoly, Instance, Network
-from riskroute.solvers import RISK_NEUTRAL
+from riskroute.solvers import RISK_NEUTRAL, ConvergenceError
+
+
+def shortest_path(network: Network, costs) -> tuple[float, tuple[str, ...]]:
+    """Shortest source->sink path under nonnegative edge costs keyed by edge
+    id, by a DP over the network's topological order in which each node
+    keeps the least (distance, edge-id sequence) label over its in-edges.
+    Raises ValueError on the first negative or NaN cost in the mapping's
+    order, and ConvergenceError when no path reaches the sink."""
+    for eid, c in costs.items():
+        if not c >= 0.0:  # also catches NaN
+            raise ValueError(f"edge {eid!r} has cost {c}, not a nonnegative number")
+    sink, out_edges = network.sink, network.out_edges
+    labels = {network.source: (0.0, ())}
+    for node in network.topo_order:
+        label = labels.get(node)
+        if label is None:
+            continue
+        if node == sink:
+            return label
+        dist, path = label
+        for e in out_edges[node]:
+            d = dist + costs[e.id]
+            old = labels.get(e.head)
+            if old is None or d < old[0] or (d == old[0] and path + (e.id,) < old[1]):
+                labels[e.head] = (d, path + (e.id,))
+    raise ConvergenceError(f"sink {network.sink!r} unreachable from source")
 
 
 def cost_polys(instance: Instance, mode: str) -> dict[str, CostPoly]:
@@ -18,6 +45,11 @@ def cost_polys(instance: Instance, mode: str) -> dict[str, CostPoly]:
     if mode == RISK_NEUTRAL:
         return {e.id: e.latency for e in edges}
     return {e.id: e.latency.scaled_plus(e.risk, instance.gamma) for e in edges}
+
+
+def potential_value(cost_polys, flows) -> float:
+    """Beckmann potential sum_e integral_0^{f_e} c_e."""
+    return math.fsum(cost_polys[eid].integral(f) for eid, f in flows.items())
 
 
 def solve_table(instance: Instance, mode: str, flows) -> tuple[dict, dict]:

@@ -102,10 +102,16 @@ def test_kappa_infinite_on_free_risky_edge():
 
 
 def _table_bits(table):
-    """Edge tables (dicts keyed by edge id, then scalars) as their keys and
-    the exact hex strings of their values."""
+    """Edge tables (lists by edge position, then scalars) as the exact hex
+    strings of their values."""
+    return [[v.hex() for v in part] if isinstance(part, list) else part.hex() for part in table]
+
+
+def _by_position(network, table):
+    """A reference table, its dicts keyed by edge id, with each dict made a
+    list by edge position."""
     return [
-        (list(part), [v.hex() for v in part.values()]) if isinstance(part, dict) else part.hex()
+        [part[eid] for eid in network.edge_position] if isinstance(part, dict) else part
         for part in table
     ]
 
@@ -123,14 +129,16 @@ def test_edge_table_matches_reference():
             for result in (solve_rawe(instance), solve_rnwe(instance)):
                 flows = result.flow.edge_flow
                 want = reference.edge_table(net, flows)
-                assert _table_bits(analysis._edge_table(net, flows)) == _table_bits(want)
+                got = analysis._edge_table(net, flows)
+                assert _table_bits(got) == _table_bits(_by_position(net, want))
                 assert kappa_at_flow(instance, flows).hex() == want[3].hex()
                 length = shortest_path_length(net, flows)
-                assert length.hex() == solvers.shortest_path(net, want[0])[0].hex()
+                assert length.hex() == reference.shortest_path(net, want[0])[0].hex()
             for mode in (solvers.RISK_NEUTRAL, model):
                 pool = solvers._PathPool(instance, mode)
-                assert pool.at == dict.fromkeys(net.edge_map, 0.0)
-                assert _table_bits(pool.table) == _table_bits(reference.solve_table(instance, mode, None))
+                assert pool.at == [0.0] * len(net.edges)
+                want = reference.solve_table(instance, mode, None)
+                assert _table_bits(pool.table) == _table_bits(_by_position(net, want))
 
 
 #: Edge polynomials at the corners of Horner's steps: -0.0 coefficients, a
@@ -160,15 +168,17 @@ def test_edge_tables_match_reference_at_the_corners(model):
             {e.id: 0.25 * i for i, e in enumerate(edges)},
         ):
             got = analysis._edge_table(net, flows)
-            assert _table_bits(got) == _table_bits(reference.edge_table(net, flows))
+            assert _table_bits(got) == _table_bits(_by_position(net, reference.edge_table(net, flows)))
             kappas.add(got[3])
         assert (math.inf in kappas) == (edges is _CORNER_EDGES)
         for mode in (solvers.RISK_NEUTRAL, model):
             pool = solvers._PathPool(instance, mode)
-            assert _table_bits(pool.table) == _table_bits(reference.solve_table(instance, mode, None))
+            want = reference.solve_table(instance, mode, None)
+            assert _table_bits(pool.table) == _table_bits(_by_position(net, want))
             flows = {e.id: 0.5 + i for i, e in enumerate(edges)}
             want = reference.solve_table(instance, mode, flows)
-            assert _table_bits(pool.priced(flows)) == _table_bits(want)
+            paths = {(pos,): flows[eid] for eid, pos in net.edge_position.items()}
+            assert _table_bits(pool.priced(paths)[1]) == _table_bits(_by_position(net, want))
 
 
 class _SealedPoly(CostPoly):
@@ -482,7 +492,8 @@ def test_min_risk_path_matches_enumeration():
         for inst in (instance, dataclasses.replace(instance, risk_model=RISK_MEAN_STDEV)):
             for flows in (x.flow.edge_flow, z.flow.edge_flow):
                 risks = analysis._edge_table(inst.network, flows)[1]
-                path = analysis._min_risk_path(inst, risks)
+                ids = tuple(inst.network.edge_position)
+                path = tuple(ids[pos] for pos in analysis._min_risk_path(inst, risks))
                 risk = path_risk(inst, flows, path)
                 ref_risk, ref_path = min(
                     (path_risk(inst, flows, p), p)

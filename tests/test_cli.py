@@ -211,13 +211,19 @@ def test_analyze_braess(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "instance",
-    [make("braess", v=0.1), make("pigou", kappa=1.0, gamma=1.0)],
+    [
+        make("braess", v=0.1),
+        make("pigou", kappa=1.0, gamma=1.0),
+        make("random_general", seed=0, n=20, m=110),
+    ],
     ids=lambda instance: instance.name,
 )
 def test_analyze_out_bytes_are_frozen(tmp_path, instance):
-    """The analyze --out file of Braess v=0.1 and of Pigou kappa = gamma = 1,
-    and report_to_dict of the same report, equal the frozen reports in
-    tests/data byte for byte."""
+    """The analyze --out file of Braess v=0.1, of Pigou kappa = gamma = 1 and
+    of random_general seed 0 with n=20, m=110, whose edge ids e00-e109 sort
+    unlike their declaration order (e100 before e11), and report_to_dict of
+    the same report, equal the frozen reports in tests/data byte for
+    byte."""
     frozen = (Path(__file__).parent / "data" / f"{instance.name}.report.json").read_text()
     out = tmp_path / "report.json"
     assert main(["analyze", _write(tmp_path, "instance.json", instance), "--out", str(out)]) == 0

@@ -39,10 +39,8 @@ from riskroute.solvers import (
     _path_dependency,
     _transfer_derivative,
     cheapest_path,
-    cost_polynomials,
     decompose_edge_flow,
     mode_path_cost,
-    potential_value,
     relative_gap,
     shortest_path,
     solve_pair,
@@ -138,9 +136,9 @@ def test_gap_zero_cost_floor_warns():
     )
     instance = Instance(network=net, demand=1.0, gamma=0.0)
     flow = _flow(instance, {("e1",): 1.0}, RISK_NEUTRAL)
-    costs = cost_polynomials(instance, RISK_NEUTRAL)
+    costs = reference.cost_polys(instance, RISK_NEUTRAL)
     zero_flow = {"e1": 0.0}
-    assert potential_value(costs, zero_flow) == 0.0
+    assert reference.potential_value(costs, zero_flow) == 0.0
     with pytest.warns(ZeroCostPathWarning):
         # min path cost is 0 at the zero-latency evaluation point
         relative_gap(instance, Flow(path_flow={("e1",): 0.0}, edge_flow=zero_flow, objective_mode=RISK_NEUTRAL))
@@ -230,12 +228,13 @@ def test_cheapest_path_matches_enumeration(monkeypatch):
         cheapest_path(stdev, zero, RISK_MEAN_VAR)
 
     calls = []
+    sweep_path = solvers._sweep_path
 
     def counted(network, costs):
         calls.append(costs)
-        return shortest_path(network, costs)
+        return sweep_path(network, costs)
 
-    monkeypatch.setattr(solvers, "shortest_path", counted)
+    monkeypatch.setattr(solvers, "_sweep_path", counted)
     chord_steps = 0
     for n in (6, 8, 12, 14):
         for seed in range(300):
@@ -270,9 +269,9 @@ def test_cheapest_path_evaluates_no_potential_term(monkeypatch):
         calls.append(x)
         return integral(self, x)
 
-    def counted_table(pool, flows):
-        calls.append(flows)
-        return priced(pool, flows)
+    def counted_table(pool, paths):
+        calls.append(paths)
+        return priced(pool, paths)
 
     for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
         instance = make("random_general", seed=0, n=8, m=16, risk_model=model)
@@ -410,11 +409,11 @@ def test_gamma_zero_matches_risk_neutral(seed):
 
 def test_potential_value_closed_form():
     instance = make("braess", v=0.1)
-    costs = cost_polynomials(instance, RISK_NEUTRAL)
+    costs = reference.cost_polys(instance, RISK_NEUTRAL)
     flows = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5, "e": 0.0}
     # integral of 0.2t on [0, 0.5] twice, plus constants 1, 1 at 0.5 each
     expected = 2 * (0.1 * 0.25) + 2 * 0.5
-    assert potential_value(costs, flows) == pytest.approx(expected, rel=1e-12)
+    assert reference.potential_value(costs, flows) == pytest.approx(expected, rel=1e-12)
 
 
 def test_shortest_path_braess_at_zero_flow():
@@ -423,6 +422,149 @@ def test_shortest_path_braess_at_zero_flow():
     dist, path = shortest_path(instance.network, costs)
     assert dist == pytest.approx(0.9)
     assert path == ("a", "e", "d")
+
+
+def _sweep_net(edges, nodes=None, source="s", sink="t"):
+    """A network on (id, tail, head) triples, its nodes those the edges name
+    unless given."""
+    edges = tuple(Edge(eid, tail, head, CostPoly.of(1.0), CostPoly.of(0.0)) for eid, tail, head in edges)
+    if nodes is None:
+        nodes = tuple(dict.fromkeys(v for e in edges for v in (e.tail, e.head)))
+    return Network(nodes, edges, source, sink)
+
+
+#: Networks at the corners of the shortest-path DP.
+_SWEEP_CORNERS = {
+    "parallel ties": _sweep_net([("b", "s", "t"), ("a", "s", "t"), ("c", "s", "t")]),
+    # sorted, e10 < e100 < e11 < e2 < e9
+    "ids unlike declaration": _sweep_net(
+        [("e9", "s", "u"), ("e10", "s", "u"), ("e100", "u", "t"), ("e11", "s", "t"), ("e2", "u", "t")]
+    ),
+    "undeclared head": _sweep_net([("b", "s", "x"), ("a", "s", "t")], nodes=("s", "t")),
+    "undeclared node on the way": _sweep_net(
+        [("a", "s", "t"), ("b", "s", "x"), ("c", "x", "t")], nodes=("s", "t")
+    ),
+    "dead end": _sweep_net([("a", "s", "u"), ("b", "s", "t"), ("c", "w", "t"), ("d", "t", "v")]),
+    "source is sink": _sweep_net([("a", "s", "t")], sink="s"),
+    "source on a cycle": _sweep_net([("a", "s", "u"), ("b", "u", "s"), ("c", "u", "t")]),
+    "sink upstream": _sweep_net([("a", "t", "s")]),
+    "braess": make("braess", v=0.1).network,
+}
+
+
+def _outcome(shortest, network, costs):
+    """An id-keyed shortest-path function's (cost bits, path), or its
+    error."""
+    try:
+        dist, path = shortest(network, costs)
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+    return dist.hex(), path
+
+
+def test_sweep_path_matches_reference_at_every_call(monkeypatch):
+    """Every shortest path that solve_rawe, solve_rnwe and pra_report take
+    on the bound-chain draws, seeds 0-299 under mean-var and mean-stdev,
+    equals the id-keyed label DP of the reference: the same cost bits and
+    the same path."""
+    sweep_path = solvers._sweep_path
+    calls = []
+
+    def checked(network, costs):
+        got = sweep_path(network, costs)
+        want = reference.shortest_path(network, dict(zip(network.edge_position, costs)))
+        assert got[0].hex() == want[0].hex()
+        assert _ids(network, [got[1]])[0] == want[1]
+        calls.append(len(costs))
+        return got
+
+    monkeypatch.setattr(solvers, "_sweep_path", checked)
+    monkeypatch.setattr(analysis, "_sweep_path", checked)
+    for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
+        for seed in range(300):
+            instance = suites.random_general(seed, risk_model=model)
+            x, z = solve_rawe(instance), solve_rnwe(instance)
+            if x.converged and z.converged:
+                pra_report(instance, x, z)
+    assert len(calls) > 10_000
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_CORNERS))
+def test_sweep_path_matches_reference_at_the_corners(name):
+    """On exact ties of parallel edges, ids that sort unlike their
+    declaration order, out-edges to undeclared nodes, nodes that cannot
+    reach the sink, a source that is the sink, a source on a cycle and a
+    sink upstream of the source, the shortest path, or the error, equals
+    the reference's for costs drawn from 0, 0.5, 1, 2 and inf."""
+    network = _SWEEP_CORNERS[name]
+    rng = random.Random(name)
+    for _ in range(200):
+        costs = {e.id: rng.choice((0.0, 0.5, 1.0, 2.0, math.inf)) for e in network.edges}
+        want = _outcome(reference.shortest_path, network, costs)
+        assert _outcome(shortest_path, network, costs) == want, costs
+
+
+def test_sweep_path_error_contract():
+    """A negative, NaN or -inf cost, on one edge or on two, raises the
+    ValueError that names the same edge as the reference's, which reads the
+    costs in declaration order; an unreachable sink raises
+    ConvergenceError."""
+    for network in _SWEEP_CORNERS.values():
+        ids = [e.id for e in network.edges]
+        for bad in (-1.0, math.nan, -math.inf, -0.5):
+            for chosen in [*([eid] for eid in ids), *itertools.combinations(ids, 2)]:
+                costs = {eid: bad if eid in chosen else 1.0 for eid in ids}
+                outcome = _outcome(shortest_path, network, costs)
+                assert outcome[0] == "ValueError"
+                assert outcome == _outcome(reference.shortest_path, network, costs)
+    for name in ("source on a cycle", "sink upstream", "undeclared node on the way"):
+        network = _SWEEP_CORNERS[name]
+        costs = {e.id: 1.0 for e in network.edges}
+        assert _outcome(shortest_path, network, costs)[0] == "ConvergenceError"
+    with pytest.raises(KeyError):
+        shortest_path(_SWEEP_CORNERS["braess"], {"a": 1.0})
+
+
+def _bits(value):
+    """A result, a report or a nested value with every float as its hex
+    string."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(_bits(k), _bits(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def test_a_solve_never_leaves_edge_positions(monkeypatch):
+    """solve_wardrop in each mode and pra_report work on edge positions
+    alone: with the id-keyed shortest_path and edge_flow made to raise,
+    Braess, Pigou and the bound-chain draws (seeds 0-99, mean-var and
+    mean-stdev) solve and report bit for bit as they do without."""
+    instances = [make("braess", v=0.1), make("pigou", kappa=1.0, gamma=1.0)]
+    instances += [
+        suites.random_general(seed, risk_model=model)
+        for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV)
+        for seed in range(100)
+    ]
+
+    def run(instance):
+        x, z = solve_rawe(instance), solve_rnwe(instance)
+        report = pra_report(instance, x, z) if x.converged and z.converged else None
+        return _bits((x, z, report))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an id-keyed shortest_path or edge_flow was called")
+
+    plain = [run(instance) for instance in instances]
+    monkeypatch.setattr(solvers, "shortest_path", refuse)
+    monkeypatch.setattr(solvers, "edge_flow", refuse)
+    monkeypatch.setattr("riskroute.network.edge_flow", refuse)
+    assert [run(instance) for instance in instances] == plain
+    assert sum(bits[2] is not None for bits in plain) > 150
 
 
 def test_non_convergence_returns_best_iterate():
@@ -522,7 +664,7 @@ def test_mode_and_model_mismatch_raises():
     with pytest.raises(ValueError):
         solve_wardrop(make("braess", v=0.1), RISK_MEAN_STDEV)
     with pytest.raises(ValueError):
-        cost_polynomials(instance, RISK_MEAN_STDEV)
+        solvers._edge_costs(instance, RISK_MEAN_STDEV)
 
 
 @pytest.mark.parametrize(
@@ -784,6 +926,17 @@ def test_meanstdev_bisection_fallback(monkeypatch):
     assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
 
 
+def _positions(network, paths):
+    """Id paths as the solver's paths of edge positions."""
+    return [tuple(map(network.edge_position.__getitem__, p)) for p in paths]
+
+
+def _ids(network, paths):
+    """The solver's paths of edge positions as id paths."""
+    ids = tuple(network.edge_position)
+    return [tuple(map(ids.__getitem__, p)) for p in paths]
+
+
 def test_path_dependency_matches_rank():
     """On every prefix, every other-path subset and every subset of 2-5 of
     the paths of random_general seeds 0-59, _path_dependency finds a
@@ -792,7 +945,8 @@ def test_path_dependency_matches_rank():
     and are the reference's exact elimination's. Paths that the mod-2 test
     calls independent are independent."""
     for seed in range(60):
-        paths = enumerate_simple_paths(suites.random_general(seed).network)
+        network = suites.random_general(seed).network
+        paths = enumerate_simple_paths(network)
         edges = sorted({eid for p in paths for eid in p})
         incidence = np.array([[float(eid in p) for p in paths] for eid in edges])
         n = len(paths)
@@ -806,10 +960,10 @@ def test_path_dependency_matches_rank():
             ranks = np.linalg.matrix_rank(incidence[:, group].transpose(1, 0, 2))
             for subset, rank in zip(group, ranks):
                 chosen = [paths[i] for i in subset]
-                weights = _path_dependency(chosen)
+                weights = _path_dependency(_positions(network, chosen))
                 assert (weights is None) == (rank == k), (seed, subset)
                 assert weights == reference.path_dependency(chosen), (seed, subset)
-                if solvers._independent_mod2(chosen):
+                if solvers._independent_mod2(_positions(network, chosen)):
                     assert rank == k, (seed, subset)
                 if weights is not None:
                     assert math.gcd(*weights) == 1, (seed, subset, weights)
@@ -868,9 +1022,10 @@ def test_path_dependency_falls_back_to_exact_elimination():
     """A support dependent mod 2 but independent over the rationals: the
     mod-2 test cannot prove it independent, and the exact elimination
     finds no dependency."""
-    assert not solvers._independent_mod2(_MOD2_DEPENDENT)
-    assert not solvers._independent_mod2(_MOD2_DEPENDENT[:2] + _MOD2_DEPENDENT[3:])
-    assert _path_dependency(_MOD2_DEPENDENT) is None
+    support = _positions(suites.random_general(272).network, _MOD2_DEPENDENT)
+    assert not solvers._independent_mod2(support)
+    assert not solvers._independent_mod2(support[:2] + support[3:])
+    assert _path_dependency(support) is None
     assert reference.path_dependency(_MOD2_DEPENDENT) is None
 
 
@@ -884,10 +1039,13 @@ def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
     jacobian = solvers._path_jacobian
     transfer = solvers._transfer_derivative
     dependency = solvers._path_dependency
+    solving = {}  # the instance being solved
 
     def checked_jacobian(pool, flows, support):
         got = jacobian(pool, flows, support)
-        want = reference.path_jacobian(pool.instance, pool.mode, flows, support)
+        net = pool.instance.network
+        flows_by_id = dict(zip(net.edge_position, flows))
+        want = reference.path_jacobian(pool.instance, pool.mode, flows_by_id, _ids(net, support))
         assert _hex(got) == _hex(want)
         counts["jacobian"] += 1
         counts["stdev-jacobian"] += not pool.separable
@@ -902,7 +1060,7 @@ def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
 
     def checked_dependency(paths):
         got = dependency(paths)
-        assert got == reference.path_dependency(paths)
+        assert got == reference.path_dependency(_ids(solving["instance"].network, paths))
         counts["dependency"] += 1
         counts["fallback"] += got is None and not solvers._independent_mod2(paths)
         return got
@@ -912,7 +1070,7 @@ def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
     monkeypatch.setattr(solvers, "_path_dependency", checked_dependency)
     for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
         for seed in range(300):
-            instance = suites.random_general(seed, risk_model=model)
+            instance = solving["instance"] = suites.random_general(seed, risk_model=model)
             solve_rawe(instance)
             solve_rnwe(instance)
     assert min(counts.values()) > 0, counts
@@ -934,10 +1092,12 @@ def test_path_jacobian_matches_reference_on_random_flows():
             (dataclasses.replace(drawn, risk_model=RISK_MEAN_STDEV), RISK_MEAN_STDEV),
         ):
             pool = solvers._PathPool(instance, mode)
+            net = drawn.network
             for _ in range(10):
-                flows = {e.id: rng.choice((0.0, rng.uniform(0.0, 2.0))) for e in drawn.network.edges}
+                flows = {e.id: rng.choice((0.0, rng.uniform(0.0, 2.0))) for e in net.edges}
                 support = rng.sample(paths, min(len(paths), rng.randint(1, 6)))
-                got = solvers._path_jacobian(pool, flows, support)
+                at = [flows[eid] for eid in net.edge_position]
+                got = solvers._path_jacobian(pool, at, _positions(net, support))
                 want = reference.path_jacobian(instance, mode, flows, support)
                 assert _hex(got) == _hex(want), (seed, mode, support)
 
@@ -958,28 +1118,34 @@ def test_newton_iterate_singular_system_returns_none(model):
     )
     instance = Instance(network=net, demand=1.0, gamma=0.5, risk_model=model)
     pool = solvers._PathPool(instance, model)
-    it = pool.evaluate({("a",): 0.25, ("b",): 0.75})
-    assert solvers._newton_iterate(pool, it, [("a",), ("b",)]) is None
+    a, b = (net.edge_position[eid] for eid in "ab")
+    it = pool.evaluate({(a,): 0.25, (b,): 0.75})
+    assert solvers._newton_iterate(pool, it, [(a,), (b,)]) is None
 
 
 def _fresh_pricing(pool, flows):
-    """The pool's edge table, cheapest cost and path, and potential at
-    ``flows``, all evaluated from scratch."""
+    """The pool's edge table, cheapest cost and path, and potential at the
+    edge flows ``flows`` (by position), all evaluated from scratch: the
+    table by position, the path as edge ids."""
     instance = pool.instance
+    net = instance.network
+    flows = dict(zip(net.edge_position, flows))
     if pool.separable:
         polys = reference.cost_polys(instance, pool.mode)
         table = (
             {eid: polys[eid](f) for eid, f in flows.items()},
             {eid: polys[eid].integral(f) for eid, f in flows.items()},
         )
-        floor, best = shortest_path(instance.network, table[0])
-        return table, floor, best, potential_value(polys, flows)
-    edges = instance.network.edges
-    table = (
-        {e.id: e.latency(flows[e.id]) for e in edges},
-        {e.id: e.risk(flows[e.id]) ** 2 for e in edges},
-    )
-    return (table, *solvers._meanstdev_cheapest(instance, table), None)
+        floor, best = reference.shortest_path(net, table[0])
+        return _by_position(net, table), floor, best, reference.potential_value(polys, flows)
+    table = _by_position(net, reference.solve_table(instance, pool.mode, flows))
+    floor, best = solvers._meanstdev_cheapest(instance, table)
+    return table, floor, _ids(net, [best])[0], None
+
+
+def _by_position(network, table):
+    """Dicts keyed by edge id as lists by edge position."""
+    return tuple([part[eid] for eid in network.edge_position] for part in table)
 
 
 def test_pool_table_matches_fresh_pricing(monkeypatch):
@@ -998,7 +1164,8 @@ def test_pool_table_matches_fresh_pricing(monkeypatch):
         table, floor, best, potential = _fresh_pricing(pool, it.flows)
         assert pool.at == it.flows
         assert pool.table == table
-        assert (it.floor, it.best, it.potential) == (floor, best, potential)
+        best_by_id = _ids(pool.instance.network, [it.best])[0]
+        assert (it.floor, best_by_id, it.potential) == (floor, best, potential)
         seen[pool.separable] += 1
         return it
 
@@ -1016,16 +1183,17 @@ def test_pool_table_matches_fresh_pricing(monkeypatch):
     assert min(seen.values()) > 100
 
 
-class _LookupLog(dict):
-    """An edge coefficient table that logs each edge looked up in it."""
+class _LookupLog(list):
+    """An edge coefficient table that logs each edge position looked up in
+    it."""
 
     def __init__(self, costs, log):
         super().__init__(costs)
         self.log = log
 
-    def __getitem__(self, eid):
-        self.log.append(eid)
-        return super().__getitem__(eid)
+    def __getitem__(self, pos):
+        self.log.append(pos)
+        return super().__getitem__(pos)
 
 
 def test_pool_prices_only_moved_edges(monkeypatch):
@@ -1038,8 +1206,11 @@ def test_pool_prices_only_moved_edges(monkeypatch):
     moves = []
 
     def checked(pool, paths):
-        flows = edge_flow(paths, pool.instance.network)
-        moved = [eid for eid, f in flows.items() if pool.at.get(eid) != f]
+        flows = [0.0] * len(pool.at)
+        for path, amount in paths.items():
+            for pos in path:
+                flows[pos] += amount
+        moved = [pos for pos, f in enumerate(flows) if pool.at[pos] != f]
         looked, costs = [], pool.costs
         pool.costs = _LookupLog(costs, looked)
         try:
