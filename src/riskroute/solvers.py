@@ -17,10 +17,12 @@ finds by Newton's method inside a bisection bracket.
 
 Mean-stdev costs are not separable, so no potential exists. That mode finds
 its cheapest path by shortest paths too, on the convex hull of the paths'
-(latency, variance) points, so it enumerates no paths either. It halves the
-Newton step until a merit falls, and otherwise shifts flow pairwise until two
-path costs cross, found by the same root search with no derivative, which
-bisects.
+(latency, variance) points, so it enumerates no paths either. It judges the
+full Newton step by the true merit and each halving of it by a merit on the
+support's own path costs, so the hull is searched only at the full step and
+at the accepted point. A two-path support, or a Newton step that finds no
+descent, shifts flow pairwise until the two path costs cross, found by the
+same root search on their difference and its slope.
 
 The relative gap of a flow is (sum_p f_p Q_p - d * min_q Q_q) / (d * min_q Q_q):
 zero exactly at equilibrium, and small values certify an epsilon-equilibrium
@@ -62,7 +64,8 @@ LINE_SEARCH_STEPS = 60
 POTENTIAL_BACKSLIDE_TOL = 1e-12
 #: Smallest mean-stdev transfer worth applying, relative to demand.
 SHIFT_FLOOR_REL = 1e-12
-#: Halvings of the mean-stdev Newton step before the bisection step instead.
+#: Trials of the mean-stdev Newton step, the full step and its halvings,
+#: before the pairwise step instead.
 BACKTRACK_STEPS = 20
 
 #: Feasibility tolerance, relative to demand.
@@ -135,8 +138,9 @@ class EquilibriumResult:
     the cheapest, or the loop revisited a path flow, so the gap left is
     rounding), ``"no-descent"`` (risk-neutral and mean-var: the exact line
     search along the pairwise transfer found no step that lowers the
-    potential) or ``"shift-floor"`` (mean-stdev: Newton found no descent and
-    the bisection step fell below ``SHIFT_FLOOR_REL`` of the demand);
+    potential) or ``"shift-floor"`` (mean-stdev: the pairwise step, on a
+    two-path support or where Newton found no descent, fell below
+    ``SHIFT_FLOOR_REL`` of the demand);
     ``converged`` is read from it.
 
     ``min_path_cost`` is the cheapest path's cost under the flow's objective
@@ -464,9 +468,9 @@ def solve_wardrop(
     iteration takes the support S, the used paths plus the cheapest path,
     made independent by :func:`_independent_support`, and steps towards the
     solution of the linearized equal-cost system on S
-    (:func:`_newton_iterate`). Where that finds no step, and under a
-    separable mode where S holds two paths, flow moves from the most
-    expensive used path onto the cheapest (:func:`_pairwise_step`). The loop
+    (:func:`_newton_iterate`). Where that finds no step, and where S holds
+    two paths, flow moves from the most expensive used path onto the
+    cheapest (:func:`_pairwise_step`). The loop
     stops once the relative gap and the worst used path's excess over the
     cheapest are both at most ``tol``, or at the first iterate it revisits;
     an unconverged solve returns the iterate of least merit (their sum).
@@ -511,7 +515,7 @@ def solve_wardrop(
             stop_reason = "round-off"
             break
         nxt = None
-        if len(support) > 2 or not pool.separable:
+        if len(support) > 2:
             nxt = _newton_iterate(pool, it, support)
         if nxt is None:
             nxt = _pairwise_step(pool, it)
@@ -625,6 +629,21 @@ class _PathPool:
         if self.separable:
             return _sweep_path(self.instance.network, table[0])
         return _meanstdev_cheapest(self.instance, table)
+
+    def support_merit(
+        self, paths: dict[tuple[int, ...], float], support: Sequence[tuple[int, ...]]
+    ) -> float:
+        """The mean-stdev merit of ``paths``, whose paths are all in
+        ``support``, taken against the least support-path cost in place of
+        the cheapest path's, so without a hull search; the gap and excess
+        are formed as :meth:`evaluate` forms them."""
+        _, table = self.priced(paths)
+        costs = {p: _meanstdev_price(table, self.instance.gamma, p)[2] for p in support}
+        floor = min(costs.values())
+        total = math.fsum(amount * costs[p] for p, amount in paths.items())
+        gap, _ = _gap_quiet(total, self.instance.demand, floor)
+        excess, _ = _gap_quiet(max(map(costs.__getitem__, paths)), 1.0, floor)
+        return gap + excess
 
     def evaluate(self, paths: dict[tuple[int, ...], float]) -> _Iterate:
         instance = self.instance
@@ -740,6 +759,17 @@ def _independent_support(
     return it, support
 
 
+def _value_slope(coeffs: Sequence[float], f: float) -> tuple[float, float]:
+    """A polynomial's value and derivative at ``f`` from its coefficients,
+    as CostPoly.__call__ and .derivative give them."""
+    value = slope = 0.0
+    for i in range(len(coeffs) - 1, -1, -1):
+        value = value * f + coeffs[i]
+        if i:
+            slope = slope * f + i * coeffs[i]
+    return value, slope
+
+
 def _path_jacobian(
     pool: _PathPool, flows: Sequence[float], support: list[tuple[int, ...]]
 ) -> list[list[float]]:
@@ -762,11 +792,7 @@ def _path_jacobian(
         slope[pos] = acc
         if pool.separable:
             continue
-        c, risk, acc = pool.risks[pos], 0.0, 0.0  # CostPoly.__call__, .derivative
-        for i in range(len(c) - 1, -1, -1):
-            risk = risk * f + c[i]
-            if i:
-                acc = acc * f + i * c[i]
+        risk, acc = _value_slope(pool.risks[pos], f)
         curvature[pos] = gamma * risk * acc
         var[pos] = risk * risk
     sigma = [math.sqrt(math.fsum(map(var.__getitem__, p))) if var else 0.0 for p in support]
@@ -793,8 +819,11 @@ def _newton_iterate(
     fixed at zero, its flow redistributed through its Jacobian column, and
     the system solved again. Under a separable mode the step along the
     Newton direction exactly minimizes the potential, up to twice the Newton
-    step; under mean-stdev the Newton step is halved until the merit falls,
-    at most ``BACKTRACK_STEPS`` times.
+    step. Under mean-stdev the full Newton step is taken when it lowers the
+    merit; otherwise the step is halved until the merit against the least
+    support-path cost (:meth:`_PathPool.support_merit`, no hull search)
+    falls below the iterate's, ``BACKTRACK_STEPS`` trials in all, and only
+    the accepted point is evaluated in full.
     """
     # Costs are taken relative to the cheapest, and the step keeps the total
     # flow, so that the multiplier and the step's sum are rounded on the
@@ -835,12 +864,15 @@ def _newton_iterate(
         # by rounding from being stretched into a huge step
         hi = min([2.0, *(it.paths[p] / -v for p, v in direction.items() if v < 0.0)])
         return _line_step(pool, it, direction, hi)
+    nxt = pool.evaluate(_moved(it.paths, direction, 1.0))
+    if nxt.merit < it.merit:
+        return nxt
     t = 1.0
-    for _ in range(BACKTRACK_STEPS):
-        nxt = pool.evaluate(_moved(it.paths, direction, t))
-        if nxt.merit < it.merit:
-            return nxt
+    for _ in range(BACKTRACK_STEPS - 1):
         t *= 0.5
+        trial = _moved(it.paths, direction, t)
+        if pool.support_merit(trial, support) < it.merit:
+            return pool.evaluate(trial)
     return None
 
 
@@ -850,27 +882,71 @@ def _pairwise_step(pool: _PathPool, it: _Iterate) -> _Iterate | None:
 
     Under a separable mode the amount exactly minimizes the potential, and
     the result is None when that amount is 0. Under mean-stdev the amount
-    makes the two path costs just cross, found by :func:`_newton_step`
-    without a derivative (the costs are not polynomials in it), so by
-    bisection, and the result is None when it is below ``SHIFT_FLOOR_REL``
-    of the demand.
+    makes the two path costs just cross, found by :func:`_newton_step` on
+    their difference and its slope (:func:`_crossing`), and the result is
+    None when it is below ``SHIFT_FLOOR_REL`` of the demand.
     """
     worst = it.worst
     transfer = {worst: -1.0, it.best: 1.0}
     if pool.separable:
         return _line_step(pool, it, transfer, it.paths[worst])
-    gamma = pool.instance.gamma
+    crossing = _crossing(pool, it.flows, it.best, worst)
+    slopes: dict[float, float] = {}
 
     def cost_delta(step: float) -> float:
-        # Q(best) - Q(worst) after moving ``step`` from worst to best
-        _, moments = pool.priced(_moved(it.paths, transfer, step))
-        q_best, q_worst = (_meanstdev_price(moments, gamma, p)[2] for p in (it.best, worst))
-        return q_best - q_worst
+        # the root search asks for the slope only where it has just asked
+        # for the value
+        value, slopes[step] = crossing(step)
+        return value
 
-    step = _newton_step(cost_delta, None, it.paths[worst])
+    step = _newton_step(cost_delta, slopes.__getitem__, it.paths[worst])
     if step < SHIFT_FLOOR_REL * pool.instance.demand:
         return None
     return pool.evaluate(_moved(it.paths, transfer, step))
+
+
+def _crossing(
+    pool: _PathPool, flows: Sequence[float], best: tuple[int, ...], worst: tuple[int, ...]
+) -> Callable[[float], tuple[float, float]]:
+    """Q_best - Q_worst under mean-stdev, and its slope, as a function of
+    the amount t moved from ``worst`` onto ``best`` at the edge flows
+    ``flows`` (by position).
+
+    Only the edges on one path and not the other move: best's own by +t,
+    worst's own by -t. The shared edges' latencies cancel in the difference
+    and their variance is summed once, so a trial prices only the moved
+    edges, from their latency and risk coefficients. With l_e the latency,
+    r_e the edge risk and s_p the root-sum-square risk of path p, the slope
+    is the sum of l_e' + gamma * r_e * r_e' / s_best over best's own edges
+    and of l_e' + gamma * r_e * r_e' / s_worst over worst's own edges (a
+    risk term is 0 on a riskless path).
+    """
+    gamma = pool.instance.gamma
+    own_best = [pos for pos in best if pos not in worst]
+    own_worst = [pos for pos in worst if pos not in best]
+    shared = math.fsum(
+        _value_slope(pool.risks[pos], flows[pos])[0] ** 2 for pos in best if pos in worst
+    )
+
+    def crossing(t: float) -> tuple[float, float]:
+        costs, slopes = [], []
+        for sign, own in ((1.0, own_best), (-1.0, own_worst)):
+            lat, var, dlat, bend = [], [shared], [], []
+            for pos in own:
+                f = flows[pos] + sign * t
+                latency, latency_slope = _value_slope(pool.costs[pos], f)
+                risk, risk_slope = _value_slope(pool.risks[pos], f)
+                lat.append(latency)
+                var.append(risk * risk)
+                dlat.append(latency_slope)
+                bend.append(risk * risk_slope)
+            sigma = math.sqrt(math.fsum(var))
+            costs.append(math.fsum(lat) + gamma * sigma)
+            bent = gamma * math.fsum(bend) / sigma if sigma > 0.0 else 0.0
+            slopes.append(math.fsum(dlat) + bent)
+        return costs[0] - costs[1], slopes[0] + slopes[1]
+
+    return crossing
 
 
 def _line_step(

@@ -910,20 +910,119 @@ def test_solver_error_cannot_move_an_edge_across_eps():
     assert worst[0] <= 1.0, f"seed {worst[1]}: edge flow off by {worst[0]} eps"
 
 
-def test_meanstdev_bisection_fallback(monkeypatch):
-    """On random_general mean-stdev seed 333 one Newton step finds no
-    descent; the pairwise bisection step takes over and the solve still
-    converges."""
-    steps = []
-    pairwise = solvers._pairwise_step
+def test_meanstdev_pairwise_fallback(monkeypatch):
+    """On mean-stdev random_sp budget 40 seed 31 one Newton step on an
+    11-path support finds no descent; the pairwise step takes over and the
+    solve still converges."""
+    calls = []
+    newton, pairwise = solvers._newton_iterate, solvers._pairwise_step
     monkeypatch.setattr(
-        solvers, "_pairwise_step", lambda *args: steps.append(1) or pairwise(*args)
+        solvers,
+        "_newton_iterate",
+        lambda pool, it, support: calls.append(len(support)) or newton(pool, it, support),
     )
-    instance = suites.random_general(333, risk_model=RISK_MEAN_STDEV)
+    monkeypatch.setattr(
+        solvers, "_pairwise_step", lambda *args: calls.append("pairwise") or pairwise(*args)
+    )
+    instance = make("random_sp", seed=31, budget=40, risk_model=RISK_MEAN_STDEV)
     result = solve_rawe(instance)
-    assert steps
+    fallbacks = [n for n, after in zip(calls, calls[1:]) if n != "pairwise" and after == "pairwise"]
+    assert fallbacks and min(fallbacks) > 2
     assert result.converged and result.iterations <= 1000
     assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
+
+
+def test_meanstdev_two_path_equilibria_in_one_iteration():
+    """A mean-stdev equilibrium on two paths takes one iteration: the
+    pairwise step moves flow until the two path costs cross, exactly. On
+    two parallel edges with latency and risk x**2 and a riskless latency 1
+    at gamma 1, all demand starts on the first edge and the crossing is at
+    2 x**2 = 1; bound-chain draws with two used paths do the same."""
+    net = Network(
+        nodes=("s", "t"),
+        edges=(
+            Edge("a", "s", "t", CostPoly.of(0.0, 0.0, 1.0), CostPoly.of(0.0, 0.0, 1.0)),
+            Edge("b", "s", "t", CostPoly.of(1.0), CostPoly.of(0.0)),
+        ),
+        source="s",
+        sink="t",
+    )
+    instance = Instance(network=net, demand=1.0, gamma=1.0, risk_model=RISK_MEAN_STDEV)
+    result = solve_rawe(instance)
+    assert result.converged and result.iterations == 1
+    assert result.flow.edge_flow["a"] == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    for seed in (7, 14, 15, 17, 25):
+        result = solve_rawe(suites.random_general(seed, risk_model=RISK_MEAN_STDEV))
+        assert result.converged and result.iterations == 1, seed
+        assert len(result.flow.path_flow) == 2, seed
+
+
+def test_crossing_slope_matches_finite_difference():
+    """On random two-path transfers at random path flows of mean-stdev
+    bound-chain draws, the crossing's value is Q_best - Q_worst priced from
+    scratch at the moved flows, and its analytic slope matches a central
+    finite difference of that."""
+    rng = random.Random(33)
+    checked = 0
+    for seed in range(60):
+        instance = suites.random_general(seed, risk_model=RISK_MEAN_STDEV)
+        net = instance.network
+        paths = enumerate_simple_paths(net)
+        if len(paths) < 2:
+            continue
+        pool = solvers._PathPool(instance, RISK_MEAN_STDEV)
+        for _ in range(5):
+            weights = [rng.random() for _ in paths]
+            assignment = {p: instance.demand * w / sum(weights) for p, w in zip(paths, weights)}
+            best, worst = rng.sample(paths, 2)
+            flows = edge_flow(assignment, net)
+            at = [flows[eid] for eid in net.edge_position]
+            crossing = solvers._crossing(pool, at, *_positions(net, [best, worst]))
+
+            def delta(t):
+                moved = dict(assignment)
+                moved[best] += t
+                moved[worst] -= t
+                at_t = edge_flow(moved, net)
+                return path_cost(instance, at_t, best) - path_cost(instance, at_t, worst)
+
+            t = rng.uniform(0.1, 0.9) * assignment[worst]
+            h = 1e-6 * assignment[worst]
+            value, slope = crossing(t)
+            assert value == pytest.approx(delta(t), rel=1e-9, abs=1e-12), seed
+            difference = (delta(t + h) - delta(t - h)) / (2.0 * h)
+            assert slope > 0.0 and slope == pytest.approx(difference, rel=1e-5), seed
+            checked += 1
+    assert checked >= 250
+
+
+def test_meanstdev_backtracking_searches_the_hull_only_at_accepted_points(monkeypatch):
+    """On mean-stdev random_sp budget 200 seed 8, which backtracks, every
+    Newton call searches the hull at most twice, at its full step and at
+    the point it accepts: a halved step is judged on the support's own
+    path costs."""
+    searches, per_call, halvings = [], [], []
+    cheapest, newton = solvers._meanstdev_cheapest, solvers._newton_iterate
+    support_merit = solvers._PathPool.support_merit
+    monkeypatch.setattr(
+        solvers, "_meanstdev_cheapest", lambda *args: searches.append(1) or cheapest(*args)
+    )
+    monkeypatch.setattr(
+        solvers._PathPool,
+        "support_merit",
+        lambda *args: halvings.append(1) or support_merit(*args),
+    )
+
+    def counted(pool, it, support):
+        before = len(searches)
+        out = newton(pool, it, support)
+        per_call.append(len(searches) - before)
+        return out
+
+    monkeypatch.setattr(solvers, "_newton_iterate", counted)
+    result = solve_rawe(make("random_sp", seed=8, budget=200, risk_model=RISK_MEAN_STDEV))
+    assert result.converged
+    assert halvings and per_call and max(per_call) <= 2
 
 
 def _positions(network, paths):
@@ -972,7 +1071,7 @@ def test_path_dependency_matches_rank():
 
 
 def test_wide_series_parallel_support_certifies(monkeypatch):
-    """Mean-stdev random_sp budget 200 seed 8 puts flow on 22 paths. Its
+    """Mean-stdev random_sp budget 150 seed 2 puts flow on 18 paths. Its
     dependency weights stay primitive and small, where an elimination that
     never divides out common factors overflows a float, and one support
     needs a second reduction within the same call."""
@@ -996,7 +1095,7 @@ def test_wide_series_parallel_support_certifies(monkeypatch):
 
     monkeypatch.setattr(solvers, "_path_dependency", record)
     monkeypatch.setattr(solvers, "_independent_support", count)
-    instance = make("random_sp", seed=8, budget=200, risk_model=RISK_MEAN_STDEV)
+    instance = make("random_sp", seed=2, budget=150, risk_model=RISK_MEAN_STDEV)
     x, z = solve_pair(instance)
     assert pra_report(instance, x, z).ok
     assert found
@@ -1031,7 +1130,7 @@ def test_path_dependency_falls_back_to_exact_elimination():
 
 def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
     """At every Newton iterate of solve_rawe and solve_rnwe on random_general
-    seeds 0-299, mean-var as drawn and as mean-stdev copies, the path
+    seeds 0-349, mean-var as drawn and as mean-stdev copies, the path
     Jacobian, every line step's transfer derivative and every dependency
     test equal the references to the bit; some of those supports are
     dependent mod 2 yet independent, so the exact fallback decides them."""
@@ -1069,7 +1168,7 @@ def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
     monkeypatch.setattr(solvers, "_transfer_derivative", checked_transfer)
     monkeypatch.setattr(solvers, "_path_dependency", checked_dependency)
     for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
-        for seed in range(300):
+        for seed in range(350):
             instance = solving["instance"] = suites.random_general(seed, risk_model=model)
             solve_rawe(instance)
             solve_rnwe(instance)
