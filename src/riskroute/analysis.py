@@ -35,7 +35,6 @@ from .network import (
 from .solvers import (
     RISK_NEUTRAL,
     EquilibriumResult,
-    Flow,
     _sweep_path,
     decompose_edge_flow,
 )
@@ -83,22 +82,6 @@ def _edge_table(network: Network, flows: Mapping[str, float]) -> _EdgeTable:
         elif b > 0.0:
             kappa = math.inf
     return lat, risk, sum(terms), kappa
-
-
-def kappa_at_flow(instance: Instance, flow: Flow | Mapping[str, float]) -> float:
-    """Largest edge ratio risk(f_e)/latency(f_e) at the given flow.
-
-    Convention: 0/0 counts as 0; positive risk over zero latency is infinite
-    (downstream bound checks are then suppressed).
-    """
-    flows = flow.edge_flow if isinstance(flow, Flow) else flow
-    return _edge_table(instance.network, flows)[3]
-
-
-def shortest_path_length(network: Network, flows: Mapping[str, float]) -> float:
-    """Length of the latency-shortest source->sink path at the given flows."""
-    dist, _ = _sweep_path(network, _edge_table(network, flows)[0])
-    return dist
 
 
 # --- named bound checks -----------------------------------------------------
@@ -350,57 +333,24 @@ def report_to_dict(report: PraReport) -> dict:
 # --- Braess sigma inequality -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaInequalityVerdict:
-    precondition: bool
-    lhs: float
-    rhs: float
-    holds: bool
-
-
 #: Violations smaller than this are round-off, not counterexamples.
 SIGMA_SLACK = 1e-9
-
-
-def _sigma_holds(lhs, rhs):
-    """The inequality's pass rule, on floats and on arrays alike."""
-    return lhs <= rhs + SIGMA_SLACK
-
-
-def braess_stdev_inequality(
-    sigma_a: float, sigma_b: float, sigma_c: float, sigma_d: float, sigma_e: float
-) -> SigmaInequalityVerdict:
-    """Path-stdev inequality on the Braess labeling (a: s->u, b: u->t,
-    c: s->w, d: w->t, e: u->w).
-
-    With route stdevs sigma_p = hypot(a, b), sigma_q = hypot(c, d) and
-    sigma_r = sqrt(a^2 + e^2 + d^2), the claim sigma_p + sigma_q - sigma_r
-    <= sigma_b + sigma_c holds whenever the zigzag route is not the riskiest
-    (sigma_r <= max(sigma_p, sigma_q)).
-
-    The precondition is tested in its cancelled form, a^2 + e^2 <= c^2 or
-    e^2 + d^2 <= b^2, so that a sigma too small to change sigma_r after
-    rounding still counts."""
-    sp = math.hypot(sigma_a, sigma_b)
-    sq = math.hypot(sigma_c, sigma_d)
-    sr = math.sqrt(sigma_a**2 + sigma_e**2 + sigma_d**2)
-    lhs = sp + sq - sr
-    rhs = sigma_b + sigma_c
-    return SigmaInequalityVerdict(
-        precondition=sigma_a**2 + sigma_e**2 <= sigma_c**2
-        or sigma_e**2 + sigma_d**2 <= sigma_b**2,
-        lhs=lhs,
-        rhs=rhs,
-        holds=_sigma_holds(lhs, rhs),
-    )
 
 
 def braess_stdev_inequality_batch(
     sigmas: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized form over an (N, 5) array of sigma rows; returns
-    (precondition mask, lhs, rhs, holds mask), the precondition in the same
-    cancelled form and holds by the scalar verdict's rule."""
+    """The path-stdev inequality on the Braess labeling (a: s->u, b: u->t,
+    c: s->w, d: w->t, e: u->w), over an (N, 5) array of sigma rows (a, b, c,
+    d, e); returns (precondition mask, lhs, rhs, holds mask).
+
+    With route stdevs sigma_p = hypot(a, b), sigma_q = hypot(c, d) and
+    sigma_r = sqrt(a^2 + e^2 + d^2), the claim sigma_p + sigma_q - sigma_r
+    <= sigma_b + sigma_c holds whenever the zigzag route is not the riskiest
+    (sigma_r <= max(sigma_p, sigma_q)). The precondition is tested in its
+    cancelled form, a^2 + e^2 <= c^2 or e^2 + d^2 <= b^2, so that a sigma
+    too small to change sigma_r after rounding still counts; a row holds
+    when lhs <= rhs + ``SIGMA_SLACK``."""
     s = np.asarray(sigmas, dtype=float)
     if s.ndim != 2 or s.shape[1] != 5:
         raise ValueError("expected an (N, 5) array of sigma values")
@@ -410,7 +360,7 @@ def braess_stdev_inequality_batch(
     sr = np.sqrt(sa**2 + se**2 + sd**2)
     precondition = (sa**2 + se**2 <= sc**2) | (se**2 + sd**2 <= sb**2)
     lhs, rhs = sp + sq - sr, sb + sc
-    return precondition, lhs, rhs, _sigma_holds(lhs, rhs)
+    return precondition, lhs, rhs, lhs <= rhs + SIGMA_SLACK
 
 
 # --- shortest-path maximizer: series-parallel fold, branch-and-bound on the rest --
@@ -593,7 +543,7 @@ def max_shortest_path_oracle(
         # the core's latency rows are the pairs' M, so its polynomials go unused
         edges = tuple(Edge(n, *pair, CostPoly(()), CostPoly(())) for n, pair in zip(names, pairs))
         core = Network(net.nodes, edges, net.source, net.sink)
-        core_lat = np.array([m for m, _ in pairs.values()])
+        core_lat = dict(zip(names, (m for m, _ in pairs.values())))
         _, core_units, count = _lattice_maximum(core, core_lat, max_paths)
         stack = [(part, core_units.get(n, 0)) for n, (_, part) in zip(names, pairs.values())]
     edge_units: dict[str, int] = {}
@@ -619,18 +569,18 @@ def max_shortest_path_oracle(
 
 
 def _lattice_maximum(
-    net: Network, lat: np.ndarray, max_paths: int
+    net: Network, lat: Mapping[str, np.ndarray], max_paths: int
 ) -> tuple[float, dict[str, int], int]:
     """The largest shortest-path latency over the integer edge flows of
     value grid on the edges of the source-sink paths by branch-and-bound,
-    the first maximizing flow in lattice order (units per path edge) and
-    the number of lattice points evaluated. ``lat`` holds each edge's
-    latency at 0, 1, ..., grid units, one row per edge in ``net.edges``
-    order. No path is listed: two passes over the topological order count
-    the paths into each node from the source and from each node to the
-    sink, an edge is on a path when the count into its tail and the count
-    from its head are positive, and more than ``max_paths`` paths raise
-    PathCountError.
+    the first maximizing flow in lattice order (units per path edge id) and
+    the number of lattice points evaluated. ``lat`` maps each edge id to its
+    latency at 0, 1, ..., grid units. The search runs on edge positions over
+    :attr:`Network.sweep`, ids coming back only in the units. No path is
+    listed: two passes over the sweep count the paths into each node from
+    the source and from each node to the sink, an edge is on a path when the
+    count into its tail and the count from its head are positive, and more
+    than ``max_paths`` paths raise PathCountError.
 
     The search runs node by node in topological order: each node's inflow
     is split over its out-edges in edge-id order, earlier edges taking the
@@ -653,63 +603,64 @@ def _lattice_maximum(
     No maximizer is ever pruned, so the maximizer is the one exhaustive
     enumeration finds.
     """
-    order = net.topo_order
-    if len(order) != len(net.nodes):
+    if len(net.topo_order) != len(net.nodes):
         raise ValueError("the oracle needs an acyclic network")
-    into: dict[str, int] = {}
-    for v in order:
-        into[v] = (v == net.source) + sum(into[e.tail] for e in net.in_edges[v])
-    onward: dict[str, int] = {}
-    for v in reversed(order):
-        onward[v] = (v == net.sink) + sum(onward[e.head] for e in net.out_edges[v])
+    steps = net.sweep or ()
+    into = [1] + [0] * len(steps)
+    for i, out in enumerate(steps):
+        for _, j in out:
+            into[j] += into[i]
+    onward = [0] * len(steps) + [1]
+    for i in range(len(steps) - 1, -1, -1):
+        onward[i] = sum(onward[j] for _, j in steps[i])
     # paths of at least one edge, so none when the source is the sink
-    paths = sum(onward[e.head] for e in net.out_edges[net.source])
+    paths = onward[0] if steps else 0
     if paths > max_paths:
         raise PathCountError(
             f"more than {max_paths} simple paths from {net.source!r} to {net.sink!r}"
         )
     if not paths:
         raise ValueError("no source-sink path")
-    # one row per path edge, in edge order
-    on_path = [i for i, e in enumerate(net.edges) if into[e.tail] and onward[e.head]]
-    row = {net.edges[i].id: k for k, i in enumerate(on_path)}
-    lat = lat[on_path]
+    # one row per path edge, in position order
+    on_path = sorted(pos for i, out in enumerate(steps) for pos, j in out if into[i] and onward[j])
+    row = dict(zip(on_path, range(len(on_path))))
+    ids = list(net.edge_position)
+    lat = np.array([lat[ids[pos]] for pos in on_path])
     grid = lat.shape[1] - 1
     edges = np.arange(len(row))[:, None]
+    # each node's path out-edges as (row, head index)
+    pushes = [[(row[pos], j) for pos, j in out if pos in row] for out in steps]
     # In topological order a node's inflow is parked on its last out-edge,
     # once every in-edge has its value, and split off from there to the
     # other out-edges.
     first = np.zeros((len(row), 1), dtype=np.int64)
     ops: list = []
-    sweep = []
-    for v in order:
-        ins = [(row[e.id], e.tail) for e in net.in_edges[v] if e.id in row]
-        if ins:
-            sweep.append((v, ins))
-        out = [row[e.id] for e in net.out_edges[v] if e.id in row]
+    ins: list[list[int]] = [[] for _ in range(len(steps) + 1)]
+    for i, out in enumerate(pushes):
+        for k, j in out:
+            ins[j].append(k)
         if not out:
             continue
-        rest = out.pop()
-        if v == net.source:
-            first[rest] = grid
+        rest = out[-1][0]
+        if i:
+            ops.append((rest, ins[i], None))
         else:
-            ops.append((rest, [k for k, _ in ins], None))
-        for c in out:
-            ops.append((rest, None, c))
+            first[rest] = grid
+        ops += [(rest, None, k) for k, _ in out[:-1]]
 
     def shortest(block: np.ndarray) -> np.ndarray:
         """Shortest-path latency at each column's edge flows: each node's
-        distance is the least over its path in-edges of the tail's distance
-        plus the edge's latency."""
+        distance, final once the sweep reaches it, is pushed along its path
+        out-edges, a head keeping the least."""
         cost = lat[edges, block]
-        dist = {net.source: 0.0}
-        for v, ins in sweep:
-            (k, tail), *others = ins
-            d = dist[tail] + cost[k]
-            for k, tail in others:
-                np.minimum(d, dist[tail] + cost[k], out=d)
-            dist[v] = d
-        return dist[net.sink]
+        dist: list = [0.0] + [None] * len(pushes)
+        for d, out in zip(dist, pushes):
+            for k, j in out:
+                if dist[j] is None:
+                    dist[j] = d + cost[k]
+                else:
+                    np.minimum(dist[j], d + cost[k], out=dist[j])
+        return dist[-1]
 
     def bound(block: np.ndarray, start: int) -> np.ndarray:
         return shortest(_caps(block, ops, start, grid))
@@ -748,4 +699,4 @@ def _lattice_maximum(
         if s_values[idx] > best_value:
             best_value = float(s_values[idx])
             best_flow = block[:, idx].tolist()
-    return best_value, dict(zip(row, best_flow)), count
+    return best_value, {ids[pos]: u for pos, u in zip(on_path, best_flow)}, count

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 import heapq
 import math
@@ -41,34 +40,17 @@ class CostPoly:
 
     coeffs: tuple[float, ...]
 
-    @classmethod
-    def of(cls, *coeffs: float) -> "CostPoly":
-        return cls(tuple(map(float, coeffs)))
-
     def __call__(self, x: float) -> float:
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    def integral(self, x: float) -> float:
-        """Antiderivative evaluated at ``x``, zero at the origin."""
-        acc = 0.0
-        for i in reversed(range(len(self.coeffs))):
-            acc = acc * x + self.coeffs[i] / (i + 1)
-        return acc * x
-
     def derivative(self, x: float) -> float:
         acc = 0.0
         for i in reversed(range(1, len(self.coeffs))):
             acc = acc * x + i * self.coeffs[i]
         return acc
-
-    def scaled_plus(self, other: "CostPoly", scale: float) -> "CostPoly":
-        """Coefficientwise ``self + scale * other``, the shorter padded with
-        zeros."""
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0.0)
-        return CostPoly(tuple([x + scale * y for x, y in pairs]))
 
 
 @dataclass(frozen=True)
@@ -97,14 +79,6 @@ class Network:
         for e in self.edges:
             if e.tail in adj:
                 adj[e.tail].append(e)
-        return {v: tuple(sorted(es, key=lambda e: e.id)) for v, es in adj.items()}
-
-    @cached_property
-    def in_edges(self) -> dict[str, tuple[Edge, ...]]:
-        adj: dict[str, list[Edge]] = {v: [] for v in self.nodes}
-        for e in self.edges:
-            if e.head in adj:
-                adj[e.head].append(e)
         return {v: tuple(sorted(es, key=lambda e: e.id)) for v, es in adj.items()}
 
     @cached_property
@@ -266,45 +240,6 @@ def validate_instance(instance: Instance) -> Validation:
             bad.append("sink unreachable from source")
 
     return Validation(ok=not bad, violations=tuple(bad))
-
-
-def edge_flow(
-    path_flow: Mapping[tuple[str, ...], float], network: Network
-) -> dict[str, float]:
-    """Aggregate path flows into per-edge flows; every edge gets an entry."""
-    flows = dict.fromkeys(network.edge_map, 0.0)
-    for path, amount in path_flow.items():
-        for eid in path:
-            flows[eid] += amount
-    return flows
-
-
-def path_latency(
-    network: Network, flows: Mapping[str, float], path: Sequence[str]
-) -> float:
-    """Sum of edge latencies along ``path`` at the given edge flows."""
-    emap = network.edge_map
-    return sum(emap[eid].latency(flows[eid]) for eid in path)
-
-
-def path_risk(
-    instance: Instance, flows: Mapping[str, float], path: Sequence[str]
-) -> float:
-    """Risk term of a path: linear sum under mean-var, root-sum-square under
-    mean-stdev."""
-    emap = instance.network.edge_map
-    if instance.risk_model == RISK_MEAN_VAR:
-        return sum(emap[eid].risk(flows[eid]) for eid in path)
-    return math.sqrt(sum(emap[eid].risk(flows[eid]) ** 2 for eid in path))
-
-
-def path_cost(
-    instance: Instance, flows: Mapping[str, float], path: Sequence[str]
-) -> float:
-    """Perceived path cost: latency plus gamma times the model's risk term."""
-    return path_latency(instance.network, flows, path) + instance.gamma * path_risk(
-        instance, flows, path
-    )
 
 
 def social_cost(network: Network, flows: Mapping[str, float]) -> float:

@@ -40,25 +40,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .network import (
-    RISK_MEAN_STDEV,
-    RISK_MEAN_VAR,
-    CostPoly,
-    Instance,
-    Network,
-    edge_flow,
-    path_cost,
-    path_latency,
-)
+from .network import RISK_MEAN_STDEV, RISK_MEAN_VAR, CostPoly, Instance, Network
 
 RISK_NEUTRAL = "risk-neutral"
-OBJECTIVE_MODES = (RISK_NEUTRAL, RISK_MEAN_VAR, RISK_MEAN_STDEV)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200_000
 
 #: Iteration ceiling of the root search :func:`_newton_step`: it resolves
-#: 2**-60 of the bracket, and without a derivative bisects this many times.
+#: 2**-60 of the bracket, and where the slope is zero bisects this many times.
 LINE_SEARCH_STEPS = 60
 #: Per-iteration tolerance when asserting the potential never increases.
 POTENTIAL_BACKSLIDE_TOL = 1e-12
@@ -92,40 +82,6 @@ class Flow:
     path_flow: dict[tuple[str, ...], float]
     edge_flow: dict[str, float]
     objective_mode: str
-
-    @classmethod
-    def from_paths(
-        cls,
-        instance: Instance,
-        path_flow: Mapping[tuple[str, ...], float],
-        mode: str,
-    ) -> "Flow":
-        if mode not in OBJECTIVE_MODES:
-            raise ValueError(f"unknown objective mode {mode!r}")
-        net = instance.network
-        clean = {tuple(p): float(v) for p, v in path_flow.items() if v != 0.0}
-        for path, amount in clean.items():
-            if not amount >= 0.0:  # also catches NaN
-                raise ValueError(f"path flow {amount} on {path} is negative or NaN")
-            edges = [net.edge_map.get(eid) for eid in path]
-            if None in edges:
-                raise ValueError(f"path {path} has an edge not in the network")
-            # a source-sink chain: each edge starts where the one before ends
-            heads = [net.source, *(e.head for e in edges)]
-            if heads != [*(e.tail for e in edges), net.sink]:
-                raise ValueError(f"path {path} is not a chain from source to sink")
-        _check_demand(math.fsum(clean.values()), instance.demand)
-        return cls(
-            path_flow=clean,
-            edge_flow=edge_flow(clean, net),
-            objective_mode=mode,
-        )
-
-
-def _check_demand(total: float, demand: float) -> None:
-    """Raises ValueError when flows summing to ``total`` miss ``demand`` by over FLOW_SUM_TOL."""
-    if abs(total - demand) > FLOW_SUM_TOL * demand:
-        raise ValueError(f"path flows sum to {total}, demand is {demand}")
 
 
 @dataclass(frozen=True)
@@ -165,8 +121,8 @@ class EquilibriumResult:
 
 def _edge_costs(instance: Instance, mode: str) -> list[tuple[float, ...]]:
     """Separable cost coefficients of each edge under ``mode`` (risk-neutral
-    or mean-var), by edge position, formed as :meth:`CostPoly.scaled_plus`
-    forms them."""
+    or mean-var), by edge position: the latency's, or under mean-var the
+    latency's plus gamma times the risk's, the shorter padded with zeros."""
     net = instance.network
     edges = map(net.edge_map.__getitem__, net.edge_position)
     if mode == RISK_NEUTRAL:
@@ -214,13 +170,6 @@ def _sweep_path(network: Network, costs: Sequence[float]) -> tuple[float, tuple[
     return labels[-1]
 
 
-def shortest_path(network: Network, costs: Mapping[str, float]) -> tuple[float, tuple[str, ...]]:
-    """Shortest source->sink path under nonnegative costs keyed by edge id,
-    which must cover every edge, by :func:`_sweep_path`; the path is ids."""
-    dist, path = _sweep_path(network, [costs[eid] for eid in network.edge_position])
-    return dist, _id_path(network, path)
-
-
 def _id_path(network: Network, path: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(map(tuple(network.edge_position).__getitem__, path))
 
@@ -254,7 +203,7 @@ def _transfer_derivative(
 
 
 def _newton_step(
-    g: Callable[[float], float], derivative: Callable[[float], float] | None, hi: float
+    g: Callable[[float], float], derivative: Callable[[float], float], hi: float
 ) -> float:
     """Largest-progress root of a nondecreasing function ``g`` on [0, hi].
 
@@ -262,13 +211,13 @@ def _newton_step(
     point found with g <= 0 next to the root, to the resolution of
     ``LINE_SEARCH_STEPS`` bisection steps. Newton steps on ``derivative``
     run inside the bracket [lo, up], g(lo) <= 0 < g(up); a zero slope or a
-    step that leaves the bracket bisects it instead. With ``derivative``
-    None every step bisects: ``LINE_SEARCH_STEPS`` halvings, fewer only
-    where no float is left inside the bracket. Newton converging from the
-    right leaves ``lo`` behind, so once its step is within the resolution
-    there, the search steps down from ``up`` in doubling steps until
-    g <= 0. Rounding noise in g near the root moves Newton by more than the
-    resolution, so the search also stops when the bracket closes.
+    step that leaves the bracket bisects it instead, so a derivative that
+    is zero throughout bisects every step: ``LINE_SEARCH_STEPS`` halvings,
+    fewer only where no float is left inside the bracket. Newton converging
+    from the right leaves ``lo`` behind, so once its step is within the
+    resolution there, the search steps down from ``up`` in doubling steps
+    until g <= 0. Rounding noise in g near the root moves Newton by more
+    than the resolution, so the search also stops when the bracket closes.
     """
     if g(hi) <= 0.0:
         return hi
@@ -279,7 +228,7 @@ def _newton_step(
     lo, up = 0.0, hi
     t = 0.0  # the last point evaluated; g(t) == value
     for _ in range(LINE_SEARCH_STEPS):
-        slope = derivative(t) if derivative is not None else 0.0
+        slope = derivative(t)
         nxt = t - value / slope if slope > 0.0 else math.inf
         if t > 0.0 and abs(nxt - t) <= resolution:
             if value <= 0.0:
@@ -322,53 +271,6 @@ def _warn_zero_floor() -> None:
         ZeroCostPathWarning,
         stacklevel=level,
     )
-
-
-def mode_path_cost(
-    instance: Instance, flows: Mapping[str, float], path: Sequence[str], mode: str
-) -> float:
-    """Cost of ``path`` under ``mode``: its latency when risk-neutral, its
-    perceived cost under the instance's risk model otherwise."""
-    if mode == RISK_NEUTRAL:
-        return path_latency(instance.network, flows, path)
-    return path_cost(instance, flows, path)
-
-
-def cheapest_path(
-    instance: Instance, flows: Mapping[str, float], mode: str
-) -> tuple[float, tuple[str, ...]]:
-    """Cheapest source->sink path under ``mode`` at the given edge flows, with
-    its :func:`mode_path_cost`.
-
-    Risk-neutral and mean-var costs are edge-separable, so the cheapest path
-    is a shortest path on the mode's edge costs. The mean-stdev risk
-    sqrt(sum_e sigma_e**2) is not, so that mode searches the hull of the
-    paths' (latency, variance) points by shortest paths
-    (:func:`_meanstdev_cheapest`). Each edge is priced once, independently of
-    any solve; ``flows`` must cover every edge. ``mode`` must be
-    risk-neutral or the instance's risk model.
-    """
-    if mode not in (RISK_NEUTRAL, instance.risk_model):
-        raise ValueError(
-            f"no {mode!r} path costs on a {instance.risk_model!r} instance"
-        )
-    net = instance.network
-    at = [flows[eid] for eid in net.edge_position]
-    if mode == RISK_MEAN_STDEV:
-        edges = list(map(net.edge_map.__getitem__, net.edge_position))
-        lat = [e.latency(f) for e, f in zip(edges, at)]
-        var = [e.risk(f) ** 2 for e, f in zip(edges, at)]
-        _, path = _meanstdev_cheapest(instance, (lat, var))
-    else:
-        prices = []
-        for c, f in zip(_edge_costs(instance, mode), at):
-            price = 0.0  # CostPoly.__call__ on the coefficients
-            for x in reversed(c):
-                price = price * f + x
-            prices.append(price)
-        _, path = _sweep_path(net, prices)
-    path = _id_path(net, path)
-    return mode_path_cost(instance, flows, path, mode), path
 
 
 def _meanstdev_price(
@@ -439,20 +341,6 @@ def _meanstdev_cheapest(
         if lr + slope * vr < min(lp + slope * vp, lq + slope * vq):
             chords += [(p, r), (r, q)]
     return min((cost, path) for path, (*_, cost) in found.items())
-
-
-def relative_gap(instance: Instance, flow: Flow) -> float:
-    """Equilibrium certificate for ``flow`` under its own objective mode."""
-    flows, mode = flow.edge_flow, flow.objective_mode
-    min_cost, _ = cheapest_path(instance, flows, mode)
-    total = math.fsum(
-        amount * mode_path_cost(instance, flows, p, mode)
-        for p, amount in flow.path_flow.items()
-    )
-    gap, zero_floor = _gap_quiet(total, instance.demand, min_cost)
-    if zero_floor:
-        _warn_zero_floor()
-    return gap
 
 
 def solve_wardrop(
@@ -527,7 +415,9 @@ def solve_wardrop(
     if best_it.zero_floor:
         _warn_zero_floor()
     # ids come back once; a solve's paths are source-sink chains, its flows > 0
-    _check_demand(math.fsum(best_it.paths.values()), instance.demand)
+    total = math.fsum(best_it.paths.values())
+    if abs(total - instance.demand) > FLOW_SUM_TOL * instance.demand:
+        raise ValueError(f"path flows sum to {total}, demand is {instance.demand}")
     net = instance.network
     edge_flows = dict.fromkeys(net.edge_map, 0.0)  # in declaration order
     edge_flows.update(zip(net.edge_position, best_it.flows))
@@ -597,9 +487,9 @@ class _PathPool:
     def priced(
         self, paths: Mapping[tuple[int, ...], float]
     ) -> tuple[list[float], tuple[list[float], list[float]]]:
-        """The edge flows of ``paths``, summed as :func:`edge_flow` sums them,
-        and the edge table at them. Only an edge whose flow differs from its
-        last pricing is evaluated again (a NaN flow always is)."""
+        """The edge flows of ``paths``, each summed over the paths in their
+        order, and the edge table at them. Only an edge whose flow differs
+        from its last pricing is evaluated again (a NaN flow always is)."""
         flows = [0.0] * len(self.at)
         for path, amount in paths.items():
             for pos in path:
@@ -609,7 +499,7 @@ class _PathPool:
             if at[pos] != f:
                 at[pos] = f
                 c, value, term = self.costs[pos], 0.0, 0.0
-                if self.separable:  # CostPoly.__call__ and .integral at once
+                if self.separable:  # the cost and its Beckmann integral at once
                     k = len(c)
                     for x in reversed(c):
                         value = value * f + x

@@ -1,15 +1,32 @@
-"""Reference versions of solver and report pieces that the library computes
-a faster way: the shortest path by a label DP keyed by edge id, the
-separable edge costs as ``CostPoly`` objects and their Beckmann potential,
-the solve's and the report's edge tables by ``CostPoly`` calls, the
-transfer derivative with one sum per degree, the path Jacobian summed pair
-by pair in full, and the path dependency by exact elimination alone. Tests
-assert that the library's values equal these to the bit."""
+"""The tests' second opinion on the library, keyed by edge id.
+
+The library prices on edge positions alone and brings ids back only in its
+results. This module holds what tests compare it with: the shortest path
+by a label DP keyed by edge id; path flows made into a ``Flow``, their edge
+flows and their path costs; a flow's relative gap and its cheapest path,
+found by the library's own search through ids; the separable edge costs as
+``CostPoly`` objects with their Beckmann potential; the solve's and the
+report's edge tables by ``CostPoly`` calls; the transfer derivative with one
+sum per degree, the path Jacobian summed pair by pair in full and the path
+dependency by exact elimination alone; and the scalar Braess sigma
+inequality. Tests assert that the library's values equal these, to the bit
+where the arithmetic is the same."""
 
 import math
+from itertools import zip_longest
+from types import SimpleNamespace
 
-from riskroute.network import RISK_MEAN_STDEV, CostPoly, Instance, Network
-from riskroute.solvers import RISK_NEUTRAL, ConvergenceError
+from riskroute import solvers
+from riskroute.analysis import SIGMA_SLACK
+from riskroute.network import (
+    RISK_MEAN_STDEV,
+    RISK_MEAN_VAR,
+    RISK_MODELS,
+    CostPoly,
+    Instance,
+    Network,
+)
+from riskroute.solvers import FLOW_SUM_TOL, RISK_NEUTRAL, ConvergenceError, Flow
 
 
 def shortest_path(network: Network, costs) -> tuple[float, tuple[str, ...]]:
@@ -44,12 +61,27 @@ def cost_polys(instance: Instance, mode: str) -> dict[str, CostPoly]:
     edges = instance.network.edges
     if mode == RISK_NEUTRAL:
         return {e.id: e.latency for e in edges}
-    return {e.id: e.latency.scaled_plus(e.risk, instance.gamma) for e in edges}
+    return {e.id: scaled_plus(e.latency, e.risk, instance.gamma) for e in edges}
+
+
+def scaled_plus(poly: CostPoly, other: CostPoly, scale: float) -> CostPoly:
+    """Coefficientwise ``poly + scale * other``, the shorter padded with
+    zeros."""
+    pairs = zip_longest(poly.coeffs, other.coeffs, fillvalue=0.0)
+    return CostPoly(tuple([x + scale * y for x, y in pairs]))
+
+
+def integral(poly: CostPoly, x: float) -> float:
+    """The antiderivative of ``poly`` at ``x``, zero at the origin."""
+    acc = 0.0
+    for i in reversed(range(len(poly.coeffs))):
+        acc = acc * x + poly.coeffs[i] / (i + 1)
+    return acc * x
 
 
 def potential_value(cost_polys, flows) -> float:
     """Beckmann potential sum_e integral_0^{f_e} c_e."""
-    return math.fsum(cost_polys[eid].integral(f) for eid, f in flows.items())
+    return math.fsum(integral(cost_polys[eid], f) for eid, f in flows.items())
 
 
 def solve_table(instance: Instance, mode: str, flows) -> tuple[dict, dict]:
@@ -68,7 +100,7 @@ def solve_table(instance: Instance, mode: str, flows) -> tuple[dict, dict]:
     polys = cost_polys(instance, mode)
     return (
         {e: p(flows[e]) for e, p in polys.items()},
-        {e: p.integral(flows[e]) for e, p in polys.items()},
+        {e: integral(p, flows[e]) for e, p in polys.items()},
     )
 
 
@@ -169,3 +201,95 @@ def path_dependency(paths) -> list[int] | None:
             return [row.get(j, 0) for j in range(len(paths))]
         pivots.append((min(edges), row))
     return None
+
+
+def flow_from_paths(instance: Instance, path_flow, mode: str) -> Flow:
+    """A ``Flow`` of path flows keyed by id tuples, zero flows dropped.
+    Raises ValueError on an unknown mode, a negative or NaN flow, a path
+    that is no source-sink chain of the network's edges, or flows that miss
+    the demand by over ``FLOW_SUM_TOL`` of it."""
+    if mode not in (RISK_NEUTRAL, *RISK_MODELS):
+        raise ValueError(f"unknown objective mode {mode!r}")
+    net = instance.network
+    clean = {tuple(p): float(v) for p, v in path_flow.items() if v != 0.0}
+    for path, amount in clean.items():
+        if not amount >= 0.0:  # also catches NaN
+            raise ValueError(f"path flow {amount} on {path} is negative or NaN")
+        edges = [net.edge_map.get(eid) for eid in path]
+        if None in edges:
+            raise ValueError(f"path {path} has an edge not in the network")
+        heads = [net.source, *(e.head for e in edges)]
+        if heads != [*(e.tail for e in edges), net.sink]:
+            raise ValueError(f"path {path} is not a chain from source to sink")
+    total = math.fsum(clean.values())
+    if abs(total - instance.demand) > FLOW_SUM_TOL * instance.demand:
+        raise ValueError(f"path flows sum to {total}, demand is {instance.demand}")
+    return Flow(clean, edge_flow(clean, net), mode)
+
+
+def edge_flow(path_flow, network: Network) -> dict[str, float]:
+    """Per-edge flows of path flows keyed by id tuples, summed in the paths'
+    order; every edge gets an entry."""
+    flows = dict.fromkeys(network.edge_map, 0.0)
+    for path, amount in path_flow.items():
+        for eid in path:
+            flows[eid] += amount
+    return flows
+
+
+def path_cost(instance: Instance, flows, path, mode: str) -> float:
+    """Cost of the id path ``path`` at edge flows keyed by id: its latency
+    when ``mode`` is risk-neutral, else the latency plus gamma times its
+    :func:`path_risk`."""
+    latency = sum(instance.network.edge_map[eid].latency(flows[eid]) for eid in path)
+    if mode == RISK_NEUTRAL:
+        return latency
+    return latency + instance.gamma * path_risk(instance, flows, path)
+
+
+def path_risk(instance: Instance, flows, path) -> float:
+    """Risk term of the id path ``path`` at edge flows keyed by id: the sum
+    of the edge risks under mean-var, their root-sum-square under
+    mean-stdev."""
+    emap = instance.network.edge_map
+    if instance.risk_model == RISK_MEAN_VAR:
+        return sum(emap[eid].risk(flows[eid]) for eid in path)
+    return math.sqrt(sum(emap[eid].risk(flows[eid]) ** 2 for eid in path))
+
+
+def cheapest_path(instance: Instance, flows, mode: str) -> tuple[float, tuple[str, ...]]:
+    """The cheapest path under ``mode`` at edge flows keyed by id, found by
+    the library's own search (a solve's pool priced at those flows), with
+    its :func:`path_cost`. ``mode`` must be risk-neutral or the instance's
+    risk model."""
+    if mode not in (RISK_NEUTRAL, instance.risk_model):
+        raise ValueError(f"no {mode!r} path costs on a {instance.risk_model!r} instance")
+    net = instance.network
+    pool = solvers._PathPool(instance, mode)
+    _, table = pool.priced({(pos,): flows[eid] for eid, pos in net.edge_position.items()})
+    ids = list(net.edge_position)
+    path = tuple(ids[pos] for pos in pool.cheapest(table)[1])
+    return path_cost(instance, flows, path, mode), path
+
+
+def relative_gap(instance: Instance, flow: Flow) -> float:
+    """The relative gap of ``flow`` under its own objective mode, re-priced
+    from its edge flows; warns ZeroCostPathWarning where the cheapest path
+    costs 0 and the gap is absolute."""
+    flows, mode = flow.edge_flow, flow.objective_mode
+    best, _ = cheapest_path(instance, flows, mode)
+    total = math.fsum(x * path_cost(instance, flows, p, mode) for p, x in flow.path_flow.items())
+    gap, zero_floor = solvers._gap_quiet(total, instance.demand, best)
+    if zero_floor:
+        solvers._warn_zero_floor()
+    return gap
+
+
+def braess_stdev_inequality(a: float, b: float, c: float, d: float, e: float):
+    """The Braess path-stdev inequality on one row of sigmas, in scalar
+    arithmetic: its precondition (in the cancelled form), lhs, rhs and
+    whether it holds, as attributes."""
+    lhs = math.hypot(a, b) + math.hypot(c, d) - math.sqrt(a**2 + e**2 + d**2)
+    rhs = b + c
+    precondition = a**2 + e**2 <= c**2 or e**2 + d**2 <= b**2
+    return SimpleNamespace(precondition=precondition, lhs=lhs, rhs=rhs, holds=lhs <= rhs + SIGMA_SLACK)

@@ -165,7 +165,7 @@ def test_loop_that_ties_in_runs_is_not_taken():
     """The walk e1 e2 e3 e4 e5 loops v->u->v and ties the simple path e1 e4
     e5 at two forward runs, and its arc sequence sorts first; the extra
     backward arc alone rules it out."""
-    unit = CostPoly.of(1.0)
+    unit = CostPoly((1.0,))
     ends = {"e1": "sv", "e2": "vu", "e3": "vu", "e4": "wv", "e5": "wt"}
     network = Network(
         nodes=("s", "t", "u", "v", "w"),

@@ -24,13 +24,10 @@ from riskroute.analysis import (
     DEFAULT_ORACLE_MAX_PATHS,
     SIGMA_SLACK,
     BoundCheck,
-    braess_stdev_inequality,
     braess_stdev_inequality_batch,
-    kappa_at_flow,
     max_shortest_path_oracle,
     pra_report,
     report_to_dict,
-    shortest_path_length,
     within,
 )
 from riskroute.instances import make
@@ -42,17 +39,13 @@ from riskroute.network import (
     Instance,
     Network,
     PathCountError,
-    edge_flow,
     is_series_parallel,
-    path_latency,
-    path_risk,
     social_cost,
 )
 from riskroute.solvers import (
     DEFAULT_TOL,
     EquilibriumResult,
     ZeroCostPathWarning,
-    relative_gap,
     solve_pair,
     solve_rawe,
     solve_rnwe,
@@ -77,16 +70,26 @@ def _solved_report(instance):
     return pra_report(instance, solve_rawe(instance), solve_rnwe(instance))
 
 
+def _kappa(network, flows):
+    """The report's kappa at edge flows keyed by id."""
+    return analysis._edge_table(network, flows)[3]
+
+
+def _shortest_length(network, flows):
+    """The report's latency-shortest path length at edge flows keyed by id."""
+    return solvers._sweep_path(network, analysis._edge_table(network, flows)[0])[0]
+
+
 # --- kappa ----------------------------------------------------------
 
 
 def test_kappa_at_flow_examples():
     braess = make("braess", v=0.1)
     x = solve_rawe(braess).flow
-    assert kappa_at_flow(braess, x) == pytest.approx(0.1, rel=1e-9)
+    assert _kappa(braess.network, x.edge_flow) == pytest.approx(0.1, rel=1e-9)
 
     pigou = make("pigou", kappa=1.0, gamma=1.0)
-    assert kappa_at_flow(pigou, {"e1": 1.0, "e2": 0.0}) == pytest.approx(1.0)
+    assert _kappa(pigou.network, {"e1": 1.0, "e2": 0.0}) == pytest.approx(1.0)
 
 
 def test_kappa_infinite_on_free_risky_edge():
@@ -95,7 +98,7 @@ def test_kappa_infinite_on_free_risky_edge():
         [_edge("e1", "s", "t", (1.0,)), _edge("e2", "s", "t", (0.0, 1000.0), (1.0,))],
         name="steep",
     )
-    assert kappa_at_flow(instance, {"e1": 1.0, "e2": 0.0}) == math.inf
+    assert _kappa(instance.network, {"e1": 1.0, "e2": 0.0}) == math.inf
 
 
 # --- edge tables ------------------------------------------------------
@@ -119,8 +122,8 @@ def _by_position(network, table):
 def test_edge_table_matches_reference():
     """On the bound-chain draws, seeds 0-299, mean-var as drawn and as
     mean-stdev copies: at both solved flows the report's one-pass edge table
-    (latencies, risks, social cost, kappa), kappa_at_flow and
-    shortest_path_length equal the CostPoly-call reference to the bit, and
+    (latencies, risks, social cost, kappa) and the shortest path length on
+    its latencies equal the CostPoly-call reference to the bit, and
     so does each solve's zero-flow table."""
     for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
         for seed in range(300):
@@ -131,8 +134,8 @@ def test_edge_table_matches_reference():
                 want = reference.edge_table(net, flows)
                 got = analysis._edge_table(net, flows)
                 assert _table_bits(got) == _table_bits(_by_position(net, want))
-                assert kappa_at_flow(instance, flows).hex() == want[3].hex()
-                length = shortest_path_length(net, flows)
+                assert _kappa(net, flows).hex() == want[3].hex()
+                length = _shortest_length(net, flows)
                 assert length.hex() == reference.shortest_path(net, want[0])[0].hex()
             for mode in (solvers.RISK_NEUTRAL, model):
                 pool = solvers._PathPool(instance, mode)
@@ -188,7 +191,7 @@ class _SealedPoly(CostPoly):
     def __call__(self, x):
         raise AssertionError("an edge polynomial was evaluated by a method call")
 
-    derivative = integral = __call__
+    derivative = __call__
 
 
 def _sealed(instance):
@@ -494,9 +497,9 @@ def test_min_risk_path_matches_enumeration():
                 risks = analysis._edge_table(inst.network, flows)[1]
                 ids = tuple(inst.network.edge_position)
                 path = tuple(ids[pos] for pos in analysis._min_risk_path(inst, risks))
-                risk = path_risk(inst, flows, path)
+                risk = reference.path_risk(inst, flows, path)
                 ref_risk, ref_path = min(
-                    (path_risk(inst, flows, p), p)
+                    (reference.path_risk(inst, flows, p), p)
                     for p in enumerate_simple_paths(inst.network)
                 )
                 if path != ref_path:
@@ -513,10 +516,10 @@ def test_mean_var_report_enumerates_no_paths():
     stdev = make("braess", v=0.1, risk_model=RISK_MEAN_STDEV)
     assert pra_report(instance, x, z).ok
     for result in (x, z):
-        assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
+        assert reference.relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
     sx, sz = solve_pair(stdev)  # mean-stdev and risk-neutral solve_wardrop
     assert pra_report(stdev, sx, sz).ok
-    assert relative_gap(stdev, sx.flow) <= sx.relative_gap + 1e-12
+    assert reference.relative_gap(stdev, sx.flow) <= sx.relative_gap + 1e-12
 
 
 @pytest.mark.parametrize("model", [RISK_MEAN_VAR, RISK_MEAN_STDEV])
@@ -541,9 +544,9 @@ def test_report_prices_no_path(monkeypatch, model):
 def test_report_fields_match_their_definitions():
     """On the bound-chain draws, seeds 0-199, and random_general n=20, m=60
     seeds 0-19, the report's costs equal (==) social_cost at the solved
-    flows, its kappa kappa_at_flow at x, its kappa diagnostic the larger of
-    kappa_at_flow at x and at z, and its rho shortest_path_length at x over
-    z's min_path_cost."""
+    flows, its kappa the edge table's kappa at x, its kappa diagnostic the
+    larger of that at x and at z, and its rho the shortest path length on
+    x's latencies over z's min_path_cost."""
     instances = [suites.random_general(seed) for seed in range(200)]
     instances += [make("random_general", seed=seed, n=20, m=60) for seed in range(20)]
     for instance in instances:
@@ -552,10 +555,10 @@ def test_report_fields_match_their_definitions():
         net, xf, zf = instance.network, x.flow.edge_flow, z.flow.edge_flow
         assert report.cost_rawe == social_cost(net, xf), instance.name
         assert report.cost_rnwe == social_cost(net, zf), instance.name
-        kappa_x, kappa_z = kappa_at_flow(instance, x.flow), kappa_at_flow(instance, z.flow)
+        kappa_x, kappa_z = _kappa(net, xf), _kappa(net, zf)
         assert report.kappa == kappa_x, instance.name
         assert report.kappa_diagnostic == max(kappa_x, kappa_z), instance.name
-        assert report.rho == shortest_path_length(net, xf) / z.min_path_cost, instance.name
+        assert report.rho == _shortest_length(net, xf) / z.min_path_cost, instance.name
 
 
 def test_report_rejects_swapped_results():
@@ -589,7 +592,7 @@ def test_shortest_path_length_zigzag():
     for k in (2, 3):
         instance = make("zigzag", k=k)
         z = solve_rnwe(instance).flow
-        s_z = shortest_path_length(instance.network, z.edge_flow)
+        s_z = _shortest_length(instance.network, z.edge_flow)
         assert s_z == pytest.approx(1.0 / k, rel=1e-6)
 
 
@@ -597,7 +600,7 @@ def test_shortest_path_length_zigzag():
 
 
 def test_sigma_inequality_worked_example():
-    verdict = braess_stdev_inequality(3.0, 4.0, 0.0, 0.0, 0.0)
+    verdict = reference.braess_stdev_inequality(3.0, 4.0, 0.0, 0.0, 0.0)
     assert verdict.precondition
     assert verdict.lhs == pytest.approx(2.0, rel=1e-12)
     assert verdict.rhs == pytest.approx(4.0, rel=1e-12)
@@ -607,7 +610,7 @@ def test_sigma_inequality_worked_example():
 def test_sigma_inequality_needs_precondition():
     """With the zigzag route riskiest the raw inequality can fail, which is
     why the claim carries the precondition: here lhs = 2 - sqrt(3) > 0 = rhs."""
-    verdict = braess_stdev_inequality(1.0, 0.0, 0.0, 1.0, 1.0)
+    verdict = reference.braess_stdev_inequality(1.0, 0.0, 0.0, 1.0, 1.0)
     assert not verdict.precondition
     assert not verdict.holds
     assert verdict.lhs == pytest.approx(2.0 - math.sqrt(3.0), rel=1e-12)
@@ -616,7 +619,7 @@ def test_sigma_inequality_needs_precondition():
 
 @given(sigma_values, sigma_values, sigma_values, sigma_values, sigma_values)
 def test_sigma_inequality_holds_under_precondition(sa, sb, sc, sd, se):
-    verdict = braess_stdev_inequality(sa, sb, sc, sd, se)
+    verdict = reference.braess_stdev_inequality(sa, sb, sc, sd, se)
     if verdict.precondition:
         assert verdict.holds
         assert verdict.lhs <= verdict.rhs + SIGMA_SLACK
@@ -627,7 +630,7 @@ def test_sigma_precondition_survives_rounding():
     max(sigma_p, sigma_q) = 4, so the precondition is false; the inequality
     itself fails there by sa > SIGMA_SLACK."""
     sigmas = (5.96e-8, 0.0, 0.0, 4.0, 0.0)
-    verdict = braess_stdev_inequality(*sigmas)
+    verdict = reference.braess_stdev_inequality(*sigmas)
     assert not verdict.precondition
     assert not verdict.holds
     precondition, _, _, holds = braess_stdev_inequality_batch(np.array([sigmas]))
@@ -640,7 +643,7 @@ def test_sigma_batch_matches_scalar():
     rows = rng.uniform(0.0, 10.0, size=(500, 5))
     pre, lhs, rhs, holds = braess_stdev_inequality_batch(rows)
     for i, row in enumerate(rows):
-        verdict = braess_stdev_inequality(*row)
+        verdict = reference.braess_stdev_inequality(*row)
         assert verdict.precondition == bool(pre[i])
         assert verdict.holds == bool(holds[i])
         assert lhs[i] == pytest.approx(verdict.lhs, rel=1e-12, abs=1e-12)
@@ -662,7 +665,7 @@ def _lattice_oracle(instance, grid, max_paths=DEFAULT_ORACLE_MAX_PATHS):
     net = instance.network
     step = instance.demand / grid
     flows = np.arange(grid + 1) * step
-    lat = np.array([e.latency(flows) for e in net.edges])
+    lat = {e.id: e.latency(flows) for e in net.edges}
     value, units, points = analysis._lattice_maximum(net, lat, max_paths)
     path_flow = {p: n * step for p, n in solvers.decompose_edge_flow(net, units).items()}
     return SimpleNamespace(value=value, path_flow=path_flow, points=points)
@@ -706,10 +709,10 @@ def test_oracle_memory_stays_near_one_latency_table():
 
 
 def test_oracle_takes_the_zero_polynomial_as_zero_latency():
-    """CostPoly(()) is the zero latency, as CostPoly.of(0.0) is."""
+    """CostPoly(()) is the zero latency, as CostPoly((0.0,)) is."""
     pigou = make("pigou", kappa=1.0, gamma=1.0)
     results = []
-    for poly in (CostPoly(()), CostPoly.of(0.0)):
+    for poly in (CostPoly(()), CostPoly((0.0,))):
         first, *rest = pigou.network.edges
         net = dataclasses.replace(
             pigou.network, edges=(dataclasses.replace(first, latency=poly), *rest)
@@ -726,7 +729,7 @@ def test_oracle_zigzag_two_stages():
     result = max_shortest_path_oracle(instance, grid=100, max_paths=10)
     assert result.value == pytest.approx(1.0, abs=1e-6)
     z = solve_rnwe(instance).flow
-    assert shortest_path_length(instance.network, z.edge_flow) == pytest.approx(
+    assert _shortest_length(instance.network, z.edge_flow) == pytest.approx(
         0.5, rel=1e-6
     )
 
@@ -765,7 +768,7 @@ def test_oracle_verdict_catches_a_one_percent_error():
             seed, max_budget=4, max_paths=DEFAULT_ORACLE_MAX_PATHS
         )
         z = solve_rnwe(instance).flow
-        best = shortest_path_length(instance.network, z.edge_flow)
+        best = _shortest_length(instance.network, z.edge_flow)
         value = max_shortest_path_oracle(
             instance, grid=DEFAULT_ORACLE_GRID, max_paths=DEFAULT_ORACLE_MAX_PATHS
         ).value
@@ -854,7 +857,7 @@ def test_lattice_counts_the_paths_the_reference_lists():
         net = instance.network
         paths = enumerate_simple_paths(net)
         counts.append(len(paths))
-        lat = np.array([e.latency(np.arange(grid + 1) * instance.demand / grid) for e in net.edges])
+        lat = {e.id: e.latency(np.arange(grid + 1) * instance.demand / grid) for e in net.edges}
         value, units, _ = analysis._lattice_maximum(net, lat, len(paths))
         assert set(units) == set().union(*paths), instance.name
         assert abs(value - _composition_maximum(instance, grid)) <= 1e-12, instance.name
@@ -896,7 +899,7 @@ def _composition_maximum(instance, grid):
         for path, count in zip(paths, counts):
             for eid in path:
                 flows[eid] += count * step
-        best = max(best, min(path_latency(net, flows, p) for p in paths))
+        best = max(best, min(reference.path_cost(instance, flows, p, solvers.RISK_NEUTRAL) for p in paths))
     return best
 
 
@@ -944,8 +947,8 @@ def _check_against_compositions(instance, grid):
     assert math.fsum(result.path_flow.values()) == pytest.approx(
         instance.demand, rel=1e-12
     )
-    flows = edge_flow(result.path_flow, instance.network)
-    assert abs(shortest_path_length(instance.network, flows) - result.value) <= 1e-12
+    flows = reference.edge_flow(result.path_flow, instance.network)
+    assert abs(_shortest_length(instance.network, flows) - result.value) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -1062,8 +1065,8 @@ def _check_fold_against_lattice(
     for amount in folded.path_flow.values():
         assert abs(amount / step - round(amount / step)) <= 1e-9
     assert math.fsum(folded.path_flow.values()) == pytest.approx(instance.demand, rel=1e-12)
-    flows = edge_flow(folded.path_flow, instance.network)
-    at = shortest_path_length(instance.network, flows)
+    flows = reference.edge_flow(folded.path_flow, instance.network)
+    at = _shortest_length(instance.network, flows)
     assert abs(at - folded.value) <= 1e-12 * abs(folded.value)
     return folded, lattice
 
@@ -1104,7 +1107,7 @@ def _twin_braess():
     instance = make("braess", v=0.1)
     net = instance.network
     twins = tuple(
-        Edge(e.id + "2", e.tail, e.head, e.latency.scaled_plus(CostPoly.of(0.0, 0.3), 1.0), e.risk)
+        Edge(e.id + "2", e.tail, e.head, reference.scaled_plus(e.latency, CostPoly((0.0, 0.3)), 1.0), e.risk)
         for e in net.edges
     )
     net = dataclasses.replace(net, edges=net.edges + twins)

@@ -539,6 +539,25 @@ def test_oracle_zigzag_is_informational(tmp_path, capsys):
     assert "no guarantee" in text
 
 
+@pytest.mark.parametrize(
+    "instance, options",
+    [
+        (make("zigzag", k=3), ["--max-paths", "10"]),
+        (make("braess", v=0.1), ["--grid", "2000"]),
+        (make("random_general", seed=293, n=7, m=14), []),
+    ],
+    ids=["zigzag-k3", "braess-v0.1", "random-n7-m14-s293"],
+)
+def test_oracle_stdout_bytes_are_frozen(tmp_path, capsys, instance, options):
+    """The oracle's stdout on zigzag k=3 (--max-paths 10), Braess v=0.1 at
+    grid 2000 and random_general seed 293 with n=7, m=14 at the default
+    grid, all searched by the lattice, equals the frozen text in tests/data
+    byte for byte."""
+    frozen = (Path(__file__).parent / "data" / f"{instance.name}.oracle.txt").read_text()
+    assert main(["oracle", _write(tmp_path, "instance.json", instance), *options]) == 0
+    assert capsys.readouterr().out == frozen
+
+
 def test_oracle_path_cap_exits_2(tmp_path, capsys):
     instance = _write(tmp_path, "zigzag.json", make("zigzag", k=2))
     assert main(["oracle", instance, "--max-paths", "2"]) == 2

@@ -23,9 +23,6 @@ from riskroute.network import (
     Edge,
     Instance,
     Network,
-    edge_flow,
-    path_cost,
-    path_latency,
     social_cost,
 )
 from riskroute.solvers import (
@@ -38,11 +35,7 @@ from riskroute.solvers import (
     _newton_step,
     _path_dependency,
     _transfer_derivative,
-    cheapest_path,
     decompose_edge_flow,
-    mode_path_cost,
-    relative_gap,
-    shortest_path,
     solve_pair,
     solve_rawe,
     solve_rnwe,
@@ -53,10 +46,6 @@ import reference
 from paths import enumerate_simple_paths
 
 seeds = st.integers(min_value=0, max_value=5_000)
-
-
-def _flow(instance, assignment, mode):
-    return Flow.from_paths(instance, assignment, mode)
 
 
 # --- closed-form equilibria ----------------------------------------------------
@@ -100,54 +89,54 @@ def test_braess_equilibria_match_construction():
 
 def test_gap_zero_at_risk_neutral_equilibrium():
     instance = make("braess", v=0.1)
-    flow = _flow(instance, {("a", "b"): 0.5, ("c", "d"): 0.5}, RISK_NEUTRAL)
-    assert relative_gap(instance, flow) == pytest.approx(0.0, abs=1e-12)
+    flow = reference.flow_from_paths(instance, {("a", "b"): 0.5, ("c", "d"): 0.5}, RISK_NEUTRAL)
+    assert reference.relative_gap(instance, flow) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_zero_at_risk_averse_equilibrium():
     instance = make("braess", v=0.1)
-    flow = _flow(instance, {("a", "e", "d"): 1.0}, RISK_MEAN_VAR)
-    assert relative_gap(instance, flow) == pytest.approx(0.0, abs=1e-12)
+    flow = reference.flow_from_paths(instance, {("a", "e", "d"): 1.0}, RISK_MEAN_VAR)
+    assert reference.relative_gap(instance, flow) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_positive_off_equilibrium():
     instance = make("braess", v=0.1)
-    flow = _flow(instance, {("a", "b"): 1.0}, RISK_NEUTRAL)
-    assert relative_gap(instance, flow) > 0.01
+    flow = reference.flow_from_paths(instance, {("a", "b"): 1.0}, RISK_NEUTRAL)
+    assert reference.relative_gap(instance, flow) > 0.01
 
 
 def test_gap_meanstdev_equal_q_values():
     # Braess path Q values at (0, 0, 1) coincide under mean-stdev because
     # each route carries at most one risky edge.
     instance = make("braess", v=0.1, risk_model=RISK_MEAN_STDEV)
-    flow = _flow(instance, {("a", "e", "d"): 1.0}, RISK_MEAN_STDEV)
+    flow = reference.flow_from_paths(instance, {("a", "e", "d"): 1.0}, RISK_MEAN_STDEV)
     paths = list(enumerate_simple_paths(instance.network))
-    costs = [path_cost(instance, flow.edge_flow, p) for p in paths]
+    costs = [reference.path_cost(instance, flow.edge_flow, p, RISK_MEAN_STDEV) for p in paths]
     assert max(costs) - min(costs) < 1e-12
-    assert relative_gap(instance, flow) == pytest.approx(0.0, abs=1e-12)
+    assert reference.relative_gap(instance, flow) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_zero_cost_floor_warns():
     net = Network(
         nodes=("s", "t"),
-        edges=(Edge("e1", "s", "t", CostPoly.of(0.0, 1.0), CostPoly.of(0.0)),),
+        edges=(Edge("e1", "s", "t", CostPoly((0.0, 1.0)), CostPoly((0.0,))),),
         source="s",
         sink="t",
     )
     instance = Instance(network=net, demand=1.0, gamma=0.0)
-    flow = _flow(instance, {("e1",): 1.0}, RISK_NEUTRAL)
+    flow = reference.flow_from_paths(instance, {("e1",): 1.0}, RISK_NEUTRAL)
     costs = reference.cost_polys(instance, RISK_NEUTRAL)
     zero_flow = {"e1": 0.0}
     assert reference.potential_value(costs, zero_flow) == 0.0
     with pytest.warns(ZeroCostPathWarning):
         # min path cost is 0 at the zero-latency evaluation point
-        relative_gap(instance, Flow(path_flow={("e1",): 0.0}, edge_flow=zero_flow, objective_mode=RISK_NEUTRAL))
+        reference.relative_gap(instance, Flow(path_flow={("e1",): 0.0}, edge_flow=zero_flow, objective_mode=RISK_NEUTRAL))
 
 
 _ZERO_LATENCY = Instance(
     network=Network(
         nodes=("s", "t"),
-        edges=(Edge("e1", "s", "t", CostPoly.of(0.0), CostPoly.of(1.0)),),
+        edges=(Edge("e1", "s", "t", CostPoly((0.0,)), CostPoly((1.0,))),),
         source="s",
         sink="t",
     ),
@@ -162,9 +151,8 @@ _ZERO_LATENCY = Instance(
         lambda: solve_rnwe(_ZERO_LATENCY),
         lambda: solve_wardrop(_ZERO_LATENCY),
         lambda: solve_pair(_ZERO_LATENCY),
-        lambda: relative_gap(_ZERO_LATENCY, _flow(_ZERO_LATENCY, {("e1",): 1.0}, RISK_NEUTRAL)),
     ],
-    ids=["solve_rnwe", "solve_wardrop", "solve_pair", "relative_gap"],
+    ids=["solve_rnwe", "solve_wardrop", "solve_pair"],
 )
 def test_zero_cost_warning_points_at_the_caller(call):
     """The zero-cost warning names the caller's line, not one in solvers."""
@@ -187,13 +175,11 @@ def _reference_cheapest(instance, flows, mode, paths=None):
     """Brute-force reference: the lexicographic minimum of (cost, path) over
     every simple path (``paths``, when they are already enumerated)."""
     paths = paths or enumerate_simple_paths(instance.network)
-    if mode == RISK_NEUTRAL:
-        return min((path_latency(instance.network, flows, p), p) for p in paths)
-    return min((path_cost(instance, flows, p), p) for p in paths)
+    return min((reference.path_cost(instance, flows, p, mode), p) for p in paths)
 
 
 def _assert_matches_reference(instance, flows, mode, label, paths=None):
-    cost, path = cheapest_path(instance, flows, mode)
+    cost, path = reference.cheapest_path(instance, flows, mode)
     ref_cost, ref_path = _reference_cheapest(instance, flows, mode, paths)
     if path == ref_path:
         assert cost == ref_cost, label
@@ -203,8 +189,9 @@ def _assert_matches_reference(instance, flows, mode, label, paths=None):
 
 def test_cheapest_path_matches_enumeration(monkeypatch):
     """On random_general seeds 0-199, in all three modes, at the zero flow,
-    the mode's all-or-nothing flow and both solved flows, cheapest_path finds
-    the brute-force minimum, or a path whose cost ties it within 4 ulps.
+    the mode's all-or-nothing flow and both solved flows, the library's
+    cheapest-path search (reference.cheapest_path) finds the brute-force
+    minimum, or a path whose cost ties it within 4 ulps.
     Mean-stdev costs are priced on a mean-stdev copy of each instance. The
     mean-stdev hull search also matches on mean-stdev random_general
     instances with n in {6, 8, 12, 14} and m = 2n, seeds 0-299, each at three
@@ -221,11 +208,11 @@ def test_cheapest_path_matches_enumeration(monkeypatch):
             (stdev, RISK_MEAN_STDEV),
         ):
             _, first = _reference_cheapest(inst, zero, mode)
-            all_or_nothing = edge_flow({first: inst.demand}, net)
+            all_or_nothing = reference.edge_flow({first: inst.demand}, net)
             for flows in [zero, all_or_nothing, *solved]:
                 _assert_matches_reference(inst, flows, mode, (seed, mode))
     with pytest.raises(ValueError, match="no 'mean-var' path costs"):
-        cheapest_path(stdev, zero, RISK_MEAN_VAR)
+        reference.cheapest_path(stdev, zero, RISK_MEAN_VAR)
 
     calls = []
     sweep_path = solvers._sweep_path
@@ -246,7 +233,7 @@ def test_cheapest_path_matches_enumeration(monkeypatch):
             for _ in range(3):
                 weights = [rng.expovariate(1.0) for _ in paths]
                 scale = instance.demand / math.fsum(weights)
-                flows = edge_flow(
+                flows = reference.edge_flow(
                     {p: w * scale for p, w in zip(paths, weights)}, instance.network
                 )
                 calls.clear()
@@ -255,35 +242,6 @@ def test_cheapest_path_matches_enumeration(monkeypatch):
                 )
                 chord_steps += len(calls) > 2
     assert chord_steps > 0
-
-
-def test_cheapest_path_evaluates_no_potential_term(monkeypatch):
-    """cheapest_path and relative_gap price a flow's edge costs alone: the
-    Beckmann potential's terms, which only a solve reads, are never
-    evaluated, in any mode: neither by CostPoly.integral nor by a solve's
-    edge table (_PathPool.priced)."""
-    calls = []
-    integral, priced = CostPoly.integral, solvers._PathPool.priced
-
-    def counted(self, x):
-        calls.append(x)
-        return integral(self, x)
-
-    def counted_table(pool, paths):
-        calls.append(paths)
-        return priced(pool, paths)
-
-    for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
-        instance = make("random_general", seed=0, n=8, m=16, risk_model=model)
-        results = solve_pair(instance)
-        with monkeypatch.context() as m:
-            m.setattr(CostPoly, "integral", counted)
-            m.setattr(solvers._PathPool, "priced", counted_table)
-            for result in results:
-                for mode in (RISK_NEUTRAL, model):
-                    cheapest_path(instance, result.flow.edge_flow, mode)
-                relative_gap(instance, result.flow)
-    assert calls == []
 
 
 def _certificate_instances():
@@ -298,15 +256,15 @@ def _certificate_instances():
 def test_result_certificate_matches_repricing():
     """On random_general seeds 0-199, as drawn and as mean-stdev copies, and
     random_sp budget-4 seeds 0-299, each solve_rawe and solve_rnwe result
-    carries what re-pricing its flow gives: min_path_cost is cheapest_path's
-    cost, and deviation the largest used-path mode_path_cost less that, both
-    within 4 ulps of the cheapest cost."""
+    carries what re-pricing its flow gives: min_path_cost is
+    reference.cheapest_path's cost, and deviation the largest used-path
+    reference.path_cost less that, both within 4 ulps of the cheapest cost."""
     for instance in _certificate_instances():
         for result in (solve_rawe(instance), solve_rnwe(instance)):
             flows, mode = result.flow.edge_flow, result.flow.objective_mode
-            best, _ = cheapest_path(instance, flows, mode)
+            best, _ = reference.cheapest_path(instance, flows, mode)
             worst = max(
-                mode_path_cost(instance, flows, p, mode) for p in result.flow.path_flow
+                reference.path_cost(instance, flows, p, mode) for p in result.flow.path_flow
             )
             label = (instance.name, instance.risk_model, mode)
             assert abs(result.min_path_cost - best) <= 4 * math.ulp(best), label
@@ -324,7 +282,7 @@ def _parallel_instance(routes, gamma=1.0):
             head = "t" if i == len(chain) - 1 else f"v_{eid}"
             if head != "t":
                 nodes.append(head)
-            edges.append(Edge(eid, tail, head, CostPoly.of(latency), CostPoly.of(risk)))
+            edges.append(Edge(eid, tail, head, CostPoly((latency,)), CostPoly((risk,))))
             tail = head
     net = Network(nodes=(*nodes, "t"), edges=tuple(edges), source="s", sink="t")
     return Instance(network=net, demand=1.0, gamma=gamma, risk_model=RISK_MEAN_STDEV)
@@ -338,7 +296,7 @@ def test_cheapest_meanstdev_path_inside_the_hull():
         [[("a", 0.0, 3.0)], [("b", 1.0, 1.0)], [("c", 2.5, 0.0)]]
     )
     zero = {e.id: 0.0 for e in instance.network.edges}
-    assert cheapest_path(instance, zero, RISK_MEAN_STDEV) == (2.0, ("b",))
+    assert reference.cheapest_path(instance, zero, RISK_MEAN_STDEV) == (2.0, ("b",))
     assert solve_rawe(instance).flow.path_flow == {("b",): 1.0}
 
 
@@ -358,7 +316,7 @@ def test_cheapest_meanstdev_path_tie_is_lexicographic(twin):
         ]
     )
     zero = {e.id: 0.0 for e in instance.network.edges}
-    assert cheapest_path(instance, zero, RISK_MEAN_STDEV) == (2.0, min(("m",), twin))
+    assert reference.cheapest_path(instance, zero, RISK_MEAN_STDEV) == (2.0, min(("m",), twin))
 
 
 @pytest.mark.parametrize("risky, safe", [("a", "b"), ("b", "a")])
@@ -368,7 +326,7 @@ def test_cheapest_meanstdev_cost_tie_is_lexicographic(risky, safe):
     smaller edge id is returned."""
     instance = _parallel_instance([[(risky, 0.0, 2.0)], [(safe, 2.0, 0.0)]])
     zero = {e.id: 0.0 for e in instance.network.edges}
-    assert cheapest_path(instance, zero, RISK_MEAN_STDEV) == (2.0, ("a",))
+    assert reference.cheapest_path(instance, zero, RISK_MEAN_STDEV) == (2.0, ("a",))
 
 
 # --- solver properties ----------------------------------------------------------
@@ -383,11 +341,10 @@ def test_converged_flows_are_epsilon_equilibria(seed):
         assert result.converged
         assert result.relative_gap <= DEFAULT_TOL
         flow = result.flow
-        if flow.objective_mode == RISK_NEUTRAL:
-            cost_of = lambda p: path_latency(instance.network, flow.edge_flow, p)
-        else:
-            cost_of = lambda p: path_cost(instance, flow.edge_flow, p)
-        costs = {p: cost_of(p) for p in enumerate_simple_paths(instance.network)}
+        costs = {
+            p: reference.path_cost(instance, flow.edge_flow, p, flow.objective_mode)
+            for p in enumerate_simple_paths(instance.network)
+        }
         best = min(costs.values())
         carried = sum(amount * costs[p] for p, amount in flow.path_flow.items())
         assert carried <= instance.demand * best * (1.0 + 10 * DEFAULT_TOL)
@@ -419,7 +376,7 @@ def test_potential_value_closed_form():
 def test_shortest_path_braess_at_zero_flow():
     instance = make("braess", v=0.1)
     costs = {"a": 0.0, "b": 1.0, "c": 1.0, "d": 0.0, "e": 0.9}
-    dist, path = shortest_path(instance.network, costs)
+    dist, path = _sweep_ids(instance.network, costs)
     assert dist == pytest.approx(0.9)
     assert path == ("a", "e", "d")
 
@@ -427,7 +384,7 @@ def test_shortest_path_braess_at_zero_flow():
 def _sweep_net(edges, nodes=None, source="s", sink="t"):
     """A network on (id, tail, head) triples, its nodes those the edges name
     unless given."""
-    edges = tuple(Edge(eid, tail, head, CostPoly.of(1.0), CostPoly.of(0.0)) for eid, tail, head in edges)
+    edges = tuple(Edge(eid, tail, head, CostPoly((1.0,)), CostPoly((0.0,))) for eid, tail, head in edges)
     if nodes is None:
         nodes = tuple(dict.fromkeys(v for e in edges for v in (e.tail, e.head)))
     return Network(nodes, edges, source, sink)
@@ -450,6 +407,13 @@ _SWEEP_CORNERS = {
     "sink upstream": _sweep_net([("a", "t", "s")]),
     "braess": make("braess", v=0.1).network,
 }
+
+
+def _sweep_ids(network, costs):
+    """solvers._sweep_path on costs keyed by edge id, which must cover every
+    edge, its path as ids."""
+    dist, path = solvers._sweep_path(network, [costs[eid] for eid in network.edge_position])
+    return dist, _ids(network, [path])[0]
 
 
 def _outcome(shortest, network, costs):
@@ -501,7 +465,7 @@ def test_sweep_path_matches_reference_at_the_corners(name):
     for _ in range(200):
         costs = {e.id: rng.choice((0.0, 0.5, 1.0, 2.0, math.inf)) for e in network.edges}
         want = _outcome(reference.shortest_path, network, costs)
-        assert _outcome(shortest_path, network, costs) == want, costs
+        assert _outcome(_sweep_ids, network, costs) == want, costs
 
 
 def test_sweep_path_error_contract():
@@ -514,57 +478,15 @@ def test_sweep_path_error_contract():
         for bad in (-1.0, math.nan, -math.inf, -0.5):
             for chosen in [*([eid] for eid in ids), *itertools.combinations(ids, 2)]:
                 costs = {eid: bad if eid in chosen else 1.0 for eid in ids}
-                outcome = _outcome(shortest_path, network, costs)
+                outcome = _outcome(_sweep_ids, network, costs)
                 assert outcome[0] == "ValueError"
                 assert outcome == _outcome(reference.shortest_path, network, costs)
     for name in ("source on a cycle", "sink upstream", "undeclared node on the way"):
         network = _SWEEP_CORNERS[name]
         costs = {e.id: 1.0 for e in network.edges}
-        assert _outcome(shortest_path, network, costs)[0] == "ConvergenceError"
+        assert _outcome(_sweep_ids, network, costs)[0] == "ConvergenceError"
     with pytest.raises(KeyError):
-        shortest_path(_SWEEP_CORNERS["braess"], {"a": 1.0})
-
-
-def _bits(value):
-    """A result, a report or a nested value with every float as its hex
-    string."""
-    if dataclasses.is_dataclass(value):
-        value = dataclasses.astuple(value)
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return [(_bits(k), _bits(v)) for k, v in value.items()]
-    if isinstance(value, (list, tuple)):
-        return [_bits(v) for v in value]
-    return value
-
-
-def test_a_solve_never_leaves_edge_positions(monkeypatch):
-    """solve_wardrop in each mode and pra_report work on edge positions
-    alone: with the id-keyed shortest_path and edge_flow made to raise,
-    Braess, Pigou and the bound-chain draws (seeds 0-99, mean-var and
-    mean-stdev) solve and report bit for bit as they do without."""
-    instances = [make("braess", v=0.1), make("pigou", kappa=1.0, gamma=1.0)]
-    instances += [
-        suites.random_general(seed, risk_model=model)
-        for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV)
-        for seed in range(100)
-    ]
-
-    def run(instance):
-        x, z = solve_rawe(instance), solve_rnwe(instance)
-        report = pra_report(instance, x, z) if x.converged and z.converged else None
-        return _bits((x, z, report))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an id-keyed shortest_path or edge_flow was called")
-
-    plain = [run(instance) for instance in instances]
-    monkeypatch.setattr(solvers, "shortest_path", refuse)
-    monkeypatch.setattr(solvers, "edge_flow", refuse)
-    monkeypatch.setattr("riskroute.network.edge_flow", refuse)
-    assert [run(instance) for instance in instances] == plain
-    assert sum(bits[2] is not None for bits in plain) > 150
+        _sweep_ids(_SWEEP_CORNERS["braess"], {"a": 1.0})
 
 
 def test_non_convergence_returns_best_iterate():
@@ -644,8 +566,8 @@ def test_huge_demand_on_two_parallel_edges():
     net = Network(
         nodes=("s", "t"),
         edges=(
-            Edge("a", "s", "t", CostPoly.of(0.0, 2.0), CostPoly.of(0.0)),
-            Edge("b", "s", "t", CostPoly.of(1.0), CostPoly.of(0.0)),
+            Edge("a", "s", "t", CostPoly((0.0, 2.0)), CostPoly((0.0,))),
+            Edge("b", "s", "t", CostPoly((1.0,)), CostPoly((0.0,))),
         ),
         source="s",
         sink="t",
@@ -684,23 +606,23 @@ def test_bad_tol_or_max_iter_raises(tol, max_iter):
 
 
 def test_newton_step_endpoints_and_flat_derivative():
-    # with the polynomial's slope and without one
+    # with the polynomial's slope and a zero one
     for slope in (True, False):
 
         def step(g, hi):
-            return _newton_step(g, g.derivative if slope else None, hi)
+            return _newton_step(g, g.derivative if slope else lambda t: 0.0, hi)
 
-        assert step(CostPoly.of(-1.0, 1.0), 0.5) == 0.5  # g(hi) <= 0
-        assert step(CostPoly.of(0.5, 1.0), 2.0) == 0.0  # g(0) >= 0
-        assert step(CostPoly.of(-1.0), 3.0) == 3.0
-        assert step(CostPoly.of(0.0), 3.0) == 3.0
-        assert step(CostPoly.of(1.0), 3.0) == 0.0
+        assert step(CostPoly((-1.0, 1.0)), 0.5) == 0.5  # g(hi) <= 0
+        assert step(CostPoly((0.5, 1.0)), 2.0) == 0.0  # g(0) >= 0
+        assert step(CostPoly((-1.0,)), 3.0) == 3.0
+        assert step(CostPoly((0.0,)), 3.0) == 3.0
+        assert step(CostPoly((1.0,)), 3.0) == 0.0
 
 
 def test_newton_step_converging_from_the_right():
     # g'(0) = 0 sends the first step to the midpoint, right of the root, and
     # Newton on a convex g stays right of the root from there
-    g = CostPoly.of(-0.1, 0.0, 0.0, 1.0)
+    g = CostPoly((-0.1, 0.0, 0.0, 1.0))
     step = _newton_step(g, g.derivative, 1.0)
     assert g(step) <= 0.0
     assert step == pytest.approx(0.1 ** (1 / 3), rel=1e-15)
@@ -770,14 +692,14 @@ def _rising_poly(rng):
 
 def test_newton_step_matches_bisection():
     """With the polynomial's slope the root search ends within 2**-50 of the
-    bracket of where it ends without one, by bisection alone."""
+    bracket of where it ends with a zero slope, by bisection alone."""
     rng = random.Random(1)
     for _ in range(2000):
         g = _rising_poly(rng)
         hi = 10 ** rng.uniform(-3, 3)
         step = _newton_step(g, g.derivative, hi)
         assert g(step) <= 0.0
-        assert abs(step - _newton_step(g, None, hi)) <= 2**-50 * hi
+        assert abs(step - _newton_step(g, lambda t: 0.0, hi)) <= 2**-50 * hi
     for _ in range(2000):
         polys, flows, delta, hi = _random_transfer(rng)
         g = _transfer_derivative(_coeffs(polys), flows, delta)
@@ -802,7 +724,7 @@ def _plain_bisection(g, hi):
 
 
 def test_newton_step_without_derivative_is_plain_bisection():
-    """With no derivative the root search evaluates the midpoints of a plain
+    """With a zero slope the root search evaluates the midpoints of a plain
     sixty-step bisection, in order, and returns its point bit for bit. The
     seeded nondecreasing functions add square-root terms
     a * (sqrt(b + t) - sqrt(b)) to a polynomial, the shape of a mean-stdev
@@ -826,7 +748,7 @@ def test_newton_step_without_derivative_is_plain_bisection():
             return poly(t) + rise
 
         searched, bisected = [], []
-        step = _newton_step(lambda t: g(t, searched), None, hi)
+        step = _newton_step(lambda t: g(t, searched), lambda t: 0.0, hi)
         assert step == _plain_bisection(lambda t: g(t, bisected), hi)
         assert searched == bisected[: len(searched)]
         # past a closed bracket bisection only evaluates its ends again
@@ -873,7 +795,7 @@ def test_meanstdev_reported_gap_is_certified():
     instance = make("random_sp", seed=3, budget=4, risk_model=RISK_MEAN_STDEV)
     result = solve_rawe(instance)
     assert result.converged
-    assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
+    assert reference.relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
 
 
 def test_meanstdev_random_general_converges_fast():
@@ -885,7 +807,7 @@ def test_meanstdev_random_general_converges_fast():
         instance = suites.random_general(seed, risk_model=RISK_MEAN_STDEV)
         result = solve_rawe(instance)
         assert result.converged and result.iterations <= 1000, seed
-        assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12, seed
+        assert reference.relative_gap(instance, result.flow) <= result.relative_gap + 1e-12, seed
         again = solve_rawe(instance)
         assert again.flow.path_flow == result.flow.path_flow, seed
         assert again.iterations == result.iterations, seed
@@ -929,7 +851,7 @@ def test_meanstdev_pairwise_fallback(monkeypatch):
     fallbacks = [n for n, after in zip(calls, calls[1:]) if n != "pairwise" and after == "pairwise"]
     assert fallbacks and min(fallbacks) > 2
     assert result.converged and result.iterations <= 1000
-    assert relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
+    assert reference.relative_gap(instance, result.flow) <= result.relative_gap + 1e-12
 
 
 def test_meanstdev_two_path_equilibria_in_one_iteration():
@@ -941,8 +863,8 @@ def test_meanstdev_two_path_equilibria_in_one_iteration():
     net = Network(
         nodes=("s", "t"),
         edges=(
-            Edge("a", "s", "t", CostPoly.of(0.0, 0.0, 1.0), CostPoly.of(0.0, 0.0, 1.0)),
-            Edge("b", "s", "t", CostPoly.of(1.0), CostPoly.of(0.0)),
+            Edge("a", "s", "t", CostPoly((0.0, 0.0, 1.0)), CostPoly((0.0, 0.0, 1.0))),
+            Edge("b", "s", "t", CostPoly((1.0,)), CostPoly((0.0,))),
         ),
         source="s",
         sink="t",
@@ -975,7 +897,7 @@ def test_crossing_slope_matches_finite_difference():
             weights = [rng.random() for _ in paths]
             assignment = {p: instance.demand * w / sum(weights) for p, w in zip(paths, weights)}
             best, worst = rng.sample(paths, 2)
-            flows = edge_flow(assignment, net)
+            flows = reference.edge_flow(assignment, net)
             at = [flows[eid] for eid in net.edge_position]
             crossing = solvers._crossing(pool, at, *_positions(net, [best, worst]))
 
@@ -983,8 +905,9 @@ def test_crossing_slope_matches_finite_difference():
                 moved = dict(assignment)
                 moved[best] += t
                 moved[worst] -= t
-                at_t = edge_flow(moved, net)
-                return path_cost(instance, at_t, best) - path_cost(instance, at_t, worst)
+                at_t = reference.edge_flow(moved, net)
+                cost = lambda p: reference.path_cost(instance, at_t, p, RISK_MEAN_STDEV)
+                return cost(best) - cost(worst)
 
             t = rng.uniform(0.1, 0.9) * assignment[worst]
             h = 1e-6 * assignment[worst]
@@ -1209,8 +1132,8 @@ def test_newton_iterate_singular_system_returns_none(model):
     net = Network(
         nodes=("s", "t"),
         edges=(
-            Edge("a", "s", "t", CostPoly.of(1.0), CostPoly.of(1.0)),
-            Edge("b", "s", "t", CostPoly.of(1.0), CostPoly.of(2.0)),
+            Edge("a", "s", "t", CostPoly((1.0,)), CostPoly((1.0,))),
+            Edge("b", "s", "t", CostPoly((1.0,)), CostPoly((2.0,))),
         ),
         source="s",
         sink="t",
@@ -1233,7 +1156,7 @@ def _fresh_pricing(pool, flows):
         polys = reference.cost_polys(instance, pool.mode)
         table = (
             {eid: polys[eid](f) for eid, f in flows.items()},
-            {eid: polys[eid].integral(f) for eid, f in flows.items()},
+            {eid: reference.integral(polys[eid], f) for eid, f in flows.items()},
         )
         floor, best = reference.shortest_path(net, table[0])
         return _by_position(net, table), floor, best, reference.potential_value(polys, flows)
@@ -1336,18 +1259,18 @@ def test_pool_prices_only_moved_edges(monkeypatch):
 def test_flow_from_paths_validation():
     instance = make("braess", v=0.1)
     with pytest.raises(ValueError):
-        _flow(instance, {("a", "b"): -0.5, ("c", "d"): 1.5}, RISK_NEUTRAL)
+        reference.flow_from_paths(instance, {("a", "b"): -0.5, ("c", "d"): 1.5}, RISK_NEUTRAL)
     with pytest.raises(ValueError):
-        _flow(instance, {("a", "b"): 0.25}, RISK_NEUTRAL)
+        reference.flow_from_paths(instance, {("a", "b"): 0.25}, RISK_NEUTRAL)
     with pytest.raises(ValueError):
-        _flow(instance, {("a", "b"): 1.0}, "quantile")
+        reference.flow_from_paths(instance, {("a", "b"): 1.0}, "quantile")
     with pytest.raises(ValueError):
-        _flow(instance, {("a", "b"): math.nan, ("c", "d"): 1.0}, RISK_NEUTRAL)
+        reference.flow_from_paths(instance, {("a", "b"): math.nan, ("c", "d"): 1.0}, RISK_NEUTRAL)
     with pytest.raises(ValueError):
-        _flow(instance, {("a", "x"): 1.0}, RISK_NEUTRAL)
+        reference.flow_from_paths(instance, {("a", "x"): 1.0}, RISK_NEUTRAL)
     pigou = make("pigou", gamma=1.0, kappa=1.0)
     with pytest.raises(ValueError):
-        _flow(pigou, {("e1", "e2"): 1.0}, RISK_NEUTRAL)
+        reference.flow_from_paths(pigou, {("e1", "e2"): 1.0}, RISK_NEUTRAL)
 
 
 def test_decompose_single_path():
@@ -1365,7 +1288,7 @@ def test_decompose_split_flow():
 def test_decompose_single_edge():
     net = Network(
         nodes=("s", "t"),
-        edges=(Edge("e1", "s", "t", CostPoly.of(1.0), CostPoly.of(0.0)),),
+        edges=(Edge("e1", "s", "t", CostPoly((1.0,)), CostPoly((0.0,))),),
         source="s",
         sink="t",
     )
@@ -1474,10 +1397,9 @@ def test_deterministic_resolves():
 def _mean_stdev_equalized(instance, flow):
     paths = list(enumerate_simple_paths(instance.network))
     used = [p for p, f in flow.path_flow.items() if f > 1e-7 * instance.demand]
-    best = min(path_cost(instance, flow.edge_flow, p) for p in paths)
-    return all(
-        path_cost(instance, flow.edge_flow, p) <= best * (1 + 10 * 1e-6) for p in used
-    )
+    costs = {p: reference.path_cost(instance, flow.edge_flow, p, RISK_MEAN_STDEV) for p in paths}
+    best = min(costs.values())
+    return all(costs[p] <= best * (1 + 10 * 1e-6) for p in used)
 
 
 @settings(deadline=None, max_examples=10)
