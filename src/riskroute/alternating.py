@@ -9,15 +9,20 @@ edges carry the risk-neutral flow's cost mass and its backward edges the
 risk-averse flow's extra spending, which is what the price-of-risk-aversion
 bounds charge. The number of maximal forward runs (eta) multiplies the bound,
 so the search below minimizes it exactly.
+
+The search runs on edge positions over :attr:`Network.sweep`. Flows of
+equal demand on an acyclic network are sums of source-sink paths, whose
+nodes lie between the source and the sink in topological order, so every
+loaded edge is a sweep edge.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Sequence
 
 from .network import Network
-from .solvers import Flow
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -32,89 +37,71 @@ class NoAlternatingPathError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EdgePartition:
-    forward_like: frozenset[str]   # A: risk-neutral flow at least as large
-    backward_like: frozenset[str]  # B: risk-averse flow strictly larger
-
-
-def classify_edges(x: Flow, z: Flow, eps: float) -> EdgePartition:
-    """Partition edges by comparing the two flows at tolerance ``eps``.
-
-    Boundary rule: ties within eps go to A (or to neither class when both
-    flows are essentially zero), so A collects every edge the risk-neutral
-    flow still uses at least as much as the risk-averse one.
-    """
-    a: set[str] = set()
-    b: set[str] = set()
-    for eid, ze in z.edge_flow.items():
-        xe = x.edge_flow[eid]
-        if max(xe, ze) <= eps:
-            continue
-        if ze > eps and ze >= xe - eps:
-            a.add(eid)
-        else:
-            b.add(eid)
-    return EdgePartition(frozenset(a), frozenset(b))
-
-
-@dataclass(frozen=True)
 class AlternatingPath:
     """Contiguous source->sink walk over distinct nodes whose arcs traverse
     A-edges forward and B-edges backward."""
 
-    arcs: tuple[tuple[str, str], ...]  # (edge_id, FORWARD | BACKWARD)
+    arcs: tuple[tuple[int, str], ...]  # (edge position, FORWARD | BACKWARD)
     forward_runs: int
-
-    def forward_edges(self) -> tuple[str, ...]:
-        return tuple(eid for eid, d in self.arcs if d == FORWARD)
-
-    def backward_edges(self) -> tuple[str, ...]:
-        return tuple(eid for eid, d in self.arcs if d == BACKWARD)
 
     @property
     def all_forward(self) -> bool:
-        return not self.backward_edges()
+        return all(direction == FORWARD for _, direction in self.arcs)
 
 
-def find_alternating_path(partition: EdgePartition, network: Network) -> AlternatingPath:
-    """Alternating path minimizing the number of forward runs.
+def find_alternating_path(
+    network: Network, x: Sequence[float], z: Sequence[float], eps: float
+) -> AlternatingPath:
+    """Alternating path minimizing the number of forward runs between the
+    risk-averse edge flows ``x`` and the risk-neutral ``z``, lists by edge
+    position. A sweep edge is in A when z_e > eps and z_e >= x_e - eps (ties
+    within eps go to A), else in B unless both flows are at most eps; an
+    A-edge gives an arc at its tail, a B-edge one at its head, and nodes are
+    sweep indices, the sink's ``len(network.sweep)``.
 
     Exact search: Dijkstra over (node, direction of the last arc) states with
     lexicographic cost (forward runs, backward arcs, arc sequence), so an
-    all-forward path is returned whenever one exists. The network must be
-    acyclic, as ``validate_instance`` ensures; then the walk popped at the
+    all-forward path is returned whenever one exists. Arc sequences of
+    positions compare as those of the ids they stand for. The network must
+    be acyclic, as ``validate_instance`` ensures; then the walk popped at the
     sink is simple. A closed sub-walk holds a backward arc, and cutting it
     out adds no forward run: the arc after the cut starts a new run only if
     the sub-walk ended forward, and then the sub-walk's last run goes too.
     """
-    emap = network.edge_map
-    residual: dict[str, list[tuple[str, str, str]]] = {v: [] for v in network.nodes}
-    for eid in partition.forward_like:
-        e = emap[eid]
-        residual[e.tail].append((eid, FORWARD, e.head))
-    for eid in partition.backward_like:
-        e = emap[eid]
-        residual[e.head].append((eid, BACKWARD, e.tail))
-    for arcs in residual.values():
+    steps = network.sweep
+    if steps is None:
+        raise NoAlternatingPathError(f"sink {network.sink!r} unreachable from source")
+    sink = len(steps)
+    residual: list[list[tuple[int, str, int]]] = [[] for _ in range(sink + 1)]
+    for tail, out in enumerate(steps):
+        for pos, head in out:
+            xe, ze = x[pos], z[pos]
+            if max(xe, ze) <= eps:
+                continue
+            if ze > eps and ze >= xe - eps:
+                residual[tail].append((pos, FORWARD, head))
+            else:
+                residual[head].append((pos, BACKWARD, tail))
+    for arcs in residual:
         arcs.sort()
 
     # heap entries: (runs, backward arcs, arc sequence, node, last direction)
-    heap: list[tuple[int, int, tuple, str, str | None]] = [(0, 0, (), network.source, None)]
-    done: set[tuple[str, str | None]] = set()
+    heap: list[tuple[int, int, tuple, int, str | None]] = [(0, 0, (), 0, None)]
+    done: set[tuple[int, str | None]] = set()
     while heap:
         runs, nbwd, arcs, node, last = heapq.heappop(heap)
         if (node, last) in done:
             continue
         done.add((node, last))
-        if node == network.sink:
+        if node == sink:
             return AlternatingPath(arcs=arcs, forward_runs=runs)
-        for eid, direction, nxt in residual[node]:
+        for pos, direction, nxt in residual[node]:
             if (nxt, direction) in done:
                 continue
             new_runs = runs + (1 if direction == FORWARD and last != FORWARD else 0)
             new_nbwd = nbwd + (1 if direction == BACKWARD else 0)
             heapq.heappush(
-                heap, (new_runs, new_nbwd, arcs + ((eid, direction),), nxt, direction)
+                heap, (new_runs, new_nbwd, arcs + ((pos, direction),), nxt, direction)
             )
     raise NoAlternatingPathError(
         "no residual source->sink path; the flow pair is inconsistent"

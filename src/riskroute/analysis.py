@@ -15,8 +15,9 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .alternating import (
+    BACKWARD,
     CLASSIFY_EPS_REL,
-    classify_edges,
+    FORWARD,
     eta_ceiling,
     find_alternating_path,
     theoretical_pra_bound,
@@ -161,8 +162,9 @@ def pra_report(
 
     Both results must be converged; the risk-averse result under the
     instance's risk model and the risk-neutral one under latency costs,
-    else ValueError. The alternating path compares their edge flows at
-    ``CLASSIFY_EPS_REL`` times the demand. The report reads the results'
+    else ValueError. The alternating path compares their edge flows by
+    position at ``CLASSIFY_EPS_REL`` times the demand, and ids come back
+    once, in ``alternating_arcs``. The report reads the results'
     edge flows and their own certificates (``min_path_cost``,
     ``deviation``), and prices no path: S(z) is z's ``min_path_cost``.
     Each flow's edge latencies and risks, social cost and kappa come from
@@ -198,7 +200,9 @@ def pra_report(
     gk = instance.gamma * kappa
     one_gk, two_gk = 1.0 + gk, 1.0 + 2.0 * gk
 
-    path = find_alternating_path(classify_edges(x, z, CLASSIFY_EPS_REL * d), net)
+    ids = tuple(net.edge_position)
+    flows = ([flow.edge_flow[eid] for eid in ids] for flow in (x, z))
+    path = find_alternating_path(net, *flows, CLASSIFY_EPS_REL * d)
     eta = path.forward_runs
 
     degenerate = not cost_z > 0.0
@@ -220,9 +224,9 @@ def pra_report(
     eta_proven = mean_var or path.all_forward or braess
     all_forward = stdev and path.all_forward
     fwd_x, bwd_x, fwd_z, bwd_z = (
-        math.fsum(lat[net.edge_position[eid]] for eid in edges)
+        math.fsum(lat[pos] for pos, direction in path.arcs if direction == side)
         for lat in (lat_x, lat_z)
-        for edges in (path.forward_edges(), path.backward_edges())
+        for side in (FORWARD, BACKWARD)
     )
     # The path sums are per unit of flow and bound the common equilibrium
     # path cost, so every chain value carries the demand factor.
@@ -277,7 +281,7 @@ def pra_report(
         bound_worstcase=bound_worst,
         rho=rho,
         bound_rho=bound_rho,
-        alternating_arcs=path.arcs,
+        alternating_arcs=tuple((ids[pos], direction) for pos, direction in path.arcs),
         checks=tuple(checks),
         gap_rnwe=z_result.relative_gap,
         gap_rawe=x_result.relative_gap,

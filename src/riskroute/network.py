@@ -46,12 +46,6 @@ class CostPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self, x: float) -> float:
-        acc = 0.0
-        for i in reversed(range(1, len(self.coeffs))):
-            acc = acc * x + i * self.coeffs[i]
-        return acc
-
 
 @dataclass(frozen=True)
 class Edge:

@@ -35,12 +35,13 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .network import RISK_MEAN_STDEV, RISK_MEAN_VAR, CostPoly, Instance, Network
+from .network import RISK_MEAN_STDEV, RISK_MEAN_VAR, Instance, Network
 
 RISK_NEUTRAL = "risk-neutral"
 
@@ -48,7 +49,7 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200_000
 
 #: Iteration ceiling of the root search :func:`_newton_step`: it resolves
-#: 2**-60 of the bracket, and where the slope is zero bisects this many times.
+#: 2**-60 of the bracket, and bisects this many times on ``(value, 0.0)``.
 LINE_SEARCH_STEPS = 60
 #: Per-iteration tolerance when asserting the potential never increases.
 POTENTIAL_BACKSLIDE_TOL = 1e-12
@@ -170,16 +171,12 @@ def _sweep_path(network: Network, costs: Sequence[float]) -> tuple[float, tuple[
     return labels[-1]
 
 
-def _id_path(network: Network, path: tuple[int, ...]) -> tuple[str, ...]:
-    return tuple(map(tuple(network.edge_position).__getitem__, path))
-
-
 def _transfer_derivative(
     costs: Sequence[Sequence[float]], flows: Sequence[float], delta: Mapping[int, float]
-) -> CostPoly:
+) -> tuple[float, ...]:
     """The potential's derivative g(t) = sum_e s_e c_e(f_e + s_e t) along a
-    transfer that changes each edge flow f_e by s_e t, as one polynomial in t
-    (``costs``, ``flows`` and ``delta`` on edge positions).
+    transfer that changes each edge flow f_e by s_e t, as one polynomial's
+    coefficients in t (``costs``, ``flows`` and ``delta`` on edge positions).
 
     Each edge's cost coefficients are Taylor-shifted to f_e by repeated
     synthetic division, its t**k coefficient scaled by s_e**(k+1), and every
@@ -199,36 +196,35 @@ def _transfer_derivative(
             b[k] *= scale
             scale *= s
         terms.append(b)
-    return CostPoly(tuple(map(math.fsum, zip_longest(*terms, fillvalue=0.0))))
+    return tuple(map(math.fsum, zip_longest(*terms, fillvalue=0.0)))
 
 
-def _newton_step(
-    g: Callable[[float], float], derivative: Callable[[float], float], hi: float
-) -> float:
-    """Largest-progress root of a nondecreasing function ``g`` on [0, hi].
+def _newton_step(g: Callable[[float], tuple[float, float]], hi: float) -> float:
+    """Largest-progress root on [0, hi] of a nondecreasing function whose
+    value and slope at t are ``g(t)``, so each point is evaluated once.
 
-    Returns hi when g(hi) <= 0 and 0 when g(0) >= 0; otherwise the largest
-    point found with g <= 0 next to the root, to the resolution of
-    ``LINE_SEARCH_STEPS`` bisection steps. Newton steps on ``derivative``
-    run inside the bracket [lo, up], g(lo) <= 0 < g(up); a zero slope or a
-    step that leaves the bracket bisects it instead, so a derivative that
-    is zero throughout bisects every step: ``LINE_SEARCH_STEPS`` halvings,
-    fewer only where no float is left inside the bracket. Newton converging
-    from the right leaves ``lo`` behind, so once its step is within the
-    resolution there, the search steps down from ``up`` in doubling steps
-    until g <= 0. Rounding noise in g near the root moves Newton by more
-    than the resolution, so the search also stops when the bracket closes.
+    Returns hi when the value at hi is <= 0 and 0 when it is >= 0 at 0;
+    otherwise the largest point found with value <= 0 next to the root, to
+    the resolution of ``LINE_SEARCH_STEPS`` bisection steps. Newton steps
+    run inside the bracket [lo, up], value <= 0 at lo and > 0 at up; a zero
+    slope or a step that leaves the bracket bisects it instead, so a ``g``
+    returning ``(value, 0.0)`` bisects every step: ``LINE_SEARCH_STEPS``
+    halvings, fewer only where no float is left inside the bracket. Newton
+    converging from the right leaves ``lo`` behind, so once its step is
+    within the resolution there, the search steps down from ``up`` in
+    doubling steps until the value is <= 0. Rounding noise near the root
+    moves Newton by more than the resolution, so the search also stops
+    when the bracket closes.
     """
-    if g(hi) <= 0.0:
+    if g(hi)[0] <= 0.0:
         return hi
-    value = g(0.0)
+    value, slope = g(0.0)
     if value >= 0.0:
         return 0.0
     resolution = drop = hi * 2.0**-LINE_SEARCH_STEPS
     lo, up = 0.0, hi
-    t = 0.0  # the last point evaluated; g(t) == value
+    t = 0.0  # the last point evaluated; g(t) == (value, slope)
     for _ in range(LINE_SEARCH_STEPS):
-        slope = derivative(t)
         nxt = t - value / slope if slope > 0.0 else math.inf
         if t > 0.0 and abs(nxt - t) <= resolution:
             if value <= 0.0:
@@ -240,7 +236,7 @@ def _newton_step(
             nxt = 0.5 * (lo + up)
             if not lo < nxt < up:
                 break  # no float left inside the bracket
-        value = g(nxt)
+        value, slope = g(nxt)
         if value <= 0.0:
             lo = nxt
         else:
@@ -419,9 +415,11 @@ def solve_wardrop(
     if abs(total - instance.demand) > FLOW_SUM_TOL * instance.demand:
         raise ValueError(f"path flows sum to {total}, demand is {instance.demand}")
     net = instance.network
+    ids = tuple(net.edge_position)
     edge_flows = dict.fromkeys(net.edge_map, 0.0)  # in declaration order
-    edge_flows.update(zip(net.edge_position, best_it.flows))
-    flow = Flow({_id_path(net, p): x for p, x in best_it.paths.items() if x}, edge_flows, mode)
+    edge_flows.update(zip(ids, best_it.flows))
+    paths = {tuple(map(ids.__getitem__, p)): x for p, x in best_it.paths.items() if x}
+    flow = Flow(paths, edge_flows, mode)
     floor = best_it.floor
     deviation = max(0.0, best_it.costs[best_it.worst] - floor)
     return EquilibriumResult(flow, best_it.gap, iterations, floor, deviation, stop_reason)
@@ -651,7 +649,7 @@ def _independent_support(
 
 def _value_slope(coeffs: Sequence[float], f: float) -> tuple[float, float]:
     """A polynomial's value and derivative at ``f`` from its coefficients,
-    as CostPoly.__call__ and .derivative give them."""
+    both by CostPoly.__call__'s Horner steps (on i * coeffs[i] for the slope)."""
     value = slope = 0.0
     for i in range(len(coeffs) - 1, -1, -1):
         value = value * f + coeffs[i]
@@ -674,7 +672,7 @@ def _path_jacobian(
     slope, curvature, var = {}, {}, {}
     for pos in {pos for p in support for pos in p}:
         f = flows[pos]
-        c, acc = pool.costs[pos], 0.0  # CostPoly.derivative
+        c, acc = pool.costs[pos], 0.0  # _value_slope's slope steps alone
         k = len(c) - 1
         for x in c[:0:-1]:
             acc = acc * f + k * x
@@ -780,16 +778,7 @@ def _pairwise_step(pool: _PathPool, it: _Iterate) -> _Iterate | None:
     transfer = {worst: -1.0, it.best: 1.0}
     if pool.separable:
         return _line_step(pool, it, transfer, it.paths[worst])
-    crossing = _crossing(pool, it.flows, it.best, worst)
-    slopes: dict[float, float] = {}
-
-    def cost_delta(step: float) -> float:
-        # the root search asks for the slope only where it has just asked
-        # for the value
-        value, slopes[step] = crossing(step)
-        return value
-
-    step = _newton_step(cost_delta, slopes.__getitem__, it.paths[worst])
+    step = _newton_step(_crossing(pool, it.flows, it.best, worst), it.paths[worst])
     if step < SHIFT_FLOOR_REL * pool.instance.demand:
         return None
     return pool.evaluate(_moved(it.paths, transfer, step))
@@ -856,7 +845,7 @@ def _line_step(
     if not delta:
         return None
     g = _transfer_derivative(pool.costs, it.flows, delta)
-    step = _newton_step(g, g.derivative, hi)
+    step = _newton_step(partial(_value_slope, g), hi)
     if step <= 0.0:
         return None
     nxt = pool.evaluate(_moved(it.paths, direction, step))

@@ -4,13 +4,13 @@ The library prices on edge positions alone and brings ids back only in its
 results. This module holds what tests compare it with: the shortest path
 by a label DP keyed by edge id; path flows made into a ``Flow``, their edge
 flows and their path costs; a flow's relative gap and its cheapest path,
-found by the library's own search through ids; the separable edge costs as
-``CostPoly`` objects with their Beckmann potential; the solve's and the
-report's edge tables by ``CostPoly`` calls; the transfer derivative with one
-sum per degree, the path Jacobian summed pair by pair in full and the path
-dependency by exact elimination alone; and the scalar Braess sigma
-inequality. Tests assert that the library's values equal these, to the bit
-where the arithmetic is the same."""
+found by the library's own search through ids; a ``CostPoly``'s derivative;
+the separable edge costs as ``CostPoly`` objects with their Beckmann
+potential; the solve's and the report's edge tables by ``CostPoly`` calls;
+the transfer derivative with one sum per degree, the path Jacobian summed
+pair by pair in full and the path dependency by exact elimination alone;
+and the scalar Braess sigma inequality. Tests assert that the library's
+values equal these, to the bit where the arithmetic is the same."""
 
 import math
 from itertools import zip_longest
@@ -69,6 +69,15 @@ def scaled_plus(poly: CostPoly, other: CostPoly, scale: float) -> CostPoly:
     zeros."""
     pairs = zip_longest(poly.coeffs, other.coeffs, fillvalue=0.0)
     return CostPoly(tuple([x + scale * y for x, y in pairs]))
+
+
+def derivative(poly: CostPoly, x: float) -> float:
+    """The derivative of ``poly`` at ``x`` by Horner steps on the
+    coefficients i * coeffs[i]."""
+    acc = 0.0
+    for i in reversed(range(1, len(poly.coeffs))):
+        acc = acc * x + i * poly.coeffs[i]
+    return acc
 
 
 def integral(poly: CostPoly, x: float) -> float:
@@ -156,12 +165,12 @@ def path_jacobian(instance: Instance, mode: str, flows, support) -> list[list[fl
     for eid in {eid for p in support for eid in p}:
         f = flows[eid]
         if polys is not None:
-            slope[eid] = polys[eid].derivative(f)
+            slope[eid] = derivative(polys[eid], f)
             continue
         edge = emap[eid]
         risk = edge.risk(f)
-        slope[eid] = edge.latency.derivative(f)
-        curvature[eid] = instance.gamma * risk * edge.risk.derivative(f)
+        slope[eid] = derivative(edge.latency, f)
+        curvature[eid] = instance.gamma * risk * derivative(edge.risk, f)
         var[eid] = risk * risk
     edge_sets = [set(p) for p in support]
     jac = []

@@ -596,6 +596,97 @@ def test_shortest_path_length_zigzag():
         assert s_z == pytest.approx(1.0 / k, rel=1e-6)
 
 
+# --- relabeled ids ----------------------------------------------------------
+
+#: Values that follow a tie-break by edge id and can move when ids are
+#: relabeled: the least-risk path's latency and the alternating path's
+#: chain value for x. Each bound holds for any tied choice.
+TIE_DEPENDENT = {
+    ("rawe-cost-le-min-risk-path-latency", "rhs"),
+    ("alternating-rawe-bound", "rhs"),
+    ("chain-monotone-link", "lhs"),
+}
+
+
+def _relabeled(instance: Instance) -> Instance:
+    """The instance with each edge renamed so that sorted ids reverse the
+    declaration order."""
+    edges = instance.network.edges
+    renamed = tuple(
+        dataclasses.replace(e, id=f"r{len(edges) - 1 - i:04d}") for i, e in enumerate(edges)
+    )
+    network = dataclasses.replace(instance.network, edges=renamed)
+    return dataclasses.replace(instance, network=network)
+
+
+def _relabel_mismatches(instance: Instance) -> list[str]:
+    """Where solving and reporting the relabeled copy differs from the
+    instance: a stop reason, eta, ``ok`` or a check's flags, or an lhs or
+    rhs outside ``CHECK_REL_SLACK`` relative, tie-dependent values aside."""
+    solved = []
+    for copy in (instance, _relabeled(instance)):
+        x, z = solve_rawe(copy), solve_rnwe(copy)
+        solved.append(((x.stop_reason, z.stop_reason), pra_report(copy, x, z)))
+    (stops, report), (stops_r, report_r) = solved
+    bad = [] if stops == stops_r else [f"stop reasons {stops} != {stops_r}"]
+    if (report.eta, report.ok) != (report_r.eta, report_r.ok):
+        bad.append(f"eta, ok {report.eta, report.ok} != {report_r.eta, report_r.ok}")
+    for check, check_r in itertools.zip_longest(report.checks, report_r.checks):
+        flags = (check.name, check.passed, check.proven, check.skipped)
+        if flags != (check_r.name, check_r.passed, check_r.proven, check_r.skipped):
+            bad.append(f"{check.name} flags differ")
+            continue
+        for side in ("lhs", "rhs"):
+            a, b = getattr(check, side), getattr(check_r, side)
+            if (check.name, side) in TIE_DEPENDENT or (math.isnan(a) and math.isnan(b)):
+                continue
+            if not abs(a - b) <= analysis.CHECK_REL_SLACK * max(abs(a), abs(b)):
+                bad.append(f"{check.name} {side} {a!r} != {b!r}")
+    return bad
+
+
+def _relabel_cases() -> list[Instance]:
+    return [
+        suites.random_general(seed, risk_model=model)
+        for seed in range(200)
+        for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV)
+    ] + [
+        make("braess", v=0.1),
+        make("braess", v=0.1, risk_model=RISK_MEAN_STDEV),
+        suites.random_general(362),
+    ]
+
+
+def test_relabeled_ids_leave_the_report_alone():
+    """Solves and reports work on edge positions, which follow the sorted
+    ids. Renaming the edges so that id order reverses declaration order
+    changes no stop reason, eta, verdict or check flag, and moves no check
+    value beyond round-off but the tie-dependent ones, on bound-chain draws
+    0-199 under both risk models, Braess v=0.1 under both and seed 362."""
+    for instance in _relabel_cases():
+        assert _relabel_mismatches(instance) == [], (instance.name, instance.risk_model)
+
+
+def test_relabeling_catches_latencies_summed_by_declaration_index(monkeypatch):
+    """A report that sums the alternating path's latencies by declaration
+    index instead of by position is right wherever ids sort in declaration
+    order, as on the bound-chain draws; their relabeled copies show it."""
+    search = analysis.find_alternating_path
+
+    def by_declaration(network, x, z, eps):
+        path = search(network, x, z, eps)
+        declared = {e.id: i for i, e in enumerate(network.edges)}
+        ids = tuple(network.edge_position)
+        arcs = tuple((declared[ids[pos]], d) for pos, d in path.arcs)
+        return dataclasses.replace(path, arcs=arcs)
+
+    monkeypatch.setattr(analysis, "find_alternating_path", by_declaration)
+    draws = [suites.random_general(seed) for seed in range(20)]
+    assert all(tuple(e.id for e in d.network.edges) == tuple(d.network.edge_position) for d in draws)
+    caught = sum(bool(_relabel_mismatches(draw)) for draw in draws)
+    assert caught >= 15, caught
+
+
 # --- sigma inequality ----------------------------------------------------------
 
 

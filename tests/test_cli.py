@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import riskroute.analysis as analysis
 import riskroute.cli as cli
+from riskroute import suites
 from riskroute.analysis import pra_report
 from riskroute.cli import CSV_HEADER, main
 from riskroute.instances import make, write_instance
@@ -215,15 +216,17 @@ def test_analyze_braess(tmp_path, capsys):
         make("braess", v=0.1),
         make("pigou", kappa=1.0, gamma=1.0),
         make("random_general", seed=0, n=20, m=110),
+        suites.random_general(362),
     ],
     ids=lambda instance: instance.name,
 )
 def test_analyze_out_bytes_are_frozen(tmp_path, instance):
-    """The analyze --out file of Braess v=0.1, of Pigou kappa = gamma = 1 and
+    """The analyze --out file of Braess v=0.1, of Pigou kappa = gamma = 1,
     of random_general seed 0 with n=20, m=110, whose edge ids e00-e109 sort
-    unlike their declaration order (e100 before e11), and report_to_dict of
-    the same report, equal the frozen reports in tests/data byte for
-    byte."""
+    unlike their declaration order (e100 before e11), and of bound-chain
+    draw 362, whose alternating path has two forward runs around the
+    backward arc e06, and report_to_dict of the same report, equal the
+    frozen reports in tests/data byte for byte."""
     frozen = (Path(__file__).parent / "data" / f"{instance.name}.report.json").read_text()
     out = tmp_path / "report.json"
     assert main(["analyze", _write(tmp_path, "instance.json", instance), "--out", str(out)]) == 0

@@ -605,12 +605,22 @@ def test_bad_tol_or_max_iter_raises(tol, max_iter):
 # --- line search -----------------------------------------------------------------
 
 
+def _with_slope(poly):
+    """The root search's function of ``poly``: its value and slope."""
+    return lambda t: (poly(t), reference.derivative(poly, t))
+
+
+def _flat(g):
+    """The root search's function of ``g`` with a zero slope."""
+    return lambda t: (g(t), 0.0)
+
+
 def test_newton_step_endpoints_and_flat_derivative():
     # with the polynomial's slope and a zero one
-    for slope in (True, False):
+    for search_function in (_with_slope, _flat):
 
         def step(g, hi):
-            return _newton_step(g, g.derivative if slope else lambda t: 0.0, hi)
+            return _newton_step(search_function(g), hi)
 
         assert step(CostPoly((-1.0, 1.0)), 0.5) == 0.5  # g(hi) <= 0
         assert step(CostPoly((0.5, 1.0)), 2.0) == 0.0  # g(0) >= 0
@@ -623,7 +633,7 @@ def test_newton_step_converging_from_the_right():
     # g'(0) = 0 sends the first step to the midpoint, right of the root, and
     # Newton on a convex g stays right of the root from there
     g = CostPoly((-0.1, 0.0, 0.0, 1.0))
-    step = _newton_step(g, g.derivative, 1.0)
+    step = _newton_step(_with_slope(g), 1.0)
     assert g(step) <= 0.0
     assert step == pytest.approx(0.1 ** (1 / 3), rel=1e-15)
 
@@ -658,7 +668,7 @@ def test_transfer_derivative_matches_edge_sum():
     rng = random.Random(0)
     for _ in range(500):
         polys, flows, delta, hi = _random_transfer(rng)
-        g = _transfer_derivative(_coeffs(polys), flows, delta)
+        g = CostPoly(_transfer_derivative(_coeffs(polys), flows, delta))
         for t in (0.0, hi / 3, hi):
             terms = [s * polys[e](flows[e] + s * t) for e, s in delta.items()]
             # expanded in t, g carries rounding relative to the majorant
@@ -673,7 +683,7 @@ def test_transfer_derivative_matches_reference():
     rng = random.Random(5)
     for _ in range(3000):
         polys, flows, delta, _ = _random_transfer(rng)
-        got = _transfer_derivative(_coeffs(polys), flows, delta).coeffs
+        got = _transfer_derivative(_coeffs(polys), flows, delta)
         want = reference.transfer_derivative(polys, flows, delta).coeffs
         assert _hex(got) == _hex(want)
 
@@ -697,13 +707,13 @@ def test_newton_step_matches_bisection():
     for _ in range(2000):
         g = _rising_poly(rng)
         hi = 10 ** rng.uniform(-3, 3)
-        step = _newton_step(g, g.derivative, hi)
+        step = _newton_step(_with_slope(g), hi)
         assert g(step) <= 0.0
-        assert abs(step - _newton_step(g, lambda t: 0.0, hi)) <= 2**-50 * hi
+        assert abs(step - _newton_step(_flat(g), hi)) <= 2**-50 * hi
     for _ in range(2000):
         polys, flows, delta, hi = _random_transfer(rng)
-        g = _transfer_derivative(_coeffs(polys), flows, delta)
-        step = _newton_step(g, g.derivative, hi)
+        g = CostPoly(_transfer_derivative(_coeffs(polys), flows, delta))
+        step = _newton_step(_with_slope(g), hi)
         assert step == 0.0 or g(step) <= 0.0
 
 
@@ -748,7 +758,7 @@ def test_newton_step_without_derivative_is_plain_bisection():
             return poly(t) + rise
 
         searched, bisected = [], []
-        step = _newton_step(lambda t: g(t, searched), lambda t: 0.0, hi)
+        step = _newton_step(_flat(lambda t: g(t, searched)), hi)
         assert step == _plain_bisection(lambda t: g(t, bisected), hi)
         assert searched == bisected[: len(searched)]
         # past a closed bracket bisection only evaluates its ends again
@@ -1076,7 +1086,7 @@ def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
     def checked_transfer(costs, flows, delta):
         got = transfer(costs, flows, delta)
         polys = {eid: CostPoly(costs[eid]) for eid in delta}
-        assert _hex(got.coeffs) == _hex(reference.transfer_derivative(polys, flows, delta).coeffs)
+        assert _hex(got) == _hex(reference.transfer_derivative(polys, flows, delta).coeffs)
         counts["transfer"] += 1
         return got
 
