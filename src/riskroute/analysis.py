@@ -30,15 +30,9 @@ from .network import (
     Instance,
     Network,
     PathCountError,
-    fold_series_parallel,
     is_braess_topology,
 )
-from .solvers import (
-    RISK_NEUTRAL,
-    EquilibriumResult,
-    _sweep_path,
-    decompose_edge_flow,
-)
+from .solvers import RISK_NEUTRAL, EquilibriumResult, _sweep_path
 
 #: Relative slack when judging lhs <= rhs under solver round-off.
 CHECK_REL_SLACK = 1e-6
@@ -477,16 +471,15 @@ def max_shortest_path_oracle(
     integer s-t flows of value ``grid`` (times d/grid); the search runs over
     those. Every edge needs nonnegative finite latency coefficients.
 
-    :func:`fold_series_parallel` folds the series and parallel parts, each
-    (tail, head) pair carrying M(j), the largest shortest-path latency its
-    part reaches at j units, and how to split them: an edge's M is its own
-    :class:`CostPoly` evaluated at 0, 1, ..., grid units, a series
-    composition adds M1 + M2, and a parallel one takes M(j) = max over
-    i <= j of min(M1(i), M2(j - i)), keeping the first maximizing i. Every
-    integer flow splits over the parts this way, and every M is
-    nondecreasing, so M(j) is the largest value v with A(v) + B(v) <= j, A
-    and B the first indices at which M1 and M2 reach v
-    (:func:`_parallel_merge`). A series-parallel network
+    The fold of :attr:`Network.series_parallel` is walked step by step,
+    each part carrying M(j), the largest shortest-path latency it reaches at
+    j units, and how to split them: an edge's M is its own :class:`CostPoly`
+    evaluated at 0, 1, ..., grid units, a series step adds M1 + M2, and a
+    parallel one takes M(j) = max over i <= j of min(M1(i), M2(j - i)),
+    keeping the first maximizing i. Every integer flow splits over the
+    parts this way, and every M is nondecreasing, so M(j) is the largest
+    value v with A(v) + B(v) <= j, A and B the first indices at which M1
+    and M2 reach v (:func:`_parallel_merge`). A series-parallel network
     (``series_parallel``) folds to the one pair (source, sink), whose
     M(grid) is the maximum. Otherwise the lattice branch-and-bound
     (:func:`_lattice_maximum`) runs on the core left: one edge per pair,
@@ -500,10 +493,13 @@ def max_shortest_path_oracle(
     flow: the first lattice point of the core, and the first maximizing
     split of each merge. ``value`` is the shortest-path length at its
     latencies. ``points`` counts the C(grid+2, 2) pairs (i, j) of i <= j
-    units each parallel merge settles, plus the core lattice points evaluated.
-    :func:`decompose_edge_flow` puts the edge flow on paths as ``path_flow``.
-    Memory is one row of grid + 1 floats per live pair plus one split row
-    per merge.
+    units each parallel merge settles, plus the core lattice points
+    evaluated. ``path_flow`` puts the edge flow on paths over
+    :attr:`Network.sweep`: from the source, each path leaves every node by
+    its first out-edge with units left and carries its least units, so the
+    paths come in lexicographic id order. Memory is one row of grid + 1
+    floats per part made and not yet merged plus one split row per
+    parallel merge: an edge's row is made when a step first takes it in.
     """
     if grid < 1:
         raise ValueError(f"oracle grid must be a positive integer (got {grid})")
@@ -518,58 +514,71 @@ def max_shortest_path_oracle(
             )
     scale = instance.demand / grid
     flows = np.arange(grid + 1) * scale
+    emap = net.edge_map
+    ids = list(net.edge_position)
+    edges = [emap[eid] for eid in ids]
+    m = len(edges)
+    steps, pairs = net.series_parallel
+    rows: dict[int, np.ndarray] = {}
+    splits: dict[int, np.ndarray] = {}
 
-    # a part is an edge id or (first, second, split), split None in series
-    merges = 0
-
-    def parallel(first: tuple, second: tuple) -> tuple:
-        nonlocal merges
-        merges += 1
-        value, split = _parallel_merge(first[0], second[0])
-        return value, (first[1], second[1], split)
-
-    pairs = fold_series_parallel(
-        net,
+    def take(part: int) -> np.ndarray:
+        """A part's M, dropped from ``rows`` as it is taken in."""
+        if part >= m:
+            return rows.pop(part)
+        lat = edges[part].latency
         # the zero polynomial CostPoly(()) evaluates to a scalar, not a row
-        lambda e: (e.latency(flows) if e.latency.coeffs else 0.0 * flows, e.id),
-        lambda first, second: (first[0] + second[0], (first[1], second[1], None)),
-        parallel,
-    )
+        return lat(flows) if lat.coeffs else 0.0 * flows
+
+    for k, (first, second, parallel) in enumerate(steps):
+        if parallel:
+            rows[m + k], splits[k] = _parallel_merge(take(first), take(second))
+        else:
+            rows[m + k] = take(first) + take(second)
     series_parallel = pairs.keys() == {(net.source, net.sink)}
     if series_parallel:
-        count, stack = 0, [(pairs[net.source, net.sink][1], grid)]
+        count, stack = 0, [(pairs[net.source, net.sink], grid)]
     else:
         names = []
-        for _, part in pairs.values():
-            while not isinstance(part, str):
-                part = part[0]
-            names.append(part)
+        for part in pairs.values():
+            while part >= m:
+                part = steps[part - m][0]
+            names.append(ids[part])
         # the core's latency rows are the pairs' M, so its polynomials go unused
-        edges = tuple(Edge(n, *pair, CostPoly(()), CostPoly(())) for n, pair in zip(names, pairs))
-        core = Network(net.nodes, edges, net.source, net.sink)
-        core_lat = dict(zip(names, (m for m, _ in pairs.values())))
+        core_edges = tuple(
+            Edge(n, *pair, CostPoly(()), CostPoly(())) for n, pair in zip(names, pairs)
+        )
+        core = Network(net.nodes, core_edges, net.source, net.sink)
+        core_lat = {n: take(part) for n, part in zip(names, pairs.values())}
         _, core_units, count = _lattice_maximum(core, core_lat, max_paths)
-        stack = [(part, core_units.get(n, 0)) for n, (_, part) in zip(names, pairs.values())]
-    edge_units: dict[str, int] = {}
+        stack = [(part, core_units.get(n, 0)) for n, part in zip(names, pairs.values())]
+    units = [0] * m
     while stack:
         part, j = stack.pop()
-        if isinstance(part, str):
-            edge_units[part] = j
+        if part < m:
+            units[part] = j
             continue
-        first, second, split = part
-        if split is None:  # in series both parts carry all j units
-            stack += [(first, j), (second, j)]
-        else:
-            i = int(split[j])
+        first, second, parallel = steps[part - m]
+        if parallel:
+            i = int(splits[part - m][j])
             stack += [(first, i), (second, j - i)]
-    emap = net.edge_map
-    value = _sweep_path(
-        net, [emap[e].latency(edge_units[e] * scale) for e in net.edge_position]
-    )[0]
-    count += merges * math.comb(grid + 2, 2)
-    units = decompose_edge_flow(net, edge_units)
-    flow = {p: amount * scale for p, amount in units.items()}
-    return OracleResult(value, flow, grid, count, series_parallel)
+        else:  # in series both parts carry all j units
+            stack += [(first, j), (second, j)]
+    value = _sweep_path(net, [e.latency(u * scale) for e, u in zip(edges, units)])[0]
+    count += len(splits) * math.comb(grid + 2, 2)
+    path_flow: dict[tuple[str, ...], float] = {}
+    sweep, left = net.sweep, grid
+    while left:
+        node, path = 0, []
+        while node < len(sweep):
+            pos, node = next((pos, head) for pos, head in sweep[node] if units[pos])
+            path.append(pos)
+        amount = min(units[pos] for pos in path)
+        for pos in path:
+            units[pos] -= amount
+        path_flow[tuple(ids[pos] for pos in path)] = amount * scale
+        left -= amount
+    return OracleResult(value, path_flow, grid, count, series_parallel)
 
 
 def _lattice_maximum(

@@ -8,13 +8,19 @@ is read as a standard deviation and path costs combine it as the root of the
 sum of squares. Nonnegative coefficients keep every cost nonnegative and
 nondecreasing on the nonnegative axis and make the Beckmann antiderivative
 exact, which the solvers rely on.
+
+A network derives its topology once, on first use: each edge's position
+among the sorted ids, the shortest-path sweep over a topological order and
+the series-parallel fold, both on those positions. The solvers, the report
+and the oracle walk these instead of the edges' ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, TypeVar
+from types import MappingProxyType
+from typing import Mapping
 
 import heapq
 import math
@@ -122,6 +128,66 @@ class Network:
                    if (j := where.get(e.head, last + 1)) <= last])
             for v in order[first:last]
         ])
+
+    @cached_property
+    def series_parallel(
+        self,
+    ) -> tuple[tuple[tuple[int, int, bool], ...], Mapping[tuple[str, str], int]]:
+        """The series and parallel reduction of Valdes, Tarjan and Lawler on
+        (tail, head) pairs, as read-only ``(steps, pairs)`` on parts: part
+        ``p`` below the number of edges m is the edge at position ``p``, and
+        step ``k = (first, second, parallel)`` joins two parts into part
+        m + k.
+
+        Every edge, in declaration order, brings its part to its pair; a pair
+        that already holds a part takes the edge in parallel after it. Then
+        series nodes are bypassed, the least node id first: an interior node
+        with one in-pair (u, node) and one out-pair (node, w), u != w, joins
+        their parts in series for the pair (u, w), in parallel after the part
+        of (u, w) when that pair exists. ``pairs`` maps each pair left to its
+        part, in the order the pairs were first made: the edges' pairs in
+        declaration order, then the bypasses'. The network is two-terminal
+        series-parallel between its source and sink exactly when the one pair
+        (source, sink) is left. Topology only, so it is made once per
+        network."""
+        position = self.edge_position
+        m = len(position)
+        src, dst = self.source, self.sink
+        steps: list[tuple[int, int, bool]] = []
+        pairs: dict[tuple[str, str], int] = {}
+        into: dict[str, set[str]] = {}
+        out: dict[str, set[str]] = {}
+
+        def put(tail: str, head: str, part: int) -> None:
+            key = (tail, head)
+            if key in pairs:
+                steps.append((pairs[key], part, True))
+                pairs[key] = m + len(steps) - 1
+            else:
+                pairs[key] = part
+                out.setdefault(tail, set()).add(head)
+                into.setdefault(head, set()).add(tail)
+
+        for e in self.edges:
+            put(e.tail, e.head, position[e.id])
+        # a heap of the nodes that may be series nodes: every interior node at
+        # first, then both ends of each bypass
+        waiting = sorted(into.keys() & out.keys() - {src, dst})
+        while waiting:
+            node = heapq.heappop(waiting)
+            ins, outs = into.get(node, ()), out.get(node, ())
+            if not len(ins) == len(outs) == 1 or ins == outs:
+                continue
+            (tail,), (head,) = ins, outs
+            del into[node], out[node]
+            out[tail].discard(node)
+            into[head].discard(node)
+            steps.append((pairs.pop((tail, node)), pairs.pop((node, head)), False))
+            put(tail, head, m + len(steps) - 1)
+            for v in (tail, head):
+                if v != src and v != dst:
+                    heapq.heappush(waiting, v)
+        return tuple(steps), MappingProxyType(pairs)
 
 
 @dataclass(frozen=True)
@@ -241,75 +307,10 @@ def social_cost(network: Network, flows: Mapping[str, float]) -> float:
     return sum(e.latency(flows[e.id]) * flows[e.id] for e in network.edges)
 
 
-# --- two-terminal series-parallel recognition ------------------------------
-
-T = TypeVar("T")
-
-
-def fold_series_parallel(
-    network: Network,
-    leaf: Callable[[Edge], T],
-    series: Callable[[T, T], T],
-    parallel: Callable[[T, T], T],
-) -> dict[tuple[str, str], T]:
-    """Fold the series and parallel parts of the network and return the
-    (tail, head) pairs left, each with its payload.
-
-    Every edge, in declaration order, brings ``leaf(edge)`` to its pair; an
-    edge whose pair already holds a payload p merges into it as
-    ``parallel(p, leaf(edge))``. Then series nodes are bypassed, the least
-    node id first: an interior node with one in-pair (u, node) and one
-    out-pair (node, w), u != w, is replaced by (u, w) carrying
-    ``series(p_in, p_out)``, merged by ``parallel`` after the payload of
-    (u, w) when that pair exists. The network is two-terminal
-    series-parallel between its source and sink exactly when this leaves
-    the single pair (source, sink). Pairs come out in the order they were
-    first made: the edges' pairs in declaration order, then the bypasses'.
-    """
-    src, dst = network.source, network.sink
-    pairs: dict[tuple[str, str], T] = {}
-    into: dict[str, set[str]] = {}
-    out: dict[str, set[str]] = {}
-
-    def put(tail: str, head: str, payload: T) -> None:
-        key = (tail, head)
-        if key in pairs:
-            pairs[key] = parallel(pairs[key], payload)
-        else:
-            pairs[key] = payload
-            out.setdefault(tail, set()).add(head)
-            into.setdefault(head, set()).add(tail)
-
-    for e in network.edges:
-        put(e.tail, e.head, leaf(e))
-    # a heap of the nodes that may be series nodes: every interior node at
-    # first, then both ends of each bypass
-    waiting = sorted(into.keys() & out.keys() - {src, dst})
-    while waiting:
-        node = heapq.heappop(waiting)
-        ins, outs = into.get(node, ()), out.get(node, ())
-        if not len(ins) == len(outs) == 1 or ins == outs:
-            continue
-        (tail,), (head,) = ins, outs
-        del into[node], out[node]
-        out[tail].discard(node)
-        into[head].discard(node)
-        put(tail, head, series(pairs.pop((tail, node)), pairs.pop((node, head))))
-        for v in (tail, head):
-            if v != src and v != dst:
-                heapq.heappush(waiting, v)
-    return pairs
-
-
 def is_series_parallel(network: Network) -> bool:
     """True when the network is two-terminal series-parallel between its
-    source and sink: :func:`fold_series_parallel` leaves only that pair."""
-
-    def payload(*_: object) -> bool:
-        return True
-
-    pairs = fold_series_parallel(network, payload, payload, payload)
-    return pairs.keys() == {(network.source, network.sink)}
+    source and sink: :attr:`Network.series_parallel` leaves only that pair."""
+    return network.series_parallel[1].keys() == {(network.source, network.sink)}
 
 
 def is_braess_topology(network: Network) -> bool:

@@ -68,10 +68,6 @@ class ConvergenceError(RuntimeError):
     unreachable sink) or the solve stopped short of its tolerance."""
 
 
-class ConservationError(ValueError):
-    """Edge flows do not satisfy flow conservation."""
-
-
 class ZeroCostPathWarning(UserWarning):
     """Cheapest path cost is zero; relative gap degraded to absolute."""
 
@@ -906,34 +902,3 @@ def solve_pair(
                 f"after {result.iterations} iterations ({result.stop_reason})"
             )
     return x, z
-
-
-def decompose_edge_flow(
-    network: Network, units: Mapping[str, int]
-) -> dict[tuple[str, ...], int]:
-    """Path decomposition of a conserved integer edge flow on an acyclic
-    network; an edge missing from ``units`` carries no flow.
-
-    Each path walks from the source along the first out-edge (in edge-id
-    order) with flow left, which starts the lexicographically first path
-    with flow left since flow entering a node leaves it, and carries that
-    path's least flow. A walk stranded before the sink, or flow left over,
-    means the flow was negative or not conserved: ConservationError.
-    """
-    residual = dict(units)
-    out: dict[tuple[str, ...], int] = {}
-    while any(residual.get(e.id, 0) > 0 for e in network.out_edges[network.source]):
-        node, path = network.source, []
-        while node != network.sink:
-            left = [e for e in network.out_edges.get(node, ()) if residual.get(e.id, 0) > 0]
-            if not left:
-                raise ConservationError(f"flow into {node!r} does not reach the sink")
-            path.append(left[0].id)
-            node = left[0].head
-        amount = min(map(residual.__getitem__, path))
-        for eid in path:
-            residual[eid] -= amount
-        out[tuple(path)] = amount
-    if any(residual.values()):
-        raise ConservationError("decomposition left flow on some edge")
-    return out

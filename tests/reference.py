@@ -9,12 +9,15 @@ the separable edge costs as ``CostPoly`` objects with their Beckmann
 potential; the solve's and the report's edge tables by ``CostPoly`` calls;
 the transfer derivative with one sum per degree, the path Jacobian summed
 pair by pair in full and the path dependency by exact elimination alone;
-and the scalar Braess sigma inequality. Tests assert that the library's
-values equal these, to the bit where the arithmetic is the same."""
+the scalar Braess sigma inequality; and the path decomposition of an
+integer edge flow keyed by id, which refuses one that is not conserved.
+Tests assert that the library's values equal these, to the bit where the
+arithmetic is the same."""
 
 import math
 from itertools import zip_longest
 from types import SimpleNamespace
+from typing import Mapping
 
 from riskroute import solvers
 from riskroute.analysis import SIGMA_SLACK
@@ -302,3 +305,38 @@ def braess_stdev_inequality(a: float, b: float, c: float, d: float, e: float):
     rhs = b + c
     precondition = a**2 + e**2 <= c**2 or e**2 + d**2 <= b**2
     return SimpleNamespace(precondition=precondition, lhs=lhs, rhs=rhs, holds=lhs <= rhs + SIGMA_SLACK)
+
+
+class ConservationError(ValueError):
+    """Edge flows do not satisfy flow conservation."""
+
+
+def decompose_edge_flow(
+    network: Network, units: Mapping[str, int]
+) -> dict[tuple[str, ...], int]:
+    """Path decomposition of a conserved integer edge flow on an acyclic
+    network; an edge missing from ``units`` carries no flow.
+
+    Each path walks from the source along the first out-edge (in edge-id
+    order) with flow left, which starts the lexicographically first path
+    with flow left since flow entering a node leaves it, and carries that
+    path's least flow. A walk stranded before the sink, or flow left over,
+    means the flow was negative or not conserved: ConservationError.
+    """
+    residual = dict(units)
+    out: dict[tuple[str, ...], int] = {}
+    while any(residual.get(e.id, 0) > 0 for e in network.out_edges[network.source]):
+        node, path = network.source, []
+        while node != network.sink:
+            left = [e for e in network.out_edges.get(node, ()) if residual.get(e.id, 0) > 0]
+            if not left:
+                raise ConservationError(f"flow into {node!r} does not reach the sink")
+            path.append(left[0].id)
+            node = left[0].head
+        amount = min(map(residual.__getitem__, path))
+        for eid in path:
+            residual[eid] -= amount
+        out[tuple(path)] = amount
+    if any(residual.values()):
+        raise ConservationError("decomposition left flow on some edge")
+    return out

@@ -758,7 +758,7 @@ def _lattice_oracle(instance, grid, max_paths=DEFAULT_ORACLE_MAX_PATHS):
     flows = np.arange(grid + 1) * step
     lat = {e.id: e.latency(flows) for e in net.edges}
     value, units, points = analysis._lattice_maximum(net, lat, max_paths)
-    path_flow = {p: n * step for p, n in solvers.decompose_edge_flow(net, units).items()}
+    path_flow = {p: n * step for p, n in reference.decompose_edge_flow(net, units).items()}
     return SimpleNamespace(value=value, path_flow=path_flow, points=points)
 
 
@@ -784,9 +784,10 @@ def test_oracle_pigou_at_a_million_units():
 
 
 def test_oracle_memory_stays_near_one_latency_table():
-    """Each edge's latency row comes from its own CostPoly and is folded
-    away as the fold goes, so the traced peak stays near the bytes of an
-    (edges x grid+1) table of floats, not a multiple of it."""
+    """Each edge's latency row comes from its own CostPoly when a fold step
+    first takes it in, and each part's row is dropped once merged, so the
+    traced peak stays below the bytes of an (edges x grid+1) table of
+    floats."""
     instance = make("random_sp", seed=4, budget=200)
     grid = 10_000
     tracemalloc.start()
@@ -796,7 +797,28 @@ def test_oracle_memory_stays_near_one_latency_table():
     finally:
         tracemalloc.stop()
     table = len(instance.network.edges) * (grid + 1) * 8
-    assert peak <= 1.5 * table, peak / table
+    assert peak <= 0.8 * table, peak / table
+
+
+def test_the_fold_is_made_once_per_network(monkeypatch):
+    """Two oracle calls and a recognition on one network fold it once, and
+    the pairs every caller shares cannot be written."""
+    fold = Network.series_parallel.func
+    calls = []
+
+    def counted(network):
+        calls.append(network)
+        return fold(network)
+
+    monkeypatch.setattr(Network.series_parallel, "func", counted)
+    instance = make("zigzag", k=2)
+    for grid in (10, 20):
+        max_shortest_path_oracle(instance, grid=grid, max_paths=10)
+    assert not is_series_parallel(instance.network)
+    assert len(calls) == 1
+    pairs = instance.network.series_parallel[1]
+    with pytest.raises(TypeError):
+        pairs["s", "t"] = 0
 
 
 def test_oracle_takes_the_zero_polynomial_as_zero_latency():
@@ -1190,6 +1212,83 @@ def test_folded_oracle_matches_the_raw_lattice_off_series_parallel():
         checked += 1
         folded += result.points != lattice.points
     assert checked >= 100 and folded >= 90
+
+
+def _edge_units(result, instance, names=None):
+    """The oracle maximizer's units on each edge, ids mapped through
+    ``names`` when given."""
+    step = instance.demand / result.grid
+    units = {}
+    for path, amount in result.path_flow.items():
+        for eid in path:
+            key = names[eid] if names else eid
+            units[key] = units.get(key, 0) + round(amount / step)
+    return units
+
+
+def test_relabeled_ids_leave_the_oracle_alone():
+    """The fold runs in declaration order and node ids, so renaming the
+    edges to reverse their id order leaves a series-parallel oracle's value
+    bits, points and maximizer's edge units alone: oracle-suite seeds 0-299
+    at grid 100 and random_sp budget 60 seeds 0-9 at grid 1000. The core
+    lattice's order follows ids, so on bound-chain draws 0-99 at grid 20
+    only the value must match, within round-off."""
+    cases = [(suites.random_sp(seed, max_budget=4, max_paths=6), 100) for seed in range(300)]
+    cases += [(make("random_sp", seed=seed, budget=60), 1000) for seed in range(10)]
+    for instance, grid in cases:
+        copy = _relabeled(instance)
+        back = {r.id: e.id for r, e in zip(copy.network.edges, instance.network.edges)}
+        result = max_shortest_path_oracle(instance, grid=grid)
+        renamed = max_shortest_path_oracle(copy, grid=grid)
+        got = (renamed.value.hex(), renamed.points, _edge_units(renamed, copy, back))
+        want = (result.value.hex(), result.points, _edge_units(result, instance))
+        assert got == want, instance.name
+    for seed in range(100):
+        instance = suites.random_general(seed)
+        value = max_shortest_path_oracle(instance, grid=20, max_paths=12).value
+        renamed = max_shortest_path_oracle(_relabeled(instance), grid=20, max_paths=12).value
+        assert abs(renamed - value) <= 1e-12 * abs(value), seed
+
+
+def _upper_fold(instance, grid):
+    """An upper bound U on the largest shortest-path latency over every
+    flow, not only the grid's: the oracle's fold with each edge's row read
+    one unit up, row index i holding the latency at i + 1 units. By
+    induction over the fold, a part's row at index i bounds its largest
+    shortest-path latency at any flow of at most i + 1 units, since two
+    flows t1 + t2 <= (i + 1) units are each at most i1 + 1 and i2 + 1 units
+    with i1 + i2 <= i. U is the (source, sink) row at index grid - 1."""
+    net = instance.network
+    steps, pairs = net.series_parallel
+    flows = np.arange(1, grid + 1) * (instance.demand / grid)
+    # adding 0.0 * flows makes a row of the zero polynomial's scalar
+    rows = [net.edge_map[eid].latency(flows) + 0.0 * flows for eid in net.edge_position]
+    for first, second, parallel in steps:
+        a, b = rows[first], rows[second]
+        rows.append(analysis._parallel_merge(a, b)[0] if parallel else a + b)
+    return float(rows[pairs[net.source, net.sink]][grid - 1])
+
+
+def test_the_equilibrium_lies_between_the_oracle_and_the_upper_fold():
+    """Both sides of the series-parallel theorem: the equilibrium's shortest
+    path S(z) is at least the grid maximum L and at most the upper fold's U,
+    which bounds the maximum over all flows, on oracle-suite seeds 0-299 at
+    grid 1000."""
+    for seed in range(300):
+        instance = suites.random_sp(seed, max_budget=4, max_paths=6)
+        best = solve_rnwe(instance).min_path_cost
+        lower = max_shortest_path_oracle(instance, grid=1000).value
+        assert within(lower, best), seed
+        assert within(best, _upper_fold(instance, 1000)), seed
+
+
+def test_upper_fold_catches_a_tenth_of_a_percent_excess():
+    """At grid 10^4 the upper fold is tight enough to reject S(z) inflated
+    by 0.1% on every oracle-suite seed 0-49."""
+    for seed in range(50):
+        instance = suites.random_sp(seed, max_budget=4, max_paths=6)
+        best = solve_rnwe(instance).min_path_cost
+        assert not within(best * (1 + 1e-3), _upper_fold(instance, 10_000)), seed
 
 
 def _twin_braess():

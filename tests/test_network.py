@@ -14,7 +14,6 @@ from riskroute.network import (
     Instance,
     Network,
     PathCountError,
-    fold_series_parallel,
     is_braess_topology,
     is_series_parallel,
     social_cost,
@@ -292,14 +291,16 @@ def test_dead_end_or_cycle_is_not_series_parallel():
 
 def test_fold_returns_the_pairs_left():
     """Zigzag k=2 folds its two series nodes u01 and w02 and leaves a Braess
-    core of five pairs, in the order they were first made; each payload
-    lists its edges in fold order. Pigou folds to the pair (s, t)."""
+    core of five pairs, in the order they were first made; each part lists
+    its edges in fold order. Pigou folds to the pair (s, t)."""
 
     def fold(instance):
-        return fold_series_parallel(instance.network, lambda e: (e.id,), join, join)
-
-    def join(first, second):
-        return first + second
+        network = instance.network
+        steps, pairs = network.series_parallel
+        parts = [(eid,) for eid in network.edge_position]
+        for first, second, _ in steps:
+            parts.append(parts[first] + parts[second])
+        return {pair: parts[part] for pair, part in pairs.items()}
 
     pairs = fold(make("zigzag", k=2))
     assert list(pairs.items()) == [

@@ -1,5 +1,6 @@
 """Equilibrium solvers: the active-set Newton loop in every cost mode, gap
-certificates, the zero-cost warning, flow decomposition."""
+certificates, the zero-cost warning, and the reference flow decomposition
+that the oracle's path flows are checked against."""
 
 import dataclasses
 import itertools
@@ -28,14 +29,12 @@ from riskroute.network import (
 from riskroute.solvers import (
     DEFAULT_TOL,
     RISK_NEUTRAL,
-    ConservationError,
     ConvergenceError,
     Flow,
     ZeroCostPathWarning,
     _newton_step,
     _path_dependency,
     _transfer_derivative,
-    decompose_edge_flow,
     solve_pair,
     solve_rawe,
     solve_rnwe,
@@ -44,6 +43,7 @@ from riskroute.solvers import (
 
 import reference
 from paths import enumerate_simple_paths
+from reference import ConservationError, decompose_edge_flow
 
 seeds = st.integers(min_value=0, max_value=5_000)
 
@@ -1377,22 +1377,24 @@ def test_decompose_matches_the_path_list_greedy():
             assert list(walked.items()) == list(_greedy_decompose(paths, edges).items())
 
 
-def test_decompose_matches_the_path_list_greedy_on_oracle_maximizers(monkeypatch):
+def test_decompose_matches_the_path_list_greedy_on_oracle_maximizers():
     """The oracle's maximizing edge flow on every oracle-suite seed 0-999 at
-    its default grid decomposes as the greedy over the enumerated paths."""
+    its default grid decomposes as the greedy over the enumerated paths, and
+    the oracle's own path flows are that decomposition, in its order."""
     seen = []
-
-    def both(network, units):
-        paths = enumerate_simple_paths(network)
-        walked = decompose_edge_flow(network, units)
-        assert list(walked.items()) == list(_greedy_decompose(paths, units).items())
-        seen.append(walked)
-        return walked
-
-    monkeypatch.setattr(analysis, "decompose_edge_flow", both)
     for seed in range(1000):
         instance = suites.random_sp(seed, max_budget=4, max_paths=6)
-        analysis.max_shortest_path_oracle(instance)
+        network = instance.network
+        result = analysis.max_shortest_path_oracle(instance)
+        step = instance.demand / result.grid
+        paths = list(result.path_flow)
+        units = _integer_edge_flow(paths, [round(f / step) for f in result.path_flow.values()])
+        units = {e.id: 0 for e in network.edges} | units
+        walked = decompose_edge_flow(network, units)
+        greedy = _greedy_decompose(enumerate_simple_paths(network), units)
+        assert list(walked.items()) == list(greedy.items())
+        assert list(result.path_flow.items()) == [(p, n * step) for p, n in walked.items()], seed
+        seen.append(walked)
     assert len(seen) == 1000
 
 
