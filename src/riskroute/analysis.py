@@ -25,12 +25,12 @@ from .alternating import (
 from .network import (
     RISK_MEAN_STDEV,
     RISK_MEAN_VAR,
-    CostPoly,
     Edge,
     Instance,
     Network,
     PathCountError,
     is_braess_topology,
+    poly_value,
 )
 from .solvers import RISK_NEUTRAL, EquilibriumResult, _sweep_path
 
@@ -53,19 +53,19 @@ def _edge_table(network: Network, flows: Mapping[str, float]) -> _EdgeTable:
     risk/latency, in one pass over the edges in declaration order.
 
     The polynomials are evaluated from their coefficient tuples by
-    CostPoly.__call__'s Horner steps, and the social cost is the builtin sum
-    of its terms in edge order, so every value equals, to the bit, the one
-    the CostPoly calls and a sum over the edges give. Kappa counts 0/0 as 0
-    and positive risk over zero latency as infinite."""
+    :func:`poly_value`'s Horner steps, and the social cost is the builtin
+    sum of its terms in edge order, so every value equals, to the bit, the
+    one the poly_value calls and a sum over the edges give. Kappa counts
+    0/0 as 0 and positive risk over zero latency as infinite."""
     position = network.edge_position
     lat, risk = [0.0] * len(position), [0.0] * len(position)
     terms = []
     kappa = 0.0
     for e in network.edges:
         f, a, b = flows[e.id], 0.0, 0.0
-        for c in reversed(e.latency.coeffs):
+        for c in reversed(e.latency):
             a = a * f + c
-        for c in reversed(e.risk.coeffs):
+        for c in reversed(e.risk):
             b = b * f + c
         pos = position[e.id]
         lat[pos], risk[pos] = a, b
@@ -163,7 +163,7 @@ def pra_report(
     ``deviation``), and prices no path: S(z) is z's ``min_path_cost``.
     Each flow's edge latencies and risks, social cost and kappa come from
     one pass over the edges (:func:`_edge_table`), which reads the cost
-    polynomials' coefficient tuples and calls no CostPoly method. The
+    polynomials' coefficient tuples and calls no :func:`poly_value`. The
     checks are :class:`BoundCheck` rows, immutable named tuples.
 
     The checks come from one table, in report order. A row gives a check's
@@ -473,7 +473,7 @@ def max_shortest_path_oracle(
 
     The fold of :attr:`Network.series_parallel` is walked step by step,
     each part carrying M(j), the largest shortest-path latency it reaches at
-    j units, and how to split them: an edge's M is its own :class:`CostPoly`
+    j units, and how to split them: an edge's M is its latency polynomial
     evaluated at 0, 1, ..., grid units, a series step adds M1 + M2, and a
     parallel one takes M(j) = max over i <= j of min(M1(i), M2(j - i)),
     keeping the first maximizing i. Every integer flow splits over the
@@ -507,7 +507,7 @@ def max_shortest_path_oracle(
         raise ValueError(f"oracle max_paths must be a positive integer (got {max_paths})")
     net = instance.network
     for e in net.edges:
-        if not all(0.0 <= c < math.inf for c in e.latency.coeffs):
+        if not all(0.0 <= c < math.inf for c in e.latency):
             raise ValueError(
                 f"the oracle needs nondecreasing latencies: edge {e.id!r} has"
                 " a negative or non-finite latency coefficient"
@@ -527,8 +527,8 @@ def max_shortest_path_oracle(
         if part >= m:
             return rows.pop(part)
         lat = edges[part].latency
-        # the zero polynomial CostPoly(()) evaluates to a scalar, not a row
-        return lat(flows) if lat.coeffs else 0.0 * flows
+        # the zero polynomial () evaluates to a scalar, not a row
+        return poly_value(lat, flows) if lat else 0.0 * flows
 
     for k, (first, second, parallel) in enumerate(steps):
         if parallel:
@@ -545,9 +545,7 @@ def max_shortest_path_oracle(
                 part = steps[part - m][0]
             names.append(ids[part])
         # the core's latency rows are the pairs' M, so its polynomials go unused
-        core_edges = tuple(
-            Edge(n, *pair, CostPoly(()), CostPoly(())) for n, pair in zip(names, pairs)
-        )
+        core_edges = tuple(Edge(n, *pair, (), ()) for n, pair in zip(names, pairs))
         core = Network(net.nodes, core_edges, net.source, net.sink)
         core_lat = {n: take(part) for n, part in zip(names, pairs.values())}
         _, core_units, count = _lattice_maximum(core, core_lat, max_paths)
@@ -564,7 +562,7 @@ def max_shortest_path_oracle(
             stack += [(first, i), (second, j - i)]
         else:  # in series both parts carry all j units
             stack += [(first, j), (second, j)]
-    value = _sweep_path(net, [e.latency(u * scale) for e, u in zip(edges, units)])[0]
+    value = _sweep_path(net, [poly_value(e.latency, u * scale) for e, u in zip(edges, units)])[0]
     count += len(splits) * math.comb(grid + 2, 2)
     path_flow: dict[tuple[str, ...], float] = {}
     sweep, left = net.sweep, grid

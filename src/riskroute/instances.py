@@ -17,10 +17,10 @@ from typing import Any, Callable, Mapping
 from .network import (
     RISK_MEAN_VAR,
     RISK_MODELS,
-    CostPoly,
     Edge,
     Instance,
     Network,
+    poly_value,
 )
 
 class InstanceFormatError(ValueError):
@@ -31,7 +31,7 @@ class InstanceFormatError(ValueError):
 
 
 def _edge(eid: str, tail: str, head: str, latency, risk=(0.0,)) -> Edge:
-    return Edge(eid, tail, head, *(CostPoly(tuple(map(float, c))) for c in (latency, risk)))
+    return Edge(eid, tail, head, tuple(map(float, latency)), tuple(map(float, risk)))
 
 
 def _pigou(gamma: float, kappa: float, risk_model: str) -> Instance:
@@ -143,9 +143,7 @@ def _random_risk(
     if rng.random() < 0.25:
         return (0.0,)
     raw = [rng.uniform(0.0, 1.0) for _ in range(rng.randint(1, 3))]
-    peak = 0.0  # the raw polynomial at the demand, as CostPoly evaluates it
-    for c in reversed(raw):
-        peak = peak * demand + c
+    peak = poly_value(raw, demand)
     if peak <= 0.0:
         return (0.0,)
     scale = target * rng.uniform(0.3, 1.0) * latency[0] / peak
@@ -170,17 +168,22 @@ def _random_sp(
     edge_counter = 1
 
     def path_count() -> int:
-        # paths through the current SP multigraph, counted by DP over a
-        # topological-ish expansion; graphs here are tiny, so DFS is fine
+        # source-sink paths of the current multigraph, by a DP over an
+        # explicit stack: a node is counted once all its heads are
+        heads: dict[str, list[str]] = {}
+        for tail, head in edges.values():
+            heads.setdefault(tail, []).append(head)
         memo: dict[str, int] = {"t": 1}
-
-        def count(v: str) -> int:
-            if v in memo:
-                return memo[v]
-            memo[v] = sum(count(h) for (t0, h) in edges.values() if t0 == v)
-            return memo[v]
-
-        return count("s")
+        stack = ["s"]
+        while stack:
+            v = stack[-1]
+            waiting = [h for h in heads.get(v, ()) if h not in memo]
+            if waiting:
+                stack += waiting
+            else:
+                memo[v] = sum(memo[h] for h in heads.get(v, ()))
+                stack.pop()
+        return memo["s"]
 
     for _ in range(budget):
         op = rng.choice(("series", "parallel"))
@@ -400,6 +403,9 @@ def read_instance(data: bytes | str) -> Instance:
         raise InstanceFormatError("field 'nodes' must be a list of strings")
     if not isinstance(doc["edges"], list):
         raise InstanceFormatError("field 'edges' must be a list")
+    # an endpoint that names a declared node holds that node's string, so a
+    # loaded network keeps one string object per name
+    names = {v: v for v in doc["nodes"]}
     edges = []
     for i, edoc in enumerate(doc["edges"]):
         if not isinstance(edoc, dict):
@@ -411,10 +417,10 @@ def read_instance(data: bytes | str) -> Instance:
         edges.append(
             Edge(
                 id=edoc["id"],
-                tail=edoc["tail"],
-                head=edoc["head"],
-                latency=CostPoly(_number_list(edoc["latency"], "latency", i)),
-                risk=CostPoly(_number_list(edoc["risk"], "risk", i)),
+                tail=names.get(edoc["tail"], edoc["tail"]),
+                head=names.get(edoc["head"], edoc["head"]),
+                latency=_number_list(edoc["latency"], "latency", i),
+                risk=_number_list(edoc["risk"], "risk", i),
             )
         )
     for key in ("source", "sink"):
@@ -427,8 +433,8 @@ def read_instance(data: bytes | str) -> Instance:
     net = Network(
         nodes=tuple(doc["nodes"]),
         edges=tuple(edges),
-        source=doc["source"],
-        sink=doc["sink"],
+        source=names.get(doc["source"], doc["source"]),
+        sink=names.get(doc["sink"], doc["sink"]),
     )
     return Instance(
         network=net,
@@ -473,8 +479,8 @@ def write_instance(instance: Instance) -> bytes:
                 f'"id": {_scalar(e.id)}',
                 f'"tail": {_scalar(e.tail)}',
                 f'"head": {_scalar(e.head)}',
-                f'"latency": {_layout(list(map(_scalar, e.latency.coeffs)), "      ")}',
-                f'"risk": {_layout(list(map(_scalar, e.risk.coeffs)), "      ")}',
+                f'"latency": {_layout(list(map(_scalar, e.latency)), "      ")}',
+                f'"risk": {_layout(list(map(_scalar, e.risk)), "      ")}',
             ],
             "    ",
             "{}",

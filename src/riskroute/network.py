@@ -7,12 +7,14 @@ is read as a variance and path costs add it linearly; under ``mean-stdev`` it
 is read as a standard deviation and path costs combine it as the root of the
 sum of squares. Nonnegative coefficients keep every cost nonnegative and
 nondecreasing on the nonnegative axis and make the Beckmann antiderivative
-exact, which the solvers rely on.
+exact, which the solvers rely on. An edge holds each polynomial as a tuple of
+coefficients in ascending powers, and :func:`poly_value` evaluates one.
 
 A network derives its topology once, on first use: each edge's position
 among the sorted ids, the shortest-path sweep over a topological order and
 the series-parallel fold, both on those positions. The solvers, the report
-and the oracle walk these instead of the edges' ids.
+and the oracle walk these instead of the edges' ids. A pickled or copied
+network carries its fields alone and derives its topology again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import heapq
 import math
@@ -35,31 +37,28 @@ class PathCountError(RuntimeError):
     caller's cap allows."""
 
 
-@dataclass(frozen=True)
-class CostPoly:
-    """Polynomial cost function of flow; ``coeffs[i]`` multiplies ``flow**i``.
-
-    Coefficients are expected to be nonnegative (validate_instance reports
-    violations); the constructor is permissive so that invalid files can be
-    parsed first and judged afterwards.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+def poly_value(coeffs: Sequence[float], x):
+    """The polynomial with coefficients ``coeffs`` in ascending powers at
+    ``x``, a float or a numpy array, by Horner's steps. The zero polynomial
+    ``()`` is the scalar 0.0, on an array too."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
+    """An edge and its two cost polynomials, each a tuple of coefficients in
+    ascending powers. Coefficients are expected to be nonnegative
+    (validate_instance reports violations); the record is permissive so
+    that invalid files can be parsed first and judged afterwards."""
+
     id: str
     tail: str
     head: str
-    latency: CostPoly
-    risk: CostPoly
+    latency: tuple[float, ...]
+    risk: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,11 @@ class Network:
     edges: tuple[Edge, ...]
     source: str
     sink: str
+
+    def __getstate__(self) -> dict:
+        # the fields alone: the cached topology is rebuilt on first use, and
+        # the fold's read-only pairs cannot be pickled
+        return {"nodes": self.nodes, "edges": self.edges, "source": self.source, "sink": self.sink}
 
     @cached_property
     def edge_map(self) -> dict[str, Edge]:
@@ -190,7 +194,7 @@ class Network:
         return tuple(steps), MappingProxyType(pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """A routing instance: network, demand, risk appetite, risk model."""
 
@@ -234,8 +238,8 @@ def _edge_size(edge: Edge, demand: float, gamma: float) -> float:
     integral. Summed over the edges, it bounds every path cost and every sum
     the solvers form."""
     scale = max(demand, 1.0)
-    risk = edge.risk(2.0 * scale)
-    return scale * (edge.latency(2.0 * scale) + gamma * risk) + risk * risk
+    risk = poly_value(edge.risk, 2.0 * scale)
+    return scale * (poly_value(edge.latency, 2.0 * scale) + gamma * risk) + risk * risk
 
 
 def validate_instance(instance: Instance) -> Validation:
@@ -270,9 +274,9 @@ def validate_instance(instance: Instance) -> Validation:
         coeffs_ok = True
         for label, poly in (("latency", e.latency), ("risk", e.risk)):
             # one pass in the common case; NaN fails both comparisons
-            if not all(0.0 <= c < math.inf for c in poly.coeffs):
+            if not all(0.0 <= c < math.inf for c in poly):
                 coeffs_ok = False
-                finite = all(map(math.isfinite, poly.coeffs))
+                finite = all(map(math.isfinite, poly))
                 kind = "negative" if finite else "non-finite"
                 bad.append(f"edge {e.id!r}: {kind} coefficient in {label}")
         if coeffs_ok and scale_ok:
@@ -304,7 +308,7 @@ def validate_instance(instance: Instance) -> Validation:
 
 def social_cost(network: Network, flows: Mapping[str, float]) -> float:
     """Total experienced latency sum(f_e * latency_e(f_e))."""
-    return sum(e.latency(flows[e.id]) * flows[e.id] for e in network.edges)
+    return sum(poly_value(e.latency, flows[e.id]) * flows[e.id] for e in network.edges)
 
 
 def is_series_parallel(network: Network) -> bool:

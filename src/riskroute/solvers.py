@@ -123,13 +123,12 @@ def _edge_costs(instance: Instance, mode: str) -> list[tuple[float, ...]]:
     net = instance.network
     edges = map(net.edge_map.__getitem__, net.edge_position)
     if mode == RISK_NEUTRAL:
-        return [e.latency.coeffs for e in edges]
+        return [e.latency for e in edges]
     if mode == RISK_MEAN_VAR:
         g = instance.gamma
         return [
-            tuple([x + g * y for x, y in zip_longest(*coeffs, fillvalue=0.0)])
+            tuple([x + g * y for x, y in zip_longest(e.latency, e.risk, fillvalue=0.0)])
             for e in edges
-            for coeffs in [(e.latency.coeffs, e.risk.coeffs)]
         ]
     raise ValueError(f"no separable edge cost under mode {mode!r}")
 
@@ -456,11 +455,12 @@ class _PathPool:
     each edge's flow at its last pricing (``at``) and two values at that
     flow (``table``), the edge's cost and Beckmann potential term under a
     separable mode, its latency and variance (squared risk) under mean-stdev.
-    They are priced by CostPoly's Horner steps from coefficient tuples:
-    ``costs``, each edge's separable cost, or its latency under mean-stdev,
-    whose risks are in ``risks``. The table starts at zero flow, where on
-    coefficients in [0, inf) (-0.0 too) those steps give the constant
-    coefficient plus 0.0, 0.0 for no coefficients, and a potential term of 0.0."""
+    They are priced by :func:`poly_value`'s Horner steps from coefficient
+    tuples: ``costs``, each edge's separable cost, or its latency under
+    mean-stdev, whose risks are in ``risks``. The table starts at zero flow,
+    where on coefficients in [0, inf) (-0.0 too) those steps give the
+    constant coefficient plus 0.0, 0.0 for no coefficients, and a potential
+    term of 0.0."""
 
     def __init__(self, instance: Instance, mode: str) -> None:
         self.instance = instance
@@ -472,7 +472,7 @@ class _PathPool:
         else:
             net = instance.network
             self.costs = _edge_costs(instance, RISK_NEUTRAL)  # the latencies
-            self.risks = [net.edge_map[eid].risk.coeffs for eid in net.edge_position]
+            self.risks = [net.edge_map[eid].risk for eid in net.edge_position]
             second = [(c[0] + 0.0 if c else 0.0) ** 2 for c in self.risks]
         first = [c[0] + 0.0 if c else 0.0 for c in self.costs]
         self.at = [0.0] * len(self.costs)
@@ -500,7 +500,7 @@ class _PathPool:
                         term = term * f + x / k
                         k -= 1
                     first[pos], second[pos] = value, term * f
-                else:  # CostPoly.__call__ on the latency and the risk
+                else:  # poly_value on the latency and the risk
                     for x in reversed(c):
                         value = value * f + x
                     for x in reversed(self.risks[pos]):
@@ -645,7 +645,7 @@ def _independent_support(
 
 def _value_slope(coeffs: Sequence[float], f: float) -> tuple[float, float]:
     """A polynomial's value and derivative at ``f`` from its coefficients,
-    both by CostPoly.__call__'s Horner steps (on i * coeffs[i] for the slope)."""
+    both by :func:`poly_value`'s Horner steps (on i * coeffs[i] for the slope)."""
     value = slope = 0.0
     for i in range(len(coeffs) - 1, -1, -1):
         value = value * f + coeffs[i]

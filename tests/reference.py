@@ -4,9 +4,9 @@ The library prices on edge positions alone and brings ids back only in its
 results. This module holds what tests compare it with: the shortest path
 by a label DP keyed by edge id; path flows made into a ``Flow``, their edge
 flows and their path costs; a flow's relative gap and its cheapest path,
-found by the library's own search through ids; a ``CostPoly``'s derivative;
-the separable edge costs as ``CostPoly`` objects with their Beckmann
-potential; the solve's and the report's edge tables by ``CostPoly`` calls;
+found by the library's own search through ids; a polynomial's derivative;
+the separable edge costs as coefficient tuples with their Beckmann
+potential; the solve's and the report's edge tables by ``poly_value`` calls;
 the transfer derivative with one sum per degree, the path Jacobian summed
 pair by pair in full and the path dependency by exact elimination alone;
 the scalar Braess sigma inequality; and the path decomposition of an
@@ -25,9 +25,9 @@ from riskroute.network import (
     RISK_MEAN_STDEV,
     RISK_MEAN_VAR,
     RISK_MODELS,
-    CostPoly,
     Instance,
     Network,
+    poly_value,
 )
 from riskroute.solvers import FLOW_SUM_TOL, RISK_NEUTRAL, ConvergenceError, Flow
 
@@ -58,36 +58,37 @@ def shortest_path(network: Network, costs) -> tuple[float, tuple[str, ...]]:
     raise ConvergenceError(f"sink {network.sink!r} unreachable from source")
 
 
-def cost_polys(instance: Instance, mode: str) -> dict[str, CostPoly]:
-    """Each edge's separable cost under ``mode``: the latency, or
-    latency + gamma * risk under mean-var."""
+def cost_polys(instance: Instance, mode: str) -> dict[str, tuple[float, ...]]:
+    """Each edge's separable cost coefficients under ``mode``: the
+    latency's, or latency + gamma * risk under mean-var."""
     edges = instance.network.edges
     if mode == RISK_NEUTRAL:
         return {e.id: e.latency for e in edges}
     return {e.id: scaled_plus(e.latency, e.risk, instance.gamma) for e in edges}
 
 
-def scaled_plus(poly: CostPoly, other: CostPoly, scale: float) -> CostPoly:
+def scaled_plus(poly, other, scale: float) -> tuple[float, ...]:
     """Coefficientwise ``poly + scale * other``, the shorter padded with
     zeros."""
-    pairs = zip_longest(poly.coeffs, other.coeffs, fillvalue=0.0)
-    return CostPoly(tuple([x + scale * y for x, y in pairs]))
+    pairs = zip_longest(poly, other, fillvalue=0.0)
+    return tuple([x + scale * y for x, y in pairs])
 
 
-def derivative(poly: CostPoly, x: float) -> float:
-    """The derivative of ``poly`` at ``x`` by Horner steps on the
-    coefficients i * coeffs[i]."""
+def derivative(poly, x: float) -> float:
+    """The derivative of the coefficients ``poly`` at ``x`` by Horner steps
+    on the coefficients i * poly[i]."""
     acc = 0.0
-    for i in reversed(range(1, len(poly.coeffs))):
-        acc = acc * x + i * poly.coeffs[i]
+    for i in reversed(range(1, len(poly))):
+        acc = acc * x + i * poly[i]
     return acc
 
 
-def integral(poly: CostPoly, x: float) -> float:
-    """The antiderivative of ``poly`` at ``x``, zero at the origin."""
+def integral(poly, x: float) -> float:
+    """The antiderivative of the coefficients ``poly`` at ``x``, zero at the
+    origin."""
     acc = 0.0
-    for i in reversed(range(len(poly.coeffs))):
-        acc = acc * x + poly.coeffs[i] / (i + 1)
+    for i in reversed(range(len(poly))):
+        acc = acc * x + poly[i] / (i + 1)
     return acc * x
 
 
@@ -100,31 +101,31 @@ def solve_table(instance: Instance, mode: str, flows) -> tuple[dict, dict]:
     """A solve's edge table at ``flows`` (at zero flow, where a solve
     starts, when ``flows`` is None): each edge's separable cost and Beckmann
     potential term, or its latency and squared risk under mean-stdev, each
-    a CostPoly call."""
+    a poly_value call."""
     edges = instance.network.edges
     if flows is None:
         flows = dict.fromkeys(instance.network.edge_map, 0.0)
     if mode == RISK_MEAN_STDEV:
         return (
-            {e.id: e.latency(flows[e.id]) for e in edges},
-            {e.id: e.risk(flows[e.id]) ** 2 for e in edges},
+            {e.id: poly_value(e.latency, flows[e.id]) for e in edges},
+            {e.id: poly_value(e.risk, flows[e.id]) ** 2 for e in edges},
         )
     polys = cost_polys(instance, mode)
     return (
-        {e: p(flows[e]) for e, p in polys.items()},
+        {e: poly_value(p, flows[e]) for e, p in polys.items()},
         {e: integral(p, flows[e]) for e, p in polys.items()},
     )
 
 
 def edge_table(network: Network, flows) -> tuple[dict, dict, float, float]:
-    """A report's edge table: each edge's latency and risk by CostPoly
+    """A report's edge table: each edge's latency and risk by poly_value
     calls, the social cost as the builtin sum over the edges, and kappa, the
     largest ratio risk/latency, infinite at the first edge with positive
     risk over zero latency."""
     lat, risk = {}, {}
     for e in network.edges:
         f = flows[e.id]
-        lat[e.id], risk[e.id] = e.latency(f), e.risk(f)
+        lat[e.id], risk[e.id] = poly_value(e.latency, f), poly_value(e.risk, f)
     cost = sum(lat[e.id] * flows[e.id] for e in network.edges)
     kappa = 0.0
     for eid, latency in lat.items():
@@ -135,14 +136,14 @@ def edge_table(network: Network, flows) -> tuple[dict, dict, float, float]:
     return lat, risk, cost, kappa
 
 
-def transfer_derivative(polys, flows, delta) -> CostPoly:
+def transfer_derivative(polys, flows, delta) -> tuple[float, ...]:
     """g(t) = sum_e s_e c_e(f_e + s_e t) as one polynomial in t: each edge
     polynomial Taylor-shifted to f_e, its t**k coefficient scaled by
     s_e**(k+1), each degree summed with math.fsum over the edges that have
     it."""
     terms = []
     for eid, s in delta.items():
-        b = list(polys[eid].coeffs)
+        b = list(polys[eid])
         f = flows[eid]
         for k in range(len(b) - 1):
             for i in range(len(b) - 2, k - 1, -1):
@@ -153,9 +154,7 @@ def transfer_derivative(polys, flows, delta) -> CostPoly:
             scale *= s
         terms.append(b)
     width = max(map(len, terms))
-    return CostPoly(
-        tuple(math.fsum(b[k] for b in terms if k < len(b)) for k in range(width))
-    )
+    return tuple(math.fsum(b[k] for b in terms if k < len(b)) for k in range(width))
 
 
 def path_jacobian(instance: Instance, mode: str, flows, support) -> list[list[float]]:
@@ -171,7 +170,7 @@ def path_jacobian(instance: Instance, mode: str, flows, support) -> list[list[fl
             slope[eid] = derivative(polys[eid], f)
             continue
         edge = emap[eid]
-        risk = edge.risk(f)
+        risk = poly_value(edge.risk, f)
         slope[eid] = derivative(edge.latency, f)
         curvature[eid] = instance.gamma * risk * derivative(edge.risk, f)
         var[eid] = risk * risk
@@ -253,7 +252,7 @@ def path_cost(instance: Instance, flows, path, mode: str) -> float:
     """Cost of the id path ``path`` at edge flows keyed by id: its latency
     when ``mode`` is risk-neutral, else the latency plus gamma times its
     :func:`path_risk`."""
-    latency = sum(instance.network.edge_map[eid].latency(flows[eid]) for eid in path)
+    latency = sum(poly_value(instance.network.edge_map[eid].latency, flows[eid]) for eid in path)
     if mode == RISK_NEUTRAL:
         return latency
     return latency + instance.gamma * path_risk(instance, flows, path)
@@ -265,8 +264,8 @@ def path_risk(instance: Instance, flows, path) -> float:
     mean-stdev."""
     emap = instance.network.edge_map
     if instance.risk_model == RISK_MEAN_VAR:
-        return sum(emap[eid].risk(flows[eid]) for eid in path)
-    return math.sqrt(sum(emap[eid].risk(flows[eid]) ** 2 for eid in path))
+        return sum(poly_value(emap[eid].risk, flows[eid]) for eid in path)
+    return math.sqrt(sum(poly_value(emap[eid].risk, flows[eid]) ** 2 for eid in path))
 
 
 def cheapest_path(instance: Instance, flows, mode: str) -> tuple[float, tuple[str, ...]]:

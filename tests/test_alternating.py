@@ -21,12 +21,12 @@ from riskroute.alternating import (
 )
 from riskroute.analysis import pra_report
 from riskroute.instances import make
-from riskroute.network import RISK_MEAN_STDEV, RISK_MODELS, CostPoly, Edge, Network
+from riskroute.network import RISK_MEAN_STDEV, RISK_MODELS, Edge, Network
 from riskroute.solvers import solve_rawe, solve_rnwe
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
-UNIT = CostPoly((1.0,))
+UNIT = (1.0,)
 
 
 def _by_position(network: Network, flows) -> list[float]:

@@ -1,12 +1,14 @@
 """Report assembly: kappa, the named bound checks, the sigma inequality, and
 the exact grid maximizer of the shortest-path latency."""
 
+import copy
 import dataclasses
 import hashlib
 import importlib
 import itertools
 import json
 import math
+import pickle
 import pkgutil
 import tracemalloc
 from types import SimpleNamespace
@@ -34,12 +36,12 @@ from riskroute.instances import make
 from riskroute.network import (
     RISK_MEAN_STDEV,
     RISK_MEAN_VAR,
-    CostPoly,
     Edge,
     Instance,
     Network,
     PathCountError,
     is_series_parallel,
+    poly_value,
     social_cost,
 )
 from riskroute.solvers import (
@@ -58,7 +60,7 @@ sigma_values = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 
 
 def _edge(eid, tail, head, lat, risk=(0.0,)):
-    return Edge(eid, tail, head, CostPoly(tuple(lat)), CostPoly(tuple(risk)))
+    return Edge(eid, tail, head, tuple(lat), tuple(risk))
 
 
 def _parallel_instance(edges, name):
@@ -123,7 +125,7 @@ def test_edge_table_matches_reference():
     """On the bound-chain draws, seeds 0-299, mean-var as drawn and as
     mean-stdev copies: at both solved flows the report's one-pass edge table
     (latencies, risks, social cost, kappa) and the shortest path length on
-    its latencies equal the CostPoly-call reference to the bit, and
+    its latencies equal the poly_value-call reference to the bit, and
     so does each solve's zero-flow table."""
     for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
         for seed in range(300):
@@ -160,7 +162,7 @@ def test_edge_tables_match_reference_at_the_corners(model):
     """On parallel edges with -0.0 coefficients, one coefficient, none, and
     zero latency under positive risk (kappa is infinite with edge c, finite
     without it), the report's edge table at zero and positive flows and
-    each solve's zero-flow table and repricing equal the CostPoly-call
+    each solve's zero-flow table and repricing equal the poly_value-call
     references to the bit."""
     for edges in (_CORNER_EDGES, [e for e in _CORNER_EDGES if e.id != "c"]):
         instance = dataclasses.replace(_parallel_instance(edges, "corners"), risk_model=model)
@@ -184,46 +186,39 @@ def test_edge_tables_match_reference_at_the_corners(model):
             assert _table_bits(pool.priced(paths)[1]) == _table_bits(_by_position(net, want))
 
 
-class _SealedPoly(CostPoly):
-    """An edge polynomial whose evaluation methods raise, so that only its
-    coefficients can be read."""
-
-    def __call__(self, x):
-        raise AssertionError("an edge polynomial was evaluated by a method call")
-
-    derivative = __call__
+def _sealed_poly_value(coeffs, x):
+    raise AssertionError("an edge polynomial was evaluated by poly_value")
 
 
-def _sealed(instance):
-    edges = tuple(
-        dataclasses.replace(e, latency=_SealedPoly(e.latency.coeffs), risk=_SealedPoly(e.risk.coeffs))
-        for e in instance.network.edges
-    )
-    return dataclasses.replace(instance, network=dataclasses.replace(instance.network, edges=edges))
-
-
-def test_certify_path_calls_no_edge_polynomial_method():
+def test_certify_path_calls_no_edge_polynomial_method(monkeypatch):
     """solve_wardrop in each mode and pra_report read edge polynomials only
-    through their coefficients: on copies whose edge polynomials raise when
-    called, differentiated or integrated, Braess, Pigou and the bound-chain
-    draws (seeds 0-99, mean-var and mean-stdev) solve and report exactly as
-    the plain instances do (every float by its round-trip repr)."""
+    through their coefficients: with ``poly_value`` raising in every
+    riskroute module that binds it, Braess, Pigou and the bound-chain draws
+    (seeds 0-99, mean-var and mean-stdev) solve and report exactly as they
+    do unpatched (every float by its round-trip repr)."""
     instances = [make("braess", v=0.1), make("pigou", kappa=1.0, gamma=1.0)]
     instances += [
         suites.random_general(seed, risk_model=model)
         for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV)
         for seed in range(100)
     ]
-    reports = 0
-    for plain in instances:
-        outputs = []
-        for instance in (plain, _sealed(plain)):
-            x, z = solve_rawe(instance), solve_rnwe(instance)
-            report = pra_report(instance, x, z) if x.converged and z.converged else None
-            outputs.append(repr((x, z, report)))
-        assert outputs[0] == outputs[1], plain.name
-        reports += "PraReport" in outputs[0]
-    assert reports > 150
+
+    def certify(instance):
+        x, z = solve_rawe(instance), solve_rnwe(instance)
+        report = pra_report(instance, x, z) if x.converged and z.converged else None
+        return repr((x, z, report))
+
+    plain = [certify(instance) for instance in instances]
+    sealed = 0
+    for info in pkgutil.iter_modules(riskroute.__path__):
+        module = importlib.import_module(f"riskroute.{info.name}")
+        if hasattr(module, "poly_value"):
+            monkeypatch.setattr(module, "poly_value", _sealed_poly_value)
+            sealed += 1
+    assert sealed >= 2  # network and analysis at least
+    for instance, want in zip(instances, plain):
+        assert certify(instance) == want, instance.name
+    assert sum("PraReport" in out for out in plain) > 150
 
 
 # --- reports ----------------------------------------------------------
@@ -756,7 +751,7 @@ def _lattice_oracle(instance, grid, max_paths=DEFAULT_ORACLE_MAX_PATHS):
     net = instance.network
     step = instance.demand / grid
     flows = np.arange(grid + 1) * step
-    lat = {e.id: e.latency(flows) for e in net.edges}
+    lat = {e.id: poly_value(e.latency, flows) for e in net.edges}
     value, units, points = analysis._lattice_maximum(net, lat, max_paths)
     path_flow = {p: n * step for p, n in reference.decompose_edge_flow(net, units).items()}
     return SimpleNamespace(value=value, path_flow=path_flow, points=points)
@@ -784,7 +779,7 @@ def test_oracle_pigou_at_a_million_units():
 
 
 def test_oracle_memory_stays_near_one_latency_table():
-    """Each edge's latency row comes from its own CostPoly when a fold step
+    """Each edge's latency row comes from poly_value when a fold step
     first takes it in, and each part's row is dropped once merged, so the
     traced peak stays below the bytes of an (edges x grid+1) table of
     floats."""
@@ -821,11 +816,38 @@ def test_the_fold_is_made_once_per_network(monkeypatch):
         pairs["s", "t"] = 0
 
 
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+def test_a_folded_network_pickles_and_copies(how):
+    """After a solve, a report and an oracle call have cached a network's
+    topology and fold, a pickled or deep-copied instance equals the original,
+    carries its fields alone, and gives the same oracle result, whose pairs
+    still cannot be written."""
+    for instance in (
+        make("pigou", kappa=1.0, gamma=1.0),
+        make("braess", v=0.1),
+        make("random_sp", seed=4, budget=60),
+    ):
+        x, z = solve_pair(instance)
+        pra_report(instance, x, z)
+        want = max_shortest_path_oracle(instance)
+        if how == "pickle":
+            copied = pickle.loads(pickle.dumps(instance))
+        else:
+            copied = copy.deepcopy(instance)
+        assert copied == instance
+        assert copied.network.__dict__.keys() == {"nodes", "edges", "source", "sink"}
+        got = max_shortest_path_oracle(copied)
+        assert (got.value.hex(), got.points) == (want.value.hex(), want.points)
+        assert list(got.path_flow.items()) == list(want.path_flow.items())
+        with pytest.raises(TypeError):
+            copied.network.series_parallel[1][copied.network.source, copied.network.sink] = 0
+
+
 def test_oracle_takes_the_zero_polynomial_as_zero_latency():
-    """CostPoly(()) is the zero latency, as CostPoly((0.0,)) is."""
+    """The zero polynomial () is the zero latency, as (0.0,) is."""
     pigou = make("pigou", kappa=1.0, gamma=1.0)
     results = []
-    for poly in (CostPoly(()), CostPoly((0.0,))):
+    for poly in ((), (0.0,)):
         first, *rest = pigou.network.edges
         net = dataclasses.replace(
             pigou.network, edges=(dataclasses.replace(first, latency=poly), *rest)
@@ -970,7 +992,8 @@ def test_lattice_counts_the_paths_the_reference_lists():
         net = instance.network
         paths = enumerate_simple_paths(net)
         counts.append(len(paths))
-        lat = {e.id: e.latency(np.arange(grid + 1) * instance.demand / grid) for e in net.edges}
+        flows = np.arange(grid + 1) * instance.demand / grid
+        lat = {e.id: poly_value(e.latency, flows) for e in net.edges}
         value, units, _ = analysis._lattice_maximum(net, lat, len(paths))
         assert set(units) == set().union(*paths), instance.name
         assert abs(value - _composition_maximum(instance, grid)) <= 1e-12, instance.name
@@ -1031,7 +1054,7 @@ def _composition_maximum_vectorized(instance, grid):
     flows = units @ incidence * (instance.demand / grid)
     latency = np.column_stack(
         [
-            np.polynomial.polynomial.polyval(flows[:, j], e.latency.coeffs)
+            np.polynomial.polynomial.polyval(flows[:, j], e.latency)
             for j, e in enumerate(net.edges)
         ]
     )
@@ -1106,7 +1129,7 @@ def test_oracle_counts_integer_edge_flows():
 
 def _constant_latencies(instance):
     edges = tuple(
-        dataclasses.replace(e, latency=CostPoly((1.0,))) for e in instance.network.edges
+        dataclasses.replace(e, latency=(1.0,)) for e in instance.network.edges
     )
     return dataclasses.replace(
         instance, network=dataclasses.replace(instance.network, edges=edges)
@@ -1262,7 +1285,7 @@ def _upper_fold(instance, grid):
     steps, pairs = net.series_parallel
     flows = np.arange(1, grid + 1) * (instance.demand / grid)
     # adding 0.0 * flows makes a row of the zero polynomial's scalar
-    rows = [net.edge_map[eid].latency(flows) + 0.0 * flows for eid in net.edge_position]
+    rows = [poly_value(net.edge_map[eid].latency, flows) + 0.0 * flows for eid in net.edge_position]
     for first, second, parallel in steps:
         a, b = rows[first], rows[second]
         rows.append(analysis._parallel_merge(a, b)[0] if parallel else a + b)
@@ -1297,7 +1320,7 @@ def _twin_braess():
     instance = make("braess", v=0.1)
     net = instance.network
     twins = tuple(
-        Edge(e.id + "2", e.tail, e.head, reference.scaled_plus(e.latency, CostPoly((0.0, 0.3)), 1.0), e.risk)
+        Edge(e.id + "2", e.tail, e.head, reference.scaled_plus(e.latency, (0.0, 0.3), 1.0), e.risk)
         for e in net.edges
     )
     net = dataclasses.replace(net, edges=net.edges + twins)

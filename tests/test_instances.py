@@ -1,12 +1,15 @@
 """Instance families and the JSON serialization round trip."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riskroute import suites
 from riskroute.instances import (
     FAMILIES,
     InstanceFormatError,
@@ -17,12 +20,13 @@ from riskroute.instances import (
 from riskroute.network import (
     RISK_MEAN_STDEV,
     RISK_MODELS,
-    CostPoly,
     Edge,
     Instance,
     Network,
     validate_instance,
 )
+
+from paths import enumerate_simple_paths
 
 
 # --- family construction -----------------------------------------------------
@@ -33,21 +37,21 @@ def test_pigou_construction():
     net = instance.network
     assert instance.demand == 1.0 and instance.gamma == 1.0
     by_id = net.edge_map
-    assert by_id["e1"].latency.coeffs == (0.0, 2.0)
-    assert by_id["e1"].risk.coeffs == (0.0,)
-    assert by_id["e2"].latency.coeffs == (1.0,)
-    assert by_id["e2"].risk.coeffs == (1.0,)
+    assert by_id["e1"].latency == (0.0, 2.0)
+    assert by_id["e1"].risk == (0.0,)
+    assert by_id["e2"].latency == (1.0,)
+    assert by_id["e2"].risk == (1.0,)
 
 
 def test_braess_construction():
     instance = make("braess", v=0.1)
     by_id = instance.network.edge_map
     assert instance.gamma == 1.0 and instance.demand == 1.0
-    assert by_id["a"].latency.coeffs == (0.0, 0.2)
-    assert by_id["b"].latency.coeffs == (1.0,)
-    assert by_id["b"].risk.coeffs == (0.1,)
-    assert by_id["e"].latency.coeffs == (0.9,)
-    assert by_id["e"].risk.coeffs == (0.0,)
+    assert by_id["a"].latency == (0.0, 0.2)
+    assert by_id["b"].latency == (1.0,)
+    assert by_id["b"].risk == (0.1,)
+    assert by_id["e"].latency == (0.9,)
+    assert by_id["e"].risk == (0.0,)
 
 
 def test_braess_general_validates_parameters():
@@ -137,6 +141,62 @@ def test_round_trip_is_byte_identical():
         assert data == again
 
 
+def test_loaded_endpoints_are_the_declared_node_strings():
+    """A loaded edge's tail and head, and the network's source and sink, are
+    the very string objects of the declared nodes they name; an undeclared
+    endpoint keeps its own string and is reported as before."""
+    drawn = (make("zigzag", k=3), suites.random_general(7), make("random_sp", seed=3, budget=20))
+    for instance in drawn:
+        net = read_instance(write_instance(instance)).network
+        nodes = {v: v for v in net.nodes}
+        for e in net.edges:
+            assert e.tail is nodes[e.tail] and e.head is nodes[e.head], e.id
+        assert net.source is nodes[net.source] and net.sink is nodes[net.sink]
+    doc = _braess_doc()
+    doc["edges"][0]["head"] = "x"
+    loaded = read_instance(json.dumps(doc))
+    assert loaded.network.edges[0].head == "x"
+    assert "edge 'a': undeclared head 'x'" in validate_instance(loaded).violations
+
+
+def test_loaded_instances_stay_small():
+    """Read and validated, the documents of the bound-chain draws (seeds
+    0-499) and of n=20, m=60 draws (seeds 0-49), kept alive, hold at most
+    600 traced bytes per edge: slotted edges of coefficient tuples whose
+    endpoints are the nodes' strings. With an unslotted edge, a wrapper
+    object per polynomial and a string per endpoint it took about 750."""
+    docs = [write_instance(suites.random_general(seed)) for seed in range(500)]
+    docs += [write_instance(make("random_general", seed=seed, n=20, m=60)) for seed in range(50)]
+    kept = []
+    tracemalloc.start()
+    try:
+        for data in docs:
+            instance = read_instance(data)
+            assert validate_instance(instance).ok
+            kept.append(instance)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    edges = sum(len(instance.network.edges) for instance in kept)
+    assert held <= 600 * edges, held / edges
+
+
+def test_random_sp_counts_paths_without_recursion():
+    """A path cap on a long series chain is checked without recursing once
+    per node: budget 3,000 draws validate, keep at most 6 paths and write
+    the bytes they wrote when the count recursed (digests taken then, with
+    the recursion limit raised)."""
+    digests = {
+        0: "238fe0daead00329ff867728a93521e426915fedd7e644c780a79f97daab3cb7",
+        1: "27883e4fe6d1bd5f454c53543ff96f06b214240a8fba1f65bd8b5689d79f6dad",
+    }
+    for seed, digest in digests.items():
+        instance = make("random_sp", seed=seed, budget=3000, max_paths=6)
+        assert validate_instance(instance).ok
+        assert len(enumerate_simple_paths(instance.network, cap=6)) <= 6
+        assert hashlib.sha256(write_instance(instance)).hexdigest() == digest
+
+
 def test_read_instance_field_errors():
     doc = json.loads(write_instance(make("braess", v=0.1)).decode())
 
@@ -204,8 +264,8 @@ def _json_reference(instance):
                 "id": e.id,
                 "tail": e.tail,
                 "head": e.head,
-                "latency": list(e.latency.coeffs),
-                "risk": list(e.risk.coeffs),
+                "latency": list(e.latency),
+                "risk": list(e.risk),
             }
             for e in net.edges
         ],
@@ -247,7 +307,7 @@ def _instance(nodes=("s", "t"), edges=(), demand=1.0, gamma=1.0, risk_model="mea
     ids=repr,
 )
 def test_writer_prints_numbers_as_json_does(value):
-    edge = Edge("e", "s", "t", CostPoly((value, 1.0)), CostPoly((value,)))
+    edge = Edge("e", "s", "t", (value, 1.0), (value,))
     instance = _instance(edges=[edge], demand=value, gamma=value)
     assert write_instance(instance) == _json_reference(instance)
 
@@ -255,7 +315,7 @@ def test_writer_prints_numbers_as_json_does(value):
 def test_writer_prints_empty_lists_as_json_does():
     for instance in (
         _instance(nodes=(), edges=()),
-        _instance(edges=[Edge("e", "s", "t", CostPoly(()), CostPoly(()))]),
+        _instance(edges=[Edge("e", "s", "t", (), ())]),
     ):
         assert write_instance(instance) == _json_reference(instance)
 
@@ -264,7 +324,7 @@ def test_writer_prints_empty_lists_as_json_does():
     "value", [object(), np.float32(0.5), np.int64(1)], ids=["object", "float32", "int64"]
 )
 def test_writer_rejects_what_json_cannot_hold(value):
-    instance = _instance(edges=[Edge("e", "s", "t", CostPoly((value,)), CostPoly((0.0,)))])
+    instance = _instance(edges=[Edge("e", "s", "t", (value,), (0.0,))])
     with pytest.raises(TypeError):
         _json_reference(instance)
     with pytest.raises(TypeError):
@@ -282,7 +342,7 @@ _any_number = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
     st.floats().map(np.float64),
 )
-_coefficients = st.lists(_any_number, max_size=4).map(lambda c: CostPoly(tuple(c)))
+_coefficients = st.lists(_any_number, max_size=4).map(tuple)
 _edges = st.builds(Edge, _awkward_text, _awkward_text, _awkward_text, _coefficients, _coefficients)
 
 

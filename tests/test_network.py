@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskroute.network import (
-    CostPoly,
     Edge,
     Instance,
     Network,
     PathCountError,
     is_braess_topology,
     is_series_parallel,
+    poly_value,
     social_cost,
     validate_instance,
 )
@@ -41,30 +41,30 @@ def _net(edges, nodes=None, source="s", sink="t"):
 
 
 def _edge(eid, tail, head, lat=(1.0,), risk=(0.0,)):
-    return Edge(eid, tail, head, CostPoly(tuple(lat)), CostPoly(tuple(risk)))
+    return Edge(eid, tail, head, tuple(lat), tuple(risk))
 
 
-# --- CostPoly ----------------------------------------------------------------
+# --- cost polynomials --------------------------------------------------------
 
 
 @given(coeff_lists, flows)
 def test_costpoly_matches_power_series(coeffs, x):
-    poly = CostPoly(tuple(coeffs))
+    poly = tuple(coeffs)
     direct = math.fsum(c * x**i for i, c in enumerate(coeffs))
-    assert poly(x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+    assert poly_value(poly, x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 @given(coeff_lists, flows)
 def test_costpoly_integral_matches_antiderivative(coeffs, x):
-    poly = CostPoly(tuple(coeffs))
+    poly = tuple(coeffs)
     direct = math.fsum(c * x ** (i + 1) / (i + 1) for i, c in enumerate(coeffs))
     assert reference.integral(poly, x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 @given(coeff_lists, flows)
 def test_costpoly_nonnegative_coeffs_monotone(coeffs, x):
-    poly = CostPoly(tuple(coeffs))
-    assert poly(x + 0.5) >= poly(x) - 1e-12
+    poly = tuple(coeffs)
+    assert poly_value(poly, x + 0.5) >= poly_value(poly, x) - 1e-12
     assert reference.derivative(poly, x) >= 0.0
 
 
@@ -72,18 +72,18 @@ def test_costpoly_nonnegative_coeffs_monotone(coeffs, x):
 def test_costpoly_on_an_array_matches_polyval_and_each_point(coeffs, grid, demand):
     """The oracle evaluates each edge's latency on the whole grid at once:
     the row is bitwise numpy's polyval and the scalar call at each point."""
-    poly = CostPoly(tuple(coeffs))
+    poly = tuple(coeffs)
     grid_flows = np.arange(grid + 1) * (demand / grid)
-    row = poly(grid_flows).view(np.int64)
+    row = poly_value(poly, grid_flows).view(np.int64)
     table = np.polynomial.polynomial.polyval(grid_flows, coeffs)
-    points = np.array([poly(j * (demand / grid)) for j in range(grid + 1)])
+    points = np.array([poly_value(poly, j * (demand / grid)) for j in range(grid + 1)])
     assert np.array_equal(row, table.view(np.int64))
     assert np.array_equal(row, points.view(np.int64))
 
 
 def test_costpoly_of_and_predicates():
-    poly = CostPoly((1.0, 2.0))
-    assert poly(3.0) == 7.0
+    poly = (1.0, 2.0)
+    assert poly_value(poly, 3.0) == 7.0
     assert reference.derivative(poly, 3.0) == 2.0
 
 
@@ -91,9 +91,9 @@ def test_costpoly_scaled_plus():
     """On seeded random coefficient tuples of unequal lengths, the
     coefficients are bit for bit those of padding both tuples with zeros to
     the longer length and adding coefficientwise."""
-    combined = reference.scaled_plus(CostPoly((1.0, 2.0)), CostPoly((0.5,)), 2.0)
-    assert combined(0.0) == 2.0
-    assert combined(1.0) == 4.0
+    combined = reference.scaled_plus((1.0, 2.0), (0.5,), 2.0)
+    assert poly_value(combined, 0.0) == 2.0
+    assert poly_value(combined, 1.0) == 4.0
     rng = random.Random(0)
 
     def coeffs():
@@ -105,7 +105,7 @@ def test_costpoly_scaled_plus():
         n = max(len(a), len(b))
         pa, pb = a + (0.0,) * (n - len(a)), b + (0.0,) * (n - len(b))
         expected = tuple(x + scale * y for x, y in zip(pa, pb))
-        got = reference.scaled_plus(CostPoly(a), CostPoly(b), scale).coeffs
+        got = reference.scaled_plus(a, b, scale)
         assert [x.hex() for x in got] == [x.hex() for x in expected], (a, b, scale)
 
 

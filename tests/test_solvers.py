@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from riskroute.instances import make
 from riskroute.network import (
     RISK_MEAN_STDEV,
     RISK_MEAN_VAR,
-    CostPoly,
     Edge,
     Instance,
     Network,
+    poly_value,
     social_cost,
 )
 from riskroute.solvers import (
@@ -119,7 +120,7 @@ def test_gap_meanstdev_equal_q_values():
 def test_gap_zero_cost_floor_warns():
     net = Network(
         nodes=("s", "t"),
-        edges=(Edge("e1", "s", "t", CostPoly((0.0, 1.0)), CostPoly((0.0,))),),
+        edges=(Edge("e1", "s", "t", (0.0, 1.0), (0.0,)),),
         source="s",
         sink="t",
     )
@@ -136,7 +137,7 @@ def test_gap_zero_cost_floor_warns():
 _ZERO_LATENCY = Instance(
     network=Network(
         nodes=("s", "t"),
-        edges=(Edge("e1", "s", "t", CostPoly((0.0,)), CostPoly((1.0,))),),
+        edges=(Edge("e1", "s", "t", (0.0,), (1.0,)),),
         source="s",
         sink="t",
     ),
@@ -282,7 +283,7 @@ def _parallel_instance(routes, gamma=1.0):
             head = "t" if i == len(chain) - 1 else f"v_{eid}"
             if head != "t":
                 nodes.append(head)
-            edges.append(Edge(eid, tail, head, CostPoly((latency,)), CostPoly((risk,))))
+            edges.append(Edge(eid, tail, head, (latency,), (risk,)))
             tail = head
     net = Network(nodes=(*nodes, "t"), edges=tuple(edges), source="s", sink="t")
     return Instance(network=net, demand=1.0, gamma=gamma, risk_model=RISK_MEAN_STDEV)
@@ -384,7 +385,7 @@ def test_shortest_path_braess_at_zero_flow():
 def _sweep_net(edges, nodes=None, source="s", sink="t"):
     """A network on (id, tail, head) triples, its nodes those the edges name
     unless given."""
-    edges = tuple(Edge(eid, tail, head, CostPoly((1.0,)), CostPoly((0.0,))) for eid, tail, head in edges)
+    edges = tuple(Edge(eid, tail, head, (1.0,), (0.0,)) for eid, tail, head in edges)
     if nodes is None:
         nodes = tuple(dict.fromkeys(v for e in edges for v in (e.tail, e.head)))
     return Network(nodes, edges, source, sink)
@@ -566,8 +567,8 @@ def test_huge_demand_on_two_parallel_edges():
     net = Network(
         nodes=("s", "t"),
         edges=(
-            Edge("a", "s", "t", CostPoly((0.0, 2.0)), CostPoly((0.0,))),
-            Edge("b", "s", "t", CostPoly((1.0,)), CostPoly((0.0,))),
+            Edge("a", "s", "t", (0.0, 2.0), (0.0,)),
+            Edge("b", "s", "t", (1.0,), (0.0,)),
         ),
         source="s",
         sink="t",
@@ -607,7 +608,7 @@ def test_bad_tol_or_max_iter_raises(tol, max_iter):
 
 def _with_slope(poly):
     """The root search's function of ``poly``: its value and slope."""
-    return lambda t: (poly(t), reference.derivative(poly, t))
+    return lambda t: (poly_value(poly, t), reference.derivative(poly, t))
 
 
 def _flat(g):
@@ -617,24 +618,24 @@ def _flat(g):
 
 def test_newton_step_endpoints_and_flat_derivative():
     # with the polynomial's slope and a zero one
-    for search_function in (_with_slope, _flat):
+    for search_function in (_with_slope, lambda poly: _flat(partial(poly_value, poly))):
 
         def step(g, hi):
             return _newton_step(search_function(g), hi)
 
-        assert step(CostPoly((-1.0, 1.0)), 0.5) == 0.5  # g(hi) <= 0
-        assert step(CostPoly((0.5, 1.0)), 2.0) == 0.0  # g(0) >= 0
-        assert step(CostPoly((-1.0,)), 3.0) == 3.0
-        assert step(CostPoly((0.0,)), 3.0) == 3.0
-        assert step(CostPoly((1.0,)), 3.0) == 0.0
+        assert step((-1.0, 1.0), 0.5) == 0.5  # g(hi) <= 0
+        assert step((0.5, 1.0), 2.0) == 0.0  # g(0) >= 0
+        assert step((-1.0,), 3.0) == 3.0
+        assert step((0.0,), 3.0) == 3.0
+        assert step((1.0,), 3.0) == 0.0
 
 
 def test_newton_step_converging_from_the_right():
     # g'(0) = 0 sends the first step to the midpoint, right of the root, and
     # Newton on a convex g stays right of the root from there
-    g = CostPoly((-0.1, 0.0, 0.0, 1.0))
+    g = (-0.1, 0.0, 0.0, 1.0)
     step = _newton_step(_with_slope(g), 1.0)
-    assert g(step) <= 0.0
+    assert poly_value(g, step) <= 0.0
     assert step == pytest.approx(0.1 ** (1 / 3), rel=1e-15)
 
 
@@ -645,16 +646,10 @@ def _random_transfer(rng):
     polys, flows, delta = {}, {}, {}
     for eid in range(rng.randint(1, 4)):
         degree = rng.randint(0, 5)
-        polys[eid] = CostPoly(
-            tuple(rng.choice((0.0, rng.uniform(0.0, 1.0))) for _ in range(degree + 1))
-        )
+        polys[eid] = tuple(rng.choice((0.0, rng.uniform(0.0, 1.0))) for _ in range(degree + 1))
         delta[eid] = rng.choice((-1.0, 1.0))
         flows[eid] = rng.uniform(0.0, 2.0 * hi) + (hi if delta[eid] < 0 else 0.0)
     return polys, flows, delta, hi
-
-
-def _coeffs(polys):
-    return {eid: poly.coeffs for eid, poly in polys.items()}
 
 
 def _hex(values):
@@ -668,13 +663,14 @@ def test_transfer_derivative_matches_edge_sum():
     rng = random.Random(0)
     for _ in range(500):
         polys, flows, delta, hi = _random_transfer(rng)
-        g = CostPoly(_transfer_derivative(_coeffs(polys), flows, delta))
+        g = _transfer_derivative(polys, flows, delta)
         for t in (0.0, hi / 3, hi):
-            terms = [s * polys[e](flows[e] + s * t) for e, s in delta.items()]
+            terms = [s * poly_value(polys[e], flows[e] + s * t) for e, s in delta.items()]
             # expanded in t, g carries rounding relative to the majorant
             # sum_e c_e(f_e + t), not to the terms themselves
-            majorant = math.fsum(polys[e](flows[e] + t) for e in delta)
-            assert g(t) == pytest.approx(math.fsum(terms), rel=0.0, abs=1e-12 * majorant)
+            majorant = math.fsum(poly_value(polys[e], flows[e] + t) for e in delta)
+            want = pytest.approx(math.fsum(terms), rel=0.0, abs=1e-12 * majorant)
+            assert poly_value(g, t) == want
 
 
 def test_transfer_derivative_matches_reference():
@@ -683,20 +679,17 @@ def test_transfer_derivative_matches_reference():
     rng = random.Random(5)
     for _ in range(3000):
         polys, flows, delta, _ = _random_transfer(rng)
-        got = _transfer_derivative(_coeffs(polys), flows, delta)
-        want = reference.transfer_derivative(polys, flows, delta).coeffs
+        got = _transfer_derivative(polys, flows, delta)
+        want = reference.transfer_derivative(polys, flows, delta)
         assert _hex(got) == _hex(want)
 
 
 def _rising_poly(rng):
     """Nondecreasing on [0, inf): nonnegative coefficients past a negative
     g(0), spread over six decades."""
-    return CostPoly(
-        (-rng.uniform(0.0, 1.0) * 10 ** rng.uniform(-3, 3),)
-        + tuple(
-            rng.choice((0.0, rng.uniform(0.0, 1.0) * 10 ** rng.uniform(-3, 3)))
-            for _ in range(rng.randint(0, 5))
-        )
+    return (-rng.uniform(0.0, 1.0) * 10 ** rng.uniform(-3, 3),) + tuple(
+        rng.choice((0.0, rng.uniform(0.0, 1.0) * 10 ** rng.uniform(-3, 3)))
+        for _ in range(rng.randint(0, 5))
     )
 
 
@@ -708,13 +701,13 @@ def test_newton_step_matches_bisection():
         g = _rising_poly(rng)
         hi = 10 ** rng.uniform(-3, 3)
         step = _newton_step(_with_slope(g), hi)
-        assert g(step) <= 0.0
-        assert abs(step - _newton_step(_flat(g), hi)) <= 2**-50 * hi
+        assert poly_value(g, step) <= 0.0
+        assert abs(step - _newton_step(_flat(partial(poly_value, g)), hi)) <= 2**-50 * hi
     for _ in range(2000):
         polys, flows, delta, hi = _random_transfer(rng)
-        g = CostPoly(_transfer_derivative(_coeffs(polys), flows, delta))
+        g = _transfer_derivative(polys, flows, delta)
         step = _newton_step(_with_slope(g), hi)
-        assert step == 0.0 or g(step) <= 0.0
+        assert step == 0.0 or poly_value(g, step) <= 0.0
 
 
 def _plain_bisection(g, hi):
@@ -755,7 +748,7 @@ def test_newton_step_without_derivative_is_plain_bisection():
         def g(t, seen):
             seen.append(t)
             rise = math.fsum(a * (math.sqrt(b + t) - math.sqrt(b)) for a, b in sqrt_terms)
-            return poly(t) + rise
+            return poly_value(poly, t) + rise
 
         searched, bisected = [], []
         step = _newton_step(_flat(lambda t: g(t, searched)), hi)
@@ -873,8 +866,8 @@ def test_meanstdev_two_path_equilibria_in_one_iteration():
     net = Network(
         nodes=("s", "t"),
         edges=(
-            Edge("a", "s", "t", CostPoly((0.0, 0.0, 1.0)), CostPoly((0.0, 0.0, 1.0))),
-            Edge("b", "s", "t", CostPoly((1.0,)), CostPoly((0.0,))),
+            Edge("a", "s", "t", (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
+            Edge("b", "s", "t", (1.0,), (0.0,)),
         ),
         source="s",
         sink="t",
@@ -1085,8 +1078,7 @@ def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
 
     def checked_transfer(costs, flows, delta):
         got = transfer(costs, flows, delta)
-        polys = {eid: CostPoly(costs[eid]) for eid in delta}
-        assert _hex(got) == _hex(reference.transfer_derivative(polys, flows, delta).coeffs)
+        assert _hex(got) == _hex(reference.transfer_derivative(costs, flows, delta))
         counts["transfer"] += 1
         return got
 
@@ -1142,8 +1134,8 @@ def test_newton_iterate_singular_system_returns_none(model):
     net = Network(
         nodes=("s", "t"),
         edges=(
-            Edge("a", "s", "t", CostPoly((1.0,)), CostPoly((1.0,))),
-            Edge("b", "s", "t", CostPoly((1.0,)), CostPoly((2.0,))),
+            Edge("a", "s", "t", (1.0,), (1.0,)),
+            Edge("b", "s", "t", (1.0,), (2.0,)),
         ),
         source="s",
         sink="t",
@@ -1165,7 +1157,7 @@ def _fresh_pricing(pool, flows):
     if pool.separable:
         polys = reference.cost_polys(instance, pool.mode)
         table = (
-            {eid: polys[eid](f) for eid, f in flows.items()},
+            {eid: poly_value(polys[eid], f) for eid, f in flows.items()},
             {eid: reference.integral(polys[eid], f) for eid, f in flows.items()},
         )
         floor, best = reference.shortest_path(net, table[0])
@@ -1186,8 +1178,8 @@ def test_pool_table_matches_fresh_pricing(monkeypatch):
     random_sp budget 200 seeds 0-9 and mean-stdev random_general seed 333
     (whose solve takes the bisection step), the pool's edge table, the
     iterate's cheapest cost and path, and its potential equal (==) a fresh
-    pricing of the iterate's edge flows by CostPoly objects built apart from
-    the pool's coefficient tuples."""
+    pricing of the iterate's edge flows by poly_value calls and the
+    reference's sums, apart from the pool's table."""
     evaluate = solvers._PathPool.evaluate
     seen = {True: 0, False: 0}
 
@@ -1298,7 +1290,7 @@ def test_decompose_split_flow():
 def test_decompose_single_edge():
     net = Network(
         nodes=("s", "t"),
-        edges=(Edge("e1", "s", "t", CostPoly((1.0,)), CostPoly((0.0,))),),
+        edges=(Edge("e1", "s", "t", (1.0,), (0.0,)),),
         source="s",
         sink="t",
     )

@@ -14,7 +14,6 @@ from riskroute.instances import make
 from riskroute.network import (
     RISK_MEAN_STDEV,
     RISK_MEAN_VAR,
-    CostPoly,
     Edge,
     Instance,
     Network,
@@ -56,7 +55,7 @@ B3_V = 0.01
 
 
 def _edge(eid, tail, head, latency, risk=(0.0,)):
-    return Edge(eid, tail, head, CostPoly(latency), CostPoly(risk))
+    return Edge(eid, tail, head, latency, risk)
 
 
 def _b3(risk_model):
