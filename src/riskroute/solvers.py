@@ -16,13 +16,14 @@ derivative is one polynomial in the step, whose root :func:`_newton_step`
 finds by Newton's method inside a bisection bracket.
 
 Mean-stdev costs are not separable, so no potential exists. That mode finds
-its cheapest path by shortest paths too, on the convex hull of the paths'
-(latency, variance) points, so it enumerates no paths either. It judges the
-full Newton step by the true merit and each halving of it by a merit on the
-support's own path costs, so the hull is searched only at the full step and
-at the accepted point. A two-path support, or a Newton step that finds no
-descent, shifts flow pairwise until the two path costs cross, found by the
-same root search on their difference and its slope.
+its cheapest path by one DP over the same sweep that keeps, at each node,
+the lower-left convex hull of its partial paths' (latency, variance) points,
+so it enumerates no paths either. It judges the full Newton step by the true
+merit and each halving of it by a merit on the support's own path costs, so
+the hull DP runs only at the full step and at the accepted point. A
+two-path support, or a Newton step that finds no descent, shifts flow
+pairwise until the two path costs cross, found by the same root search on
+their difference and its slope.
 
 The relative gap of a flow is (sum_p f_p Q_p - d * min_q Q_q) / (d * min_q Q_q):
 zero exactly at equilibrium, and small values certify an epsilon-equilibrium
@@ -36,7 +37,8 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from itertools import zip_longest
+from itertools import islice, zip_longest
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -133,6 +135,17 @@ def _edge_costs(instance: Instance, mode: str) -> list[tuple[float, ...]]:
     raise ValueError(f"no separable edge cost under mode {mode!r}")
 
 
+def _raise_bad_cost(network: Network, costs: Sequence[float]) -> None:
+    """Raise ValueError naming the first edge in declaration order whose
+    cost in ``costs`` (by position) is negative or NaN; return when there is
+    none."""
+    position = network.edge_position
+    for e in network.edges:
+        c = costs[position[e.id]]
+        if not c >= 0.0:
+            raise ValueError(f"edge {e.id!r} has cost {c}, not a nonnegative number")
+
+
 def _sweep_path(network: Network, costs: Sequence[float]) -> tuple[float, tuple[int, ...]]:
     """The one shortest-path DP: cost and edge positions of the shortest
     source->sink path under nonnegative costs listed by position, over
@@ -142,11 +155,7 @@ def _sweep_path(network: Network, costs: Sequence[float]) -> tuple[float, tuple[
     first edge in declaration order with a negative or NaN cost, and
     ConvergenceError when no path reaches the sink."""
     if math.isnan(sum(costs)) or not min(costs, default=0.0) >= 0.0:  # a NaN makes the sum NaN
-        position = network.edge_position
-        for e in network.edges:
-            c = costs[position[e.id]]
-            if not c >= 0.0:
-                raise ValueError(f"edge {e.id!r} has cost {c}, not a nonnegative number")
+        _raise_bad_cost(network, costs)
     steps = network.sweep
     labels: list = [(0.0, ())] + [None] * len(steps or ())
     # a node's label is final before the loop reaches it: heads come later
@@ -282,56 +291,103 @@ def _meanstdev_cheapest(
     instance: Instance, moments: tuple[list[float], list[float]]
 ) -> tuple[float, tuple[int, ...]]:
     """The least (mean-stdev cost, path) at the edge latencies and variances
-    ``moments`` (by edge position), by a search of the lower-left convex hull
-    of the paths' (L, V) points.
+    ``moments`` (by edge position), by one DP over :attr:`Network.sweep`
+    that keeps, at each node, the lower-left convex hull (the chain) of its
+    partial paths' (L, V) points (Nikolova, Brand & Karger, ICAPS 2006).
 
-    L and V are sums over a path's edges, and its cost L + gamma * sqrt(V)
-    is concave and nondecreasing in them, so the cheapest path is a hull
-    vertex: a shortest path under latency + lambda * variance for some
-    lambda >= 0 (Nikolova, Brand & Karger, ICAPS 2006). The search starts
-    from the shortest paths under the latencies and under the variances.
-    For found paths p and q it takes the shortest path r at the slope
-    lambda = (L_q - L_p) / (V_p - V_q) of their chord; when r is new and
-    weighs strictly less than p and q, it searches the chords p, r and r, q
-    (Aneja & Nair, 1979). Each such step finds a new path, so the search
-    ends. A chord is dropped when its corner bound L_p + gamma * sqrt(V_q)
-    is above the cheapest cost found. Paths are priced by
-    :func:`_meanstdev_price`, as a solve prices them, ties go to the
-    lexicographically smallest path found, and with gamma 0 this is the
-    latency shortest path.
+    The source's chain is the one point (0, 0). Each out-edge adds its
+    latency and variance to every point of its tail's chain and hands the
+    points to its head. A node fed by two or more in-edges is hulled by
+    :func:`_lower_left` when the sweep reaches it; a chain brought by one
+    edge is a hull already, moved. The sink's chain vertices are priced by
+    :func:`_meanstdev_price`, as a solve prices them, and the least (cost,
+    path) is returned; with gamma 0 this is the latency shortest path.
+
+    Why it is exact: L and V are sums over a path's edges. A partial point
+    at a node that is not a hull vertex is componentwise at least a convex
+    combination of vertices, and adding any suffix keeps that true. The cost
+    L + gamma * sqrt(V) is concave and nondecreasing in (L, V), so every
+    completion of the point costs at least as much as a completion of some
+    vertex, and the sink's chain holds a cheapest path. Exact (L, V) twins
+    share every suffix, so the least of them, the sweep's own tie rule,
+    is the only one kept. Paths are links (position, parent link), so an
+    extension costs O(1); they are flattened at the sink, and elsewhere only
+    to choose between twins.
+
+    Raises as :func:`_sweep_path` does: ValueError for a bad latency first,
+    then ConvergenceError for an unreachable sink, then ValueError for a
+    bad variance.
     """
     net, gamma = instance.network, instance.gamma
     lat, var = moments
-    found: dict[tuple[int, ...], tuple[float, float, float]] = {}
-
-    def vertex(weights: list[float]) -> tuple[int, ...] | None:
-        # the shortest path under ``weights``, or None when already found
-        path = _sweep_path(net, weights)[1]
-        if path in found:
-            return None
-        found[path] = _meanstdev_price(moments, gamma, path)
-        return path
-
-    first = vertex(lat)
     if gamma == 0.0:
-        return found[first][2], first
-    last = vertex(var)
-    best = min(cost for *_, cost in found.values())
-    chords = [(first, last)] if last else []
-    while chords:
-        p, q = chords.pop()
-        (lp, vp, _), (lq, vq, _) = found[p], found[q]
-        if not (lp < lq and vp > vq) or lp + gamma * math.sqrt(vq) > best:
+        path = _sweep_path(net, lat)[1]
+        return _meanstdev_price(moments, gamma, path)[2], path
+    for costs in (lat, var):
+        if math.isnan(sum(costs)) or not min(costs, default=0.0) >= 0.0:
+            _sweep_path(net, lat)  # a bad latency or an unreachable sink raises first
+            _raise_bad_cost(net, costs)
+    steps = net.sweep
+    chains: list = [[(0.0, 0.0, None)]] + [None] * len(steps or ())
+    merged = [False] * len(chains)
+    # a node's chain is complete before the loop reaches it: heads come later
+    for node, out in enumerate(steps or ()):
+        chain = chains[node]
+        if chain is None:
             continue
-        slope = (lq - lp) / (vp - vq)
-        r = vertex([x + slope * y for x, y in zip(lat, var)])
-        if r is None:
+        if merged[node]:
+            chain = _lower_left(chain)
+        for pos, head in out:
+            a, b = lat[pos], var[pos]
+            points = [(x + a, y + b, (pos, link)) for x, y, link in chain]
+            if chains[head] is None:
+                chains[head] = points
+            else:
+                chains[head] += points
+                merged[head] = True
+    chain = chains[-1]
+    if steps is None or chain is None:
+        raise ConvergenceError(f"sink {net.sink!r} unreachable from source")
+    if merged[-1]:
+        chain = _lower_left(chain)
+    paths = [_unlink(link) for *_, link in chain]
+    return min((_meanstdev_price(moments, gamma, path)[2], path) for path in paths)
+
+
+def _lower_left(points: list) -> list:
+    """The lower-left convex hull of (L, V, link) points, sorted by L: the
+    points left after a sort by (L, V) keeps those whose V strictly falls,
+    and pops a middle point that the cross product does not put strictly
+    below its neighbours' segment. Of exact (L, V) twins only the one with
+    the least path stays. The sort compares no links."""
+    points.sort(key=itemgetter(0, 1))
+    chain = points[:1]
+    x1, y1, _ = chain[0]  # the chain's last point
+    for point in islice(points, 1, None):
+        x, y, link = point
+        if y >= y1:
+            if y == y1 and x == x1 and _unlink(link) < _unlink(chain[-1][2]):
+                chain[-1] = point
             continue
-        lr, vr, cost = found[r]
-        best = min(best, cost)
-        if lr + slope * vr < min(lp + slope * vp, lq + slope * vq):
-            chords += [(p, r), (r, q)]
-    return min((cost, path) for path, (*_, cost) in found.items())
+        while len(chain) > 1:
+            x0, y0, _ = chain[-2]
+            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0.0:
+                break
+            chain.pop()
+            x1, y1 = x0, y0
+        chain.append(point)
+        x1, y1 = x, y
+    return chain
+
+
+def _unlink(link: tuple | None) -> tuple[int, ...]:
+    """The edge positions of a path held as links (position, parent link)
+    back to the source's None, in path order."""
+    path = []
+    while link is not None:
+        pos, link = link
+        path.append(pos)
+    return tuple(reversed(path))
 
 
 def solve_wardrop(
@@ -447,7 +503,7 @@ class _Iterate:
 
 class _PathPool:
     """The path costs of one instance under one cost mode: edge costs and
-    shortest paths under a separable mode, the hull search of
+    shortest paths under a separable mode, the hull DP of
     :func:`_meanstdev_cheapest` under mean-stdev. Either way only the used
     paths and the cheapest path are priced.
 
@@ -519,7 +575,7 @@ class _PathPool:
     ) -> float:
         """The mean-stdev merit of ``paths``, whose paths are all in
         ``support``, taken against the least support-path cost in place of
-        the cheapest path's, so without a hull search; the gap and excess
+        the cheapest path's, so without the hull DP; the gap and excess
         are formed as :meth:`evaluate` forms them."""
         _, table = self.priced(paths)
         costs = {p: _meanstdev_price(table, self.instance.gamma, p)[2] for p in support}
@@ -705,7 +761,7 @@ def _newton_iterate(
     Newton direction exactly minimizes the potential, up to twice the Newton
     step. Under mean-stdev the full Newton step is taken when it lowers the
     merit; otherwise the step is halved until the merit against the least
-    support-path cost (:meth:`_PathPool.support_merit`, no hull search)
+    support-path cost (:meth:`_PathPool.support_merit`, no hull DP)
     falls below the iterate's, ``BACKTRACK_STEPS`` trials in all, and only
     the accepted point is evaluated in full.
     """

@@ -4,13 +4,15 @@ The library prices on edge positions alone and brings ids back only in its
 results. This module holds what tests compare it with: the shortest path
 by a label DP keyed by edge id; path flows made into a ``Flow``, their edge
 flows and their path costs; a flow's relative gap and its cheapest path,
-found by the library's own search through ids; a polynomial's derivative;
-the separable edge costs as coefficient tuples with their Beckmann
-potential; the solve's and the report's edge tables by ``poly_value`` calls;
-the transfer derivative with one sum per degree, the path Jacobian summed
-pair by pair in full and the path dependency by exact elimination alone;
-the scalar Braess sigma inequality; and the path decomposition of an
-integer edge flow keyed by id, which refuses one that is not conserved.
+found by the library's own search through ids; the mean-stdev cheapest
+path by the Aneja-Nair chord search, on positions; a polynomial's
+derivative; the separable edge costs as coefficient tuples with their
+Beckmann potential; the solve's and the report's edge tables by
+``poly_value`` calls; the transfer derivative with one sum per degree, the
+path Jacobian summed pair by pair in full and the path dependency by exact
+elimination alone; the scalar Braess sigma inequality; and the path
+decomposition of an integer edge flow keyed by id, which refuses one that
+is not conserved.
 Tests assert that the library's values equal these, to the bit where the
 arithmetic is the same."""
 
@@ -281,6 +283,63 @@ def cheapest_path(instance: Instance, flows, mode: str) -> tuple[float, tuple[st
     ids = list(net.edge_position)
     path = tuple(ids[pos] for pos in pool.cheapest(table)[1])
     return path_cost(instance, flows, path, mode), path
+
+
+def meanstdev_cheapest_by_chords(
+    instance: Instance, moments: tuple[list[float], list[float]]
+) -> tuple[float, tuple[int, ...]]:
+    """The least (mean-stdev cost, path) at the edge latencies and variances
+    ``moments`` (by edge position), by the Aneja-Nair chord search of the
+    lower-left convex hull of the paths' (L, V) points: the referee of the
+    library's hull DP, solvers._meanstdev_cheapest.
+
+    L and V are sums over a path's edges, and its cost L + gamma * sqrt(V)
+    is concave and nondecreasing in them, so the cheapest path is a hull
+    vertex: a shortest path under latency + lambda * variance for some
+    lambda >= 0 (Nikolova, Brand & Karger, ICAPS 2006). The search starts
+    from the shortest paths under the latencies and under the variances.
+    For found paths p and q it takes the shortest path r at the slope
+    lambda = (L_q - L_p) / (V_p - V_q) of their chord; when r is new and
+    weighs strictly less than p and q, it searches the chords p, r and r, q
+    (Aneja & Nair, 1979). Each such step finds a new path, so the search
+    ends. A chord is dropped when its corner bound L_p + gamma * sqrt(V_q)
+    is above the cheapest cost found. Paths are priced by
+    solvers._meanstdev_price, as a solve prices them, ties go to the
+    lexicographically smallest path found, and with gamma 0 this is the
+    latency shortest path.
+    """
+    net, gamma = instance.network, instance.gamma
+    lat, var = moments
+    found: dict[tuple[int, ...], tuple[float, float, float]] = {}
+
+    def vertex(weights: list[float]) -> tuple[int, ...] | None:
+        # the shortest path under ``weights``, or None when already found
+        path = solvers._sweep_path(net, weights)[1]
+        if path in found:
+            return None
+        found[path] = solvers._meanstdev_price(moments, gamma, path)
+        return path
+
+    first = vertex(lat)
+    if gamma == 0.0:
+        return found[first][2], first
+    last = vertex(var)
+    best = min(cost for *_, cost in found.values())
+    chords = [(first, last)] if last else []
+    while chords:
+        p, q = chords.pop()
+        (lp, vp, _), (lq, vq, _) = found[p], found[q]
+        if not (lp < lq and vp > vq) or lp + gamma * math.sqrt(vq) > best:
+            continue
+        slope = (lq - lp) / (vp - vq)
+        r = vertex([x + slope * y for x, y in zip(lat, var)])
+        if r is None:
+            continue
+        lr, vr, cost = found[r]
+        best = min(best, cost)
+        if lr + slope * vr < min(lp + slope * vp, lq + slope * vq):
+            chords += [(p, r), (r, q)]
+    return min((cost, path) for path, (*_, cost) in found.items())
 
 
 def relative_gap(instance: Instance, flow: Flow) -> float:

@@ -194,9 +194,10 @@ def test_cheapest_path_matches_enumeration(monkeypatch):
     cheapest-path search (reference.cheapest_path) finds the brute-force
     minimum, or a path whose cost ties it within 4 ulps.
     Mean-stdev costs are priced on a mean-stdev copy of each instance. The
-    mean-stdev hull search also matches on mean-stdev random_general
-    instances with n in {6, 8, 12, 14} and m = 2n, seeds 0-299, each at three
-    random flows that use every path, and some of those take a chord step."""
+    mean-stdev hull DP also matches on mean-stdev random_general instances
+    with n in {6, 8, 12, 14} and m = 2n, seeds 0-299, each at three random
+    flows that use every path, and some of those calls hull a node fed by
+    two or more in-edges and drop a point there."""
     for seed in range(200):
         instance = suites.random_general(seed)
         net = instance.network
@@ -215,15 +216,15 @@ def test_cheapest_path_matches_enumeration(monkeypatch):
     with pytest.raises(ValueError, match="no 'mean-var' path costs"):
         reference.cheapest_path(stdev, zero, RISK_MEAN_VAR)
 
-    calls = []
-    sweep_path = solvers._sweep_path
+    drops = []
+    lower_left = solvers._lower_left
 
-    def counted(network, costs):
-        calls.append(costs)
-        return sweep_path(network, costs)
+    def counted(points):
+        chain = lower_left(points)
+        drops.append(len(points) - len(chain))
+        return chain
 
-    monkeypatch.setattr(solvers, "_sweep_path", counted)
-    chord_steps = 0
+    monkeypatch.setattr(solvers, "_lower_left", counted)
     for n in (6, 8, 12, 14):
         for seed in range(300):
             instance = make(
@@ -237,12 +238,10 @@ def test_cheapest_path_matches_enumeration(monkeypatch):
                 flows = reference.edge_flow(
                     {p: w * scale for p, w in zip(paths, weights)}, instance.network
                 )
-                calls.clear()
                 _assert_matches_reference(
                     instance, flows, RISK_MEAN_STDEV, (n, seed), paths
                 )
-                chord_steps += len(calls) > 2
-    assert chord_steps > 0
+    assert max(drops) > 0
 
 
 def _certificate_instances():
@@ -304,9 +303,8 @@ def test_cheapest_meanstdev_path_inside_the_hull():
 @pytest.mark.parametrize("twin", [("b1", "b2"), ("x1", "x2")])
 def test_cheapest_meanstdev_path_tie_is_lexicographic(twin):
     """The edge m and the two-edge route ``twin`` both have (latency,
-    variance) (1, 1), the cheapest hull vertex between (0, 9) and (9, 0),
-    and weigh exactly the same at its chord's slope 1: the lexicographically
-    smaller of the two is returned."""
+    variance) (1, 1), the cheapest hull vertex between (0, 9) and (9, 0):
+    of these exact twins the lexicographically smaller is returned."""
     first, second = twin
     instance = _parallel_instance(
         [
@@ -328,6 +326,139 @@ def test_cheapest_meanstdev_cost_tie_is_lexicographic(risky, safe):
     instance = _parallel_instance([[(risky, 0.0, 2.0)], [(safe, 2.0, 0.0)]])
     zero = {e.id: 0.0 for e in instance.network.edges}
     assert reference.cheapest_path(instance, zero, RISK_MEAN_STDEV) == (2.0, ("a",))
+
+
+def test_meanstdev_hull_dp_matches_the_chord_search_at_every_call(monkeypatch):
+    """Every _meanstdev_cheapest call of solve_rawe on the mean-stdev
+    bound-chain draws, seeds 0-299, and on mean-stdev random_sp budget 200
+    seed 8 gives a cost no higher than the chord search's
+    (reference.meanstdev_cheapest_by_chords) and the same (cost, path), but
+    where the two costs are within 4 ulps; these draws have no such call."""
+    calls = []
+    cheapest = solvers._meanstdev_cheapest
+
+    def recorded(instance, moments):
+        calls.append((instance, tuple(map(list, moments))))
+        return cheapest(instance, moments)
+
+    monkeypatch.setattr(solvers, "_meanstdev_cheapest", recorded)
+    for seed in range(300):
+        solve_rawe(suites.random_general(seed, risk_model=RISK_MEAN_STDEV))
+    solve_rawe(make("random_sp", seed=8, budget=200, risk_model=RISK_MEAN_STDEV))
+    near = 0
+    for instance, moments in calls:
+        got = cheapest(instance, moments)
+        want = reference.meanstdev_cheapest_by_chords(instance, moments)
+        assert got[0] <= want[0], (instance.name, got, want)
+        if got != want:
+            assert abs(got[0] - want[0]) <= 4 * math.ulp(want[0]), (instance.name, got, want)
+            near += 1
+    assert len(calls) > 1_000  # 1,512
+    assert near == 0
+
+
+def _kept_by_hulls(monkeypatch, instance, moments):
+    """_meanstdev_cheapest's result on ``moments`` (by edge position) and
+    the (latency, variance) points of each chain it hulls, as (points
+    given, points kept)."""
+    hulls = []
+    lower_left = solvers._lower_left
+
+    def recorded(points):
+        given = sorted((x, y) for x, y, _ in points)
+        chain = lower_left(points)
+        hulls.append((given, [(x, y) for x, y, _ in chain]))
+        return chain
+
+    monkeypatch.setattr(solvers, "_lower_left", recorded)
+    return solvers._meanstdev_cheapest(instance, moments), hulls
+
+
+def _moments(network, values):
+    """Edge latencies and variances keyed by id as lists by position."""
+    return tuple([values[eid][k] for eid in network.edge_position] for k in (0, 1))
+
+
+def test_meanstdev_hull_dp_merges_chains_and_drops_dominated_points(monkeypatch):
+    """The node u is fed by three in-edges: p with (latency, variance)
+    (1, 1), b with (2, 2), which p dominates, and last the route f, g with
+    (1, 1) in all, p's exact twin. u's hull keeps that point once, by the
+    least path (f sorts before p), and drops b's; the hull at the sink
+    merges u's chain, moved by c's (0, 3), with the edge z's (4, 0). The
+    result is the chord search's."""
+    net = _sweep_net(
+        [("f", "s", "w"), ("b", "s", "u"), ("p", "s", "u"), ("g", "w", "u"),
+         ("c", "u", "t"), ("z", "s", "t")]
+    )
+    values = {"p": (1.0, 1.0), "b": (2.0, 2.0), "f": (0.5, 0.0), "g": (0.5, 1.0),
+              "c": (0.0, 3.0), "z": (4.0, 0.0)}
+    instance = Instance(net, demand=1.0, gamma=1.0, risk_model=RISK_MEAN_STDEV)
+    moments = _moments(net, values)
+    (cost, path), hulls = _kept_by_hulls(monkeypatch, instance, moments)
+    assert hulls == [
+        ([(1.0, 1.0), (1.0, 1.0), (2.0, 2.0)], [(1.0, 1.0)]),
+        ([(1.0, 4.0), (4.0, 0.0)], [(1.0, 4.0), (4.0, 0.0)]),
+    ]
+    assert (cost, _ids(net, [path])[0]) == (3.0, ("f", "g", "c"))
+    assert (cost, path) == reference.meanstdev_cheapest_by_chords(instance, moments)
+
+
+def test_meanstdev_hull_dp_drops_collinear_points(monkeypatch):
+    """Three parallel edges with (latency, variance) (0, 2), (1, 1) and
+    (2, 0) lie on one line: the sink's hull keeps the two ends alone, and
+    the cheapest at gamma 1 is (0, 2), as the chord search finds."""
+    instance = _parallel_instance([[("a", 0.0, 0.0)], [("b", 0.0, 0.0)], [("c", 0.0, 0.0)]])
+    net = instance.network
+    moments = _moments(net, {"a": (0.0, 2.0), "b": (1.0, 1.0), "c": (2.0, 0.0)})
+    (cost, path), hulls = _kept_by_hulls(monkeypatch, instance, moments)
+    assert hulls == [([(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)], [(0.0, 2.0), (2.0, 0.0)])]
+    assert (cost, _ids(net, [path])[0]) == (math.sqrt(2.0), ("a",))
+    assert (cost, path) == reference.meanstdev_cheapest_by_chords(instance, moments)
+
+
+def test_meanstdev_cheapest_error_contract():
+    """Called directly, _meanstdev_cheapest raises as the chord search did:
+    a NaN or negative latency first (ValueError naming the first bad edge
+    in declaration order), then an unreachable sink (ConvergenceError),
+    then a NaN variance. With gamma 0 the variances are not checked: the
+    latency shortest path comes back, priced at a NaN cost."""
+    net = _SWEEP_CORNERS["ids unlike declaration"]  # e9 is declared first
+    dead = _sweep_net([("a", "s", "u"), ("b", "w", "t")])
+
+    def outcome(network, lat, var, gamma=1.0):
+        instance = Instance(network, demand=1.0, gamma=gamma, risk_model=RISK_MEAN_STDEV)
+        moments = tuple([values.get(eid, 1.0) for eid in network.edge_position]
+                        for values in (lat, var))
+        got = []
+        for cheapest in (solvers._meanstdev_cheapest, reference.meanstdev_cheapest_by_chords):
+            with pytest.raises((ValueError, ConvergenceError)) as caught:
+                cheapest(instance, moments)
+            got.append((caught.type, str(caught.value)))
+        assert got[0] == got[1]
+        return got[0]
+
+    nan = math.nan
+    lat_nan = (ValueError, "edge 'e9' has cost nan, not a nonnegative number")
+    assert outcome(net, {"e9": nan, "e2": nan}, {}) == lat_nan
+    assert outcome(net, {"e2": -1.0, "e9": nan}, {"e9": nan}) == lat_nan
+    assert outcome(net, {"e11": -1.0}, {"e9": nan}) == (
+        ValueError, "edge 'e11' has cost -1.0, not a nonnegative number"
+    )
+    assert outcome(net, {}, {"e2": nan, "e100": nan}) == (
+        ValueError, "edge 'e100' has cost nan, not a nonnegative number"
+    )
+    unreachable = (ConvergenceError, "sink 't' unreachable from source")
+    assert outcome(dead, {"b": -1.0}, {"a": nan}) == (
+        ValueError, "edge 'b' has cost -1.0, not a nonnegative number"
+    )
+    assert outcome(dead, {}, {"a": nan}) == unreachable
+    assert outcome(dead, {}, {}) == unreachable
+    assert outcome(dead, {}, {"a": nan}, gamma=0.0) == unreachable
+    instance = Instance(net, demand=1.0, gamma=0.0, risk_model=RISK_MEAN_STDEV)
+    moments = ([1.0] * 5, [nan] * 5)
+    for cheapest in (solvers._meanstdev_cheapest, reference.meanstdev_cheapest_by_chords):
+        cost, path = cheapest(instance, moments)
+        assert math.isnan(cost) and _ids(net, [path])[0] == ("e11",)
 
 
 # --- solver properties ----------------------------------------------------------
@@ -429,7 +560,7 @@ def _outcome(shortest, network, costs):
 
 def test_sweep_path_matches_reference_at_every_call(monkeypatch):
     """Every shortest path that solve_rawe, solve_rnwe and pra_report take
-    on the bound-chain draws, seeds 0-299 under mean-var and mean-stdev,
+    on the bound-chain draws, seeds 0-699 under mean-var and mean-stdev,
     equals the id-keyed label DP of the reference: the same cost bits and
     the same path."""
     sweep_path = solvers._sweep_path
@@ -446,7 +577,7 @@ def test_sweep_path_matches_reference_at_every_call(monkeypatch):
     monkeypatch.setattr(solvers, "_sweep_path", checked)
     monkeypatch.setattr(analysis, "_sweep_path", checked)
     for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
-        for seed in range(300):
+        for seed in range(700):
             instance = suites.random_general(seed, risk_model=model)
             x, z = solve_rawe(instance), solve_rnwe(instance)
             if x.converged and z.converged:
