@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import insort
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping
 
@@ -164,52 +165,68 @@ def _random_sp(
     # Grow a series-parallel multigraph from a single source->sink edge by
     # subdividing an edge (series) or duplicating an edge (parallel).
     edges: dict[str, tuple[str, str]] = {"e00": ("s", "t")}
+    keys = ["e00"]  # sorted(edges), kept by insort
     node_counter = 0
     edge_counter = 1
+    # Under max_paths, the s->v (into) and v->t (onward) path counts of every
+    # node and the source-sink count. Duplicating a tail->head edge adds
+    # into[tail] * onward[head] paths; subdividing one adds a node with its
+    # edge's counts and changes no other count.
+    into, onward, paths = {"s": 1, "t": 1}, {"s": 1, "t": 1}, 1
 
-    def path_count() -> int:
-        # source-sink paths of the current multigraph, by a DP over an
-        # explicit stack: a node is counted once all its heads are
+    def recount() -> int:
+        # onward by a DP over an explicit stack (a node is counted once all
+        # its heads are), then into in the reverse of that finishing order
         heads: dict[str, list[str]] = {}
         for tail, head in edges.values():
             heads.setdefault(tail, []).append(head)
-        memo: dict[str, int] = {"t": 1}
+        onward.clear()
+        onward["t"] = 1
+        finished = []
         stack = ["s"]
         while stack:
             v = stack[-1]
-            waiting = [h for h in heads.get(v, ()) if h not in memo]
+            waiting = [h for h in heads.get(v, ()) if h not in onward]
             if waiting:
                 stack += waiting
             else:
-                memo[v] = sum(memo[h] for h in heads.get(v, ()))
+                if v not in onward:
+                    onward[v] = sum(onward[h] for h in heads[v])
+                    finished.append(v)
                 stack.pop()
-        return memo["s"]
+        into.clear()
+        into["s"] = 1
+        for v in reversed(finished):
+            for h in heads[v]:
+                into[h] = into.get(h, 0) + into[v]
+        return onward["s"]
 
     for _ in range(budget):
         op = rng.choice(("series", "parallel"))
-        key = rng.choice(sorted(edges))
+        key = rng.choice(keys)
         tail, head = edges[key]
+        new_key = f"e{edge_counter:02d}"
         if op == "series":
             mid = f"n{node_counter:02d}"
             node_counter += 1
-            new_key = f"e{edge_counter:02d}"
-            edge_counter += 1
             edges[key] = (tail, mid)
             edges[new_key] = (mid, head)
+            into[mid], onward[mid] = into[tail], onward[head]
         else:
-            new_key = f"e{edge_counter:02d}"
-            edges[new_key] = (tail, head)
-            if max_paths is not None and path_count() > max_paths:
-                del edges[new_key]
+            if max_paths is not None and paths + into[tail] * onward[head] > max_paths:
                 continue
-            edge_counter += 1
+            edges[new_key] = (tail, head)
+            if max_paths is not None:
+                paths = recount()
+        edge_counter += 1
+        insort(keys, new_key)
 
     demand = round(rng.uniform(0.5, 2.0), 6)
     g = gamma if gamma is not None else round(rng.uniform(0.25, 2.0), 6)
     target = kappa_target if kappa_target is not None else round(rng.uniform(0.1, 0.8), 6)
     built: list[Edge] = []
     nodes = {"s", "t"}
-    for key in sorted(edges):
+    for key in keys:
         tail, head = edges[key]
         nodes.update((tail, head))
         lat = _random_latency(rng)

@@ -5,7 +5,11 @@ on which every used path costs the same and no unused path costs less. One
 solver, :func:`solve_wardrop`, finds them in every mode by an active-set
 Newton loop on the equal-cost system of the used paths and the cheapest
 path, to the one default tolerance ``DEFAULT_TOL``. A solve evaluates an
-edge's polynomials again only where the edge's flow moved.
+edge's polynomials again only where the edge's flow moved. Polynomials of
+2-4 coefficients, all that the generated families draw, are evaluated,
+differentiated and Taylor-shifted by straight-line code that makes a loop's
+float operations in the loop's order, so every result has the loop's bits;
+other lengths run the loop.
 
 Risk-neutral and mean-var costs are edge-separable (c_e is the latency plus
 gamma times the variance under mean-var), the cheapest path is a shortest
@@ -43,7 +47,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .network import RISK_MEAN_STDEV, RISK_MEAN_VAR, Instance, Network
+from .network import RISK_MEAN_STDEV, RISK_MEAN_VAR, Instance, Network, poly_value
 
 RISK_NEUTRAL = "risk-neutral"
 
@@ -185,21 +189,50 @@ def _transfer_derivative(
     Each edge's cost coefficients are Taylor-shifted to f_e by repeated
     synthetic division, its t**k coefficient scaled by s_e**(k+1), and every
     coefficient summed over the edges with math.fsum, zeros padding the
-    shorter edges: they leave a correctly rounded sum as it is.
+    shorter edges: they leave a correctly rounded sum as it is. Costs of 1-4
+    coefficients, all that the generated families draw, are shifted by
+    straight-line code that makes the loop's float operations in its order.
     """
     terms = []
+    append = terms.append
     for pos, s in delta.items():
-        b = list(costs[pos])
+        c = costs[pos]
         f = flows[pos]
-        for k in range(len(b) - 1):
-            acc = b[-1]
-            for i in range(len(b) - 2, k - 1, -1):
-                acc = b[i] = b[i] + f * acc
-        scale = s
-        for k in range(len(b)):
-            b[k] *= scale
-            scale *= s
-        terms.append(b)
+        n = len(c)
+        if n == 4:
+            c0, c1, c2, c3 = c
+            b2 = c2 + f * c3
+            b1 = c1 + f * b2
+            b0 = c0 + f * b1
+            b2 = b2 + f * c3
+            b1 = b1 + f * b2
+            b2 = b2 + f * c3
+            s2 = s * s
+            s3 = s2 * s
+            append((b0 * s, b1 * s2, b2 * s3, c3 * (s3 * s)))
+        elif n == 3:
+            c0, c1, c2 = c
+            b1 = c1 + f * c2
+            b0 = c0 + f * b1
+            b1 = b1 + f * c2
+            s2 = s * s
+            append((b0 * s, b1 * s2, c2 * (s2 * s)))
+        elif n == 2:
+            c0, c1 = c
+            append(((c0 + f * c1) * s, c1 * (s * s)))
+        elif n == 1:
+            append((c[0] * s,))
+        else:
+            b = list(c)
+            for k in range(n - 1):
+                acc = b[-1]
+                for i in range(n - 2, k - 1, -1):
+                    acc = b[i] = b[i] + f * acc
+            scale = s
+            for k in range(n):
+                b[k] *= scale
+                scale *= s
+            append(b)
     return tuple(map(math.fsum, zip_longest(*terms, fillvalue=0.0)))
 
 
@@ -513,10 +546,12 @@ class _PathPool:
     separable mode, its latency and variance (squared risk) under mean-stdev.
     They are priced by :func:`poly_value`'s Horner steps from coefficient
     tuples: ``costs``, each edge's separable cost, or its latency under
-    mean-stdev, whose risks are in ``risks``. The table starts at zero flow,
-    where on coefficients in [0, inf) (-0.0 too) those steps give the
-    constant coefficient plus 0.0, 0.0 for no coefficients, and a potential
-    term of 0.0."""
+    mean-stdev, whose risks are in ``risks``. Those steps are straight-line
+    code, inline for a separable cost of 2-4 coefficients and by
+    :func:`_value` under mean-stdev, with the loop's operations in its
+    order. The table starts at zero flow, where on coefficients in [0, inf)
+    (-0.0 too) those steps give the constant coefficient plus 0.0, 0.0 for
+    no coefficients, and a potential term of 0.0."""
 
     def __init__(self, instance: Instance, mode: str) -> None:
         self.instance = instance
@@ -544,24 +579,40 @@ class _PathPool:
         for path, amount in paths.items():
             for pos in path:
                 flows[pos] += amount
-        at, (first, second) = self.at, self.table
-        for pos, f in enumerate(flows):
-            if at[pos] != f:
+        at, (first, second), costs = self.at, self.table, self.costs
+        moved = [(pos, f) for pos, f in enumerate(flows) if at[pos] != f]
+        if self.separable:  # the cost and its Beckmann integral at once
+            for pos, f in moved:
                 at[pos] = f
-                c, value, term = self.costs[pos], 0.0, 0.0
-                if self.separable:  # the cost and its Beckmann integral at once
-                    k = len(c)
+                c = costs[pos]
+                n = len(c)
+                z = 0.0 * f
+                if n == 4:
+                    c0, c1, c2, c3 = c
+                    first[pos] = (((z + c3) * f + c2) * f + c1) * f + c0
+                    second[pos] = ((((z + c3 / 4) * f + c2 / 3) * f + c1 / 2) * f + c0) * f
+                elif n == 3:
+                    c0, c1, c2 = c
+                    first[pos] = ((z + c2) * f + c1) * f + c0
+                    second[pos] = (((z + c2 / 3) * f + c1 / 2) * f + c0) * f
+                elif n == 2:
+                    c0, c1 = c
+                    first[pos] = (z + c1) * f + c0
+                    second[pos] = ((z + c1 / 2) * f + c0) * f
+                else:
+                    value = term = 0.0
+                    k = n
                     for x in reversed(c):
                         value = value * f + x
                         term = term * f + x / k
                         k -= 1
                     first[pos], second[pos] = value, term * f
-                else:  # poly_value on the latency and the risk
-                    for x in reversed(c):
-                        value = value * f + x
-                    for x in reversed(self.risks[pos]):
-                        term = term * f + x
-                    first[pos], second[pos] = value, term ** 2
+        else:  # poly_value on the latency and the risk
+            risks = self.risks
+            for pos, f in moved:
+                at[pos] = f
+                first[pos] = _value(costs[pos], f)
+                second[pos] = _value(risks[pos], f) ** 2
         return flows, self.table
 
     def cheapest(self, table: tuple[list[float], list[float]]) -> tuple[float, tuple[int, ...]]:
@@ -699,11 +750,47 @@ def _independent_support(
     return it, support
 
 
+def _value(coeffs: Sequence[float], f: float) -> float:
+    """:func:`poly_value` at the float ``f``, as straight-line code up to 4
+    coefficients: the loop's float operations in its order, from the same
+    leading 0.0 * f, which at a flow >= 0 makes a -0.0 top coefficient +0.0
+    and keeps a NaN flow NaN."""
+    n = len(coeffs)
+    if n == 3:
+        c0, c1, c2 = coeffs
+        return ((0.0 * f + c2) * f + c1) * f + c0
+    if n == 4:
+        c0, c1, c2, c3 = coeffs
+        return (((0.0 * f + c3) * f + c2) * f + c1) * f + c0
+    if n == 2:
+        c0, c1 = coeffs
+        return (0.0 * f + c1) * f + c0
+    if n == 1:
+        return 0.0 * f + coeffs[0]
+    return poly_value(coeffs, f)
+
+
 def _value_slope(coeffs: Sequence[float], f: float) -> tuple[float, float]:
     """A polynomial's value and derivative at ``f`` from its coefficients,
-    both by :func:`poly_value`'s Horner steps (on i * coeffs[i] for the slope)."""
+    both by :func:`poly_value`'s Horner steps (on i * coeffs[i] for the slope).
+    Up to 4 coefficients the steps are straight-line code, the loop's float
+    operations in its order, from the same leading 0.0 * f: at a flow >= 0
+    it makes a -0.0 top coefficient +0.0, and it keeps a NaN flow NaN."""
+    n = len(coeffs)
+    if n == 4:
+        c0, c1, c2, c3 = coeffs
+        z = 0.0 * f
+        return (((z + c3) * f + c2) * f + c1) * f + c0, ((z + 3 * c3) * f + 2 * c2) * f + c1
+    if n == 3:
+        c0, c1, c2 = coeffs
+        z = 0.0 * f
+        return ((z + c2) * f + c1) * f + c0, (z + 2 * c2) * f + c1
+    if n == 2:
+        c0, c1 = coeffs
+        z = 0.0 * f
+        return (z + c1) * f + c0, z + c1
     value = slope = 0.0
-    for i in range(len(coeffs) - 1, -1, -1):
+    for i in range(n - 1, -1, -1):
         value = value * f + coeffs[i]
         if i:
             slope = slope * f + i * coeffs[i]
@@ -719,18 +806,31 @@ def _path_jacobian(
     the latency, s_e the edge risk and s_p the path's root-sum-square risk
     (the second term is 0 on a riskless path). math.fsum is correctly
     rounded, so each unordered pair is summed once and mirrored; only the
-    division by s_p is made per row."""
+    division by s_p is made per row. A pair without a shared edge keeps the
+    0.0 that those sums give. Each slope takes :func:`_value_slope`'s slope
+    steps alone, straight-line code up to 4 coefficients."""
     gamma = pool.instance.gamma
+    costs, separable = pool.costs, pool.separable
     slope, curvature, var = {}, {}, {}
     for pos in {pos for p in support for pos in p}:
         f = flows[pos]
-        c, acc = pool.costs[pos], 0.0  # _value_slope's slope steps alone
-        k = len(c) - 1
-        for x in c[:0:-1]:
-            acc = acc * f + k * x
-            k -= 1
-        slope[pos] = acc
-        if pool.separable:
+        c = costs[pos]
+        n = len(c)
+        if n == 4:
+            _, c1, c2, c3 = c
+            slope[pos] = ((0.0 * f + 3 * c3) * f + 2 * c2) * f + c1
+        elif n == 3:
+            _, c1, c2 = c
+            slope[pos] = (0.0 * f + 2 * c2) * f + c1
+        elif n == 2:
+            slope[pos] = 0.0 * f + c[1]
+        else:
+            acc, k = 0.0, n - 1
+            for x in c[:0:-1]:
+                acc = acc * f + k * x
+                k -= 1
+            slope[pos] = acc
+        if separable:
             continue
         risk, acc = _value_slope(pool.risks[pos], f)
         curvature[pos] = gamma * risk * acc
@@ -741,6 +841,8 @@ def _path_jacobian(
     for i in range(len(support)):
         for j in range(i, len(support)):
             shared = edge_sets[i] & edge_sets[j]
+            if not shared:
+                continue
             value = math.fsum(map(slope.__getitem__, shared))
             bend = math.fsum(map(curvature.__getitem__, shared)) if var else 0.0
             jac[i][j] = value + bend / sigma[i] if sigma[i] > 0.0 else value
@@ -856,7 +958,7 @@ def _crossing(
     own_best = [pos for pos in best if pos not in worst]
     own_worst = [pos for pos in worst if pos not in best]
     shared = math.fsum(
-        _value_slope(pool.risks[pos], flows[pos])[0] ** 2 for pos in best if pos in worst
+        _value(pool.risks[pos], flows[pos]) ** 2 for pos in best if pos in worst
     )
 
     def crossing(t: float) -> tuple[float, float]:

@@ -6,13 +6,13 @@ by a label DP keyed by edge id; path flows made into a ``Flow``, their edge
 flows and their path costs; a flow's relative gap and its cheapest path,
 found by the library's own search through ids; the mean-stdev cheapest
 path by the Aneja-Nair chord search, on positions; a polynomial's
-derivative; the separable edge costs as coefficient tuples with their
-Beckmann potential; the solve's and the report's edge tables by
-``poly_value`` calls; the transfer derivative with one sum per degree, the
-path Jacobian summed pair by pair in full and the path dependency by exact
-elimination alone; the scalar Braess sigma inequality; and the path
-decomposition of an integer edge flow keyed by id, which refuses one that
-is not conserved.
+derivative, and its value and derivative by one loop; the separable edge
+costs as coefficient tuples with their Beckmann potential; the solve's and
+the report's edge tables by ``poly_value`` calls; the transfer derivative
+with one sum per degree, the path Jacobian summed pair by pair in full and
+the path dependency by exact elimination alone; the scalar Braess sigma
+inequality; and the path decomposition of an integer edge flow keyed by
+id, which refuses one that is not conserved.
 Tests assert that the library's values equal these, to the bit where the
 arithmetic is the same."""
 
@@ -83,6 +83,17 @@ def derivative(poly, x: float) -> float:
     for i in reversed(range(1, len(poly))):
         acc = acc * x + i * poly[i]
     return acc
+
+
+def value_slope(poly, x: float) -> tuple[float, float]:
+    """The value and derivative of the coefficients ``poly`` at ``x``, as
+    one loop of Horner steps from 0.0 on poly[i] and on i * poly[i]."""
+    value = slope = 0.0
+    for i in reversed(range(len(poly))):
+        value = value * x + poly[i]
+        if i:
+            slope = slope * x + i * poly[i]
+    return value, slope
 
 
 def integral(poly, x: float) -> float:

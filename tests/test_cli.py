@@ -17,7 +17,7 @@ from riskroute import suites
 from riskroute.analysis import pra_report
 from riskroute.cli import CSV_HEADER, main
 from riskroute.instances import make, write_instance
-from riskroute.network import RISK_MEAN_STDEV
+from riskroute.network import RISK_MEAN_STDEV, RISK_MEAN_VAR, Edge, Instance, Network
 from riskroute.solvers import solve_rawe, solve_rnwe
 
 
@@ -210,6 +210,21 @@ def test_analyze_braess(tmp_path, capsys):
     assert len(doc["checks"]) == 11
 
 
+def _pigou_p4():
+    """Pigou with the degree-4 latency 2x**4 on e1 (5 coefficients) beside
+    e2 of latency 1 and risk 1, at gamma = demand = 1 under mean-var."""
+    e1 = Edge("e1", "s", "t", (0.0, 0.0, 0.0, 0.0, 2.0), (0.0,))
+    e2 = Edge("e2", "s", "t", (1.0,), (1.0,))
+    network = Network(nodes=("s", "t"), edges=(e1, e2), source="s", sink="t")
+    return Instance(network, demand=1.0, gamma=1.0, risk_model=RISK_MEAN_VAR, name="pigou-p4")
+
+
+def _frozen_name(instance):
+    """The tests/data file stem of an instance's frozen report: its name,
+    suffixed -stdev under mean-stdev."""
+    return instance.name + ("-stdev" if instance.risk_model == RISK_MEAN_STDEV else "")
+
+
 @pytest.mark.parametrize(
     "instance",
     [
@@ -217,17 +232,21 @@ def test_analyze_braess(tmp_path, capsys):
         make("pigou", kappa=1.0, gamma=1.0),
         make("random_general", seed=0, n=20, m=110),
         suites.random_general(362),
+        make("random_general", seed=0, n=20, m=110, risk_model=RISK_MEAN_STDEV),
+        _pigou_p4(),
     ],
-    ids=lambda instance: instance.name,
+    ids=_frozen_name,
 )
 def test_analyze_out_bytes_are_frozen(tmp_path, instance):
     """The analyze --out file of Braess v=0.1, of Pigou kappa = gamma = 1,
-    of random_general seed 0 with n=20, m=110, whose edge ids e00-e109 sort
-    unlike their declaration order (e100 before e11), and of bound-chain
-    draw 362, whose alternating path has two forward runs around the
-    backward arc e06, and report_to_dict of the same report, equal the
-    frozen reports in tests/data byte for byte."""
-    frozen = (Path(__file__).parent / "data" / f"{instance.name}.report.json").read_text()
+    of random_general seed 0 with n=20, m=110 under mean-var and mean-stdev,
+    whose edge ids e00-e109 sort unlike their declaration order (e100 before
+    e11), of bound-chain draw 362, whose alternating path has two forward
+    runs around the backward arc e06, and of a Pigou with a 5-coefficient
+    latency, which no solver kernel of 4 coefficients serves, and
+    report_to_dict of the same report, equal the frozen reports in
+    tests/data byte for byte."""
+    frozen = (Path(__file__).parent / "data" / f"{_frozen_name(instance)}.report.json").read_text()
     out = tmp_path / "report.json"
     assert main(["analyze", _write(tmp_path, "instance.json", instance), "--out", str(out)]) == 0
     assert out.read_text() == frozen

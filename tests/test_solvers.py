@@ -771,15 +771,19 @@ def test_newton_step_converging_from_the_right():
 
 
 def _random_transfer(rng):
-    """Edge polynomials of degree 0-5 with nonnegative coefficients, flows,
-    and a +1/-1 change per edge; shedding edges carry at least ``hi``."""
+    """Edge polynomials of 1-6 nonnegative coefficients, so that every
+    straight-line Taylor shift and the loop beside it are drawn, flows (0.0
+    among them), and a change per edge: +1/-1 as a pairwise transfer
+    carries, or any nonzero scale, as a Newton direction does. An edge that
+    sheds flow at scale s carries at least |s| * ``hi``."""
     hi = 10 ** rng.uniform(-2, 2)
     polys, flows, delta = {}, {}, {}
     for eid in range(rng.randint(1, 4)):
-        degree = rng.randint(0, 5)
-        polys[eid] = tuple(rng.choice((0.0, rng.uniform(0.0, 1.0))) for _ in range(degree + 1))
-        delta[eid] = rng.choice((-1.0, 1.0))
-        flows[eid] = rng.uniform(0.0, 2.0 * hi) + (hi if delta[eid] < 0 else 0.0)
+        polys[eid] = tuple(
+            rng.choice((0.0, rng.uniform(0.0, 1.0))) for _ in range(rng.randint(1, 6))
+        )
+        s = delta[eid] = rng.choice((-1.0, 1.0, rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 1)))
+        flows[eid] = rng.choice((0.0, rng.uniform(0.0, 2.0 * hi))) + max(0.0, -s * hi)
     return polys, flows, delta, hi
 
 
@@ -798,8 +802,10 @@ def test_transfer_derivative_matches_edge_sum():
         for t in (0.0, hi / 3, hi):
             terms = [s * poly_value(polys[e], flows[e] + s * t) for e, s in delta.items()]
             # expanded in t, g carries rounding relative to the majorant
-            # sum_e c_e(f_e + t), not to the terms themselves
-            majorant = math.fsum(poly_value(polys[e], flows[e] + t) for e in delta)
+            # sum_e |s_e| c_e(f_e + |s_e| t), not to the terms themselves
+            majorant = math.fsum(
+                abs(s) * poly_value(polys[e], flows[e] + abs(s) * t) for e, s in delta.items()
+            )
             want = pytest.approx(math.fsum(terms), rel=0.0, abs=1e-12 * majorant)
             assert poly_value(g, t) == want
 
@@ -813,6 +819,26 @@ def test_transfer_derivative_matches_reference():
         got = _transfer_derivative(polys, flows, delta)
         want = reference.transfer_derivative(polys, flows, delta)
         assert _hex(got) == _hex(want)
+
+
+def test_value_slope_matches_reference_loop():
+    """A polynomial's value and slope (solvers._value_slope) and its value
+    (solvers._value) equal one Horner loop's (reference.value_slope,
+    poly_value) to the bit at 0-6 coefficients, straight-line code or not,
+    on coefficients with signed zeros and flows with 0.0, -0.0, negatives,
+    infinities and NaN."""
+    rng = random.Random(8)
+    special = (0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan)
+    for n in range(7):
+        for _ in range(300):
+            coeffs = tuple(
+                rng.choice((0.0, -0.0, rng.uniform(-2.0, 2.0), rng.uniform(0.0, 1.0)))
+                for _ in range(n)
+            )
+            for f in (*special, rng.uniform(0.0, 3.0), 10 ** rng.uniform(-6, 6)):
+                want = reference.value_slope(coeffs, f)
+                assert _hex(solvers._value_slope(coeffs, f)) == _hex(want), (coeffs, f)
+                assert _hex(solvers._value(coeffs, f)) == _hex(poly_value(coeffs, f)), (coeffs, f)
 
 
 def _rising_poly(rng):
@@ -1235,11 +1261,12 @@ def test_newton_pieces_match_reference_at_every_iterate(monkeypatch):
 
 def test_path_jacobian_matches_reference_on_random_flows():
     """On random edge flows and random supports of 1-6 paths of
-    random_general seeds 0-59, under each cost mode, the path Jacobian
-    equals the reference's entry-by-entry sums to the bit."""
+    random_general seeds 0-59 and of a Braess network with 5-6 coefficients
+    per polynomial, under each cost mode, the path Jacobian equals the
+    reference's entry-by-entry sums to the bit."""
     rng = random.Random(6)
-    for seed in range(60):
-        drawn = suites.random_general(seed)
+    draws = [*map(suites.random_general, range(60)), _braess_many_coefficients(RISK_MEAN_VAR)]
+    for seed, drawn in enumerate(draws):
         paths = enumerate_simple_paths(drawn.network)
         for instance, mode in (
             (drawn, RISK_NEUTRAL),
@@ -1303,11 +1330,27 @@ def _by_position(network, table):
     return tuple([part[eid] for eid in network.edge_position] for part in table)
 
 
+def _braess_many_coefficients(risk_model):
+    """A Braess network whose latencies and risks have 5 and 6 coefficients,
+    more than any straight-line solver kernel takes; its solves use all
+    three paths."""
+    edges = (
+        Edge("a", "s", "u", (0.0, 0.5, 0.0, 0.0, 1.0), (0.1, 0.0, 0.2, 0.0, 0.05)),
+        Edge("b", "u", "t", (1.0, 0.1, 0.0, 0.0, 0.0, 0.2), (0.3, 0.1, 0.0, 0.0, 0.0, 0.1)),
+        Edge("c", "s", "v", (1.0, 0.0, 0.3, 0.0, 0.0), (0.2, 0.0, 0.0, 0.0, 0.3)),
+        Edge("d", "v", "t", (0.0, 1.0, 0.0, 0.0, 0.5), (0.05, 0.2, 0.0, 0.0, 0.0, 0.1)),
+        Edge("e", "u", "v", (0.05, 0.0, 0.0, 0.0, 0.1), (0.01, 0.0, 0.0, 0.0, 0.02)),
+    )
+    net = Network(nodes=("s", "t", "u", "v"), edges=edges, source="s", sink="t")
+    return Instance(net, demand=1.5, gamma=0.8, risk_model=risk_model, name="braess-p5")
+
+
 def test_pool_table_matches_fresh_pricing(monkeypatch):
     """At every _PathPool.evaluate of solve_rawe and solve_rnwe on
     random_general n=20, m=60 seeds 0-29 under mean-var and mean-stdev,
-    random_sp budget 200 seeds 0-9 and mean-stdev random_general seed 333
-    (whose solve takes the bisection step), the pool's edge table, the
+    random_sp budget 200 seeds 0-9, mean-stdev random_general seed 333
+    (whose solve takes the bisection step) and a Braess network with 5-6
+    coefficients per polynomial under both models, the pool's edge table, the
     iterate's cheapest cost and path, and its potential equal (==) a fresh
     pricing of the iterate's edge flows by poly_value calls and the
     reference's sums, apart from the pool's table."""
@@ -1332,6 +1375,7 @@ def test_pool_table_matches_fresh_pricing(monkeypatch):
     ]
     instances += [make("random_sp", seed=seed, budget=200) for seed in range(10)]
     instances.append(suites.random_general(333, risk_model=RISK_MEAN_STDEV))
+    instances += [_braess_many_coefficients(model) for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV)]
     for instance in instances:
         for result in (solve_rawe(instance), solve_rnwe(instance)):
             assert result.converged, (instance.name, result.flow.objective_mode)
