@@ -30,6 +30,7 @@ from .network import (
     Network,
     PathCountError,
     is_braess_topology,
+    is_series_parallel,
     poly_value,
 )
 from .solvers import RISK_NEUTRAL, EquilibriumResult, _sweep_path
@@ -52,21 +53,16 @@ def _edge_table(network: Network, flows: Mapping[str, float]) -> _EdgeTable:
     sum_e f_e * latency_e(f_e) and kappa, the largest edge ratio
     risk/latency, in one pass over the edges in declaration order.
 
-    The polynomials are evaluated from their coefficient tuples by
-    :func:`poly_value`'s Horner steps, and the social cost is the builtin
-    sum of its terms in edge order, so every value equals, to the bit, the
-    one the poly_value calls and a sum over the edges give. Kappa counts
-    0/0 as 0 and positive risk over zero latency as infinite."""
+    The polynomials are evaluated by :func:`poly_value`, and the social cost
+    is the builtin sum of its terms in edge order. Kappa counts 0/0 as 0 and
+    positive risk over zero latency as infinite."""
     position = network.edge_position
     lat, risk = [0.0] * len(position), [0.0] * len(position)
     terms = []
     kappa = 0.0
     for e in network.edges:
-        f, a, b = flows[e.id], 0.0, 0.0
-        for c in reversed(e.latency):
-            a = a * f + c
-        for c in reversed(e.risk):
-            b = b * f + c
+        f = flows[e.id]
+        a, b = poly_value(e.latency, f), poly_value(e.risk, f)
         pos = position[e.id]
         lat[pos], risk[pos] = a, b
         terms.append(a * f)
@@ -162,9 +158,9 @@ def pra_report(
     edge flows and their own certificates (``min_path_cost``,
     ``deviation``), and prices no path: S(z) is z's ``min_path_cost``.
     Each flow's edge latencies and risks, social cost and kappa come from
-    one pass over the edges (:func:`_edge_table`), which reads the cost
-    polynomials' coefficient tuples and calls no :func:`poly_value`. The
-    checks are :class:`BoundCheck` rows, immutable named tuples.
+    one pass over the edges (:func:`_edge_table`), which prices each cost
+    polynomial once by :func:`poly_value`. The checks are
+    :class:`BoundCheck` rows, immutable named tuples.
 
     The checks come from one table, in report order. A row gives a check's
     name, whether it applies to the instance, whether it is free of kappa,
@@ -535,7 +531,7 @@ def max_shortest_path_oracle(
             rows[m + k], splits[k] = _parallel_merge(take(first), take(second))
         else:
             rows[m + k] = take(first) + take(second)
-    series_parallel = pairs.keys() == {(net.source, net.sink)}
+    series_parallel = is_series_parallel(net)
     if series_parallel:
         count, stack = 0, [(pairs[net.source, net.sink], grid)]
     else:

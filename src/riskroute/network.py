@@ -8,7 +8,8 @@ is read as a standard deviation and path costs combine it as the root of the
 sum of squares. Nonnegative coefficients keep every cost nonnegative and
 nondecreasing on the nonnegative axis and make the Beckmann antiderivative
 exact, which the solvers rely on. An edge holds each polynomial as a tuple of
-coefficients in ascending powers, and :func:`poly_value` evaluates one.
+coefficients in ascending powers, and :func:`poly_value`, the library's one
+value kernel, evaluates one, by straight-line code up to 4 coefficients.
 
 A network derives its topology once, on first use: each edge's position
 among the sorted ids, the shortest-path sweep over a topological order and
@@ -39,8 +40,28 @@ class PathCountError(RuntimeError):
 
 def poly_value(coeffs: Sequence[float], x):
     """The polynomial with coefficients ``coeffs`` in ascending powers at
-    ``x``, a float or a numpy array, by Horner's steps. The zero polynomial
-    ``()`` is the scalar 0.0, on an array too."""
+    ``x``, a float or a numpy array, by Horner's steps from 0.0; ``()`` is
+    the scalar 0.0, on an array too. The library's one value kernel: 1-4
+    coefficients run straight-line code with the loop's float operations in
+    its order, from the same leading 0.0 * x, and :func:`_horner_loop` runs
+    the rest, so every length has the loop's bits."""
+    n = len(coeffs)
+    if n == 3:
+        c0, c1, c2 = coeffs
+        return ((0.0 * x + c2) * x + c1) * x + c0
+    if n == 4:
+        c0, c1, c2, c3 = coeffs
+        return (((0.0 * x + c3) * x + c2) * x + c1) * x + c0
+    if n == 2:
+        c0, c1 = coeffs
+        return (0.0 * x + c1) * x + c0
+    if n == 1:
+        return 0.0 * x + coeffs[0]
+    return _horner_loop(coeffs, x)
+
+
+def _horner_loop(coeffs: Sequence[float], x):
+    """:func:`poly_value` by one loop of Horner steps from 0.0."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c

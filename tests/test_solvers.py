@@ -4,9 +4,12 @@ that the oracle's path flows are checked against."""
 
 import dataclasses
 import itertools
+import json
 import math
 import random
+from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -788,7 +791,8 @@ def _random_transfer(rng):
 
 
 def _hex(values):
-    """Floats, or nested lists of them, as their exact hex strings."""
+    """Floats, or nested lists or numpy arrays of them, as their exact hex
+    strings."""
     if isinstance(values, float):
         return values.hex()
     return [_hex(v) for v in values]
@@ -823,10 +827,11 @@ def test_transfer_derivative_matches_reference():
 
 def test_value_slope_matches_reference_loop():
     """A polynomial's value and slope (solvers._value_slope) and its value
-    (solvers._value) equal one Horner loop's (reference.value_slope,
-    poly_value) to the bit at 0-6 coefficients, straight-line code or not,
-    on coefficients with signed zeros and flows with 0.0, -0.0, negatives,
-    infinities and NaN."""
+    (poly_value) equal one Horner loop's (reference.value_slope) to the bit
+    at 0-6 coefficients, straight-line code or not, on coefficients with
+    signed zeros and flows with 0.0, -0.0, negatives, infinities and NaN:
+    poly_value on floats and on numpy rows of those flows, as the oracle
+    calls it."""
     rng = random.Random(8)
     special = (0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan)
     for n in range(7):
@@ -835,10 +840,15 @@ def test_value_slope_matches_reference_loop():
                 rng.choice((0.0, -0.0, rng.uniform(-2.0, 2.0), rng.uniform(0.0, 1.0)))
                 for _ in range(n)
             )
-            for f in (*special, rng.uniform(0.0, 3.0), 10 ** rng.uniform(-6, 6)):
+            flows = (*special, rng.uniform(0.0, 3.0), 10 ** rng.uniform(-6, 6))
+            for f in flows:
                 want = reference.value_slope(coeffs, f)
                 assert _hex(solvers._value_slope(coeffs, f)) == _hex(want), (coeffs, f)
-                assert _hex(solvers._value(coeffs, f)) == _hex(poly_value(coeffs, f)), (coeffs, f)
+                assert _hex(poly_value(coeffs, f)) == _hex(want[0]), (coeffs, f)
+            row = np.array(flows)
+            with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf
+                want = reference.value_slope(coeffs, row)[0]
+                assert _hex(poly_value(coeffs, row)) == _hex(want), coeffs
 
 
 def _rising_poly(rng):
@@ -1600,3 +1610,52 @@ def test_meanstdev_used_paths_equalized_at_stop():
         result = solve_rawe(instance)
         assert result.converged, seed
         assert _mean_stdev_equalized(instance, result.flow), seed
+
+
+def _work_counts(monkeypatch):
+    """Each frontier solve's iterations and stop reason, with its
+    _meanstdev_cheapest calls under mean-stdev, and the bound-chain draws'
+    summed iterations and stop reasons, seeds 0-199, under both models."""
+    calls = []
+    cheapest = solvers._meanstdev_cheapest
+    monkeypatch.setattr(
+        solvers, "_meanstdev_cheapest", lambda *args: calls.append(1) or cheapest(*args)
+    )
+
+    def work(instance, solve):
+        del calls[:]
+        result = solve(instance)
+        out = {"iterations": result.iterations, "stop_reason": result.stop_reason}
+        if result.flow.objective_mode == RISK_MEAN_STDEV:
+            out["meanstdev_cheapest_calls"] = len(calls)
+        return out
+
+    counts = {}
+    draws = [(seed, 200, RISK_MEAN_STDEV) for seed in (2, 4, 8)] + [(4, 1000, RISK_MEAN_VAR)]
+    for seed, budget, model in draws:
+        instance = make("random_sp", seed=seed, budget=budget, risk_model=model)
+        counts[f"random_sp budget={budget} seed={seed} {model}"] = {
+            "risk-averse": work(instance, solve_rawe),
+            "risk-neutral": work(instance, solve_rnwe),
+        }
+    for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
+        chain = {}
+        for label, solve in (("risk-averse", solve_rawe), ("risk-neutral", solve_rnwe)):
+            results = [solve(suites.random_general(seed, risk_model=model)) for seed in range(200)]
+            chain[label] = {
+                "iterations": sum(r.iterations for r in results),
+                "stop_reasons": dict(sorted(Counter(r.stop_reason for r in results).items())),
+            }
+        counts[f"bound-chain seeds=0-199 {model}"] = chain
+    return counts
+
+
+def test_work_counts_are_frozen(monkeypatch):
+    """The solver's work on the frontier draws and the bound-chain draws
+    equals tests/data/work_counts.json: iterations and stop reasons, and the
+    mean-stdev hull DP calls. Work counts are deterministic where timings
+    are not, so an iteration regression cannot land unseen. A change that
+    moves them rewrites the file as json.dumps(counts, indent=2) plus a
+    newline and says why in CHANGES.md."""
+    frozen = json.loads((Path(__file__).parent / "data" / "work_counts.json").read_text())
+    assert _work_counts(monkeypatch) == frozen
