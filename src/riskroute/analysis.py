@@ -54,7 +54,8 @@ def _edge_table(network: Network, flows: Mapping[str, float]) -> _EdgeTable:
     risk/latency, in one pass over the edges in declaration order.
 
     The polynomials are evaluated by :func:`poly_value`, and the social cost
-    is the builtin sum of its terms in edge order. Kappa counts 0/0 as 0 and
+    is the builtin sum of its terms in edge order: the library's one social
+    cost, which ``riskroute solve`` prints too. Kappa counts 0/0 as 0 and
     positive risk over zero latency as infinite."""
     position = network.edge_position
     lat, risk = [0.0] * len(position), [0.0] * len(position)

@@ -21,6 +21,7 @@ from .analysis import (
     DEFAULT_ORACLE_GRID,
     DEFAULT_ORACLE_MAX_PATHS,
     PraReport,
+    _edge_table,
     max_shortest_path_oracle,
     pra_report,
     report_to_dict,
@@ -31,7 +32,6 @@ from .network import (
     RISK_MODELS,
     Instance,
     PathCountError,
-    social_cost,
     validate_instance,
 )
 from .solvers import (
@@ -142,7 +142,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     solver = solve_rnwe if args.mode == "rnwe" else solve_rawe
     result = solver(instance, tol=args.tol, max_iter=args.max_iter)
     flow = result.flow
-    cost = social_cost(instance.network, flow.edge_flow)
+    cost = _edge_table(instance.network, flow.edge_flow)[2]  # the report's social cost
     name = instance.name or args.instance
     print(
         f"instance {name}  risk model {instance.risk_model}"

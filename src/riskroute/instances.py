@@ -2,7 +2,9 @@
 
 Closed-form families (pigou, braess, braess_general, zigzag) reproduce known
 worst cases with exact parameter-to-cost formulas; the random families emit
-seeded, structure-controlled instances for fuzzing. Generation is fully
+seeded, structure-controlled instances for fuzzing. Each random family draws
+its own topology, then hands it to one assembly that draws the demand, gamma,
+kappa target and edge costs from the same generator. Generation is fully
 deterministic: the same seed yields a byte-identical file.
 """
 
@@ -151,6 +153,32 @@ def _random_risk(
     return tuple(round(c * scale, 9) for c in raw)
 
 
+def _random_instance(
+    rng: random.Random,
+    nodes: list[str],
+    source: str,
+    sink: str,
+    arcs: list[tuple[str, str, str]],
+    gamma: float | None,
+    kappa_target: float | None,
+    risk_model: str,
+    name: str,
+) -> Instance:
+    """The random families' one assembly: on the drawn topology, ``arcs``
+    as (id, tail, head) in declaration order, draw the demand, then gamma
+    and the kappa target unless given, then each arc's latency and risk in
+    arc order, and build the instance."""
+    demand = round(rng.uniform(0.5, 2.0), 6)
+    g = gamma if gamma is not None else round(rng.uniform(0.25, 2.0), 6)
+    target = kappa_target if kappa_target is not None else round(rng.uniform(0.1, 0.8), 6)
+    built: list[Edge] = []
+    for eid, tail, head in arcs:
+        lat = _random_latency(rng)
+        built.append(_edge(eid, tail, head, lat, _random_risk(rng, lat, demand, target)))
+    net = Network(nodes=tuple(nodes), edges=tuple(built), source=source, sink=sink)
+    return Instance(network=net, demand=demand, gamma=g, risk_model=risk_model, name=name)
+
+
 def _random_sp(
     budget: int,
     seed: int,
@@ -221,27 +249,10 @@ def _random_sp(
         edge_counter += 1
         insort(keys, new_key)
 
-    demand = round(rng.uniform(0.5, 2.0), 6)
-    g = gamma if gamma is not None else round(rng.uniform(0.25, 2.0), 6)
-    target = kappa_target if kappa_target is not None else round(rng.uniform(0.1, 0.8), 6)
-    built: list[Edge] = []
-    nodes = {"s", "t"}
-    for key in keys:
-        tail, head = edges[key]
-        nodes.update((tail, head))
-        lat = _random_latency(rng)
-        risk = _random_risk(rng, lat, demand, target)
-        built.append(_edge(key, tail, head, lat, risk))
-    net = Network(
-        nodes=tuple(sorted(nodes)), edges=tuple(built), source="s", sink="t"
-    )
-    return Instance(
-        network=net,
-        demand=demand,
-        gamma=g,
-        risk_model=risk_model,
-        name=f"random-sp-b{budget}-s{seed}",
-    )
+    arcs = [(key, *edges[key]) for key in keys]
+    nodes = sorted({"s", "t"}.union(*edges.values()))
+    name = f"random-sp-b{budget}-s{seed}"
+    return _random_instance(rng, nodes, "s", "t", arcs, gamma, kappa_target, risk_model, name)
 
 
 def _random_general(
@@ -258,7 +269,6 @@ def _random_general(
         raise ValueError("random_general needs m >= 1")
     rng = random.Random(seed)
     names = [f"v{i:02d}" for i in range(n)]
-    src, dst = names[0], names[-1]
     # Backbone path through a random subset of interior nodes keeps the sink
     # reachable; extra arcs respect the node order, so the graph is acyclic.
     interior = list(range(1, n - 1))
@@ -269,21 +279,10 @@ def _random_general(
         j = rng.randrange(i + 1, n)
         arcs.append((i, j))
 
-    demand = round(rng.uniform(0.5, 2.0), 6)
-    g = gamma if gamma is not None else round(rng.uniform(0.25, 2.0), 6)
-    target = kappa_target if kappa_target is not None else round(rng.uniform(0.1, 0.8), 6)
-    built: list[Edge] = []
-    for idx, (i, j) in enumerate(arcs):
-        lat = _random_latency(rng)
-        risk = _random_risk(rng, lat, demand, target)
-        built.append(_edge(f"e{idx:02d}", names[i], names[j], lat, risk))
-    net = Network(nodes=tuple(names), edges=tuple(built), source=src, sink=dst)
-    return Instance(
-        network=net,
-        demand=demand,
-        gamma=g,
-        risk_model=risk_model,
-        name=f"random-n{n}-m{m}-s{seed}",
+    named = [(f"e{idx:02d}", names[i], names[j]) for idx, (i, j) in enumerate(arcs)]
+    name = f"random-n{n}-m{m}-s{seed}"
+    return _random_instance(
+        rng, names, names[0], names[-1], named, gamma, kappa_target, risk_model, name
     )
 
 

@@ -327,11 +327,6 @@ def validate_instance(instance: Instance) -> Validation:
     return Validation(ok=not bad, violations=tuple(bad))
 
 
-def social_cost(network: Network, flows: Mapping[str, float]) -> float:
-    """Total experienced latency sum(f_e * latency_e(f_e))."""
-    return sum(poly_value(e.latency, flows[e.id]) * flows[e.id] for e in network.edges)
-
-
 def is_series_parallel(network: Network) -> bool:
     """True when the network is two-terminal series-parallel between its
     source and sink: :attr:`Network.series_parallel` leaves only that pair."""

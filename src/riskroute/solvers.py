@@ -314,17 +314,14 @@ def _warn_zero_floor() -> None:
 
 
 def _meanstdev_price(
-    moments: tuple[list[float], list[float]],
-    gamma: float,
-    path: tuple[int, ...],
-) -> tuple[float, float, float]:
-    """The latency L and variance V of ``path``, sums of the edge latencies
-    and variances ``moments`` over its edges, and its mean-stdev cost
-    L + gamma * sqrt(V)."""
+    moments: tuple[list[float], list[float]], gamma: float, path: tuple[int, ...]
+) -> float:
+    """The mean-stdev cost L + gamma * sqrt(V) of ``path``, where L and V
+    are the math.fsum of the edge latencies and variances ``moments`` over
+    its edges."""
     lat, var = moments
     latency = math.fsum(map(lat.__getitem__, path))
-    variance = math.fsum(map(var.__getitem__, path))
-    return latency, variance, latency + gamma * math.sqrt(variance)
+    return latency + gamma * math.sqrt(math.fsum(map(var.__getitem__, path)))
 
 
 def _meanstdev_cheapest(
@@ -362,7 +359,7 @@ def _meanstdev_cheapest(
     lat, var = moments
     if gamma == 0.0:
         path = _sweep_path(net, lat)[1]
-        return _meanstdev_price(moments, gamma, path)[2], path
+        return _meanstdev_price(moments, gamma, path), path
     for costs in (lat, var):
         if math.isnan(sum(costs)) or not min(costs, default=0.0) >= 0.0:
             _sweep_path(net, lat)  # a bad latency or an unreachable sink raises first
@@ -391,7 +388,7 @@ def _meanstdev_cheapest(
     if merged[-1]:
         chain = _lower_left(chain)
     paths = [_unlink(link) for *_, link in chain]
-    return min((_meanstdev_price(moments, gamma, path)[2], path) for path in paths)
+    return min((_meanstdev_price(moments, gamma, path), path) for path in paths)
 
 
 def _lower_left(points: list) -> list:
@@ -637,7 +634,7 @@ class _PathPool:
         the cheapest path's, so without the hull DP; the gap and excess
         are formed as :meth:`evaluate` forms them."""
         _, table = self.priced(paths)
-        costs = {p: _meanstdev_price(table, self.instance.gamma, p)[2] for p in support}
+        costs = {p: _meanstdev_price(table, self.instance.gamma, p) for p in support}
         floor = min(costs.values())
         total = math.fsum(amount * costs[p] for p, amount in paths.items())
         gap, _ = _gap_quiet(total, self.instance.demand, floor)
@@ -655,7 +652,7 @@ class _PathPool:
                 costs[best] = math.fsum(map(prices.__getitem__, best))
             potential = math.fsum(terms)
         else:
-            costs = {p: _meanstdev_price(table, instance.gamma, p)[2] for p in (*paths, best)}
+            costs = {p: _meanstdev_price(table, instance.gamma, p) for p in (*paths, best)}
             potential = None
         worst = max(paths, key=lambda p: (costs[p], p))
         total = math.fsum(amount * costs[p] for p, amount in paths.items())
@@ -730,13 +727,14 @@ def _independent_support(
     followed until a path's flow reaches zero, which takes that path out.
     Two distinct paths are always independent, but the used paths need not
     be: a pairwise step can bring in a cheapest path that a reduction took
-    out. So while the cheapest path carries no flow, the loop reduces until
-    the support is independent or holds two paths. Returns the iterate after
-    these moves and the support, in lexicographic order.
+    out. So the loop reduces every support of more than two paths until it
+    is independent or holds two paths, whether the cheapest path carries
+    flow or not. Returns the iterate after these moves and the support, in
+    lexicographic order.
     """
     support = sorted({*it.paths, it.best})
     paths = dict(it.paths)
-    while len(support) > 2 and it.best not in it.paths:
+    while len(support) > 2:
         weights = _path_dependency(support)
         if weights is None:
             break

@@ -2,17 +2,20 @@
 
 The library prices on edge positions alone and brings ids back only in its
 results. This module holds what tests compare it with: the shortest path
-by a label DP keyed by edge id; path flows made into a ``Flow``, their edge
-flows and their path costs; a flow's relative gap and its cheapest path,
-found by the library's own search through ids; the mean-stdev cheapest
-path by the Aneja-Nair chord search, on positions; a polynomial's
-derivative, and its value and derivative by one loop; the separable edge
-costs as coefficient tuples with their Beckmann potential; the solve's and
-the report's edge tables by ``poly_value`` calls; the transfer derivative
-with one sum per degree, the path Jacobian summed pair by pair in full and
-the path dependency by exact elimination alone; the scalar Braess sigma
-inequality; and the path decomposition of an integer edge flow keyed by
-id, which refuses one that is not conserved.
+by a label DP keyed by edge id; path flows made into a ``Flow``, their
+edge flows and their path costs; a flow's relative gap and its cheapest
+path, found by the library's own search through ids; the mean-stdev
+cheapest path by the Aneja-Nair chord search, on positions, which sums the
+paths' latencies and variances itself and prices them by the solve's own
+mean-stdev price; a polynomial's derivative, and its value and derivative
+by one loop; the separable edge costs as coefficient tuples with their
+Beckmann potential; the solve's and the report's edge tables by
+``poly_value`` calls, the latter holding the social cost that ``riskroute
+solve`` and the report both print; the transfer derivative with one sum
+per degree, the path Jacobian summed pair by pair in full and the path
+dependency by exact elimination alone; the scalar Braess sigma inequality;
+and the path decomposition of an integer edge flow keyed by id, which
+refuses one that is not conserved.
 Tests assert that the library's values equal these, to the bit where the
 arithmetic is the same."""
 
@@ -314,10 +317,10 @@ def meanstdev_cheapest_by_chords(
     weighs strictly less than p and q, it searches the chords p, r and r, q
     (Aneja & Nair, 1979). Each such step finds a new path, so the search
     ends. A chord is dropped when its corner bound L_p + gamma * sqrt(V_q)
-    is above the cheapest cost found. Paths are priced by
-    solvers._meanstdev_price, as a solve prices them, ties go to the
-    lexicographically smallest path found, and with gamma 0 this is the
-    latency shortest path.
+    is above the cheapest cost found. A path's L and V are summed here by
+    math.fsum, and its cost is solvers._meanstdev_price, as a solve prices
+    it; ties go to the lexicographically smallest path found, and with
+    gamma 0 this is the latency shortest path.
     """
     net, gamma = instance.network, instance.gamma
     lat, var = moments
@@ -328,7 +331,9 @@ def meanstdev_cheapest_by_chords(
         path = solvers._sweep_path(net, weights)[1]
         if path in found:
             return None
-        found[path] = solvers._meanstdev_price(moments, gamma, path)
+        latency = math.fsum(map(lat.__getitem__, path))
+        variance = math.fsum(map(var.__getitem__, path))
+        found[path] = latency, variance, solvers._meanstdev_price(moments, gamma, path)
         return path
 
     first = vertex(lat)

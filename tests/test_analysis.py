@@ -43,7 +43,6 @@ from riskroute.network import (
     PathCountError,
     is_series_parallel,
     poly_value,
-    social_cost,
 )
 from riskroute.solvers import (
     DEFAULT_TOL,
@@ -535,18 +534,18 @@ def test_report_prices_no_path(monkeypatch, model):
 
 def test_report_fields_match_their_definitions():
     """On the bound-chain draws, seeds 0-199, and random_general n=20, m=60
-    seeds 0-19, the report's costs equal (==) social_cost at the solved
-    flows, its kappa the edge table's kappa at x, its kappa diagnostic the
-    larger of that at x and at z, and its rho the shortest path length on
-    x's latencies over z's min_path_cost."""
+    seeds 0-19, the report's costs equal (==) the reference edge table's
+    social cost at the solved flows, its kappa the edge table's kappa at x,
+    its kappa diagnostic the larger of that at x and at z, and its rho the
+    shortest path length on x's latencies over z's min_path_cost."""
     instances = [suites.random_general(seed) for seed in range(200)]
     instances += [make("random_general", seed=seed, n=20, m=60) for seed in range(20)]
     for instance in instances:
         x, z = solve_pair(instance)
         report = pra_report(instance, x, z)
         net, xf, zf = instance.network, x.flow.edge_flow, z.flow.edge_flow
-        assert report.cost_rawe == social_cost(net, xf), instance.name
-        assert report.cost_rnwe == social_cost(net, zf), instance.name
+        assert report.cost_rawe == reference.edge_table(net, xf)[2], instance.name
+        assert report.cost_rnwe == reference.edge_table(net, zf)[2], instance.name
         kappa_x, kappa_z = _kappa(net, xf), _kappa(net, zf)
         assert report.kappa == kappa_x, instance.name
         assert report.kappa_diagnostic == max(kappa_x, kappa_z), instance.name

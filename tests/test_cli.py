@@ -155,6 +155,23 @@ def test_solve_risk_neutral_splits_outer_paths(tmp_path):
     assert flows[("c", "d")] == pytest.approx(0.5, rel=1e-6)
 
 
+@pytest.mark.parametrize("model", [RISK_MEAN_VAR, RISK_MEAN_STDEV])
+def test_solve_and_analyze_print_one_social_cost(tmp_path, model):
+    """On random_general n=20 m=60 seed 0 under each risk model, the
+    social_cost that solve --out writes for each mode equals, to the bit,
+    the cost that analyze --out writes for it: both are the report's edge
+    table's."""
+    drawn = make("random_general", seed=0, n=20, m=60, risk_model=model)
+    instance = _write(tmp_path, "g.json", drawn)
+    report = tmp_path / "report.json"
+    assert main(["analyze", instance, "--out", str(report)]) == 0
+    costs = json.loads(report.read_text())
+    for mode in ("rawe", "rnwe"):
+        out = tmp_path / f"{mode}.json"
+        assert main(["solve", instance, "--mode", mode, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["social_cost"] == costs[f"cost_{mode}"], mode
+
+
 def test_unconverged_solve_names_its_stop_reason(tmp_path, capsys):
     """A zero-tolerance solve of bound-chain seed 11 stops at round-off: the
     text output is unchanged, stderr names the reason, and so does --out."""

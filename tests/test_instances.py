@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from riskroute.instances import (
 )
 from riskroute.network import (
     RISK_MEAN_STDEV,
+    RISK_MEAN_VAR,
     RISK_MODELS,
     Edge,
     Instance,
@@ -195,6 +197,44 @@ def test_random_sp_counts_paths_without_recursion():
         assert validate_instance(instance).ok
         assert len(enumerate_simple_paths(instance.network, cap=6)) <= 6
         assert hashlib.sha256(write_instance(instance)).hexdigest() == digest
+
+
+#: The draws whose bytes tests/data/instance_digests.json freezes, by name:
+#: the bound-chain draws under both models, random_general n=20 m=60, the
+#: series-parallel draws under a path cap and random_sp budget 200.
+_FROZEN_DRAWS = {
+    "bound-chain seeds=0-499 mean-var": lambda: (
+        suites.random_general(seed, risk_model=RISK_MEAN_VAR) for seed in range(500)
+    ),
+    "bound-chain seeds=0-499 mean-stdev": lambda: (
+        suites.random_general(seed, risk_model=RISK_MEAN_STDEV) for seed in range(500)
+    ),
+    "random_general n=20 m=60 seeds=0-9": lambda: (
+        make("random_general", seed=seed, n=20, m=60) for seed in range(10)
+    ),
+    "random_sp budget<=4 max_paths=6 seeds=0-299": lambda: (
+        suites.random_sp(seed, 4, 6) for seed in range(300)
+    ),
+    "random_sp budget=200 seeds=0-4": lambda: (
+        make("random_sp", seed=seed, budget=200) for seed in range(5)
+    ),
+}
+
+
+def test_random_families_write_frozen_bytes():
+    """Each group of random draws writes the bytes frozen in
+    tests/data/instance_digests.json: the sha256 of the draws' write_instance
+    bytes, concatenated in seed order. The digests were taken before the two
+    random families shared one cost draw, so the generator's rng call order
+    and every written byte are pinned."""
+    frozen = json.loads((Path(__file__).parent / "data" / "instance_digests.json").read_text())
+    digests = {}
+    for name, draws in _FROZEN_DRAWS.items():
+        sha = hashlib.sha256()
+        for instance in draws():
+            sha.update(write_instance(instance))
+        digests[name] = sha.hexdigest()
+    assert digests == frozen
 
 
 def test_read_instance_field_errors():

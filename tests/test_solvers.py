@@ -28,7 +28,6 @@ from riskroute.network import (
     Instance,
     Network,
     poly_value,
-    social_cost,
 )
 from riskroute.solvers import (
     DEFAULT_TOL,
@@ -61,9 +60,8 @@ def test_pigou_risk_neutral_splits_evenly():
     assert result.converged
     assert result.flow.edge_flow["e1"] == pytest.approx(0.5, abs=1e-8)
     assert result.flow.edge_flow["e2"] == pytest.approx(0.5, abs=1e-8)
-    assert social_cost(instance.network, result.flow.edge_flow) == pytest.approx(
-        1.0, abs=1e-8
-    )
+    cost = reference.edge_table(instance.network, result.flow.edge_flow)[2]
+    assert cost == pytest.approx(1.0, abs=1e-8)
 
 
 def test_pigou_risk_averse_uses_safe_edge():
@@ -72,9 +70,8 @@ def test_pigou_risk_averse_uses_safe_edge():
     assert result.converged
     assert result.flow.edge_flow["e1"] == pytest.approx(1.0, abs=1e-8)
     assert result.flow.edge_flow["e2"] == pytest.approx(0.0, abs=1e-8)
-    assert social_cost(instance.network, result.flow.edge_flow) == pytest.approx(
-        2.0, abs=1e-8
-    )
+    cost = reference.edge_table(instance.network, result.flow.edge_flow)[2]
+    assert cost == pytest.approx(2.0, abs=1e-8)
 
 
 def test_braess_equilibria_match_construction():
@@ -85,7 +82,7 @@ def test_braess_equilibria_match_construction():
     assert z.path_flow.get(("a", "e", "d"), 0.0) == pytest.approx(0.0, abs=1e-8)
     x = solve_rawe(instance).flow
     assert x.path_flow.get(("a", "e", "d"), 0.0) == pytest.approx(1.0, abs=1e-8)
-    assert social_cost(instance.network, x.edge_flow) == pytest.approx(1.3, abs=1e-9)
+    assert reference.edge_table(instance.network, x.edge_flow)[2] == pytest.approx(1.3, abs=1e-9)
 
 
 # --- relative gap --------------------------------------------------------------
@@ -933,9 +930,8 @@ def test_meanstdev_pigou_analogue():
     result = solve_rawe(instance)
     assert result.converged
     assert result.flow.edge_flow["e1"] == pytest.approx(1.0, abs=1e-6)
-    assert social_cost(instance.network, result.flow.edge_flow) == pytest.approx(
-        2.0, abs=1e-6
-    )
+    cost = reference.edge_table(instance.network, result.flow.edge_flow)[2]
+    assert cost == pytest.approx(2.0, abs=1e-6)
 
 
 def test_meanstdev_braess_equilibrium():
@@ -1196,6 +1192,33 @@ def test_wide_series_parallel_support_certifies(monkeypatch):
         assert max(map(abs, weights)) < 2**31
         assert math.gcd(*weights) == 1
     assert max(reductions) >= 2
+
+
+def test_newton_supports_are_independent(monkeypatch):
+    """Every support _newton_iterate is given has linearly independent
+    edge-incidence vectors, so no Newton system is singular by a path
+    dependency: both solves of the bound-chain draws, seeds 0-199 under
+    each risk model, and of mean-stdev random_sp budget 200 seed 8. Many
+    of those supports carry flow on their cheapest path."""
+    newton = solvers._newton_iterate
+    counts = Counter()
+
+    def checked(pool, it, support):
+        assert _path_dependency(support) is None, (pool.instance.name, support)
+        counts["calls"] += 1
+        counts["cheapest used"] += it.best in it.paths
+        return newton(pool, it, support)
+
+    monkeypatch.setattr(solvers, "_newton_iterate", checked)
+    instances = [
+        suites.random_general(seed, risk_model=model)
+        for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV)
+        for seed in range(200)
+    ]
+    instances.append(make("random_sp", seed=8, budget=200, risk_model=RISK_MEAN_STDEV))
+    for instance in instances:
+        solve_pair(instance)
+    assert counts["calls"] > 1000 and counts["cheapest used"] > 500, counts
 
 
 #: A Newton support of mean-var bound-chain seed 272. Its first, second,
