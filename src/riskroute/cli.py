@@ -38,7 +38,7 @@ from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ConvergenceError,
-    EquilibriumResult,
+    require_converged,
     solve_pair,
     solve_rawe,
     solve_rnwe,
@@ -128,15 +128,6 @@ def _csv_row(param: str, report: PraReport) -> str:
 # --- solve -------------------------------------------------------------------
 
 
-def _stopped(label: str, result: EquilibriumResult) -> CliError:
-    """Exit 3 for a solve that stopped short of its tolerance, naming why."""
-    return CliError(
-        f"{label} solver stopped at gap {_num(result.relative_gap)}"
-        f" ({result.stop_reason})",
-        EXIT_CONVERGENCE,
-    )
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance, args.risk_model)
     solver = solve_rnwe if args.mode == "rnwe" else solve_rawe
@@ -174,9 +165,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "edge_flow": {e.id: flow.edge_flow[e.id] for e in instance.network.edges},
         }
         _write_text(args.out, json.dumps(doc, indent=2) + "\n")
-    if not result.converged:
-        label = "risk-neutral" if args.mode == "rnwe" else "risk-averse"
-        raise _stopped(label, result)
+    require_converged(result, "risk-neutral" if args.mode == "rnwe" else "risk-averse")
     return EXIT_OK
 
 
@@ -304,8 +293,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except PathCountError as exc:
         raise CliError(f"{exc}; raise --max-paths to allow more routes", EXIT_INPUT) from None
     z = solve_rnwe(instance, tol=args.tol, max_iter=args.max_iter)
-    if not z.converged:
-        raise _stopped("risk-neutral", z)
+    require_converged(z, "risk-neutral")
     best = z.min_path_cost
     name = instance.name or args.instance
     print(f"instance {name}  series-parallel {oracle.series_parallel}")

@@ -199,34 +199,22 @@ def _random_sp(
     # Under max_paths, the s->v (into) and v->t (onward) path counts of every
     # node and the source-sink count. Duplicating a tail->head edge adds
     # into[tail] * onward[head] paths; subdividing one adds a node with its
-    # edge's counts and changes no other count.
+    # edge's counts and changes no other count. The nodes are kept in a
+    # topological order from s to t, a subdividing node right after its
+    # edge's tail, so a forward and a backward pass over it recount paths.
     into, onward, paths = {"s": 1, "t": 1}, {"s": 1, "t": 1}, 1
+    order = ["s", "t"]
 
     def recount() -> int:
-        # onward by a DP over an explicit stack (a node is counted once all
-        # its heads are), then into in the reverse of that finishing order
-        heads: dict[str, list[str]] = {}
+        heads: dict[str, list[str]] = {v: [] for v in order}
         for tail, head in edges.values():
-            heads.setdefault(tail, []).append(head)
-        onward.clear()
-        onward["t"] = 1
-        finished = []
-        stack = ["s"]
-        while stack:
-            v = stack[-1]
-            waiting = [h for h in heads.get(v, ()) if h not in onward]
-            if waiting:
-                stack += waiting
-            else:
-                if v not in onward:
-                    onward[v] = sum(onward[h] for h in heads[v])
-                    finished.append(v)
-                stack.pop()
-        into.clear()
-        into["s"] = 1
-        for v in reversed(finished):
+            heads[tail].append(head)
+        into.update(dict.fromkeys(order[1:], 0))
+        for v in order:
             for h in heads[v]:
-                into[h] = into.get(h, 0) + into[v]
+                into[h] += into[v]
+        for v in reversed(order[:-1]):
+            onward[v] = sum(map(onward.__getitem__, heads[v]))
         return onward["s"]
 
     for _ in range(budget):
@@ -240,6 +228,7 @@ def _random_sp(
             edges[key] = (tail, mid)
             edges[new_key] = (mid, head)
             into[mid], onward[mid] = into[tail], onward[head]
+            order.insert(order.index(tail) + 1, mid)
         else:
             if max_paths is not None and paths + into[tail] * onward[head] > max_paths:
                 continue

@@ -28,11 +28,11 @@ Mean-stdev costs are not separable, so no potential exists. That mode finds
 its cheapest path by one DP over the same sweep that keeps, at each node,
 the lower-left convex hull of its partial paths' (latency, variance) points,
 so it enumerates no paths either. It judges the full Newton step by the true
-merit and each halving of it by a merit on the support's own path costs, so
-the hull DP runs only at the full step and at the accepted point. A
-two-path support, or a Newton step that finds no descent, shifts flow
-pairwise until the two path costs cross, found by the same root search on
-their difference and its slope.
+merit and each halving of it by the same merit with the support's cheapest
+path for the cheapest, so the hull DP runs only at the full step and at the
+accepted point. A two-path support, or a Newton step that finds no descent,
+shifts flow pairwise until the two path costs cross, found by the same root
+search on their difference and its slope.
 
 The relative gap of a flow is (sum_p f_p Q_p - d * min_q Q_q) / (d * min_q Q_q):
 zero exactly at equilibrium, and small values certify an epsilon-equilibrium
@@ -351,19 +351,19 @@ def _meanstdev_cheapest(
     extension costs O(1); they are flattened at the sink, and elsewhere only
     to choose between twins.
 
-    Raises as :func:`_sweep_path` does: ValueError for a bad latency first,
-    then ConvergenceError for an unreachable sink, then ValueError for a
-    bad variance.
+    Raises as :func:`_sweep_path` does, with gamma 0 too: ValueError for a
+    bad latency first, then ConvergenceError for an unreachable sink, then
+    ValueError for a bad variance.
     """
     net, gamma = instance.network, instance.gamma
     lat, var = moments
-    if gamma == 0.0:
-        path = _sweep_path(net, lat)[1]
-        return _meanstdev_price(moments, gamma, path), path
     for costs in (lat, var):
         if math.isnan(sum(costs)) or not min(costs, default=0.0) >= 0.0:
             _sweep_path(net, lat)  # a bad latency or an unreachable sink raises first
             _raise_bad_cost(net, costs)
+    if gamma == 0.0:
+        path = _sweep_path(net, lat)[1]
+        return _meanstdev_price(moments, gamma, path), path
     steps = net.sweep
     chains: list = [[(0.0, 0.0, None)]] + [None] * len(steps or ())
     merged = [False] * len(chains)
@@ -542,7 +542,8 @@ class _PathPool:
     """The path costs of one instance under one cost mode: edge costs and
     shortest paths under a separable mode, the hull DP of
     :func:`_meanstdev_cheapest` under mean-stdev. Either way only the used
-    paths and the cheapest path are priced.
+    paths and the cheapest path are priced, or for a mean-stdev halving the
+    Newton support, whose cheapest path :meth:`evaluate` takes for the DP's.
 
     The pool lasts one solve and keeps its edge table, lists by position:
     each edge's flow at its last pricing (``at``) and two values at that
@@ -626,34 +627,27 @@ class _PathPool:
             return _sweep_path(self.instance.network, table[0])
         return _meanstdev_cheapest(self.instance, table)
 
-    def support_merit(
-        self, paths: dict[tuple[int, ...], float], support: Sequence[tuple[int, ...]]
-    ) -> float:
-        """The mean-stdev merit of ``paths``, whose paths are all in
-        ``support``, taken against the least support-path cost in place of
-        the cheapest path's, so without the hull DP; the gap and excess
-        are formed as :meth:`evaluate` forms them."""
-        _, table = self.priced(paths)
-        costs = {p: _meanstdev_price(table, self.instance.gamma, p) for p in support}
-        floor = min(costs.values())
-        total = math.fsum(amount * costs[p] for p, amount in paths.items())
-        gap, _ = _gap_quiet(total, self.instance.demand, floor)
-        excess, _ = _gap_quiet(max(map(costs.__getitem__, paths)), 1.0, floor)
-        return gap + excess
-
-    def evaluate(self, paths: dict[tuple[int, ...], float]) -> _Iterate:
+    def evaluate(
+        self, paths: dict[tuple[int, ...], float], among: Sequence[tuple[int, ...]] = ()
+    ) -> _Iterate:
+        """The iterate of ``paths``; given mean-stdev paths ``among`` that hold
+        them all, the cheapest of ``among`` stands for the hull DP's."""
         instance = self.instance
         flows, table = self.priced(paths)
-        floor, best = self.cheapest(table)
+        potential = None
         if self.separable:
+            floor, best = self.cheapest(table)
             prices, terms = table
             costs = {p: math.fsum(map(prices.__getitem__, p)) for p in paths}
             if best not in costs:
                 costs[best] = math.fsum(map(prices.__getitem__, best))
             potential = math.fsum(terms)
+        elif among:
+            costs = {p: _meanstdev_price(table, instance.gamma, p) for p in among}
+            floor, best = min((c, p) for p, c in costs.items())
         else:
+            floor, best = self.cheapest(table)
             costs = {p: _meanstdev_price(table, instance.gamma, p) for p in (*paths, best)}
-            potential = None
         worst = max(paths, key=lambda p: (costs[p], p))
         total = math.fsum(amount * costs[p] for p, amount in paths.items())
         gap, zero_floor = _gap_quiet(total, instance.demand, floor)
@@ -832,10 +826,10 @@ def _newton_iterate(
     the system solved again. Under a separable mode the step along the
     Newton direction exactly minimizes the potential, up to twice the Newton
     step. Under mean-stdev the full Newton step is taken when it lowers the
-    merit; otherwise the step is halved until the merit against the least
-    support-path cost (:meth:`_PathPool.support_merit`, no hull DP)
-    falls below the iterate's, ``BACKTRACK_STEPS`` trials in all, and only
-    the accepted point is evaluated in full.
+    merit; otherwise the step is halved until :meth:`_PathPool.evaluate`'s
+    merit over the support (the least support-path cost for the cheapest,
+    no hull DP) falls below the iterate's, ``BACKTRACK_STEPS`` trials in
+    all, and only the accepted point is evaluated in full.
     """
     # Costs are taken relative to the cheapest, and the step keeps the total
     # flow, so that the multiplier and the step's sum are rounded on the
@@ -883,7 +877,7 @@ def _newton_iterate(
     for _ in range(BACKTRACK_STEPS - 1):
         t *= 0.5
         trial = _moved(it.paths, direction, t)
-        if pool.support_merit(trial, support) < it.merit:
+        if pool.evaluate(trial, support).merit < it.merit:
             return pool.evaluate(trial)
     return None
 
@@ -1018,15 +1012,20 @@ def solve_pair(
 ) -> tuple[EquilibriumResult, EquilibriumResult]:
     """Risk-averse and risk-neutral equilibria, both converged.
 
-    Raises ConvergenceError naming the first of the two solves that stopped
-    short of its tolerance.
+    Raises ConvergenceError, by :func:`require_converged`, for the first of
+    the two solves that stopped short of its tolerance.
     """
     x = solve_rawe(instance, tol=tol, max_iter=max_iter)
     z = solve_rnwe(instance, tol=tol, max_iter=max_iter)
-    for label, result in (("risk-averse", x), ("risk-neutral", z)):
-        if not result.converged:
-            raise ConvergenceError(
-                f"{label} solver stopped at gap {float(result.relative_gap)!r} "
-                f"after {result.iterations} iterations ({result.stop_reason})"
-            )
-    return x, z
+    return require_converged(x, "risk-averse"), require_converged(z, "risk-neutral")
+
+
+def require_converged(result: EquilibriumResult, label: str) -> EquilibriumResult:
+    """``result`` if it converged; else ConvergenceError naming the ``label``
+    solver's gap, iterations and stop reason."""
+    if not result.converged:
+        raise ConvergenceError(
+            f"{label} solver stopped at gap {float(result.relative_gap)!r} "
+            f"after {result.iterations} iterations ({result.stop_reason})"
+        )
+    return result

@@ -33,6 +33,7 @@ from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ConvergenceError,
+    require_converged,
     solve_pair,
     solve_rnwe,
 )
@@ -201,13 +202,16 @@ def oracle_seeds(
     attain the grid maximum of the shortest-path latency within round-off
     (:func:`within`): it maximizes that latency over all feasible flows, and
     every grid point is one, so the grid's resolution earns no allowance.
-    Returns one failure line per failing seed."""
+    Returns one failure line per failing seed, an unconverged solve's naming
+    its gap, iterations and stop reason."""
     failures: list[str] = []
     for seed in range(seeds):
         instance = random_sp(seed, max_budget=4, max_paths=DEFAULT_ORACLE_MAX_PATHS)
         z = solve_rnwe(instance, tol=tol, max_iter=max_iter)
-        if not z.converged:
-            failures.append(f"seed {seed}: risk-neutral solver did not converge")
+        try:
+            require_converged(z, "risk-neutral")
+        except ConvergenceError as exc:
+            failures.append(f"seed {seed}: {exc}")
             continue
         value, best = max_shortest_path_oracle(instance, grid=grid).value, z.min_path_cost
         if not within(value, best):

@@ -336,6 +336,10 @@ def meanstdev_cheapest_by_chords(
         found[path] = latency, variance, solvers._meanstdev_price(moments, gamma, path)
         return path
 
+    # a bad latency, an unreachable sink, then a bad variance raise before
+    # any path is priced, with gamma 0 too
+    for weights in (lat, var):
+        solvers._sweep_path(net, weights)
     first = vertex(lat)
     if gamma == 0.0:
         return found[first][2], first

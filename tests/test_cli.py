@@ -184,7 +184,9 @@ def test_unconverged_solve_names_its_stop_reason(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "converged False  iterations 8  relative gap 0.0\n" in captured.out
     assert "error" not in captured.out
-    assert captured.err == "error: risk-neutral solver stopped at gap 0.0 (round-off)\n"
+    assert captured.err == (
+        "error: risk-neutral solver stopped at gap 0.0 after 8 iterations (round-off)\n"
+    )
     doc = json.loads(out.read_text())
     assert doc["converged"] is False
     assert doc["stop_reason"] == "round-off"
@@ -554,6 +556,20 @@ def test_verify_oracle_small(capsys):
     assert "oracle: 4/4 PASS" in capsys.readouterr().out
 
 
+def test_verify_oracle_names_unconverged_solves(capsys):
+    """Seeds 0 and 1 of the oracle suite need iterations, so at --max-iter 0
+    each fails with its solve's gap, iterations and stop reason; the zigzag
+    closed forms, solved at the default budget, still pass."""
+    assert main(["verify", "--suite", "oracle", "--seeds", "2", "--max-iter", "0"]) == 4
+    assert capsys.readouterr().out == (
+        "FAIL seed 0: risk-neutral solver stopped at gap 1.0190220951594353"
+        " after 0 iterations (max-iter)\n"
+        "FAIL seed 1: risk-neutral solver stopped at gap 0.22924898663024826"
+        " after 0 iterations (max-iter)\n"
+        "oracle: 3/5 PASS\n"
+    )
+
+
 def test_verify_rejects_nonpositive_seeds(capsys):
     assert main(["verify", "--suite", "sigma-lemma", "--seeds", "0"]) == 2
     assert "--seeds" in capsys.readouterr().err
@@ -595,6 +611,20 @@ def test_oracle_stdout_bytes_are_frozen(tmp_path, capsys, instance, options):
     frozen = (Path(__file__).parent / "data" / f"{instance.name}.oracle.txt").read_text()
     assert main(["oracle", _write(tmp_path, "instance.json", instance), *options]) == 0
     assert capsys.readouterr().out == frozen
+
+
+def test_oracle_unconverged_solve_exits_3(tmp_path, capsys):
+    """With no iterations to spend, the equilibrium solve of random_general
+    seed 293 (n=7, m=14) stops at max-iter: nothing is printed and the one
+    error line names the solve's gap, iterations and stop reason."""
+    instance = _write(tmp_path, "rg293.json", make("random_general", seed=293, n=7, m=14))
+    assert main(["oracle", instance, "--max-iter", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: risk-neutral solver stopped at gap 1.0294523533025188"
+        " after 0 iterations (max-iter)\n"
+    )
 
 
 def test_oracle_path_cap_exits_2(tmp_path, capsys):

@@ -201,7 +201,9 @@ def test_random_sp_counts_paths_without_recursion():
 
 #: The draws whose bytes tests/data/instance_digests.json freezes, by name:
 #: the bound-chain draws under both models, random_general n=20 m=60, the
-#: series-parallel draws under a path cap and random_sp budget 200.
+#: series-parallel draws under a path cap (caps 1-3 bind on most parallel
+#: draws, so the path count is redone many times a draw) and random_sp
+#: budgets 200 and 1000.
 _FROZEN_DRAWS = {
     "bound-chain seeds=0-499 mean-var": lambda: (
         suites.random_general(seed, risk_model=RISK_MEAN_VAR) for seed in range(500)
@@ -218,6 +220,13 @@ _FROZEN_DRAWS = {
     "random_sp budget=200 seeds=0-4": lambda: (
         make("random_sp", seed=seed, budget=200) for seed in range(5)
     ),
+    **{
+        f"random_sp budget<=40 max_paths={cap} seeds=0-199": (
+            lambda cap=cap: (suites.random_sp(seed, 40, cap) for seed in range(200))
+        )
+        for cap in (1, 2, 3, 50)
+    },
+    "random_sp budget=1000 seed=4": lambda: [make("random_sp", seed=4, budget=1000)],
 }
 
 
@@ -225,8 +234,10 @@ def test_random_families_write_frozen_bytes():
     """Each group of random draws writes the bytes frozen in
     tests/data/instance_digests.json: the sha256 of the draws' write_instance
     bytes, concatenated in seed order. The digests were taken before the two
-    random families shared one cost draw, so the generator's rng call order
-    and every written byte are pinned."""
+    random families shared one cost draw, and the capped random_sp ones
+    before its path count walked a kept node order, so the generator's rng
+    call order, which parallel draws a cap refuses, and every written byte
+    are pinned."""
     frozen = json.loads((Path(__file__).parent / "data" / "instance_digests.json").read_text())
     digests = {}
     for name, draws in _FROZEN_DRAWS.items():

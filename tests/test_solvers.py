@@ -417,11 +417,10 @@ def test_meanstdev_hull_dp_drops_collinear_points(monkeypatch):
 
 
 def test_meanstdev_cheapest_error_contract():
-    """Called directly, _meanstdev_cheapest raises as the chord search did:
-    a NaN or negative latency first (ValueError naming the first bad edge
-    in declaration order), then an unreachable sink (ConvergenceError),
-    then a NaN variance. With gamma 0 the variances are not checked: the
-    latency shortest path comes back, priced at a NaN cost."""
+    """Called directly, _meanstdev_cheapest raises as the chord search does,
+    with gamma 0 too: a NaN or negative latency first (ValueError naming the
+    first bad edge in declaration order), then an unreachable sink
+    (ConvergenceError), then a NaN or negative variance."""
     net = _SWEEP_CORNERS["ids unlike declaration"]  # e9 is declared first
     dead = _sweep_net([("a", "s", "u"), ("b", "w", "t")])
 
@@ -454,11 +453,13 @@ def test_meanstdev_cheapest_error_contract():
     assert outcome(dead, {}, {"a": nan}) == unreachable
     assert outcome(dead, {}, {}) == unreachable
     assert outcome(dead, {}, {"a": nan}, gamma=0.0) == unreachable
-    instance = Instance(net, demand=1.0, gamma=0.0, risk_model=RISK_MEAN_STDEV)
-    moments = ([1.0] * 5, [nan] * 5)
-    for cheapest in (solvers._meanstdev_cheapest, reference.meanstdev_cheapest_by_chords):
-        cost, path = cheapest(instance, moments)
-        assert math.isnan(cost) and _ids(net, [path])[0] == ("e11",)
+    assert outcome(net, {}, dict.fromkeys(net.edge_position, nan), gamma=0.0) == (
+        ValueError, "edge 'e9' has cost nan, not a nonnegative number"
+    )
+    for gamma in (1.0, 0.0):
+        assert outcome(net, {}, {"e11": -1.0}, gamma) == (
+            ValueError, "edge 'e11' has cost -1.0, not a nonnegative number"
+        )
 
 
 # --- solver properties ----------------------------------------------------------
@@ -1088,19 +1089,21 @@ def test_crossing_slope_matches_finite_difference():
 def test_meanstdev_backtracking_searches_the_hull_only_at_accepted_points(monkeypatch):
     """On mean-stdev random_sp budget 200 seed 8, which backtracks, every
     Newton call searches the hull at most twice, at its full step and at
-    the point it accepts: a halved step is judged on the support's own
-    path costs."""
+    the point it accepts: a halved step is evaluated over the support,
+    whose own path costs stand for the cheapest."""
     searches, per_call, halvings = [], [], []
     cheapest, newton = solvers._meanstdev_cheapest, solvers._newton_iterate
-    support_merit = solvers._PathPool.support_merit
+    evaluate = solvers._PathPool.evaluate
     monkeypatch.setattr(
         solvers, "_meanstdev_cheapest", lambda *args: searches.append(1) or cheapest(*args)
     )
-    monkeypatch.setattr(
-        solvers._PathPool,
-        "support_merit",
-        lambda *args: halvings.append(1) or support_merit(*args),
-    )
+
+    def counted_evaluate(pool, paths, among=()):
+        if among:
+            halvings.append(1)
+        return evaluate(pool, paths, among)
+
+    monkeypatch.setattr(solvers._PathPool, "evaluate", counted_evaluate)
 
     def counted(pool, it, support):
         before = len(searches)
@@ -1386,15 +1389,19 @@ def test_pool_table_matches_fresh_pricing(monkeypatch):
     coefficients per polynomial under both models, the pool's edge table, the
     iterate's cheapest cost and path, and its potential equal (==) a fresh
     pricing of the iterate's edge flows by poly_value calls and the
-    reference's sums, apart from the pool's table."""
+    reference's sums, apart from the pool's table. A halving's evaluate
+    over the Newton support searches no cheapest path, so there only the
+    table is checked."""
     evaluate = solvers._PathPool.evaluate
     seen = {True: 0, False: 0}
 
-    def checked(pool, paths):
-        it = evaluate(pool, paths)
+    def checked(pool, paths, among=()):
+        it = evaluate(pool, paths, among)
         table, floor, best, potential = _fresh_pricing(pool, it.flows)
         assert pool.at == it.flows
         assert pool.table == table
+        if among:
+            return it
         best_by_id = _ids(pool.instance.network, [it.best])[0]
         assert (it.floor, best_by_id, it.potential) == (floor, best, potential)
         seen[pool.separable] += 1

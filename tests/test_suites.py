@@ -156,8 +156,10 @@ def test_sp_theorem_flags_zigzag_taken_for_series_parallel(monkeypatch):
 
 def test_oracle_seeds_report_unconverged_risk_neutral_solve():
     assert suites.oracle_seeds(3, max_iter=0) == [
-        "seed 0: risk-neutral solver did not converge",
-        "seed 1: risk-neutral solver did not converge",
+        "seed 0: risk-neutral solver stopped at gap 1.0190220951594353"
+        " after 0 iterations (max-iter)",
+        "seed 1: risk-neutral solver stopped at gap 0.22924898663024826"
+        " after 0 iterations (max-iter)",
     ]
 
 
