@@ -61,8 +61,9 @@ def find_alternating_path(
 
     Exact search: Dijkstra over (node, direction of the last arc) states with
     lexicographic cost (forward runs, backward arcs, arc sequence), so an
-    all-forward path is returned whenever one exists. Arc sequences of
-    positions compare as those of the ids they stand for. The network must
+    all-forward path is returned whenever one exists. Residual arcs stay in
+    sweep order: no two heap keys are equal, so the key orders the pops.
+    Arc sequences of positions compare as those of the ids they stand for. The network must
     be acyclic, as ``validate_instance`` ensures; then the walk popped at the
     sink is simple. A closed sub-walk holds a backward arc, and cutting it
     out adds no forward run: the arc after the cut starts a new run only if
@@ -82,8 +83,6 @@ def find_alternating_path(
                 residual[tail].append((pos, FORWARD, head))
             else:
                 residual[head].append((pos, BACKWARD, tail))
-    for arcs in residual:
-        arcs.sort()
 
     # heap entries: (runs, backward arcs, arc sequence, node, last direction)
     heap: list[tuple[int, int, tuple, int, str | None]] = [(0, 0, (), 0, None)]

@@ -29,6 +29,7 @@ from .network import (
     Instance,
     Network,
     PathCountError,
+    _has_cycle,
     is_braess_topology,
     is_series_parallel,
     poly_value,
@@ -600,18 +601,18 @@ def _lattice_maximum(
 
     Latencies are nondecreasing, so the shortest-path latency at per-edge
     upper flows bounds every completion of a partial flow (:func:`_caps`).
-    When more than one split remains, the threshold is fixed before the
-    search as the best of the single-path vertices and of a greedy walk's
-    leaves. Both are walks of :func:`_flow_lattice`: the vertices keep each
-    split that moves none or all of a node's inflow, one lattice point per
-    path; the greedy walk keeps the first column of largest bound of each
-    block a split makes, so it follows one column per block (one leaf in
-    all unless a split outgrows ``_BLOCK_POINTS``). A partial flow whose
+    The threshold is always fixed before the search (a lattice of at most
+    one split keeps its blocks whole and never reads it), as the best of the
+    single-path vertices and of a greedy walk's leaves. Both are walks of :func:`_flow_lattice`: the vertices keep each split
+    that moves none or all of a node's inflow, one lattice point per path;
+    the greedy walk keeps the first column of largest bound of each block a
+    split makes, so it follows one column per block (one leaf in all unless
+    a split outgrows ``_BLOCK_POINTS``). A partial flow whose
     bound is below the threshold by more than ``_PRUNE_MARGIN`` is dropped.
     No maximizer is ever pruned, so the maximizer is the one exhaustive
     enumeration finds.
     """
-    if len(net.topo_order) != len(net.nodes):
+    if _has_cycle(net):
         raise ValueError("the oracle needs an acyclic network")
     steps = net.sweep or ()
     into = [1] + [0] * len(steps)
@@ -674,22 +675,20 @@ def _lattice_maximum(
         return shortest(_caps(block, ops, start, grid))
 
     splits = [i for i, (_, ins, _) in enumerate(ops) if ins is None]
-    floor = -math.inf
-    if len(splits) > 1:
 
-        def all_or_nothing(block: np.ndarray, i: int) -> np.ndarray:
-            rest, _, col = ops[i]
-            return block[:, (block[col] == 0) | (block[rest] == 0)]
+    def all_or_nothing(block: np.ndarray, i: int) -> np.ndarray:
+        rest, _, col = ops[i]
+        return block[:, (block[col] == 0) | (block[rest] == 0)]
 
-        def keep_best(block: np.ndarray, i: int) -> np.ndarray:
-            j = int(bound(block, i + 1).argmax())
-            return block[:, j : j + 1]
+    def keep_best(block: np.ndarray, i: int) -> np.ndarray:
+        j = int(bound(block, i + 1).argmax())
+        return block[:, j : j + 1]
 
-        # the single-path vertices and the walk's leaves are lattice points
-        vertices = _flow_lattice(first.copy(), ops, all_or_nothing)
-        leaves = _flow_lattice(first.copy(), ops, keep_best)
-        threshold = float(shortest(np.hstack([*vertices, *leaves])).max())
-        floor = threshold * (1.0 - _PRUNE_MARGIN)
+    # the single-path vertices and the walk's leaves are lattice points
+    vertices = _flow_lattice(first.copy(), ops, all_or_nothing)
+    leaves = _flow_lattice(first.copy(), ops, keep_best)
+    threshold = float(shortest(np.hstack([*vertices, *leaves])).max())
+    floor = threshold * (1.0 - _PRUNE_MARGIN)
 
     def prune(block: np.ndarray, i: int) -> np.ndarray:
         # the last split makes the lattice points themselves

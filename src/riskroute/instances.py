@@ -199,13 +199,17 @@ def _random_sp(
     # Under max_paths, the s->v (into) and v->t (onward) path counts of every
     # node and the source-sink count. Duplicating a tail->head edge adds
     # into[tail] * onward[head] paths; subdividing one adds a node with its
-    # edge's counts and changes no other count. The nodes are kept in a
-    # topological order from s to t, a subdividing node right after its
-    # edge's tail, so a forward and a backward pass over it recount paths.
+    # edge's counts and changes no other count. A successor map keeps the
+    # nodes in a topological order from s to t, a subdividing node linked in
+    # O(1) right after its edge's tail; a forward and a backward pass over
+    # its walk recount paths.
     into, onward, paths = {"s": 1, "t": 1}, {"s": 1, "t": 1}, 1
-    order = ["s", "t"]
+    after = {"s": "t"}
 
     def recount() -> int:
+        order = ["s"]
+        while order[-1] != "t":
+            order.append(after[order[-1]])
         heads: dict[str, list[str]] = {v: [] for v in order}
         for tail, head in edges.values():
             heads[tail].append(head)
@@ -228,7 +232,7 @@ def _random_sp(
             edges[key] = (tail, mid)
             edges[new_key] = (mid, head)
             into[mid], onward[mid] = into[tail], onward[head]
-            order.insert(order.index(tail) + 1, mid)
+            after[tail], after[mid] = mid, after[tail]
         else:
             if max_paths is not None and paths + into[tail] * onward[head] > max_paths:
                 continue

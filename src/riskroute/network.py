@@ -233,8 +233,8 @@ class Validation:
 
 
 def _has_cycle(network: Network) -> bool:
-    # nodes left out of the Kahn peel mean a directed cycle
-    return len(network.topo_order) != len(network.nodes)
+    # distinct nodes left out of the Kahn peel mean a directed cycle
+    return len(network.topo_order) != len(set(network.nodes))
 
 
 def _sink_reachable(network: Network) -> bool:

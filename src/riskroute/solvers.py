@@ -638,9 +638,7 @@ class _PathPool:
         if self.separable:
             floor, best = self.cheapest(table)
             prices, terms = table
-            costs = {p: math.fsum(map(prices.__getitem__, p)) for p in paths}
-            if best not in costs:
-                costs[best] = math.fsum(map(prices.__getitem__, best))
+            costs = {p: math.fsum(map(prices.__getitem__, p)) for p in (*paths, best)}
             potential = math.fsum(terms)
         elif among:
             costs = {p: _meanstdev_price(table, instance.gamma, p) for p in among}
@@ -718,16 +716,16 @@ def _independent_support(
     total cost sum_p x_p Q_p changes linearly (under mean-stdev; it stays
     put under a separable mode). Each dependency is oriented so that the
     total does not rise (bringing the cheapest path in on a tie) and
-    followed until a path's flow reaches zero, which takes that path out.
-    Two distinct paths are always independent, but the used paths need not
-    be: a pairwise step can bring in a cheapest path that a reduction took
-    out. So the loop reduces every support of more than two paths until it
-    is independent or holds two paths, whether the cheapest path carries
-    flow or not. Returns the iterate after these moves and the support, in
-    lexicographic order.
+    followed by :func:`_moved` until a path's flow reaches zero, which takes
+    that path out. Two distinct paths are always independent, but the used
+    paths need not be: a pairwise step can bring in a cheapest path that a
+    reduction took out. So the loop reduces every support of more than two
+    paths until it is independent or holds two paths, whether the cheapest
+    path carries flow or not. Returns the iterate after these moves and the
+    support, in lexicographic order.
     """
     support = sorted({*it.paths, it.best})
-    paths = dict(it.paths)
+    paths = it.paths
     while len(support) > 2:
         weights = _path_dependency(support)
         if weights is None:
@@ -736,14 +734,11 @@ def _independent_support(
         lead = weights[support.index(it.best)] if it.best in support else 0
         if change > 0.0 or (change == 0.0 and lead < 0):
             weights = [-w for w in weights]
-        flow = [paths.get(p, 0.0) for p in support]
         # the first path to run dry along the dependency, and the step to it
-        step, out = min((flow[i] / -w, i) for i, w in enumerate(weights) if w < 0)
-        if step > 0.0:
-            for i, (p, w) in enumerate(zip(support, weights)):
-                if w:
-                    paths[p] = 0.0 if i == out else flow[i] + step * w
-            paths = {p: v for p, v in paths.items() if v > 0.0}
+        step, out = min(
+            (paths.get(p, 0.0) / -w, i) for i, (p, w) in enumerate(zip(support, weights)) if w < 0
+        )
+        paths = _moved(paths, dict(zip(support, weights)), step)
         del support[out]
     if paths != it.paths:
         it = pool.evaluate(paths)

@@ -1406,6 +1406,19 @@ def test_oracle_rejects_bad_input():
         max_shortest_path_oracle(pathless, grid=10)
 
 
+def test_oracle_searches_a_lattice_with_a_repeated_node_id():
+    """A repeated node id is no cycle: the lattice of Braess with its sink
+    listed twice gives the result of Braess itself."""
+    braess = make("braess", v=0.1)
+    net = braess.network
+    repeated = dataclasses.replace(
+        braess, network=dataclasses.replace(net, nodes=(*net.nodes, net.sink))
+    )
+    assert max_shortest_path_oracle(repeated, grid=40) == max_shortest_path_oracle(
+        braess, grid=40
+    )
+
+
 @pytest.mark.parametrize("coeffs", [(1.0, -0.5), (math.inf,)])
 def test_oracle_needs_nondecreasing_latencies(coeffs):
     """The search's bound holds only for nondecreasing latencies, so a path

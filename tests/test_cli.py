@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 import riskroute.analysis as analysis
 import riskroute.cli as cli
 from riskroute import suites
+from riskroute.alternating import NoAlternatingPathError
 from riskroute.analysis import pra_report
 from riskroute.cli import CSV_HEADER, main
 from riskroute.instances import make, write_instance
 from riskroute.network import RISK_MEAN_STDEV, RISK_MEAN_VAR, Edge, Instance, Network
-from riskroute.solvers import solve_rawe, solve_rnwe
+from riskroute.solvers import ZeroCostPathWarning, solve_pair, solve_rawe, solve_rnwe
 
 
 def _write(tmp_path, name, instance):
@@ -192,6 +193,31 @@ def test_unconverged_solve_names_its_stop_reason(tmp_path, capsys):
     assert doc["stop_reason"] == "round-off"
 
 
+def test_risk_model_flag_overrides_the_file(tmp_path, capsys):
+    """analyze and solve read a mean-var Braess file under --risk-model
+    mean-stdev, as if the file said so, and sweep draws its family under it."""
+    instance = _write(tmp_path, "braess.json", make("braess", v=0.1))
+    stdev = ["--risk-model", RISK_MEAN_STDEV]
+    assert main(["analyze", instance] + stdev) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "instance braess-v0.1  risk model mean-stdev  gamma 1.0"
+    assert lines[-1] == "result PASS"
+    assert main(["solve", instance] + stdev) == 0
+    assert "risk model mean-stdev" in capsys.readouterr().out.splitlines()[0]
+    # random_general seed 0 (n=5, m=8) certifies differently under the two models
+    rows = {}
+    for model in (RISK_MEAN_VAR, RISK_MEAN_STDEV):
+        out = tmp_path / f"{model}.csv"
+        argv = ["sweep", "--family", "random_general", "--seed", "0", "--set", "n=5"]
+        argv += ["--set", "m=8", "--param", "gamma", "--from", "0.5", "--to", "1"]
+        assert main(argv + ["--steps", "2", "--risk-model", model, "--out", str(out)]) == 0
+        drawn = make("random_general", seed=0, n=5, m=8, gamma=1.0, risk_model=model)
+        want = cli._csv_row("1.0", pra_report(drawn, *solve_pair(drawn)))
+        assert out.read_text().splitlines()[-1] == want
+        rows[model] = want
+    assert rows[RISK_MEAN_VAR] != rows[RISK_MEAN_STDEV]
+
+
 def test_solve_missing_file_exits_2(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -273,16 +299,17 @@ def test_analyze_out_bytes_are_frozen(tmp_path, instance):
     assert json.dumps(analysis.report_to_dict(report), indent=2) + "\n" == frozen
 
 
+def _one_check_failed(instance, x, z):
+    """The report with its first, proven check failed."""
+    report = pra_report(instance, x, z)
+    checks = list(report.checks)
+    checks[0] = checks[0]._replace(passed=False)
+    return dataclasses.replace(report, checks=tuple(checks))
+
+
 def test_analyze_exits_4_when_a_proven_check_fails(tmp_path, monkeypatch, capsys):
     """Exit-code plumbing only: doctor the report so one proven check fails."""
-
-    def doctored(instance, x, z):
-        report = pra_report(instance, x, z)
-        checks = list(report.checks)
-        checks[0] = checks[0]._replace(passed=False)
-        return dataclasses.replace(report, checks=tuple(checks))
-
-    monkeypatch.setattr(cli, "pra_report", doctored)
+    monkeypatch.setattr(cli, "pra_report", _one_check_failed)
     instance = _write(tmp_path, "braess.json", make("braess", v=0.1))
     assert main(["analyze", instance]) == 4
     text = capsys.readouterr().out
@@ -378,6 +405,50 @@ def test_analyze_non_convergence_exits_3(tmp_path, capsys):
     )
     assert main(["analyze", instance, "--max-iter", "1", "--tol", "1e-15"]) == 3
     assert "stopped at gap" in capsys.readouterr().err
+
+
+def test_analyze_missing_alternating_path_exits_4(tmp_path, monkeypatch, capsys):
+    def refuse(instance, x, z):
+        raise NoAlternatingPathError("no residual source->sink path")
+
+    monkeypatch.setattr(cli, "pra_report", refuse)
+    instance = _write(tmp_path, "braess.json", make("braess", v=0.1))
+    assert main(["analyze", instance]) == cli.EXIT_BOUND
+    assert capsys.readouterr().err == "error: no residual source->sink path\n"
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    instance = _write(tmp_path, "braess.json", make("braess", v=0.1))
+    out = tmp_path / "missing" / "x.json"
+    assert main(["analyze", instance, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_analyze_prints_the_degenerate_line(tmp_path, capsys):
+    """Two parallel edges whose latencies are 0 and f: the risk-neutral
+    cost is zero, so the report's ratios are skipped."""
+    net = Network(
+        ("s", "t"),
+        (Edge("a", "s", "t", (0.0,), (1.0,)), Edge("b", "s", "t", (0.0, 1.0), (0.0,))),
+        "s",
+        "t",
+    )
+    instance = _write(tmp_path, "zero.json", Instance(net, 1.0, 1.0, name="zero"))
+    with pytest.warns(ZeroCostPathWarning):
+        assert main(["analyze", instance]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "degenerate instance: risk-neutral cost is zero, ratios skipped" in lines
+    assert lines[-1] == "result PASS"
+
+
+def test_repeated_node_id_is_reported_once(tmp_path, capsys):
+    net = Network(("s", "t", "t"), (Edge("e1", "s", "t", (1.0,), (0.0,)),), "s", "t")
+    path = _write(tmp_path, "repeated.json", Instance(net, 1.0, 1.0, name="repeated"))
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate node id\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "analyze", "verify"])
@@ -502,6 +573,19 @@ def test_sweep_csv_schema_and_closed_form(tmp_path, capsys):
         pra = float(fields[3])
         assert pra == pytest.approx((1.0 + 3.0 * v) / (1.0 + v), abs=1e-5)
         assert int(fields[5]) == 2
+
+
+def test_sweep_lists_failed_rows_and_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "pra_report", _one_check_failed)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", "braess", "--param", "v", "--from", "0.1", "--to", "0.2"]
+    assert main(argv + ["--steps", "2", "--out", str(out)]) == cli.EXIT_BOUND
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {out}  rows 2  failed 2",
+        "FAIL v=0.1",
+        "FAIL v=0.2",
+    ]
+    assert [line.split(",")[-1] for line in out.read_text().splitlines()[1:]] == ["0", "0"]
 
 
 def test_sweep_is_byte_stable(tmp_path):

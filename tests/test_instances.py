@@ -67,6 +67,23 @@ def test_braess_general_validates_parameters():
         make("zigzag", k=1)
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("pigou", {"gamma": -0.5, "kappa": 1.0}, "pigou needs gamma >= 0 and kappa >= 0"),
+        ("pigou", {"gamma": 1.0, "kappa": -0.5}, "pigou needs gamma >= 0 and kappa >= 0"),
+        ("braess_general", {"alpha": 0.5, "v": 0.0}, "braess_general needs v > 0"),
+        ("braess_general", {"alpha": 0.5, "v": -0.1}, "braess_general needs v > 0"),
+        ("random_sp", {"seed": 0, "budget": -1}, "random_sp needs budget >= 0"),
+        ("random_general", {"seed": 0, "n": 1, "m": 3}, "random_general needs n >= 2"),
+        ("random_general", {"seed": 0, "n": 4, "m": 0}, "random_general needs m >= 1"),
+    ],
+)
+def test_family_range_errors(family, params, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make(family, **params)
+
+
 def test_zigzag_shape():
     # k rungs: k spokes in, k rungs, k spokes out, k - 1 connectors.
     for k in (2, 3, 4):
@@ -87,6 +104,8 @@ def test_unknown_family_and_parameter_errors():
         make("random_sp", budget=2)  # missing seed
     with pytest.raises(ValueError):
         make("pigou", gamma=1.0, kappa=1.0, risk_model="quantile")
+    with pytest.raises(ValueError, match="zigzag parameter 'k' must be a finite number"):
+        make("zigzag", k=10**400)  # too large for a float
 
 
 def test_families_listing():

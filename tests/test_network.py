@@ -182,6 +182,20 @@ def test_validate_cycle():
     assert any("cycle" in v for v in verdict.violations)
 
 
+def test_validate_repeated_node_id_is_not_a_cycle():
+    """The Kahn peel lists each distinct node once, so a repeated node id is
+    reported as a duplicate and not also as a directed cycle."""
+    net = _net([_edge("e1", "s", "t")], nodes=("s", "t", "t"))
+    verdict = validate_instance(Instance(net, demand=1.0, gamma=1.0))
+    assert verdict.violations == ("duplicate node id",)
+
+
+def test_validate_source_equals_sink():
+    net = _net([_edge("e1", "s", "t")], sink="s")
+    verdict = validate_instance(Instance(net, demand=1.0, gamma=1.0))
+    assert "source equals sink" in verdict.violations
+
+
 def test_validate_unreachable_sink():
     net = _net([_edge("e1", "s", "u")], nodes=("s", "t", "u"))
     verdict = validate_instance(Instance(net, demand=1.0, gamma=1.0))
@@ -316,6 +330,13 @@ def test_is_braess_topology():
     assert is_braess_topology(_braess_instance().network)
     assert not is_braess_topology(make("pigou", gamma=1.0, kappa=1.0).network)
     assert not is_braess_topology(make("zigzag", k=2).network)
+    # four nodes and five edges, but a direct s->t edge where Braess crosses
+    uncrossed = _net(
+        [_edge("a", "s", "u"), _edge("b", "u", "t"), _edge("c", "s", "w"),
+         _edge("d", "w", "t"), _edge("e", "s", "t")]
+    )
+    assert len(uncrossed.nodes) == 4 and len(uncrossed.edges) == 5
+    assert not is_braess_topology(uncrossed)
 
 
 def test_is_braess_topology_flipped_middle():

@@ -622,6 +622,24 @@ def test_sweep_path_error_contract():
         _sweep_ids(_SWEEP_CORNERS["braess"], {"a": 1.0})
 
 
+@pytest.mark.parametrize("risk_model", [RISK_MEAN_VAR, RISK_MEAN_STDEV])
+def test_sweep_skips_a_node_the_source_does_not_reach(risk_model):
+    """Node x lies between s and t in the sweep, but no path from s reaches
+    it: both cheapest-path DPs pass it by, and both solves certify as they
+    do on the network without it."""
+    pair = (Edge("a", "s", "t", (0.5, 1.0), (0.5,)), Edge("b", "s", "t", (0.0, 2.0), (0.0,)))
+    spur = Edge("c", "x", "t", (1.0,), (1.0,))
+    net = Network(("x", "s", "t"), (*pair, spur), "s", "t")
+    assert net.topo_order == ("s", "x", "t")
+    instance = Instance(net, 1.0, 1.0, risk_model=risk_model)
+    bare = Instance(Network(("s", "t"), pair, "s", "t"), 1.0, 1.0, risk_model=risk_model)
+    x, z = solve_pair(instance)
+    assert pra_report(instance, x, z).ok
+    for got, want in zip((x, z), solve_pair(bare)):
+        assert got.flow.path_flow == want.flow.path_flow
+        assert got.min_path_cost == want.min_path_cost
+
+
 def test_non_convergence_returns_best_iterate():
     instance = make("braess", v=0.1)
     result = solve_rnwe(instance, tol=1e-15, max_iter=1)

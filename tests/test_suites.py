@@ -204,6 +204,11 @@ def test_sigma_lemma_lists_at_most_a_batch_of_counterexamples(monkeypatch):
 # --- the command line -----------------------------------------------------
 
 
+def test_run_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'nonesuch'"):
+        suites.run("nonesuch", 1)
+
+
 def test_verify_prints_each_failure_line(monkeypatch, capsys):
     _patch_oracle(monkeypatch, 5.0)
     assert main(["verify", "--suite", "oracle", "--seeds", "1"]) == cli.EXIT_BOUND
